@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-json bench-delta mcore-smoke fast-smoke pdes-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke cluster-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke cluster-smoke clean
 
 all: build test
 
@@ -64,7 +64,6 @@ ci:
 	$(GO) run ./cmd/dolos-profile -grid -txns 50 -o /tmp/dolos-grid-ci.json
 	$(MAKE) mcore-smoke
 	$(MAKE) fast-smoke
-	$(MAKE) pdes-smoke
 	$(MAKE) scheme-smoke
 	$(MAKE) load-smoke
 	$(MAKE) chaos-smoke
@@ -78,27 +77,16 @@ mcore-smoke:
 	$(GO) test -race -run 'TestMCoreSmoke|TestCoresOneMatchesLegacy' ./internal/core
 	$(GO) test -race -run 'TestOoOWindowOneMatchesInOrder|TestMultiCoreDeterminism' ./internal/mcore
 
-# Fast-mode + parallel-DES smoke: the grid re-run with the latency-only
-# provider and with the pipelined shadow, each diffed in-run against the
-# functional serial records (one divergent deterministic field fails),
-# plus the exhaustive scheme×workload differential and the parallel-DES
-# equivalence proof under the race detector. Runs in CI.
+# Fast-mode smoke: the grid re-run with the latency-only provider,
+# diffed in-run against the functional records (one divergent
+# deterministic field fails), plus the exhaustive scheme×workload
+# differential and the dispatch-order proof under the race detector.
+# Runs in CI.
 fast-smoke:
 	$(GO) run ./cmd/dolos-profile -grid -fast -txns 50 -o /tmp/dolos-fast-smoke.json
-	$(GO) test -race -run 'TestFastMode|TestParallelDES' ./internal/core
+	$(GO) test -race -run 'TestFastMode' ./internal/core
 	$(GO) test -run 'TestFastEngine|TestDispatchAllocFree' ./internal/crypt
 	$(GO) test -run 'TestFastMode|TestCrashRefused|TestNewDriverRejects' ./internal/attack ./internal/crash
-
-# Parallel-DES gate: the full equivalence proof surface under the race
-# detector — bit-identical RunRecord, dispatch-order hash, shadow NVM
-# snapshot, and the typed supported-matrix refusals — then a best-of-3
-# pdes grid gated on the CPU-aware geomean floor ('auto': 1.0x on
-# multi-core hosts, where the timing/shadow overlap must actually win;
-# 0.85x on a single-core host, where the two stages time-slice one CPU
-# and the gate only rejects a regression into duplicated bookkeeping).
-pdes-smoke:
-	$(GO) test -race -run 'TestParallelDES|TestFastModeWins' ./internal/core
-	$(GO) run ./cmd/dolos-profile -grid -fast -txns 50 -repeat 3 -pdes-floor auto -o /tmp/dolos-pdes-smoke.json
 
 # Scheme-registry smoke: every registered scheme (Dolos designs and the
 # related-work competitors — Triad-NVM, SuperMem, Phoenix, STUM) runs,
@@ -123,20 +111,20 @@ bench-json:
 # delta (sim_events_per_sec geomean). The refreshed grid — extended
 # with the related-work scheme records (-related, carrying the
 # recovery_cycles axis), the multi-core contention records (-mcore) and
-# the fast-mode / parallel-DES re-runs (-fast), all of which append
-# after the legacy cells and so never perturb the comparison — lands in
-# BENCH_pr10.json so the current trajectory point is committed next to
-# the baseline it is measured against.
-# The trajectory run is pinned -parallel 1 so every record — functional,
-# fast and pdes alike — is measured serially on an otherwise-idle
-# machine: the printed fast/functional geomean is then an
-# identical-conditions comparison, not an artifact of worker contention.
+# the fast-mode re-runs (-fast), all of which append after the legacy
+# cells and so never perturb the comparison — lands in BENCH_pr13.json
+# so the current trajectory point is committed next to the baseline it
+# is measured against.
+# The trajectory run is pinned -parallel 1 so every record — functional
+# and fast alike — is measured serially on an otherwise-idle machine:
+# the printed fast/functional geomean is then an identical-conditions
+# comparison, not an artifact of worker contention.
 # -repeat 3 keeps the fastest wall time per cell: deterministic fields
 # are identical across repeats, so best-of-N only damps GC/scheduler
 # noise out of the throughput columns.
 bench-delta:
 	$(GO) run ./cmd/dolos-profile -grid -fast -txns 200 -repeat 3 -o /tmp/dolos-delta.json -compare BENCH_baseline.json
-	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -parallel 1 -txns 200 -repeat 3 -pdes-floor auto -o BENCH_pr10.json
+	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -parallel 1 -txns 200 -repeat 3 -o BENCH_pr13.json
 
 # CPU+heap profile of a serial grid run, ready for `go tool pprof`.
 pprof:

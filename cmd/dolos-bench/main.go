@@ -43,7 +43,6 @@ func main() {
 	coresFlag := flag.String("cores", "1,2,4,8", "comma-separated core counts for the contention experiment")
 	oooWindow := flag.Int("ooo-window", 0, "OoO issue window for the contention experiment (0 = in-order)")
 	fast := flag.Bool("fast", false, "latency-only crypto provider for every sweep cell (bit-identical tables, fraction of the wall-clock; crash/recovery experiments ignore it)")
-	pdes := flag.Bool("pdes", false, "two-stage cost-count pipeline for every single-core sweep cell (bit-identical tables with full functional state; multi-core and crash/recovery cells stay serial; -fast wins when both are set)")
 	flag.Parse()
 
 	for _, s := range strings.Split(*coresFlag, ",") {
@@ -56,7 +55,7 @@ func main() {
 	}
 	contentionWindow = *oooWindow
 
-	opts := core.Options{Transactions: *txns, Seed: *seed, Parallelism: *parallel, FastMode: *fast, ParallelDES: *pdes}
+	opts := core.Options{Transactions: *txns, Seed: *seed, Parallelism: *parallel, FastMode: *fast}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
 	}

@@ -23,7 +23,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,9 +62,8 @@ func run() int {
 	compare := flag.String("compare", "", "grid mode: verify deterministic fields bit-identical against this trajectory file and report the throughput delta (exit 1 on divergence)")
 	mcoreExt := flag.Bool("mcore", false, "grid mode: append multi-core contention records (shared-controller cells at 2 and 4 cores) after the legacy grid")
 	relatedExt := flag.Bool("related", false, "grid mode: append related-work scheme records (Triad-NVM, SuperMem, Phoenix, STUM with recovery_cycles) after the legacy grid")
-	fast := flag.Bool("fast", false, "single run: use the latency-only crypto provider; grid mode: append fast-mode and parallel-DES re-runs of the legacy cells, checked bit-identical in-run")
+	fast := flag.Bool("fast", false, "single run: use the latency-only crypto provider; grid mode: append fast-mode re-runs of the legacy cells, checked bit-identical in-run")
 	repeat := flag.Int("repeat", 1, "grid mode: run each cell this many times and keep the fastest wall time (deterministic fields are identical across runs, so only the throughput axis changes)")
-	pdesFloor := flag.String("pdes-floor", "", "grid mode with -fast: exit 1 if the parallel-DES sim_events_per_sec geomean falls below this ratio of functional serial (empty = no gate; 'auto' = 1.0 on multi-core hosts, 0.85 on a single-core host where the two stages cannot overlap)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host-side CPU profile (go tool pprof) to this path")
 	memProfile := flag.String("memprofile", "", "write a host-side heap profile (after GC) to this path on exit")
 	flag.Parse()
@@ -94,12 +92,7 @@ func run() int {
 	}
 
 	if *grid {
-		floor, err := parsePdesFloor(*pdesFloor)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-profile: %v\n", err)
-			return 2
-		}
-		if err := runGrid(*gridOut, *txns, *txSize, *parallel, *compare, *relatedExt, *mcoreExt, *fast, *repeat, floor); err != nil {
+		if err := runGrid(*gridOut, *txns, *txSize, *parallel, *compare, *relatedExt, *mcoreExt, *fast, *repeat); err != nil {
 			fmt.Fprintf(os.Stderr, "dolos-profile: %v\n", err)
 			return 1
 		}
@@ -130,8 +123,8 @@ func run() int {
 	var wall time.Duration
 	var probe *telemetry.Probe
 	// The profile labels let `go tool pprof -tagfocus` split host CPU by
-	// crypto provider and DES parallelism, so a -cpuprofile of a mixed
-	// session attributes SHA-256 time to the runs that actually paid it.
+	// crypto provider, so a -cpuprofile of a mixed session attributes
+	// SHA-256 time to the runs that actually paid it.
 	pprof.Do(context.Background(), runLabels(cfg), func(context.Context) {
 		sys = cpu.NewSystem(cfg)
 		probe = telemetry.NewProbe(sys.Eng.Now)
@@ -147,7 +140,7 @@ func run() int {
 		return 1
 	}
 	rec := cliutil.BuildRunRecord(res, kind, *txSize, *seed, sys.Eng.Processed(), wall, sys.Ctrl.Stats(), probe.Registry())
-	rec.Mode = cliutil.ModeLabel(cfg.FastMode, cfg.ParallelDES)
+	rec.Mode = cliutil.ModeLabel(cfg.FastMode)
 	if err := writeMetrics(*metricsOut, rec); err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-profile: %v\n", err)
 		return 1
@@ -241,12 +234,11 @@ func writeMetrics(path string, v any) error {
 // divergence is an error (the timing model changed), while the host-side
 // throughput fields are summarized as a speedup ratio.
 //
-// With fastExt the legacy cells are re-run twice more — once with the
-// latency-only provider (mode "fast") and once pipelined across two host
-// cores (mode "pdes") — and each re-run is diffed in-run against its
-// functional serial record: a single divergent deterministic field fails
-// the grid. The extension records append after the mcore block.
-func runGrid(path string, txns, txSize, parallel int, comparePath string, relatedExt, mcoreExt, fastExt bool, repeat int, pdesFloor float64) error {
+// With fastExt the legacy cells are re-run with the latency-only provider
+// (mode "fast") and each re-run is diffed in-run against its functional
+// record: a single divergent deterministic field fails the grid. The
+// extension records append after the mcore block.
+func runGrid(path string, txns, txSize, parallel int, comparePath string, relatedExt, mcoreExt, fastExt bool, repeat int) error {
 	schemes := []controller.Scheme{
 		controller.PreWPQSecure,
 		controller.DolosFull,
@@ -313,7 +305,7 @@ func runGrid(path string, txns, txSize, parallel int, comparePath string, relate
 		records = append(records, mcoreRecords(txns, txSize)...)
 	}
 	if fastExt {
-		ext, err := fastRecords(cells, records[:len(cells)], txSize, repeat, pdesFloor)
+		ext, err := fastRecords(cells, records[:len(cells)], txSize, repeat)
 		if err != nil {
 			return err
 		}
@@ -354,30 +346,6 @@ func runGrid(path string, txns, txSize, parallel int, comparePath string, relate
 	return nil
 }
 
-// parsePdesFloor resolves the -pdes-floor flag. "auto" picks the gate
-// the host can actually honor: on a multi-core host the two pipeline
-// stages overlap and parallel DES must beat serial outright (1.0); on a
-// single core there is nothing to overlap with — the pipeline runs
-// timing and shadow stages time-sliced, so the gate only guards against
-// regressing to duplicated per-op bookkeeping (0.85, below which the
-// cost-count stage has stopped paying for the pipeline machinery).
-func parsePdesFloor(s string) (float64, error) {
-	switch s {
-	case "":
-		return 0, nil
-	case "auto":
-		if runtime.NumCPU() >= 2 {
-			return 1.0, nil
-		}
-		return 0.85, nil
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f < 0 {
-		return 0, fmt.Errorf("invalid -pdes-floor %q (want a ratio or 'auto')", s)
-	}
-	return f, nil
-}
-
 // gridCell is one scheme×workload cell of the bench grid, with the
 // workload's pre-generated trace (shared read-only between runs).
 type gridCell struct {
@@ -387,20 +355,13 @@ type gridCell struct {
 }
 
 // runLabels builds the pprof label set describing how cfg executes:
-// crypto=functional|fast (which provider computes pads and MACs) and
-// des=serial|parallel (whether a shadow stage rides a second core). The
-// pipeline consumer goroutine is spawned under pprof.Do, so it inherits
-// the same labels and its SHA-256 time stays attributed to the run.
+// crypto=functional|fast (which provider computes pads and MACs).
 func runLabels(cfg controller.Config) pprof.LabelSet {
 	crypto := "functional"
 	if cfg.FastMode {
 		crypto = "fast"
 	}
-	des := "serial"
-	if cfg.ParallelDES && !cfg.FastMode {
-		des = "parallel"
-	}
-	return pprof.Labels("crypto", crypto, "des", des)
+	return pprof.Labels("crypto", crypto)
 }
 
 // runGridCell runs one bench cell under its pprof labels and returns the
@@ -414,7 +375,7 @@ func runGridCell(cfg controller.Config, tr *trace.Trace, txSize int) telemetry.R
 		res := sys.Run(tr)
 		rec = cliutil.BuildRunRecord(res, cfg.EffectiveTree(), txSize, gridSeed,
 			sys.Eng.Processed(), time.Since(start), sys.Ctrl.Stats(), nil)
-		rec.Mode = cliutil.ModeLabel(cfg.FastMode, cfg.ParallelDES)
+		rec.Mode = cliutil.ModeLabel(cfg.FastMode)
 	})
 	return rec
 }
@@ -466,43 +427,29 @@ func relatedRecords(txns, txSize int) []telemetry.RunRecord {
 }
 
 // fastRecords is the -fast grid extension: every legacy cell re-run in
-// fast mode and again under parallel DES, each checked bit-identical to
-// its functional serial record before the grid is allowed to land. The
-// printed geomean is the headline fast-mode speedup (host throughput;
-// the simulated model is unchanged by construction, and the diff proves
-// it).
-func fastRecords(cells []gridCell, funcRecs []telemetry.RunRecord, txSize, repeat int, pdesFloor float64) ([]telemetry.RunRecord, error) {
-	var out []telemetry.RunRecord
-	for _, mode := range []struct {
-		name       string
-		fast, pdes bool
-	}{{"fast", true, false}, {"pdes", false, true}} {
-		recs := make([]telemetry.RunRecord, len(cells))
-		for i, c := range cells {
-			cfg := controller.Config{Scheme: c.scheme, Tree: masu.BMTEager, HardwareWPQ: 16,
-				FastMode: mode.fast, ParallelDES: mode.pdes}
-			cfg.AESKey, cfg.MACKey = cliutil.DemoKeys("profile")
-			recs[i] = runGridCellBest(cfg, c.tr, txSize, repeat)
-			fmt.Printf("%-10s %-20s %12d cycles  %6.2f retry/KWR  (%s)\n",
-				c.workload, recs[i].Scheme, recs[i].Cycles, recs[i].RetryPerKWR, mode.name)
-		}
-		delta := cliutil.CompareBenchRecords(recs, funcRecs)
-		if !delta.Identical() {
-			for _, d := range delta.Diffs {
-				fmt.Fprintln(os.Stderr, "  "+d)
-			}
-			return nil, fmt.Errorf("%s mode diverged from the functional serial grid (%d diffs)",
-				mode.name, len(delta.Diffs))
-		}
-		fmt.Printf("%s mode: bit-identical to functional serial, %.2fx sim_events_per_sec (geomean)\n",
-			mode.name, delta.EPSRatio)
-		if mode.pdes && pdesFloor > 0 && delta.EPSRatio < pdesFloor {
-			return nil, fmt.Errorf("pdes geomean %.2fx is below the %.2fx floor: the two-stage pipeline regressed",
-				delta.EPSRatio, pdesFloor)
-		}
-		out = append(out, recs...)
+// fast mode, checked bit-identical to its functional record before the
+// grid is allowed to land. The printed geomean is the headline fast-mode
+// speedup (host throughput; the simulated model is unchanged by
+// construction, and the diff proves it).
+func fastRecords(cells []gridCell, funcRecs []telemetry.RunRecord, txSize, repeat int) ([]telemetry.RunRecord, error) {
+	recs := make([]telemetry.RunRecord, len(cells))
+	for i, c := range cells {
+		cfg := controller.Config{Scheme: c.scheme, Tree: masu.BMTEager, HardwareWPQ: 16, FastMode: true}
+		cfg.AESKey, cfg.MACKey = cliutil.DemoKeys("profile")
+		recs[i] = runGridCellBest(cfg, c.tr, txSize, repeat)
+		fmt.Printf("%-10s %-20s %12d cycles  %6.2f retry/KWR  (fast)\n",
+			c.workload, recs[i].Scheme, recs[i].Cycles, recs[i].RetryPerKWR)
 	}
-	return out, nil
+	delta := cliutil.CompareBenchRecords(recs, funcRecs)
+	if !delta.Identical() {
+		for _, d := range delta.Diffs {
+			fmt.Fprintln(os.Stderr, "  "+d)
+		}
+		return nil, fmt.Errorf("fast mode diverged from the functional grid (%d diffs)", len(delta.Diffs))
+	}
+	fmt.Printf("fast mode: bit-identical to functional, %.2fx sim_events_per_sec (geomean)\n",
+		delta.EPSRatio)
+	return recs, nil
 }
 
 // mcoreRecords runs the contention axis of the bench grid: the

@@ -41,7 +41,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the run result as JSON on stdout instead of text")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this path")
 	fast := flag.Bool("fast", false, "latency-only crypto provider (bit-identical timing, no real AES/SHA-256)")
-	pdes := flag.Bool("pdes", false, "parallel DES: pipeline functional crypto onto a second host core (ignored with -fast)")
 	flag.Parse()
 
 	sch, err := cliutil.ParseScheme(*scheme)
@@ -67,7 +66,6 @@ func main() {
 		HardwareWPQ:       *wpqSize,
 		DisableCoalescing: *noCoalesce,
 		FastMode:          *fast,
-		ParallelDES:       *pdes,
 	}
 	cfg.AESKey, cfg.MACKey = cliutil.DemoKeys("sim")
 	// Some schemes pin the integrity backend (Phoenix is the lazy ToC by
@@ -75,10 +73,6 @@ func main() {
 	kind = cfg.EffectiveTree()
 
 	if *cores > 1 {
-		if cfg.ParallelDES && !cfg.FastMode {
-			fmt.Fprintf(os.Stderr, "dolos-sim: -pdes with -cores > 1: %v\n", controller.ErrParallelDES)
-			os.Exit(2)
-		}
 		runMulti(w, cfg, kind, *cores, *oooWindow, *txns, *txSize, *seed, *jsonOut, *showStats, *traceOut)
 		return
 	}
@@ -115,7 +109,7 @@ func main() {
 			reg = p.Registry()
 		}
 		rec := cliutil.BuildRunRecord(res, kind, *txSize, *seed, sys.Eng.Processed(), wall, sys.Ctrl.Stats(), reg)
-		rec.Mode = cliutil.ModeLabel(cfg.FastMode, cfg.ParallelDES)
+		rec.Mode = cliutil.ModeLabel(cfg.FastMode)
 		if err := telemetry.WriteJSON(os.Stdout, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
 			os.Exit(1)
@@ -180,7 +174,7 @@ func runMulti(w whisper.Workload, cfg controller.Config, kind masu.TreeKind,
 
 	if jsonOut {
 		rec := cliutil.BuildRunRecord(res, kind, txSize, seed, sys.Eng.Processed(), wall, sys.Ctrl.Stats(), nil)
-		rec.Mode = cliutil.ModeLabel(cfg.FastMode, cfg.ParallelDES)
+		rec.Mode = cliutil.ModeLabel(cfg.FastMode)
 		if err := telemetry.WriteJSON(os.Stdout, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
 			os.Exit(1)

@@ -177,11 +177,6 @@ func AllWorkloads() []Workload {
 	return out
 }
 
-// Workloads lists the six WHISPER-style benchmarks in figure order.
-//
-// Deprecated: use AllWorkloads (typed) or the Workload constants.
-func Workloads() []string { return whisper.Names() }
-
 // MicroWorkloads lists the in-house microbenchmarks (TxStream, PQueue),
 // mirroring the paper's "in-house developed workloads".
 func MicroWorkloads() []string { return whisper.MicroNames() }

@@ -61,9 +61,8 @@ type Adversary = attack.Adversary
 func NewSystem(cfg SystemConfig) *System { return cpu.NewSystem(cfg) }
 
 // NewCrashDriver builds a machine with crash-audit instrumentation.
-// It refuses FastMode or ParallelDES configs with a typed error
-// (masu.ErrFastMode / controller.ErrParallelDES): crash experiments
-// need real crypto resident on the timing stage.
+// It refuses FastMode configs with a typed error (masu.ErrFastMode):
+// crash experiments need real crypto.
 func NewCrashDriver(cfg SystemConfig) (*CrashDriver, error) { return crash.NewDriver(cfg) }
 
 // NewAdversary binds an adversary to a device (reproducible via seed).

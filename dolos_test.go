@@ -103,8 +103,8 @@ func TestRunContextMatchesRun(t *testing.T) {
 }
 
 func TestFacadeStatics(t *testing.T) {
-	if len(Workloads()) != 6 {
-		t.Fatalf("workloads = %v", Workloads())
+	if len(AllWorkloads()) != 6 {
+		t.Fatalf("workloads = %v", AllWorkloads())
 	}
 	if len(MicroWorkloads()) != 2 {
 		t.Fatalf("micro workloads = %v", MicroWorkloads())

@@ -63,7 +63,8 @@ func TestIntegrationTxSizeMonotonicity(t *testing.T) {
 	// Figures 13-14 at matrix scale: for every workload, retries rise
 	// and speedups shrink (weakly) from 128B to 2048B.
 	runner := dolos.NewRunner(dolos.Options{Transactions: 100})
-	for _, workload := range dolos.Workloads() {
+	for _, w := range dolos.AllWorkloads() {
+		workload := string(w)
 		small := speedupAt(t, runner, workload, 128)
 		large := speedupAt(t, runner, workload, 2048)
 		if large > small*1.15 {

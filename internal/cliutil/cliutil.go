@@ -128,15 +128,10 @@ func BuildRunRecord(res cpu.Result, tree masu.TreeKind, txSize int, seed int64,
 }
 
 // ModeLabel names how a run executed for RunRecord.Mode: "fast" for the
-// latency-only provider, "pdes" for the pipelined functional shadow,
-// empty for the default functional serial simulator. FastMode wins when
-// both are set, mirroring controller.Config.
-func ModeLabel(fastMode, parallelDES bool) string {
-	switch {
-	case fastMode:
+// latency-only provider, empty for the default functional simulator.
+func ModeLabel(fastMode bool) string {
+	if fastMode {
 		return "fast"
-	case parallelDES:
-		return "pdes"
 	}
 	return ""
 }
@@ -183,8 +178,8 @@ func (d BenchDelta) Identical() bool { return len(d.Diffs) == 0 }
 // than in the simulated model; they differ run to run by design and are
 // excluded from bit-identity comparison (events_processed stays in: the
 // engine's dispatch count is deterministic). mode is a label of how the
-// host executed the run — fast-mode and parallel-DES records must match
-// their functional serial baseline on every other field.
+// host executed the run — fast-mode records must match their functional
+// baseline on every other field.
 var hostFields = []string{"mode", "wall_seconds", "sim_events_per_sec"}
 
 // CompareBenchRecords compares two bench grids field-by-field. Records

@@ -94,19 +94,6 @@ type Config struct {
 	// never from crypto bytes — but NVM contents are fake, so Crash,
 	// Recover and the audit paths refuse to run (see masu.ErrFastMode).
 	FastMode bool
-	// ParallelDES pipelines one run across two stages: the event loop
-	// runs the cost-count timing stage — per-op latency charged from the
-	// scheme cost table and masu.CostModel, no crypto bytes touched, no
-	// device writes — while a functional shadow twin of the
-	// Ma-SU/Mi-SU/device replays the journaled security ops (real
-	// AES/SHA-256, batched through crypt.PadBatch/MACBatch) on a second
-	// goroutine, at most ShadowWindow ops behind. Timing output is
-	// bit-identical to both serial modes; functional state is available
-	// from ShadowMaSU/ShadowDevice after Quiesce. Ignored when FastMode
-	// is also set (there is no functional work to offload). Crash,
-	// recovery and attack paths refuse this mode with ErrParallelDES —
-	// the primary units hold no functional state to crash.
-	ParallelDES bool
 }
 
 func (c Config) withDefaults() Config {
@@ -125,8 +112,7 @@ func (c Config) withDefaults() Config {
 }
 
 // masuParams resolves the Ma-SU tuning parameters, including the
-// scheme's metadata-persistence policy. Shared by the primary unit and
-// the parallel-DES shadow twin so both run the same pipeline.
+// scheme's metadata-persistence policy.
 func (c Config) masuParams() masu.Params {
 	return masu.Params{
 		OsirisPeriod:      c.OsirisPeriod,
@@ -169,15 +155,13 @@ type Controller struct {
 	eng  *sim.Engine
 	dev  *nvm.Device
 
-	ma *masu.Unit      // primary functional unit (nil in parallel-DES mode)
-	cm *masu.CostModel // parallel-DES cost-count stage (nil when serial)
-	mi *misu.Unit      // Dolos schemes only
-	bq *wpq.Queue      // baseline/ideal schemes: plain WPQ (timing + drain)
-	sh *shadow         // parallel-DES functional stage (nil when serial)
+	ma *masu.Unit // Major Security Unit
+	mi *misu.Unit // Dolos schemes only
+	bq *wpq.Queue // baseline/ideal schemes: plain WPQ (timing + drain)
 	st *stats.Set
 
 	// costs is the scheme's dense latency table: every security-work
-	// charge in every execution mode is priced through it.
+	// charge is priced through it.
 	costs scheme.CostTable
 
 	secUnit *sim.PipeServer // PreWPQSecure: the security pipeline
@@ -240,17 +224,13 @@ func New(eng *sim.Engine, dev *nvm.Device, cfg Config) *Controller {
 		// would silently mis-time every operation.
 		panic("controller: " + err.Error())
 	}
-	// The execution-mode seam. Serial functional runs build the Ma-SU
+	// The execution-mode seam: functional runs build the security units
 	// with the real crypto engine; fast runs swap in the latency-only
-	// provider. A parallel-DES run goes further: the event loop carries
-	// no Ma-SU at all — the cost-count model prices every op from the
-	// scheme's latency table while the shadow stage owns all functional
-	// state (see shadow.go).
-	pdes := cfg.ParallelDES && !cfg.FastMode
+	// provider.
 	var engine crypt.Provider
 	if cfg.FastMode {
 		engine = crypt.NewFastEngine()
-	} else if !pdes {
+	} else {
 		engine = crypt.NewEngine(cfg.AESKey, cfg.MACKey)
 	}
 	// Initiation intervals: a new write can enter a security pipeline
@@ -270,11 +250,7 @@ func New(eng *sim.Engine, dev *nvm.Device, cfg Config) *Controller {
 		miSU:       sim.NewPipeServer(eng, "mi-su", costs.MiII),
 		maSU:       sim.NewPipeServer(eng, "ma-su", maII),
 		insertTime: make([]sim.Cycle, cfg.UsableWPQ()),
-	}
-	if pdes {
-		c.cm = masu.NewCostModel(cfg.Tree, cfg.Layout, cfg.masuParams())
-	} else {
-		c.ma = masu.NewWithParams(cfg.Tree, engine, dev, cfg.Layout, cfg.masuParams())
+		ma:         masu.NewWithParams(cfg.Tree, engine, dev, cfg.Layout, cfg.masuParams()),
 	}
 	// Every metric below appears in any run that issues a single write or
 	// read, so resolving them eagerly does not change which names a
@@ -298,52 +274,40 @@ func New(eng *sim.Engine, dev *nvm.Device, cfg Config) *Controller {
 	c.hInterarrival = c.st.Histogram("wpq.interarrival_cycles")
 	c.hOccupancyArrival = c.st.Histogram("wpq.occupancy_at_arrival")
 	if cfg.Scheme.IsDolos() {
-		if pdes {
-			// Cost-only Mi-SU: exact queue/sequencing behaviour, no
-			// pads, no MACs — the shadow twin does the crypto.
-			c.mi = misu.NewCostOnly(cfg.Scheme.MiSUDesign(), cfg.UsableWPQ())
-		} else {
-			c.mi = misu.New(cfg.Scheme.MiSUDesign(), engine, dev, cfg.Layout.DrainBase, cfg.UsableWPQ())
-		}
+		c.mi = misu.New(cfg.Scheme.MiSUDesign(), engine, dev, cfg.Layout.DrainBase, cfg.UsableWPQ())
 	} else {
 		c.bq = wpq.New(cfg.UsableWPQ())
 	}
 	if cfg.DisableCoalescing {
 		c.queue().SetCoalescing(false)
 	}
-	if pdes {
-		c.sh = newShadow(cfg)
-	}
 	return c
 }
 
-// Functional reports whether the controller's primary units compute
-// real cryptographic state inline (serial functional mode). Fast and
-// parallel-DES runs return false — a parallel run's functional state
-// lives on the shadow stage instead.
-func (c *Controller) Functional() bool { return c.ma != nil && c.ma.Functional() }
+// Functional reports whether the controller's security units compute
+// real cryptographic state (false under FastMode).
+func (c *Controller) Functional() bool { return c.ma.Functional() }
 
 // Stats returns the controller's statistics registry.
 func (c *Controller) Stats() *stats.Set { return c.st }
 
-// MaSU returns the Major Security Unit. Nil in parallel-DES mode, where
-// the timing stage runs the cost-count model instead (CostModel) and
-// functional state lives on the shadow twin (ShadowMaSU).
+// MaSU returns the Major Security Unit.
 func (c *Controller) MaSU() *masu.Unit { return c.ma }
 
-// CostModel returns the parallel-DES timing stage's cost-count Ma-SU
-// model (nil in serial modes).
-func (c *Controller) CostModel() *masu.CostModel { return c.cm }
-
-// MetaCaches returns the live counter and Merkle-tree metadata caches
-// regardless of execution mode — the primary unit's in serial modes,
-// the cost model's in a parallel-DES run (both see the identical access
-// stream, so hit rates are the same numbers).
+// MetaCaches returns the Ma-SU's counter and Merkle-tree metadata caches.
 func (c *Controller) MetaCaches() (counter, mt *cache.Cache) {
-	if c.cm != nil {
-		return c.cm.CounterCache(), c.cm.MTCache()
-	}
 	return c.ma.CounterCache(), c.ma.MTCache()
+}
+
+// Quiesce is a no-op kept for callers that bracket the end of a run
+// with it: every controller applies its functional work inline, so the
+// state is complete as soon as the event loop drains.
+func (c *Controller) Quiesce() {}
+
+// LoadInitLine installs one checkpoint-image line functionally, with no
+// cycles charged — the Start-time prologue.
+func (c *Controller) LoadInitLine(addr uint64, data [64]byte) {
+	c.ma.ProcessWrite(addr, data, -1)
 }
 
 // MiSU returns the Minor Security Unit (nil for non-Dolos schemes).

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"errors"
 	"fmt"
 
 	"dolos/internal/masu"
@@ -39,24 +38,6 @@ func (e *BudgetError) Error() string {
 		e.Used.FlushBytes, e.Used.MACOps, e.Allowed.FlushBytes, e.Allowed.MACOps)
 }
 
-// ErrParallelDES reports an operation outside the parallel-DES support
-// matrix: crash/attack experiments and multi-core shared controllers
-// need the functional security state resident on the timing stage, but
-// under parallel DES it lives in the shadow stage a lookahead window
-// behind. Mirrors masu.ErrFastMode — callers get a typed refusal, never
-// a silent degrade.
-var ErrParallelDES = errors.New("controller: unsupported under ParallelDES (functional state lives in the shadow stage; run serial functional)")
-
-// modeErr names the reason a functional-only operation was refused:
-// the cost-count stage (ParallelDES) or the latency-only provider
-// (FastMode).
-func (c *Controller) modeErr() error {
-	if c.cm != nil {
-		return ErrParallelDES
-	}
-	return masu.ErrFastMode
-}
-
 // CrashReport describes a power-failure drain.
 type CrashReport struct {
 	// LiveEntries is how many un-processed writes were in the WPQ.
@@ -72,7 +53,7 @@ type CrashReport struct {
 // Crash the controller accepts no further requests until Recover.
 func (c *Controller) Crash() (CrashReport, error) {
 	if !c.Functional() {
-		return CrashReport{}, fmt.Errorf("controller: Crash on a FastMode/ParallelDES configuration: %w", c.modeErr())
+		return CrashReport{}, fmt.Errorf("controller: Crash on a FastMode configuration: %w", masu.ErrFastMode)
 	}
 	c.crashed = true
 	c.epoch++
@@ -134,13 +115,7 @@ func (c *Controller) RecoveryEstimate() uint64 {
 		return 0
 	}
 	if c.pipe.Recovery == scheme.RecoverReconstruct {
-		if c.cm != nil {
-			return c.cm.ReconstructEstimate()
-		}
 		return c.ma.ReconstructEstimate()
-	}
-	if c.cm != nil {
-		return c.cm.AnubisEstimate()
 	}
 	return c.ma.AnubisEstimate()
 }
@@ -152,7 +127,7 @@ func (c *Controller) RecoveryEstimate() uint64 {
 func (c *Controller) Recover(mode RecoveryMode) (RecoverReport, error) {
 	var rep RecoverReport
 	if !c.Functional() {
-		return rep, fmt.Errorf("controller: Recover on a FastMode/ParallelDES configuration: %w", c.modeErr())
+		return rep, fmt.Errorf("controller: Recover on a FastMode configuration: %w", masu.ErrFastMode)
 	}
 	rep.RecoveryCycles = c.RecoveryEstimate()
 	var err error

@@ -27,11 +27,7 @@ func (c *Controller) SetProbe(p *telemetry.Probe) {
 		c.secUnit.SetJobHook(nil)
 		c.queue().SetObserver(nil)
 		c.dev.SetAccessHook(nil)
-		if c.ma != nil {
-			c.ma.SetWriteHook(nil)
-		} else {
-			c.cm.SetWriteHook(nil)
-		}
+		c.ma.SetWriteHook(nil)
 		if c.mi != nil {
 			c.mi.SetProtectHook(nil)
 		}
@@ -97,17 +93,12 @@ func (c *Controller) SetProbe(p *telemetry.Probe) {
 	// Ma-SU write-cost composition: mark the expensive outliers (page
 	// re-encryption storms after a minor-counter overflow).
 	cReenc := reg.Counter("masu.reencrypt_events")
-	reencHook := func(addr uint64, cost masu.Cost) {
+	c.ma.SetWriteHook(func(addr uint64, cost masu.Cost) {
 		if cost.ReencryptedLines > 0 {
 			cReenc.Inc()
 			p.Instant(c.tMaSU, "page-reencrypt")
 		}
-	}
-	if c.ma != nil {
-		c.ma.SetWriteHook(reencHook)
-	} else {
-		c.cm.SetWriteHook(reencHook)
-	}
+	})
 
 	// Mi-SU insertion count (Dolos schemes).
 	if c.mi != nil {

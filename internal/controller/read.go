@@ -46,22 +46,11 @@ func (c *Controller) ReadLine(addr uint64, done func()) {
 	})
 }
 
-// readThroughMaSU performs the verified read: functionally in the serial
-// modes, or through the cost-count model in a parallel-DES run, where
-// the shadow stage re-verifies with real crypto.
+// readThroughMaSU performs the verified read and records its metadata
+// cache misses.
 func (c *Controller) readThroughMaSU(addr uint64) (masu.Cost, error) {
-	if c.cm != nil {
-		cost := c.cm.ReadCost(addr)
-		c.cReadCounterMiss.Add(uint64(cost.CounterMisses))
-		c.cReadTreeMiss.Add(uint64(cost.TreeMisses))
-		c.journalRead(addr)
-		return cost, nil
-	}
 	_, cost, err := c.ma.ReadLine(addr)
 	c.cReadCounterMiss.Add(uint64(cost.CounterMisses))
 	c.cReadTreeMiss.Add(uint64(cost.TreeMisses))
-	if err == nil {
-		c.journalRead(addr)
-	}
 	return cost, err
 }

@@ -92,7 +92,7 @@ func (c *Controller) insertEADR(w waiter) {
 	if w.accepted != nil {
 		c.eng.After(1, w.accepted)
 	}
-	cost := c.processWrite(w.addr, &w.data, -1)
+	cost := c.ma.ProcessWrite(w.addr, w.data, -1)
 	c.chargeWriteCost(cost)
 	epoch := c.epoch
 	c.secUnit.Submit(c.costs.DrainService(cost), func(_, _ sim.Cycle) {
@@ -187,7 +187,6 @@ func (c *Controller) insertDolos(w waiter, _ bool) {
 			return
 		}
 		slot := c.mi.Protect(w.addr, w.data)
-		c.journalProtect(w.addr, &w.data, slot)
 		c.insertTime[slot] = c.eng.Now()
 		c.cInserted.Inc()
 		if w.accepted != nil {
@@ -201,7 +200,6 @@ func (c *Controller) insertDolos(w waiter, _ bool) {
 					return
 				}
 				c.mi.CompleteDeferredMAC(slot)
-				c.journalSlot(shadowDeferredMAC, slot)
 				c.wakeWaiters()
 				// The entry only became fetchable now that its MAC is
 				// in place; re-arm the Ma-SU.
@@ -218,20 +216,6 @@ func (c *Controller) insertDolos(w waiter, _ bool) {
 // write-coalescing optimization effective for repeated lines (undo-log
 // headers, hot YCSB records).
 const DrainDelay = scheme.DrainDelayCycles
-
-// processWrite runs one secured write through the execution mode's
-// Ma-SU stage: the functional unit inline (serial modes), or the
-// cost-count model plus a journal entry for the shadow twin
-// (parallel-DES). The returned Cost is bit-identical either way — the
-// differential tests in masu pin it — which is what keeps the two
-// modes' schedules cycle-equal.
-func (c *Controller) processWrite(addr uint64, data *[64]byte, slot int) masu.Cost {
-	if c.cm != nil {
-		c.journalWrite(addr, data, slot)
-		return c.cm.WriteCost(addr, slot)
-	}
-	return c.ma.ProcessWrite(addr, *data, slot)
-}
 
 // pumpMaSU schedules the Ma-SU's next fetch from the WPQ (the run-time
 // drain path, Figure 11). The entry is picked when the pipelined engine
@@ -269,16 +253,7 @@ func (c *Controller) pumpMaSU() {
 		c.mi.Queue().MarkFetched(slot)
 		fetchSeq := c.mi.Queue().Entry(slot).Seq
 		addr, plain := c.mi.DecryptSlot(slot)
-		var cost masu.Cost
-		if c.cm != nil {
-			// Cost-count drain: the timing stage holds no WPQ
-			// ciphertext, so the shadow twin replays the whole fetch —
-			// mark, decrypt, process — as one journal entry.
-			cost = c.cm.WriteCost(addr, slot)
-			c.journalSlot(shadowDrainFetch, slot)
-		} else {
-			cost = c.ma.ProcessWrite(addr, plain, slot)
-		}
+		cost := c.ma.ProcessWrite(addr, plain, slot)
 		c.chargeWriteCost(cost)
 		c.maSU.Submit(c.costs.DrainService(cost), func(_, _ sim.Cycle) {
 			if c.staleAt(epoch) {
@@ -302,7 +277,6 @@ func (c *Controller) pumpMaSU() {
 					// coalesced value (different Seq) stays live and
 					// will be re-fetched.
 					c.mi.Queue().Clear(slot)
-					c.journalSlot(shadowClear, slot)
 				}
 				c.wakeWaiters()
 				c.pumpMaSU()
@@ -330,7 +304,7 @@ func (c *Controller) insertPreWPQ(w waiter) {
 	// The conventional security unit serializes: counter fetch, pad
 	// generation, data MAC and the eager tree update all happen before
 	// the write may enter the persistence domain.
-	cost := c.processWrite(w.addr, &w.data, -1)
+	cost := c.ma.ProcessWrite(w.addr, w.data, -1)
 	c.chargeWriteCost(cost)
 	epoch := c.epoch
 	c.secUnit.Submit(c.costs.InsertService(cost), func(_, _ sim.Cycle) {
@@ -394,7 +368,7 @@ func (c *Controller) insertIdeal(w waiter, wake bool) {
 	c.cInserted.Inc()
 	// Security is applied with zero charged latency (the infeasible
 	// reference point): functional state stays exact.
-	cost := c.processWrite(w.addr, &w.data, -1)
+	cost := c.ma.ProcessWrite(w.addr, w.data, -1)
 	c.chargeWriteCost(cost)
 	if w.accepted != nil {
 		c.eng.After(1, w.accepted)

@@ -56,14 +56,6 @@ type Options struct {
 	// deterministic result field is bit-identical to functional mode;
 	// crash/recovery and attack experiments refuse it.
 	FastMode bool
-	// ParallelDES makes every single-core run in the batch use the
-	// two-stage cost-count pipeline (see Spec.ParallelDES). As a batch
-	// default it quietly does not apply to Cores>1 cells (the shadow
-	// journal is single-producer) and is cleared alongside FastMode for
-	// crash/recovery experiments; an explicit Spec.ParallelDES on such a
-	// cell still returns controller.ErrParallelDES. FastMode wins when
-	// both are set.
-	ParallelDES bool
 }
 
 func (o Options) withDefaults() Options {
@@ -120,14 +112,6 @@ type Spec struct {
 	// return masu.ErrFastMode / misu.ErrFastMode if asked to run on a
 	// fast-mode system.
 	FastMode bool
-	// ParallelDES pipelines one run across two host cores: the event
-	// loop runs with the latency-only provider while a shadow twin of
-	// the security units replays the journaled functional work (real
-	// AES/SHA-256) a bounded lookahead window behind. Deterministic
-	// results are identical to a serial functional run, and the shadow
-	// continuously asserts byte-equivalence. Ignored when FastMode is
-	// also set (nothing functional left to offload).
-	ParallelDES bool
 }
 
 func (s Spec) withDefaults() Spec {
@@ -208,12 +192,11 @@ func (r *Runner) WithContext(ctx context.Context) *Runner {
 // real MACs and ECC survive power loss, and the masu/misu guards refuse
 // the latency-only provider outright.
 func (r *Runner) functional() *Runner {
-	if !r.opts.FastMode && !r.opts.ParallelDES {
+	if !r.opts.FastMode {
 		return r
 	}
 	o := r.opts
 	o.FastMode = false
-	o.ParallelDES = false
 	return &Runner{opts: o, ctx: r.ctx, traces: r.traces}
 }
 
@@ -354,21 +337,9 @@ func (r *Runner) runSystem(workload string, spec Spec) (cpu.Result, machineRef, 
 		OsirisPeriod:      spec.OsirisPeriod,
 		TriadLevels:       spec.TriadLevels,
 		FastMode:          spec.FastMode || r.opts.FastMode,
-		// The batch-level pdes default skips multi-core cells (the shadow
-		// journal is single-producer); only an explicit per-cell request
-		// reaches the typed refusal below.
-		ParallelDES: spec.ParallelDES || (r.opts.ParallelDES && spec.Cores <= 1),
 	}
 	copy(cfg.AESKey[:], "dolos-aes-key-16")
 	copy(cfg.MACKey[:], "dolos-mac-key-16")
-
-	if spec.Cores > 1 && cfg.ParallelDES && !cfg.FastMode {
-		// The shadow stage replays one controller's journal; a shared
-		// multi-core controller is outside the supported matrix, and
-		// silently degrading to serial would misreport the mode.
-		return cpu.Result{}, machineRef{}, fmt.Errorf("core: Cores=%d with ParallelDES: %w",
-			spec.Cores, controller.ErrParallelDES)
-	}
 
 	if spec.Cores > 1 {
 		canon, err := whisper.Resolve(workload)

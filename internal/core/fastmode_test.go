@@ -6,7 +6,9 @@ import (
 
 	"dolos/internal/cliutil"
 	"dolos/internal/controller"
+	"dolos/internal/cpu"
 	"dolos/internal/masu"
+	"dolos/internal/sim"
 	"dolos/internal/telemetry"
 	"dolos/internal/whisper"
 )
@@ -27,7 +29,7 @@ func record(t *testing.T, r *Runner, workload string, spec Spec) telemetry.RunRe
 	}
 	rec := cliutil.BuildRunRecord(res, spec.Tree, spec.TxSize, r.Options().Seed,
 		m.Events(), 0, m.Stats(), nil)
-	rec.Mode = cliutil.ModeLabel(spec.FastMode, spec.ParallelDES)
+	rec.Mode = cliutil.ModeLabel(spec.FastMode)
 	return rec
 }
 
@@ -104,5 +106,63 @@ func TestFastModeMultiCore(t *testing.T) {
 	fast := record(t, r, "Hashmap", spec)
 	if diffs := diffRecords(fast, functional); len(diffs) > 0 {
 		t.Errorf("2-core fast mode diverged:\n  %s", strings.Join(diffs, "\n  "))
+	}
+}
+
+// dispatchHash folds every dispatched event cycle into a rolling hash.
+// Two runs with equal hashes dispatched the same number of events at
+// the same cycles in the same order.
+type dispatchHash struct{ h uint64 }
+
+func (d *dispatchHash) observe(at sim.Cycle) {
+	x := d.h ^ uint64(at)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	d.h = x
+}
+
+// runInstrumented executes one trace on a fresh system for cfg with the
+// dispatch hook installed, returning the record and the dispatch-order
+// hash.
+func runInstrumented(t *testing.T, cfg controller.Config, workload string, txns int) (telemetry.RunRecord, uint64) {
+	t.Helper()
+	w, err := whisper.ByName(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := w.Generate(whisper.Params{Transactions: txns, TxSize: 1024, Seed: 1})
+	sys := cpu.NewSystem(cfg)
+	var h dispatchHash
+	sys.Eng.SetHook(h.observe)
+	res := sys.Run(tr)
+	rec := cliutil.BuildRunRecord(res, cfg.Tree, 1024, 1, sys.Eng.Processed(), 0, sys.Ctrl.Stats(), nil)
+	rec.Mode = cliutil.ModeLabel(cfg.FastMode)
+	return rec, h.h
+}
+
+// TestFastModeDispatchOrder goes below the record: for every scheme on
+// the eager BMT, a fast-mode run must dispatch the same events at the
+// same cycles in the same order as the functional run, not just end in
+// the same totals.
+func TestFastModeDispatchOrder(t *testing.T) {
+	const txns = 80
+	for _, sch := range allSchemes {
+		for _, wl := range []string{"Hashmap", "Btree"} {
+			cfg := controller.Config{Scheme: sch, Tree: masu.BMTEager, HardwareWPQ: 16}
+			cfg.AESKey, cfg.MACKey = cliutil.DemoKeys("fast")
+			functionalRec, functionalHash := runInstrumented(t, cfg, wl, txns)
+			cfg.FastMode = true
+			fastRec, fastHash := runInstrumented(t, cfg, wl, txns)
+
+			label := wl + "/" + sch.String()
+			if diffs := diffRecords(fastRec, functionalRec); len(diffs) > 0 {
+				t.Errorf("%s: fast mode diverged:\n  %s", label, strings.Join(diffs, "\n  "))
+			}
+			if fastHash != functionalHash {
+				t.Errorf("%s: dispatch-order hash %#x (fast) != %#x (functional)",
+					label, fastHash, functionalHash)
+			}
+		}
 	}
 }

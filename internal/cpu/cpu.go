@@ -200,9 +200,6 @@ func (s *System) Run(tr *trace.Trace) Result {
 	if !s.finished {
 		panic("cpu: trace execution deadlocked (fence never satisfied)")
 	}
-	// Event horizon: a parallel-DES shadow stage drains here, so the
-	// functional state is complete before anyone inspects the result.
-	s.Ctrl.Quiesce()
 	return s.Collect(tr)
 }
 
@@ -382,7 +379,6 @@ func (s *System) RunWith(tr *trace.Trace, fe FrontEnd) Result {
 	if !s.finished {
 		panic("cpu: trace execution deadlocked (fence never satisfied)")
 	}
-	s.Ctrl.Quiesce()
 	return s.Collect(tr)
 }
 

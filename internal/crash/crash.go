@@ -62,17 +62,13 @@ type Driver struct {
 
 // NewDriver builds a system for cfg with acceptance tracking installed.
 // Crash experiments exist to prove that real MACs and real ECC survive
-// power loss, so a latency-only or pipelined configuration is a caller
-// bug, not a degraded mode: the constructor refuses both with a typed
-// error (masu.ErrFastMode / controller.ErrParallelDES) rather than
-// silently normalizing the config, mirroring the controller's own
-// Crash/Recover guards.
+// power loss, so a latency-only configuration is a caller bug, not a
+// degraded mode: the constructor refuses it with a typed error
+// (masu.ErrFastMode) rather than silently normalizing the config,
+// mirroring the controller's own Crash/Recover guards.
 func NewDriver(cfg controller.Config) (*Driver, error) {
 	if cfg.FastMode {
 		return nil, fmt.Errorf("crash: driver requires functional crypto: %w", masu.ErrFastMode)
-	}
-	if cfg.ParallelDES {
-		return nil, fmt.Errorf("crash: driver requires a serial functional system: %w", controller.ErrParallelDES)
 	}
 	d := &Driver{
 		sys:      cpu.NewSystem(cfg),

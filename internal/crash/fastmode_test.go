@@ -13,9 +13,8 @@ import (
 
 // TestNewDriverRejectsNonFunctional: the crash driver exists to prove
 // real MACs survive power loss, so a config that asks for the
-// latency-only provider or the pipelined shadow stage is a caller bug —
-// the constructor refuses it with the typed sentinel naming the guard
-// (masu.ErrFastMode / controller.ErrParallelDES) instead of silently
+// latency-only provider is a caller bug — the constructor refuses it
+// with the typed sentinel (masu.ErrFastMode) instead of silently
 // normalizing the config.
 func TestNewDriverRejectsNonFunctional(t *testing.T) {
 	base := controller.Config{Scheme: controller.DolosPartial, Tree: masu.BMTEager}
@@ -28,15 +27,6 @@ func TestNewDriverRejectsNonFunctional(t *testing.T) {
 		t.Errorf("NewDriver(FastMode): err = %v, want ErrFastMode", err)
 	}
 
-	pdes := base
-	pdes.ParallelDES = true
-	if _, err := NewDriver(pdes); !errors.Is(err, controller.ErrParallelDES) {
-		t.Errorf("NewDriver(ParallelDES): err = %v, want ErrParallelDES", err)
-	}
-
-	if _, err := NewMultiDriver(mcore.Config{Ctrl: pdes, Window: 2}, multiSpecs(t, 2)); !errors.Is(err, controller.ErrParallelDES) {
-		t.Errorf("NewMultiDriver(ParallelDES): err = %v, want ErrParallelDES", err)
-	}
 	if _, err := NewMultiDriver(mcore.Config{Ctrl: fast, Window: 2}, multiSpecs(t, 2)); !errors.Is(err, masu.ErrFastMode) {
 		t.Errorf("NewMultiDriver(FastMode): err = %v, want ErrFastMode", err)
 	}
@@ -58,31 +48,19 @@ func TestNewDriverRejectsNonFunctional(t *testing.T) {
 }
 
 // TestCrashRefusedOnFastSystem: outside the driver, the controller API
-// itself refuses to crash or recover a non-functional machine, with the
-// typed error naming which guard tripped — masu.ErrFastMode for the
-// latency-only provider, controller.ErrParallelDES for the cost-count
-// pipeline — so the misuse is diagnosable.
+// itself refuses to crash or recover a latency-only machine with
+// masu.ErrFastMode, so the misuse is diagnosable.
 func TestCrashRefusedOnFastSystem(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		cfg  controller.Config
-		want error
-	}{
-		{"fast", controller.Config{Scheme: controller.DolosPartial, Tree: masu.BMTEager, FastMode: true}, masu.ErrFastMode},
-		{"pdes", controller.Config{Scheme: controller.DolosPartial, Tree: masu.BMTEager, ParallelDES: true}, controller.ErrParallelDES},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := mode.cfg
-			copy(cfg.AESKey[:], "crash-aes-key-16")
-			copy(cfg.MACKey[:], "crash-mac-key-16")
-			sys := cpu.NewSystem(cfg)
-			sys.Ctrl.Quiesce()
-			if _, err := sys.Ctrl.Crash(); !errors.Is(err, mode.want) {
-				t.Errorf("Crash on %s system: err = %v, want %v", mode.name, err, mode.want)
-			}
-			if _, err := sys.Ctrl.Recover(controller.AnubisRecovery); !errors.Is(err, mode.want) {
-				t.Errorf("Recover on %s system: err = %v, want %v", mode.name, err, mode.want)
-			}
-		})
-	}
+	t.Run("fast", func(t *testing.T) {
+		cfg := controller.Config{Scheme: controller.DolosPartial, Tree: masu.BMTEager, FastMode: true}
+		copy(cfg.AESKey[:], "crash-aes-key-16")
+		copy(cfg.MACKey[:], "crash-mac-key-16")
+		sys := cpu.NewSystem(cfg)
+		if _, err := sys.Ctrl.Crash(); !errors.Is(err, masu.ErrFastMode) {
+			t.Errorf("Crash on fast system: err = %v, want ErrFastMode", err)
+		}
+		if _, err := sys.Ctrl.Recover(controller.AnubisRecovery); !errors.Is(err, masu.ErrFastMode) {
+			t.Errorf("Recover on fast system: err = %v, want ErrFastMode", err)
+		}
+	})
 }

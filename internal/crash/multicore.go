@@ -43,15 +43,10 @@ type MultiDriver struct {
 
 // NewMultiDriver builds a multi-core system for cfg and cores with
 // per-core acceptance tracking installed. Like NewDriver it refuses
-// latency-only or pipelined controller configs with a typed error —
-// and ParallelDES is doubly outside the matrix here, since the shared
-// controller serves every core from one timing stage.
+// latency-only controller configs with a typed error.
 func NewMultiDriver(cfg mcore.Config, cores []mcore.CoreSpec) (*MultiDriver, error) {
 	if cfg.Ctrl.FastMode {
 		return nil, fmt.Errorf("crash: multi-core driver requires functional crypto: %w", masu.ErrFastMode)
-	}
-	if cfg.Ctrl.ParallelDES {
-		return nil, fmt.Errorf("crash: multi-core driver requires a serial functional system: %w", controller.ErrParallelDES)
 	}
 	d := &MultiDriver{
 		sys:      mcore.NewSystem(cfg, cores),

@@ -75,22 +75,6 @@ type Provider interface {
 	NodeMAC(payload []byte, position uint64) MAC
 	// LineECC computes the 4-byte Osiris-style check over a plaintext line.
 	LineECC(plain *[BlockSize]byte) uint32
-	// PadBatch fills dst[i] with the pad for ivs[i] (equal lengths). The
-	// batched form amortizes the per-call cipher plumbing across a run of
-	// queued lines; output is byte-identical to len(ivs) GeneratePadInto
-	// calls.
-	PadBatch(dst []Pad, ivs []IV)
-	// MACBatch fills dst[i] with LineMAC(reqs[i].CT, reqs[i].Addr,
-	// reqs[i].Counter) for every request (equal lengths).
-	MACBatch(dst []MAC, reqs []MACReq)
-}
-
-// MACReq is one element of a MACBatch: the ciphertext line plus the
-// address and counter the MAC binds. The ciphertext is referenced, not
-// copied — callers keep the batch's lines alive until MACBatch returns.
-type MACReq struct {
-	CT            *[BlockSize]byte
-	Addr, Counter uint64
 }
 
 // Both engines satisfy the seam.
@@ -266,42 +250,6 @@ func (e *Engine) NodeMAC(payload []byte, position uint64) MAC {
 	var m MAC
 	copy(m[:], sum[:MACSize])
 	return m
-}
-
-// PadBatch writes the pad for ivs[i] into dst[i] for every element. The
-// AES lane outputs are produced directly in the caller's pad array —
-// batch callers hand in long-lived scratch slices, so letting dst reach
-// the cipher interface costs nothing — which drops the per-pad 64-byte
-// scratch copy GeneratePadInto pays, and the single call site amortizes
-// the dispatch overhead across the whole run of queued lines.
-func (e *Engine) PadBatch(dst []Pad, ivs []IV) {
-	if len(dst) != len(ivs) {
-		panic("crypt: PadBatch length mismatch")
-	}
-	for i := range ivs {
-		iv := ivs[i]
-		for lane := 0; lane < BlockSize/16; lane++ {
-			e.ctrIn = iv
-			e.ctrIn[15] ^= byte(lane + 1)
-			e.block.Encrypt(dst[i][lane*16:(lane+1)*16], e.ctrIn[:])
-		}
-	}
-}
-
-// MACBatch writes LineMAC(reqs[i]) into dst[i] for every request,
-// reusing the engine's key-prefilled digest scratch across the batch.
-func (e *Engine) MACBatch(dst []MAC, reqs []MACReq) {
-	if len(dst) != len(reqs) {
-		panic("crypt: MACBatch length mismatch")
-	}
-	buf := &e.lineBuf // [0:16] holds macKey since construction
-	for i := range reqs {
-		binary.LittleEndian.PutUint64(buf[16:24], reqs[i].Addr)
-		binary.LittleEndian.PutUint64(buf[24:32], reqs[i].Counter)
-		copy(buf[32:], reqs[i].CT[:])
-		sum := sha256.Sum256(buf[:])
-		copy(dst[i][:], sum[:MACSize])
-	}
 }
 
 // Functional reports that this engine computes real cryptographic values.

@@ -63,61 +63,6 @@ func TestGeneratePadAllocFree(t *testing.T) {
 	_ = sink
 }
 
-// The batched forms flush up to a whole pipeline hand-off per call;
-// one allocation per call would still be one per 64 lines, but the pin
-// keeps them at exactly zero like their one-shot counterparts.
-
-func TestPadBatchAllocFree(t *testing.T) {
-	e := testEngine()
-	pads := make([]Pad, 64)
-	ivs := make([]IV, 64)
-	for i := range ivs {
-		ivs[i] = MakeIV(uint64(i), uint16(i), uint64(i))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		e.PadBatch(pads, ivs)
-	})
-	if allocs != 0 {
-		t.Fatalf("PadBatch allocates %.1f objects per op, want 0", allocs)
-	}
-}
-
-func TestMACBatchAllocFree(t *testing.T) {
-	e := testEngine()
-	cts := make([][BlockSize]byte, 64)
-	macs := make([]MAC, 64)
-	reqs := make([]MACReq, 64)
-	for i := range reqs {
-		reqs[i] = MACReq{CT: &cts[i], Addr: uint64(i) << 6, Counter: uint64(i)}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		e.MACBatch(macs, reqs)
-	})
-	if allocs != 0 {
-		t.Fatalf("MACBatch allocates %.1f objects per op, want 0", allocs)
-	}
-}
-
-func TestDispatchBatchAllocFree(t *testing.T) {
-	d := AsDispatch(testEngine())
-	pads := make([]Pad, 64)
-	ivs := make([]IV, 64)
-	cts := make([][BlockSize]byte, 64)
-	macs := make([]MAC, 64)
-	reqs := make([]MACReq, 64)
-	for i := range reqs {
-		ivs[i] = MakeIV(uint64(i), uint16(i), uint64(i))
-		reqs[i] = MACReq{CT: &cts[i], Addr: uint64(i) << 6, Counter: uint64(i)}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		d.PadBatch(pads, ivs)
-		d.MACBatch(macs, reqs)
-	})
-	if allocs != 0 {
-		t.Fatalf("Dispatch batch calls allocate %.1f objects per op, want 0", allocs)
-	}
-}
-
 func TestEncryptLineToAllocFree(t *testing.T) {
 	e := testEngine()
 	var src, dst [BlockSize]byte

@@ -41,74 +41,6 @@ func BenchmarkLineMAC(b *testing.B) {
 	}
 }
 
-// batchSize mirrors the sim.Pipeline hand-off granularity: the shadow
-// stage of a parallel-DES run flushes its deferred data-line crypto in
-// runs of up to one pipeline batch.
-const batchSize = 64
-
-// BenchmarkPadOneShot / BenchmarkPadBatch compare generating batchSize
-// pads one call at a time against one PadBatch call — the amortization
-// the parallel-DES shadow stage relies on.
-func BenchmarkPadOneShot(b *testing.B) {
-	e := testEngine()
-	pads := make([]Pad, batchSize)
-	ivs := make([]IV, batchSize)
-	for i := range ivs {
-		ivs[i] = MakeIV(uint64(i), uint16(i), uint64(i))
-	}
-	b.SetBytes(batchSize * BlockSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := range ivs {
-			e.GeneratePadInto(&pads[j], ivs[j])
-		}
-	}
-}
-
-func BenchmarkPadBatch(b *testing.B) {
-	e := testEngine()
-	pads := make([]Pad, batchSize)
-	ivs := make([]IV, batchSize)
-	for i := range ivs {
-		ivs[i] = MakeIV(uint64(i), uint16(i), uint64(i))
-	}
-	b.SetBytes(batchSize * BlockSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.PadBatch(pads, ivs)
-	}
-}
-
-// BenchmarkMACOneShot / BenchmarkMACBatch: same comparison for the
-// data-line MACs of one shadow hand-off.
-func BenchmarkMACOneShot(b *testing.B) {
-	e := testEngine()
-	cts := make([][BlockSize]byte, batchSize)
-	macs := make([]MAC, batchSize)
-	b.SetBytes(batchSize * BlockSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := range cts {
-			macs[j] = e.LineMAC(&cts[j], uint64(j)<<6, uint64(j))
-		}
-	}
-}
-
-func BenchmarkMACBatch(b *testing.B) {
-	e := testEngine()
-	cts := make([][BlockSize]byte, batchSize)
-	macs := make([]MAC, batchSize)
-	reqs := make([]MACReq, batchSize)
-	for j := range reqs {
-		reqs[j] = MACReq{CT: &cts[j], Addr: uint64(j) << 6, Counter: uint64(j)}
-	}
-	b.SetBytes(batchSize * BlockSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.MACBatch(macs, reqs)
-	}
-}
-
 func BenchmarkECC(b *testing.B) {
 	var plain [BlockSize]byte
 	b.SetBytes(BlockSize)

@@ -166,40 +166,3 @@ func TestCTRPropertyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestBatchMatchesOneShot pins the batched forms byte-identical to their
-// one-shot counterparts, on both providers: the shadow stage may flush
-// any mix of lines through either path and the device bytes must not
-// depend on which.
-func TestBatchMatchesOneShot(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		p    Provider
-	}{
-		{"engine", testEngine()},
-		{"fast", NewFastEngine()},
-	} {
-		const n = 37 // deliberately not the full batch size
-		ivs := make([]IV, n)
-		pads := make([]Pad, n)
-		cts := make([][BlockSize]byte, n)
-		reqs := make([]MACReq, n)
-		macs := make([]MAC, n)
-		for i := range ivs {
-			ivs[i] = MakeIV(uint64(i*i+1), uint16(i), uint64(100+i))
-			cts[i][0] = byte(i)
-			cts[i][63] = byte(i * 3)
-			reqs[i] = MACReq{CT: &cts[i], Addr: uint64(i) << 6, Counter: uint64(i * 7)}
-		}
-		tc.p.PadBatch(pads, ivs)
-		tc.p.MACBatch(macs, reqs)
-		for i := range ivs {
-			if want := tc.p.GeneratePad(ivs[i]); pads[i] != want {
-				t.Errorf("%s: PadBatch[%d] differs from GeneratePad", tc.name, i)
-			}
-			if want := tc.p.LineMAC(&cts[i], reqs[i].Addr, reqs[i].Counter); macs[i] != want {
-				t.Errorf("%s: MACBatch[%d] differs from LineMAC", tc.name, i)
-			}
-		}
-	}
-}

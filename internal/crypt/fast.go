@@ -78,26 +78,6 @@ func (*FastEngine) NodeMAC(payload []byte, position uint64) MAC {
 	return m
 }
 
-// PadBatch zeroes every destination pad (identity encryption).
-func (*FastEngine) PadBatch(dst []Pad, ivs []IV) {
-	if len(dst) != len(ivs) {
-		panic("crypt: PadBatch length mismatch")
-	}
-	for i := range dst {
-		dst[i] = Pad{}
-	}
-}
-
-// MACBatch applies the LineMAC fold per request.
-func (*FastEngine) MACBatch(dst []MAC, reqs []MACReq) {
-	if len(dst) != len(reqs) {
-		panic("crypt: MACBatch length mismatch")
-	}
-	for i := range reqs {
-		binary.LittleEndian.PutUint64(dst[i][:], mix64(reqs[i].Addr^mix64(reqs[i].Counter)))
-	}
-}
-
 // LineECC folds the eight 64-bit words of the line through the mix —
 // content-dependent (the Osiris probe distinguishes candidate counters
 // by decrypted content) but far from collision-resistant.

@@ -131,21 +131,6 @@ type Op struct {
 	ToCRootVer uint64
 
 	WPQSlot int
-
-	// deferred marks an op whose data-line pad, ciphertext and MAC are
-	// left to the next FlushWrites batch; Cipher and MAC above are stale
-	// for such an op.
-	deferred bool
-}
-
-// pendingLine is one deferred data-line write: everything the batch
-// flush needs to produce the ciphertext and MAC later. ct is filled in
-// during the flush (the MACReq references it in place).
-type pendingLine struct {
-	addr    uint64
-	counter uint64
-	plain   [64]byte
-	ct      [64]byte
 }
 
 // redoLog models the persistent redo registers. The op is stored by
@@ -231,18 +216,6 @@ type Unit struct {
 	coalescedCtr uint64
 
 	writes, reads uint64
-
-	// pend queues deferred data-line writes between FlushWrites calls
-	// (ProcessWriteDeferred); the remaining slices are flush scratch,
-	// sized to the high-water batch and reused. pendLast maps an address
-	// to its last pending entry so a flush pays pad+MAC only for the
-	// final value of a line rewritten within one batch.
-	pend     []pendingLine
-	pendLast map[uint64]int
-	pendIVs  []crypt.IV
-	pendPads []crypt.Pad
-	pendMACs []crypt.MAC
-	pendReqs []crypt.MACReq
 
 	// onWrite, when non-nil, observes each completed write with its cost
 	// composition (telemetry). Purely observational.
@@ -465,10 +438,6 @@ func (u *Unit) shadowWrite(nvmAddr uint64, img *[64]byte, cost *Cost) {
 // MAC, or the ToC path), stages everything in the redo-log registers and
 // sets the ready bit. No architectural state changes yet.
 func (u *Unit) PrepareWrite(addr uint64, plain [64]byte, wpqSlot int) (*Op, Cost) {
-	return u.prepareWrite(addr, plain, wpqSlot, false)
-}
-
-func (u *Unit) prepareWrite(addr uint64, plain [64]byte, wpqSlot int, deferData bool) (*Op, Cost) {
 	if !u.lay.ValidData(addr) {
 		panic(fmt.Sprintf("masu: write outside data region: %#x", addr))
 	}
@@ -480,13 +449,6 @@ func (u *Unit) prepareWrite(addr uint64, plain [64]byte, wpqSlot int, deferData 
 
 	u.touchCounter(addr, true, &cost)
 	prev := u.counters.Preview(addr)
-	if deferData && prev.Overflow {
-		// Page re-encryption reads sibling lines back from the device, so
-		// the pending batch must land first, and the overflowing write
-		// itself runs with eager crypto.
-		u.FlushWrites()
-		deferData = false
-	}
 
 	// Stage into the redo registers in place: the op (and the backing
 	// array of its node-update slice) is reused across writes.
@@ -497,20 +459,11 @@ func (u *Unit) prepareWrite(addr uint64, plain [64]byte, wpqSlot int, deferData 
 	op.Overflow = prev.Overflow
 	op.ECC = u.eng.LineECC(&op.Plain)
 	op.WPQSlot = wpqSlot
-	op.deferred = deferData
-	if deferData {
-		// The pad, ciphertext and MAC are produced by the next
-		// FlushWrites in one batched crypto pass; the work is charged
-		// here, where the serial path would pay it.
-		cost.AESOps++
-		cost.TotalMACs++
-	} else {
-		iv := crypt.MakeIV(addr/nvm.PageSize, uint16(addr%nvm.PageSize/64), prev.Counter)
-		u.eng.EncryptLineTo(&op.Cipher, &op.Plain, iv)
-		cost.AESOps++
-		op.MAC = u.eng.LineMAC(&op.Cipher, addr, prev.Counter)
-		cost.TotalMACs++
-	}
+	iv := crypt.MakeIV(addr/nvm.PageSize, uint16(addr%nvm.PageSize/64), prev.Counter)
+	u.eng.EncryptLineTo(&op.Cipher, &op.Plain, iv)
+	cost.AESOps++
+	op.MAC = u.eng.LineMAC(&op.Cipher, addr, prev.Counter)
+	cost.TotalMACs++
 
 	// New leaf image: the counter block after this increment.
 	leaf := u.lay.LeafIndex(addr)
@@ -600,19 +553,11 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 		cost.NVMWrites++
 	}
 
-	// Data, MAC and ECC to NVM. A deferred op queues the data and MAC
-	// lines for the batched flush (their bytes don't exist yet); the
-	// regions are disjoint from every eager write above, and flushes are
-	// ordered before any device read of the data/MAC regions, so the
-	// per-region program order the device sees is unchanged.
-	if op.deferred {
-		u.pend = append(u.pend, pendingLine{addr: op.Addr, counter: op.Counter, plain: op.Plain})
-	} else {
-		u.dev.WriteLine(op.Addr, op.Cipher)
-		var macBytes [8]byte
-		copy(macBytes[:], op.MAC[:])
-		u.dev.Write(u.lay.LineMACAddr(op.Addr), macBytes[:])
-	}
+	// Data, MAC and ECC to NVM.
+	u.dev.WriteLine(op.Addr, op.Cipher)
+	var macBytes [8]byte
+	copy(macBytes[:], op.MAC[:])
+	u.dev.Write(u.lay.LineMACAddr(op.Addr), macBytes[:])
 	cost.NVMWrites++
 	var eccBytes [4]byte
 	binary.LittleEndian.PutUint32(eccBytes[:], op.ECC)
@@ -649,89 +594,6 @@ func (u *Unit) ProcessWrite(addr uint64, plain [64]byte, wpqSlot int) Cost {
 		u.onWrite(addr&^uint64(63), cost)
 	}
 	return cost
-}
-
-// ProcessWriteDeferred is ProcessWrite with the data-line crypto (pad,
-// ciphertext, MAC) queued for the next FlushWrites instead of computed
-// inline. Every architectural effect — counters, tree, caches, shadow
-// region, cost accounting — happens now and identically; only the data
-// and MAC device bytes trail until the flush. The parallel-DES shadow
-// stage uses this to amortize its crypto across one pipeline batch;
-// callers must FlushWrites before any read of the data/MAC regions
-// (ReadLine and CheckLine self-flush, overflow re-encryption flushes
-// internally).
-func (u *Unit) ProcessWriteDeferred(addr uint64, plain [64]byte, wpqSlot int) Cost {
-	op, cost := u.prepareWrite(addr, plain, wpqSlot, true)
-	cost2 := u.ApplyWrite(op)
-	cost.Add(cost2)
-	if u.onWrite != nil {
-		u.onWrite(addr&^uint64(63), cost)
-	}
-	return cost
-}
-
-// FlushWrites materializes every deferred data-line write: one PadBatch
-// for the pads, an XOR per line, one MACBatch for the data MACs, then
-// the device writes in submission order. Byte-identical to the eager
-// path (EncryptLineTo is pad+XOR) and a no-op when nothing is pending.
-func (u *Unit) FlushWrites() {
-	n := len(u.pend)
-	if n == 0 {
-		return
-	}
-	// A line rewritten within one batch needs only its final value
-	// encrypted and MACed: the data and MAC device regions are last-wins,
-	// and any read of a pending line flushes the queue first, so no
-	// intermediate image is observable. Compact to last-wins per address
-	// (a superseded entry is overwritten in place, keeping its slot).
-	if n > 1 {
-		if u.pendLast == nil {
-			u.pendLast = make(map[uint64]int, n)
-		}
-		kept := 0
-		for i := range u.pend {
-			p := u.pend[i]
-			if j, ok := u.pendLast[p.addr]; ok {
-				u.pend[j] = p
-				continue
-			}
-			u.pendLast[p.addr] = kept
-			u.pend[kept] = p
-			kept++
-		}
-		for a := range u.pendLast {
-			delete(u.pendLast, a)
-		}
-		u.pend = u.pend[:kept]
-		n = kept
-	}
-	if cap(u.pendIVs) < n {
-		u.pendIVs = make([]crypt.IV, n)
-		u.pendPads = make([]crypt.Pad, n)
-		u.pendMACs = make([]crypt.MAC, n)
-		u.pendReqs = make([]crypt.MACReq, n)
-	}
-	ivs, pads := u.pendIVs[:n], u.pendPads[:n]
-	macs, reqs := u.pendMACs[:n], u.pendReqs[:n]
-	for i := range u.pend {
-		p := &u.pend[i]
-		ivs[i] = crypt.MakeIV(p.addr/nvm.PageSize, uint16(p.addr%nvm.PageSize/64), p.counter)
-	}
-	u.eng.PadBatch(pads, ivs)
-	for i := range u.pend {
-		p := &u.pend[i]
-		crypt.XOR(&p.ct, &p.plain, &pads[i])
-		reqs[i] = crypt.MACReq{CT: &p.ct, Addr: p.addr, Counter: p.counter}
-	}
-	u.eng.MACBatch(macs, reqs)
-	for i := range u.pend {
-		p := &u.pend[i]
-		u.dev.WriteLine(p.addr, p.ct)
-		var macBytes [8]byte
-		copy(macBytes[:], macs[i][:])
-		u.dev.Write(u.lay.LineMACAddr(p.addr), macBytes[:])
-	}
-	u.pend = u.pend[:0]
 }
 
 // reencryptPage re-encrypts every line of addr's page after a minor-

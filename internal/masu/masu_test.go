@@ -131,7 +131,7 @@ func TestReplayDetectedAfterRecovery(t *testing.T) {
 	}
 }
 
-func TestEagerCostModel(t *testing.T) {
+func TestEagerWriteCost(t *testing.T) {
 	u, _, _ := newUnit(BMTEager)
 	cost := u.ProcessWrite(0x1000, line(1), 0)
 	if cost.SerialMACs != 10 {
@@ -142,7 +142,7 @@ func TestEagerCostModel(t *testing.T) {
 	}
 }
 
-func TestLazyCostModel(t *testing.T) {
+func TestLazyWriteCost(t *testing.T) {
 	u, _, _ := newUnit(ToCLazy)
 	cost := u.ProcessWrite(0x1000, line(1), 0)
 	if cost.SerialMACs != 4 {

@@ -29,7 +29,6 @@ func (u *Unit) ReadLine(addr uint64) ([64]byte, Cost, error) {
 	if !u.lay.ValidData(addr) {
 		panic(fmt.Sprintf("masu: read outside data region: %#x", addr))
 	}
-	u.FlushWrites() // deferred data/MAC lines must land before any device read
 	u.reads++
 
 	u.touchCounter(addr, false, &cost)
@@ -84,7 +83,6 @@ func (u *Unit) CheckLine(addr uint64) error {
 	if !u.eng.Functional() {
 		return ErrFastMode
 	}
-	u.FlushWrites()
 	addr &^= 63
 	counter := u.counters.Counter(addr)
 	if counter == 0 {

@@ -305,7 +305,6 @@ func (u *Unit) Audit() (int, error) {
 	if !u.eng.Functional() {
 		return 0, ErrFastMode
 	}
-	u.FlushWrites()
 	if err := u.auditWrittenLines(&rep); err != nil {
 		return rep.LinesVerified, err
 	}

@@ -258,7 +258,6 @@ func (s *System) Run() cpu.Result {
 			panic(fmt.Sprintf("mcore: core %d deadlocked (fence never satisfied)", c.id))
 		}
 	}
-	s.Ctrl.Quiesce()
 	return s.Collect()
 }
 

@@ -136,13 +136,6 @@ type Unit struct {
 	macOps          uint64
 	drains          uint64
 
-	// costOnly marks a timing-stage twin (parallel-DES): queue
-	// bookkeeping, slot sequencing and MAC-op accounting are exact, but
-	// no pad, ciphertext or MAC byte is ever computed — the shadow stage
-	// owns the functional Mi-SU. Drain and Recover are unreachable here
-	// (crash drivers reject ParallelDES) and panic if called.
-	costOnly bool
-
 	// onProtect, when non-nil, observes each successful insertion
 	// (telemetry). Purely observational.
 	onProtect func(slot int, addr uint64)
@@ -164,22 +157,6 @@ func New(design Design, eng crypt.Provider, dev *nvm.Device, base uint64, entrie
 	u.initFullTree()
 	return u
 }
-
-// NewCostOnly creates a timing-stage Mi-SU twin: identical queue
-// behavior (slot allocation, sequencing, coalescing, same-line
-// ordering) and MAC-op counts, zero crypto work and no device. Protect
-// commits entries with zero ciphertext, DecryptSlot returns a zero
-// line, and the drain/recovery surface panics (guarded off upstream).
-func NewCostOnly(design Design, entries int) *Unit {
-	return &Unit{
-		design:   design,
-		queue:    wpq.New(entries),
-		costOnly: true,
-	}
-}
-
-// CostOnly reports whether this unit is a timing-stage twin.
-func (u *Unit) CostOnly() bool { return u.costOnly }
 
 // initFullTree establishes the Full-WPQ tree over the empty queue so that
 // recovery's full rebuild matches the register state even when some
@@ -284,23 +261,13 @@ func (u *Unit) Protect(addr uint64, plain [64]byte) int {
 		Counter: u.slotCounter(slot),
 		Valid:   true,
 	}
-	if !u.costOnly {
-		crypt.XOR(&e.Cipher, &plain, &u.pads[slot])
-	}
+	crypt.XOR(&e.Cipher, &plain, &u.pads[slot])
 	switch u.design {
 	case FullWPQ:
 		u.queue.Commit(slot, e)
-		if u.costOnly {
-			u.macOps += 2 // group + root recompute
-		} else {
-			u.updateTree(slot)
-		}
+		u.updateTree(slot)
 	case PartialWPQ:
-		if u.costOnly {
-			u.macOps++
-		} else {
-			e.MAC = u.entryMAC(&e.Cipher, addr, e.Counter)
-		}
+		e.MAC = u.entryMAC(&e.Cipher, addr, e.Counter)
 		u.queue.Commit(slot, e)
 	case PostWPQ:
 		e.MACPending = true
@@ -319,11 +286,7 @@ func (u *Unit) CompleteDeferredMAC(slot int) {
 		panic("misu: deferred MAC on non-Post design")
 	}
 	e := u.queue.Entry(slot)
-	if u.costOnly {
-		u.macOps++
-	} else {
-		e.MAC = u.entryMAC(&e.Cipher, e.Addr, e.Counter)
-	}
+	e.MAC = u.entryMAC(&e.Cipher, e.Addr, e.Counter)
 	e.MACPending = false
 	u.queue.Commit(slot, e)
 	u.deferredPending = false
@@ -376,11 +339,6 @@ func (u *Unit) rootMAC() crypt.MAC {
 // Ma-SU's Figure 11 step 1, or a WPQ read hit): a single XOR.
 func (u *Unit) DecryptSlot(slot int) (addr uint64, plain [64]byte) {
 	e := u.queue.Entry(slot)
-	if u.costOnly {
-		// The timing stage never carries data bytes; the XOR's cycle is
-		// charged by the caller either way.
-		return e.Addr, plain
-	}
 	crypt.XOR(&plain, &e.Cipher, &u.pads[slot])
 	return e.Addr, plain
 }
@@ -402,9 +360,6 @@ type DrainStats struct {
 // the already-protected contents — except Post-WPQ's single reserved
 // deferred MAC, completed here on ADR power.
 func (u *Unit) Drain() DrainStats {
-	if u.costOnly {
-		panic("misu: Drain on a cost-only unit (crash drivers reject ParallelDES)")
-	}
 	u.drains++
 	var st DrainStats
 	if u.design == PostWPQ && u.deferredPending {
@@ -470,9 +425,6 @@ func (e *RecoveryError) Error() string {
 // success the counter register advances past this epoch and fresh pads
 // are generated (Section 4.3, Recovery scheme).
 func (u *Unit) Recover() ([]RecoveredWrite, error) {
-	if u.costOnly {
-		panic("misu: Recover on a cost-only unit (crash drivers reject ParallelDES)")
-	}
 	if !u.eng.Functional() {
 		return nil, ErrFastMode
 	}

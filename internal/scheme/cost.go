@@ -20,10 +20,9 @@ const (
 // CostTable is the dense per-op latency model of one scheme's security
 // pipeline: every cycle the controller charges for security work is a
 // linear function of a masu.Cost under these coefficients. It is the
-// single timing vocabulary shared by all execution modes — the serial
-// functional engine, fast mode and the parallel-DES cost-count timing
-// stage all price identical Cost values through the same table, which
-// is what keeps their schedules bit-identical.
+// single timing vocabulary shared by both execution modes — the
+// functional engine and fast mode price identical Cost values through
+// the same table, which is what keeps their schedules bit-identical.
 //
 // Tables come only from CostTableFor: a scheme missing from the
 // registry has no latency model and must fail loudly, not default.

@@ -129,9 +129,9 @@ type RunRecord struct {
 	// simulated model, so these never participate in bit-identity
 	// comparisons): wall-clock duration of the run and discrete events
 	// dispatched by the engine, from which events/second derives. Mode
-	// labels how the simulator executed ("fast", "pdes"; empty =
-	// functional serial) — a host-side property too, since every
-	// deterministic field is bit-identical across modes.
+	// labels how the simulator executed ("fast"; empty = functional) — a
+	// host-side property too, since every deterministic field is
+	// bit-identical across modes.
 	Mode            string  `json:"mode,omitempty"`
 	WallSeconds     float64 `json:"wall_seconds,omitempty"`
 	EventsProcessed uint64  `json:"events_processed,omitempty"`
