@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke cluster-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke cluster-smoke clean
 
 all: build test
 
@@ -47,6 +47,12 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
 
+# Trace generation at the repository benchmark's cell sizes (Hashmap
+# and Btree at 1000 txns, YCSB at 3000 txns with 95% reads): ns/op,
+# B/op and allocs/op, fixed iterations and repeats so runs compare.
+bench-gen:
+	$(GO) test -run '^$$' -bench 'GenerateCell' -benchmem -benchtime 20x -count 5 ./internal/whisper
+
 # The whole CI run: .github/workflows/ci.yml runs exactly this target.
 # The timeout on the grid run is the wall-time tripwire: the full
 # parallel evaluation at small scale must finish well inside it, so an
@@ -59,6 +65,7 @@ ci:
 	$(GO) test -race ./...
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench 'GenerateCell' -benchtime 1x ./internal/whisper
 	$(GO) build -o /tmp/dolos-bench-ci ./cmd/dolos-bench
 	timeout 300 /tmp/dolos-bench-ci -exp all -txns 50 > /dev/null
 	$(GO) run ./cmd/dolos-profile -grid -txns 50 -o /tmp/dolos-grid-ci.json

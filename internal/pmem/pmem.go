@@ -27,11 +27,18 @@ const (
 	FlushOverhead sim.Cycle = 10
 )
 
+// minBacking is the first backing allocation of a heap; later growth
+// doubles it.
+const minBacking = 64 << 10
+
 // Heap is a persistent heap backed by a plaintext application image and
 // an operation recorder.
 type Heap struct {
 	base uint64
 	size uint64
+	// mem backs the image's first len(mem) bytes. It grows with use up to
+	// size, so a heap pays for the bytes it touches, not its capacity;
+	// bytes past it have never been written and read as zero.
 	mem  []byte
 	next uint64
 	rec  *trace.Recorder
@@ -44,7 +51,7 @@ func NewHeap(base, size uint64, rec *trace.Recorder) *Heap {
 	if base%LineSize != 0 {
 		panic("pmem: unaligned heap base")
 	}
-	return &Heap{base: base, size: size, mem: make([]byte, size), rec: rec}
+	return &Heap{base: base, size: size, rec: rec}
 }
 
 // Base returns the heap's NVM base address.
@@ -75,11 +82,28 @@ func (h *Heap) Alloc(n uint64) uint64 {
 	return addr
 }
 
+// check panics unless [addr, addr+n) lies inside the heap, grows the
+// backing to cover it, and returns addr's offset into the image. The
+// bound is written so that addr+n cannot wrap.
 func (h *Heap) check(addr, n uint64) uint64 {
-	if addr < h.base || addr+n > h.base+h.size {
+	if addr < h.base || n > h.size || addr-h.base > h.size-n {
 		panic(fmt.Sprintf("pmem: access [%#x,+%d) outside heap [%#x,+%d)", addr, n, h.base, h.size))
 	}
-	return addr - h.base
+	off := addr - h.base
+	if off+n > uint64(len(h.mem)) {
+		h.grow(off + n)
+	}
+	return off
+}
+
+// grow extends the backing to cover the first end bytes: to twice its
+// length, at least minBacking and whole lines, at most the heap size.
+// The new bytes are zero.
+func (h *Heap) grow(end uint64) {
+	end = (end + LineSize - 1) &^ uint64(LineSize-1)
+	mem := make([]byte, min(max(end, 2*uint64(len(h.mem)), minBacking), h.size))
+	copy(mem, h.mem)
+	h.mem = mem
 }
 
 // Line returns the current content of the 64-byte line containing addr.
@@ -98,13 +122,23 @@ func (h *Heap) SetLine(addr uint64, line [64]byte) {
 }
 
 // UsedImage returns every non-zero 64-byte line in the allocated part of
-// the heap — the checkpoint image after a warm-up phase.
+// the heap — the checkpoint image after a warm-up phase. It counts those
+// lines first so the result is allocated once, at its exact length.
 func (h *Heap) UsedImage() []trace.InitLine {
-	var out []trace.InitLine
-	for off := uint64(0); off < h.next; off += LineSize {
-		var line [64]byte
-		copy(line[:], h.mem[off:off+LineSize])
-		if line != ([64]byte{}) {
+	// Allocated lines past the backing were never written, so are zero.
+	end := min(h.next, uint64(len(h.mem)))
+	n := 0
+	for off := uint64(0); off < end; off += LineSize {
+		if [64]byte(h.mem[off:off+LineSize]) != ([64]byte{}) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]trace.InitLine, 0, n)
+	for off := uint64(0); off < end; off += LineSize {
+		if line := [64]byte(h.mem[off : off+LineSize]); line != ([64]byte{}) {
 			out = append(out, trace.InitLine{Addr: h.base + off, Data: line})
 		}
 	}

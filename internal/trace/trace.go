@@ -9,6 +9,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"dolos/internal/sim"
 )
@@ -114,9 +115,25 @@ func (t *Trace) Count() Counts {
 	return c
 }
 
+// chunkOps is the capacity of one recording chunk (~360 KB of ops).
+const chunkOps = 4096
+
+// chunkPool recycles recording chunks between recorders, so that a
+// trace generated soon after another (the next cell, the next core's
+// trace) records into memory that needs no fresh zeroed allocation.
+var chunkPool = sync.Pool{New: func() any { return new([chunkOps]Op) }}
+
 // Recorder builds a trace incrementally; the pmem layer drives it.
+//
+// Ops are recorded into fixed-size chunks and copied into one
+// exact-length Trace.Ops by Finish, which returns the chunks to
+// chunkPool. Growing a single slice by append instead would allocate
+// about five times the final trace and copy it about four times.
 type Recorder struct {
 	t Trace
+	// full holds the filled chunks in order; cur is being filled.
+	full [][]Op
+	cur  []Op
 	// pendingCompute batches adjacent compute ops into one.
 	pendingCompute sim.Cycle
 }
@@ -126,9 +143,28 @@ func NewRecorder(name string, txSize int) *Recorder {
 	return &Recorder{t: Trace{Name: name, TxSize: txSize}}
 }
 
+// next returns the slot of the next op, in the current chunk. A
+// recycled chunk holds stale ops, so callers assign the whole slot.
+func (r *Recorder) next() *Op {
+	if len(r.cur) == cap(r.cur) {
+		if r.cur != nil {
+			r.full = append(r.full, r.cur)
+		}
+		r.cur = chunkPool.Get().(*[chunkOps]Op)[:0]
+	}
+	r.cur = r.cur[:len(r.cur)+1]
+	return &r.cur[len(r.cur)-1]
+}
+
+// add records an op with no line data, after any pending compute.
+func (r *Recorder) add(k Kind, addr uint64) {
+	r.flushCompute()
+	*r.next() = Op{Kind: k, Addr: addr}
+}
+
 func (r *Recorder) flushCompute() {
 	if r.pendingCompute > 0 {
-		r.t.Ops = append(r.t.Ops, Op{Kind: Compute, Cycles: r.pendingCompute})
+		*r.next() = Op{Kind: Compute, Cycles: r.pendingCompute}
 		r.pendingCompute = 0
 	}
 }
@@ -137,47 +173,52 @@ func (r *Recorder) flushCompute() {
 func (r *Recorder) Compute(c sim.Cycle) { r.pendingCompute += c }
 
 // Read records a load of addr's line.
-func (r *Recorder) Read(addr uint64) {
-	r.flushCompute()
-	r.t.Ops = append(r.t.Ops, Op{Kind: Read, Addr: addr &^ 63})
-}
+func (r *Recorder) Read(addr uint64) { r.add(Read, addr&^63) }
 
 // Write records a store; data is the line value after the store.
 func (r *Recorder) Write(addr uint64, data [64]byte) {
 	r.flushCompute()
-	r.t.Ops = append(r.t.Ops, Op{Kind: Write, Addr: addr &^ 63, Data: data})
+	*r.next() = Op{Kind: Write, Addr: addr &^ 63, Data: data}
 }
 
 // Flush records a clwb; data is the line value being persisted.
 func (r *Recorder) Flush(addr uint64, data [64]byte) {
 	r.flushCompute()
-	r.t.Ops = append(r.t.Ops, Op{Kind: Flush, Addr: addr &^ 63, Data: data})
+	*r.next() = Op{Kind: Flush, Addr: addr &^ 63, Data: data}
 }
 
 // Fence records an sfence.
-func (r *Recorder) Fence() {
-	r.flushCompute()
-	r.t.Ops = append(r.t.Ops, Op{Kind: Fence})
-}
+func (r *Recorder) Fence() { r.add(Fence, 0) }
 
 // SetInitImage attaches the fast-forward memory image.
 func (r *Recorder) SetInitImage(img []InitLine) { r.t.InitImage = img }
 
 // TxBegin records a transaction start.
-func (r *Recorder) TxBegin() {
-	r.flushCompute()
-	r.t.Ops = append(r.t.Ops, Op{Kind: TxBegin})
-}
+func (r *Recorder) TxBegin() { r.add(TxBegin, 0) }
 
 // TxEnd records a transaction commit.
 func (r *Recorder) TxEnd() {
-	r.flushCompute()
-	r.t.Ops = append(r.t.Ops, Op{Kind: TxEnd})
+	r.add(TxEnd, 0)
 	r.t.Transactions++
 }
 
-// Finish returns the completed trace.
+// Finish returns the completed trace. It may be called more than once;
+// ops recorded after a call are appended to the same trace by the next.
 func (r *Recorder) Finish() *Trace {
 	r.flushCompute()
+	if r.cur == nil {
+		return &r.t // nothing recorded since the last call
+	}
+	n := len(r.t.Ops) + len(r.cur)
+	for _, c := range r.full {
+		n += len(c)
+	}
+	ops := append(make([]Op, 0, n), r.t.Ops...)
+	for _, c := range append(r.full, r.cur) {
+		ops = append(ops, c...)
+		chunkPool.Put((*[chunkOps]Op)(c[:chunkOps]))
+	}
+	r.t.Ops = ops
+	r.full, r.cur = nil, nil
 	return &r.t
 }

@@ -89,8 +89,7 @@ func (r *redisState) get(key uint64) {
 	if vlen > uint64(r.p.TxSize) {
 		vlen = uint64(r.p.TxSize)
 	}
-	buf := make([]byte, vlen)
-	r.heap.Read(vaddr, buf)
+	r.discard(vaddr, int(vlen))
 }
 
 // del executes DEL key.

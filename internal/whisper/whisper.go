@@ -171,6 +171,8 @@ type session struct {
 	heap *pmem.Heap
 	tx   *pmem.TxHeap
 	rng  *rand.Rand
+	val  []byte // payload's buffer
+	sink []byte // discard's buffer
 }
 
 // newSession builds the heap (recording disabled until record()).
@@ -187,6 +189,8 @@ func newSession(name string, p Params) *session {
 		heap: heap,
 		tx:   pmem.NewTx(heap, capacity),
 		rng:  rand.New(rand.NewSource(p.Seed)),
+		val:  make([]byte, p.TxSize),
+		sink: make([]byte, p.TxSize),
 	}
 }
 
@@ -218,14 +222,19 @@ func LogBase(p Params) uint64 {
 	return p.withDefaults().HeapBase
 }
 
-// payload builds a deterministic value of the transaction size.
+// payload builds a deterministic value of the transaction size. The
+// buffer is the session's and is overwritten by the next call; every
+// caller copies it into the heap before that.
 func (s *session) payload(key uint64) []byte {
-	buf := make([]byte, s.p.TxSize)
-	for i := range buf {
-		buf[i] = byte(key + uint64(i)*7)
+	for i := range s.val {
+		s.val[i] = byte(key + uint64(i)*7)
 	}
-	return buf
+	return s.val
 }
+
+// discard records a load of n bytes at addr whose value the workload
+// does not use (n ≤ the transaction size).
+func (s *session) discard(addr uint64, n int) { s.heap.Read(addr, s.sink[:n]) }
 
 // compute charges workload-level compute cycles (hashing, comparisons,
 // parsing) beyond the pmem per-access overheads.

@@ -58,9 +58,7 @@ func (y *ycsbState) update(i uint64) {
 func (y *ycsbState) read(i uint64) {
 	y.compute(150)
 	rec := y.heap.ReadU64(y.slotAddr(i))
-	vaddr := y.heap.ReadU64(rec + 8)
-	buf := make([]byte, y.p.TxSize)
-	y.heap.Read(vaddr, buf)
+	y.discard(y.heap.ReadU64(rec+8), y.p.TxSize)
 }
 
 // Generate implements Workload.
