@@ -1,5 +1,5 @@
 // Package client is the official Go client for the dolos-serve
-// /v1/jobs API: submit simulation requests, poll them to completion,
+// /v2 job API: submit simulation requests, poll them to completion,
 // and fetch RunRecord JSON — with context deadlines on every call,
 // exponential backoff with deterministic jitter that honors the
 // server's Retry-After on 429/503, and idempotent resubmission of
@@ -18,13 +18,12 @@
 // Run submits, waits, and retries through queue-full rejections,
 // drain windows and server-side job failures; errors that survive the
 // retry budget match the package sentinels under errors.Is (see
-// errors.go). Submit / Status / Result / WaitResult expose the same
-// machinery one step at a time. See DESIGN.md §11 for the retry
-// policy's backoff table.
+// errors.go). V2 exposes the same machinery one step at a time, plus
+// resumable per-cell streaming and cluster introspection. See
+// DESIGN.md §11 for the retry policy's backoff table.
 package client
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -41,7 +40,7 @@ import (
 	"time"
 )
 
-// Request is the body of POST /v1/jobs, mirroring the server's wire
+// Request is the body of POST /v2/jobs, mirroring the server's wire
 // schema: a workloads × schemes grid (or a single cell), the
 // simulation parameters, and an optional per-job timeout. Zero values
 // take the server's defaults.
@@ -67,22 +66,11 @@ const (
 	StatusFailed  Status = "failed"
 )
 
-// Job is the server's job envelope: identity, lifecycle status,
-// whether the result came from the result cache or dedup, queue
-// position while queued, and the failure cause once failed.
-type Job struct {
-	ID            string `json:"id"`
-	Status        Status `json:"status"`
-	Cached        bool   `json:"cached"`
-	QueuePosition int    `json:"queue_position,omitempty"`
-	Err           string `json:"error,omitempty"`
-}
-
 // RunResult is a completed Run: the settled job envelope and the
 // RunRecord JSON bytes (one object for a single cell, an array for a
 // grid — the dolos-sim -json schema).
 type RunResult struct {
-	Job   Job
+	Job   JobV2
 	Bytes []byte
 }
 
@@ -92,7 +80,7 @@ type RunResult struct {
 // computed delay. The zero value takes the defaults noted per field.
 type RetryPolicy struct {
 	// MaxAttempts bounds tries per operation — submission attempts per
-	// Submit, resubmissions per Run (default 6).
+	// SubmitGrid, resubmissions per Run (default 6).
 	MaxAttempts int
 	// BaseDelay is the first retry delay (default 50ms).
 	BaseDelay time.Duration
@@ -171,9 +159,8 @@ func WithSeed(seed int64) Option {
 	return func(c *Client) { c.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithPollInterval sets the initial status-poll interval used by
-// WaitResult and Run (default 5ms; it backs off 1.5× per poll up to
-// 250ms).
+// WithPollInterval sets the initial status-poll interval used by Run
+// (default 5ms; it backs off 1.5× per poll up to 250ms).
 func WithPollInterval(d time.Duration) Option {
 	return func(c *Client) {
 		if d > 0 {
@@ -236,10 +223,6 @@ func (r Request) Hash() string {
 // because the server keys results by the request hash. Concurrent Run
 // calls with an identical Request share one flight.
 func (c *Client) Run(ctx context.Context, req Request) (*RunResult, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
 	key := req.Hash()
 
 	c.mu.Lock()
@@ -255,13 +238,13 @@ func (c *Client) Run(ctx context.Context, req Request) (*RunResult, error) {
 		}
 		// The leading call failed; make an attempt of our own rather
 		// than propagating a failure that may have been its deadline.
-		return c.runAttempts(ctx, body)
+		return c.runAttempts(ctx, req)
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.mu.Unlock()
 
-	res, err := c.runAttempts(ctx, body)
+	res, err := c.runAttempts(ctx, req)
 	c.mu.Lock()
 	delete(c.flights, key)
 	c.mu.Unlock()
@@ -271,7 +254,8 @@ func (c *Client) Run(ctx context.Context, req Request) (*RunResult, error) {
 }
 
 // runAttempts is Run's submit → wait → resubmit loop.
-func (c *Client) runAttempts(ctx context.Context, body []byte) (*RunResult, error) {
+func (c *Client) runAttempts(ctx context.Context, req Request) (*RunResult, error) {
+	v := c.V2()
 	var last error
 	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -280,11 +264,11 @@ func (c *Client) runAttempts(ctx context.Context, body []byte) (*RunResult, erro
 				return nil, errors.Join(err, last)
 			}
 		}
-		job, err := c.submitBody(ctx, body)
+		job, err := v.SubmitGrid(ctx, req)
 		if err != nil {
-			return nil, err // submitBody spent its own retry budget
+			return nil, err // SubmitGrid spent its own retry budget
 		}
-		res, err := c.wait(ctx, job)
+		res, err := v.wait(ctx, job)
 		if err == nil {
 			return res, nil
 		}
@@ -296,136 +280,17 @@ func (c *Client) runAttempts(ctx context.Context, body []byte) (*RunResult, erro
 	return nil, last
 }
 
-// Submit posts the request and returns the job envelope (status
-// "done" on a submission-time cache hit, otherwise "queued"), retrying
-// 429/503/transport errors per the policy.
-//
-// Deprecated: Submit drives the /v1 shim surface; use V2().SubmitGrid,
-// which adds tenant attribution and cell progress.
-func (c *Client) Submit(ctx context.Context, req Request) (*Job, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	return c.submitBody(ctx, body)
-}
-
-func (c *Client) submitBody(ctx context.Context, body []byte) (*Job, error) {
-	var last error
-	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-		}
-		job, err := c.postOnce(ctx, body)
-		if err == nil {
-			return job, nil
-		}
-		last = err
-		if !retryable(err) || attempt == c.policy.MaxAttempts-1 {
-			break
-		}
-		d := c.backoff(attempt)
-		var se *StatusError
-		if errors.As(err, &se) && se.RetryAfter > 0 {
-			d = se.RetryAfter // the server knows best
-		}
-		if err := c.sleep(ctx, d); err != nil {
-			return nil, errors.Join(err, last)
-		}
-	}
-	return nil, fmt.Errorf("client: submit gave up after %d attempts: %w",
-		c.policy.MaxAttempts, last)
-}
-
-func (c *Client) postOnce(ctx context.Context, body []byte) (*Job, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	b, err := readBody(resp)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, statusError(resp, b)
-	}
-	var job Job
-	if err := json.Unmarshal(b, &job); err != nil {
-		return nil, fmt.Errorf("client: malformed submit response: %w", err)
-	}
-	return &job, nil
-}
-
-// Status fetches a job's envelope. A 404 matches ErrJobNotFound.
-//
-// Deprecated: Status drives the /v1 shim surface; use V2().Status.
-func (c *Client) Status(ctx context.Context, id string) (*Job, error) {
-	b, resp, err := c.get(ctx, "/v1/jobs/"+id)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp, b)
-	}
-	var job Job
-	if err := json.Unmarshal(b, &job); err != nil {
-		return nil, fmt.Errorf("client: malformed status response: %w", err)
-	}
-	return &job, nil
-}
-
-// Result fetches a settled job's RunRecord bytes. A job still in
-// flight matches ErrJobNotDone (use WaitResult to poll), a failed job
-// ErrJobFailed, an unknown id ErrJobNotFound.
-//
-// Deprecated: Result drives the /v1 shim surface; use V2().Result, or
-// V2().Stream for per-cell results as they finish.
-func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
-	b, resp, err := c.get(ctx, "/v1/jobs/"+id+"/result")
-	if err != nil {
-		return nil, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return b, nil
-	case http.StatusAccepted:
-		return nil, fmt.Errorf("%w: job %s still settling", ErrJobNotDone, id)
-	case http.StatusInternalServerError:
-		se := statusError(resp, b)
-		return nil, fmt.Errorf("%w: job %s: %s", ErrJobFailed, id, se.Message)
-	}
-	return nil, statusError(resp, b)
-}
-
-// WaitResult polls a job until it settles and returns its result
-// bytes: the id-based counterpart of Run for jobs submitted elsewhere.
-//
-// Deprecated: WaitResult polls the /v1 shim surface; use V2().Stream,
-// which pushes cells as they finish instead of polling.
-func (c *Client) WaitResult(ctx context.Context, id string) ([]byte, error) {
-	res, err := c.wait(ctx, &Job{ID: id})
-	if err != nil {
-		return nil, err
-	}
-	return res.Bytes, nil
-}
-
 // wait polls a job envelope to settlement and fetches the result.
 // Transient status-poll errors are tolerated up to the policy's
 // attempt budget of consecutive failures.
-func (c *Client) wait(ctx context.Context, job *Job) (*RunResult, error) {
+func (v *V2Client) wait(ctx context.Context, job *JobV2) (*RunResult, error) {
+	c := v.c
 	interval := c.poll
 	misses := 0
 	for {
 		switch job.Status {
 		case StatusDone:
-			b, err := c.Result(ctx, job.ID)
+			b, err := v.Result(ctx, job.ID)
 			if err != nil {
 				return nil, err
 			}
@@ -436,7 +301,7 @@ func (c *Client) wait(ctx context.Context, job *Job) (*RunResult, error) {
 		if err := c.sleep(ctx, interval); err != nil {
 			return nil, err
 		}
-		next, err := c.Status(ctx, job.ID)
+		next, err := v.Status(ctx, job.ID)
 		if err != nil {
 			if !retryable(err) {
 				return nil, err

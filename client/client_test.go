@@ -38,22 +38,28 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// envelope is the server's error body.
+func envelope(code, msg string) map[string]string {
+	return map[string]string{"code": code, "message": msg}
+}
+
 // TestSubmitRetriesQueueFull: 429s with Retry-After are retried, the
 // server's hint overrides the computed backoff, and the eventual 202
 // succeeds.
 func TestSubmitRetriesQueueFull(t *testing.T) {
 	var calls atomic.Int64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "3")
-			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "job queue is full"})
+			writeJSON(w, http.StatusTooManyRequests, envelope("queue_full", "job queue is full"))
 			return
 		}
-		writeJSON(w, http.StatusAccepted, Job{ID: "j1", Status: StatusQueued})
+		writeJSON(w, http.StatusAccepted, JobV2{ID: "j1", Status: StatusQueued})
 	})
-	c, slept := newTestClient(t, h)
+	c, slept := newTestClient(t, mux)
 
-	job, err := c.Submit(context.Background(), Request{Workloads: []string{"Hashmap"}})
+	job, err := c.V2().SubmitGrid(context.Background(), Request{Workloads: []string{"Hashmap"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,19 +86,23 @@ func TestSubmitRetriesQueueFull(t *testing.T) {
 // budget and surfaces ErrUnavailable (and ErrQueueFull for 429).
 func TestSubmitGivesUp(t *testing.T) {
 	var calls atomic.Int64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, envelope("unavailable", "draining"))
 	})
-	c, _ := newTestClient(t, h, WithRetryPolicy(RetryPolicy{MaxAttempts: 3}))
+	c, _ := newTestClient(t, mux, WithRetryPolicy(RetryPolicy{MaxAttempts: 3}))
 
-	_, err := c.Submit(context.Background(), Request{})
+	_, err := c.V2().SubmitGrid(context.Background(), Request{})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want a 503 StatusError in the chain", err)
+	}
+	if se.APICode != "unavailable" || se.Message != "draining" {
+		t.Fatalf("StatusError = %+v, want the envelope's code and message", se)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d submits, want MaxAttempts=3", got)
@@ -137,17 +147,17 @@ func TestRunPollsToDone(t *testing.T) {
 	statuses := []Status{StatusQueued, StatusRunning, StatusDone}
 	var polls atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, Job{ID: "j7", Status: StatusQueued, QueuePosition: 1})
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, JobV2{ID: "j7", Status: StatusQueued, QueuePosition: 1})
 	})
-	mux.HandleFunc("GET /v1/jobs/j7", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v2/jobs/j7", func(w http.ResponseWriter, r *http.Request) {
 		i := polls.Add(1) - 1
 		if i >= int64(len(statuses)) {
 			i = int64(len(statuses)) - 1
 		}
-		writeJSON(w, http.StatusOK, Job{ID: "j7", Status: statuses[i]})
+		writeJSON(w, http.StatusOK, JobV2{ID: "j7", Status: statuses[i]})
 	})
-	mux.HandleFunc("GET /v1/jobs/j7/result", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v2/jobs/j7/result", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`[{"workload":"Hashmap"}]`))
 	})
 	c, _ := newTestClient(t, mux)
@@ -170,17 +180,17 @@ func TestRunPollsToDone(t *testing.T) {
 func TestRunResubmitsFailedJob(t *testing.T) {
 	var submits atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
 		id := fmt.Sprintf("j%d", submits.Add(1))
-		writeJSON(w, http.StatusAccepted, Job{ID: id, Status: StatusQueued})
+		writeJSON(w, http.StatusAccepted, JobV2{ID: id, Status: StatusQueued})
 	})
-	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Job{ID: "j1", Status: StatusFailed, Err: "injected panic"})
+	mux.HandleFunc("GET /v2/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, JobV2{ID: "j1", Status: StatusFailed, Err: "injected panic"})
 	})
-	mux.HandleFunc("GET /v1/jobs/j2", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Job{ID: "j2", Status: StatusDone})
+	mux.HandleFunc("GET /v2/jobs/j2", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, JobV2{ID: "j2", Status: StatusDone})
 	})
-	mux.HandleFunc("GET /v1/jobs/j2/result", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v2/jobs/j2/result", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`[{"ok":true}]`))
 	})
 	c, _ := newTestClient(t, mux)
@@ -202,11 +212,11 @@ func TestRunResubmitsFailedJob(t *testing.T) {
 func TestRunGivesUpOnPersistentFailure(t *testing.T) {
 	var submits atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, Job{ID: fmt.Sprintf("j%d", submits.Add(1)), Status: StatusQueued})
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, JobV2{ID: fmt.Sprintf("j%d", submits.Add(1)), Status: StatusQueued})
 	})
-	mux.HandleFunc("GET /v1/jobs/", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Job{ID: "j", Status: StatusFailed, Err: "boom"})
+	mux.HandleFunc("GET /v2/jobs/", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, JobV2{ID: "j", Status: StatusFailed, Err: "boom"})
 	})
 	c, _ := newTestClient(t, mux, WithRetryPolicy(RetryPolicy{MaxAttempts: 2}))
 
@@ -224,26 +234,49 @@ func TestRunGivesUpOnPersistentFailure(t *testing.T) {
 
 // TestStatusNotFound: an unknown job id matches ErrJobNotFound.
 func TestStatusNotFound(t *testing.T) {
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job"})
-	})
-	c, _ := newTestClient(t, h)
+	notFound := func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusNotFound, envelope("not_found", "unknown job id"))
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v2/jobs/nope", notFound)
+	mux.HandleFunc("GET /v2/jobs/nope/result", notFound)
+	c, _ := newTestClient(t, mux)
 
-	if _, err := c.Status(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
+	if _, err := c.V2().Status(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
 		t.Fatalf("Status err = %v, want ErrJobNotFound", err)
 	}
-	if _, err := c.Result(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
+	if _, err := c.V2().Result(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
 		t.Fatalf("Result err = %v, want ErrJobNotFound", err)
+	}
+}
+
+// TestStatusErrorRawBody: a non-envelope error body, such as a
+// proxy's 502 page, surfaces verbatim as the message with no APICode.
+func TestStatusErrorRawBody(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v2/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "<html>502 Bad Gateway</html>", http.StatusBadGateway)
+	})
+	c, _ := newTestClient(t, mux, WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+
+	_, err := c.V2().Status(context.Background(), "j1")
+	var se *StatusError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want a StatusError", err)
+	}
+	if se.Code != http.StatusBadGateway || se.Message != "<html>502 Bad Gateway</html>" || se.APICode != "" {
+		t.Fatalf("StatusError = %+v, want the raw 502 body and no APICode", se)
 	}
 }
 
 // TestResultNotDone: Result on an unsettled job matches ErrJobNotDone.
 func TestResultNotDone(t *testing.T) {
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, Job{ID: "j1", Status: StatusRunning})
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v2/jobs/j1/result", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, JobV2{ID: "j1", Status: StatusRunning})
 	})
-	c, _ := newTestClient(t, h)
-	if _, err := c.Result(context.Background(), "j1"); !errors.Is(err, ErrJobNotDone) {
+	c, _ := newTestClient(t, mux)
+	if _, err := c.V2().Result(context.Background(), "j1"); !errors.Is(err, ErrJobNotDone) {
 		t.Fatalf("err = %v, want ErrJobNotDone", err)
 	}
 }
@@ -254,12 +287,12 @@ func TestRunSingleFlight(t *testing.T) {
 	var submits atomic.Int64
 	release := make(chan struct{})
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
 		submits.Add(1)
 		<-release
-		writeJSON(w, http.StatusOK, Job{ID: "j1", Status: StatusDone, Cached: true})
+		writeJSON(w, http.StatusOK, JobV2{ID: "j1", Status: StatusDone, Cached: true})
 	})
-	mux.HandleFunc("GET /v1/jobs/j1/result", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v2/jobs/j1/result", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`[{}]`))
 	})
 	srv := httptest.NewServer(mux)
@@ -296,14 +329,15 @@ func TestRunSingleFlight(t *testing.T) {
 // TestContextCancelPropagates: a cancelled context stops the retry
 // loop immediately with the context's error, not a retry exhaustion.
 func TestContextCancelPropagates(t *testing.T) {
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "full"})
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusTooManyRequests, envelope("queue_full", "full"))
 	})
-	c, _ := newTestClient(t, h)
+	c, _ := newTestClient(t, mux)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Submit(ctx, Request{})
+	_, err := c.V2().SubmitGrid(ctx, Request{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -23,7 +23,7 @@ import (
 //	}
 var (
 	// ErrQueueFull reports a 429: the server's job queue is saturated.
-	// Submit and Run retry it automatically, honoring Retry-After; it
+	// SubmitGrid and Run retry it automatically, honoring Retry-After; it
 	// surfaces only once the retry budget is spent.
 	ErrQueueFull = errors.New("client: server job queue is full")
 	// ErrUnavailable reports a 503: the server is draining or down for
@@ -36,8 +36,9 @@ var (
 	// wrapping error carries the server's failure cause. Run resubmits
 	// failed jobs (idempotently) before surfacing this.
 	ErrJobFailed = errors.New("client: job failed")
-	// ErrJobNotDone reports a Result call on a job that has not settled
-	// yet. WaitResult is the polling entry point that never returns it.
+	// ErrJobNotDone reports a V2().Result call on a job that has not
+	// settled yet. Run and V2().Stream wait for settlement and never
+	// return it.
 	ErrJobNotDone = errors.New("client: job not done")
 )
 
@@ -51,8 +52,8 @@ type StatusError struct {
 	Message    string
 	RetryAfter time.Duration
 	// APICode is the server's stable machine-readable error code from
-	// the versioned envelope ("queue_full", "quota_exceeded", ...).
-	// Empty when the server predates the envelope.
+	// the error envelope ("queue_full", "quota_exceeded", ...). Empty
+	// when the body is not an envelope, such as a proxy's 502 page.
 	APICode string
 }
 
@@ -81,18 +82,14 @@ func statusError(resp *http.Response, body []byte) *StatusError {
 		Code       string `json:"code"`
 		Message    string `json:"message"`
 		RetryAfter int64  `json:"retry_after"`
-		Error      string `json:"error"` // legacy pre-envelope key
 	}
 	se := &StatusError{
 		Code:       resp.StatusCode,
 		RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 	}
 	if err := json.Unmarshal(body, &envelope); err == nil {
-		switch {
-		case envelope.Message != "":
+		if envelope.Message != "" {
 			msg = envelope.Message
-		case envelope.Error != "":
-			msg = envelope.Error
 		}
 		se.APICode = envelope.Code
 		if se.RetryAfter == 0 && envelope.RetryAfter > 0 {

@@ -14,8 +14,9 @@ import (
 )
 
 // V2 returns the client's /v2 API surface: context-first submission,
-// resumable result streaming, and cluster introspection. The same
-// retry policy, backoff and HTTP client as the v1 methods apply.
+// status and result polling, resumable result streaming, and cluster
+// introspection. Its calls share the client's retry policy, backoff
+// and HTTP client.
 func (c *Client) V2() *V2Client { return &V2Client{c: c} }
 
 // V2Client speaks the /v2 API of one dolos-serve node (or the
@@ -93,13 +94,13 @@ func (v *V2Client) SubmitGrid(ctx context.Context, req Request) (*JobV2, error) 
 		d := c.backoff(attempt)
 		var se *StatusError
 		if errors.As(err, &se) && se.RetryAfter > 0 {
-			d = se.RetryAfter
+			d = se.RetryAfter // the server knows best
 		}
 		if err := c.sleep(ctx, d); err != nil {
 			return nil, errors.Join(err, last)
 		}
 	}
-	return nil, fmt.Errorf("client: v2 submit gave up after %d attempts: %w",
+	return nil, fmt.Errorf("client: submit gave up after %d attempts: %w",
 		c.policy.MaxAttempts, last)
 }
 
@@ -126,12 +127,12 @@ func (v *V2Client) postOnce(ctx context.Context, body []byte) (*JobV2, error) {
 	}
 	var job JobV2
 	if err := json.Unmarshal(b, &job); err != nil {
-		return nil, fmt.Errorf("client: malformed v2 submit response: %w", err)
+		return nil, fmt.Errorf("client: malformed submit response: %w", err)
 	}
 	return &job, nil
 }
 
-// Status fetches a job's /v2 envelope.
+// Status fetches a job's /v2 envelope. A 404 matches ErrJobNotFound.
 func (v *V2Client) Status(ctx context.Context, id string) (*JobV2, error) {
 	b, resp, err := v.c.get(ctx, "/v2/jobs/"+id)
 	if err != nil {
@@ -142,13 +143,14 @@ func (v *V2Client) Status(ctx context.Context, id string) (*JobV2, error) {
 	}
 	var job JobV2
 	if err := json.Unmarshal(b, &job); err != nil {
-		return nil, fmt.Errorf("client: malformed v2 status response: %w", err)
+		return nil, fmt.Errorf("client: malformed status response: %w", err)
 	}
 	return &job, nil
 }
 
-// Result fetches a settled job's RunRecord bytes from /v2. Sentinels
-// match the v1 Result method.
+// Result fetches a settled job's RunRecord bytes. A job still in
+// flight matches ErrJobNotDone, a failed job ErrJobFailed, an unknown
+// id ErrJobNotFound.
 func (v *V2Client) Result(ctx context.Context, id string) ([]byte, error) {
 	b, resp, err := v.c.get(ctx, "/v2/jobs/"+id+"/result")
 	if err != nil {

@@ -8,8 +8,8 @@
 //	dolos-serve                          # :8080, GOMAXPROCS workers
 //	dolos-serve -addr :9090 -workers 8 -queue 128 -cache 512
 //	curl -s localhost:8080/healthz
-//	curl -s -X POST localhost:8080/v1/jobs -d '{"workloads":["Hashmap"],"schemes":["dolos-partial"]}'
-//	curl -s localhost:8080/v1/jobs/j00000001/result
+//	curl -s -X POST localhost:8080/v2/jobs -d '{"workloads":["Hashmap"],"schemes":["dolos-partial"]}'
+//	curl -s localhost:8080/v2/jobs/j00000001/result
 //	curl -s localhost:8080/metrics
 //
 // SIGINT/SIGTERM shut the server down gracefully: intake stops (503),

@@ -363,7 +363,7 @@ func TestChaosClientSentinelRoundTrip(t *testing.T) {
 	defer svc.Shutdown(context.Background())
 
 	cl := client.New(ts.URL, fastRetry(2))
-	_, err := cl.Submit(context.Background(), client.Request{Transactions: 50})
+	_, err := cl.V2().SubmitGrid(context.Background(), client.Request{Transactions: 50})
 	if !errors.Is(err, client.ErrQueueFull) {
 		t.Fatalf("submit against queue-full:1 err = %v, want ErrQueueFull", err)
 	}
@@ -382,7 +382,7 @@ func TestChaosClientSentinelRoundTrip(t *testing.T) {
 		t.Errorf("server rejections = %d, want 2", rejected)
 	}
 
-	if _, err := cl.Status(context.Background(), "j99999999"); !errors.Is(err, client.ErrJobNotFound) {
+	if _, err := cl.V2().Status(context.Background(), "j99999999"); !errors.Is(err, client.ErrJobNotFound) {
 		t.Errorf("unknown id err = %v, want ErrJobNotFound", err)
 	}
 
@@ -394,7 +394,7 @@ func TestChaosClientSentinelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := client.New(drainedTS.URL, client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 1}))
-	if _, err := one.Submit(context.Background(), client.Request{}); !errors.Is(err, client.ErrUnavailable) {
+	if _, err := one.V2().SubmitGrid(context.Background(), client.Request{}); !errors.Is(err, client.ErrUnavailable) {
 		t.Errorf("draining submit err = %v, want ErrUnavailable", err)
 	}
 }

@@ -10,30 +10,13 @@ import (
 	"dolos/internal/telemetry"
 )
 
-// SubmitResponse is the body of POST /v1/jobs and GET /v1/jobs/{id}.
-type SubmitResponse struct {
-	ID     string    `json:"id"`
-	Status JobStatus `json:"status"`
-	// Cached is true when the result came from the LRU cache or a
-	// deduplicated in-flight computation rather than a fresh simulation.
-	Cached bool `json:"cached"`
-	// QueuePosition is the 1-based position among queued jobs (present
-	// only while queued).
-	QueuePosition int `json:"queue_position,omitempty"`
-	// Error carries the failure cause when Status is "failed".
-	Error string `json:"error,omitempty"`
-}
-
-// ErrorEnvelope is the versioned error body every endpoint (v1 and
-// v2) returns: a stable machine-readable code, a human message, and a
-// retry hint in seconds for backpressure codes. Legacy mirrors the
-// message under the pre-envelope "error" key so v1 clients written
-// against PR-5 keep parsing.
+// ErrorEnvelope is the error body every endpoint returns: a stable
+// machine-readable code, a human message, and a retry hint in seconds
+// for backpressure codes.
 type ErrorEnvelope struct {
 	Code       string `json:"code"`
 	Message    string `json:"message"`
 	RetryAfter int64  `json:"retry_after,omitempty"`
-	Legacy     string `json:"error"`
 }
 
 // Error codes carried by ErrorEnvelope.Code.
@@ -48,14 +31,7 @@ const (
 	CodeInternal      = "internal"
 )
 
-// DeprecationHeader marks every /v1 response (RFC 8594): the /v1
-// surface is a shim over the same store-backed pipeline /v2 uses and
-// will not grow new features.
-const DeprecationHeader = "Deprecation"
-
-// Handler returns the server's HTTP API.
-//
-// Current surface (/v2):
+// Handler returns the server's HTTP API:
 //
 //	POST /v2/jobs             submit a grid or single-cell run
 //	GET  /v2/jobs/{id}        job status with cell progress
@@ -64,29 +40,17 @@ const DeprecationHeader = "Deprecation"
 //	GET  /v2/cluster          ring membership, health and keyspace shares
 //	GET  /v2/audit            the durable submission audit trail
 //	POST /v2/cells            internal: execute one forwarded grid cell
-//
-// Deprecated shims (/v1, served from the same pipeline, tagged with a
-// Deprecation header):
-//
-//	POST /v1/jobs             submit
-//	GET  /v1/jobs/{id}        status
-//	GET  /v1/jobs/{id}/result result
-//
-// Shared:
-//
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness ("ok", or 503 while draining)
 //
 // Every handler runs behind panic-to-500 recovery and a request
-// counter; every error body is an ErrorEnvelope.
+// counter; every error body is an ErrorEnvelope. Any other method or
+// path gets a 404 not_found envelope, not the mux's plain-text 404 or
+// 405.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", deprecated(s.handleSubmit))
-	mux.HandleFunc("GET /v1/jobs", deprecated(handleJobsNoID))
-	mux.HandleFunc("GET /v1/jobs/{id}", deprecated(s.handleStatus))
-	mux.HandleFunc("GET /v1/jobs/{id}/result", deprecated(s.handleResult))
+	mux.HandleFunc("/", handleNotFound)
 	mux.HandleFunc("POST /v2/jobs", s.handleSubmitV2)
-	mux.HandleFunc("GET /v2/jobs", handleJobsNoID)
 	mux.HandleFunc("GET /v2/jobs/{id}", s.handleStatusV2)
 	mux.HandleFunc("GET /v2/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /v2/jobs/{id}/result", s.handleResultV2)
@@ -107,21 +71,9 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// deprecated tags a /v1 handler's responses with the Deprecation
-// header and a Link to the successor surface.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(DeprecationHeader, "true")
-		w.Header().Set("Link", `</v2/jobs>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
-// handleJobsNoID answers GET /vN/jobs without an id: a versioned 404
-// envelope instead of the mux's bare 405 (there is no collection
-// listing; the id is required).
-func handleJobsNoID(w http.ResponseWriter, _ *http.Request) {
-	writeError(w, http.StatusNotFound, "job id required: GET /v2/jobs/{id}")
+// handleNotFound answers every request no route matches.
+func handleNotFound(w http.ResponseWriter, r *http.Request) {
+	writeError(w, http.StatusNotFound, fmt.Sprintf("no endpoint %s %s", r.Method, r.URL.Path))
 }
 
 // decodeSubmit parses and bounds a submission body. On failure it has
@@ -144,41 +96,6 @@ func (s *Server) decodeSubmit(w http.ResponseWriter, r *http.Request) (Request, 
 	return req, true
 }
 
-// submitCommon is the shared submission pipeline behind POST /v1/jobs
-// and POST /v2/jobs: quota check, normalization, submit. It returns
-// the job, or nil after writing the error response.
-func (s *Server) submitCommon(w http.ResponseWriter, r *http.Request) *Job {
-	tenant := tenantOf(r)
-	if ok, wait := s.quotas.allow(tenant); !ok {
-		s.mQuotaRejected.Inc()
-		writeEnvelope(w, http.StatusTooManyRequests, CodeQuotaExceeded,
-			fmt.Sprintf("tenant %q is over quota", tenant), wait)
-		return nil
-	}
-	req, ok := s.decodeSubmit(w, r)
-	if !ok {
-		return nil
-	}
-	n, err := normalize(req, s.cfg.Limits)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return nil
-	}
-	job, err := s.submit(n, msToDuration(req.TimeoutMS), tenant)
-	switch {
-	case errors.Is(err, errDraining):
-		writeEnvelope(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error(), 5*time.Second)
-		return nil
-	case errors.Is(err, errQueueFull):
-		writeEnvelope(w, http.StatusTooManyRequests, CodeQueueFull, err.Error(), time.Second)
-		return nil
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return nil
-	}
-	return job
-}
-
 // tenantOf reads the submission's tenant identity ("default" when the
 // header is absent).
 func tenantOf(r *http.Request) string {
@@ -188,19 +105,6 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	job := s.submitCommon(w, r)
-	if job == nil {
-		return
-	}
-	st := snapshotStatus(s, job)
-	status := http.StatusAccepted
-	if st.Status == StatusDone {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, st)
-}
-
 // msToDuration maps the wire timeout_ms field onto a duration (0 keeps
 // the server default).
 func msToDuration(ms int64) time.Duration {
@@ -208,39 +112,6 @@ func msToDuration(ms int64) time.Duration {
 		return 0
 	}
 	return time.Duration(ms) * time.Millisecond
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
-		return
-	}
-	writeJSON(w, http.StatusOK, snapshotStatus(s, job))
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
-		return
-	}
-	st := snapshotStatus(s, job)
-	switch st.Status {
-	case StatusDone:
-		s.mu.Lock()
-		result := job.result
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(result)
-	case StatusFailed:
-		writeEnvelope(w, http.StatusInternalServerError, CodeJobFailed, st.Error, 0)
-	default:
-		// Not finished: report the status (202) so pollers can keep the
-		// same URL.
-		writeJSON(w, http.StatusAccepted, st)
-	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -254,26 +125,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		w.Header().Set("Retry-After", "5")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+		writeEnvelope(w, http.StatusServiceUnavailable, CodeUnavailable, "draining", 5*time.Second)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-// snapshotStatus reads a job's externally visible state under the lock.
-func snapshotStatus(s *Server, job *Job) SubmitResponse {
-	pos := s.queuePosition(job)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SubmitResponse{
-		ID:            job.id,
-		Status:        job.status,
-		Cached:        job.cached,
-		QueuePosition: pos,
-		Error:         job.errMsg,
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -282,10 +138,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeEnvelope writes the versioned error body, with a Retry-After
-// header when the code is retryable after a delay.
+// writeEnvelope writes the error body, with a Retry-After header when
+// the code is retryable after a delay.
 func writeEnvelope(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	env := ErrorEnvelope{Code: code, Message: msg, Legacy: msg}
+	env := ErrorEnvelope{Code: code, Message: msg}
 	if retryAfter > 0 {
 		secs := int64((retryAfter + time.Second - 1) / time.Second)
 		env.RetryAfter = secs

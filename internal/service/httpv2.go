@@ -1,6 +1,8 @@
 package service
 
 import (
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -8,8 +10,9 @@ import (
 	"dolos/internal/store"
 )
 
-// JobV2 is the body of POST /v2/jobs and GET /v2/jobs/{id}: the v1
-// fields plus tenant attribution and streaming progress.
+// JobV2 is the body of POST /v2/jobs and GET /v2/jobs/{id}: the job's
+// identity and lifecycle status, its tenant, whether the result came
+// from the cache, and its streaming progress.
 type JobV2 struct {
 	ID     string    `json:"id"`
 	Status JobStatus `json:"status"`
@@ -31,9 +34,35 @@ type AuditResponse struct {
 	Entries []store.AuditEntry `json:"entries"`
 }
 
+// handleSubmitV2 serves POST /v2/jobs: quota check, decode,
+// normalization, submit.
 func (s *Server) handleSubmitV2(w http.ResponseWriter, r *http.Request) {
-	job := s.submitCommon(w, r)
-	if job == nil {
+	tenant := tenantOf(r)
+	if ok, wait := s.quotas.allow(tenant); !ok {
+		s.mQuotaRejected.Inc()
+		writeEnvelope(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+			fmt.Sprintf("tenant %q is over quota", tenant), wait)
+		return
+	}
+	req, ok := s.decodeSubmit(w, r)
+	if !ok {
+		return
+	}
+	n, err := normalize(req, s.cfg.Limits)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	job, err := s.submit(n, msToDuration(req.TimeoutMS), tenant)
+	switch {
+	case errors.Is(err, errDraining):
+		writeEnvelope(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error(), 5*time.Second)
+		return
+	case errors.Is(err, errQueueFull):
+		writeEnvelope(w, http.StatusTooManyRequests, CodeQueueFull, err.Error(), time.Second)
+		return
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	st := snapshotV2(s, job)

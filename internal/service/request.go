@@ -11,7 +11,7 @@ import (
 	"dolos/internal/whisper"
 )
 
-// Request is the JSON body of POST /v1/jobs: a grid (workloads ×
+// Request is the JSON body of POST /v2/jobs: a grid (workloads ×
 // schemes) or a single cell when both lists have one element. Every
 // field is optional; zero values take the same defaults the CLI tools
 // use, so an empty body is a valid one-cell job.

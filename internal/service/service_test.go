@@ -20,14 +20,14 @@ import (
 )
 
 // postJob submits a request body and decodes the response envelope.
-func postJob(t *testing.T, ts *httptest.Server, body string) (SubmitResponse, int) {
+func postJob(t *testing.T, ts *httptest.Server, body string) (JobV2, int) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v2/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sub SubmitResponse
+	var sub JobV2
 	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 		t.Fatalf("decoding submit response: %v", err)
 	}
@@ -35,15 +35,15 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (SubmitResponse, in
 }
 
 // awaitJob polls a job until it settles.
-func awaitJob(t *testing.T, ts *httptest.Server, id string) SubmitResponse {
+func awaitJob(t *testing.T, ts *httptest.Server, id string) JobV2 {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		resp, err := http.Get(ts.URL + "/v2/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sub SubmitResponse
+		var sub JobV2
 		err = json.NewDecoder(resp.Body).Decode(&sub)
 		resp.Body.Close()
 		if err != nil {
@@ -61,7 +61,7 @@ func awaitJob(t *testing.T, ts *httptest.Server, id string) SubmitResponse {
 
 func getResult(t *testing.T, ts *httptest.Server, id string) ([]byte, int) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
+	resp, err := http.Get(ts.URL + "/v2/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +266,18 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var env ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Code != CodeUnavailable {
+		t.Errorf("draining healthz body %+v (%v), want a %q envelope", env, err, CodeUnavailable)
+	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining healthz HTTP %d, want 503", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{}`))
+	if resp.Header.Get("Retry-After") != "5" {
+		t.Errorf("draining healthz Retry-After %q, want 5", resp.Header.Get("Retry-After"))
+	}
+	resp, err = http.Post(ts.URL+"/v2/jobs", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +330,7 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Errorf("job B queue position = %d, want 1", subB.QueuePosition)
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+	resp, err := http.Post(ts.URL+"/v2/jobs", "application/json",
 		strings.NewReader(`{"transactions":50,"seed":13}`))
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +421,7 @@ func TestBadRequests(t *testing.T) {
 		{"oversized body", fmt.Sprintf(`{"workloads":[%q]}`, strings.Repeat("x", 512)), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(ts.URL+"/v2/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +431,7 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 
-	if resp, err := http.Get(ts.URL + "/v1/jobs/j99999999"); err != nil {
+	if resp, err := http.Get(ts.URL + "/v2/jobs/j99999999"); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
@@ -432,23 +439,36 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("unknown job HTTP %d, want 404", resp.StatusCode)
 		}
 	}
-	// GET on the collection (no id) is a versioned 404 envelope — not
-	// the mux's bare 405 — on both API versions.
-	for _, path := range []string{"/v1/jobs", "/v2/jobs"} {
-		resp, err := http.Get(ts.URL + path)
+	// Requests no route serves — a retired route, the collection
+	// without an id, a method a route does not take — get a 404
+	// not_found envelope, not the mux's plain-text 404 or 405.
+	for _, rq := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/jobs"},
+		{http.MethodGet, "/v1/jobs/j1"},
+		{http.MethodGet, "/v2/jobs"},
+		{http.MethodDelete, "/v2/jobs/j1"},
+	} {
+		req, err := http.NewRequest(rq.method, ts.URL+rq.path, strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var env ErrorEnvelope
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			t.Errorf("GET %s: body is not an error envelope: %v", path, err)
+			t.Errorf("%s %s: body is not an error envelope: %v", rq.method, rq.path, err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s HTTP %d, want 404", path, resp.StatusCode)
+			t.Errorf("%s %s HTTP %d, want 404", rq.method, rq.path, resp.StatusCode)
 		}
-		if env.Code != CodeNotFound || env.Message == "" || env.Legacy != env.Message {
-			t.Errorf("GET %s envelope %+v, want code %q with mirrored legacy message", path, env, CodeNotFound)
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s Content-Type %q, want application/json", rq.method, rq.path, ct)
+		}
+		if env.Code != CodeNotFound || env.Message == "" {
+			t.Errorf("%s %s envelope %+v, want code %q with a message", rq.method, rq.path, env, CodeNotFound)
 		}
 	}
 }

@@ -269,32 +269,6 @@ func TestV2QuotaEnforced(t *testing.T) {
 	}
 }
 
-// TestV1DeprecationShim: every /v1 response carries the Deprecation
-// header and successor Link; /v2 responses do not.
-func TestV1DeprecationShim(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 4})
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	defer svc.Shutdown(context.Background())
-
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"transactions":30}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get(DeprecationHeader) != "true" || !strings.Contains(resp.Header.Get("Link"), "successor-version") {
-		t.Errorf("/v1 response missing deprecation headers: %v", resp.Header)
-	}
-	resp2, err := http.Post(ts.URL+"/v2/jobs", "application/json", strings.NewReader(`{"transactions":30}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.Header.Get(DeprecationHeader) != "" {
-		t.Error("/v2 response carries a Deprecation header")
-	}
-}
-
 // TestStoreRecoverySettled: a restarted server answers for jobs the
 // previous incarnation completed — status, result bytes, stream replay
 // — without re-executing a single simulation, and a resubmission of
