@@ -59,6 +59,9 @@ bench-gen:
 # accidental serialization or a sim-hot-path regression fails CI instead
 # of silently tripling runtime. The benchmark is a module of its own,
 # which the root `go test ./...` does not reach, so its tests run here.
+# The profile grid (legacy, related-work, multi-core and fast-mode
+# records) is compared against the committed BENCH_pr13.json: one
+# divergent deterministic field exits 1, so CI checks bit-identity.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -68,7 +71,7 @@ ci:
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchtime 1x ./internal/whisper
 	$(GO) build -o /tmp/dolos-bench-ci ./cmd/dolos-bench
 	timeout 300 /tmp/dolos-bench-ci -exp all -txns 50 > /dev/null
-	$(GO) run ./cmd/dolos-profile -grid -txns 50 -o /tmp/dolos-grid-ci.json
+	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -txns 200 -o /tmp/dolos-grid-ci.json -compare BENCH_pr13.json
 	$(MAKE) mcore-smoke
 	$(MAKE) fast-smoke
 	$(MAKE) scheme-smoke

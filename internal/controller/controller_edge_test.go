@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"errors"
 	"testing"
 
 	"dolos/internal/crypt"
@@ -123,8 +124,8 @@ func TestOsirisRejectedUnderToC(t *testing.T) {
 	if _, err := c.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Recover(OsirisRecovery); err == nil {
-		t.Fatal("Osiris recovery accepted under the ToC backend")
+	if _, err := c.Recover(OsirisRecovery); !errors.Is(err, masu.ErrNeedsBMT) {
+		t.Fatalf("Osiris recovery under the ToC backend: %v, want masu.ErrNeedsBMT", err)
 	}
 }
 

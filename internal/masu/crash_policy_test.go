@@ -1,6 +1,7 @@
 package masu_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"dolos/internal/masu"
 	"dolos/internal/nvm"
 	"dolos/internal/scheme"
+	"dolos/internal/toc/tocref"
 )
 
 // bmtPolicies returns one registry entry per distinct Ma-SU policy that
@@ -33,6 +35,14 @@ func bmtPolicies(t *testing.T) []scheme.Entry {
 	return out
 }
 
+// eagerTree is what the crash rig reads of an eager reference tree
+// (bmtref or tocref).
+type eagerTree interface {
+	Levels() int
+	NodeNVMAddr(level int, index uint64) uint64
+	NodeImage(level int, index uint64) [64]byte
+}
+
 // crashRig drives a unit and the eager reference tree with the same
 // writes: the reference takes each applied op's counter-block image.
 type crashRig struct {
@@ -41,10 +51,16 @@ type crashRig struct {
 	rng    *rand.Rand
 	u      *masu.Unit
 	lay    layout.Map
-	ref    *bmtref.Tree
+	ref    eagerTree
 	leaves map[uint64][64]byte // leaf index -> last applied counter-block image
 	lines  map[uint64][64]byte // data address -> last written plaintext
 	pages  []uint64
+
+	// refUpdate applies a leaf write to the reference; rootDiff
+	// describes a root register that differs from the reference's, or
+	// returns "".
+	refUpdate func(leaf uint64, img *[64]byte)
+	rootDiff  func() string
 }
 
 func newCrashRig(t *testing.T, e scheme.Entry, seed int64) *crashRig {
@@ -61,14 +77,40 @@ func newCrashRig(t *testing.T, e scheme.Entry, seed int64) *crashRig {
 		leaves: map[uint64][64]byte{},
 		lines:  map[uint64][64]byte{},
 	}
+	kind := masu.BMTEager
+	if e.Pipeline.HasForceTree {
+		kind = e.Pipeline.ForceTree
+	}
 	// Tiny metadata caches, so dirty tree nodes are evicted and
 	// persisted between writes.
-	r.u = masu.NewWithParams(masu.BMTEager, eng, nvm.NewDevice(nil, lay.DeviceSize, 0), lay, masu.Params{
+	r.u = masu.NewWithParams(kind, eng, nvm.NewDevice(nil, lay.DeviceSize, 0), lay, masu.Params{
 		CounterCacheBytes: 1 << 10,
 		MTCacheBytes:      2 << 10,
 		Policy:            e.Pipeline.Policy,
 	})
-	r.ref = bmtref.New(eng, nvm.NewDevice(nil, lay.DeviceSize, 0), lay.TreeBase, lay.Leaves())
+	refDev := nvm.NewDevice(nil, lay.DeviceSize, 0)
+	switch kind {
+	case masu.BMTEager:
+		ref := bmtref.New(eng, refDev, lay.TreeBase, lay.Leaves())
+		r.ref = ref
+		r.refUpdate = func(leaf uint64, img *[64]byte) { ref.UpdateLeaf(leaf, img) }
+		r.rootDiff = func() string {
+			if got, want := r.u.BMT().Root(), ref.Root(); got != want {
+				return fmt.Sprintf("root register %x, eager reference %x", got, want)
+			}
+			return ""
+		}
+	case masu.ToCLazy:
+		ref := tocref.New(eng, refDev, lay.TreeBase, lay.Leaves())
+		r.ref = ref
+		r.refUpdate = func(leaf uint64, img *[64]byte) { ref.UpdateLeaf(leaf, img) }
+		r.rootDiff = func() string {
+			if got, want := r.u.ToC().RootVersion(), ref.RootVersion(); got != want {
+				return fmt.Sprintf("root version %d, eager reference %d", got, want)
+			}
+			return ""
+		}
+	}
 	for i := 0; i < 40; i++ {
 		r.pages = append(r.pages, uint64(r.rng.Int63n(int64(lay.DataSpan/nvm.PageSize))))
 	}
@@ -86,7 +128,7 @@ func (r *crashRig) apply(op *masu.Op) {
 	r.u.ApplyWrite(op)
 	r.leaves[op.LeafIndex] = op.LeafImage
 	r.lines[op.Addr] = op.Plain
-	r.ref.UpdateLeaf(op.LeafIndex, &op.LeafImage)
+	r.refUpdate(op.LeafIndex, &op.LeafImage)
 }
 
 func (r *crashRig) write(addr uint64, p [64]byte) {
@@ -104,8 +146,8 @@ func (r *crashRig) writes(n int) {
 // eager hashing writes: the root register and every live shadow image.
 func (r *crashRig) checkCrashState(when string) {
 	r.t.Helper()
-	if got, want := r.u.BMT().Root(), r.ref.Root(); got != want {
-		r.t.Fatalf("%s: %s: root register %x, eager reference %x", r.e.Name, when, got, want)
+	if d := r.rootDiff(); d != "" {
+		r.t.Fatalf("%s: %s: %s", r.e.Name, when, d)
 	}
 	nodes := map[uint64][2]uint64{}
 	for leaf := range r.leaves {
@@ -146,8 +188,8 @@ func (r *crashRig) recover(osiris bool) {
 	if err != nil {
 		r.t.Fatalf("%s: recovery: %v", r.e.Name, err)
 	}
-	if got, want := r.u.BMT().Root(), r.ref.Root(); got != want {
-		r.t.Fatalf("%s: recovered root %x, eager reference %x", r.e.Name, got, want)
+	if d := r.rootDiff(); d != "" {
+		r.t.Fatalf("%s: after recovery: %s", r.e.Name, d)
 	}
 	for addr, want := range r.lines {
 		got, _, err := r.u.ReadLine(addr)
@@ -184,7 +226,7 @@ func TestCrashStateMatchesEagerPerPolicy(t *testing.T) {
 		// The replay applies the staged op: the reference takes it too.
 		r.leaves[op.LeafIndex] = op.LeafImage
 		r.lines[op.Addr] = op.Plain
-		r.ref.UpdateLeaf(op.LeafIndex, &op.LeafImage)
+		r.refUpdate(op.LeafIndex, &op.LeafImage)
 		r.recover(false)
 
 		// The slow path: probe counters and rebuild from the leaves.
@@ -195,7 +237,59 @@ func TestCrashStateMatchesEagerPerPolicy(t *testing.T) {
 		r.checkCrashState("second crash with a staged op")
 		r.leaves[op.LeafIndex] = op.LeafImage
 		r.lines[op.Addr] = op.Plain
-		r.ref.UpdateLeaf(op.LeafIndex, &op.LeafImage)
+		r.refUpdate(op.LeafIndex, &op.LeafImage)
 		r.recover(true)
+	}
+}
+
+// checkToCNodes compares the live ToC image of every node on a written
+// leaf's path with the eager reference's.
+func (r *crashRig) checkToCNodes(when string) {
+	r.t.Helper()
+	for leaf := range r.leaves {
+		idx := leaf
+		for level := 1; level <= r.ref.Levels(); level++ {
+			idx /= 8
+			if r.u.ToC().NodeImage(level, idx) != r.ref.NodeImage(level, idx) {
+				r.t.Fatalf("%s: node (%d,%d) differs from the eager reference", when, level, idx)
+			}
+		}
+	}
+}
+
+// TestToCCrashStateMatchesEager crashes the lazy ToC (Phoenix) after a
+// run of writes and with a staged op. At each crash the root version and
+// every live shadow image — pending entries filled from stale nodes
+// included — must equal the eager reference's, and after recovery (the
+// staged op replayed with its absolute versions) so must every node on
+// a written path.
+func TestToCCrashStateMatchesEager(t *testing.T) {
+	e, ok := scheme.ByID(scheme.Phoenix)
+	if !ok || e.Pipeline.ForceTree != masu.ToCLazy {
+		t.Fatal("the registry's Phoenix entry does not run the lazy ToC")
+	}
+	r := newCrashRig(t, e, 7)
+
+	r.writes(300)
+	addr, p := r.randWrite()
+	for j := 0; j < 130; j++ {
+		r.write(addr, p)
+	}
+	r.u.CrashVolatile()
+	r.checkCrashState("crash after writes")
+	r.recover(false)
+	r.checkToCNodes("after recovery")
+
+	for round := 0; round < 2; round++ {
+		r.writes(200)
+		addr, p = r.randWrite()
+		op, _ := r.u.PrepareWrite(addr, p, 0)
+		r.u.CrashVolatile()
+		r.checkCrashState("crash with a staged op")
+		r.leaves[op.LeafIndex] = op.LeafImage
+		r.lines[op.Addr] = op.Plain
+		r.refUpdate(op.LeafIndex, &op.LeafImage)
+		r.recover(false)
+		r.checkToCNodes("after replaying the staged op")
 	}
 }

@@ -11,22 +11,20 @@ import (
 // CrashVolatile models power failure inside the Ma-SU: metadata caches
 // and the live (cached) counter/tree state vanish. The redo-log
 // registers, the root register, the shadow region and all NVM contents
-// survive. With a BMT, the crash observes the tree: pending shadow
-// images and a staged op's temp root are filled from the refreshed live
-// tree before it is dropped, and the tree refreshes its root register,
-// so what survives is byte for byte what eager hashing wrote.
+// survive. The crash observes the tree: pending shadow images are
+// filled from the live tree before it is dropped, and with a BMT a
+// staged op's temp root is computed and the tree refreshes its root
+// register. What survives is byte for byte what eager hashing wrote.
 func (u *Unit) CrashVolatile() {
-	if u.bmtTree != nil {
-		u.shadow.Range(func(i uint64, e *shadowEntry) bool {
-			if e.pending {
-				u.fillShadow(i, e)
-			}
-			return true
-		})
-		if u.redo.ready {
-			u.redo.tempRoot = u.bmtTree.RootAfter(u.redo.op.LeafIndex, u.redo.op.LeafMAC)
-			u.redo.haveTempRoot = true
+	u.shadow.Range(func(i uint64, e *shadowEntry) bool {
+		if e.pending {
+			u.fillShadow(i, e)
 		}
+		return true
+	})
+	if u.bmtTree != nil && u.redo.ready {
+		u.redo.tempRoot = u.bmtTree.RootAfter(u.redo.op.LeafIndex, u.redo.op.LeafMAC)
+		u.redo.haveTempRoot = true
 	}
 	u.counterCache.InvalidateAll()
 	u.mtCache.InvalidateAll()
@@ -39,10 +37,16 @@ func (u *Unit) CrashVolatile() {
 	}
 }
 
-// fillShadow copies a pending BMT node entry's image from the live tree.
+// fillShadow copies a pending tree-node entry's image from the live
+// tree, computing its pending MACs.
 func (u *Unit) fillShadow(i uint64, e *shadowEntry) {
 	ref := u.nodeRefAt(u.lay.CounterBase + i*64)
-	e.img = u.bmtTree.NodeImage(int(ref>>56), ref&(1<<56-1))
+	level, index := int(ref>>56), ref&(1<<56-1)
+	if u.bmtTree != nil {
+		e.img = u.bmtTree.NodeImage(level, index)
+	} else {
+		e.img = u.tocTree.NodeImage(level, index)
+	}
 	e.pending = false
 }
 
@@ -139,7 +143,7 @@ func (u *Unit) RecoverOsiris() (RecoveryReport, error) {
 		return rep, ErrFastMode
 	}
 	if u.kind != BMTEager {
-		return rep, fmt.Errorf("masu: Osiris recovery requires the BMT backend")
+		return rep, fmt.Errorf("%w (Osiris recovery)", ErrNeedsBMT)
 	}
 	u.replayRedo(&rep)
 
@@ -205,7 +209,7 @@ func (u *Unit) RecoverReconstruct() (RecoveryReport, error) {
 		return rep, ErrFastMode
 	}
 	if u.kind != BMTEager {
-		return rep, fmt.Errorf("masu: reconstruction recovery requires the BMT backend")
+		return rep, fmt.Errorf("%w (reconstruction recovery)", ErrNeedsBMT)
 	}
 	u.replayRedo(&rep)
 
