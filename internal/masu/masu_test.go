@@ -148,6 +148,10 @@ func TestLazyWriteCost(t *testing.T) {
 	if cost.SerialMACs != 4 {
 		t.Fatalf("lazy serial MACs = %d, want 4 (Table 1: 160x4)", cost.SerialMACs)
 	}
+	// The data MAC plus every ToC level and the leaf, all modeled.
+	if want := 1 + u.ToC().Levels() + 1; cost.TotalMACs != want {
+		t.Fatalf("lazy total MACs = %d, want %d", cost.TotalMACs, want)
+	}
 }
 
 func TestCounterCacheHitsOnLocality(t *testing.T) {
