@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke cluster-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke clean
 
 all: build test
 
@@ -77,7 +77,6 @@ ci:
 	$(MAKE) scheme-smoke
 	$(MAKE) load-smoke
 	$(MAKE) chaos-smoke
-	$(MAKE) cluster-smoke
 
 # Multi-core determinism smoke under the race detector: a Cores>1 grid
 # run serially and at executor parallelism 4 must produce byte-identical
@@ -151,17 +150,25 @@ profile:
 serve:
 	$(GO) run ./cmd/dolos-serve -addr 127.0.0.1:8080
 
-# End-to-end service smoke: start dolos-serve, drive it with dolos-load
-# for 5 seconds, require zero errors and at least one cache hit, then
-# SIGTERM and verify the drain exits cleanly. Runs in CI.
+# End-to-end service smoke: start dolos-serve on a durable store in a
+# temp directory, drive it with dolos-load for 5 seconds (zero errors,
+# at least one cache hit), then run a streaming pass against the same
+# server — every grid job's cells must arrive over SSE exactly once, in
+# order, with zero errors (DESIGN.md §16) — then SIGTERM and verify the
+# drain exits cleanly. Runs in CI.
 load-smoke:
 	$(GO) build -o /tmp/dolos-serve-ci ./cmd/dolos-serve
 	$(GO) build -o /tmp/dolos-load-ci ./cmd/dolos-load
-	/tmp/dolos-serve-ci -addr 127.0.0.1:8099 & \
+	storedir=$$(mktemp -d /tmp/dolos-load-smoke.XXXXXX); \
+	/tmp/dolos-serve-ci -addr 127.0.0.1:8099 -store-dir $$storedir & \
 	pid=$$!; \
 	/tmp/dolos-load-ci -addr 127.0.0.1:8099 -duration 5s -concurrency 4 \
-		-txns 100 -min-hits 1 -max-errors 0; rc=$$?; \
+		-txns 100 -min-hits 1 -max-errors 0 && \
+	/tmp/dolos-load-ci -addr 127.0.0.1:8099 -stream -tenant smoke \
+		-workloads Hashmap,Btree -schemes baseline,dolos-partial \
+		-duration 3s -concurrency 2 -txns 200 -max-errors 0; rc=$$?; \
 	kill -TERM $$pid; wait $$pid || rc=$$?; \
+	rm -rf $$storedir; \
 	exit $$rc
 
 # Chaos smoke: the same pairing with deterministic fault injection
@@ -180,15 +187,6 @@ chaos-smoke:
 		-txns 100 -faults -min-hits 1 -max-errors 0; rc=$$?; \
 	kill -TERM $$pid; wait $$pid || rc=$$?; \
 	exit $$rc
-
-# Cluster smoke: a 3-node dolos-serve ring with durable stores; a grid
-# is submitted to one node, another node is SIGKILLed mid-grid, and the
-# run asserts completion with every cell, SSE replay from Last-Event-ID,
-# the killed node rejoining on its old store, and a zero-error
-# dolos-load -stream pass with first-cell percentiles (DESIGN.md §16).
-# Runs in CI.
-cluster-smoke:
-	bash scripts/cluster_smoke.sh
 
 clean:
 	$(GO) clean ./...

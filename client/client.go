@@ -19,7 +19,7 @@
 // drain windows and server-side job failures; errors that survive the
 // retry budget match the package sentinels under errors.Is (see
 // errors.go). V2 exposes the same machinery one step at a time, plus
-// resumable per-cell streaming and cluster introspection. See
+// resumable per-cell streaming. See
 // DESIGN.md §11 for the retry policy's backoff table.
 package client
 

@@ -52,7 +52,7 @@ type StatusError struct {
 	Message    string
 	RetryAfter time.Duration
 	// APICode is the server's stable machine-readable error code from
-	// the error envelope ("queue_full", "quota_exceeded", ...). Empty
+	// the error envelope ("queue_full", "unavailable", ...). Empty
 	// when the body is not an envelope, such as a proxy's 502 page.
 	APICode string
 }

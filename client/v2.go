@@ -14,18 +14,15 @@ import (
 )
 
 // V2 returns the client's /v2 API surface: context-first submission,
-// status and result polling, resumable result streaming, and cluster
-// introspection. Its calls share the client's retry policy, backoff
-// and HTTP client.
+// status and result polling, and resumable result streaming. Its calls
+// share the client's retry policy, backoff and HTTP client.
 func (c *Client) V2() *V2Client { return &V2Client{c: c} }
 
-// V2Client speaks the /v2 API of one dolos-serve node (or the
-// coordinator of a cluster — any node can accept any job).
+// V2Client speaks the /v2 API of one dolos-serve node.
 type V2Client struct {
 	c *Client
 	// Tenant, when set, is sent as X-Dolos-Tenant on submissions, which
-	// attributes the job in the audit trail and selects its quota
-	// bucket.
+	// attributes the job in the audit trail.
 	Tenant string
 }
 
@@ -39,23 +36,6 @@ type JobV2 struct {
 	CellsDone     int    `json:"cells_done"`
 	QueuePosition int    `json:"queue_position,omitempty"`
 	Err           string `json:"error,omitempty"`
-}
-
-// ClusterNode is one row of the /v2/cluster view.
-type ClusterNode struct {
-	ID    string  `json:"id"`
-	Addr  string  `json:"addr,omitempty"`
-	Self  bool    `json:"self,omitempty"`
-	Alive bool    `json:"alive"`
-	Share float64 `json:"keyspace_share"`
-}
-
-// ClusterInfo is the /v2/cluster view: ring membership, health and
-// keyspace shares.
-type ClusterInfo struct {
-	Self        string        `json:"self"`
-	RingVersion uint64        `json:"ring_version"`
-	Nodes       []ClusterNode `json:"nodes"`
 }
 
 // StreamEvent is one cell's result pushed over /v2/jobs/{id}/stream:
@@ -166,22 +146,6 @@ func (v *V2Client) Result(ctx context.Context, id string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: job %s: %s", ErrJobFailed, id, se.Message)
 	}
 	return nil, statusError(resp, b)
-}
-
-// ClusterInfo fetches GET /v2/cluster.
-func (v *V2Client) ClusterInfo(ctx context.Context) (*ClusterInfo, error) {
-	b, resp, err := v.c.get(ctx, "/v2/cluster")
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp, b)
-	}
-	var info ClusterInfo
-	if err := json.Unmarshal(b, &info); err != nil {
-		return nil, fmt.Errorf("client: malformed cluster response: %w", err)
-	}
-	return &info, nil
 }
 
 // Stream opens GET /v2/jobs/{id}/stream and returns an iterator over

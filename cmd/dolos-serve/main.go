@@ -25,16 +25,14 @@
 // The flag wins over the environment; with neither set, nothing is
 // injected and the fault paths cost one nil check each.
 //
-// Durable and distributed mode (see README "Running a cluster" and
-// DESIGN.md §16):
+// Durable mode (see README "Running durably" and DESIGN.md §16):
 //
 //	dolos-serve -store-dir /var/lib/dolos        # WAL-backed job store, crash recovery
-//	dolos-serve -node-id n1 -peers 'n2=http://h2:8080,n3=http://h3:8080'
-//	dolos-serve -tenant-quotas 'acme:5,*:100'    # per-tenant token buckets
 //
-// With -peers, grid cells are routed across the ring by their request
-// hashes (consistent hashing), deduplicated cluster-wide, and streamed
-// back per-cell over GET /v2/jobs/{id}/stream.
+// With -store-dir, every submission, finished cell and outcome is
+// logged before it becomes visible; a restart replays the log, finishes
+// interrupted jobs without re-running their logged cells, and serves
+// GET /v2/jobs/{id}/stream replays and GET /v2/audit from it.
 package main
 
 import (
@@ -46,15 +44,12 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"dolos/internal/cluster"
 	"dolos/internal/fault"
 	"dolos/internal/service"
 	"dolos/internal/store"
-	"dolos/internal/telemetry"
 )
 
 func main() {
@@ -75,11 +70,6 @@ func main() {
 		"directory for the durable job store WAL (empty = in-memory only)")
 	compactAt := flag.Int64("store-compact", 16<<20,
 		"auto-compact the WAL into a snapshot past this many bytes (0 = never)")
-	nodeID := flag.String("node-id", "", "this node's cluster identity (required with -peers)")
-	peersSpec := flag.String("peers", "",
-		"cluster peers as id=url,... (e.g. 'n2=http://h2:8080,n3=http://h3:8080')")
-	quotaSpec := flag.String("tenant-quotas", "",
-		"per-tenant token buckets as tenant:rate[:burst],... ('*' = catch-all)")
 	flag.Parse()
 
 	var injector *fault.Injector
@@ -93,14 +83,9 @@ func main() {
 			*faultSeed, injector)
 	}
 
-	quotas, err := service.ParseQuotas(*quotaSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dolos-serve: -tenant-quotas: %v\n", err)
-		os.Exit(2)
-	}
-
 	var st *store.Store
 	if *storeDir != "" {
+		var err error
 		st, err = store.Open(*storeDir, store.WithAutoCompact(*compactAt))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dolos-serve: -store-dir: %v\n", err)
@@ -108,25 +93,6 @@ func main() {
 		}
 		defer st.Close()
 		fmt.Fprintf(os.Stderr, "dolos-serve: durable store at %s\n", *storeDir)
-	}
-
-	// Cluster and service share one registry so /metrics exposes both.
-	reg := telemetry.NewRegistry()
-	var ring *cluster.Cluster
-	if *peersSpec != "" || *nodeID != "" {
-		peers, err := parsePeers(*peersSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-serve: -peers: %v\n", err)
-			os.Exit(2)
-		}
-		ring, err = cluster.New(cluster.Config{SelfID: *nodeID, Peers: peers, Registry: reg})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-serve: %v\n", err)
-			os.Exit(2)
-		}
-		ring.Start()
-		defer ring.Close()
-		fmt.Fprintf(os.Stderr, "dolos-serve: cluster node %s with %d peer(s)\n", *nodeID, len(peers))
 	}
 
 	svc := service.New(service.Config{
@@ -139,11 +105,8 @@ func main() {
 			MaxTransactions: *txnsCap,
 			MaxCells:        *cellsCap,
 		},
-		Faults:   injector,
-		Store:    st,
-		Cluster:  ring,
-		Quotas:   quotas,
-		Registry: reg,
+		Faults: injector,
+		Store:  st,
 	})
 
 	httpServer := &http.Server{Addr: *addr, Handler: svc.Handler()}
@@ -178,23 +141,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dolos-serve: final metrics snapshot:")
 		os.Stderr.Write(final)
 	}
-}
-
-// parsePeers decodes the -peers flag: comma-separated id=url pairs.
-func parsePeers(spec string) (map[string]string, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	out := make(map[string]string)
-	for _, entry := range strings.Split(spec, ",") {
-		id, url, ok := strings.Cut(strings.TrimSpace(entry), "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("peer entry %q: want id=url", entry)
-		}
-		out[id] = url
-	}
-	return out, nil
 }
 
 // envInt64 reads an int64 environment variable, falling back on

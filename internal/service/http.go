@@ -21,14 +21,13 @@ type ErrorEnvelope struct {
 
 // Error codes carried by ErrorEnvelope.Code.
 const (
-	CodeBadRequest    = "bad_request"
-	CodeBodyTooLarge  = "body_too_large"
-	CodeNotFound      = "not_found"
-	CodeQueueFull     = "queue_full"
-	CodeQuotaExceeded = "quota_exceeded"
-	CodeUnavailable   = "unavailable"
-	CodeJobFailed     = "job_failed"
-	CodeInternal      = "internal"
+	CodeBadRequest   = "bad_request"
+	CodeBodyTooLarge = "body_too_large"
+	CodeNotFound     = "not_found"
+	CodeQueueFull    = "queue_full"
+	CodeUnavailable  = "unavailable"
+	CodeJobFailed    = "job_failed"
+	CodeInternal     = "internal"
 )
 
 // Handler returns the server's HTTP API:
@@ -37,9 +36,7 @@ const (
 //	GET  /v2/jobs/{id}        job status with cell progress
 //	GET  /v2/jobs/{id}/stream SSE of per-cell results (Last-Event-ID resumable)
 //	GET  /v2/jobs/{id}/result RunRecord JSON (dolos-sim -json schema)
-//	GET  /v2/cluster          ring membership, health and keyspace shares
-//	GET  /v2/audit            the durable submission audit trail
-//	POST /v2/cells            internal: execute one forwarded grid cell
+//	GET  /v2/audit            the durable submission audit trail (?n= newest n)
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness ("ok", or 503 while draining)
 //
@@ -54,9 +51,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v2/jobs/{id}", s.handleStatusV2)
 	mux.HandleFunc("GET /v2/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /v2/jobs/{id}/result", s.handleResultV2)
-	mux.HandleFunc("GET /v2/cluster", s.handleCluster)
 	mux.HandleFunc("GET /v2/audit", s.handleAudit)
-	mux.HandleFunc("POST /v2/cells", s.handleCells)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -34,16 +34,9 @@ type AuditResponse struct {
 	Entries []store.AuditEntry `json:"entries"`
 }
 
-// handleSubmitV2 serves POST /v2/jobs: quota check, decode,
-// normalization, submit.
+// handleSubmitV2 serves POST /v2/jobs: decode, normalization, submit
+// under the request's tenant.
 func (s *Server) handleSubmitV2(w http.ResponseWriter, r *http.Request) {
-	tenant := tenantOf(r)
-	if ok, wait := s.quotas.allow(tenant); !ok {
-		s.mQuotaRejected.Inc()
-		writeEnvelope(w, http.StatusTooManyRequests, CodeQuotaExceeded,
-			fmt.Sprintf("tenant %q is over quota", tenant), wait)
-		return
-	}
 	req, ok := s.decodeSubmit(w, r)
 	if !ok {
 		return
@@ -53,7 +46,7 @@ func (s *Server) handleSubmitV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job, err := s.submit(n, msToDuration(req.TimeoutMS), tenant)
+	job, err := s.submit(n, msToDuration(req.TimeoutMS), tenantOf(r))
 	switch {
 	case errors.Is(err, errDraining):
 		writeEnvelope(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error(), 5*time.Second)
@@ -121,11 +114,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by connection")
 		return
 	}
-	after := 0
-	if h := r.Header.Get("Last-Event-ID"); h != "" {
-		after, _ = strconv.Atoi(h)
-	} else if q := r.URL.Query().Get("last_event_id"); q != "" {
-		after, _ = strconv.Atoi(q)
+	resume, name := r.Header.Get("Last-Event-ID"), "Last-Event-ID"
+	if resume == "" {
+		resume, name = r.URL.Query().Get("last_event_id"), "last_event_id"
+	}
+	after, err := parseCount(name, resume)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 
 	replay, ch, cancel := s.subscribe(job, after)
@@ -156,18 +152,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleCluster serves GET /v2/cluster: the ring view. Works on a
-// single node too (one self-owned arc), so clients need no mode probe.
-func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.cluster.Info())
-}
-
 // handleAudit serves GET /v2/audit: the durable submission trail
 // (?n= bounds it to the newest n entries).
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if q := r.URL.Query().Get("n"); q != "" {
-		n, _ = strconv.Atoi(q)
+	n, err := parseCount("n", r.URL.Query().Get("n"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	resp := AuditResponse{Entries: []store.AuditEntry{}}
 	if s.store != nil {
@@ -176,39 +167,19 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleCells serves POST /v2/cells, the internal cluster endpoint: a
-// coordinator forwards one grid cell here and gets its compact
-// RunRecord back. The cell always executes locally — the forwarded
-// marker means the routing decision was already made, so a stale ring
-// on this node can never bounce it onward.
-func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
-		writeEnvelope(w, http.StatusServiceUnavailable, CodeUnavailable, "draining", 5*time.Second)
-		return
+// parseCount reads a non-negative integer query or header value. An
+// absent value is 0; anything else that is not a non-negative decimal
+// integer is an error naming the input, so a typo is answered with 400
+// instead of silently meaning "from the start" or "everything".
+func parseCount(name, v string) (int, error) {
+	if v == "" {
+		return 0, nil
 	}
-	req, ok := s.decodeSubmit(w, r)
-	if !ok {
-		return
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("%s %q is not a non-negative integer", name, v)
 	}
-	n, err := normalize(req, s.cfg.Limits)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if cells := len(n.Workloads) * len(n.Schemes); cells != 1 {
-		writeError(w, http.StatusBadRequest, "a cell request must be exactly one workload × scheme")
-		return
-	}
-	ctx := r.Context()
-	s.cluster.LocalCell()
-	b, err := s.executeCell(ctx, n)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
+	return n, nil
 }
 
 // snapshotV2 reads a job's /v2 view under the lock.

@@ -173,36 +173,6 @@ func (n normalized) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// cellRequest projects grid cell i (cells() enumeration order:
-// workloads outer, schemes inner) onto its own normalized single-cell
-// request. Its Key() is the cell's identity everywhere cells travel
-// alone: the consistent-hash routing key, the cluster-wide dedup key,
-// and the cell-level cache key — all the same SHA-256 family as the
-// job keys.
-func (n normalized) cellRequest(i int) normalized {
-	cn := n
-	cn.Workloads = []string{n.Workloads[i/len(n.Schemes)]}
-	cn.Schemes = []string{n.Schemes[i%len(n.Schemes)]}
-	return cn
-}
-
-// requestOf maps a normalized request back onto the wire schema — the
-// body the coordinator POSTs to a cell owner's /v2/cells endpoint.
-// Canonical names survive normalize on the receiving node unchanged,
-// so both sides compute identical keys.
-func requestOf(n normalized) Request {
-	return Request{
-		Workloads:    n.Workloads,
-		Schemes:      n.Schemes,
-		Tree:         n.Tree,
-		Transactions: n.Transactions,
-		TxSize:       n.TxSize,
-		Seed:         n.Seed,
-		WPQ:          n.WPQ,
-		NoCoalesce:   n.NoCoalesce,
-	}
-}
-
 // cells enumerates the grid in result order: workloads outer, schemes
 // inner — the same nesting every experiment table in internal/core uses.
 func (n normalized) cells() []core.Cell {

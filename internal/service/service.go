@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"dolos/internal/cliutil"
-	"dolos/internal/cluster"
 	"dolos/internal/core"
 	"dolos/internal/fault"
 	"dolos/internal/store"
@@ -52,17 +51,6 @@ type Config struct {
 	// they become externally visible, and New replays unfinished jobs
 	// from it. Nil keeps the PR-5 in-memory behavior.
 	Store *store.Store
-	// Cluster, when non-nil, shards grid cells across worker nodes by
-	// consistent hashing of their normalized request keys. Nil (or a nil
-	// *cluster.Cluster) runs every cell locally.
-	Cluster *cluster.Cluster
-	// Quotas maps tenant IDs (the X-Dolos-Tenant header; "*" is the
-	// catch-all) to token-bucket rates. Empty means no quota enforcement.
-	Quotas map[string]Quota
-	// Registry receives the server's metrics. Nil creates a private one;
-	// cmd/dolos-serve passes a shared registry so cluster and service
-	// metrics land on one /metrics page.
-	Registry *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -142,12 +130,10 @@ type runnerKey struct {
 // Server owns the queue, worker pool, caches and metrics. Create with
 // New, expose with Handler, stop with Shutdown.
 type Server struct {
-	cfg     Config
-	reg     *telemetry.Registry
-	faults  *fault.Injector
-	store   *store.Store
-	cluster *cluster.Cluster
-	quotas  *tokenBuckets
+	cfg    Config
+	reg    *telemetry.Registry
+	faults *fault.Injector
+	store  *store.Store
 
 	mu       sync.Mutex
 	draining bool
@@ -168,13 +154,12 @@ type Server struct {
 	// execution — used to hold workers in a known state.
 	hookExecute func(*Job)
 
-	mSubmitted, mCompleted, mFailed, mRejected  *telemetry.Counter
-	mCacheHits, mCacheMisses, mDedupHits        *telemetry.Counter
-	mSims, mPanics, mHTTP, mCorrupt             *telemetry.Counter
-	mQuotaRejected, mStreamEvents, mRecovered   *telemetry.Counter
-	mCellCacheHits, mCellDedup, mForwardFallbks *telemetry.Counter
-	gQueueDepth                                 *telemetry.Gauge
-	hJobSeconds                                 *telemetry.CycleHist
+	mSubmitted, mCompleted, mFailed, mRejected *telemetry.Counter
+	mCacheHits, mCacheMisses, mDedupHits       *telemetry.Counter
+	mSims, mPanics, mHTTP, mCorrupt            *telemetry.Counter
+	mStreamEvents, mRecovered                  *telemetry.Counter
+	gQueueDepth                                *telemetry.Gauge
+	hJobSeconds                                *telemetry.CycleHist
 }
 
 // New builds a server and starts its worker pool. When a Store is
@@ -186,42 +171,33 @@ type Server struct {
 // mount Handler on an http.Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
 		faults:  cfg.Faults,
 		store:   cfg.Store,
-		cluster: cfg.Cluster,
-		quotas:  newBuckets(cfg.Quotas),
 		jobs:    make(map[string]*Job),
 		flights: make(map[string]*flight),
 		runners: make(map[runnerKey]*core.Runner),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		cache:   newLRU(cfg.CacheEntries),
 
-		mSubmitted:      reg.Counter("service_jobs_submitted_total"),
-		mCompleted:      reg.Counter("service_jobs_completed_total"),
-		mFailed:         reg.Counter("service_jobs_failed_total"),
-		mRejected:       reg.Counter("service_jobs_rejected_total"),
-		mCacheHits:      reg.Counter("service_cache_hits_total"),
-		mCacheMisses:    reg.Counter("service_cache_misses_total"),
-		mDedupHits:      reg.Counter("service_dedup_hits_total"),
-		mSims:           reg.Counter("service_sims_executed_total"),
-		mPanics:         reg.Counter("service_panics_total"),
-		mHTTP:           reg.Counter("service_http_requests_total"),
-		mCorrupt:        reg.Counter("service_cache_corruptions_detected_total"),
-		mQuotaRejected:  reg.Counter("service_quota_rejected_total"),
-		mStreamEvents:   reg.Counter("service_stream_events_total"),
-		mRecovered:      reg.Counter("service_jobs_recovered_total"),
-		mCellCacheHits:  reg.Counter("service_cell_cache_hits_total"),
-		mCellDedup:      reg.Counter("service_cell_dedup_hits_total"),
-		mForwardFallbks: reg.Counter("service_cell_forward_fallbacks_total"),
-		gQueueDepth:     reg.Gauge("service_queue_depth"),
-		hJobSeconds:     reg.CycleHist("service_job_seconds"),
+		mSubmitted:    reg.Counter("service_jobs_submitted_total"),
+		mCompleted:    reg.Counter("service_jobs_completed_total"),
+		mFailed:       reg.Counter("service_jobs_failed_total"),
+		mRejected:     reg.Counter("service_jobs_rejected_total"),
+		mCacheHits:    reg.Counter("service_cache_hits_total"),
+		mCacheMisses:  reg.Counter("service_cache_misses_total"),
+		mDedupHits:    reg.Counter("service_dedup_hits_total"),
+		mSims:         reg.Counter("service_sims_executed_total"),
+		mPanics:       reg.Counter("service_panics_total"),
+		mHTTP:         reg.Counter("service_http_requests_total"),
+		mCorrupt:      reg.Counter("service_cache_corruptions_detected_total"),
+		mStreamEvents: reg.Counter("service_stream_events_total"),
+		mRecovered:    reg.Counter("service_jobs_recovered_total"),
+		gQueueDepth:   reg.Gauge("service_queue_depth"),
+		hJobSeconds:   reg.CycleHist("service_job_seconds"),
 	}
 	s.cache.onCorrupt = func(string) { s.mCorrupt.Inc() }
 	s.faults.Bind(reg)
@@ -647,9 +623,8 @@ func (s *Server) computeGuarded(job *Job) (b []byte, err error) {
 // cell, an array for a grid. Each finished cell is WAL-appended and
 // pushed to /v2 stream subscribers before the next cell starts; cells
 // the job already holds (recovered from the store after a crash) are
-// never simulated again. Under a cluster, each cell is routed to its
-// ring owner; without one, the missing cells run on the local executor
-// through the RunGridNotify seam.
+// never simulated again. The missing cells run on the shared local
+// runner through the RunGridNotify seam.
 func (s *Server) compute(job *Job) ([]byte, error) {
 	cells := job.req.cells()
 	recs := make([][]byte, len(cells))
@@ -657,20 +632,6 @@ func (s *Server) compute(job *Job) ([]byte, error) {
 	copy(recs, job.cells)
 	s.mu.Unlock()
 
-	var err error
-	if s.cluster != nil {
-		err = s.computeCellsCluster(job, recs)
-	} else {
-		err = s.computeCellsLocal(job, cells, recs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return assembleResult(recs)
-}
-
-// computeCellsLocal runs every missing cell on the shared local runner.
-func (s *Server) computeCellsLocal(job *Job, cells []core.Cell, recs [][]byte) error {
 	var missing []int
 	for i := range recs {
 		if recs[i] == nil {
@@ -678,7 +639,7 @@ func (s *Server) computeCellsLocal(job *Job, cells []core.Cell, recs [][]byte) e
 		}
 	}
 	if len(missing) == 0 {
-		return nil
+		return assembleResult(recs)
 	}
 	sub := make([]core.Cell, len(missing))
 	for k, i := range missing {
@@ -698,113 +659,12 @@ func (s *Server) computeCellsLocal(job *Job, cells []core.Cell, recs [][]byte) e
 		s.recordCell(job, i, rec)
 	})
 	if err != nil {
-		return err
-	}
-	return encErr
-}
-
-// computeCellsCluster routes every missing cell to its ring owner: a
-// remote owner executes it via POST {CellPath} (the owner's local
-// per-cell single-flight makes the dedup cluster-wide); a forward
-// failure marks the owner down and falls back to local execution, so a
-// killed worker node never blocks a grid — determinism makes the
-// fallback bytes identical to what the owner would have produced.
-func (s *Server) computeCellsCluster(job *Job, recs [][]byte) error {
-	for i := range recs {
-		if recs[i] != nil {
-			continue
-		}
-		if err := job.ctx.Err(); err != nil {
-			return err
-		}
-		cn := job.req.cellRequest(i)
-		var rec []byte
-		if owner := s.cluster.OwnerOf(cn.Key()); owner != s.cluster.Self() {
-			body, err := json.Marshal(requestOf(cn))
-			if err != nil {
-				return err
-			}
-			if b, err := s.cluster.Forward(job.ctx, owner, body); err == nil {
-				rec = b
-			} else if job.ctx.Err() != nil {
-				return job.ctx.Err()
-			} else {
-				s.mForwardFallbks.Inc()
-			}
-		}
-		if rec == nil {
-			s.cluster.LocalCell()
-			b, err := s.executeCell(job.ctx, cn)
-			if err != nil {
-				return err
-			}
-			rec = b
-		}
-		recs[i] = rec
-		s.recordCell(job, i, rec)
-	}
-	return nil
-}
-
-// cellKey namespaces per-cell cache/flight entries away from job-level
-// keys: a single-cell job's key would otherwise collide with its own
-// cell's key and deadlock the leader behind its own flight.
-func cellKey(n normalized) string { return "cell:" + n.Key() }
-
-// executeCell resolves one cell through the cell-level cache and
-// single-flight, computing at most once per key per node. It returns
-// the cell's compact RunRecord JSON. This is the endpoint-side of
-// cluster dedup: every node forwards a cell key to the same owner, and
-// this function collapses the owner's concurrent executions.
-func (s *Server) executeCell(ctx context.Context, cn normalized) ([]byte, error) {
-	key := cellKey(cn)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		b, f, leader := s.claim(key)
-		if b != nil {
-			s.mCellCacheHits.Inc()
-			return b, nil
-		}
-		if leader {
-			b, err := s.computeCellGuarded(ctx, cn)
-			s.publish(key, f, b, err)
-			return b, err
-		}
-		select {
-		case <-f.done:
-			if f.err == nil {
-				s.mCellDedup.Inc()
-				return f.bytes, nil
-			}
-			if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-				return nil, f.err
-			}
-			// The leader hit its own deadline; retry under ours.
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// computeCellGuarded simulates one cell with panic containment local
-// to the leader, so followers get an error instead of a hang.
-func (s *Server) computeCellGuarded(ctx context.Context, cn normalized) (b []byte, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.mPanics.Inc()
-			err = fmt.Errorf("panic: %v", p)
-		}
-	}()
-	cell := cn.cells()[0]
-	runner := s.runnerFor(cn.Transactions, cn.Seed)
-	results, err := runner.RunGrid(ctx, []core.Cell{cell})
-	if err != nil {
 		return nil, err
 	}
-	s.mSims.Inc()
-	return encodeRecord(cn, cell, results[0])
+	if encErr != nil {
+		return nil, encErr
+	}
+	return assembleResult(recs)
 }
 
 // encodeRecord builds one cell's RunRecord and marshals it compact —
