@@ -54,6 +54,7 @@ bench-gen:
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchmem -benchtime 20x -count 5 ./internal/whisper
 
 # The whole CI run: .github/workflows/ci.yml runs exactly this target.
+# The tree must be gofmt-clean (`gofmt -l .` lists nothing).
 # The timeout on the grid run is the wall-time tripwire: the full
 # parallel evaluation at small scale must finish well inside it, so an
 # accidental serialization or a sim-hot-path regression fails CI instead
@@ -65,6 +66,7 @@ bench-gen:
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
@@ -80,8 +82,8 @@ ci:
 
 # Multi-core determinism smoke under the race detector: a Cores>1 grid
 # run serially and at executor parallelism 4 must produce byte-identical
-# results and metrics snapshots (TestMCoreSmoke), plus the window-1 ≡
-# in-order and Cores=1 ≡ legacy differential pins. Runs in CI.
+# results and metrics snapshots (TestMCoreSmoke), plus the window 0 ≡
+# window 1 and Cores=1 ≡ single-core differential pins. Runs in CI.
 mcore-smoke:
 	$(GO) test -race -run 'TestMCoreSmoke|TestCoresOneMatchesLegacy' ./internal/core
 	$(GO) test -race -run 'TestOoOWindowOneMatchesInOrder|TestMultiCoreDeterminism' ./internal/mcore

@@ -36,7 +36,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	noCoalesce := flag.Bool("no-coalesce", false, "disable WPQ write coalescing")
 	cores := flag.Int("cores", 1, "workload instances contending for one shared controller")
-	oooWindow := flag.Int("ooo-window", 0, "out-of-order issue window (0 = in-order front-end)")
+	oooWindow := flag.Int("ooo-window", 0, "out-of-order read window (0 or 1 = in-order core)")
 	showStats := flag.Bool("stats", false, "dump controller counters")
 	jsonOut := flag.Bool("json", false, "emit the run result as JSON on stdout instead of text")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this path")
@@ -85,15 +85,7 @@ func main() {
 		sys.SetProbe(telemetry.NewProbe(sys.Eng.Now))
 	}
 	start := time.Now()
-	var res cpu.Result
-	if *oooWindow > 0 {
-		fe := mcore.NewOoO(*oooWindow)
-		res = sys.RunWith(tr, fe)
-		res.OoOWindow = fe.Window()
-		res.Prefetches = fe.Prefetches()
-	} else {
-		res = sys.Run(tr)
-	}
+	res := sys.RunWindow(tr, *oooWindow)
 	wall := time.Since(start)
 
 	if *traceOut != "" {

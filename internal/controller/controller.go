@@ -131,6 +131,15 @@ func (c Config) EffectiveTree() masu.TreeKind {
 	return c.withDefaults().Tree
 }
 
+// DeviceSize returns the size of the NVM device New must be given: the
+// layout's, or the default layout's when the layout leaves it zero.
+func (c Config) DeviceSize() uint64 {
+	if c.Layout.DeviceSize != 0 {
+		return c.Layout.DeviceSize
+	}
+	return layout.Default().DeviceSize
+}
+
 // UsableWPQ returns the WPQ entries available for writes under the
 // configured scheme.
 func (c Config) UsableWPQ() int {

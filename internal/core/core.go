@@ -96,11 +96,10 @@ type Spec struct {
 	// internal/mcore arbiter. 0 or 1 keeps the existing single-core
 	// path bit-for-bit.
 	Cores int
-	// OoOWindow engages the out-of-order front-end with the given issue
-	// window. 0 keeps the in-order front-end; 1 is the OoO front-end's
-	// in-order-equivalent setting (identical cycles, separate code
-	// path); >1 overlaps independent read misses and enables the
-	// stride prefetcher.
+	// OoOWindow is the core's read window (cpu.Issuer). 0 and 1 both
+	// issue in order through the same loop, with identical cycles; the
+	// record reports the value asked for. Above 1 the core overlaps
+	// independent read misses and runs a stride prefetcher.
 	OoOWindow int
 	// FastMode swaps the functional crypto engine (AES-CTR pads,
 	// SHA-256 MACs) for a latency-only provider. All simulated timing
@@ -319,9 +318,8 @@ func (r *Runner) RunContext(ctx context.Context, workload string, spec Spec) (cp
 // runSystem simulates one workload under one configuration and also
 // returns the quiesced machinery, for experiments that inspect
 // controller state (write amplification, crash/recovery ablations).
-// The Cores and OoOWindow axes route through internal/mcore; a zero
-// (or 1-core, in-order) spec takes the original single-core path
-// unchanged, so legacy cells stay bit-for-bit identical.
+// A Cores axis above 1 routes through internal/mcore; every other spec
+// runs the single-core system at its OoOWindow.
 func (r *Runner) runSystem(workload string, spec Spec) (cpu.Result, machineRef, error) {
 	spec = spec.withDefaults()
 	if r.opts.PreRun != nil {
@@ -367,14 +365,7 @@ func (r *Runner) runSystem(workload string, spec Spec) (cpu.Result, machineRef, 
 		return cpu.Result{}, machineRef{}, err
 	}
 	sys := cpu.NewSystem(cfg)
-	if spec.OoOWindow > 0 {
-		fe := mcore.NewOoO(spec.OoOWindow)
-		res := sys.RunWith(tr, fe)
-		res.OoOWindow = fe.Window()
-		res.Prefetches = fe.Prefetches()
-		return res, machineRef{Single: sys}, nil
-	}
-	return sys.Run(tr), machineRef{Single: sys}, nil
+	return sys.RunWindow(tr, spec.OoOWindow), machineRef{Single: sys}, nil
 }
 
 // Speedup returns baseline cycles divided by candidate cycles — the

@@ -8,8 +8,6 @@
 package cpu
 
 import (
-	"fmt"
-
 	"dolos/internal/cache"
 	"dolos/internal/controller"
 	"dolos/internal/nvm"
@@ -55,11 +53,11 @@ type Result struct {
 	// Cores is the number of contending cores (0 for the single-core
 	// model, whose output predates the field and must stay byte-stable).
 	Cores int
-	// OoOWindow is the out-of-order front-end issue window (0 for the
-	// default in-order front-end).
+	// OoOWindow is the read window the run was asked for (0 for the
+	// default in-order core; see Issuer).
 	OoOWindow int
-	// Prefetches counts stride-prefetch reads issued by the OoO
-	// front-end (always 0 for the in-order model and window 1).
+	// Prefetches counts stride-prefetch reads (always 0 at windows 0
+	// and 1).
 	Prefetches uint64
 	// RecoveryCycles is the modeled boot-time recovery cost for schemes
 	// that report the recovery axis (Triad-NVM, SuperMem, Phoenix,
@@ -113,20 +111,14 @@ type System struct {
 
 	// OnAccepted, when set, observes every persist acceptance (used by
 	// the crash driver to know which writes the platform has promised).
+	// Set it before Start.
 	OnAccepted func(addr uint64, data [64]byte)
 
-	running      bool
-	finished     bool
-	endCycle     sim.Cycle
-	outstanding  int
-	fenceResume  func()
-	fenceStart   sim.Cycle
-	fenceStalls  sim.Cycle
-	txStart      sim.Cycle
-	txLatencies  *stats.Histogram
-	txReservoir  *stats.Reservoir
-	opsExecuted  int
-	transactions int
+	issue       *Issuer
+	window      int // the read window Start was asked for
+	running     bool
+	txLatencies *stats.Histogram
+	txReservoir *stats.Reservoir
 
 	// Telemetry (nil/zero when disabled; see SetProbe).
 	probe *telemetry.Probe
@@ -141,7 +133,7 @@ func (b backend) ReadLine(addr uint64, done func()) { b.s.Ctrl.ReadLine(addr, do
 
 func (b backend) EvictLine(addr uint64) {
 	var data [64]byte
-	if p := b.s.mirrorAt(addr); p != nil {
+	if p := b.s.mirror.At(addr); p != nil {
 		data = *p
 	}
 	b.s.Ctrl.EvictWrite(addr, data)
@@ -156,18 +148,11 @@ func NewSystem(cfg controller.Config) *System {
 		txLatencies: stats.NewHistogram("tx_latency"),
 		txReservoir: stats.NewReservoir("tx_latency", 0),
 	}
-	dev := nvm.NewDevice(eng, deviceSize(cfg), 0)
-	s.Dev = dev
-	s.Ctrl = controller.New(eng, dev, cfg)
+	s.Dev = nvm.NewDevice(eng, cfg.DeviceSize(), 0)
+	s.Ctrl = controller.New(eng, s.Dev, cfg)
 	s.Hier = cache.NewHierarchy(eng, backend{s})
+	s.issue = NewIssuer(eng, s.Hier, s.mirror, s, s.txLatencies, s.txReservoir)
 	return s
-}
-
-func deviceSize(cfg controller.Config) uint64 {
-	if cfg.Layout.DeviceSize != 0 {
-		return cfg.Layout.DeviceSize
-	}
-	return 24 << 30 // layout.Default()
 }
 
 // SetProbe attaches (or with nil detaches) a telemetry probe to the
@@ -178,12 +163,14 @@ func deviceSize(cfg controller.Config) uint64 {
 // probe.
 func (s *System) SetProbe(p *telemetry.Probe) {
 	s.probe = p
+	s.issue.probe = p
 	if p == nil {
 		s.Ctrl.SetProbe(nil)
 		s.Eng.SetHook(nil)
 		return
 	}
 	s.tCPU = p.Track("cpu") // register first so the CPU is the top track
+	s.issue.track = s.tCPU
 	s.Ctrl.SetProbe(p)
 	events := p.Registry().Counter("sim.events_dispatched")
 	s.Eng.SetHook(func(_ sim.Cycle) { events.Inc() })
@@ -192,12 +179,18 @@ func (s *System) SetProbe(p *telemetry.Probe) {
 // Probe returns the attached telemetry probe (nil when disabled).
 func (s *System) Probe() *telemetry.Probe { return s.probe }
 
-// Run executes the trace to completion and returns the result. The
-// engine is drained afterwards so the controller quiesces.
-func (s *System) Run(tr *trace.Trace) Result {
-	s.Start(tr)
+// Run executes the trace to completion on the in-order core and returns
+// the result. The engine is drained afterwards so the controller
+// quiesces.
+func (s *System) Run(tr *trace.Trace) Result { return s.RunWindow(tr, 0) }
+
+// RunWindow is Run with the given out-of-order read window (see
+// Issuer; 0 and 1 both issue in order, and the result reports the
+// window asked for).
+func (s *System) RunWindow(tr *trace.Trace, window int) Result {
+	s.start(tr, window)
 	s.Eng.Run(0)
-	if !s.finished {
+	if !s.issue.Finished() {
 		panic("cpu: trace execution deadlocked (fence never satisfied)")
 	}
 	return s.Collect(tr)
@@ -206,125 +199,76 @@ func (s *System) Run(tr *trace.Trace) Result {
 // Mirror returns the current plaintext value of addr's line as the
 // application last wrote it.
 func (s *System) Mirror(addr uint64) ([64]byte, bool) {
-	if p := s.mirrorAt(addr); p != nil {
+	if p := s.mirror.At(addr); p != nil {
 		return *p, true
 	}
 	return [64]byte{}, false
 }
 
-// mirrorAt returns the mirror entry for addr's line (nil if untracked).
-func (s *System) mirrorAt(addr uint64) *[64]byte { return s.mirror.At(addr) }
-
-// setMirror records p as addr's line contents.
-func (s *System) setMirror(addr uint64, p *[64]byte) { s.mirror.Set(addr, p) }
-
 // Finished reports whether the trace has fully executed.
-func (s *System) Finished() bool { return s.finished }
+func (s *System) Finished() bool { return s.issue.Finished() }
 
-// Start schedules trace execution on the engine without running it; the
-// caller drives the clock (RunUntil for crash injection). The trace's
-// checkpoint image (the fast-forwarded warm-up state) is loaded into the
-// secure memory functionally first, with no cycles charged.
-func (s *System) Start(tr *trace.Trace) {
-	s.prepare(tr)
+// Start schedules trace execution on the in-order core without running
+// it; the caller drives the clock (RunUntil for crash injection). The
+// trace's checkpoint image (the fast-forwarded warm-up state) is loaded
+// into the secure memory functionally first, with no cycles charged.
+func (s *System) Start(tr *trace.Trace) { s.start(tr, 0) }
 
-	// One step/next closure pair serves the whole trace: exactly one op
-	// is in flight at a time, so the shared index advances strictly after
-	// the previous op's continuation fired. The former per-op `next`
-	// closure was the single largest allocation site in a bench run (one
-	// escape per trace op). Only the persist-completion callback still
-	// allocates — it genuinely outlives its op — and it captures the
-	// read-only op pointer rather than a 64-byte data copy.
-	i := 0
-	var step func()
-	next := func() { i++; step() }
-	step = func() {
-		if i >= len(tr.Ops) {
-			s.endCycle = s.Eng.Now()
-			s.finished = true
-			return
-		}
-		op := &tr.Ops[i]
-		s.opsExecuted++
-		switch op.Kind {
-		case trace.Compute:
-			s.Eng.After(op.Cycles, next)
-		case trace.Read:
-			s.Hier.Read(op.Addr, next)
-		case trace.Write:
-			s.setMirror(op.Addr, &op.Data)
-			lat := s.Hier.Write(op.Addr)
-			s.Eng.After(lat, next)
-		case trace.Flush:
-			s.setMirror(op.Addr, &op.Data)
-			if s.Hier.FlushLine(op.Addr) {
-				s.outstanding++
-				s.Ctrl.PersistWrite(op.Addr, op.Data, func() {
-					s.outstanding--
-					if s.OnAccepted != nil {
-						s.OnAccepted(op.Addr, op.Data)
-					}
-					if s.outstanding == 0 && s.fenceResume != nil {
-						resume := s.fenceResume
-						s.fenceResume = nil
-						s.fenceStalls += s.Eng.Now() - s.fenceStart
-						if s.probe != nil {
-							s.probe.Span(s.tCPU, "fence-stall", s.fenceStart, s.Eng.Now())
-						}
-						resume()
-					}
-				})
-			}
-			s.Eng.After(2, next) // clwb issue cost; completion is async
-		case trace.Fence:
-			if s.outstanding == 0 {
-				s.Eng.After(1, next)
-			} else {
-				s.fenceStart = s.Eng.Now()
-				s.fenceResume = next
-			}
-		case trace.TxBegin:
-			s.txStart = s.Eng.Now()
-			next()
-		case trace.TxEnd:
-			s.transactions++
-			lat := float64(s.Eng.Now() - s.txStart)
-			s.txLatencies.Observe(lat)
-			s.txReservoir.Observe(lat)
-			if s.probe != nil {
-				s.probe.Span(s.tCPU, "tx", s.txStart, s.Eng.Now())
-			}
-			next()
-		default:
-			panic(fmt.Sprintf("cpu: unknown op kind %v", op.Kind))
-		}
+func (s *System) start(tr *trace.Trace, window int) {
+	if s.running {
+		panic("cpu: system already running a trace")
 	}
+	s.running = true
+	s.window = window
 
-	s.Eng.At(s.Eng.Now(), step)
+	s.mirror.SizeFor(tr)
+	for i := range tr.InitImage {
+		il := &tr.InitImage[i]
+		s.Ctrl.LoadInitLine(il.Addr, il.Data)
+		s.mirror.Set(il.Addr, &il.Data)
+	}
+	s.issue.Start(tr, window)
+}
+
+// Persist implements Port: the flushed line goes straight to the
+// controller. Without an OnAccepted hook the acceptance callback is the
+// issue loop's own, so a flush allocates nothing here.
+func (s *System) Persist(op *trace.Op, accepted func()) {
+	if s.OnAccepted == nil {
+		s.Ctrl.PersistWrite(op.Addr, op.Data, accepted)
+		return
+	}
+	s.Ctrl.PersistWrite(op.Addr, op.Data, func() {
+		s.OnAccepted(op.Addr, op.Data)
+		accepted()
+	})
 }
 
 // Collect gathers the result after a Run (or a partial run).
 func (s *System) Collect(tr *trace.Trace) Result {
 	st := s.Ctrl.Stats()
+	l := s.issue
 	res := Result{
 		Scheme:        s.Ctrl.Config().Scheme.String(),
 		Workload:      tr.Name,
-		Cycles:        s.endCycle,
-		Transactions:  s.transactions,
-		Ops:           s.opsExecuted,
-		FenceStalls:   s.fenceStalls,
+		Cycles:        l.EndCycle(),
+		Transactions:  l.Transactions(),
+		Ops:           l.Ops(),
+		FenceStalls:   l.FenceStalls(),
 		WriteRequests: s.Ctrl.WriteRequests(),
 		RetryEvents:   s.Ctrl.RetryEvents(),
 		RetryPerKWR:   s.Ctrl.RetryPerKWR(),
 		WPQReadHits:   st.Counter("wpq.read_hits").Value(),
 		MemReads:      st.Counter("mem.reads").Value(),
+		OoOWindow:     s.window,
+		Prefetches:    l.Prefetches(),
 	}
 	res.RecoveryCycles = s.Ctrl.RecoveryEstimate()
-	if s.transactions > 0 {
-		res.CyclesPerTx = float64(s.endCycle) / float64(s.transactions)
+	if res.Transactions > 0 {
+		res.CyclesPerTx = float64(res.Cycles) / float64(res.Transactions)
 	}
-	if s.opsExecuted > 0 {
-		res.CPI = float64(s.endCycle) / float64(s.opsExecuted)
+	if res.Ops > 0 {
+		res.CPI = float64(res.Cycles) / float64(res.Ops)
 	}
 	res.MeanInterarrival = st.Histogram("wpq.interarrival_cycles").Mean()
 	res.WPQMeanOccupancy = st.Histogram("wpq.occupancy_at_arrival").Mean()
@@ -337,91 +281,3 @@ func (s *System) Collect(tr *trace.Trace) Result {
 
 // TxLatency returns the per-transaction latency histogram.
 func (s *System) TxLatency() *stats.Histogram { return s.txLatencies }
-
-// prepare marks the system running, sizes the mirror and loads the
-// trace's checkpoint image functionally (no cycles charged) — the
-// common prologue of Start and StartWith.
-func (s *System) prepare(tr *trace.Trace) {
-	if s.running {
-		panic("cpu: system already running a trace")
-	}
-	s.running = true
-
-	s.mirror.SizeFor(tr)
-	for i := range tr.InitImage {
-		il := &tr.InitImage[i]
-		s.Ctrl.LoadInitLine(il.Addr, il.Data)
-		s.setMirror(il.Addr, &il.Data)
-	}
-}
-
-// FrontEnd is a replaceable trace consumer: Launch schedules the
-// execution of tr on sys's engine, driving the hierarchy and controller
-// through the exported seam below and reporting progress back through
-// the Note*/Observe* methods so Collect works unchanged. The in-order
-// front-end in Start stays the default; internal/mcore's out-of-order
-// window plugs in here.
-type FrontEnd interface {
-	Launch(sys *System, tr *trace.Trace)
-}
-
-// StartWith is Start with a custom front-end: the checkpoint image is
-// loaded, then fe schedules trace execution on the engine.
-func (s *System) StartWith(tr *trace.Trace, fe FrontEnd) {
-	s.prepare(tr)
-	fe.Launch(s, tr)
-}
-
-// RunWith executes the trace to completion under a custom front-end.
-func (s *System) RunWith(tr *trace.Trace, fe FrontEnd) Result {
-	s.StartWith(tr, fe)
-	s.Eng.Run(0)
-	if !s.finished {
-		panic("cpu: trace execution deadlocked (fence never satisfied)")
-	}
-	return s.Collect(tr)
-}
-
-// SetMirror records p as addr's line contents (front-end seam).
-func (s *System) SetMirror(addr uint64, p *[64]byte) { s.setMirror(addr, p) }
-
-// CountOp counts one executed trace operation (front-end seam).
-func (s *System) CountOp() { s.opsExecuted++ }
-
-// ObserveTx records one committed transaction that began at start:
-// latency histograms, the quantile reservoir and the probe span — the
-// same accounting the in-order front-end performs at TxEnd.
-func (s *System) ObserveTx(start sim.Cycle) {
-	s.transactions++
-	lat := float64(s.Eng.Now() - start)
-	s.txLatencies.Observe(lat)
-	s.txReservoir.Observe(lat)
-	if s.probe != nil {
-		s.probe.Span(s.tCPU, "tx", start, s.Eng.Now())
-	}
-}
-
-// ObserveFenceStall records a completed sfence stall that began at
-// start (front-end seam; mirrors the in-order fence accounting).
-func (s *System) ObserveFenceStall(start sim.Cycle) {
-	s.fenceStalls += s.Eng.Now() - start
-	if s.probe != nil {
-		s.probe.Span(s.tCPU, "fence-stall", start, s.Eng.Now())
-	}
-}
-
-// NotifyAccepted invokes the OnAccepted hook if installed (front-end
-// seam: custom front-ends issue PersistWrite themselves, so they must
-// also report acceptances for the crash driver).
-func (s *System) NotifyAccepted(addr uint64, data [64]byte) {
-	if s.OnAccepted != nil {
-		s.OnAccepted(addr, data)
-	}
-}
-
-// FinishNow marks the trace fully executed at the current cycle
-// (front-end seam).
-func (s *System) FinishNow() {
-	s.endCycle = s.Eng.Now()
-	s.finished = true
-}

@@ -2,28 +2,20 @@ package cpu
 
 import "dolos/internal/trace"
 
-// Mirror tracks, per line address, the plaintext the application last
-// wrote. It is the small seam behind which the single-core System and
-// the multi-core per-core tables share one implementation: values are
-// pointers into the immutable trace (ops and init image are never
-// mutated after generation), so tracking a write stores one word
-// instead of copying 64 bytes.
-type Mirror interface {
-	// At returns the mirror entry for addr's line (nil if untracked).
-	At(addr uint64) *[64]byte
-	// Set records p as addr's line contents.
-	Set(addr uint64, p *[64]byte)
-}
-
 // mirrorTabLimit caps the dense mirror at 1<<24 lines (a 128 MB pointer
 // table covering 1 GB of touched span); traces with a sparser footprint
 // fall back to the map.
 const mirrorTabLimit = 1 << 24
 
-// TraceMirror is the standard Mirror: a dense base-offset table sized to
-// one trace's touched line range — the hottest map operations left after
-// the metadata tables went dense — with a map fallback for addresses
-// outside that range (none in practice) and for use before SizeFor runs.
+// TraceMirror tracks, per line address, the plaintext the application
+// last wrote; the single-core System and each core of a multi-core
+// machine keep one. Values are pointers into the immutable trace (ops
+// and init image are never mutated after generation), so tracking a
+// write stores one word instead of copying 64 bytes. The store is a
+// dense base-offset table sized to one trace's touched line range — the
+// hottest map operations left after the metadata tables went dense —
+// with a map fallback for addresses outside that range (none in
+// practice) and for use before SizeFor runs.
 type TraceMirror struct {
 	base uint64
 	tab  []*[64]byte

@@ -1,3 +1,9 @@
+// Package mcore is the multi-core machine: N workload instances, each
+// on its own core with a private cache hierarchy, contend for one
+// memory controller, one counter cache and one WPQ through a
+// deterministic cycle-ordered arbiter. Every core runs the same issue
+// loop as the single-core cpu.System (cpu.Issuer), with its persists,
+// misses and evictions routed through the arbiter.
 package mcore
 
 import (
@@ -49,8 +55,8 @@ type Config struct {
 	// Ctrl is the shared memory controller configuration: one WPQ, one
 	// counter cache, one set of security engines for all cores.
 	Ctrl controller.Config
-	// Window is every core's OoO issue window (values below 1 clamp to
-	// 1, the in-order-equivalent front-end).
+	// Window is every core's read window (see cpu.Issuer; values below
+	// 1 clamp to 1, the in-order core).
 	Window int
 }
 
@@ -61,19 +67,13 @@ type Core struct {
 	// (crash-driver seam, like cpu.System.OnAccepted).
 	OnAccepted func(addr uint64, data [64]byte)
 
-	id     int
-	sys    *System
-	spec   CoreSpec
-	hier   *cache.Hierarchy
-	mirror *cpu.TraceMirror
-	fe     *OoO
-
-	finished     bool
-	endCycle     sim.Cycle
-	ops          int
-	transactions int
-	fenceStalls  sim.Cycle
-	acceptedN    *stats.Counter
+	id        int
+	sys       *System
+	spec      CoreSpec
+	hier      *cache.Hierarchy
+	mirror    *cpu.TraceMirror
+	issue     *cpu.Issuer
+	acceptedN *stats.Counter
 }
 
 // ID returns the core index.
@@ -86,7 +86,7 @@ func (c *Core) Spec() CoreSpec { return c.spec }
 func (c *Core) Hier() *cache.Hierarchy { return c.hier }
 
 // Finished reports whether the core's trace fully executed.
-func (c *Core) Finished() bool { return c.finished }
+func (c *Core) Finished() bool { return c.issue.Finished() }
 
 // Mirror returns the plaintext the application last wrote to addr's
 // line on this core.
@@ -113,55 +113,21 @@ func (b coreBackend) EvictLine(addr uint64) {
 	b.c.sys.arb.submit(request{core: b.c.id, kind: reqEvict, addr: addr, data: data})
 }
 
-// machine seam: the OoO front-end drives one core like it drives a
-// single-core system, with persists and misses detouring through the
-// arbiter.
-
-func (c *Core) engine() *sim.Engine { return c.sys.Eng }
-
-func (c *Core) readLine(addr uint64, done func()) { c.hier.Read(addr, done) }
-
-func (c *Core) writeLine(addr uint64) sim.Cycle { return c.hier.Write(addr) }
-
-func (c *Core) flushLine(addr uint64) bool { return c.hier.FlushLine(addr) }
-
-func (c *Core) persist(addr uint64, data *[64]byte, accepted func()) {
-	addr64, d := addr, *data
-	c.sys.arb.submit(request{core: c.id, kind: reqPersist, addr: addr64, data: d, done: func() {
+// Persist implements cpu.Port: the flushed line queues at the shared
+// arbiter, and its acceptance is counted and reported before the issue
+// loop sees it.
+func (c *Core) Persist(op *trace.Op, accepted func()) {
+	c.sys.arb.submit(request{core: c.id, kind: reqPersist, addr: op.Addr, data: op.Data, done: func() {
 		c.acceptedN.Inc()
 		if c.OnAccepted != nil {
-			c.OnAccepted(addr64, d)
+			c.OnAccepted(op.Addr, op.Data)
 		}
 		accepted()
 	}})
 }
 
-func (c *Core) setMirror(addr uint64, p *[64]byte) { c.mirror.Set(addr, p) }
-
-func (c *Core) cached(addr uint64) bool { return c.hier.Contains(addr) }
-
-func (c *Core) known(addr uint64) bool { return c.mirror.At(addr) != nil }
-
-func (c *Core) countOp() { c.ops++ }
-
-func (c *Core) observeTx(start sim.Cycle) {
-	c.transactions++
-	lat := float64(c.sys.Eng.Now() - start)
-	c.sys.txLat.Observe(lat)
-	c.sys.txRes.Observe(lat)
-}
-
-func (c *Core) observeFenceStall(start sim.Cycle) {
-	c.fenceStalls += c.sys.Eng.Now() - start
-}
-
-func (c *Core) finish() {
-	c.endCycle = c.sys.Eng.Now()
-	c.finished = true
-}
-
 // System is the multi-core machine: N cores with private hierarchies
-// and front-ends sharing one engine, one controller and one NVM device.
+// and issue loops sharing one engine, one controller and one NVM device.
 type System struct {
 	Eng   *sim.Engine
 	Dev   *nvm.Device
@@ -189,7 +155,7 @@ func NewSystem(cfg Config, cores []CoreSpec) *System {
 		cfg.Window = 1
 	}
 	eng := sim.NewEngine()
-	dev := nvm.NewDevice(eng, deviceSize(cfg.Ctrl), 0)
+	dev := nvm.NewDevice(eng, cfg.Ctrl.DeviceSize(), 0)
 	ctrl := controller.New(eng, dev, cfg.Ctrl)
 	s := &System{
 		Eng:   eng,
@@ -210,25 +176,19 @@ func NewSystem(cfg Config, cores []CoreSpec) *System {
 			sys:       s,
 			spec:      cs,
 			mirror:    cpu.NewTraceMirror(),
-			fe:        NewOoO(cfg.Window),
 			acceptedN: ctrl.Stats().Counter(fmt.Sprintf("mcore.core%d.accepted", i)),
 		}
 		c.hier = cache.NewHierarchy(eng, coreBackend{c})
+		c.issue = cpu.NewIssuer(eng, c.hier, c.mirror, c, s.txLat, s.txRes)
 		s.Cores = append(s.Cores, c)
 	}
 	return s
 }
 
-func deviceSize(cfg controller.Config) uint64 {
-	if cfg.Layout.DeviceSize != 0 {
-		return cfg.Layout.DeviceSize
-	}
-	return 24 << 30 // layout.Default()
-}
-
 // Start loads every core's checkpoint image functionally (core order,
-// no cycles charged) and schedules all front-ends at the current cycle
-// — core order again, so the first-cycle interleave is deterministic.
+// no cycles charged) and schedules every core's issue loop at the
+// current cycle — core order again, so the first-cycle interleave is
+// deterministic.
 func (s *System) Start() {
 	if s.started {
 		panic("mcore: system already running")
@@ -244,7 +204,7 @@ func (s *System) Start() {
 		}
 	}
 	for _, c := range s.Cores {
-		c.fe.launch(c, c.spec.Trace)
+		c.issue.Start(c.spec.Trace, s.cfg.Window)
 	}
 }
 
@@ -254,7 +214,7 @@ func (s *System) Run() cpu.Result {
 	s.Start()
 	s.Eng.Run(0)
 	for _, c := range s.Cores {
-		if !c.finished {
+		if !c.Finished() {
 			panic(fmt.Sprintf("mcore: core %d deadlocked (fence never satisfied)", c.id))
 		}
 	}
@@ -279,21 +239,20 @@ func (s *System) Collect() cpu.Result {
 	}
 	res.RecoveryCycles = s.Ctrl.RecoveryEstimate()
 	for _, c := range s.Cores {
-		if c.endCycle > res.Cycles {
-			res.Cycles = c.endCycle
-		}
-		res.Transactions += c.transactions
-		res.Ops += c.ops
-		res.FenceStalls += c.fenceStalls
-		res.Prefetches += c.fe.Prefetches()
+		l := c.issue
+		res.Cycles = max(res.Cycles, l.EndCycle())
+		res.Transactions += l.Transactions()
+		res.Ops += l.Ops()
+		res.FenceStalls += l.FenceStalls()
+		res.Prefetches += l.Prefetches()
 		res.PerCore = append(res.PerCore, cpu.CoreResult{
 			Core:             c.id,
 			Workload:         c.spec.Workload,
 			Seed:             c.spec.Seed,
-			Cycles:           c.endCycle,
-			Transactions:     c.transactions,
-			Ops:              c.ops,
-			FenceStalls:      c.fenceStalls,
+			Cycles:           l.EndCycle(),
+			Transactions:     l.Transactions(),
+			Ops:              l.Ops(),
+			FenceStalls:      l.FenceStalls(),
 			AcceptedPersists: c.acceptedN.Value(),
 			ArbGrants:        s.arb.grants[c.id].Value(),
 			ArbWaitCycles:    s.arb.waits[c.id].Value(),

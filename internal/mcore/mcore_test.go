@@ -45,10 +45,10 @@ func snapshotJSON(t *testing.T, sys *cpu.System) []byte {
 	return buf.Bytes()
 }
 
-// TestOoOWindowOneMatchesInOrder is the differential determinism proof
-// for the front-end seam: at window 1 the OoO model must reproduce the
-// in-order model's cycles, event counts and every controller metric
-// bit-for-bit, across schemes.
+// TestOoOWindowOneMatchesInOrder pins the read window's in-order end:
+// window 0 (Run) and window 1 (RunWindow) issue through the same loop,
+// so cycles, event counts and every controller metric match
+// bit-for-bit across schemes, and only the reported window differs.
 func TestOoOWindowOneMatchesInOrder(t *testing.T) {
 	for _, scheme := range []controller.Scheme{
 		controller.DolosPartial, controller.PreWPQSecure, controller.DolosFull,
@@ -59,14 +59,18 @@ func TestOoOWindowOneMatchesInOrder(t *testing.T) {
 		resIn := inOrder.Run(tr)
 
 		ooo := cpu.NewSystem(testConfig(scheme))
-		resOoO := ooo.RunWith(tr, NewOoO(1))
+		resOoO := ooo.RunWindow(tr, 1)
 
+		if resIn.OoOWindow != 0 || resOoO.OoOWindow != 1 {
+			t.Fatalf("%v: reported windows %d and %d, want 0 and 1", scheme, resIn.OoOWindow, resOoO.OoOWindow)
+		}
+		resOoO.OoOWindow = 0
 		if !reflect.DeepEqual(resIn, resOoO) {
-			t.Fatalf("%v: window-1 OoO result diverges from in-order:\nin-order %+v\nooo      %+v",
+			t.Fatalf("%v: window-1 result diverges from window 0:\nwindow 0 %+v\nwindow 1 %+v",
 				scheme, resIn, resOoO)
 		}
 		if inOrder.Eng.Processed() != ooo.Eng.Processed() {
-			t.Fatalf("%v: event counts diverge: in-order %d, ooo %d",
+			t.Fatalf("%v: event counts diverge: window 0 %d, window 1 %d",
 				scheme, inOrder.Eng.Processed(), ooo.Eng.Processed())
 		}
 		if !bytes.Equal(snapshotJSON(t, inOrder), snapshotJSON(t, ooo)) {
@@ -84,7 +88,7 @@ func TestOoOWiderWindowDeterministicAndOverlaps(t *testing.T) {
 
 	run := func() (cpu.Result, []byte) {
 		sys := cpu.NewSystem(testConfig(controller.DolosPartial))
-		res := sys.RunWith(tr, NewOoO(8))
+		res := sys.RunWindow(tr, 8)
 		return res, snapshotJSON(t, sys)
 	}
 	res1, snap1 := run()
@@ -92,9 +96,8 @@ func TestOoOWiderWindowDeterministicAndOverlaps(t *testing.T) {
 	if !reflect.DeepEqual(res1, res2) || !bytes.Equal(snap1, snap2) {
 		t.Fatal("window-8 OoO run is not deterministic")
 	}
-	if res1.OoOWindow != 0 {
-		// RunWith leaves Result.OoOWindow to the caller (core layer).
-		t.Fatalf("RunWith set OoOWindow = %d, want 0", res1.OoOWindow)
+	if res1.OoOWindow != 8 {
+		t.Fatalf("RunWindow(tr, 8) reports OoOWindow = %d, want 8", res1.OoOWindow)
 	}
 
 	inOrder := cpu.NewSystem(testConfig(controller.DolosPartial)).Run(tr)

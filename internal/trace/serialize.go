@@ -21,7 +21,9 @@ func (t *Trace) Save(w io.Writer) error {
 	return zw.Close()
 }
 
-// Load reads a trace previously written by Save.
+// Load reads a trace previously written by Save. A trace file crosses a
+// trust boundary, so an op of a kind outside the enum is an error here
+// rather than a panic in the replaying core.
 func Load(r io.Reader) (*Trace, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -31,6 +33,11 @@ func Load(r io.Reader) (*Trace, error) {
 	var t Trace
 	if err := gob.NewDecoder(zr).Decode(&t); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
+	}
+	for i := range t.Ops {
+		if k := t.Ops[i].Kind; k > TxEnd {
+			return nil, fmt.Errorf("trace: op %d has unknown kind %v", i, k)
+		}
 	}
 	return &t, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -83,4 +84,56 @@ func TestLoadGarbage(t *testing.T) {
 	if _, err := LoadFile("/nonexistent/file"); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// badKindTrace is sampleTrace with one op of a kind outside the enum.
+func badKindTrace() *Trace {
+	tr := sampleTrace()
+	tr.Ops[2].Kind = 99
+	return tr
+}
+
+func saved(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestLoadRejectsUnknownKind(t *testing.T) {
+	_, err := Load(bytes.NewReader(saved(t, badKindTrace())))
+	if err == nil || !strings.Contains(err.Error(), "Kind(99)") {
+		t.Fatalf("Load accepted an op of kind 99 (err %v)", err)
+	}
+}
+
+// FuzzLoad feeds Load arbitrary bytes: it must never panic, and a trace
+// it accepts holds only known op kinds and survives a Save/Load round
+// trip unchanged. The seeds are a valid trace, the same trace with its
+// gzip stream cut in half, and a trace with an unknown op kind.
+func FuzzLoad(f *testing.F) {
+	valid := saved(f, sampleTrace())
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(saved(f, badKindTrace()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, op := range tr.Ops {
+			if op.Kind > TxEnd {
+				t.Fatalf("op %d: accepted unknown kind %v", i, op.Kind)
+			}
+		}
+		again, err := Load(bytes.NewReader(saved(t, tr)))
+		if err != nil {
+			t.Fatalf("re-load of an accepted trace: %v", err)
+		}
+		if !tracesEqual(tr, again) {
+			t.Fatal("accepted trace changed over a Save/Load round trip")
+		}
+	})
 }
