@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke clean
 
 all: build test
 
@@ -53,6 +53,14 @@ bench-smoke:
 bench-gen:
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchmem -benchtime 20x -count 5 ./internal/whisper
 
+# Ma-SU layer at the same fixed sizes: ProcessWrite on the eager BMT
+# and the lazy ToC, a verified ReadLine, and the checkpoint load of one
+# ycsb-read-lazy cell (BenchmarkLoadCheckpoint). Fixed iterations and
+# five repeats, so a change reports the median and quartiles of each.
+bench-masu:
+	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine' -benchmem -benchtime 200000x -count 5 ./internal/masu
+	$(GO) test -run '^$$' -bench 'LoadCheckpoint' -benchmem -benchtime 20x -count 5 ./internal/masu
+
 # The whole CI run: .github/workflows/ci.yml runs exactly this target.
 # The tree must be gofmt-clean (`gofmt -l .` lists nothing).
 # The timeout on the grid run is the wall-time tripwire: the full
@@ -71,6 +79,7 @@ ci:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchtime 1x ./internal/whisper
+	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine|LoadCheckpoint' -benchtime 1x ./internal/masu
 	$(GO) build -o /tmp/dolos-bench-ci ./cmd/dolos-bench
 	timeout 300 /tmp/dolos-bench-ci -exp all -txns 50 > /dev/null
 	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -txns 200 -o /tmp/dolos-grid-ci.json -compare BENCH_pr13.json

@@ -31,8 +31,8 @@ func main() {
 	scheme := flag.String("scheme", "dolos-partial", "scheme: "+strings.Join(cliutil.SchemeNames(), ", "))
 	tree := flag.String("tree", "eager", "integrity backend: eager (BMT) or lazy (ToC)")
 	txns := flag.Int("txns", 1000, "measured transactions")
-	txSize := flag.Int("txsize", 1024, "transaction payload bytes (128-2048)")
-	wpqSize := flag.Int("wpq", 16, "hardware WPQ entries")
+	txSize := flag.Int("txsize", 1024, fmt.Sprintf("transaction payload bytes (%d-%d)", cliutil.MinTxSize, cliutil.MaxTxSize))
+	wpqSize := flag.Int("wpq", 16, fmt.Sprintf("hardware WPQ entries (%d-%d)", cliutil.MinWPQ, cliutil.MaxWPQ))
 	seed := flag.Int64("seed", 1, "workload seed")
 	noCoalesce := flag.Bool("no-coalesce", false, "disable WPQ write coalescing")
 	cores := flag.Int("cores", 1, "workload instances contending for one shared controller")
@@ -43,6 +43,10 @@ func main() {
 	fast := flag.Bool("fast", false, "latency-only crypto provider (bit-identical timing, no real AES/SHA-256)")
 	flag.Parse()
 
+	if err := checkFlags(*txns, *txSize, *wpqSize, *cores, *oooWindow); err != nil {
+		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
+		os.Exit(2)
+	}
 	sch, err := cliutil.ParseScheme(*scheme)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
@@ -136,6 +140,31 @@ func main() {
 			hitRate(cc.Hits(), cc.Misses()),
 			hitRate(mc.Hits(), mc.Misses()))
 	}
+}
+
+// checkFlags rejects numeric flags outside the ranges a run accepts:
+// the /v2 API's bounds for -txns, -txsize and -wpq, at least one core,
+// and a non-negative OoO window.
+func checkFlags(txns, txSize, wpq, cores, window int) error {
+	for _, c := range []struct {
+		name      string
+		v, lo, hi int
+	}{
+		{"-txns", txns, 1, cliutil.MaxTransactions},
+		{"-txsize", txSize, cliutil.MinTxSize, cliutil.MaxTxSize},
+		{"-wpq", wpq, cliutil.MinWPQ, cliutil.MaxWPQ},
+	} {
+		if err := cliutil.CheckRange(c.name, c.v, c.lo, c.hi); err != nil {
+			return err
+		}
+	}
+	if cores < 1 {
+		return fmt.Errorf("-cores %d: want at least 1", cores)
+	}
+	if window < 0 {
+		return fmt.Errorf("-ooo-window %d: want 0 or more", window)
+	}
+	return nil
 }
 
 // runMulti simulates n instances of the workload (per-core seeds,

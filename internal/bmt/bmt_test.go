@@ -8,12 +8,35 @@ import (
 	"dolos/internal/nvm"
 )
 
-func newTestTree(leaves uint64) (*Tree, *nvm.Device) {
+// testTree is a tree with its leaf source: a map of leaf images that
+// write keeps in step with UpdateLeaf, as the counter store does.
+type testTree struct {
+	*Tree
+	images map[uint64][64]byte
+}
+
+func newTestTree(leaves uint64) (*testTree, *nvm.Device) {
 	var aesKey, macKey [16]byte
 	copy(macKey[:], "bmt-test-mac-key")
 	eng := crypt.NewEngine(aesKey, macKey)
 	dev := nvm.NewDevice(nil, 1<<30, 0)
-	return New(eng, dev, 1<<24, leaves), dev
+	tt := &testTree{images: map[uint64][64]byte{}}
+	tt.Tree = New(eng, dev, 1<<24, leaves, func(i uint64) [64]byte { return tt.images[i] })
+	return tt, dev
+}
+
+// write gives leaf `index` a new image and updates the tree.
+func (tt *testTree) write(index uint64, img *[64]byte) int {
+	tt.images[index] = *img
+	return tt.UpdateLeaf(index, 0)
+}
+
+// crash drops the overlay and swaps the leaf source's image of `index`
+// for img: after a power failure the leaf images come from NVM, where
+// an adversary can change them.
+func (tt *testTree) crash(index uint64, img *[64]byte) {
+	tt.DropVolatile()
+	tt.images[index] = *img
 }
 
 func leafImg(seed byte) [64]byte {
@@ -35,13 +58,13 @@ func TestGeometry16GB(t *testing.T) {
 func TestEagerUpdateReachesRoot(t *testing.T) {
 	tree, _ := newTestTree(64)
 	img := leafImg(1)
-	macs := tree.UpdateLeaf(5, &img)
+	macs := tree.write(5, &img)
 	if macs != tree.Levels()+1 {
 		t.Fatalf("eager update took %d MACs, want %d", macs, tree.Levels()+1)
 	}
 	root1 := tree.Root()
 	img2 := leafImg(2)
-	tree.UpdateLeaf(5, &img2)
+	tree.write(5, &img2)
 	if tree.Root() == root1 {
 		t.Fatal("root unchanged after leaf update")
 	}
@@ -50,27 +73,73 @@ func TestEagerUpdateReachesRoot(t *testing.T) {
 func TestVerifyAfterUpdate(t *testing.T) {
 	tree, _ := newTestTree(64)
 	img := leafImg(3)
-	tree.UpdateLeaf(7, &img)
-	if _, err := tree.VerifyLeaf(7, &img); err != nil {
+	tree.write(7, &img)
+	if _, err := tree.VerifyLeaf(7); err != nil {
 		t.Fatalf("verify of just-written leaf failed: %v", err)
 	}
+	tree.PersistAll()
+	if _, err := tree.VerifyLeafFull(7); err != nil {
+		t.Fatalf("full verify of a persisted leaf failed: %v", err)
+	}
 	bad := leafImg(4)
-	if _, err := tree.VerifyLeaf(7, &bad); err == nil {
+	tree.crash(7, &bad)
+	if _, err := tree.VerifyLeaf(7); err == nil {
 		t.Fatal("verify accepted a tampered leaf")
+	}
+}
+
+// A just-written leaf passes a trusted verification without a hash: its
+// slot awaits the MAC of the very image the check would hash.
+func TestVerifyStaleLeafHashesNothing(t *testing.T) {
+	tree, _ := newTestTree(4096)
+	img := leafImg(1)
+	tree.write(9, &img)
+	before := tree.MACOps()
+	if n, err := tree.VerifyLeaf(9); err != nil || n != 1 {
+		t.Fatalf("verify of a stale leaf: %d modeled MACs, err %v; want 1, nil", n, err)
+	}
+	if tree.MACOps() != before {
+		t.Fatalf("verify of a stale leaf hashed %d times", tree.MACOps()-before)
+	}
+	// A full walk hashes the leaf once; after it, the slot holds the
+	// source's MAC and another walk needs no leaf hash.
+	if _, err := tree.VerifyLeafFull(9); err != nil {
+		t.Fatal(err)
+	}
+	walk := tree.MACOps() - before
+	if _, err := tree.VerifyLeafFull(9); err != nil {
+		t.Fatal(err)
+	}
+	if again := tree.MACOps() - before - walk; again != walk-1 {
+		t.Fatalf("second full walk hashed %d times, want %d (no leaf hash)", again, walk-1)
+	}
+	// An audit hashes each leaf once: the first full walk through a
+	// level-1 node fills its stale siblings, and theirs skip the leaf.
+	for i := uint64(16); i < 20; i++ {
+		tree.write(i, &img)
+	}
+	before = tree.MACOps()
+	for i := uint64(16); i < 20; i++ {
+		if _, err := tree.VerifyLeafFull(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := tree.MACOps()-before, uint64(4+4*tree.Levels()); got != want {
+		t.Fatalf("full walks of 4 sibling leaves hashed %d times, want %d", got, want)
 	}
 }
 
 func TestVerifyUntouchedZeroLeaf(t *testing.T) {
 	tree, _ := newTestTree(64)
 	img := leafImg(5)
-	tree.UpdateLeaf(0, &img)
-	var zero [64]byte
-	if _, err := tree.VerifyLeaf(9, &zero); err != nil {
+	tree.write(0, &img)
+	if _, err := tree.VerifyLeaf(9); err != nil {
 		t.Fatalf("zero-leaf convention broken: %v", err)
 	}
 	// A nonzero image in an untouched slot must NOT verify.
 	nz := leafImg(6)
-	if _, err := tree.VerifyLeaf(9, &nz); err == nil {
+	tree.images[9] = nz
+	if _, err := tree.VerifyLeaf(9); err == nil {
 		t.Fatal("nonzero image accepted for untouched leaf")
 	}
 }
@@ -78,18 +147,19 @@ func TestVerifyUntouchedZeroLeaf(t *testing.T) {
 func TestPersistAndCrashDetectsStaleness(t *testing.T) {
 	tree, _ := newTestTree(64)
 	img1 := leafImg(1)
-	tree.UpdateLeaf(3, &img1)
+	tree.write(3, &img1)
 	tree.PersistAll()
 	img2 := leafImg(2)
-	tree.UpdateLeaf(3, &img2) // root now reflects img2; NVM still img1's nodes
+	tree.write(3, &img2) // root now reflects img2; NVM still img1's nodes
 	tree.DropVolatile()
 	// Full verify against the persistent root register must reject the
 	// stale NVM path (this is why Anubis shadow-tracking is needed).
-	if _, err := tree.VerifyLeafFull(3, &img2); err == nil {
+	if _, err := tree.VerifyLeafFull(3); err == nil {
 		t.Fatal("stale NVM tree accepted against updated root")
 	}
 	// And the old image fails too: the root moved on.
-	if _, err := tree.VerifyLeafFull(3, &img1); err == nil {
+	tree.images[3] = img1
+	if _, err := tree.VerifyLeafFull(3); err == nil {
 		t.Fatal("old image accepted against updated root")
 	}
 }
@@ -97,10 +167,10 @@ func TestPersistAndCrashDetectsStaleness(t *testing.T) {
 func TestShadowRestoreRecovers(t *testing.T) {
 	tree, _ := newTestTree(64)
 	img1 := leafImg(1)
-	tree.UpdateLeaf(3, &img1)
+	tree.write(3, &img1)
 	tree.PersistAll()
 	img2 := leafImg(2)
-	tree.UpdateLeaf(3, &img2)
+	tree.write(3, &img2)
 
 	// Anubis: capture dirty node images (the shadow region contents).
 	type saved struct {
@@ -117,7 +187,7 @@ func TestShadowRestoreRecovers(t *testing.T) {
 	for _, s := range shadow {
 		tree.RestoreNode(s.level, s.index, s.img)
 	}
-	if _, err := tree.VerifyLeafFull(3, &img2); err != nil {
+	if _, err := tree.VerifyLeafFull(3); err != nil {
 		t.Fatalf("shadow-restored tree rejects current image: %v", err)
 	}
 }
@@ -128,7 +198,7 @@ func TestRebuildFromLeavesMatchesRoot(t *testing.T) {
 	for _, idx := range []uint64{0, 9, 63, 127} {
 		img := leafImg(byte(idx))
 		images[idx] = img
-		tree.UpdateLeaf(idx, &img)
+		tree.write(idx, &img)
 	}
 	// Osiris slow path: rebuild from recovered leaves on a fresh tree
 	// sharing the same NVM (here: fresh overlay).
@@ -143,7 +213,7 @@ func TestRebuildFromLeavesMatchesRoot(t *testing.T) {
 func TestRebuildDetectsTamperedLeaf(t *testing.T) {
 	tree, _ := newTestTree(128)
 	img := leafImg(1)
-	tree.UpdateLeaf(5, &img)
+	tree.write(5, &img)
 	tree.DropVolatile()
 	tampered := leafImg(99)
 	got := tree.RebuildFromLeaves(map[uint64][64]byte{5: tampered})
@@ -175,18 +245,22 @@ func TestRegionBytes(t *testing.T) {
 }
 
 func TestUpdateVerifyProperty(t *testing.T) {
-	// Property: any written image verifies; any different image fails.
+	// Property: any written image verifies; after a crash, any different
+	// image fails.
 	tree, _ := newTestTree(256)
 	f := func(idx uint16, a, b [64]byte) bool {
 		i := uint64(idx) % 256
-		tree.UpdateLeaf(i, &a)
-		if _, err := tree.VerifyLeaf(i, &a); err != nil {
+		tree.write(i, &a)
+		if _, err := tree.VerifyLeaf(i); err != nil {
 			return false
 		}
 		if a == b {
 			return true
 		}
-		_, err := tree.VerifyLeaf(i, &b)
+		tree.PersistAll()
+		tree.crash(i, &b)
+		_, err := tree.VerifyLeaf(i)
+		tree.images[i] = a
 		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -197,9 +271,10 @@ func TestUpdateVerifyProperty(t *testing.T) {
 func TestVerifyErrorMessage(t *testing.T) {
 	tree, _ := newTestTree(64)
 	img := leafImg(1)
-	tree.UpdateLeaf(1, &img)
+	tree.write(1, &img)
 	bad := leafImg(2)
-	_, err := tree.VerifyLeaf(1, &bad)
+	tree.crash(1, &bad)
+	_, err := tree.VerifyLeaf(1)
 	ve, ok := err.(*VerifyError)
 	if !ok {
 		t.Fatalf("error type %T", err)
@@ -215,11 +290,14 @@ func TestAccessors(t *testing.T) {
 		t.Fatal("Leaves wrong")
 	}
 	img := leafImg(1)
-	tree.UpdateLeaf(0, &img)
-	if tree.Updates() != 1 || tree.MACOps() == 0 {
+	tree.write(0, &img)
+	if tree.Updates() != 1 || tree.MACOps() != 0 {
 		t.Fatal("counters wrong")
 	}
 	var m = tree.Root()
+	if tree.MACOps() != 1+uint64(tree.Levels()) {
+		t.Fatalf("root read computed %d MACs, want the leaf and every level", tree.MACOps())
+	}
 	tree.SetRoot(m)
 	if tree.Root() != m {
 		t.Fatal("SetRoot wrong")

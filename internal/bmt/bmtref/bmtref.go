@@ -102,6 +102,21 @@ func (t *Tree) UpdateLeaf(index uint64, image *[64]byte) {
 	t.root, t.rootSet = m, true
 }
 
+// RootAfter returns the root UpdateLeaf(index, image) would produce,
+// without changing the tree.
+func (t *Tree) RootAfter(index uint64, image *[64]byte) crypt.MAC {
+	m := t.mac(0, index, image[:])
+	child := index
+	for level := 1; level < len(t.counts); level++ {
+		idx := child / arity
+		img := *t.node(level, idx)
+		copy(img[child%arity*crypt.MACSize:], m[:])
+		m = t.mac(level, idx, img[:])
+		child = idx
+	}
+	return m
+}
+
 // Root returns the root register.
 func (t *Tree) Root() crypt.MAC { return t.root }
 

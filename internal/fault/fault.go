@@ -95,7 +95,7 @@ func New(seed int64, rules ...Rule) (*Injector, error) {
 		if !valid[r.Point] {
 			return nil, fmt.Errorf("fault: unknown point %q (want one of %s)", r.Point, pointList())
 		}
-		if r.Rate < 0 || r.Rate > 1 {
+		if !(r.Rate >= 0 && r.Rate <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("fault: point %s rate %v out of range [0, 1]", r.Point, r.Rate)
 		}
 		if r.Delay < 0 {

@@ -39,6 +39,8 @@ func TestParseRejects(t *testing.T) {
 		"job-panic",          // no rate
 		"job-panic:lots",     // non-numeric rate
 		"job-panic:1.5",      // rate out of range (caught by New)
+		"job-panic:NaN",      // not a probability (caught by New)
+		"job-panic:-Inf",     // rate out of range (caught by New)
 		"turbo-mode:0.5",     // unknown point (caught by New)
 		"cell-latency:0.5:x", // bad delay
 		"job-panic:0.1:2ms:extra",
@@ -51,6 +53,49 @@ func TestParseRejects(t *testing.T) {
 			t.Errorf("spec %q: no error", spec)
 		}
 	}
+}
+
+// FuzzParse feeds FromSpec arbitrary specs: it must never panic, and an
+// injector it accepts arms only known points with a rate in [0, 1] and
+// a non-negative delay, and its String() parses back to the same rules.
+// The seeds include "job-panic:NaN", which New once accepted as a rate
+// that always fires.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"job-panic:0.2,queue-full:0.1,cell-latency:0.5:2ms",
+		"job-panic:NaN",
+		"job-panic:1.5",
+		"drain-stall:1:-1s",
+		"cache-corrupt:0,cache-corrupt:1",
+		",,",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := FromSpec(1, spec)
+		if err != nil {
+			return
+		}
+		rules := in.Rules()
+		for _, r := range rules {
+			if !(r.Rate >= 0 && r.Rate <= 1) || r.Delay < 0 {
+				t.Fatalf("spec %q: accepted rule %+v", spec, r)
+			}
+		}
+		again, err := FromSpec(1, in.String())
+		if err != nil {
+			t.Fatalf("spec %q: String() %q does not parse: %v", spec, in.String(), err)
+		}
+		if got := again.Rules(); len(got) != len(rules) {
+			t.Fatalf("spec %q: round trip gave %v, want %v", spec, got, rules)
+		} else {
+			for i := range got {
+				if got[i] != rules[i] {
+					t.Fatalf("spec %q: round trip gave %v, want %v", spec, got, rules)
+				}
+			}
+		}
+	})
 }
 
 // TestDeterministicSequence: two injectors with the same seed and rules

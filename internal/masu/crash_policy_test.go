@@ -126,9 +126,16 @@ func (r *crashRig) randWrite() (uint64, [64]byte) {
 
 func (r *crashRig) apply(op *masu.Op) {
 	r.u.ApplyWrite(op)
-	r.leaves[op.LeafIndex] = op.LeafImage
+	r.track(op)
+}
+
+// track gives the reference an applied (or replayed) op's write: its
+// counter-block image and plaintext.
+func (r *crashRig) track(op *masu.Op) {
+	img := op.LeafBlock.Encode()
+	r.leaves[op.LeafIndex] = img
 	r.lines[op.Addr] = op.Plain
-	r.refUpdate(op.LeafIndex, &op.LeafImage)
+	r.refUpdate(op.LeafIndex, &img)
 }
 
 func (r *crashRig) write(addr uint64, p [64]byte) {
@@ -224,9 +231,7 @@ func TestCrashStateMatchesEagerPerPolicy(t *testing.T) {
 		r.u.CrashVolatile()
 		r.checkCrashState("crash with a staged op")
 		// The replay applies the staged op: the reference takes it too.
-		r.leaves[op.LeafIndex] = op.LeafImage
-		r.lines[op.Addr] = op.Plain
-		r.refUpdate(op.LeafIndex, &op.LeafImage)
+		r.track(op)
 		r.recover(false)
 
 		// The slow path: probe counters and rebuild from the leaves.
@@ -235,9 +240,7 @@ func TestCrashStateMatchesEagerPerPolicy(t *testing.T) {
 		op, _ = r.u.PrepareWrite(addr, p, 0)
 		r.u.CrashVolatile()
 		r.checkCrashState("second crash with a staged op")
-		r.leaves[op.LeafIndex] = op.LeafImage
-		r.lines[op.Addr] = op.Plain
-		r.refUpdate(op.LeafIndex, &op.LeafImage)
+		r.track(op)
 		r.recover(true)
 	}
 }
@@ -286,9 +289,7 @@ func TestToCCrashStateMatchesEager(t *testing.T) {
 		op, _ := r.u.PrepareWrite(addr, p, 0)
 		r.u.CrashVolatile()
 		r.checkCrashState("crash with a staged op")
-		r.leaves[op.LeafIndex] = op.LeafImage
-		r.lines[op.Addr] = op.Plain
-		r.refUpdate(op.LeafIndex, &op.LeafImage)
+		r.track(op)
 		r.recover(false)
 		r.checkToCNodes("after replaying the staged op")
 	}

@@ -5,15 +5,16 @@
 // (Section 4.4, Figure 11).
 //
 // The unit follows the Anubis recipe for crash consistency: results of
-// step 2 (encrypt, MAC, counter block, leaf MAC) are staged in persistent
-// redo-log registers before step 3 applies them to the metadata caches
-// and NVM; a shadow-tracker region mirrors every dirty metadata block so
-// recovery can restore the caches to a state consistent with the eagerly
-// updated root. Counters are additionally recoverable via Osiris ECC
-// probing (the slow path). Tree node MACs, BMT and ToC alike, are
-// computed where they are observed (DESIGN.md §18); CrashVolatile is one
-// such point, filling the shadow images (and the BMT redo record's temp
-// root) from the refreshed tree.
+// step 2 (encrypt, MAC, counter block, tree versions) are staged in
+// persistent redo-log registers before step 3 applies them to the
+// metadata caches and NVM; a shadow-tracker region mirrors every dirty
+// metadata block so recovery can restore the caches to a state
+// consistent with the eagerly updated root. Counters are additionally
+// recoverable via Osiris ECC probing (the slow path). Tree MACs, leaf
+// MACs included, BMT and ToC alike, are computed where they are
+// observed (DESIGN.md §18), so a write computes none; CrashVolatile is
+// one such point, filling the shadow images (and the BMT redo record's
+// temp root) from the live counter blocks and the refreshed tree.
 package masu
 
 import (
@@ -116,21 +117,19 @@ type Op struct {
 	ECC      uint32
 	Overflow bool
 
+	// LeafIndex and LeafBlock are the counter block this write updates
+	// and its staged content. ApplyWrite installs the block in the
+	// counter store, which is the integrity tree's leaf source: the
+	// block's image and leaf MAC are computed only where observed (the
+	// shadow entry, the tree), never on the write path. A crash that
+	// catches the op staged hashes the block for the BMT temp root.
 	LeafIndex uint64
-	LeafImage [64]byte
-	// LeafBlock is LeafImage in decoded form — the same staged counter
-	// block both ways, so ApplyWrite can install it into the counter
-	// store without re-decoding the image (the image form still feeds
-	// the redo record, shadow region and integrity tree).
 	LeafBlock ctr.Block
 
-	// LeafMAC is the counter block's BMT leaf MAC. Applying it marks the
-	// leaf's path; a redo replay re-marks the same path.
-	LeafMAC crypt.MAC
-
-	// ToC is the staged ToC update: the leaf MAC and the absolute
-	// version arrays the path nodes and the root take, so a replay is
-	// idempotent and overwrites a tampered restored path node.
+	// ToC is the staged ToC update: the absolute version arrays the path
+	// nodes and the root take, so a replay is idempotent and overwrites
+	// a tampered restored path node. (A BMT write stages nothing beyond
+	// the block: applying it marks the leaf's path stale.)
 	ToC toc.Update
 
 	WPQSlot int
@@ -154,10 +153,10 @@ type redoLog struct {
 
 // shadowEntry is one slot of the Anubis shadow-tracker table. live
 // distinguishes a present entry from the zero value of an untouched
-// slot (a zero image is a legal shadow payload). pending marks a tree
-// node entry (BMT or ToC) whose image is the node's live image, copied
-// in at CrashVolatile (or before any other read) rather than on every
-// write.
+// slot (a zero image is a legal shadow payload). pending marks an entry
+// whose image is the live image of its block — the counter block or
+// the tree node (BMT or ToC) — copied in at CrashVolatile (or before
+// any other read) rather than on every write.
 type shadowEntry struct {
 	img     [64]byte
 	live    bool
@@ -271,9 +270,9 @@ func NewWithParams(kind TreeKind, eng crypt.Provider, dev *nvm.Device, lay layou
 	}
 	switch kind {
 	case BMTEager:
-		u.bmtTree = bmt.New(eng, dev, lay.TreeBase, lay.Leaves())
+		u.bmtTree = bmt.New(eng, dev, lay.TreeBase, lay.Leaves(), u.counters.ImageByIndex)
 	case ToCLazy:
-		u.tocTree = toc.New(eng, dev, lay.TreeBase, lay.Leaves())
+		u.tocTree = toc.New(eng, dev, lay.TreeBase, lay.Leaves(), u.counters.ImageByIndex)
 	}
 	return u
 }
@@ -359,11 +358,6 @@ func (u *Unit) nodeRefAt(nvmAddr uint64) uint64 {
 	return u.nodeByAddr.Get((nvmAddr - u.lay.TreeBase) / 64)
 }
 
-// tocLeafMACAddr is where a ToC leaf MAC is persisted.
-func (u *Unit) tocLeafMACAddr(leaf uint64) uint64 {
-	return u.lay.TreeBase + u.tocTree.RegionBytes() + leaf*crypt.MACSize
-}
-
 // touchCounter charges a counter-cache access for addr's counter block
 // and handles dirty victim persistence.
 func (u *Unit) touchCounter(addr uint64, write bool, cost *Cost) {
@@ -423,29 +417,27 @@ func (u *Unit) persistMetaVictim(nvmAddr uint64, cost *Cost) {
 }
 
 // shadowWrite records the current image of a dirty metadata block in the
-// Anubis shadow region (one extra NVM write, off the critical path). A
-// nil img marks a tree node entry pending: its image is the node's live
-// image, copied when the entry is read (fillShadow).
-func (u *Unit) shadowWrite(nvmAddr uint64, img *[64]byte, cost *Cost) {
+// Anubis shadow region (one extra NVM write, off the critical path). The
+// entry turns pending: its image is the block's live image, copied when
+// the entry is read (fillShadow).
+func (u *Unit) shadowWrite(nvmAddr uint64, cost *Cost) {
 	if i, ok := u.metaIdx(nvmAddr); ok {
 		e := u.shadow.Ptr(i)
 		if !e.live {
 			e.live = true
 			u.shadowCount++
 		}
-		if img != nil {
-			e.img = *img
-		}
-		e.pending = img == nil
+		e.pending = true
 	}
 	cost.ShadowWrites++
 	cost.NVMWrites++
 }
 
 // PrepareWrite performs Figure 11 step 2 for a write to addr: it computes
-// the ciphertext, MAC, ECC, counter update and tree update (the BMT leaf
-// MAC, or the ToC path), stages everything in the redo-log registers and
-// sets the ready bit. No architectural state changes yet.
+// the ciphertext, MAC, ECC, counter block and, for the ToC, the path
+// versions, stages everything in the redo-log registers and sets the
+// ready bit. It computes no tree MAC. No architectural state changes
+// yet.
 func (u *Unit) PrepareWrite(addr uint64, plain [64]byte, wpqSlot int) (*Op, Cost) {
 	if !u.lay.ValidData(addr) {
 		panic(fmt.Sprintf("masu: write outside data region: %#x", addr))
@@ -489,14 +481,12 @@ func (u *Unit) PrepareWrite(addr uint64, plain [64]byte, wpqSlot int) (*Op, Cost
 		blk.Minors[li]++
 	}
 	op.LeafBlock = blk
-	op.LeafImage = blk.Encode()
 
 	switch u.kind {
 	case BMTEager:
-		op.LeafMAC = u.bmtTree.LeafMAC(leaf, &op.LeafImage)
 		cost.TotalMACs += u.bmtTree.Levels()
 	case ToCLazy:
-		u.tocTree.Stage(&op.ToC, leaf, &op.LeafImage)
+		u.tocTree.Stage(&op.ToC, leaf)
 		cost.TotalMACs += u.tocTree.Levels() + 1
 	}
 	cost.SerialMACs = u.serialMACsFor(leaf)
@@ -512,10 +502,11 @@ func (u *Unit) PrepareWrite(addr uint64, plain [64]byte, wpqSlot int) (*Op, Cost
 func (u *Unit) ApplyWrite(op *Op) Cost {
 	var cost Cost
 
-	// Counter store: install the staged block image (idempotent, so redo
-	// replay after a crash is safe). Overflow forces a persist; a
-	// write-through policy forces one on every write and skips the
-	// shadow entry (the NVM copy IS the recovery source).
+	// Counter store: install the staged block (idempotent, so redo
+	// replay after a crash is safe). It is the trees' leaf source, so it
+	// takes the block before the tree marks the leaf. Overflow forces a
+	// persist; a write-through policy forces one on every write and
+	// skips the shadow entry (the NVM copy IS the recovery source).
 	u.counters.ApplyBlock(op.LeafIndex, &op.LeafBlock, op.Overflow || u.policy.CounterWriteThrough)
 	if u.policy.CounterWriteThrough {
 		if u.policy.CoalesceCounterWrites && u.haveWTLeaf && u.lastWTLeaf == op.LeafIndex {
@@ -525,27 +516,31 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 		}
 		u.lastWTLeaf, u.haveWTLeaf = op.LeafIndex, true
 	} else {
-		u.shadowWrite(u.counters.BlockNVMAddr(op.Addr), &op.LeafImage, &cost)
+		u.shadowWrite(u.counters.BlockNVMAddr(op.Addr), &cost)
 	}
 
 	// Integrity tree.
 	switch u.kind {
 	case BMTEager:
-		u.bmtTree.SetLeafMAC(op.LeafIndex, op.LeafMAC)
+		// Triad-NVM writes the first N levels through to NVM (the tree
+		// writes them back when observed); higher levels stay volatile
+		// (rebuilt at recovery).
+		through := 0
+		if u.policy.PartialTreePersistence {
+			through = u.persistLevels()
+		}
+		u.bmtTree.UpdateLeaf(op.LeafIndex, through)
 		idx := op.LeafIndex
 		for level := 1; level <= u.bmtTree.Levels(); level++ {
 			idx /= bmt.Arity
 			nodeAddr := u.bmtTree.NodeNVMAddr(level, idx)
 			u.touchTreeNode(nodeAddr, level, idx, true, &cost)
 			if u.policy.PartialTreePersistence {
-				// Triad-NVM: write the first N levels through to NVM;
-				// higher levels stay volatile (rebuilt at recovery).
-				if level <= u.persistLevels() {
-					u.bmtTree.PersistNode(level, idx)
+				if level <= through {
 					cost.NVMWrites++
 				}
 			} else {
-				u.shadowWrite(nodeAddr, nil, &cost)
+				u.shadowWrite(nodeAddr, &cost)
 			}
 		}
 	case ToCLazy:
@@ -555,10 +550,9 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 			idx /= toc.Arity
 			nodeAddr := u.tocTree.NodeNVMAddr(level, idx)
 			u.touchTreeNode(nodeAddr, level, idx, true, &cost)
-			u.shadowWrite(nodeAddr, nil, &cost)
+			u.shadowWrite(nodeAddr, &cost)
 		}
-		u.dev.Write(u.tocLeafMACAddr(op.LeafIndex), op.ToC.LeafMAC[:])
-		cost.NVMWrites++
+		cost.NVMWrites++ // the leaf MAC, written back when observed
 	}
 
 	// Data, MAC and ECC to NVM.

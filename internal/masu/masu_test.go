@@ -154,6 +154,43 @@ func TestLazyWriteCost(t *testing.T) {
 	}
 }
 
+// A write computes no tree MAC, BMT or ToC (DESIGN.md §18): after a
+// warm-up, writes over four pages and a read of a just-written line
+// leave the host's tree MAC count unchanged, while the modeled cost
+// still charges every level.
+func TestWriteComputesNoTreeMAC(t *testing.T) {
+	for _, kind := range []TreeKind{BMTEager, ToCLazy} {
+		t.Run(kind.String(), func(t *testing.T) {
+			u, _, _ := newUnit(kind)
+			macOps := func() uint64 {
+				if kind == BMTEager {
+					return u.BMT().MACOps()
+				}
+				return u.ToC().MACOps()
+			}
+			p := line(1)
+			addr := func(j uint64) uint64 { return 0x1000 + j%4*nvm.PageSize + j/4%64*64 }
+			for j := uint64(0); j < 256; j++ {
+				u.ProcessWrite(addr(j), p, -1)
+			}
+			before := macOps()
+			var cost Cost
+			for j := uint64(0); j < 512; j++ {
+				cost = u.ProcessWrite(addr(j), p, -1)
+			}
+			if _, _, err := u.ReadLine(addr(511)); err != nil {
+				t.Fatal(err)
+			}
+			if n := macOps() - before; n != 0 {
+				t.Fatalf("512 writes and a read computed %d tree MACs, want none", n)
+			}
+			if cost.TotalMACs <= 1 {
+				t.Fatalf("modeled MACs per write = %d, want the data MAC plus every level", cost.TotalMACs)
+			}
+		})
+	}
+}
+
 func TestCounterCacheHitsOnLocality(t *testing.T) {
 	u, _, _ := newUnit(BMTEager)
 	var first, second Cost

@@ -52,20 +52,17 @@ func (u *Unit) ReadLine(addr uint64) ([64]byte, Cost, error) {
 
 	// Verify the counter's integrity through the tree.
 	leaf := u.lay.LeafIndex(addr)
-	leafImg := u.counters.ImageByIndex(leaf)
 	switch u.kind {
 	case BMTEager:
-		macs, err := u.bmtTree.VerifyLeaf(leaf, &leafImg)
+		macs, err := u.bmtTree.VerifyLeaf(leaf)
 		cost.TotalMACs += macs
 		u.chargeTreePath(leaf, &cost)
 		if err != nil {
 			return [64]byte{}, cost, &IntegrityError{Addr: addr, Reason: err.Error()}
 		}
 	case ToCLazy:
-		var storedLeafMAC crypt.MAC
-		u.dev.Read(u.tocLeafMACAddr(leaf), storedLeafMAC[:])
 		u.chargeTreePath(leaf, &cost)
-		if err := u.tocTree.VerifyLeaf(leaf, &leafImg, storedLeafMAC); err != nil {
+		if err := u.tocTree.VerifyLeaf(leaf); err != nil {
 			return [64]byte{}, cost, &IntegrityError{Addr: addr, Reason: err.Error()}
 		}
 	}

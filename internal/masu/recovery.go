@@ -11,10 +11,12 @@ import (
 // CrashVolatile models power failure inside the Ma-SU: metadata caches
 // and the live (cached) counter/tree state vanish. The redo-log
 // registers, the root register, the shadow region and all NVM contents
-// survive. The crash observes the tree: pending shadow images are
-// filled from the live tree before it is dropped, and with a BMT a
-// staged op's temp root is computed and the tree refreshes its root
-// register. What survives is byte for byte what eager hashing wrote.
+// survive. The crash observes the tree and the counter blocks: pending
+// shadow images are filled from the live blocks and the live tree, with
+// a BMT a staged op's temp root is computed from its block, and the
+// trees fill their stale leaves (the BMT root register, the ToC
+// leaf-MAC region) from the live counter blocks before those are
+// dropped. What survives is byte for byte what eager hashing wrote.
 func (u *Unit) CrashVolatile() {
 	u.shadow.Range(func(i uint64, e *shadowEntry) bool {
 		if e.pending {
@@ -23,29 +25,35 @@ func (u *Unit) CrashVolatile() {
 		return true
 	})
 	if u.bmtTree != nil && u.redo.ready {
-		u.redo.tempRoot = u.bmtTree.RootAfter(u.redo.op.LeafIndex, u.redo.op.LeafMAC)
+		img := u.redo.op.LeafBlock.Encode()
+		u.redo.tempRoot = u.bmtTree.RootAfter(u.redo.op.LeafIndex, &img)
 		u.redo.haveTempRoot = true
 	}
 	u.counterCache.InvalidateAll()
 	u.mtCache.InvalidateAll()
-	u.counters.DropVolatile()
 	if u.bmtTree != nil {
 		u.bmtTree.DropVolatile()
 	}
 	if u.tocTree != nil {
 		u.tocTree.DropVolatile()
 	}
+	u.counters.DropVolatile()
 }
 
-// fillShadow copies a pending tree-node entry's image from the live
-// tree, computing its pending MACs.
+// fillShadow copies a pending entry's image from its live block: the
+// counter block, or the tree node with its pending MACs computed.
 func (u *Unit) fillShadow(i uint64, e *shadowEntry) {
-	ref := u.nodeRefAt(u.lay.CounterBase + i*64)
-	level, index := int(ref>>56), ref&(1<<56-1)
-	if u.bmtTree != nil {
-		e.img = u.bmtTree.NodeImage(level, index)
+	nvmAddr := u.lay.CounterBase + i*64
+	if pi, ok := u.counters.PageIndexOfNVMAddr(nvmAddr); ok {
+		e.img = u.counters.ImageByIndex(pi)
 	} else {
-		e.img = u.tocTree.NodeImage(level, index)
+		ref := u.nodeRefAt(nvmAddr)
+		level, index := int(ref>>56), ref&(1<<56-1)
+		if u.bmtTree != nil {
+			e.img = u.bmtTree.NodeImage(level, index)
+		} else {
+			e.img = u.tocTree.NodeImage(level, index)
+		}
 	}
 	e.pending = false
 }
@@ -181,9 +189,8 @@ func (u *Unit) RecoverOsiris() (RecoveryReport, error) {
 		return rep, &IntegrityError{Addr: 0, Reason: "rebuilt tree root mismatch"}
 	}
 	// Install the rebuilt leaves as the live state.
-	for leaf, img := range leafImages {
-		img := img
-		u.bmtTree.UpdateLeaf(leaf, &img) // root unchanged by identical content
+	for leaf := range leafImages {
+		u.bmtTree.UpdateLeaf(leaf, 0) // root unchanged by identical content
 	}
 
 	if err := u.auditWrittenLines(&rep); err != nil {
@@ -223,9 +230,8 @@ func (u *Unit) RecoverReconstruct() (RecoveryReport, error) {
 		return rep, &IntegrityError{Addr: 0, Reason: "reconstructed tree root mismatch"}
 	}
 	// Install the rebuilt leaves as the live state.
-	for leaf, img := range leafImages {
-		img := img
-		u.bmtTree.UpdateLeaf(leaf, &img) // root unchanged by identical content
+	for leaf := range leafImages {
+		u.bmtTree.UpdateLeaf(leaf, 0) // root unchanged by identical content
 	}
 
 	if err := u.auditWrittenLines(&rep); err != nil {
@@ -255,20 +261,16 @@ func (u *Unit) auditWrittenLines(rep *RecoveryReport) error {
 		}
 		leaf := u.lay.LeafIndex(addr)
 		if !verifiedLeaves[leaf] {
-			leafImg := u.counters.ImageByIndex(leaf)
+			var err error
 			switch u.kind {
 			case BMTEager:
-				if _, err := u.bmtTree.VerifyLeafFull(leaf, &leafImg); err != nil {
-					auditErr = &IntegrityError{Addr: addr, Reason: err.Error()}
-					return false
-				}
+				_, err = u.bmtTree.VerifyLeafFull(leaf)
 			case ToCLazy:
-				var leafMAC crypt.MAC
-				u.dev.Read(u.tocLeafMACAddr(leaf), leafMAC[:])
-				if err := u.tocTree.VerifyLeafFull(leaf, &leafImg, leafMAC); err != nil {
-					auditErr = &IntegrityError{Addr: addr, Reason: err.Error()}
-					return false
-				}
+				err = u.tocTree.VerifyLeafFull(leaf)
+			}
+			if err != nil {
+				auditErr = &IntegrityError{Addr: addr, Reason: err.Error()}
+				return false
 			}
 			verifiedLeaves[leaf] = true
 		}

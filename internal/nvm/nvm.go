@@ -47,9 +47,22 @@ type Device struct {
 
 	reads, writes uint64
 
+	// wb is the write-back region, if an owner registered one.
+	wb writeBack
+
 	// onAccess, when non-nil, observes every timed access with its bank
 	// service window (telemetry). Purely observational.
 	onAccess func(write bool, addr uint64, start, end sim.Cycle)
+}
+
+// writeBack is a region whose owner holds bytes newer than the
+// device's copy and writes them only when an access observes them.
+// pending is set while the owner may hold such bytes; it is cleared
+// while flush runs, so the owner's own writes do not re-enter it.
+type writeBack struct {
+	lo, hi  uint64
+	flush   func(lo, hi uint64)
+	pending bool
 }
 
 // NewDevice creates a device of the given capacity in bytes with the given
@@ -83,7 +96,43 @@ func (d *Device) Reads() uint64 { return d.reads }
 func (d *Device) Writes() uint64 { return d.writes }
 
 // AllocatedPages returns how many 4 KB pages are materialized.
-func (d *Device) AllocatedPages() int { return d.allocated }
+func (d *Device) AllocatedPages() int {
+	d.observeAll()
+	return d.allocated
+}
+
+// SetWriteBack makes [lo, hi) a write-back region owned by the caller:
+// the owner may hold bytes of the region newer than the device's copy
+// (it says so with MarkWriteBack), and the device calls flush with the
+// overlapping range before any access that observes those bytes —
+// Read, Write, Snapshot, Restore, Clear and AllocatedPages. flush must
+// write every newer byte in the range it is given. A device has at most
+// one write-back region.
+func (d *Device) SetWriteBack(lo, hi uint64, flush func(lo, hi uint64)) {
+	if d.wb.flush != nil {
+		panic("nvm: write-back region already set")
+	}
+	d.wb = writeBack{lo: lo, hi: hi, flush: flush}
+}
+
+// MarkWriteBack notes that the write-back region's owner holds bytes
+// newer than the device's copy.
+func (d *Device) MarkWriteBack() { d.wb.pending = true }
+
+// observe flushes the part of the write-back region that [lo, hi)
+// overlaps.
+func (d *Device) observe(lo, hi uint64) {
+	if !d.wb.pending || hi <= d.wb.lo || lo >= d.wb.hi {
+		return
+	}
+	d.wb.pending = false
+	d.wb.flush(max(lo, d.wb.lo), min(hi, d.wb.hi))
+	// A partial flush may leave newer bytes elsewhere in the region.
+	d.wb.pending = lo > d.wb.lo || hi < d.wb.hi
+}
+
+// observeAll flushes the whole write-back region.
+func (d *Device) observeAll() { d.observe(d.wb.lo, d.wb.hi) }
 
 // BankCount returns the number of banks (0 on a purely functional device).
 func (d *Device) BankCount() int { return len(d.banks) }
@@ -118,6 +167,7 @@ func (d *Device) page(addr uint64, create bool) *[PageSize]byte {
 // Read copies len(buf) bytes starting at addr into buf. Unwritten memory
 // reads as zero. This is the functional path; use Access for timing.
 func (d *Device) Read(addr uint64, buf []byte) {
+	d.observe(addr, addr+uint64(len(buf)))
 	for n := 0; n < len(buf); {
 		off := (addr + uint64(n)) % PageSize
 		chunk := PageSize - off
@@ -137,6 +187,7 @@ func (d *Device) Read(addr uint64, buf []byte) {
 
 // Write copies data into the device starting at addr.
 func (d *Device) Write(addr uint64, data []byte) {
+	d.observe(addr, addr+uint64(len(data)))
 	for n := 0; n < len(data); {
 		off := (addr + uint64(n)) % PageSize
 		chunk := PageSize - off
@@ -204,6 +255,7 @@ func (d *Device) ReadReadyAt(addr uint64) sim.Cycle {
 // model to implement replay (rollback) attacks and by tests to compare
 // memory images across crashes.
 func (d *Device) Snapshot() map[uint64][PageSize]byte {
+	d.observeAll()
 	out := make(map[uint64][PageSize]byte, d.allocated)
 	d.pages.Range(func(id uint64, p **[PageSize]byte) bool {
 		if *p != nil {
@@ -216,6 +268,7 @@ func (d *Device) Snapshot() map[uint64][PageSize]byte {
 
 // Restore overwrites the device contents with a snapshot taken earlier.
 func (d *Device) Restore(snap map[uint64][PageSize]byte) {
+	d.observeAll()
 	d.pages.Reset()
 	d.allocated = 0
 	for id, img := range snap {
@@ -227,6 +280,7 @@ func (d *Device) Restore(snap map[uint64][PageSize]byte) {
 
 // Clear erases all contents (a fresh, never-written device).
 func (d *Device) Clear() {
+	d.observeAll()
 	d.pages.Reset()
 	d.allocated = 0
 }

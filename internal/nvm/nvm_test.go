@@ -182,3 +182,40 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The owner of a write-back region is called with the overlapping range
+// before an access observes it, and only while it holds newer bytes; a
+// partial flush leaves the rest of the region pending.
+func TestWriteBackRegion(t *testing.T) {
+	d := NewDevice(nil, 1<<20, 0)
+	const lo, hi = 0x1000, 0x1100
+	var calls [][2]uint64
+	d.SetWriteBack(lo, hi, func(a, b uint64) {
+		calls = append(calls, [2]uint64{a, b})
+		d.Write(a, []byte{0xAB}) // the owner's own write does not re-enter
+	})
+	d.ReadLine(0x1000)
+	if len(calls) != 0 {
+		t.Fatal("flushed a region with nothing pending")
+	}
+	d.MarkWriteBack()
+	d.ReadLine(0x2000)
+	if len(calls) != 0 {
+		t.Fatal("flushed for an access outside the region")
+	}
+	var b [8]byte
+	d.Read(0x10F8, b[:])
+	d.Write(0x0FFC, make([]byte, 8))
+	if len(calls) != 2 || calls[0] != [2]uint64{0x10F8, 0x1100} || calls[1] != [2]uint64{0x1000, 0x1004} {
+		t.Fatalf("flush ranges %x, want the overlaps [10f8,1100) and [1000,1004)", calls)
+	}
+	d.Snapshot()
+	if len(calls) != 3 || calls[2] != [2]uint64{lo, hi} {
+		t.Fatalf("snapshot flushed %x, want the whole region", calls)
+	}
+	d.AllocatedPages()
+	d.Clear()
+	if len(calls) != 3 {
+		t.Fatal("a full flush left the region pending")
+	}
+}

@@ -50,7 +50,7 @@ type Limits struct {
 
 func (l Limits) withDefaults() Limits {
 	if l.MaxTransactions == 0 {
-		l.MaxTransactions = 20000
+		l.MaxTransactions = cliutil.MaxTransactions
 	}
 	if l.MaxCells == 0 {
 		l.MaxCells = 64
@@ -100,15 +100,14 @@ func normalize(req Request, lim Limits) (normalized, error) {
 	if n.Transactions == 0 {
 		n.Transactions = 200
 	}
-	if n.Transactions < 0 || n.Transactions > lim.MaxTransactions {
-		return normalized{}, fmt.Errorf("transactions %d out of range [1, %d]",
-			n.Transactions, lim.MaxTransactions)
+	if err := cliutil.CheckRange("transactions", n.Transactions, 1, lim.MaxTransactions); err != nil {
+		return normalized{}, err
 	}
 	if n.TxSize == 0 {
 		n.TxSize = 1024
 	}
-	if n.TxSize < 64 || n.TxSize > 4096 {
-		return normalized{}, fmt.Errorf("tx_size %d out of range [64, 4096]", n.TxSize)
+	if err := cliutil.CheckRange("tx_size", n.TxSize, cliutil.MinTxSize, cliutil.MaxTxSize); err != nil {
+		return normalized{}, err
 	}
 	if n.Seed == 0 {
 		n.Seed = 1
@@ -116,8 +115,8 @@ func normalize(req Request, lim Limits) (normalized, error) {
 	if n.WPQ == 0 {
 		n.WPQ = 16
 	}
-	if n.WPQ < 1 || n.WPQ > 1024 {
-		return normalized{}, fmt.Errorf("wpq %d out of range [1, 1024]", n.WPQ)
+	if err := cliutil.CheckRange("wpq", n.WPQ, cliutil.MinWPQ, cliutil.MaxWPQ); err != nil {
+		return normalized{}, err
 	}
 
 	workloads := req.Workloads

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"dolos/internal/crypt"
 	"dolos/internal/nvm"
 	"dolos/internal/toc"
 	"dolos/internal/toc/tocref"
@@ -24,9 +23,15 @@ type diffPair struct {
 	refDev *nvm.Device
 	leaves uint64
 	hot    []uint64            // leaves most writes go to, so paths share ancestors
-	images map[uint64][64]byte // current image of every written leaf
-	macs   map[uint64]crypt.MAC
-	step   int
+	images map[uint64][64]byte // the leaf source: current image of every written leaf
+	// live holds the leaves written since the last crash: their source
+	// is the trusted on-chip counter block, which nothing tampers with.
+	live map[uint64]bool
+	last uint64 // the last leaf written
+	// tamper, when non-nil, replaces leaf tamperLeaf's source image.
+	tamper     *[64]byte
+	tamperLeaf uint64
+	step       int
 }
 
 const diffNodeBase = 1 << 24
@@ -39,14 +44,22 @@ func newDiffPair(t *testing.T, seed int64, leaves uint64) *diffPair {
 		refDev: nvm.NewDevice(nil, 1<<30, 0),
 		leaves: leaves,
 		images: map[uint64][64]byte{},
-		macs:   map[uint64]crypt.MAC{},
+		live:   map[uint64]bool{},
 	}
-	p.tree = toc.New(testEngine(), p.dev, diffNodeBase, leaves)
+	p.tree = toc.New(testEngine(), p.dev, diffNodeBase, leaves, p.source)
 	p.ref = tocref.New(testEngine(), p.refDev, diffNodeBase, leaves)
 	for i := 0; i < 24; i++ {
 		p.hot = append(p.hot, uint64(p.rng.Int63n(int64(leaves))))
 	}
 	return p
+}
+
+// source is the tree's leaf source.
+func (p *diffPair) source(leaf uint64) [64]byte {
+	if p.tamper != nil && leaf == p.tamperLeaf {
+		return *p.tamper
+	}
+	return p.images[leaf]
 }
 
 func (p *diffPair) fatalf(format string, args ...any) {
@@ -65,26 +78,34 @@ func (p *diffPair) writtenLeaves() []uint64 {
 }
 
 // randNode picks an ancestor of a written leaf (or any node when nothing
-// is written yet).
+// is written yet); half the time one of the last written leaf, whose
+// MAC is likely still stale.
 func (p *diffPair) randNode() (int, uint64) {
 	level := 1 + p.rng.Intn(p.tree.Levels())
 	var leaf uint64
 	if ls := p.writtenLeaves(); len(ls) > 0 {
 		leaf = ls[p.rng.Intn(len(ls))]
+		if p.rng.Intn(2) == 0 {
+			leaf = p.last
+		}
 	}
 	return level, leaf >> (3 * uint(level))
 }
 
-// checkNVM compares every byte of the interior-node region. It never
-// refreshes anything: the device holds only what PersistNode wrote.
+// checkNVM compares every byte of both devices, page allocation
+// included. The snapshot observes the leaf-MAC region, so the tree
+// writes every stale leaf MAC back first; interior nodes are in NVM
+// only where PersistNode wrote them.
 func (p *diffPair) checkNVM() {
 	p.t.Helper()
-	n := p.tree.RegionBytes()
-	got, want := make([]byte, n), make([]byte, n)
-	p.dev.Read(diffNodeBase, got)
-	p.refDev.Read(diffNodeBase, want)
-	if !bytes.Equal(got, want) {
-		p.fatalf("NVM tree region differs from the eager reference")
+	got, want := p.dev.Snapshot(), p.refDev.Snapshot()
+	if len(got) != len(want) {
+		p.fatalf("%d NVM pages allocated, reference %d", len(got), len(want))
+	}
+	for id, pg := range want {
+		if g, ok := got[id]; !ok || !bytes.Equal(g[:], pg[:]) {
+			p.fatalf("NVM page %d differs from the eager reference", id)
+		}
 	}
 }
 
@@ -121,16 +142,20 @@ func (p *diffPair) write() {
 	var img [64]byte
 	p.rng.Read(img[:])
 	var u toc.Update
-	p.tree.Stage(&u, leaf, &img)
+	p.tree.Stage(&u, leaf)
+	p.setLeaf(leaf, img)
 	p.tree.Apply(&u)
 	if p.rng.Intn(10) == 0 {
 		p.tree.Apply(&u)
 	}
-	if want := p.ref.UpdateLeaf(leaf, &img); u.LeafMAC != want {
-		p.fatalf("leaf %d MAC %x, reference %x", leaf, u.LeafMAC, want)
-	}
+	p.ref.UpdateLeaf(leaf, &img)
+}
+
+// setLeaf gives the leaf source a new image of leaf.
+func (p *diffPair) setLeaf(leaf uint64, img [64]byte) {
 	p.images[leaf] = img
-	p.macs[leaf] = u.LeafMAC
+	p.live[leaf] = true
+	p.last = leaf
 }
 
 // crashReplay stages one leaf update in both trees, crashes with shadow
@@ -142,20 +167,18 @@ func (p *diffPair) crashReplay() {
 	var img [64]byte
 	p.rng.Read(img[:])
 	var u toc.Update
-	p.tree.Stage(&u, leaf, &img)
+	p.tree.Stage(&u, leaf)
 	s := p.ref.Prepare(leaf, &img)
-	if u.LeafMAC != s.LeafMAC {
-		p.fatalf("staged leaf %d MAC %x, reference %x", leaf, u.LeafMAC, s.LeafMAC)
-	}
 	p.crashRestore(&leaf)
+	p.setLeaf(leaf, img)
 	p.tree.Apply(&u)
 	p.ref.Install(s)
-	p.images[leaf] = img
-	p.macs[leaf] = u.LeafMAC
 }
 
-// verify runs the same check on both trees, with the right image or a
-// wrong one, and compares the outcome.
+// verify runs the same check on both trees and compares the outcome. A
+// leaf not written since the last crash is read from NVM, so now and
+// then its image is tampered with; and now and then an adversary
+// overwrites a leaf MAC in NVM, in both devices.
 func (p *diffPair) verify(full bool) {
 	ls := p.writtenLeaves()
 	if len(ls) == 0 {
@@ -163,16 +186,24 @@ func (p *diffPair) verify(full bool) {
 	}
 	leaf := ls[p.rng.Intn(len(ls))]
 	img := p.images[leaf]
-	if p.rng.Intn(4) == 0 {
+	switch r := p.rng.Intn(8); {
+	case r == 0 && !p.live[leaf]:
 		img[p.rng.Intn(64)] ^= 0x40
+		p.tamper, p.tamperLeaf = &img, leaf
+	case r == 1:
+		var junk [8]byte
+		p.rng.Read(junk[:])
+		p.dev.Write(p.tree.LeafMACAddr(leaf), junk[:])
+		p.refDev.Write(p.ref.LeafMACAddr(leaf), junk[:])
 	}
 	var err error
 	if full {
-		err = p.tree.VerifyLeafFull(leaf, &img, p.macs[leaf])
+		err = p.tree.VerifyLeafFull(leaf)
 	} else {
-		err = p.tree.VerifyLeaf(leaf, &img, p.macs[leaf])
+		err = p.tree.VerifyLeaf(leaf)
 	}
-	rerr := p.ref.Verify(leaf, &img, p.macs[leaf], !full)
+	p.tamper = nil
+	rerr := p.ref.Verify(leaf, &img, !full)
 	if (err == nil) != (rerr == nil) {
 		p.fatalf("verify(full=%v) leaf %d: err=%v, reference err=%v", full, leaf, err, rerr)
 	}
@@ -195,6 +226,7 @@ func (p *diffPair) crashRestore(staged *uint64) {
 	}
 	p.tree.DropVolatile()
 	p.ref.DropVolatile()
+	p.live = map[uint64]bool{}
 	// Anubis restores the whole shadow; a subset exercises the
 	// NVM-loaded path as well.
 	keep := len(shadow)
@@ -242,12 +274,14 @@ func (p *diffPair) restoreLive() {
 }
 
 // TestDifferentialAgainstEagerReference runs seeded random sequences of
-// writes (some applied twice), trusted and full verifies, persists and
-// crashes with shadow restore (some with a staged write replayed after
-// it) against the eager reference tree. NVM
-// bytes are compared after every operation; the refreshing observations
-// (dirty images, single nodes) only now and then, so stale nodes pile up
-// between them.
+// writes (some applied twice), trusted and full verifies (some of
+// tampered leaves), persists, crashes with shadow restore (some with a
+// staged write replayed after it) and live restores against the eager
+// reference tree. Each step is a burst of writes and one operation, so
+// the operation meets stale leaf MACs; every NVM byte, the leaf-MAC
+// region included, is compared after every step. The refreshing
+// observations (dirty images, single nodes) come only now and then, so
+// stale nodes pile up between them.
 func TestDifferentialAgainstEagerReference(t *testing.T) {
 	for _, c := range []struct {
 		seed   int64
@@ -257,8 +291,11 @@ func TestDifferentialAgainstEagerReference(t *testing.T) {
 	} {
 		p := newDiffPair(t, c.seed, c.leaves)
 		for p.step = 0; p.step < 1500; p.step++ {
+			for n := p.rng.Intn(4); n > 0; n-- {
+				p.write()
+			}
 			switch r := p.rng.Intn(100); {
-			case r < 60:
+			case r < 40:
 				p.write()
 			case r < 72:
 				p.verify(false)
@@ -292,21 +329,27 @@ func TestDifferentialAgainstEagerReference(t *testing.T) {
 }
 
 // Hashing happens where values are observed: a burst of writes computes
-// only leaf MACs, and persisting the tree then hashes each distinct path
-// node once, however many writes shared it.
+// no MAC, and persisting the tree then hashes each distinct path node
+// once, however many writes shared it; the leaf MACs wait for an
+// access to their NVM region.
 func TestWritesDeferNodeMACs(t *testing.T) {
 	tr := newTestTree(4096) // 4 interior levels
 	img := leafImg(1)
 	for i := uint64(0); i < 16; i++ {
 		update(tr, i, &img)
+		update(tr, i, &img)
 	}
-	if got := tr.MACOps(); got != 16 {
-		t.Fatalf("16 writes computed %d MACs, want 16 leaf MACs", got)
+	if got := tr.MACOps(); got != 0 {
+		t.Fatalf("32 writes computed %d MACs, want none", got)
 	}
 	tr.PersistAll()
 	// Leaves 0..15 have 2 level-1 parents and 1 ancestor on each level
 	// above: 2+1+1+1 node MACs.
-	if got := tr.MACOps(); got != 16+5 {
-		t.Fatalf("PersistAll brought the total to %d MACs, want %d", got, 16+5)
+	if got := tr.MACOps(); got != 5 {
+		t.Fatalf("PersistAll computed %d MACs, want %d", got, 5)
+	}
+	tr.dev.AllocatedPages()
+	if got := tr.MACOps(); got != 5+16 {
+		t.Fatalf("observing the device brought the total to %d MACs, want %d", got, 5+16)
 	}
 }

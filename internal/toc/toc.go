@@ -9,12 +9,14 @@
 // the timing model is lower than an eager Merkle tree.
 //
 // The simulated hardware recomputes every path MAC on every update; the
-// host computes a node MAC only where something reads it (DESIGN.md
-// §18). An update computes the leaf MAC and marks each path node stale;
-// persisting or imaging a stale node computes its MAC first, and a
-// verification walk accepts it, as its MAC is by construction what the
-// check computes. Every observable byte equals what the eager
-// recomputation produces.
+// host computes a MAC only where something reads it (DESIGN.md §18). An
+// update marks each path node stale and the leaf's MAC stale; persisting
+// or imaging a stale node computes its MAC first, and a verification
+// walk accepts it, as its MAC is by construction what the check
+// computes. Leaf MACs live in an NVM region the tree owns and writes
+// back: a stale leaf's MAC is hashed from the leaf image source the tree
+// was built with and written only when an access observes the region.
+// Every observable byte equals what the eager recomputation produces.
 //
 // For crash consistency a lazily-updated ToC cannot rely on an eager
 // persistent root alone (inter-level dependencies); Phoenix therefore
@@ -27,6 +29,7 @@ package toc
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"dolos/internal/crypt"
 	"dolos/internal/dense"
@@ -54,7 +57,15 @@ type Node struct {
 	// of its versions, or its parent's version for it, changed. A stale
 	// node is always dirty; the NVM image never carries the bit.
 	stale bool
+	// staleLeaves, on a level-1 node, has bit s set when leaf child s
+	// has a MAC newer than its copy in the leaf-MAC region: the MAC of
+	// the leaf source's image under Versions[s], not yet computed.
+	staleLeaves uint8
 }
+
+// LeafSource returns the current 64-byte image of a leaf: the counter
+// block the tree hashes when it writes a stale leaf MAC back.
+type LeafSource func(index uint64) [64]byte
 
 // Encode packs the node into its 64-byte NVM image.
 func (n *Node) Encode() [NodeSize]byte {
@@ -85,6 +96,7 @@ func DecodeNode(img [NodeSize]byte) Node {
 // lives in the volatile overlay until persisted.
 type Tree struct {
 	eng      crypt.Dispatch
+	leaf     LeafSource
 	dev      *nvm.Device
 	nodeBase uint64
 	leaves   uint64
@@ -98,19 +110,24 @@ type Tree struct {
 	dirty      []*dense.Table[bool]
 	dirtyCount int
 	rootVer    uint64 // persistent root version register
+	leafBase   uint64 // NVM address of the leaf-MAC region
 
 	macOps  uint64
 	updates uint64
 }
 
 // New creates a ToC over `leaves` leaf blocks with interior nodes stored
-// at nodeBase in dev.
-func New(eng crypt.Provider, dev *nvm.Device, nodeBase uint64, leaves uint64) *Tree {
+// at nodeBase in dev, followed by the leaf-MAC region (LeafMACAddr),
+// which the tree registers as dev's write-back region. The tree reads
+// leaf images from leaf when it writes a leaf MAC back; the leaf source
+// must change a leaf's image only together with Apply.
+func New(eng crypt.Provider, dev *nvm.Device, nodeBase uint64, leaves uint64, leaf LeafSource) *Tree {
 	if leaves == 0 {
 		panic("toc: zero leaves")
 	}
 	t := &Tree{
 		eng:      crypt.AsDispatch(eng),
+		leaf:     leaf,
 		dev:      dev,
 		nodeBase: nodeBase,
 		leaves:   leaves,
@@ -133,6 +150,8 @@ func New(eng crypt.Provider, dev *nvm.Device, nodeBase uint64, leaves uint64) *T
 		t.volatile[l] = dense.NewTable[*Node](t.counts[l])
 		t.dirty[l] = dense.NewTable[bool](t.counts[l])
 	}
+	t.leafBase = nodeBase + off
+	dev.SetWriteBack(t.leafBase, t.leafBase+leaves*crypt.MACSize, t.writeBack)
 	return t
 }
 
@@ -168,6 +187,12 @@ func (t *Tree) RegionBytes() uint64 {
 		total += t.counts[l] * NodeSize
 	}
 	return total
+}
+
+// LeafMACAddr returns the NVM home of leaf `index`'s MAC: the leaf-MAC
+// region follows the interior nodes.
+func (t *Tree) LeafMACAddr(index uint64) uint64 {
+	return t.leafBase + index*crypt.MACSize
 }
 
 // NodeNVMAddr returns the NVM home of node (level, index).
@@ -220,24 +245,23 @@ func (t *Tree) leafMAC(index uint64, image *[64]byte, version uint64) crypt.MAC 
 }
 
 // Update is one leaf update staged for the Ma-SU redo-log registers:
-// the leaf MAC and the absolute version arrays every path node takes, so
-// applying it twice (a redo replay) leaves the same state as once. Whole
-// arrays, not just the path slots: a replay after a crash overwrites any
-// tampering of a restored path node's other slots with the trusted
-// on-chip values, as installing whole node copies would.
+// the absolute version arrays every path node takes, so applying it
+// twice (a redo replay) leaves the same state as once. Whole arrays, not
+// just the path slots: a replay after a crash overwrites any tampering
+// of a restored path node's other slots with the trusted on-chip
+// values, as installing whole node copies would.
 type Update struct {
-	Leaf    uint64
-	LeafMAC crypt.MAC
+	Leaf uint64
 	// Versions[l-1] is the new version array of the path's level-l node.
 	Versions [MaxLevels][Arity]uint64
 	RootVer  uint64
 }
 
-// Stage computes, without installing, the update that writing image to
-// leaf `index` makes: every version on the path and the root version
-// advance by one, and the leaf MAC binds image to its new version. It
-// computes one MAC; the timing model charges Levels()+1, all parallel.
-func (t *Tree) Stage(u *Update, index uint64, image *[64]byte) {
+// Stage computes, without installing, the update that writing leaf
+// `index` makes: every version on the path and the root version advance
+// by one. It computes no MAC; the timing model charges Levels()+1, all
+// parallel.
+func (t *Tree) Stage(u *Update, index uint64) {
 	if index >= t.leaves {
 		panic(fmt.Sprintf("toc: leaf %d out of range", index))
 	}
@@ -250,15 +274,17 @@ func (t *Tree) Stage(u *Update, index uint64, image *[64]byte) {
 		child /= Arity
 	}
 	u.RootVer = t.rootVer + 1
-	u.LeafMAC = t.leafMAC(index, image, u.Versions[0][index%Arity])
 }
 
 // Apply installs a staged update: the path nodes' version arrays and the
-// root register take their new values, and every path node turns dirty
-// and stale. A stale node's MAC is computed when something reads it.
-// No other update may be applied between Stage and Apply (the Ma-SU
-// holds one staged op), so the arrays differ from the live ones off the
-// path only where a restore has changed them since.
+// root register take their new values, every path node turns dirty and
+// stale, and so does the leaf's MAC, which binds the leaf source's image
+// (already the new one) to its new version. A stale MAC is computed when
+// something reads it. No other update may be applied between Stage and
+// Apply (the Ma-SU holds one staged op), so the arrays differ from the
+// live ones off the path only where a restore has changed them since,
+// and a restore writes its node's stale leaf MACs back first: no stale
+// leaf MAC changes version here but the written leaf's.
 func (t *Tree) Apply(u *Update) {
 	t.updates++
 	child := u.Leaf
@@ -267,10 +293,14 @@ func (t *Tree) Apply(u *Update) {
 		n := t.node(level, idx)
 		n.Versions = u.Versions[level-1]
 		n.stale = true
+		if level == 1 {
+			n.staleLeaves |= 1 << (u.Leaf % Arity)
+		}
 		t.markDirty(level, idx)
 		child = idx
 	}
 	t.rootVer = u.RootVer
+	t.dev.MarkWriteBack()
 }
 
 // refresh computes a stale node's MAC from its versions and its parent's
@@ -283,23 +313,83 @@ func (t *Tree) refresh(level int, index uint64) {
 	}
 }
 
-// VerifyLeaf checks a leaf image and its stored MAC against the version
-// chain up to the root register. Dirty (on-chip) nodes short-circuit the
-// walk exactly as in the BMT.
-func (t *Tree) VerifyLeaf(index uint64, image *[64]byte, stored crypt.MAC) error {
-	return t.verify(index, image, stored, true)
+// writeLeaves writes back the MACs of the stale leaves of level-1 node n
+// (index idx) that mask selects. Each bit clears before its write, so
+// the write's own observation of the region finds nothing to flush.
+func (t *Tree) writeLeaves(n *Node, idx uint64, mask uint8) {
+	for m := n.staleLeaves & mask; m != 0; m &= m - 1 {
+		s := uint64(bits.TrailingZeros8(m))
+		n.staleLeaves &^= 1 << s
+		leaf := idx*Arity + s
+		img := t.leaf(leaf)
+		mac := t.leafMAC(leaf, &img, n.Versions[s])
+		t.dev.Write(t.LeafMACAddr(leaf), mac[:])
+	}
+}
+
+// writeBack is the device's flush for the leaf-MAC region: it writes
+// every stale leaf MAC that overlaps [lo, hi).
+func (t *Tree) writeBack(lo, hi uint64) {
+	first := (lo - t.leafBase) / crypt.MACSize
+	last := (hi - 1 - t.leafBase) / crypt.MACSize
+	if first == 0 && last == t.leaves-1 {
+		t.writeAllLeaves()
+		return
+	}
+	for idx := first / Arity; idx <= last/Arity; idx++ {
+		n := t.volatile[1].Get(idx)
+		if n == nil || n.staleLeaves == 0 {
+			continue
+		}
+		mask := uint8(0xFF)
+		if idx == first/Arity {
+			mask &= 0xFF << (first % Arity)
+		}
+		if idx == last/Arity {
+			mask &= 0xFF >> (Arity - 1 - last%Arity)
+		}
+		t.writeLeaves(n, idx, mask)
+	}
+}
+
+// writeAllLeaves writes back every stale leaf MAC.
+func (t *Tree) writeAllLeaves() {
+	if len(t.counts) == 1 {
+		return
+	}
+	t.volatile[1].Range(func(idx uint64, n **Node) bool {
+		if *n != nil && (*n).staleLeaves != 0 {
+			t.writeLeaves(*n, idx, 0xFF)
+		}
+		return true
+	})
+}
+
+// VerifyLeaf checks the leaf source's image of leaf `index` and its
+// stored MAC against the version chain up to the root register. Dirty
+// (on-chip) nodes short-circuit the walk exactly as in the BMT.
+func (t *Tree) VerifyLeaf(index uint64) error {
+	return t.verify(index, true)
 }
 
 // VerifyLeafFull is the recovery-time variant with no trusted-cache
 // short-circuit.
-func (t *Tree) VerifyLeafFull(index uint64, image *[64]byte, stored crypt.MAC) error {
-	return t.verify(index, image, stored, false)
+func (t *Tree) VerifyLeafFull(index uint64) error {
+	return t.verify(index, false)
 }
 
-func (t *Tree) verify(index uint64, image *[64]byte, stored crypt.MAC, trustCached bool) error {
-	ver := t.node(1, index/Arity).Versions[index%Arity]
-	if got := t.leafMAC(index, image, ver); got != stored {
-		return fmt.Errorf("toc: leaf %d MAC mismatch (version %d)", index, ver)
+func (t *Tree) verify(index uint64, trustCached bool) error {
+	// A stale leaf MAC passes by construction, as a stale node does: it
+	// is the MAC of the source's image under the live version, which is
+	// what the check would compute. It is hashed when something reads it.
+	if n := t.node(1, index/Arity); n.staleLeaves&(1<<(index%Arity)) == 0 {
+		var stored crypt.MAC
+		t.dev.Read(t.LeafMACAddr(index), stored[:])
+		ver := n.Versions[index%Arity]
+		img := t.leaf(index)
+		if got := t.leafMAC(index, &img, ver); got != stored {
+			return fmt.Errorf("toc: leaf %d MAC mismatch (version %d)", index, ver)
+		}
 	}
 	if trustCached && t.dirty[1].Get(index/Arity) {
 		return nil
@@ -375,13 +465,16 @@ func (t *Tree) NodeImage(level int, index uint64) [NodeSize]byte {
 
 // RestoreNode installs a node image (shadow replay during recovery). The
 // image carries its own MAC, so the node is no longer stale. Its stale
-// children are refreshed first: their MACs bind the versions the
-// restore replaces.
+// children are refreshed first, and on level 1 its stale leaf MACs are
+// written back first: their MACs bind the versions the restore
+// replaces.
 func (t *Tree) RestoreNode(level int, index uint64, img [NodeSize]byte) {
 	if level > 1 {
 		for c := index * Arity; c < (index+1)*Arity && c < t.counts[level-1]; c++ {
 			t.refresh(level-1, c)
 		}
+	} else if n := t.volatile[1].Get(index); n != nil {
+		t.writeLeaves(n, index, 0xFF)
 	}
 	slot := t.volatile[level].Ptr(index)
 	if *slot == nil {
@@ -391,8 +484,10 @@ func (t *Tree) RestoreNode(level int, index uint64, img [NodeSize]byte) {
 	t.markDirty(level, index)
 }
 
-// DropVolatile models power failure.
+// DropVolatile models power failure. Stale leaf MACs are written back
+// first: eager hashing put them in NVM on every write.
 func (t *Tree) DropVolatile() {
+	t.writeAllLeaves()
 	for l := 1; l < len(t.counts); l++ {
 		t.volatile[l].Reset()
 		t.dirty[l].Reset()

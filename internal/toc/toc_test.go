@@ -7,10 +7,22 @@ import (
 	"dolos/internal/crypt"
 	"dolos/internal/nvm"
 	"dolos/internal/toc"
+	"dolos/internal/toc/tocref"
 )
 
-func newTestTree(leaves uint64) *toc.Tree {
-	return toc.New(testEngine(), nvm.NewDevice(nil, 1<<30, 0), 1<<24, leaves)
+// testTree is a tree with its device and leaf source: a map of leaf
+// images that update keeps in step with Apply, as the counter store
+// does.
+type testTree struct {
+	*toc.Tree
+	dev    *nvm.Device
+	images map[uint64][64]byte
+}
+
+func newTestTree(leaves uint64) *testTree {
+	tt := &testTree{dev: nvm.NewDevice(nil, 1<<30, 0), images: map[uint64][64]byte{}}
+	tt.Tree = toc.New(testEngine(), tt.dev, 1<<24, leaves, func(i uint64) [64]byte { return tt.images[i] })
+	return tt
 }
 
 func testEngine() *crypt.Engine {
@@ -27,12 +39,26 @@ func leafImg(seed byte) [64]byte {
 	return img
 }
 
-// update stages and applies one leaf write, returning its leaf MAC.
-func update(tr *toc.Tree, index uint64, img *[64]byte) crypt.MAC {
+// update stages and applies one leaf write.
+func update(tr *testTree, index uint64, img *[64]byte) {
 	var u toc.Update
-	tr.Stage(&u, index, img)
+	tr.Stage(&u, index)
+	tr.images[index] = *img
 	tr.Apply(&u)
-	return u.LeafMAC
+}
+
+// storedMAC reads leaf `index`'s MAC from the leaf-MAC region.
+func (tt *testTree) storedMAC(index uint64) crypt.MAC {
+	var m crypt.MAC
+	tt.dev.Read(tt.LeafMACAddr(index), m[:])
+	return m
+}
+
+// crash persists the tree and drops its overlay, leaving NVM, the leaf
+// source and the root version consistent.
+func (tt *testTree) crash() {
+	tt.PersistAll()
+	tt.DropVolatile()
 }
 
 func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
@@ -54,7 +80,7 @@ func TestUpdateAdvancesAllVersions(t *testing.T) {
 	img := leafImg(1)
 	update(tr, 100, &img)
 	var u toc.Update
-	tr.Stage(&u, 100, &img)
+	tr.Stage(&u, 100)
 	if u.RootVer != tr.RootVersion()+1 {
 		t.Fatalf("staged root version %d, want %d", u.RootVer, tr.RootVersion()+1)
 	}
@@ -78,12 +104,16 @@ func TestUpdateAdvancesAllVersions(t *testing.T) {
 func TestVerifyAfterUpdate(t *testing.T) {
 	tr := newTestTree(512)
 	img := leafImg(2)
-	mac := update(tr, 7, &img)
-	if err := tr.VerifyLeaf(7, &img, mac); err != nil {
+	update(tr, 7, &img)
+	if err := tr.VerifyLeaf(7); err != nil {
 		t.Fatalf("verify failed: %v", err)
 	}
-	bad := leafImg(3)
-	if err := tr.VerifyLeaf(7, &bad, mac); err == nil {
+	tr.crash()
+	if err := tr.VerifyLeaf(7); err != nil {
+		t.Fatalf("verify after a clean crash failed: %v", err)
+	}
+	tr.images[7] = leafImg(3) // tampered NVM counter block
+	if err := tr.VerifyLeaf(7); err == nil {
 		t.Fatal("tampered image accepted")
 	}
 }
@@ -91,11 +121,15 @@ func TestVerifyAfterUpdate(t *testing.T) {
 func TestReplayOldMACDetected(t *testing.T) {
 	tr := newTestTree(512)
 	img1 := leafImg(1)
-	mac1 := update(tr, 7, &img1)
+	update(tr, 7, &img1)
+	mac1 := tr.storedMAC(7)
 	img2 := leafImg(2)
 	update(tr, 7, &img2)
+	tr.crash()
 	// Replaying the old image + old MAC must fail: the version moved.
-	if err := tr.VerifyLeaf(7, &img1, mac1); err == nil {
+	tr.images[7] = img1
+	tr.dev.Write(tr.LeafMACAddr(7), mac1[:])
+	if err := tr.VerifyLeaf(7); err == nil {
 		t.Fatal("replay of old image+MAC accepted")
 	}
 }
@@ -103,11 +137,10 @@ func TestReplayOldMACDetected(t *testing.T) {
 func TestVersionChainToRoot(t *testing.T) {
 	tr := newTestTree(512)
 	img := leafImg(4)
-	mac := update(tr, 0, &img)
-	tr.PersistAll()
+	update(tr, 0, &img)
 	// Clear the dirty set so verification walks the full chain.
-	tr.DropVolatile()
-	if err := tr.VerifyLeafFull(0, &img, mac); err != nil {
+	tr.crash()
+	if err := tr.VerifyLeafFull(0); err != nil {
 		t.Fatalf("full verify after persist failed: %v", err)
 	}
 }
@@ -118,9 +151,9 @@ func TestCrashWithoutShadowFails(t *testing.T) {
 	update(tr, 3, &img1)
 	tr.PersistAll()
 	img2 := leafImg(2)
-	mac2 := update(tr, 3, &img2) // not persisted
+	update(tr, 3, &img2) // not persisted
 	tr.DropVolatile()
-	if err := tr.VerifyLeafFull(3, &img2, mac2); err == nil {
+	if err := tr.VerifyLeafFull(3); err == nil {
 		t.Fatal("stale NVM ToC accepted against advanced root version")
 	}
 }
@@ -131,7 +164,7 @@ func TestShadowRestoreRecovers(t *testing.T) {
 	update(tr, 3, &img1)
 	tr.PersistAll()
 	img2 := leafImg(2)
-	mac2 := update(tr, 3, &img2)
+	update(tr, 3, &img2)
 
 	type saved struct {
 		level int
@@ -146,7 +179,7 @@ func TestShadowRestoreRecovers(t *testing.T) {
 	for _, s := range shadow {
 		tr.RestoreNode(s.level, s.index, s.img)
 	}
-	if err := tr.VerifyLeafFull(3, &img2, mac2); err != nil {
+	if err := tr.VerifyLeafFull(3); err != nil {
 		t.Fatalf("shadow-recovered ToC rejected current image: %v", err)
 	}
 }
@@ -156,13 +189,13 @@ func TestShadowRestoreRecovers(t *testing.T) {
 func TestTamperedRestoreDetected(t *testing.T) {
 	tr := newTestTree(512)
 	img := leafImg(1)
-	mac := update(tr, 3, &img)
+	update(tr, 3, &img)
 	shadow := tr.NodeImage(2, 0)
 	update(tr, 3, &img) // node (2, 0) stale again
 	tr.DropVolatile()
 	shadow[0] ^= 0xFF
 	tr.RestoreNode(2, 0, shadow)
-	if err := tr.VerifyLeafFull(3, &img, mac); err == nil {
+	if err := tr.VerifyLeafFull(3); err == nil {
 		t.Fatal("tampered shadow image accepted")
 	}
 }
@@ -170,17 +203,56 @@ func TestTamperedRestoreDetected(t *testing.T) {
 func TestIndependentLeaves(t *testing.T) {
 	tr := newTestTree(512)
 	a, b := leafImg(1), leafImg(2)
-	macA := update(tr, 10, &a)
-	macB := update(tr, 400, &b)
-	if err := tr.VerifyLeaf(10, &a, macA); err != nil {
+	update(tr, 10, &a)
+	update(tr, 400, &b)
+	if err := tr.VerifyLeaf(10); err != nil {
 		t.Fatalf("leaf 10: %v", err)
 	}
-	if err := tr.VerifyLeaf(400, &b, macB); err != nil {
+	if err := tr.VerifyLeaf(400); err != nil {
 		t.Fatalf("leaf 400: %v", err)
 	}
-	// Swapping images across leaves must fail (relocation).
-	if err := tr.VerifyLeaf(10, &b, macB); err == nil {
+	// Moving leaf 400's image and MAC to leaf 10 must fail (relocation).
+	tr.crash()
+	macB := tr.storedMAC(400)
+	tr.images[10] = b
+	tr.dev.Write(tr.LeafMACAddr(10), macB[:])
+	if err := tr.VerifyLeaf(10); err == nil {
 		t.Fatal("relocated leaf accepted")
+	}
+}
+
+// A write computes no MAC. The leaf-MAC region is written back: reading
+// a stale leaf's MAC hashes that leaf alone, a snapshot writes every
+// stale leaf, and each equals the eager reference's.
+func TestLeafMACsWrittenBackWhenObserved(t *testing.T) {
+	tr := newTestTree(512)
+	refDev := nvm.NewDevice(nil, 1<<30, 0)
+	ref := tocref.New(testEngine(), refDev, 1<<24, 512)
+	leaves := []uint64{5, 6, 200}
+	for _, i := range leaves {
+		img := leafImg(byte(i))
+		update(tr, i, &img)
+		ref.UpdateLeaf(i, &img)
+	}
+	if n := tr.MACOps(); n != 0 {
+		t.Fatalf("three writes computed %d MACs, want none", n)
+	}
+	var want crypt.MAC
+	refDev.Read(ref.LeafMACAddr(6), want[:])
+	if got := tr.storedMAC(6); got != want || tr.MACOps() != 1 {
+		t.Fatalf("reading leaf 6's MAC: %x after %d MACs, want %x after 1", got, tr.MACOps(), want)
+	}
+	snap, refSnap := tr.dev.Snapshot(), refDev.Snapshot()
+	if tr.MACOps() != 3 {
+		t.Fatalf("snapshot brought the total to %d MACs, want 3", tr.MACOps())
+	}
+	for _, i := range leaves {
+		a := tr.LeafMACAddr(i)
+		pg, pgRef := snap[a/nvm.PageSize], refSnap[a/nvm.PageSize]
+		off := a % nvm.PageSize
+		if got, want := pg[off:off+crypt.MACSize], pgRef[off:off+crypt.MACSize]; string(got) != string(want) {
+			t.Fatalf("snapshot holds leaf %d MAC %x, reference %x", i, got, want)
+		}
 	}
 }
 
@@ -197,11 +269,17 @@ func TestRegionAndAddrs(t *testing.T) {
 func TestManyUpdatesProperty(t *testing.T) {
 	tr := newTestTree(256)
 	f := func(idx uint8, img [64]byte) bool {
-		mac := update(tr, uint64(idx), &img)
-		return tr.VerifyLeaf(uint64(idx), &img, mac) == nil
+		update(tr, uint64(idx), &img)
+		return tr.VerifyLeaf(uint64(idx)) == nil && tr.VerifyLeafFull(uint64(idx)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+	tr.crash()
+	for i := uint64(0); i < 256; i++ {
+		if err := tr.VerifyLeafFull(i); err != nil && tr.images[i] != ([64]byte{}) {
+			t.Fatalf("leaf %d after a clean crash: %v", i, err)
+		}
 	}
 }
 
@@ -212,7 +290,11 @@ func TestAccessors(t *testing.T) {
 	}
 	img := leafImg(1)
 	update(tr, 0, &img)
-	if tr.Updates() != 1 || tr.MACOps() == 0 {
+	if tr.Updates() != 1 || tr.MACOps() != 0 {
 		t.Fatal("counters wrong")
+	}
+	tr.PersistAll()
+	if tr.MACOps() != uint64(tr.Levels()) {
+		t.Fatalf("PersistAll computed %d MACs, want one per path node", tr.MACOps())
 	}
 }

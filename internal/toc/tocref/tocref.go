@@ -8,6 +8,8 @@
 // operations must agree on every root version, node image, dirty set and
 // persisted byte.
 //
+// Leaf MACs go to toc's leaf-MAC region, written on every update.
+//
 // It exists only for tests; nothing in the simulator imports it.
 package tocref
 
@@ -34,9 +36,10 @@ type Tree struct {
 	counts   []uint64
 	offsets  []uint64
 
-	nodes   map[key]*toc.Node
-	dirty   map[key]bool
-	rootVer uint64
+	nodes    map[key]*toc.Node
+	dirty    map[key]bool
+	rootVer  uint64
+	leafBase uint64
 }
 
 // New builds a reference tree with toc.New's geometry.
@@ -54,7 +57,13 @@ func New(eng crypt.Provider, dev *nvm.Device, nodeBase, leaves uint64) *Tree {
 		t.offsets[l] = off
 		off += t.counts[l] * toc.NodeSize
 	}
+	t.leafBase = nodeBase + off
 	return t
+}
+
+// LeafMACAddr returns the NVM home of leaf `index`'s MAC.
+func (t *Tree) LeafMACAddr(index uint64) uint64 {
+	return t.leafBase + index*crypt.MACSize
 }
 
 // Levels returns the number of interior levels.
@@ -144,9 +153,11 @@ func (t *Tree) Prepare(index uint64, image *[64]byte) Staged {
 	return s
 }
 
-// Install replaces every path node with its staged copy and sets the
-// root version. Installing twice leaves the same state as once.
+// Install replaces every path node with its staged copy, writes the
+// leaf MAC and sets the root version. Installing twice leaves the same
+// state as once.
 func (t *Tree) Install(s Staged) {
+	t.dev.Write(t.LeafMACAddr(s.Leaf), s.LeafMAC[:])
 	child := s.Leaf
 	for level := 1; level < len(t.counts); level++ {
 		child /= toc.Arity
@@ -168,7 +179,9 @@ func (t *Tree) UpdateLeaf(index uint64, image *[64]byte) crypt.MAC {
 
 // Verify checks a leaf image and its stored MAC along the version chain,
 // stopping at the first dirty node when trustCached.
-func (t *Tree) Verify(index uint64, image *[64]byte, stored crypt.MAC, trustCached bool) error {
+func (t *Tree) Verify(index uint64, image *[64]byte, trustCached bool) error {
+	var stored crypt.MAC
+	t.dev.Read(t.LeafMACAddr(index), stored[:])
 	if t.leafMAC(index, image) != stored {
 		return fmt.Errorf("tocref: leaf %d MAC mismatch", index)
 	}
