@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-json bench-delta fuzz-smoke mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke clean
 
 all: build test
 
@@ -54,12 +54,31 @@ bench-gen:
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchmem -benchtime 20x -count 5 ./internal/whisper
 
 # Ma-SU layer at the same fixed sizes: ProcessWrite on the eager BMT
-# and the lazy ToC, a verified ReadLine, and the checkpoint load of one
-# ycsb-read-lazy cell (BenchmarkLoadCheckpoint). Fixed iterations and
-# five repeats, so a change reports the median and quartiles of each.
+# and the lazy ToC, a verified ReadLine, a crash with Anubis and with
+# Osiris recovery, the audit of a written image (BenchmarkAudit) and the
+# checkpoint load of one ycsb-read-lazy cell (BenchmarkLoadCheckpoint).
+# A write's data-line MAC and ECC are computed where they are observed,
+# so the crash and the audit are where that work now lands. Fixed
+# iterations and five repeats, so a change reports the median and
+# quartiles of each.
 bench-masu:
 	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine' -benchmem -benchtime 200000x -count 5 ./internal/masu
+	$(GO) test -run '^$$' -bench 'AnubisRecovery|OsirisRecovery|Audit' -benchmem -benchtime 200x -count 5 ./internal/masu
 	$(GO) test -run '^$$' -bench 'LoadCheckpoint' -benchmem -benchtime 20x -count 5 ./internal/masu
+
+# Every native fuzz target of the root module (func Fuzz* in a
+# _test.go file) for a bounded time each. go test -fuzz takes one target
+# per invocation, so this loops over them; a failure stops the loop and
+# leaves the crashing input under the package's testdata/fuzz. Runs in
+# CI.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir='.*' --exclude-dir=benchmark '^func Fuzz' .); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$t in $$(dirname $$f) for $(FUZZTIME)"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./$$(dirname $$f); \
+		done; \
+	done
 
 # The whole CI run: .github/workflows/ci.yml runs exactly this target.
 # The tree must be gofmt-clean (`gofmt -l .` lists nothing).
@@ -79,7 +98,7 @@ ci:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchtime 1x ./internal/whisper
-	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine|LoadCheckpoint' -benchtime 1x ./internal/masu
+	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine|Recovery|Audit|LoadCheckpoint' -benchtime 1x ./internal/masu
 	$(GO) build -o /tmp/dolos-bench-ci ./cmd/dolos-bench
 	timeout 300 /tmp/dolos-bench-ci -exp all -txns 50 > /dev/null
 	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -txns 200 -o /tmp/dolos-grid-ci.json -compare BENCH_pr13.json
@@ -88,6 +107,7 @@ ci:
 	$(MAKE) scheme-smoke
 	$(MAKE) load-smoke
 	$(MAKE) chaos-smoke
+	$(MAKE) fuzz-smoke
 
 # Multi-core determinism smoke under the race detector: a Cores>1 grid
 # run serially and at executor parallelism 4 must produce byte-identical

@@ -56,6 +56,7 @@ type Tree struct {
 	eng      crypt.Dispatch
 	leaf     LeafSource
 	dev      *nvm.Device
+	wb       *nvm.WriteBack // the node region, written back when observed
 	nodeBase uint64
 	leaves   uint64
 	counts   []uint64 // counts[l] = number of nodes at level l (counts[0] = leaves)
@@ -130,7 +131,7 @@ func New(eng crypt.Provider, dev *nvm.Device, nodeBase uint64, leaves uint64, le
 		t.volatile[l] = dense.NewTable[*[NodeSize]byte](t.counts[l])
 		t.state[l] = dense.NewTable[nodeState](t.counts[l])
 	}
-	dev.SetWriteBack(nodeBase, nodeBase+off, t.writeBack)
+	t.wb = dev.SetWriteBack(nodeBase, nodeBase+off, t.writeBack)
 	return t
 }
 
@@ -249,7 +250,7 @@ func (t *Tree) UpdateLeaf(index uint64, through int) int {
 	}
 	if through > 0 {
 		t.owedDepth = through
-		t.dev.MarkWriteBack()
+		t.wb.Mark()
 	}
 	t.updates++
 	t.rootSet, t.rootStale = true, true

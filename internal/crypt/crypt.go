@@ -37,7 +37,8 @@ const MACSize = 8
 type Pad [BlockSize]byte
 
 // Provider is the crypto seam between the security units and the
-// primitive implementations. Two implementations exist:
+// primitive implementations. Two implementations exist (and Counting,
+// which wraps either to count its hashes):
 //
 //   - *Engine — the functional provider: real AES-CTR pads, real
 //     truncated-SHA-256 MACs. Crash, recovery and attack experiments

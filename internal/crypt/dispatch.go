@@ -13,18 +13,52 @@ package crypt
 type Dispatch struct {
 	f *Engine
 	x *FastEngine
+	n *Counting // non-nil when the hashes are counted
 }
 
 // AsDispatch wraps a Provider for devirtualized use. Only the two
-// in-package engines implement the seam; any other type panics.
+// in-package engines implement the seam, optionally wrapped in a
+// Counting; any other type panics.
 func AsDispatch(p Provider) Dispatch {
 	switch e := p.(type) {
 	case *Engine:
 		return Dispatch{f: e}
 	case *FastEngine:
 		return Dispatch{x: e}
+	case *Counting:
+		d := AsDispatch(e.Provider)
+		d.n = e
+		return d
 	}
 	panic("crypt: unsupported Provider implementation")
+}
+
+// Counting is a Provider that counts the hashes computed through it —
+// line MACs, node MACs and ECC words — and delegates every primitive
+// to the engine it wraps (*Engine or *FastEngine). Tests use it to pin
+// where the host hashes; a unit built over it counts through its
+// Dispatch as well.
+type Counting struct {
+	Provider
+	LineMACs, NodeMACs, ECCs uint64
+}
+
+// LineMAC counts and computes the MAC over (ciphertext, address, counter).
+func (c *Counting) LineMAC(ct *[BlockSize]byte, addr, counter uint64) MAC {
+	c.LineMACs++
+	return c.Provider.LineMAC(ct, addr, counter)
+}
+
+// NodeMAC counts and computes the MAC over a node payload plus position.
+func (c *Counting) NodeMAC(payload []byte, position uint64) MAC {
+	c.NodeMACs++
+	return c.Provider.NodeMAC(payload, position)
+}
+
+// LineECC counts and computes the Osiris check over a plaintext line.
+func (c *Counting) LineECC(plain *[BlockSize]byte) uint32 {
+	c.ECCs++
+	return c.Provider.LineECC(plain)
 }
 
 // Functional reports whether the wrapped provider is the real one.
@@ -83,6 +117,9 @@ func (d Dispatch) DecryptLineTo(dst, src *[BlockSize]byte, iv IV) {
 
 // LineMAC computes the MAC over (ciphertext, address, counter).
 func (d Dispatch) LineMAC(ct *[BlockSize]byte, addr, counter uint64) MAC {
+	if d.n != nil {
+		d.n.LineMACs++
+	}
 	if d.f != nil {
 		return d.f.LineMAC(ct, addr, counter)
 	}
@@ -91,6 +128,9 @@ func (d Dispatch) LineMAC(ct *[BlockSize]byte, addr, counter uint64) MAC {
 
 // NodeMAC computes the MAC over a node payload plus position.
 func (d Dispatch) NodeMAC(payload []byte, position uint64) MAC {
+	if d.n != nil {
+		d.n.NodeMACs++
+	}
 	if d.f != nil {
 		return d.f.NodeMAC(payload, position)
 	}
@@ -99,6 +139,9 @@ func (d Dispatch) NodeMAC(payload []byte, position uint64) MAC {
 
 // LineECC computes the Osiris check over a plaintext line.
 func (d Dispatch) LineECC(plain *[BlockSize]byte) uint32 {
+	if d.n != nil {
+		d.n.ECCs++
+	}
 	if d.f != nil {
 		return d.f.LineECC(plain)
 	}

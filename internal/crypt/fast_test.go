@@ -124,6 +124,7 @@ func TestDispatchAllocFree(t *testing.T) {
 	}{
 		{"functional", AsDispatch(NewEngine(aes, mac))},
 		{"fast", AsDispatch(NewFastEngine())},
+		{"counting", AsDispatch(&Counting{Provider: NewEngine(aes, mac)})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.d
@@ -143,5 +144,35 @@ func TestDispatchAllocFree(t *testing.T) {
 			}
 			_ = sink
 		})
+	}
+}
+
+// A Counting provider computes the wrapped engine's values and counts
+// each hash once, whether called directly or through a Dispatch.
+func TestCountingCountsHashes(t *testing.T) {
+	var aes, mac [16]byte
+	copy(aes[:], "counting-aes-k16")
+	copy(mac[:], "counting-mac-k16")
+	e := NewEngine(aes, mac)
+	c := &Counting{Provider: e}
+	d := AsDispatch(c)
+	var line [BlockSize]byte
+	line[3] = 7
+	payload := []byte("node payload")
+	if c.LineMAC(&line, 0x40, 2) != e.LineMAC(&line, 0x40, 2) || d.LineMAC(&line, 0x40, 2) != e.LineMAC(&line, 0x40, 2) {
+		t.Fatal("LineMAC differs from the wrapped engine's")
+	}
+	if c.NodeMAC(payload, 5) != e.NodeMAC(payload, 5) || d.NodeMAC(payload, 5) != e.NodeMAC(payload, 5) {
+		t.Fatal("NodeMAC differs from the wrapped engine's")
+	}
+	if c.LineECC(&line) != e.LineECC(&line) || d.LineECC(&line) != e.LineECC(&line) {
+		t.Fatal("LineECC differs from the wrapped engine's")
+	}
+	d.EncryptLineTo(&line, &line, MakeIV(1, 2, 3))
+	if c.LineMACs != 2 || c.NodeMACs != 2 || c.ECCs != 2 {
+		t.Fatalf("counted %d line MACs, %d node MACs, %d ECCs; want 2 of each", c.LineMACs, c.NodeMACs, c.ECCs)
+	}
+	if !d.Functional() || AsDispatch(&Counting{Provider: NewFastEngine()}).Functional() {
+		t.Fatal("Counting does not report its engine's Functional")
 	}
 }

@@ -87,21 +87,22 @@ func (t *Table[V]) Reset() {
 // materializing a *new* chunk during iteration is also safe (the
 // directory is fixed-size) and the new chunk is visited if its index
 // is still ahead of the cursor.
-func (t *Table[V]) Range(f func(i uint64, v *V) bool) {
-	for ci := range t.chunks {
-		c := t.chunks[ci]
-		if c == nil {
-			continue
-		}
-		base := uint64(ci) << chunkShift
-		for j := range c {
-			i := base + uint64(j)
-			if i >= t.n {
-				return
+func (t *Table[V]) Range(f func(i uint64, v *V) bool) { t.RangeIn(0, t.n, f) }
+
+// RangeIn is Range over the indices [lo, hi) only: it skips the chunks
+// that were never written without visiting their slots.
+func (t *Table[V]) RangeIn(lo, hi uint64, f func(i uint64, v *V) bool) {
+	hi = min(hi, t.n)
+	for i := lo; i < hi; {
+		ci := i >> chunkShift
+		end := min((ci+1)<<chunkShift, hi)
+		if c := t.chunks[ci]; c != nil {
+			for ; i < end; i++ {
+				if !f(i, &c[i&chunkMask]) {
+					return
+				}
 			}
-			if !f(i, &c[j]) {
-				return
-			}
 		}
+		i = end
 	}
 }

@@ -121,3 +121,30 @@ func TestPartialTailChunk(t *testing.T) {
 		t.Fatalf("tail chunk visited %d slots, want 10", count)
 	}
 }
+
+func TestRangeIn(t *testing.T) {
+	tb := NewTable[uint64](chunkLen * 8)
+	for _, i := range []uint64{3, chunkLen - 1, chunkLen + 1, 4 * chunkLen, 7*chunkLen + 5} {
+		tb.Set(i, i+1)
+	}
+	var got []uint64
+	visits := 0
+	tb.RangeIn(chunkLen-1, 4*chunkLen+1, func(i uint64, v *uint64) bool {
+		visits++
+		if i < chunkLen-1 || i >= 4*chunkLen+1 {
+			t.Fatalf("RangeIn visited %d outside [%d, %d)", i, chunkLen-1, 4*chunkLen+1)
+		}
+		if *v != 0 {
+			got = append(got, i)
+		}
+		return true
+	})
+	if want := []uint64{chunkLen - 1, chunkLen + 1, 4 * chunkLen}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("RangeIn found %v, want %v", got, want)
+	}
+	// Chunks 2 and 3 were never written: only chunk 0's last slot, all
+	// of chunk 1 and chunk 4's first slot are visited.
+	if visits != 1+chunkLen+1 {
+		t.Fatalf("RangeIn visited %d slots, want %d", visits, 1+chunkLen+1)
+	}
+}

@@ -11,10 +11,11 @@
 // metadata block so recovery can restore the caches to a state
 // consistent with the eagerly updated root. Counters are additionally
 // recoverable via Osiris ECC probing (the slow path). Tree MACs, leaf
-// MACs included, BMT and ToC alike, are computed where they are
-// observed (DESIGN.md §18), so a write computes none; CrashVolatile is
-// one such point, filling the shadow images (and the BMT redo record's
-// temp root) from the live counter blocks and the refreshed tree.
+// MACs included, BMT and ToC alike, and each data line's MAC and ECC
+// word are computed where they are observed (DESIGN.md §18), so a write
+// computes none; CrashVolatile is one such point, filling the data
+// lines' MACs and ECC, the shadow images (and the BMT redo record's temp
+// root) from the live counter blocks and the refreshed tree.
 package masu
 
 import (
@@ -107,14 +108,14 @@ func (c *Cost) Add(o Cost) {
 }
 
 // Op is a prepared write held in the redo-log registers (Figure 11
-// step 2 output). Ready becomes true once fully staged.
+// step 2 output). Ready becomes true once fully staged. The line's MAC
+// and ECC word are not staged: ApplyWrite leaves them pending, and they
+// are computed from the NVM ciphertext where observed.
 type Op struct {
 	Addr     uint64
 	Plain    [64]byte
 	Cipher   [64]byte
-	MAC      crypt.MAC
 	Counter  uint64
-	ECC      uint32
 	Overflow bool
 
 	// LeafIndex and LeafBlock are the counter block this write updates
@@ -191,16 +192,22 @@ type Unit struct {
 	shadow      *dense.Table[shadowEntry]
 	shadowCount int
 
-	// written tracks lines that have ever been written (the recovery
-	// scan set; in hardware this is a memory scan), indexed by line
-	// within the data region; writtenCount counts set bits.
-	written      *dense.Table[bool]
+	// written holds each line's state bits, indexed by line within the
+	// data region: lineWritten for lines that have ever been written
+	// (the recovery scan set; in hardware this is a memory scan), and
+	// the pending bits of a MAC or ECC word owed to NVM (fillLine).
+	// writtenCount counts written lines.
+	written      *dense.Table[uint8]
 	writtenCount int
 	// lineCounter records the counter each line's current NVM ciphertext
 	// was produced with. Normally equal to the counter store's value; it
 	// diverges only transiently during post-overflow page re-encryption,
 	// where hardware reads the pre-reset counters from the old block.
 	lineCounter *dense.Table[uint64]
+	// macWB and eccWB are the data-MAC and ECC regions, written back
+	// when observed; dataWB guards the data region, so a foreign write
+	// to a line with a pending MAC or ECC fills them first.
+	macWB, eccWB, dataWB *nvm.WriteBack
 
 	redo redoLog
 
@@ -265,7 +272,7 @@ func NewWithParams(kind TreeKind, eng crypt.Provider, dev *nvm.Device, lay layou
 		mtCache:      cache.New("mt-cache", mtBytes, MTCacheWays, MetaLineSize),
 		nodeByAddr:   dense.NewTable[uint64]((lay.MACBase - lay.TreeBase) / 64),
 		shadow:       dense.NewTable[shadowEntry]((lay.MACBase - lay.CounterBase) / 64),
-		written:      dense.NewTable[bool](lay.DataSpan / 64),
+		written:      dense.NewTable[uint8](lay.DataSpan / 64),
 		lineCounter:  dense.NewTable[uint64](lay.DataSpan / 64),
 	}
 	switch kind {
@@ -274,6 +281,16 @@ func NewWithParams(kind TreeKind, eng crypt.Provider, dev *nvm.Device, lay layou
 	case ToCLazy:
 		u.tocTree = toc.New(eng, dev, lay.TreeBase, lay.Leaves(), u.counters.ImageByIndex)
 	}
+	end := lay.DataBase + lay.DataSpan
+	u.macWB = dev.SetWriteBack(lay.MACBase, lay.LineMACAddr(end), func(lo, hi uint64) {
+		u.fillLines((lo-lay.MACBase)/crypt.MACSize, (hi-lay.MACBase+crypt.MACSize-1)/crypt.MACSize)
+	})
+	u.eccWB = dev.SetWriteBack(lay.ECCBase, lay.ECCAddr(end), func(lo, hi uint64) {
+		u.fillLines((lo-lay.ECCBase)/eccSize, (hi-lay.ECCBase+eccSize-1)/eccSize)
+	})
+	u.dataWB = dev.SetWriteGuard(lay.DataBase, end, func(lo, hi uint64) {
+		u.fillLines(u.lineIdx(lo), u.lineIdx(hi+63))
+	})
 	return u
 }
 
@@ -434,10 +451,10 @@ func (u *Unit) shadowWrite(nvmAddr uint64, cost *Cost) {
 }
 
 // PrepareWrite performs Figure 11 step 2 for a write to addr: it computes
-// the ciphertext, MAC, ECC, counter block and, for the ToC, the path
-// versions, stages everything in the redo-log registers and sets the
-// ready bit. It computes no tree MAC. No architectural state changes
-// yet.
+// the ciphertext, the counter block and, for the ToC, the path versions,
+// stages everything in the redo-log registers and sets the ready bit. It
+// computes no MAC and no ECC: the line's are filled where observed, the
+// tree's likewise (DESIGN.md §18). No architectural state changes yet.
 func (u *Unit) PrepareWrite(addr uint64, plain [64]byte, wpqSlot int) (*Op, Cost) {
 	if !u.lay.ValidData(addr) {
 		panic(fmt.Sprintf("masu: write outside data region: %#x", addr))
@@ -458,13 +475,10 @@ func (u *Unit) PrepareWrite(addr uint64, plain [64]byte, wpqSlot int) (*Op, Cost
 	op.Plain = plain
 	op.Counter = prev.Counter
 	op.Overflow = prev.Overflow
-	op.ECC = u.eng.LineECC(&op.Plain)
 	op.WPQSlot = wpqSlot
-	iv := crypt.MakeIV(addr/nvm.PageSize, uint16(addr%nvm.PageSize/64), prev.Counter)
-	u.eng.EncryptLineTo(&op.Cipher, &op.Plain, iv)
+	u.eng.EncryptLineTo(&op.Cipher, &op.Plain, lineIV(addr, prev.Counter))
 	cost.AESOps++
-	op.MAC = u.eng.LineMAC(&op.Cipher, addr, prev.Counter)
-	cost.TotalMACs++
+	cost.TotalMACs++ // the data MAC, filled when observed
 
 	// New leaf image: the counter block after this increment.
 	leaf := u.lay.LeafIndex(addr)
@@ -555,24 +569,10 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 		cost.NVMWrites++ // the leaf MAC, written back when observed
 	}
 
-	// Data, MAC and ECC to NVM.
-	u.dev.WriteLine(op.Addr, op.Cipher)
-	var macBytes [8]byte
-	copy(macBytes[:], op.MAC[:])
-	u.dev.Write(u.lay.LineMACAddr(op.Addr), macBytes[:])
-	cost.NVMWrites++
-	var eccBytes [4]byte
-	binary.LittleEndian.PutUint32(eccBytes[:], op.ECC)
-	u.dev.Write(u.lay.ECCAddr(op.Addr), eccBytes[:])
-	cost.NVMWrites++ // MAC+ECC share a metadata write slot in the model
-
-	wi := u.lineIdx(op.Addr)
-	wp := u.written.Ptr(wi)
-	if !*wp {
-		*wp = true
-		u.writtenCount++
-	}
-	u.lineCounter.Set(wi, op.Counter)
+	// Data to NVM; its MAC and ECC turn pending, written back when
+	// observed.
+	u.writeCipher(op.Addr, &op.Cipher, op.Counter, linePending)
+	cost.NVMWrites += 2 // the line, then MAC+ECC sharing a metadata write slot
 	u.writes++
 
 	if op.Overflow {
@@ -604,7 +604,9 @@ func (u *Unit) ProcessWrite(addr uint64, plain [64]byte, wpqSlot int) Cost {
 // lines get their defined zero content encrypted too, because the reset
 // leaves them with a nonzero counter and the invariant "counter != 0
 // implies valid ciphertext+MAC" must hold for the read path and for
-// recovery audits.
+// recovery audits. Every line's new MAC turns pending. A re-encrypted
+// line keeps its ECC word (its plaintext is unchanged), pending or not;
+// a never-written line owes the ECC of its zero content.
 func (u *Unit) reencryptPage(addr uint64) Cost {
 	var cost Cost
 	page := addr / nvm.PageSize * nvm.PageSize
@@ -612,35 +614,113 @@ func (u *Unit) reencryptPage(addr uint64) Cost {
 		if a == addr {
 			continue
 		}
-		newCtr := u.counters.Counter(a)
 		ai := u.lineIdx(a)
 		var plain [64]byte
-		if wp := u.written.Ptr(ai); *wp {
-			oldCtr := u.lineCounter.Get(ai)
+		owed := uint8(linePending)
+		if s := u.written.Get(ai); s&lineWritten != 0 {
 			ct := u.dev.ReadLine(a)
-			ivOld := crypt.MakeIV(a/nvm.PageSize, uint16(a%nvm.PageSize/64), oldCtr)
-			u.eng.DecryptLineTo(&plain, &ct, ivOld)
+			u.eng.DecryptLineTo(&plain, &ct, lineIV(a, u.lineCounter.Get(ai)))
 			cost.AESOps++
-		} else {
-			*wp = true
-			u.writtenCount++
-			var eccBytes [4]byte
-			binary.LittleEndian.PutUint32(eccBytes[:], u.eng.LineECC(&plain))
-			u.dev.Write(u.lay.ECCAddr(a), eccBytes[:])
+			owed = macPending | s&eccPending
 		}
-		ivNew := crypt.MakeIV(a/nvm.PageSize, uint16(a%nvm.PageSize/64), newCtr)
+		newCtr := u.counters.Counter(a)
 		var ct2 [64]byte
-		u.eng.EncryptLineTo(&ct2, &plain, ivNew)
-		u.dev.WriteLine(a, ct2)
-		mac := u.eng.LineMAC(&ct2, a, newCtr)
-		var macBytes [8]byte
-		copy(macBytes[:], mac[:])
-		u.dev.Write(u.lay.LineMACAddr(a), macBytes[:])
-		u.lineCounter.Set(ai, newCtr)
+		u.eng.EncryptLineTo(&ct2, &plain, lineIV(a, newCtr))
+		u.writeCipher(a, &ct2, newCtr, owed)
 		cost.ReencryptedLines++
 		cost.AESOps++
 		cost.TotalMACs++
 		cost.NVMWrites += 2
 	}
 	return cost
+}
+
+// Line-state bits of the written table.
+const (
+	lineWritten uint8 = 1 << iota
+	// macPending: the line's data MAC is owed to NVM. Its value is
+	// LineMAC(NVM ciphertext, addr, lineCounter).
+	macPending
+	// eccPending: the line's ECC word is owed to NVM. Its value is
+	// LineECC of the NVM ciphertext decrypted under lineCounter.
+	eccPending
+	linePending = macPending | eccPending
+)
+
+// eccSize is the size of a line's ECC word in the ECC region.
+const eccSize = 4
+
+// lineIV is the encryption IV of the data line at addr under counter.
+func lineIV(addr, counter uint64) crypt.IV {
+	return crypt.MakeIV(addr/nvm.PageSize, uint16(addr%nvm.PageSize/64), counter)
+}
+
+// writeCipher writes the Ma-SU's own ciphertext ct, produced under
+// counter, to the line at addr, and leaves the owed bits pending, so
+// the device regions that observe them are marked. The line's pending
+// bits clear before the write, so the write fills nothing: what they
+// owed belongs to the ciphertext it replaces, and the caller owes afresh
+// whatever the new ciphertext changes.
+func (u *Unit) writeCipher(addr uint64, ct *[64]byte, counter uint64, owed uint8) {
+	i := u.lineIdx(addr)
+	s := u.written.Ptr(i)
+	if *s&lineWritten == 0 {
+		u.writtenCount++
+	}
+	*s = lineWritten
+	u.dev.WriteLine(addr, *ct)
+	*s |= owed
+	u.lineCounter.Set(i, counter)
+	u.macWB.Mark()
+	u.eccWB.Mark()
+	u.dataWB.Mark()
+}
+
+// fillLines fills the pending MAC and ECC words of lines [lo, hi).
+func (u *Unit) fillLines(lo, hi uint64) {
+	u.written.RangeIn(lo, hi, func(i uint64, s *uint8) bool {
+		if *s&linePending != 0 {
+			u.fillLine(i, s)
+		}
+		return true
+	})
+}
+
+// fillLine writes line i's pending MAC and ECC word: exactly the bytes
+// an eager write would have written, computed from the line's NVM
+// ciphertext and the counter it was produced under. The bits clear
+// first, so the writes below observe nothing of their own.
+func (u *Unit) fillLine(i uint64, s *uint8) {
+	owed := *s & linePending
+	*s &^= linePending
+	addr := u.lay.DataBase + i*64
+	counter := u.lineCounter.Get(i)
+	ct := u.dev.ReadLine(addr)
+	if owed&macPending != 0 {
+		mac := u.eng.LineMAC(&ct, addr, counter)
+		u.dev.Write(u.lay.LineMACAddr(addr), mac[:])
+	}
+	if owed&eccPending != 0 {
+		var plain [64]byte
+		u.eng.DecryptLineTo(&plain, &ct, lineIV(addr, counter))
+		var ecc [eccSize]byte
+		binary.LittleEndian.PutUint32(ecc[:], u.eng.LineECC(&plain))
+		u.dev.Write(u.lay.ECCAddr(addr), ecc[:])
+	}
+}
+
+// macHolds reports whether the data MAC stored for the line at addr
+// matches ct under counter. It reads only the line's own 8-byte MAC
+// slot. A pending MAC whose line was produced under counter holds by
+// construction: its value is the MAC of the NVM ciphertext under that
+// counter — the check's own computation — and any access that could
+// change the ciphertext or the slot fills it first.
+func (u *Unit) macHolds(addr, counter uint64, ct *[64]byte) bool {
+	i := u.lineIdx(addr)
+	if u.written.Get(i)&macPending != 0 && u.lineCounter.Get(i) == counter {
+		return true
+	}
+	var stored crypt.MAC
+	u.dev.Read(u.lay.LineMACAddr(addr), stored[:])
+	return u.eng.LineMAC(ct, addr, counter) == stored
 }

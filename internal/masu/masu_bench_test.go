@@ -35,6 +35,9 @@ func BenchmarkReadLineVerified(b *testing.B) {
 	}
 }
 
+// The recovery benchmarks time a crash with its recovery: CrashVolatile
+// writes what the crash observes, the pending data-line MACs and ECC
+// words included, so that work is timed with the recovery it precedes.
 func BenchmarkAnubisRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -43,8 +46,8 @@ func BenchmarkAnubisRecovery(b *testing.B) {
 		for j := uint64(0); j < 64; j++ {
 			u.ProcessWrite(0x1000+j*64, p, -1)
 		}
-		u.CrashVolatile()
 		b.StartTimer()
+		u.CrashVolatile()
 		if _, err := u.RecoverAnubis(); err != nil {
 			b.Fatal(err)
 		}
@@ -59,11 +62,33 @@ func BenchmarkOsirisRecovery(b *testing.B) {
 		for j := uint64(0); j < 64; j++ {
 			u.ProcessWrite(0x1000+j*64, p, -1)
 		}
+		b.StartTimer()
 		u.CrashVolatile()
 		u.WipeShadow()
-		b.StartTimer()
 		if _, err := u.RecoverOsiris(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAudit audits a written image the way a benchmark cell's
+// check does: 8192 writes to 4096 lines of 64 pages, then (timed) the
+// device's page count and the Ma-SU's audit of every written line. The
+// page count is the first observation of the MAC and ECC regions, so it
+// fills the lines' pending MACs and ECC words.
+func BenchmarkAudit(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		u, dev, _ := newUnit(BMTEager)
+		p := line(1)
+		for j := uint64(0); j < 8192; j++ {
+			u.ProcessWrite(0x1000+j%4096*64, p, -1)
+		}
+		b.StartTimer()
+		dev.AllocatedPages()
+		if n, err := u.Audit(); err != nil || n != 4096 {
+			b.Fatalf("audit verified %d lines: %v", n, err)
 		}
 	}
 }

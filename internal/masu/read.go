@@ -2,9 +2,6 @@ package masu
 
 import (
 	"fmt"
-
-	"dolos/internal/crypt"
-	"dolos/internal/nvm"
 )
 
 // IntegrityError reports a read-path integrity violation (spoofing,
@@ -41,12 +38,9 @@ func (u *Unit) ReadLine(addr uint64) ([64]byte, Cost, error) {
 	ct := u.dev.ReadLine(addr)
 
 	// Verify the data MAC over (ciphertext, address, counter).
-	var stored crypt.MAC
-	macLine := u.dev.ReadLine(u.lay.LineMACAddr(addr))
-	copy(stored[:], macLine[(addr/64%8)*8:])
 	cost.TotalMACs++
 	cost.SerialMACs++
-	if got := u.eng.LineMAC(&ct, addr, counter); got != stored {
+	if !u.macHolds(addr, counter, &ct) {
 		return [64]byte{}, cost, &IntegrityError{Addr: addr, Reason: "data MAC mismatch"}
 	}
 
@@ -67,8 +61,7 @@ func (u *Unit) ReadLine(addr uint64) ([64]byte, Cost, error) {
 		}
 	}
 
-	iv := crypt.MakeIV(addr/nvm.PageSize, uint16(addr%nvm.PageSize/64), counter)
-	plain := u.eng.DecryptLine(ct, iv)
+	plain := u.eng.DecryptLine(ct, lineIV(addr, counter))
 	cost.AESOps++
 	return plain, cost, nil
 }
@@ -85,11 +78,7 @@ func (u *Unit) CheckLine(addr uint64) error {
 	if counter == 0 {
 		return nil
 	}
-	ct := u.dev.ReadLine(addr)
-	var stored crypt.MAC
-	macLine := u.dev.ReadLine(u.lay.LineMACAddr(addr))
-	copy(stored[:], macLine[(addr/64%8)*8:])
-	if got := u.eng.LineMAC(&ct, addr, counter); got != stored {
+	if ct := u.dev.ReadLine(addr); !u.macHolds(addr, counter, &ct) {
 		return &IntegrityError{Addr: addr, Reason: "audit MAC mismatch"}
 	}
 	return nil

@@ -3,21 +3,20 @@ package masu
 import (
 	"encoding/binary"
 	"fmt"
-
-	"dolos/internal/crypt"
-	"dolos/internal/nvm"
 )
 
 // CrashVolatile models power failure inside the Ma-SU: metadata caches
 // and the live (cached) counter/tree state vanish. The redo-log
 // registers, the root register, the shadow region and all NVM contents
-// survive. The crash observes the tree and the counter blocks: pending
-// shadow images are filled from the live blocks and the live tree, with
-// a BMT a staged op's temp root is computed from its block, and the
-// trees fill their stale leaves (the BMT root register, the ToC
-// leaf-MAC region) from the live counter blocks before those are
-// dropped. What survives is byte for byte what eager hashing wrote.
+// survive. The crash observes the tree and the counter blocks: every
+// pending data-line MAC and ECC word is written, pending shadow images
+// are filled from the live blocks and the live tree, with a BMT a
+// staged op's temp root is computed from its block, and the trees fill
+// their stale leaves (the BMT root register, the ToC leaf-MAC region)
+// from the live counter blocks before those are dropped. What survives
+// is byte for byte what eager hashing wrote.
 func (u *Unit) CrashVolatile() {
+	u.fillLines(0, u.written.Len())
 	u.shadow.Range(func(i uint64, e *shadowEntry) bool {
 		if e.pending {
 			u.fillShadow(i, e)
@@ -158,13 +157,12 @@ func (u *Unit) RecoverOsiris() (RecoveryReport, error) {
 	var probeErr error
 	u.eachWritten(func(addr uint64) bool {
 		ct := u.dev.ReadLine(addr)
-		var eccBytes [4]byte
+		var eccBytes [eccSize]byte
 		u.dev.Read(u.lay.ECCAddr(addr), eccBytes[:])
 		wantECC := binary.LittleEndian.Uint32(eccBytes[:])
 		a := addr
 		_, tried, ok := u.counters.RecoverLine(a, func(cand uint64) bool {
-			iv := crypt.MakeIV(a/nvm.PageSize, uint16(a%nvm.PageSize/64), cand)
-			plain := u.eng.DecryptLine(ct, iv)
+			plain := u.eng.DecryptLine(ct, lineIV(a, cand))
 			return u.eng.LineECC(&plain) == wantECC
 		})
 		rep.OsirisProbes += tried
@@ -244,18 +242,15 @@ func (u *Unit) RecoverReconstruct() (RecoveryReport, error) {
 }
 
 // auditWrittenLines re-verifies every written line post-recovery: data
-// MAC against the recovered counter, and the counter block against the
-// root register (full path, no trusted-cache shortcut for the BMT).
+// MAC against the recovered counter (a pending MAC holds by
+// construction, see macHolds), and the counter block against the root
+// register (full path, no trusted-cache shortcut for the BMT).
 func (u *Unit) auditWrittenLines(rep *RecoveryReport) error {
 	verifiedLeaves := make(map[uint64]bool)
 	var auditErr error
 	u.eachWritten(func(addr uint64) bool {
 		counter := u.counters.Counter(addr)
-		ct := u.dev.ReadLine(addr)
-		var stored crypt.MAC
-		macLine := u.dev.ReadLine(u.lay.LineMACAddr(addr))
-		copy(stored[:], macLine[(addr/64%8)*8:])
-		if got := u.eng.LineMAC(&ct, addr, counter); got != stored {
+		if ct := u.dev.ReadLine(addr); !u.macHolds(addr, counter, &ct) {
 			auditErr = &IntegrityError{Addr: addr, Reason: "post-recovery data MAC mismatch"}
 			return false
 		}
@@ -283,8 +278,8 @@ func (u *Unit) auditWrittenLines(rep *RecoveryReport) error {
 // eachWritten calls f with the address of every line ever written, in
 // ascending address order, until f returns false.
 func (u *Unit) eachWritten(f func(addr uint64) bool) {
-	u.written.Range(func(i uint64, w *bool) bool {
-		if !*w {
+	u.written.Range(func(i uint64, s *uint8) bool {
+		if *s&lineWritten == 0 {
 			return true
 		}
 		return f(u.lay.DataBase + i*64)
@@ -292,10 +287,19 @@ func (u *Unit) eachWritten(f func(addr uint64) bool) {
 }
 
 // rebuildLineCounters re-derives the per-line ciphertext counters from
-// the recovered counter store.
+// the recovered counter store. A pending line whose counter changes is
+// filled first: what it owes was produced under the old one.
 func (u *Unit) rebuildLineCounters() {
-	u.eachWritten(func(addr uint64) bool {
-		u.lineCounter.Set(u.lineIdx(addr), u.counters.Counter(addr))
+	u.written.Range(func(i uint64, s *uint8) bool {
+		if *s&lineWritten == 0 {
+			return true
+		}
+		if c := u.counters.Counter(u.lay.DataBase + i*64); c != u.lineCounter.Get(i) {
+			if *s&linePending != 0 {
+				u.fillLine(i, s)
+			}
+			u.lineCounter.Set(i, c)
+		}
 		return true
 	})
 }

@@ -47,23 +47,30 @@ type Device struct {
 
 	reads, writes uint64
 
-	// wb is the write-back region, if an owner registered one.
-	wb writeBack
+	// regions are the write-back regions and write guards owners
+	// registered (SetWriteBack, SetWriteGuard); they do not overlap.
+	regions []*WriteBack
 
 	// onAccess, when non-nil, observes every timed access with its bank
 	// service window (telemetry). Purely observational.
 	onAccess func(write bool, addr uint64, start, end sim.Cycle)
 }
 
-// writeBack is a region whose owner holds bytes newer than the
-// device's copy and writes them only when an access observes them.
-// pending is set while the owner may hold such bytes; it is cleared
-// while flush runs, so the owner's own writes do not re-enter it.
-type writeBack struct {
+// WriteBack is a region of the device whose owner holds state the
+// device's bytes depend on, registered with SetWriteBack or
+// SetWriteGuard. The owner calls Mark while it may hold such state;
+// pending is cleared while flush runs, so the owner's own accesses do
+// not re-enter it.
+type WriteBack struct {
 	lo, hi  uint64
 	flush   func(lo, hi uint64)
+	guard   bool // observed by writes only
 	pending bool
 }
+
+// Mark notes that the region's owner may hold state the device's bytes
+// depend on: the next access that observes the region calls its flush.
+func (w *WriteBack) Mark() { w.pending = true }
 
 // NewDevice creates a device of the given capacity in bytes with the given
 // number of banks (0 means DefaultBanks). The engine may be nil for purely
@@ -97,42 +104,58 @@ func (d *Device) Writes() uint64 { return d.writes }
 
 // AllocatedPages returns how many 4 KB pages are materialized.
 func (d *Device) AllocatedPages() int {
-	d.observeAll()
+	d.observeAll(false)
 	return d.allocated
 }
 
 // SetWriteBack makes [lo, hi) a write-back region owned by the caller:
 // the owner may hold bytes of the region newer than the device's copy
-// (it says so with MarkWriteBack), and the device calls flush with the
+// (it says so with Mark), and the device calls flush with the
 // overlapping range before any access that observes those bytes —
 // Read, Write, Snapshot, Restore, Clear and AllocatedPages. flush must
-// write every newer byte in the range it is given. A device has at most
-// one write-back region.
-func (d *Device) SetWriteBack(lo, hi uint64, flush func(lo, hi uint64)) {
-	if d.wb.flush != nil {
-		panic("nvm: write-back region already set")
-	}
-	d.wb = writeBack{lo: lo, hi: hi, flush: flush}
+// write every newer byte in the range it is given.
+func (d *Device) SetWriteBack(lo, hi uint64, flush func(lo, hi uint64)) *WriteBack {
+	return d.addRegion(&WriteBack{lo: lo, hi: hi, flush: flush})
 }
 
-// MarkWriteBack notes that the write-back region's owner holds bytes
-// newer than the device's copy.
-func (d *Device) MarkWriteBack() { d.wb.pending = true }
-
-// observe flushes the part of the write-back region that [lo, hi)
-// overlaps.
-func (d *Device) observe(lo, hi uint64) {
-	if !d.wb.pending || hi <= d.wb.lo || lo >= d.wb.hi {
-		return
-	}
-	d.wb.pending = false
-	d.wb.flush(max(lo, d.wb.lo), min(hi, d.wb.hi))
-	// A partial flush may leave newer bytes elsewhere in the region.
-	d.wb.pending = lo > d.wb.lo || hi < d.wb.hi
+// SetWriteGuard makes [lo, hi) a write-guarded region: the device's
+// bytes there are current, but the owner may hold state still to be
+// derived from them (it says so with Mark), so the device calls flush
+// with the overlapping range before any write that would change them —
+// Write, Restore and Clear. flush must derive, from the bytes as they
+// are, everything it owes for the range it is given.
+func (d *Device) SetWriteGuard(lo, hi uint64, flush func(lo, hi uint64)) *WriteBack {
+	return d.addRegion(&WriteBack{lo: lo, hi: hi, flush: flush, guard: true})
 }
 
-// observeAll flushes the whole write-back region.
-func (d *Device) observeAll() { d.observe(d.wb.lo, d.wb.hi) }
+func (d *Device) addRegion(w *WriteBack) *WriteBack {
+	for _, o := range d.regions {
+		if w.lo < o.hi && o.lo < w.hi {
+			panic(fmt.Sprintf("nvm: region [%#x, %#x) overlaps [%#x, %#x)", w.lo, w.hi, o.lo, o.hi))
+		}
+	}
+	d.regions = append(d.regions, w)
+	return w
+}
+
+// observe flushes the part of every pending region that an access to
+// [lo, hi) observes: write-back regions on any access, write guards on
+// writes only.
+func (d *Device) observe(lo, hi uint64, write bool) {
+	for _, w := range d.regions {
+		if !w.pending || hi <= w.lo || lo >= w.hi || (w.guard && !write) {
+			continue
+		}
+		w.pending = false
+		w.flush(max(lo, w.lo), min(hi, w.hi))
+		// A partial flush may leave newer state elsewhere in the region.
+		w.pending = w.pending || lo > w.lo || hi < w.hi
+	}
+}
+
+// observeAll flushes every region an access to the whole device
+// observes.
+func (d *Device) observeAll(write bool) { d.observe(0, d.size, write) }
 
 // BankCount returns the number of banks (0 on a purely functional device).
 func (d *Device) BankCount() int { return len(d.banks) }
@@ -167,7 +190,7 @@ func (d *Device) page(addr uint64, create bool) *[PageSize]byte {
 // Read copies len(buf) bytes starting at addr into buf. Unwritten memory
 // reads as zero. This is the functional path; use Access for timing.
 func (d *Device) Read(addr uint64, buf []byte) {
-	d.observe(addr, addr+uint64(len(buf)))
+	d.observe(addr, addr+uint64(len(buf)), false)
 	for n := 0; n < len(buf); {
 		off := (addr + uint64(n)) % PageSize
 		chunk := PageSize - off
@@ -187,7 +210,7 @@ func (d *Device) Read(addr uint64, buf []byte) {
 
 // Write copies data into the device starting at addr.
 func (d *Device) Write(addr uint64, data []byte) {
-	d.observe(addr, addr+uint64(len(data)))
+	d.observe(addr, addr+uint64(len(data)), true)
 	for n := 0; n < len(data); {
 		off := (addr + uint64(n)) % PageSize
 		chunk := PageSize - off
@@ -255,7 +278,7 @@ func (d *Device) ReadReadyAt(addr uint64) sim.Cycle {
 // model to implement replay (rollback) attacks and by tests to compare
 // memory images across crashes.
 func (d *Device) Snapshot() map[uint64][PageSize]byte {
-	d.observeAll()
+	d.observeAll(false)
 	out := make(map[uint64][PageSize]byte, d.allocated)
 	d.pages.Range(func(id uint64, p **[PageSize]byte) bool {
 		if *p != nil {
@@ -268,7 +291,7 @@ func (d *Device) Snapshot() map[uint64][PageSize]byte {
 
 // Restore overwrites the device contents with a snapshot taken earlier.
 func (d *Device) Restore(snap map[uint64][PageSize]byte) {
-	d.observeAll()
+	d.observeAll(true)
 	d.pages.Reset()
 	d.allocated = 0
 	for id, img := range snap {
@@ -280,7 +303,7 @@ func (d *Device) Restore(snap map[uint64][PageSize]byte) {
 
 // Clear erases all contents (a fresh, never-written device).
 func (d *Device) Clear() {
-	d.observeAll()
+	d.observeAll(true)
 	d.pages.Reset()
 	d.allocated = 0
 }

@@ -190,7 +190,7 @@ func TestWriteBackRegion(t *testing.T) {
 	d := NewDevice(nil, 1<<20, 0)
 	const lo, hi = 0x1000, 0x1100
 	var calls [][2]uint64
-	d.SetWriteBack(lo, hi, func(a, b uint64) {
+	wb := d.SetWriteBack(lo, hi, func(a, b uint64) {
 		calls = append(calls, [2]uint64{a, b})
 		d.Write(a, []byte{0xAB}) // the owner's own write does not re-enter
 	})
@@ -198,7 +198,7 @@ func TestWriteBackRegion(t *testing.T) {
 	if len(calls) != 0 {
 		t.Fatal("flushed a region with nothing pending")
 	}
-	d.MarkWriteBack()
+	wb.Mark()
 	d.ReadLine(0x2000)
 	if len(calls) != 0 {
 		t.Fatal("flushed for an access outside the region")
@@ -218,4 +218,45 @@ func TestWriteBackRegion(t *testing.T) {
 	if len(calls) != 3 {
 		t.Fatal("a full flush left the region pending")
 	}
+}
+
+// A write guard is flushed before writes that overlap it, with the
+// device's bytes still as they were, and never for reads; regions do
+// not overlap, and each is flushed on its own.
+func TestWriteGuard(t *testing.T) {
+	d := NewDevice(nil, 1<<20, 0)
+	d.Write(0x2000, []byte{1, 2, 3, 4})
+	var seen []byte
+	g := d.SetWriteGuard(0x2000, 0x3000, func(a, b uint64) {
+		buf := make([]byte, 1)
+		d.Read(a, buf)
+		seen = append(seen, buf[0])
+	})
+	var wbCalls int
+	wb := d.SetWriteBack(0x4000, 0x5000, func(uint64, uint64) { wbCalls++ })
+	g.Mark()
+	wb.Mark()
+	d.ReadLine(0x2000)
+	d.Snapshot()
+	if len(seen) != 0 {
+		t.Fatal("a read or snapshot flushed a write guard")
+	}
+	if wbCalls != 1 {
+		t.Fatalf("snapshot flushed the write-back region %d times, want 1", wbCalls)
+	}
+	d.Write(0x2000, []byte{9})
+	if len(seen) != 1 || seen[0] != 1 {
+		t.Fatalf("guard saw %v, want the pre-write byte 1", seen)
+	}
+	g.Mark()
+	d.Clear()
+	if len(seen) != 2 {
+		t.Fatal("Clear did not flush the write guard")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an overlapping region was accepted")
+		}
+	}()
+	d.SetWriteBack(0x2FC0, 0x3040, func(uint64, uint64) {})
 }

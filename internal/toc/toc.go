@@ -111,6 +111,7 @@ type Tree struct {
 	dirtyCount int
 	rootVer    uint64 // persistent root version register
 	leafBase   uint64 // NVM address of the leaf-MAC region
+	leafWB     *nvm.WriteBack
 
 	macOps  uint64
 	updates uint64
@@ -151,7 +152,7 @@ func New(eng crypt.Provider, dev *nvm.Device, nodeBase uint64, leaves uint64, le
 		t.dirty[l] = dense.NewTable[bool](t.counts[l])
 	}
 	t.leafBase = nodeBase + off
-	dev.SetWriteBack(t.leafBase, t.leafBase+leaves*crypt.MACSize, t.writeBack)
+	t.leafWB = dev.SetWriteBack(t.leafBase, t.leafBase+leaves*crypt.MACSize, t.writeBack)
 	return t
 }
 
@@ -300,7 +301,7 @@ func (t *Tree) Apply(u *Update) {
 		child = idx
 	}
 	t.rootVer = u.RootVer
-	t.dev.MarkWriteBack()
+	t.leafWB.Mark()
 }
 
 // refresh computes a stale node's MAC from its versions and its parent's
