@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-json bench-delta fuzz-smoke mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-json bench-delta fuzz-smoke mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke clean
 
 all: build test
 
@@ -72,7 +72,7 @@ bench-masu:
 # under the package's testdata/fuzz. Minimizing a new interesting input
 # may take up to a minute by default, which would stall a 10 s run, so it
 # is capped at 1 s. A new Fuzz* function goes on this list. Runs in CI.
-FUZZ_TARGETS := ./internal/trace:FuzzLoad ./internal/fault:FuzzParse ./internal/scheme:FuzzParse
+FUZZ_TARGETS := ./internal/trace:FuzzLoad ./internal/scheme:FuzzParse ./internal/service:FuzzNormalize
 fuzz-smoke:
 	@set -e; for pt in $(FUZZ_TARGETS); do \
 		pkg=$${pt%%:*}; t=$${pt#*:}; \
@@ -106,7 +106,6 @@ ci:
 	$(MAKE) fast-smoke
 	$(MAKE) scheme-smoke
 	$(MAKE) load-smoke
-	$(MAKE) chaos-smoke
 	$(MAKE) fuzz-smoke
 
 # Multi-core determinism smoke under the race detector: a Cores>1 grid
@@ -148,14 +147,15 @@ bench-json:
 # Re-run the baseline grid against BENCH_baseline.json: fails if any
 # deterministic field (cycles, event counts, retry counters) diverges
 # from the committed trajectory, and reports the host-side throughput
-# delta (sim_events_per_sec geomean). The refreshed grid — extended
-# with the related-work scheme records (-related, carrying the
-# recovery_cycles axis), the multi-core contention records (-mcore) and
-# the fast-mode re-runs (-fast), all of which append after the legacy
-# cells and so never perturb the comparison — lands in BENCH_pr13.json
-# so the current trajectory point is committed next to the baseline it
-# is measured against.
-# The trajectory run is pinned -parallel 1 so every record — functional
+# delta (sim_events_per_sec geomean). The second run re-checks the full
+# CI grid — extended with the related-work scheme records (-related,
+# carrying the recovery_cycles axis), the multi-core contention records
+# (-mcore) and the fast-mode re-runs (-fast) — against BENCH_pr13.json,
+# the file `make ci` compares against. Both runs write to /tmp, so this
+# target never re-baselines CI; after a reviewed change to a
+# deterministic field, re-baselining is an explicit
+# `cp /tmp/dolos-delta-ci.json BENCH_pr13.json`.
+# The second run is pinned -parallel 1 so every record — functional
 # and fast alike — is measured serially on an otherwise-idle machine:
 # the printed fast/functional geomean is then an identical-conditions
 # comparison, not an artifact of worker contention.
@@ -164,7 +164,7 @@ bench-json:
 # noise out of the throughput columns.
 bench-delta:
 	$(GO) run ./cmd/dolos-profile -grid -fast -txns 200 -repeat 3 -o /tmp/dolos-delta.json -compare BENCH_baseline.json
-	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -parallel 1 -txns 200 -repeat 3 -o BENCH_pr13.json
+	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -parallel 1 -txns 200 -repeat 3 -o /tmp/dolos-delta-ci.json -compare BENCH_pr13.json
 
 # CPU+heap profile of a serial grid run, ready for `go tool pprof`.
 pprof:
@@ -200,23 +200,6 @@ load-smoke:
 		-duration 3s -concurrency 2 -txns 200 -max-errors 0; rc=$$?; \
 	kill -TERM $$pid; wait $$pid || rc=$$?; \
 	rm -rf $$storedir; \
-	exit $$rc
-
-# Chaos smoke: the same pairing with deterministic fault injection
-# armed on the server (pinned spec + seed, DESIGN.md §11) and the load
-# generator in -faults mode — the run must finish with zero errors AND
-# the client's retry/resubmission machinery must have fired, proving
-# the resilience path absorbed the injected panics, rejections and
-# stalls. Runs in CI next to load-smoke.
-chaos-smoke:
-	$(GO) build -o /tmp/dolos-serve-ci ./cmd/dolos-serve
-	$(GO) build -o /tmp/dolos-load-ci ./cmd/dolos-load
-	/tmp/dolos-serve-ci -addr 127.0.0.1:8098 \
-		-faults 'job-panic:0.3,queue-full:0.1,cell-latency:0.3:1ms' -faults-seed 42 & \
-	pid=$$!; \
-	/tmp/dolos-load-ci -addr 127.0.0.1:8098 -duration 5s -concurrency 4 \
-		-txns 100 -faults -min-hits 1 -max-errors 0; rc=$$?; \
-	kill -TERM $$pid; wait $$pid || rc=$$?; \
 	exit $$rc
 
 clean:

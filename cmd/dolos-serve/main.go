@@ -16,15 +16,6 @@
 // queued and in-flight jobs drain, and the final Prometheus metrics
 // snapshot is written to stderr before exit.
 //
-// Chaos mode arms the deterministic fault injector (internal/fault) at
-// the server's named fault points:
-//
-//	dolos-serve -faults 'job-panic:0.2,queue-full:0.1,cell-latency:0.5:2ms' -faults-seed 42
-//	DOLOS_FAULTS='cache-corrupt:1' DOLOS_FAULTS_SEED=7 dolos-serve
-//
-// The flag wins over the environment; with neither set, nothing is
-// injected and the fault paths cost one nil check each.
-//
 // Durable mode (see README "Running durably" and DESIGN.md §16):
 //
 //	dolos-serve -store-dir /var/lib/dolos        # WAL-backed job store, crash recovery
@@ -43,11 +34,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
-	"dolos/internal/fault"
 	"dolos/internal/service"
 	"dolos/internal/store"
 )
@@ -62,26 +51,11 @@ func main() {
 	txnsCap := flag.Int("txns-cap", 20000, "max transactions one request may ask for")
 	cellsCap := flag.Int("cells-cap", 64, "max workloads×schemes cells per request")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Minute, "how long shutdown waits for in-flight jobs")
-	faultSpec := flag.String("faults", os.Getenv("DOLOS_FAULTS"),
-		"arm deterministic fault injection: point:rate[:delay],... (env DOLOS_FAULTS)")
-	faultSeed := flag.Int64("faults-seed", envInt64("DOLOS_FAULTS_SEED", 1),
-		"seed for the fault injector's PRNG (env DOLOS_FAULTS_SEED)")
 	storeDir := flag.String("store-dir", "",
 		"directory for the durable job store WAL (empty = in-memory only)")
 	compactAt := flag.Int64("store-compact", 16<<20,
 		"auto-compact the WAL into a snapshot past this many bytes (0 = never)")
 	flag.Parse()
-
-	var injector *fault.Injector
-	if *faultSpec != "" {
-		var err error
-		if injector, err = fault.FromSpec(*faultSeed, *faultSpec); err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-serve: -faults: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "dolos-serve: fault injection armed (seed %d): %s\n",
-			*faultSeed, injector)
-	}
 
 	var st *store.Store
 	if *storeDir != "" {
@@ -105,8 +79,7 @@ func main() {
 			MaxTransactions: *txnsCap,
 			MaxCells:        *cellsCap,
 		},
-		Faults: injector,
-		Store:  st,
+		Store: st,
 	})
 
 	httpServer := &http.Server{Addr: *addr, Handler: svc.Handler()}
@@ -141,15 +114,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dolos-serve: final metrics snapshot:")
 		os.Stderr.Write(final)
 	}
-}
-
-// envInt64 reads an int64 environment variable, falling back on
-// absence or a parse failure.
-func envInt64(key string, fallback int64) int64 {
-	if v := os.Getenv(key); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return n
-		}
-	}
-	return fallback
 }

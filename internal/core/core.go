@@ -45,12 +45,6 @@ type Options struct {
 	// is an independent single-clock-domain system, so output is
 	// byte-identical at every setting; see DESIGN.md §9.
 	Parallelism int
-	// PreRun, when set, runs at the top of every simulation, before the
-	// system is built. It is the fault-injection seam (internal/fault's
-	// artificial cell latency threads through here) and must not mutate
-	// the workload or spec: a stalled cell still produces byte-identical
-	// results.
-	PreRun func(workload string, spec Spec)
 	// FastMode makes every run in the batch use the latency-only crypto
 	// provider (see Spec.FastMode) unless a cell asks otherwise. Every
 	// deterministic result field is bit-identical to functional mode;
@@ -322,9 +316,6 @@ func (r *Runner) RunContext(ctx context.Context, workload string, spec Spec) (cp
 // runs the single-core system at its OoOWindow.
 func (r *Runner) runSystem(workload string, spec Spec) (cpu.Result, machineRef, error) {
 	spec = spec.withDefaults()
-	if r.opts.PreRun != nil {
-		r.opts.PreRun(workload, spec)
-	}
 	cfg := controller.Config{
 		Scheme:            spec.Scheme,
 		Tree:              spec.Tree,

@@ -10,10 +10,9 @@ import (
 // result bytes. Entries are immutable once inserted (callers share the
 // byte slice read-only), eviction is least-recently-used, and Get
 // promotes. Every entry carries the SHA-256 of its bytes, verified on
-// every Get: a corrupted entry (bit rot, or internal/fault's
-// cache-corrupt injection) is dropped and reported as a miss, so the
-// worst a corruption can cost is one recomputation — never a wrong
-// result served. It is safe for concurrent use.
+// every Get: a corrupted entry (bit rot, a stray write) is dropped and
+// reported as a miss, so the worst a corruption can cost is one
+// recomputation — never a wrong result served. It is safe for concurrent use.
 type lruCache struct {
 	mu  sync.Mutex
 	cap int
@@ -78,28 +77,6 @@ func (c *lruCache) Put(key string, val []byte) {
 		c.l.Remove(oldest)
 		delete(c.m, oldest.Value.(*lruEntry).key)
 	}
-}
-
-// corrupt flips one byte of the named entry without updating its
-// checksum — the fault-injection hook behind fault.CacheCorrupt. The
-// entry's bytes are copied first, so result slices already handed to
-// jobs are untouched; only the cached copy goes bad. Returns whether
-// the entry existed.
-func (c *lruCache) corrupt(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return false
-	}
-	e := el.Value.(*lruEntry)
-	if len(e.val) == 0 {
-		return false
-	}
-	b := append([]byte(nil), e.val...)
-	b[len(b)/2] ^= 0xff
-	e.val = b
-	return true
 }
 
 // Len returns the number of cached entries.

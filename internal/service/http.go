@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -100,13 +101,18 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
+// maxTimeoutMS is the largest timeout_ms whose nanoseconds fit a
+// time.Duration.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // msToDuration maps the wire timeout_ms field onto a duration (0 keeps
-// the server default).
-func msToDuration(ms int64) time.Duration {
-	if ms <= 0 {
-		return 0
+// the server default). A negative value, or one whose nanoseconds would
+// overflow and wrap into a tiny or negative deadline, is an error.
+func msToDuration(ms int64) (time.Duration, error) {
+	if ms < 0 || ms > maxTimeoutMS {
+		return 0, fmt.Errorf("timeout_ms %d out of range [0, %d]", ms, maxTimeoutMS)
 	}
-	return time.Duration(ms) * time.Millisecond
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -46,7 +46,12 @@ func (s *Server) handleSubmitV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job, err := s.submit(n, msToDuration(req.TimeoutMS), tenantOf(r))
+	timeout, err := msToDuration(req.TimeoutMS)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	job, err := s.submit(n, timeout, tenantOf(r))
 	switch {
 	case errors.Is(err, errDraining):
 		writeEnvelope(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error(), 5*time.Second)

@@ -1,6 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"dolos/internal/controller"
@@ -118,4 +121,39 @@ func TestCellsEnumeration(t *testing.T) {
 			t.Errorf("cell %d spec = %+v", i, c.Spec)
 		}
 	}
+}
+
+// FuzzNormalize feeds arbitrary submit bodies, decoded exactly as the
+// submit handler decodes them, to normalize. It must never panic, and
+// its output must be a fixed point: the request rebuilt from an
+// accepted normalization normalizes to the same value and cache key,
+// and every canonical name in it resolves when the grid is enumerated.
+// The seed corpus lives under testdata/fuzz/FuzzNormalize.
+func FuzzNormalize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req Request
+		if err := dec.Decode(&req); err != nil {
+			return
+		}
+		n, err := normalize(req, Limits{})
+		if err != nil {
+			return
+		}
+		again, err := normalize(Request{
+			Workloads: n.Workloads, Schemes: n.Schemes, Tree: n.Tree,
+			Transactions: n.Transactions, TxSize: n.TxSize, Seed: n.Seed,
+			WPQ: n.WPQ, NoCoalesce: n.NoCoalesce,
+		}, Limits{})
+		if err != nil {
+			t.Fatalf("%s normalized to %+v, which normalize rejects: %v", body, n, err)
+		}
+		if !reflect.DeepEqual(again, n) || again.Key() != n.Key() {
+			t.Fatalf("%s: normalize is not idempotent:\n%+v\nvs\n%+v", body, n, again)
+		}
+		if got, want := len(n.cells()), len(n.Workloads)*len(n.Schemes); got != want {
+			t.Fatalf("%s: %d cells, want %d", body, got, want)
+		}
+	})
 }

@@ -19,7 +19,6 @@ import (
 
 	"dolos/internal/cliutil"
 	"dolos/internal/core"
-	"dolos/internal/fault"
 	"dolos/internal/store"
 	"dolos/internal/telemetry"
 )
@@ -41,11 +40,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// Limits bounds what one request may ask for.
 	Limits Limits
-	// Faults, when non-nil, arms deterministic fault injection at the
-	// server's named fault points (see internal/fault and DESIGN.md
-	// §11). Nil — the default — injects nothing and costs one nil
-	// check per point.
-	Faults *fault.Injector
 	// Store, when non-nil, makes the job pipeline durable: submissions,
 	// per-cell completions and terminal outcomes are WAL-appended before
 	// they become externally visible, and New replays unfinished jobs
@@ -130,10 +124,9 @@ type runnerKey struct {
 // Server owns the queue, worker pool, caches and metrics. Create with
 // New, expose with Handler, stop with Shutdown.
 type Server struct {
-	cfg    Config
-	reg    *telemetry.Registry
-	faults *fault.Injector
-	store  *store.Store
+	cfg   Config
+	reg   *telemetry.Registry
+	store *store.Store
 
 	mu       sync.Mutex
 	draining bool
@@ -151,8 +144,11 @@ type Server struct {
 	final []byte // Prometheus snapshot rendered by Shutdown after drain
 
 	// hookExecute, when set (tests only), runs at the top of every job
-	// execution — used to hold workers in a known state.
+	// execution — used to hold workers in a known state or to panic.
 	hookExecute func(*Job)
+	// hookCell, when set (tests only), runs after cell i of a computed
+	// job is durable and broadcast, before the next cell starts.
+	hookCell func(job *Job, i int)
 
 	mSubmitted, mCompleted, mFailed, mRejected *telemetry.Counter
 	mCacheHits, mCacheMisses, mDedupHits       *telemetry.Counter
@@ -175,7 +171,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
-		faults:  cfg.Faults,
 		store:   cfg.Store,
 		jobs:    make(map[string]*Job),
 		flights: make(map[string]*flight),
@@ -200,7 +195,6 @@ func New(cfg Config) *Server {
 		hJobSeconds:   reg.CycleHist("service_job_seconds"),
 	}
 	s.cache.onCorrupt = func(string) { s.mCorrupt.Inc() }
-	s.faults.Bind(reg)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -374,12 +368,6 @@ func (s *Server) submit(n normalized, timeout time.Duration, tenant string) (*Jo
 		s.mRejected.Inc()
 		return nil, errDraining
 	}
-	if s.faults.Fire(fault.QueueFull) {
-		s.mu.Unlock()
-		cancel()
-		s.mRejected.Inc()
-		return nil, fmt.Errorf("%w (injected)", errQueueFull)
-	}
 	s.seq++
 	job.seq = s.seq
 	job.id = fmt.Sprintf("j%08d", job.seq)
@@ -494,16 +482,6 @@ func (s *Server) execute(job *Job) {
 	if s.hookExecute != nil {
 		s.hookExecute(job)
 	}
-	if s.faults.Fire(fault.JobPanic) {
-		panic("fault: injected job-handler panic")
-	}
-	if s.isDraining() {
-		// Stretch the drain window: chaos runs prove graceful shutdown
-		// still completes when in-flight work dawdles.
-		if d, ok := s.faults.FireDelay(fault.DrainStall); ok {
-			time.Sleep(d)
-		}
-	}
 
 	for {
 		if err := job.ctx.Err(); err != nil {
@@ -583,13 +561,6 @@ func (s *Server) publish(key string, f *flight, b []byte, err error) {
 	s.mu.Lock()
 	if err == nil {
 		s.cache.Put(key, b)
-		if s.faults.Fire(fault.CacheCorrupt) {
-			// Flip a byte in the cached copy only: the flight's bytes —
-			// what this job and its followers receive — stay intact, and
-			// the cache's checksum turns the next probe into a detected
-			// miss instead of a wrong answer.
-			s.cache.corrupt(key)
-		}
 	}
 	f.bytes, f.err = b, err
 	delete(s.flights, key)
@@ -657,6 +628,9 @@ func (s *Server) compute(job *Job) ([]byte, error) {
 		s.mSims.Inc()
 		recs[i] = rec
 		s.recordCell(job, i, rec)
+		if s.hookCell != nil {
+			s.hookCell(job, i)
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -749,18 +723,7 @@ func (s *Server) runnerFor(txns int, seed int64) *core.Runner {
 	if len(s.runners) >= 64 {
 		s.runners = make(map[runnerKey]*core.Runner)
 	}
-	opts := core.Options{Transactions: txns, Seed: seed, Parallelism: 1}
-	if s.faults != nil {
-		// Artificial cell latency threads through the experiment layer's
-		// PreRun seam: the stall lands inside the simulation pipeline,
-		// upstream of the job deadline, without touching determinism.
-		opts.PreRun = func(string, core.Spec) {
-			if d, ok := s.faults.FireDelay(fault.CellLatency); ok {
-				time.Sleep(d)
-			}
-		}
-	}
-	r := core.NewRunner(opts)
+	r := core.NewRunner(core.Options{Transactions: txns, Seed: seed, Parallelism: 1})
 	s.runners[k] = r
 	return r
 }

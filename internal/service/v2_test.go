@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,15 +44,22 @@ func normalizeGridHostFields(t *testing.T, gridJSON []byte) []byte {
 // exactly once, in enumeration order, with parseable RunRecords, and
 // terminates with a done event (io.EOF from the client iterator). The
 // cells must start arriving while the job is still running — partial
-// results, not a settled-job replay.
+// results, not a settled-job replay: the job is held after cell 0 is
+// broadcast until the test has seen it running.
 func TestV2StreamDelivery(t *testing.T) {
-	svc := New(Config{
-		Workers: 1, QueueDepth: 8,
-		Faults: mustInjector(t, 1, "cell-latency:1:80ms"),
-	})
+	svc := New(Config{Workers: 1, QueueDepth: 8})
+	seenRunning := make(chan struct{})
+	svc.hookCell = func(_ *Job, i int) {
+		if i == 0 {
+			<-seenRunning
+		}
+	}
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	defer svc.Shutdown(context.Background())
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(seenRunning) }) }
+	defer release() // runs before Shutdown even when the test fails early
 
 	cl := client.New(ts.URL).V2()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -72,7 +80,6 @@ func TestV2StreamDelivery(t *testing.T) {
 	}
 	defer st.Close()
 
-	sawRunningAfterFirst := false
 	for i := 0; ; i++ {
 		ev, err := st.Next()
 		if errors.Is(err, io.EOF) {
@@ -95,13 +102,11 @@ func TestV2StreamDelivery(t *testing.T) {
 			t.Fatalf("cell %d record missing identity: %+v", i, rec)
 		}
 		if i == 0 {
-			if js, err := cl.Status(ctx, job.ID); err == nil && js.Status == client.StatusRunning {
-				sawRunningAfterFirst = true
+			if js, err := cl.Status(ctx, job.ID); err != nil || js.Status != client.StatusRunning {
+				t.Errorf("status after cell 0 = %+v (err %v), want running — stream is not partial", js, err)
 			}
+			release()
 		}
-	}
-	if !sawRunningAfterFirst {
-		t.Error("first cell did not arrive while the job was still running — stream is not partial")
 	}
 	if js, err := cl.Status(ctx, job.ID); err != nil || js.Status != client.StatusDone || js.CellsDone != 4 {
 		t.Fatalf("final status %+v, err %v", js, err)

@@ -190,8 +190,6 @@ func (r *Registry) CounterNames() []string {
 // EachCounter calls f with every registered counter's name and current
 // value, in sorted name order. The snapshot of names is taken under
 // the registry lock but f runs outside it, so f may touch the registry.
-// Used by consistency sweeps (the chaos suite reconciles the fault
-// injector's own counts against every bound fault_* counter).
 func (r *Registry) EachCounter(f func(name string, value uint64)) {
 	if r == nil {
 		return
