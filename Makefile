@@ -56,7 +56,8 @@ bench-gen:
 # Ma-SU layer at the same fixed sizes: ProcessWrite on the eager BMT
 # and the lazy ToC, a verified ReadLine, a crash with Anubis and with
 # Osiris recovery, the audit of a written image (BenchmarkAudit) and the
-# checkpoint load of one ycsb-read-lazy cell (BenchmarkLoadCheckpoint).
+# checkpoint load of a ycsb-read-lazy and a hashmap-eager cell
+# (BenchmarkLoadCheckpoint).
 # A write's data-line MAC and ECC are computed where they are observed,
 # so the crash and the audit are where that work now lands. Fixed
 # iterations and five repeats, so a change reports the median and
@@ -72,7 +73,8 @@ bench-masu:
 # under the package's testdata/fuzz. Minimizing a new interesting input
 # may take up to a minute by default, which would stall a 10 s run, so it
 # is capped at 1 s. A new Fuzz* function goes on this list. Runs in CI.
-FUZZ_TARGETS := ./internal/trace:FuzzLoad ./internal/scheme:FuzzParse ./internal/service:FuzzNormalize
+FUZZ_TARGETS := ./internal/trace:FuzzLoad ./internal/scheme:FuzzParse ./internal/service:FuzzNormalize \
+	./internal/masu:FuzzLoadImage
 fuzz-smoke:
 	@set -e; for pt in $(FUZZ_TARGETS); do \
 		pkg=$${pt%%:*}; t=$${pt#*:}; \

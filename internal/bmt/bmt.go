@@ -241,7 +241,12 @@ func (t *Tree) nodeMAC(level int, index uint64, image *[NodeSize]byte) crypt.MAC
 // RebuildFromLeaves) must pass the same through; it panics otherwise. It returns the modeled MAC
 // count of an eager update, Levels()+1 (9 for a 16 GB tree — plus the
 // data MAC this makes the paper's 10).
-func (t *Tree) UpdateLeaf(index uint64, through int) int {
+func (t *Tree) UpdateLeaf(index uint64, through int) int { return t.UpdateLeafRun(index, through, 1) }
+
+// UpdateLeafRun is UpdateLeaf for n consecutive updates of leaf `index`
+// with nothing observing the tree between them: each update after the
+// first finds the path already stale and changes only the count.
+func (t *Tree) UpdateLeafRun(index uint64, through int, n uint64) int {
 	if index >= t.leaves {
 		panic(fmt.Sprintf("bmt: leaf %d out of range", index))
 	}
@@ -252,7 +257,7 @@ func (t *Tree) UpdateLeaf(index uint64, through int) int {
 		t.owedDepth = through
 		t.wb.Mark()
 	}
-	t.updates++
+	t.updates += n
 	t.rootSet, t.rootStale = true, true
 	idx := index
 	marking := true

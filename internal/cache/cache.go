@@ -114,29 +114,26 @@ func (c *Cache) set(set uint64) []line {
 	return c.lines[base : base+uint64(c.ways)]
 }
 
-// Contains reports whether addr's line is present, without touching LRU
-// state or statistics.
-func (c *Cache) Contains(addr uint64) bool {
+// lookup returns addr's resident line, or nil.
+func (c *Cache) lookup(addr uint64) *line {
 	set, tag := c.index(addr)
-	for i := range c.set(set) {
-		l := &c.set(set)[i]
-		if l.valid && l.tag == tag {
-			return true
+	ways := c.set(set)
+	for i := range ways {
+		if l := &ways[i]; l.valid && l.tag == tag {
+			return l
 		}
 	}
-	return false
+	return nil
 }
+
+// Contains reports whether addr's line is present, without touching LRU
+// state or statistics.
+func (c *Cache) Contains(addr uint64) bool { return c.lookup(addr) != nil }
 
 // IsDirty reports whether addr's line is present and dirty.
 func (c *Cache) IsDirty(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.set(set) {
-		l := &c.set(set)[i]
-		if l.valid && l.tag == tag {
-			return l.dirty
-		}
-	}
-	return false
+	l := c.lookup(addr)
+	return l != nil && l.dirty
 }
 
 // Access looks up addr, filling on miss. write marks the line dirty.
@@ -222,35 +219,56 @@ func (c *Cache) Fill(addr uint64, dirty bool) (victim Victim, evicted bool) {
 	return victim, evicted
 }
 
+// RepeatHits replays rounds passes over addrs, in order, as Access calls
+// that all hit: the hit count, the LRU stamps and the dirty bits end
+// exactly as those calls leave them. Unless every address is resident
+// it changes nothing and returns false.
+func (c *Cache) RepeatHits(addrs []uint64, write bool, rounds uint64) bool {
+	for _, a := range addrs {
+		if c.lookup(a) == nil {
+			return false
+		}
+	}
+	if rounds == 0 {
+		return true
+	}
+	n := uint64(len(addrs))
+	last := c.stamp + (rounds-1)*n // the stamp before the final pass
+	for i, a := range addrs {
+		l := c.lookup(a)
+		l.lru = last + uint64(i) + 1
+		if write {
+			l.dirty = true
+		}
+	}
+	c.stamp += rounds * n
+	c.hits += rounds * n
+	return true
+}
+
 // CleanLine clears the dirty bit of addr's line if present (a write-back
 // that keeps the line, i.e. clwb semantics). It reports whether the line
 // was present and dirty.
 func (c *Cache) CleanLine(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.set(set) {
-		l := &c.set(set)[i]
-		if l.valid && l.tag == tag {
-			wasDirty := l.dirty
-			l.dirty = false
-			return wasDirty
-		}
+	l := c.lookup(addr)
+	if l == nil {
+		return false
 	}
-	return false
+	wasDirty := l.dirty
+	l.dirty = false
+	return wasDirty
 }
 
 // Invalidate removes addr's line, returning whether it was present and
 // whether it was dirty (clflush semantics).
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	for i := range c.set(set) {
-		l := &c.set(set)[i]
-		if l.valid && l.tag == tag {
-			present, dirty = true, l.dirty
-			*l = line{}
-			return present, dirty
-		}
+	l := c.lookup(addr)
+	if l == nil {
+		return false, false
 	}
-	return false, false
+	dirty = l.dirty
+	*l = line{}
+	return true, dirty
 }
 
 // DirtyLines returns the addresses of all dirty lines, in no particular

@@ -32,6 +32,7 @@ import (
 	"dolos/internal/sim"
 	"dolos/internal/stats"
 	"dolos/internal/telemetry"
+	"dolos/internal/trace"
 	"dolos/internal/wpq"
 )
 
@@ -313,11 +314,10 @@ func (c *Controller) MetaCaches() (counter, mt *cache.Cache) {
 // state is complete as soon as the event loop drains.
 func (c *Controller) Quiesce() {}
 
-// LoadInitLine installs one checkpoint-image line functionally, with no
-// cycles charged — the Start-time prologue.
-func (c *Controller) LoadInitLine(addr uint64, data [64]byte) {
-	c.ma.ProcessWrite(addr, data, -1)
-}
+// LoadImage installs a checkpoint image functionally, in order, with no
+// cycles charged — the Start-time prologue. The state it leaves is the
+// state of one Ma-SU write per line (masu.Unit.LoadImage).
+func (c *Controller) LoadImage(img []trace.InitLine) { c.ma.LoadImage(img) }
 
 // MiSU returns the Minor Security Unit (nil for non-Dolos schemes).
 func (c *Controller) MiSU() *misu.Unit { return c.mi }

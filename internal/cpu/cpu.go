@@ -222,9 +222,9 @@ func (s *System) start(tr *trace.Trace, window int) {
 	s.window = window
 
 	s.mirror.SizeFor(tr)
+	s.Ctrl.LoadImage(tr.InitImage)
 	for i := range tr.InitImage {
 		il := &tr.InitImage[i]
-		s.Ctrl.LoadInitLine(il.Addr, il.Data)
 		s.mirror.Set(il.Addr, &il.Data)
 	}
 	s.issue.Start(tr, window)

@@ -384,6 +384,27 @@ func (s *Store) ApplyBlock(pi uint64, blk *Block, forcePersist bool) {
 	}
 }
 
+// ApplyRun applies one update per entry of slots, in order, to page pi's
+// live block: each advances that line's minor counter, exactly as
+// ApplyBlock does with the line's staged block, and the block persists
+// at every Osiris period point the updates reach — after every update
+// when persistEach — with its image at that point. An update that would
+// overflow a minor counter is not a run's: it panics.
+func (s *Store) ApplyRun(pi uint64, slots []uint8, persistEach bool) {
+	b := s.volatile.Get(pi)
+	up := s.updates.Ptr(pi)
+	for _, li := range slots {
+		if b.Minors[li] == MinorMax {
+			panic(fmt.Sprintf("ctr: run update overflows page %d line %d", pi, li))
+		}
+		b.Minors[li]++
+		*up++
+		if persistEach || *up%s.period == 0 {
+			s.persistBlock(pi)
+		}
+	}
+}
+
 // PersistByIndex persists page pi's counter block if live (metadata-cache
 // eviction keyed by NVM address).
 func (s *Store) PersistByIndex(pi uint64) {

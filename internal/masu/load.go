@@ -1,0 +1,116 @@
+package masu
+
+import (
+	"dolos/internal/bmt"
+	"dolos/internal/ctr"
+	"dolos/internal/toc"
+	"dolos/internal/trace"
+)
+
+// LoadImage installs a checkpoint image functionally, in order, leaving
+// exactly the state one ProcessWrite per line leaves (DESIGN.md §19). It
+// works a page run at a time. A run is a maximal sequence of consecutive
+// lines on one counter block's page with no address repeated and no
+// minor counter at its maximum. Its first line goes through ProcessWrite,
+// which takes every metadata-cache miss, victim and shadow entry the run
+// incurs; each further line only hits what the first brought in, so the
+// counter-cache hits, the counter-block updates, the tree update and the
+// MT-cache walk of all of them are applied once for the rest of the run.
+// Each line is still encrypted under its own counter, and its MAC and ECC
+// turn pending. The write hook observes the lines that go through
+// ProcessWrite; the others re-encrypt nothing.
+func (u *Unit) LoadImage(img []trace.InitLine) {
+	for i := 0; i < len(img); {
+		first := img[i].Addr &^ 63
+		u.ProcessWrite(first, img[i].Data, -1)
+		i++
+		if n := u.runLength(first, img[i:]); n > 0 && u.loadRun(first, img[i:i+n]) {
+			i += n
+		}
+	}
+}
+
+// runLength returns how many lines at the head of rest extend the run
+// that first (just written) opened: lines on first's page, each to a line
+// the run has not written yet, whose minor counter is short of overflow.
+func (u *Unit) runLength(first uint64, rest []trace.InitLine) int {
+	leaf := u.lay.LeafIndex(first)
+	blk := u.counters.BlockByIndex(leaf)
+	seen := uint64(1) << (first / 64 % ctr.LinesPerBlock)
+	for n, il := range rest {
+		a := il.Addr &^ 63
+		li := a / 64 % ctr.LinesPerBlock
+		if !u.lay.ValidData(a) || u.lay.LeafIndex(a) != leaf || seen&(1<<li) != 0 || blk.Minors[li] == ctr.MinorMax {
+			return n
+		}
+		seen |= 1 << li
+	}
+	return len(rest)
+}
+
+// loadRun installs lines, the rest of the run whose first line, first,
+// was just written, and reports whether it could: it cannot, and changes
+// nothing, when the first line's walk evicted one of its own path nodes
+// from the MT cache, since then the lines would not all hit. Otherwise
+// every line hits the counter block and every path node, evicts nothing
+// and leaves the shadow entries the first line made live and pending, so
+// only its ciphertext and its counter are its own.
+func (u *Unit) loadRun(first uint64, lines []trace.InitLine) bool {
+	leaf := u.lay.LeafIndex(first)
+	n := uint64(len(lines))
+	var pathBuf [toc.MaxLevels]uint64
+	path := u.treePath(leaf, pathBuf[:0])
+	if !u.mtCache.RepeatHits(path, !u.policy.PartialTreePersistence, n) {
+		return false
+	}
+	u.counterCache.RepeatHits([]uint64{u.counters.BlockNVMAddr(first)}, !u.policy.CounterWriteThrough, n)
+
+	blk := u.counters.BlockByIndex(leaf)
+	var slots [ctr.LinesPerBlock]uint8
+	for j := range lines {
+		a := lines[j].Addr &^ 63
+		li := a / 64 % ctr.LinesPerBlock
+		slots[j] = uint8(li)
+		counter := blk.Major<<ctr.MinorBits | uint64(blk.Minors[li]) + 1
+		var ct [64]byte
+		u.eng.EncryptLineTo(&ct, &lines[j].Data, lineIV(a, counter))
+		u.writeCipher(a, &ct, counter, linePending)
+	}
+	u.counters.ApplyRun(leaf, slots[:n], u.policy.CounterWriteThrough)
+	if u.policy.CounterWriteThrough && u.policy.CoalesceCounterWrites {
+		u.coalescedCtr += n // each merges with the previous write to the block
+	}
+
+	switch u.kind {
+	case BMTEager:
+		through := 0
+		if u.policy.PartialTreePersistence {
+			through = u.persistLevels()
+		}
+		u.bmtTree.UpdateLeafRun(leaf, through, n)
+	case ToCLazy:
+		var up toc.Update
+		u.tocTree.StageRun(&up, leaf, n)
+		u.tocTree.Apply(&up)
+	}
+	u.writes += n
+	return true
+}
+
+// treePath appends the MT-cache addresses of leaf's path nodes, level 1
+// upward, to buf: the order a write walks them.
+func (u *Unit) treePath(leaf uint64, buf []uint64) []uint64 {
+	idx := leaf
+	if u.kind == BMTEager {
+		for level := 1; level <= u.bmtTree.Levels(); level++ {
+			idx /= bmt.Arity
+			buf = append(buf, u.bmtTree.NodeNVMAddr(level, idx))
+		}
+		return buf
+	}
+	for level := 1; level <= u.tocTree.Levels(); level++ {
+		idx /= toc.Arity
+		buf = append(buf, u.tocTree.NodeNVMAddr(level, idx))
+	}
+	return buf
+}

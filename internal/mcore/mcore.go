@@ -197,9 +197,9 @@ func (s *System) Start() {
 	for _, c := range s.Cores {
 		tr := c.spec.Trace
 		c.mirror.SizeFor(tr)
+		s.Ctrl.LoadImage(tr.InitImage)
 		for i := range tr.InitImage {
 			il := &tr.InitImage[i]
-			s.Ctrl.LoadInitLine(il.Addr, il.Data)
 			c.mirror.Set(il.Addr, &il.Data)
 		}
 	}

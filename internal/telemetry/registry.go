@@ -187,25 +187,6 @@ func (r *Registry) CounterNames() []string {
 	return sortedKeysCounter(r.counters)
 }
 
-// EachCounter calls f with every registered counter's name and current
-// value, in sorted name order. The snapshot of names is taken under
-// the registry lock but f runs outside it, so f may touch the registry.
-func (r *Registry) EachCounter(f func(name string, value uint64)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	counters := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		counters = append(counters, c)
-	}
-	r.mu.Unlock()
-	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	for _, c := range counters {
-		f(c.name, c.Value())
-	}
-}
-
 // GaugeNames returns the registered gauge names, sorted.
 func (r *Registry) GaugeNames() []string {
 	if r == nil {

@@ -256,25 +256,32 @@ type Update struct {
 	// Versions[l-1] is the new version array of the path's level-l node.
 	Versions [MaxLevels][Arity]uint64
 	RootVer  uint64
+	// Writes is the number of leaf writes the update stands for.
+	Writes uint64
 }
 
 // Stage computes, without installing, the update that writing leaf
 // `index` makes: every version on the path and the root version advance
 // by one. It computes no MAC; the timing model charges Levels()+1, all
 // parallel.
-func (t *Tree) Stage(u *Update, index uint64) {
+func (t *Tree) Stage(u *Update, index uint64) { t.StageRun(u, index, 1) }
+
+// StageRun is Stage for n consecutive writes of leaf `index`: every
+// version on the path and the root version advance by n, exactly as n
+// staged and applied updates advance them one at a time.
+func (t *Tree) StageRun(u *Update, index, n uint64) {
 	if index >= t.leaves {
 		panic(fmt.Sprintf("toc: leaf %d out of range", index))
 	}
-	u.Leaf = index
+	u.Leaf, u.Writes = index, n
 	child := index
 	for level := 1; level < len(t.counts); level++ {
 		vs := &u.Versions[level-1]
 		*vs = t.node(level, child/Arity).Versions
-		vs[child%Arity] = (vs[child%Arity] + 1) & versionMask
+		vs[child%Arity] = (vs[child%Arity] + n) & versionMask
 		child /= Arity
 	}
-	u.RootVer = t.rootVer + 1
+	u.RootVer = t.rootVer + n
 }
 
 // Apply installs a staged update: the path nodes' version arrays and the
@@ -287,7 +294,7 @@ func (t *Tree) Stage(u *Update, index uint64) {
 // and a restore writes its node's stale leaf MACs back first: no stale
 // leaf MAC changes version here but the written leaf's.
 func (t *Tree) Apply(u *Update) {
-	t.updates++
+	t.updates += u.Writes
 	child := u.Leaf
 	for level := 1; level < len(t.counts); level++ {
 		idx := child / Arity
