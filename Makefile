@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-json bench-delta fuzz-smoke mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-misu bench-json bench-delta fuzz-smoke mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke clean
 
 all: build test
 
@@ -67,6 +67,14 @@ bench-masu:
 	$(GO) test -run '^$$' -bench 'AnubisRecovery|OsirisRecovery|Audit' -benchmem -benchtime 200x -count 5 ./internal/masu
 	$(GO) test -run '^$$' -bench 'LoadCheckpoint' -benchmem -benchtime 20x -count 5 ./internal/masu
 
+# Mi-SU layer: one insert per design (the insert computes no MAC; the
+# owed MACs are hashed at the drain) and a 13-entry Partial-WPQ drain +
+# recovery, which is where that hashing lands. Fixed iterations and five
+# repeats, so a change reports the median and quartiles of each.
+bench-misu:
+	$(GO) test -run '^$$' -bench 'Protect' -benchmem -benchtime 200000x -count 5 ./internal/misu
+	$(GO) test -run '^$$' -bench 'DrainRecover' -benchmem -benchtime 200x -count 5 ./internal/misu
+
 # Every native fuzz target of the root module for 10 s each, listed as
 # package:target. go test -fuzz takes one target per invocation, so this
 # loops over them; a failure stops the loop and leaves the crashing input
@@ -74,7 +82,7 @@ bench-masu:
 # may take up to a minute by default, which would stall a 10 s run, so it
 # is capped at 1 s. A new Fuzz* function goes on this list. Runs in CI.
 FUZZ_TARGETS := ./internal/trace:FuzzLoad ./internal/scheme:FuzzParse ./internal/service:FuzzNormalize \
-	./internal/masu:FuzzLoadImage
+	./internal/masu:FuzzLoadImage ./internal/misu:FuzzDrainRecover
 fuzz-smoke:
 	@set -e; for pt in $(FUZZ_TARGETS); do \
 		pkg=$${pt%%:*}; t=$${pt#*:}; \
@@ -101,6 +109,7 @@ ci:
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchtime 1x ./internal/whisper
 	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine|Recovery|Audit|LoadCheckpoint' -benchtime 1x ./internal/masu
+	$(GO) test -run '^$$' -bench 'Protect|DrainRecover' -benchtime 1x ./internal/misu
 	$(GO) build -o /tmp/dolos-bench-ci ./cmd/dolos-bench
 	timeout 300 /tmp/dolos-bench-ci -exp all -txns 50 > /dev/null
 	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -txns 200 -o /tmp/dolos-grid-ci.json -compare BENCH_pr13.json

@@ -103,12 +103,13 @@ const groupSize = 8
 // wpqPageTag namespaces WPQ pad IVs away from memory-line IVs.
 const wpqPageTag = uint64(1) << 44
 
-// drainHeaderSize is the bookkeeping prefix of the drain region: the
-// 8-byte live bitmap (the queue's valid bits, which a hardware ADR flush
-// carries implicitly with the buffer). Same-line write ordering (see
-// wpq.MustWait) guarantees at most one live entry per line, so replay
-// order needs no further metadata.
-const drainHeaderSize = 8
+// drainHeaderBytes is the bookkeeping prefix of the drain region: the
+// live bitmap (the queue's valid bits, which a hardware ADR flush
+// carries implicitly with the buffer), one little-endian 64-bit word
+// per 64 slots, so slot i's bit is bit i%8 of byte i/8. Same-line write
+// ordering (see wpq.MustWait) guarantees at most one live entry per
+// line, so replay order needs no further metadata.
+func drainHeaderBytes(entries int) uint64 { return uint64((entries+63)/64) * 8 }
 
 // RecoveredWrite is one write restored from a drained WPQ image.
 type RecoveredWrite struct {
@@ -126,8 +127,15 @@ type Unit struct {
 
 	// Persistent in-processor state (survives power failure).
 	counterReg uint64
-	root       crypt.MAC         // Full-WPQ tree root register
-	l1         map[int]crypt.MAC // Full-WPQ L1 MAC registers (persistent)
+	root       crypt.MAC   // Full-WPQ tree root register
+	l1         []crypt.MAC // Full-WPQ L1 MAC registers, one per group
+
+	// The host computes the MACs above, and the queue's entry MACs,
+	// only when they are observed (settle). stale[i] marks L1 group i
+	// (Full-WPQ) or slot i's entry MAC (Partial/Post) as owed;
+	// rootStale marks the root.
+	stale     []bool
+	rootStale bool
 
 	// Volatile state, regenerated at boot.
 	pads []crypt.Pad
@@ -151,33 +159,42 @@ func New(design Design, eng crypt.Provider, dev *nvm.Device, base uint64, entrie
 		queue:  wpq.New(entries),
 		dev:    dev,
 		base:   base,
-		l1:     make(map[int]crypt.MAC),
+	}
+	if design == FullWPQ {
+		u.l1 = make([]crypt.MAC, u.groups())
+		u.stale = make([]bool, u.groups())
+	} else {
+		u.stale = make([]bool, entries)
 	}
 	u.regeneratePads()
 	u.initFullTree()
 	return u
 }
 
+// groups returns the number of Full-WPQ L1 groups.
+func (u *Unit) groups() int { return (u.queue.Size() + groupSize - 1) / groupSize }
+
 // initFullTree establishes the Full-WPQ tree over the empty queue so that
 // recovery's full rebuild matches the register state even when some
 // groups were never written this epoch. Runs at boot alongside pad
-// pre-generation, off any critical path.
+// pre-generation, off any critical path: the modelled hardware computes
+// every L1 MAC and the root, and the host marks them owed.
 func (u *Unit) initFullTree() {
 	if u.design != FullWPQ {
 		return
 	}
-	groups := (u.queue.Size() + groupSize - 1) / groupSize
-	for g := 0; g < groups; g++ {
-		u.l1[g] = u.groupMAC(g)
+	for g := range u.stale {
+		u.stale[g] = true
 	}
-	u.root = u.rootMAC()
+	u.rootStale = true
+	u.macOps += uint64(len(u.stale)) + 1
 }
 
 // DrainRegionBytes returns the NVM bytes needed to drain a queue of the
 // given size: header + per-slot 72-byte records + MAC blocks.
 func DrainRegionBytes(entries int) uint64 {
 	macBlocks := (entries + 7) / 8
-	return drainHeaderSize + uint64(entries)*wpq.EntryDataSize + uint64(macBlocks)*64
+	return drainHeaderBytes(entries) + uint64(entries)*wpq.EntryDataSize + uint64(macBlocks)*64
 }
 
 // ErrFastMode reports a recovery attempted on a latency-only crypto
@@ -189,12 +206,16 @@ var ErrFastMode = errors.New("misu: recovery requires the functional crypto prov
 func (u *Unit) Design() Design { return u.design }
 
 // Queue exposes the underlying WPQ (for the controller and statistics).
+// An entry's MAC field is filled only when the unit settles, at a drain.
 func (u *Unit) Queue() *wpq.Queue { return u.queue }
 
 // CounterRegister returns the persistent counter register value.
 func (u *Unit) CounterRegister() uint64 { return u.counterReg }
 
-// MACOps returns the number of MAC computations performed by the Mi-SU.
+// MACOps returns the number of MAC computations the modelled Mi-SU
+// performs: two per Full-WPQ insert, one per Partial insert or Post
+// deferred completion, the boot-time tree and recovery's checks. The
+// host computes each one later, when it is observed (settle), or never.
 func (u *Unit) MACOps() uint64 { return u.macOps }
 
 // Drains returns the number of ADR drain events executed.
@@ -224,7 +245,6 @@ func (u *Unit) slotCounter(i int) uint64 { return u.counterReg + uint64(i) }
 // entryMAC computes the Partial/Post per-entry MAC over the ciphertext,
 // address, and slot counter.
 func (u *Unit) entryMAC(cipher *[64]byte, addr, counter uint64) crypt.MAC {
-	u.macOps++
 	return u.eng.LineMAC(cipher, addr^wpqPageTag, counter)
 }
 
@@ -250,7 +270,8 @@ func (u *Unit) CanAccept(addr uint64) bool {
 // returns the slot used. The caller must have checked CanAccept; the
 // latency to charge is Design().InsertLatency(). For Post-WPQ the entry is
 // committed immediately with its MAC pending; the caller later invokes
-// CompleteDeferredMAC (after MACLatency) to finish it.
+// CompleteDeferredMAC (after MACLatency) to finish it. The MACs the
+// modelled insert computes are counted and marked owed, not hashed.
 func (u *Unit) Protect(addr uint64, plain [64]byte) int {
 	slot, _, ok := u.queue.Allocate(addr)
 	if !ok {
@@ -264,12 +285,17 @@ func (u *Unit) Protect(addr uint64, plain [64]byte) int {
 	crypt.XOR(&e.Cipher, &plain, &u.pads[slot])
 	switch u.design {
 	case FullWPQ:
+		// Figure 8 steps 2-3: the slot's L1 MAC, then the root.
 		u.queue.Commit(slot, e)
-		u.updateTree(slot)
+		u.stale[slot/groupSize] = true
+		u.rootStale = true
+		u.macOps += 2
 	case PartialWPQ:
-		e.MAC = u.entryMAC(&e.Cipher, addr, e.Counter)
 		u.queue.Commit(slot, e)
+		u.stale[slot] = true
+		u.macOps++
 	case PostWPQ:
+		// The MAC is computed, and owed, from the deferred completion.
 		e.MACPending = true
 		u.queue.Commit(slot, e)
 		u.deferredPending = true
@@ -280,58 +306,86 @@ func (u *Unit) Protect(addr uint64, plain [64]byte) int {
 	return slot
 }
 
-// CompleteDeferredMAC finishes a Post-WPQ entry's deferred MAC.
+// CompleteDeferredMAC finishes a Post-WPQ entry's deferred MAC. The
+// commit stamps the entry with a new Seq, which orders the Ma-SU's
+// fetches; the MAC itself is owed until observed.
 func (u *Unit) CompleteDeferredMAC(slot int) {
 	if u.design != PostWPQ {
 		panic("misu: deferred MAC on non-Post design")
 	}
 	e := u.queue.Entry(slot)
-	e.MAC = u.entryMAC(&e.Cipher, e.Addr, e.Counter)
 	e.MACPending = false
 	u.queue.Commit(slot, e)
+	u.stale[slot] = true
+	u.macOps++
 	u.deferredPending = false
 }
 
-// updateTree recomputes the Full-WPQ L1 MAC of slot's group and the root
-// (the two MAC computations of Figure 8 steps 2-3).
-func (u *Unit) updateTree(slot int) {
-	group := slot / groupSize
-	u.l1[group] = u.groupMAC(group)
-	u.root = u.rootMAC()
-}
-
-// groupMAC MACs the concatenated (addr, cipher) records of one L1 group.
-func (u *Unit) groupMAC(group int) crypt.MAC {
-	u.macOps++
-	buf := make([]byte, 0, groupSize*wpq.EntryDataSize)
-	for i := group * groupSize; i < (group+1)*groupSize && i < u.queue.Size(); i++ {
-		e := u.queue.Entry(i)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint64(hdr[:], e.Addr)
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, e.Cipher[:]...)
+// settle computes every owed MAC from the queue's current entries: the
+// stale Full-WPQ L1 groups and root, or the stale entry MACs, which it
+// stores without touching Seq. Each value is the one the modelled
+// hardware computed when it marked it, because only Protect changes a
+// slot's address or ciphertext and every Protect marks it again.
+func (u *Unit) settle() {
+	if u.design == FullWPQ {
+		for g, stale := range u.stale {
+			if stale {
+				u.l1[g] = u.groupMAC(g, u.queueRecord)
+				u.stale[g] = false
+			}
+		}
+		if u.rootStale {
+			u.root = u.rootMAC(u.l1)
+			u.rootStale = false
+		}
+		return
 	}
-	return u.eng.NodeMAC(buf, wpqPageTag|uint64(group))
+	for i, stale := range u.stale {
+		if stale {
+			e := u.queue.Entry(i)
+			u.queue.SetMAC(i, u.entryMAC(&e.Cipher, e.Addr, e.Counter))
+			u.stale[i] = false
+		}
+	}
 }
 
-// rootMAC MACs the L1 MAC registers together with the counter register,
-// binding the tree to this drain epoch.
-func (u *Unit) rootMAC() crypt.MAC {
-	u.macOps++
-	groups := (u.queue.Size() + groupSize - 1) / groupSize
-	// Fixed-capacity stack buffer: a variable-capacity make escapes and
-	// this runs on every Full-WPQ insert. 16 groups covers a 128-entry
-	// WPQ; larger ablations spill to one append re-allocation, with the
-	// identical byte stream either way.
+// putRecord writes a slot's drained record — the address, then the
+// ciphertext — into dst[:wpq.EntryDataSize].
+func putRecord(dst []byte, addr uint64, cipher *[64]byte) {
+	binary.LittleEndian.PutUint64(dst[:8], addr)
+	copy(dst[8:wpq.EntryDataSize], cipher[:])
+}
+
+// queueRecord writes slot i's record from the live queue.
+func (u *Unit) queueRecord(i int, dst []byte) {
+	e := u.queue.Entry(i)
+	putRecord(dst, e.Addr, &e.Cipher)
+}
+
+// groupMAC MACs the concatenated records of one L1 group, each written
+// by rec; settle reads them from the queue, Recover from the drained
+// image.
+func (u *Unit) groupMAC(group int, rec func(i int, dst []byte)) crypt.MAC {
+	var stack [groupSize * wpq.EntryDataSize]byte
+	n := 0
+	for i := group * groupSize; i < (group+1)*groupSize && i < u.queue.Size(); i++ {
+		rec(i, stack[n:])
+		n += wpq.EntryDataSize
+	}
+	return u.eng.NodeMAC(stack[:n], wpqPageTag|uint64(group))
+}
+
+// rootMAC MACs the L1 MACs together with the counter register, binding
+// the tree to this drain epoch.
+func (u *Unit) rootMAC(l1 []crypt.MAC) crypt.MAC {
+	// 16 groups covers a 128-entry WPQ on the stack; larger ablations
+	// spill to one append re-allocation, with the identical byte stream.
 	var stack [16*crypt.MACSize + 8]byte
 	buf := stack[:0]
-	for g := 0; g < groups; g++ {
-		m := u.l1[g]
+	for _, m := range l1 {
 		buf = append(buf, m[:]...)
 	}
-	var reg [8]byte
-	binary.LittleEndian.PutUint64(reg[:], u.counterReg)
-	buf = append(buf, reg[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, u.counterReg)
 	return u.eng.NodeMAC(buf, wpqPageTag|1<<16)
 }
 
@@ -356,9 +410,11 @@ type DrainStats struct {
 }
 
 // Drain flushes the WPQ image to the NVM drain region on a power failure.
-// Per the paper, the drain path performs no security work beyond writing
-// the already-protected contents — except Post-WPQ's single reserved
-// deferred MAC, completed here on ADR power.
+// Per the paper, the modelled drain performs no security work beyond
+// writing the already-protected contents — except Post-WPQ's single
+// reserved deferred MAC, completed here on ADR power. The host, though,
+// computes here every MAC the unit still owes (settle) before writing
+// any byte, so the image is the one eager hashing would drain.
 func (u *Unit) Drain() DrainStats {
 	u.drains++
 	var st DrainStats
@@ -371,35 +427,28 @@ func (u *Unit) Drain() DrainStats {
 			}
 		}
 	}
+	u.settle()
 
-	var bitmap uint64
-	var hdr [drainHeaderSize]byte
-	macs := make([]crypt.MAC, u.queue.Size())
-	for i := 0; i < u.queue.Size(); i++ {
+	n := u.queue.Size()
+	hdr := drainHeaderBytes(n)
+	img := make([]byte, hdr+uint64(n)*wpq.EntryDataSize)
+	for i := 0; i < n; i++ {
 		e := u.queue.Entry(i)
 		if e.Valid && !e.Cleared {
-			bitmap |= 1 << uint(i)
+			img[i/8] |= 1 << uint(i%8)
 		}
-		var rec [wpq.EntryDataSize]byte
-		binary.LittleEndian.PutUint64(rec[:8], e.Addr)
-		copy(rec[8:], e.Cipher[:])
-		u.dev.Write(u.base+drainHeaderSize+uint64(i)*wpq.EntryDataSize, rec[:])
+		putRecord(img[hdr+uint64(i)*wpq.EntryDataSize:], e.Addr, &e.Cipher)
 		st.EntriesWritten++
-		macs[i] = e.MAC
 	}
-	binary.LittleEndian.PutUint64(hdr[:], bitmap)
-	u.dev.Write(u.base, hdr[:])
+	u.dev.Write(u.base, img)
 
 	if u.design != FullWPQ {
-		macBase := u.base + drainHeaderSize + uint64(u.queue.Size())*wpq.EntryDataSize
-		blocks := (u.queue.Size() + 7) / 8
-		for b := 0; b < blocks; b++ {
+		macBase := u.base + uint64(len(img))
+		for b := 0; b*8 < n; b++ {
 			var blk [64]byte
-			for j := 0; j < 8; j++ {
-				i := b*8 + j
-				if i < len(macs) {
-					copy(blk[j*8:], macs[i][:])
-				}
+			for j := 0; j < 8 && b*8+j < n; j++ {
+				m := u.queue.Entry(b*8 + j).MAC
+				copy(blk[j*8:], m[:])
 			}
 			u.dev.Write(macBase+uint64(b)*64, blk[:])
 			st.MACBlocksWritten++
@@ -428,62 +477,43 @@ func (u *Unit) Recover() ([]RecoveredWrite, error) {
 	if !u.eng.Functional() {
 		return nil, ErrFastMode
 	}
-	var hdr [drainHeaderSize]byte
-	u.dev.Read(u.base, hdr[:])
-	bitmap := binary.LittleEndian.Uint64(hdr[:])
-
-	type slotRec struct {
-		addr   uint64
-		cipher [64]byte
+	u.settle()
+	n := u.queue.Size()
+	hdr := drainHeaderBytes(n)
+	img := make([]byte, hdr+uint64(n)*wpq.EntryDataSize)
+	u.dev.Read(u.base, img)
+	live := func(i int) bool { return img[i/8]&(1<<uint(i%8)) != 0 }
+	record := func(i int) []byte {
+		return img[hdr+uint64(i)*wpq.EntryDataSize:][:wpq.EntryDataSize]
 	}
-	recs := make([]slotRec, u.queue.Size())
-	for i := range recs {
-		var rec [wpq.EntryDataSize]byte
-		u.dev.Read(u.base+drainHeaderSize+uint64(i)*wpq.EntryDataSize, rec[:])
-		recs[i].addr = binary.LittleEndian.Uint64(rec[:8])
-		copy(recs[i].cipher[:], rec[8:])
-	}
+	addrOf := func(i int) uint64 { return binary.LittleEndian.Uint64(record(i)) }
+	cipherOf := func(i int) *[64]byte { return (*[64]byte)(record(i)[8:]) }
 
 	switch u.design {
 	case FullWPQ:
 		// Rebuild the two-level tree over the read-back image and
 		// compare with the persistent root register.
-		groups := (u.queue.Size() + groupSize - 1) / groupSize
-		l1 := make([]crypt.MAC, groups)
-		for g := 0; g < groups; g++ {
-			buf := make([]byte, 0, groupSize*wpq.EntryDataSize)
-			for i := g * groupSize; i < (g+1)*groupSize && i < len(recs); i++ {
-				var hdr8 [8]byte
-				binary.LittleEndian.PutUint64(hdr8[:], recs[i].addr)
-				buf = append(buf, hdr8[:]...)
-				buf = append(buf, recs[i].cipher[:]...)
-			}
-			u.macOps++
-			l1[g] = u.eng.NodeMAC(buf, wpqPageTag|uint64(g))
+		l1 := make([]crypt.MAC, u.groups())
+		for g := range l1 {
+			l1[g] = u.groupMAC(g, func(i int, dst []byte) { copy(dst, record(i)) })
 		}
-		buf := make([]byte, 0, groups*crypt.MACSize+8)
-		for _, m := range l1 {
-			buf = append(buf, m[:]...)
-		}
-		var reg [8]byte
-		binary.LittleEndian.PutUint64(reg[:], u.counterReg)
-		buf = append(buf, reg[:]...)
-		u.macOps++
-		if got := u.eng.NodeMAC(buf, wpqPageTag|1<<16); got != u.root {
+		u.macOps += uint64(len(l1)) + 1
+		if u.rootMAC(l1) != u.root {
 			return nil, &RecoveryError{Slot: -1, Reason: "WPQ tree root mismatch"}
 		}
 	default:
 		// Verify each live entry's MAC with the internally-derived
 		// counter; forging requires replaying the in-processor register,
 		// which is impossible (Section 4.3, Design Option 2).
-		macBase := u.base + drainHeaderSize + uint64(u.queue.Size())*wpq.EntryDataSize
-		for i := range recs {
-			if bitmap&(1<<uint(i)) == 0 {
+		macBase := u.base + uint64(len(img))
+		for i := 0; i < n; i++ {
+			if !live(i) {
 				continue
 			}
 			var stored crypt.MAC
 			u.dev.Read(macBase+uint64(i/8)*64+uint64(i%8)*8, stored[:])
-			if got := u.entryMAC(&recs[i].cipher, recs[i].addr, u.slotCounter(i)); got != stored {
+			u.macOps++
+			if u.entryMAC(cipherOf(i), addrOf(i), u.slotCounter(i)) != stored {
 				return nil, &RecoveryError{Slot: i, Reason: "entry MAC mismatch"}
 			}
 		}
@@ -493,24 +523,26 @@ func (u *Unit) Recover() ([]RecoveredWrite, error) {
 	// At most one live entry exists per line (same-line write ordering),
 	// so slot order is a safe replay order.
 	var out []RecoveredWrite
-	for i := range recs {
-		if bitmap&(1<<uint(i)) == 0 {
+	for i := 0; i < n; i++ {
+		if !live(i) {
 			continue
 		}
 		iv := crypt.MakeIV(wpqPageTag, uint16(i), u.slotCounter(i))
 		pad := u.eng.GeneratePad(iv)
-		var plain [64]byte
-		crypt.XOR(&plain, &recs[i].cipher, &pad)
-		out = append(out, RecoveredWrite{Addr: recs[i].addr, Plain: plain})
+		w := RecoveredWrite{Addr: addrOf(i)}
+		crypt.XOR(&w.Plain, cipherOf(i), &pad)
+		out = append(out, w)
 	}
 
 	// Advance the epoch: the old pads have now been exposed once and are
 	// never reused.
-	u.counterReg += uint64(u.queue.Size())
+	u.counterReg += uint64(n)
 	u.regeneratePads()
 	u.queue.Reset()
 	u.deferredPending = false
-	u.l1 = make(map[int]crypt.MAC)
+	for i := range u.stale {
+		u.stale[i] = false
+	}
 	u.root = crypt.MAC{}
 	u.initFullTree()
 	return out, nil

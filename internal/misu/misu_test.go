@@ -9,10 +9,7 @@ import (
 )
 
 func newUnit(d Design, entries int) (*Unit, *nvm.Device) {
-	var aesKey, macKey [16]byte
-	copy(aesKey[:], "misu-aes-key-016")
-	copy(macKey[:], "misu-mac-key-016")
-	eng := crypt.NewEngine(aesKey, macKey)
+	eng := crypt.NewEngine(testAESKey, testMACKey)
 	dev := nvm.NewDevice(nil, 1<<26, 0)
 	return New(d, eng, dev, 1<<20, entries), dev
 }
@@ -160,7 +157,7 @@ func TestTamperedDrainDetected(t *testing.T) {
 			u.Protect(0x1000, line(1))
 			u.Drain()
 			// Spoof: flip a byte in the drained slot-0 ciphertext.
-			addr := uint64(1<<20) + drainHeaderSize + 8
+			addr := uint64(1<<20) + drainHeaderBytes(8) + 8
 			b := make([]byte, 1)
 			dev.Read(addr, b)
 			b[0] ^= 0xFF
@@ -181,10 +178,10 @@ func TestRelocatedDrainEntryDetected(t *testing.T) {
 	base := uint64(1 << 20)
 	r0 := make([]byte, 72)
 	r1 := make([]byte, 72)
-	dev.Read(base+drainHeaderSize, r0)
-	dev.Read(base+drainHeaderSize+72, r1)
-	dev.Write(base+drainHeaderSize, r1)
-	dev.Write(base+drainHeaderSize+72, r0)
+	dev.Read(base+drainHeaderBytes(8), r0)
+	dev.Read(base+drainHeaderBytes(8)+72, r1)
+	dev.Write(base+drainHeaderBytes(8), r1)
+	dev.Write(base+drainHeaderBytes(8)+72, r0)
 	if _, err := u.Recover(); err == nil {
 		t.Fatal("relocated WPQ entries accepted")
 	}
@@ -292,6 +289,10 @@ func TestDrainRegionBytes(t *testing.T) {
 	// 8-byte bitmap header + slot records + MAC blocks.
 	if DrainRegionBytes(16) != 8+16*72+2*64 {
 		t.Fatalf("DrainRegionBytes(16) = %d", DrainRegionBytes(16))
+	}
+	// One 8-byte bitmap word per 64 slots.
+	if DrainRegionBytes(100) != 16+100*72+13*64 {
+		t.Fatalf("DrainRegionBytes(100) = %d", DrainRegionBytes(100))
 	}
 }
 

@@ -7,7 +7,6 @@ package wpq
 
 import (
 	"fmt"
-	"sort"
 
 	"dolos/internal/crypt"
 )
@@ -24,7 +23,9 @@ type Entry struct {
 	// Cipher is the Mi-SU-encrypted line.
 	Cipher [64]byte
 	// MAC is the per-entry MAC (Partial- and Post-WPQ designs; unused
-	// by Full-WPQ, which maintains a two-level tree instead).
+	// by Full-WPQ, which maintains a two-level tree instead). The Mi-SU
+	// fills it when the MAC is observed — at a drain — so between an
+	// insert and the next drain it may still be zero.
 	MAC crypt.MAC
 	// Counter is the Mi-SU encryption counter this entry's pad derives
 	// from (persistent counter register + slot number).
@@ -338,38 +339,10 @@ func (q *Queue) Clear(slot int) {
 	}
 }
 
-// SetMACPending marks/unmarks a slot's deferred-MAC state (Post-WPQ).
-func (q *Queue) SetMACPending(slot int, pending bool) {
-	q.slots[slot].MACPending = pending
-	q.refreshKey(slot)
-}
-
-// LiveEntries returns copies of all valid, un-cleared entries in age
-// (Seq) order — the set that must reach NVM on a power failure, oldest
-// first so replay restores the newest value of any repeated line last.
-func (q *Queue) LiveEntries() []Entry {
-	out := make([]Entry, 0, q.live)
-	for i := range q.slots {
-		if q.slots[i].Valid && !q.slots[i].Cleared {
-			out = append(out, q.slots[i])
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
-}
-
-// LiveSlotsBySeq returns the slot indices of all live entries in age
-// order (oldest first) — the crash-drain replay order.
-func (q *Queue) LiveSlotsBySeq() []int {
-	out := make([]int, 0, q.live)
-	for i := range q.slots {
-		if q.slots[i].Valid && !q.slots[i].Cleared {
-			out = append(out, i)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return q.slots[out[a]].Seq < q.slots[out[b]].Seq })
-	return out
-}
+// SetMAC stores slot's entry MAC. Unlike Commit it leaves the entry's
+// Seq and flags alone: the Mi-SU fills a MAC when it is observed, which
+// is not a new write.
+func (q *Queue) SetMAC(slot int, m crypt.MAC) { q.slots[slot].MAC = m }
 
 // Reset empties the queue (after a drain + recovery cycle).
 func (q *Queue) Reset() {
