@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-misu bench-json bench-delta fuzz-smoke mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-misu fuzz-smoke mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke clean
 
 all: build test
 
@@ -82,7 +82,7 @@ bench-misu:
 # may take up to a minute by default, which would stall a 10 s run, so it
 # is capped at 1 s. A new Fuzz* function goes on this list. Runs in CI.
 FUZZ_TARGETS := ./internal/trace:FuzzLoad ./internal/scheme:FuzzParse ./internal/service:FuzzNormalize \
-	./internal/masu:FuzzLoadImage ./internal/misu:FuzzDrainRecover
+	./internal/masu:FuzzLoadImage ./internal/misu:FuzzDrainRecover ./internal/whisper:FuzzResolve
 fuzz-smoke:
 	@set -e; for pt in $(FUZZ_TARGETS); do \
 		pkg=$${pt%%:*}; t=$${pt#*:}; \
@@ -97,9 +97,10 @@ fuzz-smoke:
 # accidental serialization or a sim-hot-path regression fails CI instead
 # of silently tripling runtime. The benchmark is a module of its own,
 # which the root `go test ./...` does not reach, so its tests run here.
-# The profile grid (legacy, related-work, multi-core and fast-mode
-# records) is compared against the committed BENCH_pr13.json: one
-# divergent deterministic field exits 1, so CI checks bit-identity.
+# Bit-identity of the simulated output is Tier-1: TestGoldenRecords in
+# internal/core pins every RunRecord, functional and fast, at 50
+# transactions and, on the Dolos, related-work and multi-core cells, at
+# 200 transactions (the `/txns200` keys).
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -112,7 +113,6 @@ ci:
 	$(GO) test -run '^$$' -bench 'Protect|DrainRecover' -benchtime 1x ./internal/misu
 	$(GO) build -o /tmp/dolos-bench-ci ./cmd/dolos-bench
 	timeout 300 /tmp/dolos-bench-ci -exp all -txns 50 > /dev/null
-	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -txns 200 -o /tmp/dolos-grid-ci.json -compare BENCH_pr13.json
 	$(MAKE) mcore-smoke
 	$(MAKE) fast-smoke
 	$(MAKE) scheme-smoke
@@ -127,13 +127,10 @@ mcore-smoke:
 	$(GO) test -race -run 'TestMCoreSmoke|TestCoresOneMatchesLegacy' ./internal/core
 	$(GO) test -race -run 'TestOoOWindowOneMatchesInOrder|TestMultiCoreDeterminism' ./internal/mcore
 
-# Fast-mode smoke: the grid re-run with the latency-only provider,
-# diffed in-run against the functional records (one divergent
-# deterministic field fails), plus the exhaustive scheme×workload
-# differential and the dispatch-order proof under the race detector.
-# Runs in CI.
+# Fast-mode smoke: the exhaustive scheme×workload differential against
+# the functional records and the dispatch-order proof under the race
+# detector. Runs in CI.
 fast-smoke:
-	$(GO) run ./cmd/dolos-profile -grid -fast -txns 50 -o /tmp/dolos-fast-smoke.json
 	$(GO) test -race -run 'TestFastMode' ./internal/core
 	$(GO) test -run 'TestFastEngine|TestDispatchAllocFree' ./internal/crypt
 	$(GO) test -run 'TestFastMode|TestCrashRefused|TestNewDriverRejects' ./internal/attack ./internal/crash
@@ -150,42 +147,15 @@ scheme-smoke:
 	$(GO) test -run 'TestSchemeGridsCoverRegistry' ./internal/core
 	$(GO) run ./cmd/dolos-bench -exp schemes -txns 50 -fast > /dev/null
 
-# Regenerate BENCH_baseline.json: a small fixed-seed scheme×workload
-# grid of RunRecords. Commit the result so perf drifts show up in review.
-bench-json:
-	$(GO) run ./cmd/dolos-profile -grid -txns 200 -o BENCH_baseline.json
-
-# Re-run the baseline grid against BENCH_baseline.json: fails if any
-# deterministic field (cycles, event counts, retry counters) diverges
-# from the committed trajectory, and reports the host-side throughput
-# delta (sim_events_per_sec geomean). The second run re-checks the full
-# CI grid — extended with the related-work scheme records (-related,
-# carrying the recovery_cycles axis), the multi-core contention records
-# (-mcore) and the fast-mode re-runs (-fast) — against BENCH_pr13.json,
-# the file `make ci` compares against. Both runs write to /tmp, so this
-# target never re-baselines CI; after a reviewed change to a
-# deterministic field, re-baselining is an explicit
-# `cp /tmp/dolos-delta-ci.json BENCH_pr13.json`.
-# The second run is pinned -parallel 1 so every record — functional
-# and fast alike — is measured serially on an otherwise-idle machine:
-# the printed fast/functional geomean is then an identical-conditions
-# comparison, not an artifact of worker contention.
-# -repeat 3 keeps the fastest wall time per cell: deterministic fields
-# are identical across repeats, so best-of-N only damps GC/scheduler
-# noise out of the throughput columns.
-bench-delta:
-	$(GO) run ./cmd/dolos-profile -grid -fast -txns 200 -repeat 3 -o /tmp/dolos-delta.json -compare BENCH_baseline.json
-	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -parallel 1 -txns 200 -repeat 3 -o /tmp/dolos-delta-ci.json -compare BENCH_pr13.json
-
-# CPU+heap profile of a serial grid run, ready for `go tool pprof`.
+# CPU and heap profiles of the root Figure 12 benchmark (one
+# iteration), ready for `go tool pprof -top cpu.pprof`.
 pprof:
-	$(GO) run ./cmd/dolos-profile -grid -txns 1000 -parallel 1 \
-		-cpuprofile cpu.pprof -memprofile mem.pprof -o /tmp/dolos-grid-profiled.json
-	@echo "wrote cpu.pprof and mem.pprof; try: go tool pprof -top cpu.pprof"
+	$(GO) test -run '^$$' -bench '^BenchmarkFig12' -benchtime 1x -o /tmp/dolos-pprof.test -cpuprofile cpu.pprof -memprofile mem.pprof .
 
-# One profiled run: trace.json (open in ui.perfetto.dev) + metrics.json.
+# One traced run: trace.json (open in ui.perfetto.dev) and the run's
+# RunRecord, telemetry included, in metrics.json.
 profile:
-	$(GO) run ./cmd/dolos-profile -scheme DolosPartial -workload Hashmap
+	$(GO) run ./cmd/dolos-sim -scheme dolos-partial -workload Hashmap -txns 200 -trace trace.json -json > metrics.json
 
 # Run the simulation service in the foreground (Ctrl-C drains and
 # prints a final Prometheus snapshot). See README "Running as a service".

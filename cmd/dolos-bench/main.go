@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -45,13 +46,10 @@ func main() {
 	fast := flag.Bool("fast", false, "latency-only crypto provider for every sweep cell (bit-identical tables, fraction of the wall-clock; crash/recovery experiments ignore it)")
 	flag.Parse()
 
-	for _, s := range strings.Split(*coresFlag, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "dolos-bench: bad -cores entry %q\n", s)
-			os.Exit(2)
-		}
-		contentionCores = append(contentionCores, n)
+	var err error
+	if contentionCores, err = checkFlags(*txns, *parallel, *format, *coresFlag, *oooWindow); err != nil {
+		fmt.Fprintf(os.Stderr, "dolos-bench: %v\n", err)
+		os.Exit(2)
 	}
 	contentionWindow = *oooWindow
 
@@ -74,6 +72,37 @@ func main() {
 		}
 		fmt.Printf("[%s completed in %.1fs]\n\n", e, time.Since(start).Seconds())
 	}
+}
+
+// checkFlags rejects flag values a sweep would misread — -txns below 1
+// (0 fell back to the 1000-transaction default, a negative count
+// panicked in YCSB generation), a negative -parallel (which ran
+// GOMAXPROCS workers), a -format other than table or csv, a -cores entry
+// that is not a whole number of at least 1, and a negative -ooo-window —
+// and returns the -cores list. -txns has no upper bound: the paper's
+// scale is 50000.
+func checkFlags(txns, parallel int, format, cores string, window int) ([]int, error) {
+	if txns < 1 {
+		return nil, fmt.Errorf("-txns %d: want at least 1", txns)
+	}
+	if parallel < 0 {
+		return nil, fmt.Errorf("-parallel %d: want 0 or more", parallel)
+	}
+	if format != "table" && format != "csv" {
+		return nil, fmt.Errorf("-format %q: want table or csv", format)
+	}
+	if window < 0 {
+		return nil, fmt.Errorf("-ooo-window %d: want 0 or more", window)
+	}
+	var counts []int
+	for _, s := range strings.Split(cores, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("-cores entry %q: want a whole number of at least 1", s)
+		}
+		counts = append(counts, n)
+	}
+	return counts, nil
 }
 
 // asCSV selects CSV output for tables.

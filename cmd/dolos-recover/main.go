@@ -33,14 +33,15 @@ func main() {
 	attackKind := flag.String("attack", "", "tamper with NVM before recovery: spoof, replay, relocate, wpq")
 	flag.Parse()
 
-	sch, err := cliutil.ParseScheme(*scheme)
+	mode, err := checkFlags(*txns, *recovery)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-recover: %v\n", err)
 		os.Exit(2)
 	}
-	mode := controller.AnubisRecovery
-	if *recovery == "osiris" {
-		mode = controller.OsirisRecovery
+	sch, err := cliutil.ParseScheme(*scheme)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dolos-recover: %v\n", err)
+		os.Exit(2)
 	}
 
 	w, err := whisper.ByName(*workload)
@@ -120,4 +121,19 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("post-recovery scrub: %d lines clean\n", lines)
+}
+
+// checkFlags rejects a -txns outside the bounds dolos-sim accepts and a
+// -recovery other than anubis or osiris, and returns the recovery mode.
+func checkFlags(txns int, recovery string) (controller.RecoveryMode, error) {
+	if err := cliutil.CheckRange("-txns", txns, 1, cliutil.MaxTransactions); err != nil {
+		return 0, err
+	}
+	switch recovery {
+	case "anubis":
+		return controller.AnubisRecovery, nil
+	case "osiris":
+		return controller.OsirisRecovery, nil
+	}
+	return 0, fmt.Errorf("-recovery %q: want anubis or osiris", recovery)
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"dolos/internal/cliutil"
 	"dolos/internal/sim"
 	"dolos/internal/trace"
 	"dolos/internal/whisper"
@@ -22,13 +23,17 @@ import (
 func main() {
 	workload := flag.String("workload", "Hashmap", "workload to generate")
 	txns := flag.Int("txns", 200, "measured transactions")
-	txSize := flag.Int("txsize", 1024, "transaction payload bytes")
+	txSize := flag.Int("txsize", 1024, fmt.Sprintf("transaction payload bytes (%d-%d)", cliutil.MinTxSize, cliutil.MaxTxSize))
 	seed := flag.Int64("seed", 1, "generator seed")
 	save := flag.String("save", "", "write the generated trace to this file (gzipped gob)")
 	load := flag.String("load", "", "inspect a previously saved trace instead of generating")
 	dump := flag.Int("dump", 0, "print the first N operations")
 	flag.Parse()
 
+	if err := checkFlags(*txns, *txSize); err != nil {
+		fmt.Fprintf(os.Stderr, "dolos-trace: %v\n", err)
+		os.Exit(2)
+	}
 	var tr *trace.Trace
 	if *load != "" {
 		var err error
@@ -120,6 +125,15 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkFlags rejects -txns and -txsize outside the bounds dolos-sim and
+// the /v2 API accept.
+func checkFlags(txns, txSize int) error {
+	if err := cliutil.CheckRange("-txns", txns, 1, cliutil.MaxTransactions); err != nil {
+		return err
+	}
+	return cliutil.CheckRange("-txsize", txSize, cliutil.MinTxSize, cliutil.MaxTxSize)
 }
 
 func per(n, d int) float64 {

@@ -7,7 +7,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -68,10 +67,11 @@ func DemoKeys(label string) (aes, mac [16]byte) {
 }
 
 // BuildRunRecord assembles the machine-readable record of one finished
-// run — the shared shape dolos-sim -json, dolos-profile and the bench
-// baseline all emit. reg may be nil (no probe attached). events is the
-// engine's dispatched-event count and wall the host-side run duration;
-// together they yield the simulator-throughput fields.
+// run — the shared shape dolos-sim -json, the service's results and the
+// repository benchmark's reference records all emit. reg may be nil (no
+// probe attached). events is the engine's dispatched-event count and
+// wall the host-side run duration; together they yield the
+// simulator-throughput fields.
 func BuildRunRecord(res cpu.Result, tree masu.TreeKind, txSize int, seed int64,
 	events uint64, wall time.Duration,
 	set *stats.Set, reg *telemetry.Registry) telemetry.RunRecord {
@@ -136,39 +136,13 @@ func ModeLabel(fastMode bool) string {
 	return ""
 }
 
-// LoadBenchRecords reads a bench-grid trajectory file (a JSON array of
-// RunRecords, as written by dolos-profile -grid).
-func LoadBenchRecords(path string) ([]telemetry.RunRecord, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var recs []telemetry.RunRecord
-	if err := json.Unmarshal(buf, &recs); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return recs, nil
-}
-
-// BenchDelta is the result of comparing a fresh bench grid against a
-// committed trajectory point. Diffs lists every deterministic-field
-// divergence (empty = bit-identical simulation output); the host-side
-// throughput fields are reduced to aggregate ratios so a perf PR can
-// report its win from the same comparison that proves it changed
-// nothing else.
+// BenchDelta is the result of comparing two lists of RunRecords field by
+// field. Diffs lists every deterministic-field divergence (empty =
+// bit-identical simulation output).
 type BenchDelta struct {
-	// Records is the number of record pairs compared.
-	Records int
 	// Diffs holds one "path: current != baseline" line per divergent
 	// deterministic field, in record order then field order.
 	Diffs []string
-	// EPSRatio is the geometric mean over records of
-	// sim_events_per_sec(current) / sim_events_per_sec(baseline); 0 when
-	// either side lacks throughput data.
-	EPSRatio float64
-	// WallRatio is total wall_seconds(current) / total(baseline); 0 when
-	// the baseline total is 0.
-	WallRatio float64
 }
 
 // Identical reports whether every deterministic field matched.
@@ -182,21 +156,18 @@ func (d BenchDelta) Identical() bool { return len(d.Diffs) == 0 }
 // baseline on every other field.
 var hostFields = []string{"mode", "wall_seconds", "sim_events_per_sec"}
 
-// CompareBenchRecords compares two bench grids field-by-field. Records
-// pair by position (the grid assembles records in enumeration order);
-// every JSON field of each record — including the nested counters and
-// histogram summaries — must match exactly, except the host-side
-// throughput fields, which feed the EPSRatio/WallRatio summary instead.
-// Numbers are compared as JSON literals, so the check is exact for
-// uint64 counters and bit-exact for floats.
+// CompareBenchRecords compares two lists of RunRecords field by field.
+// Records pair by position (grids assemble records in enumeration
+// order); every JSON field of each record — including the nested
+// counters and histogram summaries — must match exactly, except
+// hostFields. Numbers are compared as JSON literals, so the check
+// is exact for uint64 counters and bit-exact for floats.
 func CompareBenchRecords(cur, base []telemetry.RunRecord) BenchDelta {
-	d := BenchDelta{Records: len(cur)}
+	var d BenchDelta
 	if len(cur) != len(base) {
 		d.Diffs = append(d.Diffs, fmt.Sprintf("record count: %d != %d (baseline)", len(cur), len(base)))
 		return d
 	}
-	var epsRatios []float64
-	var wallCur, wallBase float64
 	for i := range cur {
 		label := fmt.Sprintf("[%d] %s/%s", i, cur[i].Scheme, cur[i].Workload)
 		a, errA := comparableRecord(cur[i])
@@ -206,15 +177,6 @@ func CompareBenchRecords(cur, base []telemetry.RunRecord) BenchDelta {
 			continue
 		}
 		diffJSON(label, a, b, &d.Diffs)
-		if cur[i].EventsPerSecond > 0 && base[i].EventsPerSecond > 0 {
-			epsRatios = append(epsRatios, cur[i].EventsPerSecond/base[i].EventsPerSecond)
-		}
-		wallCur += cur[i].WallSeconds
-		wallBase += base[i].WallSeconds
-	}
-	d.EPSRatio = stats.GeoMean(epsRatios)
-	if wallBase > 0 {
-		d.WallRatio = wallCur / wallBase
 	}
 	return d
 }

@@ -14,7 +14,7 @@ import (
 
 // TestRunRecordSchemaPinned pins the exact top-level field set of the
 // JSON emitted by BuildRunRecord + telemetry.WriteJSON — the shared
-// shape behind dolos-sim -json, dolos-profile, the bench baseline and
+// shape behind dolos-sim -json, the benchmark's reference records and
 // the service's /v2/jobs/{id}/result endpoint. Adding, renaming or
 // dropping a field must show up as a deliberate edit to this list.
 func TestRunRecordSchemaPinned(t *testing.T) {

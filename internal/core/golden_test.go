@@ -15,24 +15,28 @@ import (
 	"dolos/internal/whisper"
 )
 
-// goldenRecordTxns and goldenRecordSeed size every golden cell.
+// goldenRecordTxns and goldenRecordSeed size every golden cell but
+// those of the long axis (txns200Cells), which run goldenLongTxns.
 const (
 	goldenRecordTxns = 50
+	goldenLongTxns   = 200
 	goldenRecordSeed = 1
 )
 
-// goldenCell is one pinned run: a workload under one Spec.
+// goldenCell is one pinned run: a workload under one Spec, over txns
+// measured transactions.
 type goldenCell struct {
 	name     string
 	workload string
 	spec     Spec
+	txns     int
 }
 
 // goldenCells enumerates every registry scheme over every ByName
 // workload on the eager BMT and the lazy ToC — a scheme that pins its
 // backend yields one cell, named by the tree it simulates — followed by
 // the front-end axes: OoO windows 0, 1 and 2 and 2 and 4 contending
-// cores.
+// cores, and the 200-transaction axis (txns200Cells).
 func goldenCells() []goldenCell {
 	workloads := append(whisper.Names(), whisper.MicroNames()...)
 	var cs []goldenCell
@@ -44,7 +48,7 @@ func goldenCells() []goldenCell {
 				name := fmt.Sprintf("%s/%s/%s", e.Name, wl, spec.EffectiveTree())
 				if !seen[name] {
 					seen[name] = true
-					cs = append(cs, goldenCell{name, wl, spec})
+					cs = append(cs, goldenCell{name, wl, spec, goldenRecordTxns})
 				}
 			}
 		}
@@ -55,14 +59,46 @@ func goldenCells() []goldenCell {
 			base := fmt.Sprintf("%s/%s/%s", e.Name, wl, masu.BMTEager)
 			for _, w := range []int{0, 1, 2} {
 				cs = append(cs, goldenCell{fmt.Sprintf("%s/ooo%d", base, w), wl,
-					Spec{Scheme: sch, Tree: masu.BMTEager, OoOWindow: w}})
+					Spec{Scheme: sch, Tree: masu.BMTEager, OoOWindow: w}, goldenRecordTxns})
 			}
 			for _, n := range []int{2, 4} {
 				for _, w := range []int{0, 2} {
 					cs = append(cs, goldenCell{fmt.Sprintf("%s/cores%d/ooo%d", base, n, w), wl,
-						Spec{Scheme: sch, Tree: masu.BMTEager, Cores: n, OoOWindow: w}})
+						Spec{Scheme: sch, Tree: masu.BMTEager, Cores: n, OoOWindow: w}, goldenRecordTxns})
 				}
 			}
+		}
+	}
+	return append(cs, txns200Cells()...)
+}
+
+// txns200Cells is the 200-transaction axis, on the eager BMT: Pre-WPQ
+// and the three Dolos designs, and every scheme that reports a recovery
+// time, on Hashmap and Btree; then Pre-WPQ and Dolos-Partial on Hashmap
+// with 2 and 4 contending cores at OoO window 2. It pins runs four times
+// longer than the other cells, for the schemes the evaluation compares.
+func txns200Cells() []goldenCell {
+	var cs []goldenCell
+	add := func(wl string, spec Spec, suffix string) {
+		e, _ := scheme.ByID(spec.Scheme)
+		name := fmt.Sprintf("%s/%s/%s%s/txns%d", e.Name, wl, spec.EffectiveTree(), suffix, goldenLongTxns)
+		cs = append(cs, goldenCell{name, wl, spec, goldenLongTxns})
+	}
+	dolos := []controller.Scheme{controller.PreWPQSecure, controller.DolosFull, controller.DolosPartial, controller.DolosPost}
+	for _, wl := range []string{"Hashmap", "Btree"} {
+		for _, sch := range dolos {
+			add(wl, Spec{Scheme: sch, Tree: masu.BMTEager}, "")
+		}
+		for _, e := range scheme.All() {
+			if e.Pipeline.ReportsRecovery {
+				add(wl, Spec{Scheme: e.ID, Tree: masu.BMTEager}, "")
+			}
+		}
+	}
+	for _, n := range []int{2, 4} {
+		for _, sch := range []controller.Scheme{controller.PreWPQSecure, controller.DolosPartial} {
+			add("Hashmap", Spec{Scheme: sch, Tree: masu.BMTEager, Cores: n, OoOWindow: 2},
+				fmt.Sprintf("/cores%d/ooo2", n))
 		}
 	}
 	return cs
@@ -88,38 +124,47 @@ func recordSHA256(t *testing.T, rr RunResult, spec Spec) string {
 // cell, run both with functional crypto and in FastMode against the
 // same constant. A change to the timing model, the cost tables or the
 // front-end shows up here as a changed hash; a refactor must leave
-// every constant as it is.
+// every constant as it is. Each transaction count runs through its own
+// Runner.
 func TestGoldenRecords(t *testing.T) {
 	cs := goldenCells()
-	var grid []Cell
-	for _, c := range cs {
-		for _, fast := range []bool{false, true} {
-			spec := c.spec
-			spec.FastMode = fast
-			grid = append(grid, Cell{Workload: c.workload, Spec: spec})
-		}
-	}
-	r := NewRunner(Options{Transactions: goldenRecordTxns, Seed: goldenRecordSeed})
-	rrs, err := r.RunGrid(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(goldenRecordSHA256) != len(cs) {
 		t.Errorf("%d pinned hashes for %d cells", len(goldenRecordSHA256), len(cs))
 	}
-	for i, c := range cs {
-		want, ok := goldenRecordSHA256[c.name]
-		for j, mode := range []string{"functional", "fast"} {
-			got := recordSHA256(t, rrs[2*i+j], grid[2*i+j].Spec)
-			if !ok || got != want {
-				t.Errorf("%q (%s): sha256 %s, pinned %s", c.name, mode, got, want)
+	for _, txns := range []int{goldenRecordTxns, goldenLongTxns} {
+		var run []goldenCell
+		var grid []Cell
+		for _, c := range cs {
+			if c.txns != txns {
+				continue
+			}
+			run = append(run, c)
+			for _, fast := range []bool{false, true} {
+				spec := c.spec
+				spec.FastMode = fast
+				grid = append(grid, Cell{Workload: c.workload, Spec: spec})
+			}
+		}
+		r := NewRunner(Options{Transactions: txns, Seed: goldenRecordSeed})
+		rrs, err := r.RunGrid(context.Background(), grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range run {
+			want, ok := goldenRecordSHA256[c.name]
+			for j, mode := range []string{"functional", "fast"} {
+				got := recordSHA256(t, rrs[2*i+j], grid[2*i+j].Spec)
+				if !ok || got != want {
+					t.Errorf("%q (%s): sha256 %s, pinned %s", c.name, mode, got, want)
+				}
 			}
 		}
 	}
 }
 
 // goldenRecordSHA256 pins one SHA-256 per golden cell (see goldenCells
-// and recordSHA256), taken at 50 transactions, seed 1.
+// and recordSHA256), taken at seed 1 and 50 transactions, or 200 for
+// the keys ending in /txns200.
 var goldenRecordSHA256 = map[string]string{
 	"ideal/Hashmap/eager-BMT":                     "f78d9ee3dd09e5b9a0d4279806fe4ad370da7ed3dd9d4ddc09fba5a9b802743d",
 	"ideal/Hashmap/lazy-ToC":                      "c7619b41445752b672174e026aa2423f7617491a9e1ab85c7cc14950cab167c0",
@@ -277,4 +322,26 @@ var goldenRecordSHA256 = map[string]string{
 	"dolos-partial/Btree/eager-BMT/cores2/ooo2":   "1bc45dfab2b797b35a6929133833c527d063af4db05c586ffcec58a6d53949ad",
 	"dolos-partial/Btree/eager-BMT/cores4/ooo0":   "67502546c517c8895e1c557e7e1d5423a9ee9d27a4559e821913205437e69106",
 	"dolos-partial/Btree/eager-BMT/cores4/ooo2":   "e733c8c3c569bf787dc9d2ed5e6b9df449a6a6b40c4a5fd56866ae31c075bfb7",
+
+	// The 200-transaction axis (txns200Cells).
+	"baseline/Hashmap/eager-BMT/txns200":                  "d9bd89510917549192afb15eb83a3b4c1771af80197985a533082c664561e386",
+	"dolos-full/Hashmap/eager-BMT/txns200":                "d9871ff12298d4488c9f385b0829b76bca131836eb26fb2435ac605072f3b3de",
+	"dolos-partial/Hashmap/eager-BMT/txns200":             "d1c729e45fafa4c7e3d4b245e0f83a7971eeba0e5d42ca90def5063a62319ae8",
+	"dolos-post/Hashmap/eager-BMT/txns200":                "438e8c4a8bae17109af61032b1908f650711916ebba215100b7f8444c9d11ddd",
+	"triad-nvm/Hashmap/eager-BMT/txns200":                 "871f6ddb5343ef9672051db8e4dede974201352eb53d8f222e772c480b958e02",
+	"supermem/Hashmap/eager-BMT/txns200":                  "104355b14df6431bc78501652789193d1846affb7cf43b6cdfed97541a28ca83",
+	"phoenix/Hashmap/lazy-ToC/txns200":                    "2b02da1180bec6a2a55abd6f1ce4aecb9fcaf79f7a3910331725f2555aed7aed",
+	"stum/Hashmap/eager-BMT/txns200":                      "d79035d88449600893db73b2d57810eebfb48ebe4e1ed15f0eaa7b0fdef375ec",
+	"baseline/Btree/eager-BMT/txns200":                    "eeeb0de50430896e72b3e2d369aa77050b69891b2e4155f98821b91727c474d6",
+	"dolos-full/Btree/eager-BMT/txns200":                  "20f66d5ef2c21ac2ac951d212b3bdcc5272e7f2ad683a762c357678c95a5b98e",
+	"dolos-partial/Btree/eager-BMT/txns200":               "5856ca37ce9e4263c7f8da52947fa3f6f4e39f94d67b4236bd5ecede625abeca",
+	"dolos-post/Btree/eager-BMT/txns200":                  "798ff072774b63ea89a2a25ee396688367f0a5e659c8db94180b0950481f9aa9",
+	"triad-nvm/Btree/eager-BMT/txns200":                   "f95a682cf9aa54cffa4adc766d2bdd3c21391461b3dc8d3b13a97438830f8eb3",
+	"supermem/Btree/eager-BMT/txns200":                    "c90cff7ae0864640f8d18e40dc03bb56e20ec269bfcab32f78b02482e8a18004",
+	"phoenix/Btree/lazy-ToC/txns200":                      "26111c313bbe798b16e8f219060344b9943967a5d18f565a295514e2a02e7d0c",
+	"stum/Btree/eager-BMT/txns200":                        "c8e4d240fd15220c4266784a33b9051349c633e817e1fc2e1cbae0e6b7dcf26a",
+	"baseline/Hashmap/eager-BMT/cores2/ooo2/txns200":      "cc02c56da977144be88b0d6dcf4f319f5b4b63eb9b7367aac5542cdf786860fd",
+	"dolos-partial/Hashmap/eager-BMT/cores2/ooo2/txns200": "9116f45975acd02402e36ebd32a961d3d00d26228690ba86068db3f943ce1597",
+	"baseline/Hashmap/eager-BMT/cores4/ooo2/txns200":      "546837d6149faab241d78e3e88b1ca0c8f30a1de91b1adc983e5f9d5fa13e17a",
+	"dolos-partial/Hashmap/eager-BMT/cores4/ooo2/txns200": "36d1a860c64dcc8668469c8e4059f00f0d8fffc51ad4af7cb6d8530d36a5c15a",
 }

@@ -29,8 +29,8 @@ func histStats(h *stats.Histogram) HistogramStats {
 }
 
 // MetricsSnapshot is the machine-readable dump of a run's metrics: the
-// shared encoding used by dolos-sim -json, dolos-profile and the bench
-// trajectory file, so numbers can be diffed across PRs.
+// shared encoding used by dolos-sim -json, the service's results and the
+// benchmark's reference records, so numbers can be diffed across runs.
 type MetricsSnapshot struct {
 	Counters   map[string]uint64         `json:"counters"`
 	Gauges     map[string]float64        `json:"gauges,omitempty"`
@@ -88,8 +88,8 @@ func Snapshot(set *stats.Set, reg *Registry) MetricsSnapshot {
 // RunRecord identifies one scheme×workload simulation and carries its
 // headline results plus the full metrics snapshot. The field set mirrors
 // cpu.Result; it is declared here (with plain fields) so the encoder is
-// shared between dolos-sim -json, dolos-profile and the bench baseline
-// without this package importing the simulator.
+// shared between dolos-sim -json, the service and the benchmark's
+// reference records without this package importing the simulator.
 type RunRecord struct {
 	Scheme           string  `json:"scheme"`
 	Workload         string  `json:"workload"`
