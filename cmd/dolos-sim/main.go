@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"dolos/internal/cpu"
 	"dolos/internal/masu"
 	"dolos/internal/mcore"
+	"dolos/internal/sim"
 	"dolos/internal/telemetry"
 	"dolos/internal/whisper"
 )
@@ -63,6 +65,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
 		os.Exit(1)
 	}
+	if err := checkHeap(w, *txns, *txSize); err != nil {
+		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
+		os.Exit(2)
+	}
 
 	cfg := controller.Config{
 		Scheme:            sch,
@@ -86,7 +92,7 @@ func main() {
 	if *traceOut != "" {
 		// The probe is attached only on request: without -trace the run
 		// takes the uninstrumented (nil-probe) fast path.
-		sys.SetProbe(telemetry.NewProbe(sys.Eng.Now))
+		sys.SetProbe(newTraceProbe(sys.Eng.Now, traceEventLimit))
 	}
 	start := time.Now()
 	res := sys.RunWindow(tr, *oooWindow)
@@ -97,6 +103,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
 			os.Exit(1)
 		}
+		reportDropped(os.Stderr, sys.Probe())
 	}
 
 	if *jsonOut {
@@ -167,6 +174,12 @@ func checkFlags(txns, txSize, wpq, cores, window int) error {
 	return nil
 }
 
+// checkHeap rejects a run whose trace could overflow the workload's
+// persistent heap (every core's heap has the default size).
+func checkHeap(w whisper.Workload, txns, txSize int) error {
+	return whisper.CheckHeap(w, whisper.Params{Transactions: txns, TxSize: txSize})
+}
+
 // runMulti simulates n instances of the workload (per-core seeds,
 // disjoint heaps) contending for one shared controller through the
 // mcore arbiter, and prints the aggregate plus per-core results.
@@ -221,6 +234,28 @@ func runMulti(w whisper.Workload, cfg controller.Config, kind masu.TreeKind,
 	if showStats {
 		fmt.Println("\ncontroller counters:")
 		fmt.Print(sys.Ctrl.Stats())
+	}
+}
+
+// traceEventLimit caps the probe events a -trace run keeps. A
+// 200-transaction Hashmap run records about 47,000, so runs some forty
+// times that size are traced whole, while one at the 20,000-transaction
+// bound would otherwise hold about a hundred times that in memory.
+const traceEventLimit = 2_000_000
+
+// newTraceProbe returns the probe of a -trace run, which keeps the
+// first limit events and counts the rest as dropped.
+func newTraceProbe(now func() sim.Cycle, limit int) *telemetry.Probe {
+	p := telemetry.NewProbe(now)
+	p.SetEventLimit(limit)
+	return p
+}
+
+// reportDropped tells w how many events the probe's limit dropped from
+// the trace, if any.
+func reportDropped(w io.Writer, p *telemetry.Probe) {
+	if n := p.Dropped(); n > 0 {
+		fmt.Fprintf(w, "dolos-sim: trace truncated: %d probe events past the limit were dropped\n", n)
 	}
 }
 

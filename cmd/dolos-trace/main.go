@@ -48,6 +48,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dolos-trace: %v\n", err)
 			os.Exit(1)
 		}
+		if err := checkHeap(w, *txns, *txSize); err != nil {
+			fmt.Fprintf(os.Stderr, "dolos-trace: %v\n", err)
+			os.Exit(2)
+		}
 		tr = w.Generate(whisper.Params{Transactions: *txns, TxSize: *txSize, Seed: *seed})
 	}
 	if *save != "" {
@@ -125,6 +129,12 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkHeap rejects a generation that could overflow the workload's
+// persistent heap.
+func checkHeap(w whisper.Workload, txns, txSize int) error {
+	return whisper.CheckHeap(w, whisper.Params{Transactions: txns, TxSize: txSize})
 }
 
 // checkFlags rejects -txns and -txsize outside the bounds dolos-sim and

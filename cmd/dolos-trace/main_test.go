@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"dolos/internal/whisper"
 )
 
 // Out-of-range numeric flags are rejected by name instead of generating
@@ -28,6 +30,38 @@ func TestCheckFlags(t *testing.T) {
 			t.Errorf("%+v: rejected: %v", c, err)
 		case c.bad != "" && (err == nil || !strings.HasPrefix(err.Error(), c.bad+" ")):
 			t.Errorf("%+v: error %v, want one naming %s", c, err, c.bad)
+		}
+	}
+}
+
+// Runs whose trace could overflow the workload's persistent heap are
+// rejected before generation: Hashmap, Btree and Redis at 20,000
+// transactions of 4 KB used to panic with heap exhausted.
+func TestCheckHeap(t *testing.T) {
+	for _, c := range []struct {
+		workload     string
+		txns, txSize int
+		reject       bool
+	}{
+		{"Hashmap", 20000, 4096, true},
+		{"Btree", 20000, 4096, true},
+		{"Redis", 20000, 4096, true},
+		{"NStore:YCSB", 20000, 4096, false},
+		{"Hashmap", 20000, 1024, false},
+		{"Btree", 20000, 1024, false},
+		{"Redis", 20000, 1024, false},
+		{"Hashmap", 1, 4096, false},
+	} {
+		w, err := whisper.ByName(c.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = checkHeap(w, c.txns, c.txSize)
+		switch {
+		case !c.reject && err != nil:
+			t.Errorf("%+v: rejected: %v", c, err)
+		case c.reject && (err == nil || !strings.Contains(err.Error(), "txns 20000 with txsize 4096")):
+			t.Errorf("%+v: error %v, want one naming txns and txsize", c, err)
 		}
 	}
 }

@@ -23,8 +23,9 @@ const (
 // controller. Reads are timed (done fires when data is available);
 // evictions of dirty LLC victims are posted without blocking the core.
 type Backend interface {
-	// ReadLine performs a timed memory read of addr's line.
-	ReadLine(addr uint64, done func())
+	// ReadLine performs a timed memory read of addr's line and calls
+	// done(arg), if done is non-nil, when the line is available.
+	ReadLine(addr uint64, done sim.Handler, arg uint64)
 	// EvictLine accepts a dirty LLC victim (a non-persist write).
 	EvictLine(addr uint64)
 }
@@ -37,18 +38,37 @@ type Hierarchy struct {
 	llc     *Cache
 	backend Backend
 
+	// misses holds each full miss in flight; the row index rides
+	// through the tag-check delay and the backend read, and the two
+	// handlers, bound once, issue and complete it.
+	misses   sim.Slab[miss]
+	tagCheck *sim.Delay
+	issueFn  sim.Handler
+	fillFn   sim.Handler
+
 	memReads uint64
+}
+
+// miss is one full miss in flight: its line and the reader's
+// completion.
+type miss struct {
+	addr uint64
+	done func()
 }
 
 // NewHierarchy builds the Table 1 hierarchy over the given backend.
 func NewHierarchy(eng *sim.Engine, backend Backend) *Hierarchy {
-	return &Hierarchy{
-		eng:     eng,
-		l1:      New("L1", L1Size, L1Ways, DataLineSize),
-		l2:      New("L2", L2Size, L2Ways, DataLineSize),
-		llc:     New("LLC", LLCSize, LLCWays, DataLineSize),
-		backend: backend,
+	h := &Hierarchy{
+		eng:      eng,
+		l1:       New("L1", L1Size, L1Ways, DataLineSize),
+		l2:       New("L2", L2Size, L2Ways, DataLineSize),
+		llc:      New("LLC", LLCSize, LLCWays, DataLineSize),
+		backend:  backend,
+		tagCheck: sim.NewDelay(eng),
 	}
+	h.issueFn = h.issueMiss
+	h.fillFn = h.fill
+	return h
 }
 
 // L1 returns the level-1 cache (for statistics).
@@ -112,14 +132,23 @@ func (h *Hierarchy) Read(addr uint64, done func()) {
 		h.eng.After(L1Latency+L2Latency+LLCLatency, done)
 		return
 	}
-	// Full miss: fetch from the memory controller.
+	// Full miss: fetch from the memory controller once every level's
+	// tag check has missed.
 	h.memReads++
-	h.eng.After(L1Latency+L2Latency+LLCLatency, func() {
-		h.backend.ReadLine(addr, func() {
-			h.installAll(addr, false)
-			done()
-		})
-	})
+	h.tagCheck.After(L1Latency+L2Latency+LLCLatency, h.issueFn, h.misses.Put(miss{addr: addr, done: done}))
+}
+
+// issueMiss sends the miss in row i to the memory controller.
+func (h *Hierarchy) issueMiss(i uint64) {
+	h.backend.ReadLine(h.misses.At(i).addr, h.fillFn, i)
+}
+
+// fill installs the line of the miss in row i, returned by memory, and
+// completes the read.
+func (h *Hierarchy) fill(i uint64) {
+	m := h.misses.Take(i)
+	h.installAll(m.addr, false)
+	m.done()
 }
 
 // probe is Access without double-counting fills across levels: it only

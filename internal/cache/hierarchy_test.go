@@ -14,9 +14,9 @@ type fakeBackend struct {
 	evicts []uint64
 }
 
-func (f *fakeBackend) ReadLine(addr uint64, done func()) {
+func (f *fakeBackend) ReadLine(addr uint64, done sim.Handler, arg uint64) {
 	f.reads = append(f.reads, addr)
-	f.eng.After(f.delay, done)
+	f.eng.After(f.delay, func() { done(arg) })
 }
 
 func (f *fakeBackend) EvictLine(addr uint64) { f.evicts = append(f.evicts, addr) }

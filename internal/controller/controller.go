@@ -151,11 +151,37 @@ func (c Config) UsableWPQ() int {
 	return c.HardwareWPQ
 }
 
-// waiter is a write waiting for WPQ space (a retried insertion).
+// waiter is a write request: the line and the acceptance callback of
+// its requester. Parked writes (retried insertions) wait as waiters.
 type waiter struct {
 	addr     uint64
 	data     [64]byte
 	accepted func()
+}
+
+// insert is a write request with a job in flight before it holds a
+// WPQ slot — in the Pre-WPQ security unit or the Mi-SU — and the crash
+// epoch the job was submitted in. The job's argument is its row in
+// Controller.inserts.
+type insert struct {
+	w     waiter
+	epoch uint64
+}
+
+// drain is a write on its way to the NVM array — through the Ma-SU, the
+// eADR background pipeline or straight from the baseline WPQ — or a
+// Post-WPQ deferred MAC: its line, its WPQ slot and, for a Ma-SU drain,
+// the entry's Seq at fetch, and the crash epoch its job was submitted
+// in. The job's argument is its row in Controller.drains. The record
+// lives in the row, not in per-slot tables: a stale completion from
+// before a crash must not read the epoch of the slot's next occupant,
+// and a Dolos entry coalesced while fetched is fetched again with its
+// first drain still in flight.
+type drain struct {
+	addr     uint64
+	epoch    uint64
+	slot     int
+	fetchSeq uint64
 }
 
 // Controller is a secure NVM memory controller instance.
@@ -185,12 +211,33 @@ type Controller struct {
 	waiters  []waiter
 	waitHead int
 
-	insertTime  []sim.Cycle // WPQ slot -> insertion cycle (drain-delay window)
+	insertTime  []sim.Cycle // WPQ slot -> insertion cycle (drain-delay window, drain latency)
 	crashed     bool
 	epoch       uint64 // bumped at every crash; stale events self-cancel
 	maPumpArmed bool
+	maPumpEpoch uint64 // c.epoch when the armed Ma-SU fetch was scheduled
 	haveArrival bool
 	lastArrival float64
+
+	// Requests in flight (see insert, drain and read) and the
+	// completions of their jobs, bound once in New so that no request
+	// allocates.
+	inserts   sim.Slab[insert]
+	drains    sim.Slab[drain]
+	reads     sim.Slab[read]
+	readDelay *sim.Delay
+
+	preWPQSecuredFn   sim.Handler
+	baselineDrainedFn sim.Handler
+	idealDrainedFn    sim.Handler
+	eadrSecuredFn     sim.Handler
+	eadrWrittenFn     sim.Handler
+	dolosInsertedFn   sim.Handler
+	deferredMACFn     sim.Handler
+	maSecuredFn       sim.Handler
+	maDrainedFn       sim.Handler
+	maFetchFn         func()
+	readFetchedFn     sim.Handler
 
 	// Telemetry (nil/zero when disabled; see SetProbe). Metric handles
 	// are cached at wiring time so probe sites cost one nil check.
@@ -261,7 +308,19 @@ func New(eng *sim.Engine, dev *nvm.Device, cfg Config) *Controller {
 		maSU:       sim.NewPipeServer(eng, "ma-su", maII),
 		insertTime: make([]sim.Cycle, cfg.UsableWPQ()),
 		ma:         masu.NewWithParams(cfg.Tree, engine, dev, cfg.Layout, cfg.masuParams()),
+		readDelay:  sim.NewDelay(eng),
 	}
+	c.preWPQSecuredFn = c.preWPQSecured
+	c.baselineDrainedFn = c.baselineDrained
+	c.idealDrainedFn = c.idealDrained
+	c.eadrSecuredFn = c.eadrSecured
+	c.eadrWrittenFn = c.eadrWritten
+	c.dolosInsertedFn = c.dolosInserted
+	c.deferredMACFn = c.deferredMACDone
+	c.maSecuredFn = c.maSecured
+	c.maDrainedFn = c.maDrained
+	c.maFetchFn = c.maFetch
+	c.readFetchedFn = c.readFetched
 	// Every metric below appears in any run that issues a single write or
 	// read, so resolving them eagerly does not change which names a
 	// RunRecord snapshot reports. wpq.evict_requests is the exception —
@@ -340,10 +399,8 @@ func (c *Controller) queue() *wpq.Queue {
 // staleAt reports whether the controller has crashed, or
 // crashed-and-recovered, since the caller read c.epoch — every deferred
 // completion checks it so events scheduled before a power failure cannot
-// touch post-recovery state. Callers snapshot the epoch as a plain value
-// (their completion closures capture c anyway), which is why this is not
-// a closure-returning helper: one predicate closure per scheduled write
-// adds up on the hot path.
+// touch post-recovery state. Jobs carry the epoch they were submitted in
+// in their insert or drain record.
 func (c *Controller) staleAt(epoch uint64) bool { return c.crashed || c.epoch != epoch }
 
 // WPQLive returns the current number of live WPQ entries.

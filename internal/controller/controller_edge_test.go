@@ -181,7 +181,7 @@ func TestReadExtraLatencyComposition(t *testing.T) {
 	// verification beyond the NVM fetch.
 	start := eng.Now()
 	var lat sim.Cycle
-	c.ReadLine(0x1000, func() { lat = eng.Now() - start })
+	c.ReadLine(0x1000, func(uint64) { lat = eng.Now() - start }, 0)
 	eng.Run(0)
 	min := nvm.ReadLatency + crypt.MACLatency
 	if lat < min || lat > min+700 {

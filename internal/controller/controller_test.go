@@ -150,7 +150,7 @@ func TestReadAfterDrain(t *testing.T) {
 			c.PersistWrite(0x1000, line(7), nil)
 			eng.Run(0)
 			var readDone bool
-			c.ReadLine(0x1000, func() { readDone = true })
+			c.ReadLine(0x1000, func(uint64) { readDone = true }, 0)
 			eng.Run(0)
 			if !readDone {
 				t.Fatal("read never completed")
@@ -171,7 +171,7 @@ func TestReadHitsWPQ(t *testing.T) {
 		t.Skip("WPQ already drained; timing too fast to observe")
 	}
 	start := eng.Now()
-	c.ReadLine(0x1000, func() { hitLatency = eng.Now() - start })
+	c.ReadLine(0x1000, func(uint64) { hitLatency = eng.Now() - start }, 0)
 	eng.Run(0)
 	if got := c.Stats().Counter("wpq.read_hits").Value(); got != 1 {
 		t.Fatalf("WPQ read hits = %d", got)

@@ -57,7 +57,7 @@ func TestModelCheckController(t *testing.T) {
 				case op < 85: // timed read through the controller
 					addr := addrs[rng.Intn(len(addrs))]
 					done := false
-					c.ReadLine(addr, func() { done = true })
+					c.ReadLine(addr, func(uint64) { done = true }, 0)
 					eng.Run(0)
 					if !done {
 						t.Fatalf("step %d: read never completed", step)

@@ -4,17 +4,27 @@ import (
 	"fmt"
 
 	"dolos/internal/masu"
+	"dolos/internal/sim"
 )
 
-// ReadLine serves an LLC-miss read. done fires when the verified,
-// decrypted line would be available to the cache hierarchy. Reads that
-// hit the WPQ tag array are served on-chip; others pay the NVM fetch,
-// MAC verification and any metadata-cache misses.
+// read is an NVM read in flight: the requester's completion and the
+// security latency charged once the data is back.
+type read struct {
+	done  sim.Handler
+	arg   uint64
+	extra sim.Cycle
+}
+
+// ReadLine serves an LLC-miss read. done(arg), if done is non-nil,
+// fires when the verified, decrypted line would be available to the
+// cache hierarchy. Reads that hit the WPQ tag array are served on-chip;
+// others pay the NVM fetch, MAC verification and any metadata-cache
+// misses.
 //
 // An integrity violation on the read path panics: during benign
 // simulation it indicates a model bug, and adversarial scenarios are
 // driven through the recovery/attack APIs where errors are returned.
-func (c *Controller) ReadLine(addr uint64, done func()) {
+func (c *Controller) ReadLine(addr uint64, done sim.Handler, arg uint64) {
 	addr &^= 63
 	c.cMemReads.Inc()
 
@@ -32,7 +42,7 @@ func (c *Controller) ReadLine(addr uint64, done func()) {
 		}
 		// The on-chip hit cost: tag-array lookup plus the one-cycle XOR
 		// decrypt (Section 4.5).
-		c.eng.After(c.costs.WPQHit, done)
+		c.readDelay.After(c.costs.WPQHit, done, arg)
 		return
 	}
 
@@ -40,10 +50,15 @@ func (c *Controller) ReadLine(addr uint64, done func()) {
 	if err != nil {
 		panic("controller: read integrity violation: " + err.Error())
 	}
-	extra := c.costs.ReadExtra(cost)
-	c.dev.AccessRead(addr, func() {
-		c.eng.After(extra, done)
-	})
+	i := c.reads.Put(read{done: done, arg: arg, extra: c.costs.ReadExtra(cost)})
+	c.dev.AccessRead(addr, c.readFetchedFn, i)
+}
+
+// readFetched charges the security latency of the read in row i once
+// its data is back from NVM.
+func (c *Controller) readFetched(i uint64) {
+	r := c.reads.Take(i)
+	c.readDelay.After(r.extra, r.done, r.arg)
 }
 
 // readThroughMaSU performs the verified read and records its metadata

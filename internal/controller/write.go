@@ -3,7 +3,6 @@ package controller
 import (
 	"dolos/internal/masu"
 	"dolos/internal/scheme"
-	"dolos/internal/sim"
 	"dolos/internal/wpq"
 )
 
@@ -30,7 +29,7 @@ func (c *Controller) PersistWrite(addr uint64, data [64]byte, accepted func()) {
 			}
 		}
 	}
-	c.tryInsert(waiter{addr: addr, data: data, accepted: accepted}, false)
+	c.tryInsert(&waiter{addr: addr, data: data, accepted: accepted}, false)
 }
 
 // EvictWrite submits a dirty non-persist writeback (an LLC victim). It
@@ -44,7 +43,7 @@ func (c *Controller) EvictWrite(addr uint64, data [64]byte) {
 		c.cEvictRequests = c.st.Counter("wpq.evict_requests")
 	}
 	c.cEvictRequests.Inc()
-	c.tryInsert(waiter{addr: addr, data: data}, false)
+	c.tryInsert(&waiter{addr: addr, data: data}, false)
 }
 
 // noteArrival tracks the WPQ request inter-arrival distribution, the
@@ -61,7 +60,7 @@ func (c *Controller) noteArrival() {
 
 // tryInsert routes a write into the scheme's insertion path. wake marks
 // re-attempts of parked writes.
-func (c *Controller) tryInsert(w waiter, wake bool) {
+func (c *Controller) tryInsert(w *waiter, wake bool) {
 	if c.crashed {
 		return
 	}
@@ -87,29 +86,34 @@ func (c *Controller) tryInsert(w waiter, wake bool) {
 // Security work still runs (functionally now, its latency charged to the
 // background pipeline), exactly as an eADR platform would secure lines
 // on their way from the persistent caches to NVM.
-func (c *Controller) insertEADR(w waiter) {
+func (c *Controller) insertEADR(w *waiter) {
 	c.cInserted.Inc()
 	if w.accepted != nil {
 		c.eng.After(1, w.accepted)
 	}
 	cost := c.ma.ProcessWrite(w.addr, w.data, -1)
 	c.chargeWriteCost(cost)
-	epoch := c.epoch
-	c.secUnit.Submit(c.costs.DrainService(cost), func(_, _ sim.Cycle) {
-		if c.staleAt(epoch) {
-			return
-		}
-		c.dev.AccessWrite(w.addr, func() {
-			c.cDrained.Inc()
-		})
-	})
+	i := c.drains.Put(drain{addr: w.addr, epoch: c.epoch})
+	c.secUnit.Submit(c.costs.DrainService(cost), c.eadrSecuredFn, i)
 }
+
+// eadrSecured sends the eADR write of drain row i to the NVM array once
+// the background pipeline has secured it.
+func (c *Controller) eadrSecured(i uint64) {
+	d := c.drains.Take(i)
+	if c.staleAt(d.epoch) {
+		return
+	}
+	c.dev.AccessWrite(d.addr, c.eadrWrittenFn, 0)
+}
+
+func (c *Controller) eadrWritten(uint64) { c.cDrained.Inc() }
 
 // park queues a write for retry when space frees. countRetry marks
 // Table 2's metric: an insertion attempt that found the WPQ full (a
 // Post-WPQ wait on the busy Mi-SU parks without counting — the paper's
 // retry events are specifically full-queue events).
-func (c *Controller) park(w waiter, front, countRetry bool) {
+func (c *Controller) park(w *waiter, front, countRetry bool) {
 	if countRetry {
 		c.cRetryEvents.Inc()
 		if c.probe != nil {
@@ -120,17 +124,17 @@ func (c *Controller) park(w waiter, front, countRetry bool) {
 		if c.waitHead > 0 {
 			// Refill the gap popWaiter left at the head.
 			c.waitHead--
-			c.waiters[c.waitHead] = w
+			c.waiters[c.waitHead] = *w
 		} else {
 			// Grow in place and shift right instead of building a fresh
 			// slice: front parks happen on every full-WPQ retry, and a
 			// rebuild would allocate a new backing array each time.
 			c.waiters = append(c.waiters, waiter{})
 			copy(c.waiters[1:], c.waiters)
-			c.waiters[0] = w
+			c.waiters[0] = *w
 		}
 	} else {
-		c.waiters = append(c.waiters, w)
+		c.waiters = append(c.waiters, *w)
 	}
 }
 
@@ -156,13 +160,13 @@ func (c *Controller) popWaiter() (waiter, bool) {
 // the deferred Mi-SU op finished.
 func (c *Controller) wakeWaiters() {
 	if w, ok := c.popWaiter(); ok {
-		c.tryInsert(w, true)
+		c.tryInsert(&w, true)
 	}
 }
 
 // --- Dolos insertion (Figure 5-d) ---
 
-func (c *Controller) insertDolos(w waiter, _ bool) {
+func (c *Controller) insertDolos(w *waiter, _ bool) {
 	if !c.mi.CanAccept(w.addr) {
 		// Rotate failed attempts to the back of the waiter queue: a
 		// write stalled on same-line ordering must not block unrelated
@@ -174,40 +178,54 @@ func (c *Controller) insertDolos(w waiter, _ bool) {
 	// The Mi-SU MAC engine is a serial resource; the insert occupies it
 	// for the design's latency. Post-WPQ's XOR-only path is effectively
 	// immediate and the deferred MAC runs after commit.
-	epoch := c.epoch
-	c.miSU.Submit(c.costs.Insert, func(_, _ sim.Cycle) {
-		if c.staleAt(epoch) {
-			return
-		}
-		// Re-check: a competing insert may have consumed the last slot
-		// while this one was in the engine.
-		if !c.mi.CanAccept(w.addr) {
-			full := c.mi.Queue().Full() && !c.mi.Queue().CanCoalesce(w.addr)
-			c.park(w, false, full)
-			return
-		}
-		slot := c.mi.Protect(w.addr, w.data)
-		c.insertTime[slot] = c.eng.Now()
-		c.cInserted.Inc()
-		if w.accepted != nil {
-			w.accepted()
-		}
-		if c.cfg.Scheme == DolosPost {
-			// The deferred MAC occupies the Mi-SU after commit; new
-			// writes are rejected until it completes.
-			c.miSU.Submit(c.costs.DeferredMAC, func(_, _ sim.Cycle) {
-				if c.staleAt(epoch) {
-					return
-				}
-				c.mi.CompleteDeferredMAC(slot)
-				c.wakeWaiters()
-				// The entry only became fetchable now that its MAC is
-				// in place; re-arm the Ma-SU.
-				c.pumpMaSU()
-			})
-		}
-		c.pumpMaSU()
-	})
+	c.miSU.Submit(c.costs.Insert, c.dolosInsertedFn, c.inserts.Put(insert{w: *w, epoch: c.epoch}))
+}
+
+// dolosInserted commits the write of insert row i to the WPQ once the
+// Mi-SU has protected it.
+func (c *Controller) dolosInserted(i uint64) {
+	in := c.inserts.At(i)
+	defer c.inserts.Free(i)
+	if c.staleAt(in.epoch) {
+		return
+	}
+	w := &in.w
+	// Re-check: a competing insert may have consumed the last slot
+	// while this one was in the engine.
+	if !c.mi.CanAccept(w.addr) {
+		full := c.mi.Queue().Full() && !c.mi.Queue().CanCoalesce(w.addr)
+		c.park(w, false, full)
+		return
+	}
+	slot := c.mi.Protect(w.addr, w.data)
+	c.insertTime[slot] = c.eng.Now()
+	c.cInserted.Inc()
+	// The callback may submit another write, which can grow the table
+	// under in: read nothing from it after this point.
+	epoch := in.epoch
+	if w.accepted != nil {
+		w.accepted()
+	}
+	if c.cfg.Scheme == DolosPost {
+		// The deferred MAC occupies the Mi-SU after commit; new
+		// writes are rejected until it completes.
+		c.miSU.Submit(c.costs.DeferredMAC, c.deferredMACFn, c.drains.Put(drain{epoch: epoch, slot: slot}))
+	}
+	c.pumpMaSU()
+}
+
+// deferredMACDone completes Post-WPQ's deferred MAC of the entry in
+// drain row i's slot.
+func (c *Controller) deferredMACDone(i uint64) {
+	d := c.drains.Take(i)
+	if c.staleAt(d.epoch) {
+		return
+	}
+	c.mi.CompleteDeferredMAC(d.slot)
+	c.wakeWaiters()
+	// The entry only became fetchable now that its MAC is in place;
+	// re-arm the Ma-SU.
+	c.pumpMaSU()
 }
 
 // DrainDelay is how long an entry rests in the WPQ before the Ma-SU
@@ -235,55 +253,68 @@ func (c *Controller) pumpMaSU() {
 		at = e
 	}
 	c.maPumpArmed = true
-	epoch := c.epoch
-	c.eng.At(at, func() {
-		c.maPumpArmed = false
-		if c.staleAt(epoch) {
-			return
-		}
-		slot, ok := c.mi.Queue().FetchOldest()
-		if !ok {
-			return
-		}
-		if c.insertTime[slot]+DrainDelay > c.eng.Now() {
-			// The oldest entry changed (coalesce/clear); re-arm.
-			c.pumpMaSU()
-			return
-		}
-		c.mi.Queue().MarkFetched(slot)
-		fetchSeq := c.mi.Queue().Entry(slot).Seq
-		addr, plain := c.mi.DecryptSlot(slot)
-		cost := c.ma.ProcessWrite(addr, plain, slot)
-		c.chargeWriteCost(cost)
-		c.maSU.Submit(c.costs.DrainService(cost), func(_, _ sim.Cycle) {
-			if c.staleAt(epoch) {
-				return
-			}
-			// Step 3: the ciphertext heads to NVM; step 4 clears the
-			// WPQ entry once the write is in the array.
-			c.dev.AccessWrite(addr, func() {
-				if c.staleAt(epoch) {
-					return
-				}
-				c.cDrained.Inc()
-				if c.probe != nil {
-					// Per-entry drain latency: WPQ residency from
-					// insertion to the NVM array write completing.
-					c.hDrain.Observe(float64(c.eng.Now() - c.insertTime[slot]))
-				}
-				e := c.mi.Queue().Entry(slot)
-				if e.Valid && !e.Cleared && e.Seq == fetchSeq {
-					// Unchanged since fetch: retire the entry. A newer
-					// coalesced value (different Seq) stays live and
-					// will be re-fetched.
-					c.mi.Queue().Clear(slot)
-				}
-				c.wakeWaiters()
-				c.pumpMaSU()
-			})
-		})
+	c.maPumpEpoch = c.epoch
+	c.eng.At(at, c.maFetchFn)
+}
+
+// maFetch is the armed Ma-SU fetch: it takes the oldest fetchable WPQ
+// entry into the Ma-SU pipeline and re-arms for the next.
+func (c *Controller) maFetch() {
+	c.maPumpArmed = false
+	if c.staleAt(c.maPumpEpoch) {
+		return
+	}
+	slot, ok := c.mi.Queue().FetchOldest()
+	if !ok {
+		return
+	}
+	if c.insertTime[slot]+DrainDelay > c.eng.Now() {
+		// The oldest entry changed (coalesce/clear); re-arm.
 		c.pumpMaSU()
-	})
+		return
+	}
+	c.mi.Queue().MarkFetched(slot)
+	fetchSeq := c.mi.Queue().Entry(slot).Seq
+	addr, plain := c.mi.DecryptSlot(slot)
+	cost := c.ma.ProcessWrite(addr, plain, slot)
+	c.chargeWriteCost(cost)
+	i := c.drains.Put(drain{addr: addr, epoch: c.maPumpEpoch, slot: slot, fetchSeq: fetchSeq})
+	c.maSU.Submit(c.costs.DrainService(cost), c.maSecuredFn, i)
+	c.pumpMaSU()
+}
+
+// maSecured sends the Ma-SU drain of row i to the NVM array: step 3 of
+// Figure 11, the ciphertext heads to NVM.
+func (c *Controller) maSecured(i uint64) {
+	d := c.drains.At(i)
+	if c.staleAt(d.epoch) {
+		c.drains.Free(i)
+		return
+	}
+	c.dev.AccessWrite(d.addr, c.maDrainedFn, i)
+}
+
+// maDrained completes the Ma-SU drain of row i once the write is in the
+// array: step 4 clears its WPQ entry.
+func (c *Controller) maDrained(i uint64) {
+	d := c.drains.Take(i)
+	if c.staleAt(d.epoch) {
+		return
+	}
+	c.cDrained.Inc()
+	if c.probe != nil {
+		// Per-entry drain latency: WPQ residency from insertion to
+		// the NVM array write completing.
+		c.hDrain.Observe(float64(c.eng.Now() - c.insertTime[d.slot]))
+	}
+	e := c.mi.Queue().Entry(d.slot)
+	if e.Valid && !e.Cleared && e.Seq == d.fetchSeq {
+		// Unchanged since fetch: retire the entry. A newer coalesced
+		// value (different Seq) stays live and will be re-fetched.
+		c.mi.Queue().Clear(d.slot)
+	}
+	c.wakeWaiters()
+	c.pumpMaSU()
 }
 
 // chargeWriteCost records cost composition statistics.
@@ -300,23 +331,32 @@ func (c *Controller) chargeWriteCost(cost masu.Cost) {
 
 // --- Baseline insertion (Figure 5-b): security before the WPQ ---
 
-func (c *Controller) insertPreWPQ(w waiter) {
+func (c *Controller) insertPreWPQ(w *waiter) {
 	// The conventional security unit serializes: counter fetch, pad
 	// generation, data MAC and the eager tree update all happen before
 	// the write may enter the persistence domain.
 	cost := c.ma.ProcessWrite(w.addr, w.data, -1)
 	c.chargeWriteCost(cost)
-	epoch := c.epoch
-	c.secUnit.Submit(c.costs.InsertService(cost), func(_, _ sim.Cycle) {
-		if c.staleAt(epoch) {
-			return
-		}
-		c.allocBaseline(w, false)
-	})
+	c.secUnit.Submit(c.costs.InsertService(cost), c.preWPQSecuredFn, c.inserts.Put(insert{w: *w, epoch: c.epoch}))
+}
+
+// preWPQSecured places the write of insert row i into the WPQ once the
+// security unit has processed it.
+func (c *Controller) preWPQSecured(i uint64) {
+	in := c.inserts.At(i)
+	if c.staleAt(in.epoch) {
+		c.inserts.Free(i)
+		return
+	}
+	// allocBaseline's acceptance callback may submit another write,
+	// which can grow the table under in: hand it a copy.
+	w := in.w
+	c.inserts.Free(i)
+	c.allocBaseline(&w, false)
 }
 
 // allocBaseline places a security-processed write into the baseline WPQ.
-func (c *Controller) allocBaseline(w waiter, wake bool) {
+func (c *Controller) allocBaseline(w *waiter, wake bool) {
 	if c.crashed {
 		return
 	}
@@ -335,31 +375,35 @@ func (c *Controller) allocBaseline(w waiter, wake bool) {
 	}
 	c.bq.Commit(slot, wpq.Entry{Addr: w.addr, Valid: true})
 	// Drain: the entry only awaits its NVM write (already secured).
-	epoch := c.epoch
-	insertAt := c.eng.Now()
-	c.dev.AccessWrite(w.addr, func() {
-		if c.staleAt(epoch) {
-			return
-		}
-		c.bq.Clear(slot)
-		c.cDrained.Inc()
-		if c.probe != nil {
-			c.hDrain.Observe(float64(c.eng.Now() - insertAt))
-		}
-		c.wakeBaseline()
-	})
+	c.insertTime[slot] = c.eng.Now()
+	c.dev.AccessWrite(w.addr, c.baselineDrainedFn, c.drains.Put(drain{epoch: c.epoch, slot: slot}))
+}
+
+// baselineDrained retires the baseline WPQ entry of drain row i once
+// its NVM write completes.
+func (c *Controller) baselineDrained(i uint64) {
+	d := c.drains.Take(i)
+	if c.staleAt(d.epoch) {
+		return
+	}
+	c.bq.Clear(d.slot)
+	c.cDrained.Inc()
+	if c.probe != nil {
+		c.hDrain.Observe(float64(c.eng.Now() - c.insertTime[d.slot]))
+	}
+	c.wakeBaseline()
 }
 
 // wakeBaseline re-attempts a parked baseline write after a slot freed.
 func (c *Controller) wakeBaseline() {
 	if w, ok := c.popWaiter(); ok {
-		c.allocBaseline(w, true)
+		c.allocBaseline(&w, true)
 	}
 }
 
 // --- Ideal insertion (NonSecureADR): persist immediately ---
 
-func (c *Controller) insertIdeal(w waiter, wake bool) {
+func (c *Controller) insertIdeal(w *waiter, wake bool) {
 	slot, coalesced, ok := c.bq.Allocate(w.addr)
 	if !ok {
 		c.park(w, wake, true)
@@ -377,19 +421,23 @@ func (c *Controller) insertIdeal(w waiter, wake bool) {
 		return
 	}
 	c.bq.Commit(slot, wpq.Entry{Addr: w.addr, Valid: true})
-	epoch := c.epoch
-	c.dev.AccessWrite(w.addr, func() {
-		if c.staleAt(epoch) {
-			return
-		}
-		c.bq.Clear(slot)
-		c.cDrained.Inc()
-		c.wakeIdeal()
-	})
+	c.dev.AccessWrite(w.addr, c.idealDrainedFn, c.drains.Put(drain{epoch: c.epoch, slot: slot}))
+}
+
+// idealDrained retires the ideal scheme's WPQ entry of drain row i once
+// its NVM write completes.
+func (c *Controller) idealDrained(i uint64) {
+	d := c.drains.Take(i)
+	if c.staleAt(d.epoch) {
+		return
+	}
+	c.bq.Clear(d.slot)
+	c.cDrained.Inc()
+	c.wakeIdeal()
 }
 
 func (c *Controller) wakeIdeal() {
 	if w, ok := c.popWaiter(); ok {
-		c.insertIdeal(w, true)
+		c.insertIdeal(&w, true)
 	}
 }

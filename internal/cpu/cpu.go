@@ -129,7 +129,9 @@ type System struct {
 // eviction data from the line mirror.
 type backend struct{ s *System }
 
-func (b backend) ReadLine(addr uint64, done func()) { b.s.Ctrl.ReadLine(addr, done) }
+func (b backend) ReadLine(addr uint64, done sim.Handler, arg uint64) {
+	b.s.Ctrl.ReadLine(addr, done, arg)
+}
 
 func (b backend) EvictLine(addr uint64) {
 	var data [64]byte

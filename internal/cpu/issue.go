@@ -16,6 +16,7 @@ import (
 type Port interface {
 	// Persist sends the line op flushes (op is a trace Flush) toward the
 	// persistence domain and calls accepted once it is accepted there.
+	// An issue loop passes the same accepted, bound once, on every call.
 	Persist(op *trace.Op, accepted func())
 }
 
@@ -66,7 +67,7 @@ type Issuer struct {
 	prefetches   uint64
 
 	// Continuations bound once, so issuing an operation allocates
-	// nothing.
+	// nothing. stepFn is the issue loop's own event.
 	stepFn     func()
 	readDoneFn func()
 	prefDoneFn func()
@@ -84,7 +85,7 @@ type Issuer struct {
 func NewIssuer(eng *sim.Engine, hier *cache.Hierarchy, mirror *TraceMirror, port Port,
 	txLat *stats.Histogram, txRes *stats.Reservoir) *Issuer {
 	l := &Issuer{eng: eng, hier: hier, mirror: mirror, port: port, txLat: txLat, txRes: txRes}
-	l.stepFn = l.step
+	l.stepFn = l.resume
 	l.readDoneFn = l.readDone
 	l.prefDoneFn = l.prefetchDone
 	l.acceptedFn = l.persistAccepted
@@ -119,10 +120,19 @@ func (l *Issuer) FenceStalls() sim.Cycle { return l.fenceStalls }
 // Prefetches is the number of stride-prefetch reads issued.
 func (l *Issuer) Prefetches() uint64 { return l.prefetches }
 
-// step issues operations until it must yield: a full read window, an
-// issue-path latency (compute, store, clwb), a parked fence, or the end
-// of the trace.
-func (l *Issuer) step() {
+// resume is the issue loop's event: it issues operations, and it may
+// charge each issue-path latency in place (see yield).
+func (l *Issuer) resume() { l.issue(true) }
+
+// step issues operations from inside another component's completion
+// (a read fill, a persist acceptance), which carries on at the current
+// cycle once step returns, so every issue-path latency is queued.
+func (l *Issuer) step() { l.issue(false) }
+
+// issue issues operations until it must stop: a full read window, a
+// parked fence, the end of the trace, or an issue-path latency
+// (compute, store, clwb) that yield could not charge in place.
+func (l *Issuer) issue(inPlace bool) {
 	for {
 		if l.i >= len(l.tr.Ops) {
 			if l.inflight == 0 {
@@ -139,8 +149,9 @@ func (l *Issuer) step() {
 		switch op.Kind {
 		case trace.Compute:
 			l.i++
-			l.eng.After(op.Cycles, l.stepFn)
-			return
+			if !l.yield(op.Cycles, inPlace) {
+				return
+			}
 		case trace.Read:
 			l.i++
 			l.inflight++
@@ -149,8 +160,9 @@ func (l *Issuer) step() {
 		case trace.Write:
 			l.i++
 			l.mirror.Set(op.Addr, &op.Data)
-			l.eng.After(l.hier.Write(op.Addr), l.stepFn)
-			return
+			if !l.yield(l.hier.Write(op.Addr), inPlace) {
+				return
+			}
 		case trace.Flush:
 			l.i++
 			l.mirror.Set(op.Addr, &op.Data)
@@ -158,17 +170,20 @@ func (l *Issuer) step() {
 				l.outstanding++
 				l.port.Persist(op, l.acceptedFn)
 			}
-			l.eng.After(2, l.stepFn) // clwb issue cost; completion is async
-			return
-		case trace.Fence:
-			if l.outstanding == 0 {
-				l.i++
-				l.eng.After(1, l.stepFn)
+			// clwb issue cost; completion is async.
+			if !l.yield(2, inPlace) {
 				return
 			}
-			l.fenceWait = true
-			l.fenceStart = l.eng.Now()
-			return
+		case trace.Fence:
+			if l.outstanding > 0 {
+				l.fenceWait = true
+				l.fenceStart = l.eng.Now()
+				return
+			}
+			l.i++
+			if !l.yield(1, inPlace) {
+				return
+			}
 		case trace.TxBegin:
 			l.i++
 			l.txStart = l.eng.Now()
@@ -179,6 +194,19 @@ func (l *Issuer) step() {
 			panic(fmt.Sprintf("cpu: unknown op kind %v", op.Kind))
 		}
 	}
+}
+
+// yield charges delay cycles of issue-path latency before the next
+// operation. From the loop's own event (inPlace) the engine dispatches
+// the continuation in place when it would be the next event anyway, and
+// yield reports true: issue carries on at the advanced clock. Otherwise
+// the continuation is queued and issue must return.
+func (l *Issuer) yield(delay sim.Cycle, inPlace bool) bool {
+	if inPlace && l.eng.Advance(delay) {
+		return true
+	}
+	l.eng.After(delay, l.stepFn)
+	return false
 }
 
 func (l *Issuer) finish() {

@@ -22,8 +22,10 @@ type request struct {
 	seq  uint64 // per-core issue sequence
 	kind uint8
 	addr uint64
-	data [64]byte // persist/evict payload
-	done func()   // read completion / persist acceptance
+	data [64]byte    // persist/evict payload
+	done func()      // persist acceptance
+	fill sim.Handler // read completion, called with arg
+	arg  uint64
 }
 
 // reqLess is the arbiter's deterministic total order: earlier arrival
@@ -121,7 +123,7 @@ func (a *arbiter) grant() {
 
 	switch r.kind {
 	case reqRead:
-		a.ctrl.ReadLine(r.addr, r.done)
+		a.ctrl.ReadLine(r.addr, r.fill, r.arg)
 	case reqPersist:
 		a.ctrl.PersistWrite(r.addr, r.data, r.done)
 	case reqEvict:

@@ -74,6 +74,11 @@ type Core struct {
 	mirror    *cpu.TraceMirror
 	issue     *cpu.Issuer
 	acceptedN *stats.Counter
+
+	// acceptFn is accepted, bound once; issueAccepted is the issue
+	// loop's acceptance callback it calls.
+	acceptFn      func()
+	issueAccepted func()
 }
 
 // ID returns the core index.
@@ -101,8 +106,8 @@ func (c *Core) Mirror(addr uint64) ([64]byte, bool) {
 // the shared arbiter.
 type coreBackend struct{ c *Core }
 
-func (b coreBackend) ReadLine(addr uint64, done func()) {
-	b.c.sys.arb.submit(request{core: b.c.id, kind: reqRead, addr: addr, done: done})
+func (b coreBackend) ReadLine(addr uint64, done sim.Handler, arg uint64) {
+	b.c.sys.arb.submit(request{core: b.c.id, kind: reqRead, addr: addr, fill: done, arg: arg})
 }
 
 func (b coreBackend) EvictLine(addr uint64) {
@@ -115,15 +120,26 @@ func (b coreBackend) EvictLine(addr uint64) {
 
 // Persist implements cpu.Port: the flushed line queues at the shared
 // arbiter, and its acceptance is counted and reported before the issue
-// loop sees it.
+// loop sees it. accepted is the issue loop's one bound callback (see
+// cpu.Port), so without an OnAccepted observer every flush shares the
+// core's bound acceptFn and allocates nothing.
 func (c *Core) Persist(op *trace.Op, accepted func()) {
+	if c.OnAccepted == nil {
+		c.issueAccepted = accepted
+		c.sys.arb.submit(request{core: c.id, kind: reqPersist, addr: op.Addr, data: op.Data, done: c.acceptFn})
+		return
+	}
 	c.sys.arb.submit(request{core: c.id, kind: reqPersist, addr: op.Addr, data: op.Data, done: func() {
 		c.acceptedN.Inc()
-		if c.OnAccepted != nil {
-			c.OnAccepted(op.Addr, op.Data)
-		}
+		c.OnAccepted(op.Addr, op.Data)
 		accepted()
 	}})
+}
+
+// accepted counts one accepted persist and passes it to the issue loop.
+func (c *Core) accepted() {
+	c.acceptedN.Inc()
+	c.issueAccepted()
 }
 
 // System is the multi-core machine: N cores with private hierarchies
@@ -178,6 +194,7 @@ func NewSystem(cfg Config, cores []CoreSpec) *System {
 			mirror:    cpu.NewTraceMirror(),
 			acceptedN: ctrl.Stats().Counter(fmt.Sprintf("mcore.core%d.accepted", i)),
 		}
+		c.acceptFn = c.accepted
 		c.hier = cache.NewHierarchy(eng, coreBackend{c})
 		c.issue = cpu.NewIssuer(eng, c.hier, c.mirror, c, s.txLat, s.txRes)
 		s.Cores = append(s.Cores, c)

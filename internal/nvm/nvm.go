@@ -45,6 +45,12 @@ type Device struct {
 	allocated int
 	banks     []*sim.Server
 
+	// accesses holds each timed access in flight, from submission to
+	// its bank's completion; a bank job's argument is its row, and
+	// accessDoneFn, bound once, completes it.
+	accesses     sim.Slab[access]
+	accessDoneFn sim.Handler
+
 	reads, writes uint64
 
 	// regions are the write-back regions and write guards owners
@@ -54,6 +60,15 @@ type Device struct {
 	// onAccess, when non-nil, observes every timed access with its bank
 	// service window (telemetry). Purely observational.
 	onAccess func(write bool, addr uint64, start, end sim.Cycle)
+}
+
+// access is one timed access in flight: the requester's completion and
+// what the access hook reports.
+type access struct {
+	addr  uint64
+	write bool
+	done  sim.Handler
+	arg   uint64
 }
 
 // WriteBack is a region of the device whose owner holds state the
@@ -84,6 +99,7 @@ func NewDevice(eng *sim.Engine, size uint64, banks int) *Device {
 		size:  size,
 		pages: dense.NewTable[*[PageSize]byte]((size + PageSize - 1) / PageSize),
 	}
+	d.accessDoneFn = d.accessDone
 	if eng != nil {
 		d.banks = make([]*sim.Server, banks)
 		for i := range d.banks {
@@ -240,32 +256,36 @@ func (d *Device) bank(addr uint64) *sim.Server {
 	return d.banks[(addr/LineSize)%uint64(len(d.banks))]
 }
 
-// AccessRead occupies addr's bank for ReadLatency and invokes done when the
-// data is available. Requires a timed device (non-nil engine).
-func (d *Device) AccessRead(addr uint64, done func()) {
+// AccessRead occupies addr's bank for ReadLatency and calls done(arg),
+// if done is non-nil, when the data is available. Requires a timed
+// device (non-nil engine).
+func (d *Device) AccessRead(addr uint64, done sim.Handler, arg uint64) {
 	d.reads++
-	d.bank(addr).Submit(ReadLatency, func(start, end sim.Cycle) {
-		if d.onAccess != nil {
-			d.onAccess(false, addr, start, end)
-		}
-		if done != nil {
-			done()
-		}
-	})
+	d.bank(addr).Submit(ReadLatency, d.accessDoneFn, d.accesses.Put(access{addr: addr, done: done, arg: arg}))
 }
 
-// AccessWrite occupies addr's bank for WriteLatency and invokes done when
-// the write completes in the array.
-func (d *Device) AccessWrite(addr uint64, done func()) {
+// AccessWrite occupies addr's bank for WriteLatency and calls done(arg),
+// if done is non-nil, when the write completes in the array.
+func (d *Device) AccessWrite(addr uint64, done sim.Handler, arg uint64) {
 	d.writes++
-	d.bank(addr).Submit(WriteLatency, func(start, end sim.Cycle) {
-		if d.onAccess != nil {
-			d.onAccess(true, addr, start, end)
+	d.bank(addr).Submit(WriteLatency, d.accessDoneFn, d.accesses.Put(access{addr: addr, write: true, done: done, arg: arg}))
+}
+
+// accessDone completes the access in row i at the end of its bank
+// service: the service started one access latency ago.
+func (d *Device) accessDone(i uint64) {
+	a := d.accesses.Take(i)
+	if d.onAccess != nil {
+		lat := ReadLatency
+		if a.write {
+			lat = WriteLatency
 		}
-		if done != nil {
-			done()
-		}
-	})
+		now := d.eng.Now()
+		d.onAccess(a.write, a.addr, now-lat, now)
+	}
+	if a.done != nil {
+		a.done(a.arg)
+	}
 }
 
 // ReadReadyAt returns the cycle at which a read of addr issued now would

@@ -112,8 +112,8 @@ func TestTimedAccessLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDevice(eng, 1<<20, 4)
 	var readDone, writeDone sim.Cycle
-	d.AccessRead(0, func() { readDone = eng.Now() })
-	d.AccessWrite(64, func() { writeDone = eng.Now() }) // different bank
+	d.AccessRead(0, func(uint64) { readDone = eng.Now() }, 0)
+	d.AccessWrite(64, func(uint64) { writeDone = eng.Now() }, 0) // different bank
 	eng.Run(0)
 	if readDone != ReadLatency {
 		t.Fatalf("read completed at %d, want %d", readDone, ReadLatency)
@@ -131,8 +131,8 @@ func TestSameBankSerializes(t *testing.T) {
 	d := NewDevice(eng, 1<<20, 4)
 	bankStride := uint64(4 * LineSize) // same bank every 4 lines
 	var first, second sim.Cycle
-	d.AccessWrite(0, func() { first = eng.Now() })
-	d.AccessWrite(bankStride, func() { second = eng.Now() })
+	d.AccessWrite(0, func(uint64) { first = eng.Now() }, 0)
+	d.AccessWrite(bankStride, func(uint64) { second = eng.Now() }, 0)
 	eng.Run(0)
 	if second != first+WriteLatency {
 		t.Fatalf("same-bank writes not serialized: %d then %d", first, second)
@@ -144,7 +144,7 @@ func TestDifferentBanksParallel(t *testing.T) {
 	d := NewDevice(eng, 1<<20, 4)
 	var times []sim.Cycle
 	for i := uint64(0); i < 4; i++ {
-		d.AccessWrite(i*LineSize, func() { times = append(times, eng.Now()) })
+		d.AccessWrite(i*LineSize, func(uint64) { times = append(times, eng.Now()) }, 0)
 	}
 	eng.Run(0)
 	for _, ts := range times {
@@ -160,7 +160,7 @@ func TestReadReadyAt(t *testing.T) {
 	if got := d.ReadReadyAt(0); got != ReadLatency {
 		t.Fatalf("idle ReadReadyAt = %d", got)
 	}
-	d.AccessWrite(0, nil)
+	d.AccessWrite(0, nil, 0)
 	if got := d.ReadReadyAt(0); got != WriteLatency+ReadLatency {
 		t.Fatalf("busy ReadReadyAt = %d", got)
 	}

@@ -128,6 +128,12 @@ func normalize(req Request, lim Limits) (normalized, error) {
 		if err != nil {
 			return normalized{}, err
 		}
+		// A run whose trace could overflow the persistent heap would
+		// panic in generation; reject it here, as the CLIs do.
+		w, _ := whisper.ByName(canon)
+		if err := whisper.CheckHeap(w, whisper.Params{Transactions: n.Transactions, TxSize: n.TxSize}); err != nil {
+			return normalized{}, err
+		}
 		n.Workloads = append(n.Workloads, canon)
 	}
 

@@ -77,6 +77,8 @@ func TestNormalizeValidation(t *testing.T) {
 		{TxSize: 8192},
 		{WPQ: -4},
 		{Workloads: []string{"Hashmap", "Btree", "Ctree"}, Schemes: []string{"baseline", "ideal", "eadr"}},
+		// Within both bounds, but the trace overflows the 48 MB heap.
+		{Workloads: []string{"Hashmap"}, Transactions: 20000, TxSize: 4096},
 	}
 	lim := Limits{MaxTransactions: 100000, MaxCells: 8}
 	for i, req := range bad {

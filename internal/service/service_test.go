@@ -436,6 +436,30 @@ func TestResultBeforeCompletion(t *testing.T) {
 	svc.Shutdown(context.Background())
 }
 
+// TestHeapOverflowRejected pins that a grid within the transaction and
+// size bounds whose trace would overflow the persistent heap is a 400
+// naming both, not a job that panics in generation.
+func TestHeapOverflowRejected(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+
+	resp, err := http.Post(ts.URL+"/v2/jobs", "application/json",
+		strings.NewReader(`{"workloads":["NStore:YCSB","Redis"],"transactions":20000,"tx_size":4096}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(env.Message, "txns 20000 with txsize 4096") {
+		t.Errorf("HTTP %d, envelope %+v; want 400 naming txns and txsize", resp.StatusCode, env)
+	}
+}
+
 // TestBadRequests sweeps the rejection surface of the submit endpoint.
 func TestBadRequests(t *testing.T) {
 	svc := New(Config{Workers: 1, QueueDepth: 4, MaxBodyBytes: 256,

@@ -116,6 +116,18 @@ type Engine struct {
 	// It must be purely observational: scheduling events or mutating
 	// model state from the hook would perturb the timing model.
 	hook func(at Cycle)
+
+	// bounds is the running Run's or RunUntil's limit on in-place
+	// dispatch (see Advance); its zero value, outside them, admits none.
+	bounds runBounds
+}
+
+// runBounds limits in-place dispatch to the running Run or RunUntil:
+// limit is the Processed count at which the call stops and deadline the
+// last cycle it may reach.
+type runBounds struct {
+	limit    uint64
+	deadline Cycle
 }
 
 // NewEngine returns an engine with the clock at cycle 0.
@@ -182,24 +194,57 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// Advance dispatches the running event's continuation in place: it
+// does what After(delay, fn) followed by the dispatch of that event
+// would do — take the next scheduling sequence number, move the clock
+// to now+delay, count the event and call the hook — and reports true,
+// and the caller then runs the continuation itself instead of
+// returning. It succeeds only when that event would be the next one
+// dispatched: nothing is pending at the current cycle and the earliest
+// queued event is strictly later than now+delay. It also stays within
+// the running Run's event limit and RunUntil's deadline, and outside
+// Run and RunUntil (a bare Step) it always declines. On false nothing
+// changed, and the caller schedules the continuation with After.
+//
+// Only a continuation that is the last thing its event does may be
+// dispatched in place: code that runs after it returns would otherwise
+// run at the advanced clock.
+func (e *Engine) Advance(delay Cycle) bool {
+	at := e.now + delay
+	if e.events >= e.bounds.limit || at > e.bounds.deadline || e.nowHead < len(e.nowQ) ||
+		(e.queue.len() > 0 && e.queue.a[0].at <= at) {
+		return false
+	}
+	e.seq++
+	e.now = at
+	e.events++
+	if e.hook != nil {
+		e.hook(at)
+	}
+	return true
+}
+
 // Run executes events until the queue drains or limit events have run.
 // A limit of 0 means no limit. It returns the number of events executed
-// by this call.
+// by this call, those dispatched in place (Advance) included.
 func (e *Engine) Run(limit uint64) uint64 {
-	var n uint64
-	for limit == 0 || n < limit {
-		if !e.Step() {
-			break
-		}
-		n++
+	start := e.events
+	e.bounds = runBounds{limit: ^uint64(0), deadline: ^Cycle(0)}
+	if limit != 0 {
+		e.bounds.limit = start + limit
 	}
-	return n
+	for e.events < e.bounds.limit && e.Step() {
+	}
+	e.bounds = runBounds{}
+	return e.events - start
 }
 
 // RunUntil executes events with timestamps <= deadline. Events scheduled
-// beyond the deadline remain queued. It returns the number executed.
+// beyond the deadline remain queued. It returns the number executed,
+// those dispatched in place (Advance) included.
 func (e *Engine) RunUntil(deadline Cycle) uint64 {
-	var n uint64
+	start := e.events
+	e.bounds = runBounds{limit: ^uint64(0), deadline: deadline}
 	for {
 		// Earliest pending timestamp across the now-ring and the heap.
 		next, any := Cycle(0), false
@@ -212,10 +257,10 @@ func (e *Engine) RunUntil(deadline Cycle) uint64 {
 			break
 		}
 		e.Step()
-		n++
 	}
+	e.bounds = runBounds{}
 	if e.now < deadline {
 		e.now = deadline
 	}
-	return n
+	return e.events - start
 }

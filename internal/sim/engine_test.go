@@ -128,8 +128,9 @@ func TestServerSerializes(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "test")
 	var spans [][2]Cycle
+	s.SetJobHook(func(_ string, start, end Cycle) { spans = append(spans, [2]Cycle{start, end}) })
 	for i := 0; i < 3; i++ {
-		s.Submit(100, func(start, end Cycle) { spans = append(spans, [2]Cycle{start, end}) })
+		s.Submit(100, nil, 0)
 	}
 	e.Run(0)
 	if len(spans) != 3 {
@@ -149,8 +150,8 @@ func TestServerSerializes(t *testing.T) {
 func TestServerFreeAt(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "test")
-	s.Submit(50, nil)
-	s.Submit(70, nil)
+	s.Submit(50, nil, 0)
+	s.Submit(70, nil, 0)
 	if got := s.FreeAt(); got != 120 {
 		t.Fatalf("FreeAt = %d, want 120", got)
 	}
@@ -164,9 +165,8 @@ func TestServerLateSubmission(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "test")
 	var span [2]Cycle
-	e.At(500, func() {
-		s.Submit(10, func(start, end Cycle) { span = [2]Cycle{start, end} })
-	})
+	s.SetJobHook(func(_ string, start, end Cycle) { span = [2]Cycle{start, end} })
+	e.At(500, func() { s.Submit(10, nil, 0) })
 	e.Run(0)
 	if span != [2]Cycle{500, 510} {
 		t.Fatalf("span %v, want [500 510]", span)
@@ -180,9 +180,9 @@ func TestServerNoOverlapProperty(t *testing.T) {
 		e := NewEngine()
 		s := NewServer(e, "p")
 		var spans [][2]Cycle
+		s.SetJobHook(func(_ string, start, end Cycle) { spans = append(spans, [2]Cycle{start, end}) })
 		for _, sv := range services {
-			sv := Cycle(sv) + 1
-			s.Submit(sv, func(start, end Cycle) { spans = append(spans, [2]Cycle{start, end}) })
+			s.Submit(Cycle(sv)+1, nil, 0)
 		}
 		e.Run(0)
 		if len(spans) != len(services) {

@@ -9,8 +9,9 @@ func TestPipeServerOverlap(t *testing.T) {
 	e := NewEngine()
 	p := NewPipeServer(e, "pipe", 100)
 	var spans [][2]Cycle
+	p.SetJobHook(func(_ string, start, end Cycle) { spans = append(spans, [2]Cycle{start, end}) })
 	for i := 0; i < 3; i++ {
-		p.Submit(1000, func(start, end Cycle) { spans = append(spans, [2]Cycle{start, end}) })
+		p.Submit(1000, nil, 0)
 	}
 	e.Run(0)
 	if len(spans) != 3 {
@@ -27,12 +28,11 @@ func TestPipeServerOverlap(t *testing.T) {
 func TestPipeServerIdleRestart(t *testing.T) {
 	e := NewEngine()
 	p := NewPipeServer(e, "pipe", 100)
-	p.Submit(10, nil)
+	p.Submit(10, nil, 0)
 	e.Run(0)
 	var start Cycle
-	e.At(5000, func() {
-		p.Submit(10, func(s, _ Cycle) { start = s })
-	})
+	p.SetJobHook(func(_ string, s, _ Cycle) { start = s })
+	e.At(5000, func() { p.Submit(10, nil, 0) })
 	e.Run(0)
 	if start != 5000 {
 		t.Fatalf("idle restart started at %d, want 5000", start)
@@ -45,7 +45,7 @@ func TestPipeServerNextStart(t *testing.T) {
 	if p.NextStart() != 0 {
 		t.Fatalf("idle NextStart = %d", p.NextStart())
 	}
-	p.Submit(1000, nil)
+	p.Submit(1000, nil, 0)
 	if p.NextStart() != 160 {
 		t.Fatalf("NextStart after one submit = %d, want 160", p.NextStart())
 	}
@@ -69,8 +69,9 @@ func TestPipeServerStartSpacingProperty(t *testing.T) {
 		e := NewEngine()
 		p := NewPipeServer(e, "p", 7)
 		var starts []Cycle
+		p.SetJobHook(func(_ string, s, _ Cycle) { starts = append(starts, s) })
 		for _, sv := range services {
-			p.Submit(Cycle(sv), func(s, _ Cycle) { starts = append(starts, s) })
+			p.Submit(Cycle(sv), nil, 0)
 		}
 		e.Run(0)
 		seen := map[Cycle]bool{}

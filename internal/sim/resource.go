@@ -1,5 +1,88 @@
 package sim
 
+// Handler completes a request: arg is the value the request was
+// submitted with. Requesters pass a method value bound once at
+// construction and carry everything else a completion needs in arg —
+// typically a small index into a table of in-flight records (see Slab)
+// — so submitting a request allocates nothing. A nil Handler is allowed
+// and means no completion callback.
+type Handler func(arg uint64)
+
+// job is one in-flight request of a Server, PipeServer or Delay: its
+// service window and its completion.
+type job struct {
+	start, end Cycle
+	done       Handler
+	arg        uint64
+}
+
+// jobRing holds in-flight jobs ordered by (end, submission order) —
+// the exact order the engine fires their completion events in, because
+// each job schedules one event at its end and the engine breaks cycle
+// ties by scheduling order. Each firing of an owner's one bound
+// completion callback therefore belongs to the ring's head, and the job
+// rides in the ring instead of in a per-job closure. Ends are usually
+// non-decreasing, so the ordered insert almost always appends at the
+// tail; the ring rewinds to its base whenever it empties, so a run
+// reuses one backing array.
+type jobRing struct {
+	a    []job
+	head int
+}
+
+// insert adds j behind every job with an end at or before j's: equal
+// ends keep submission order.
+func (r *jobRing) insert(j job) {
+	r.a = append(r.a, j)
+	for i := len(r.a) - 1; i > r.head && r.a[i-1].end > j.end; i-- {
+		r.a[i], r.a[i-1] = r.a[i-1], r.a[i]
+	}
+}
+
+// pop removes and returns the head job.
+func (r *jobRing) pop() job {
+	j := r.a[r.head]
+	r.a[r.head] = job{} // release the handler reference
+	r.head++
+	if r.head == len(r.a) {
+		r.a = r.a[:0]
+		r.head = 0
+	}
+	return j
+}
+
+// Delay calls a Handler a given number of cycles after each request,
+// with the request's argument. It is the engine's After for completions
+// that need an argument: one bound engine callback serves every request
+// (see jobRing), where After would need a closure per request. Each
+// request is one engine event scheduled at the moment of the request,
+// so dispatch order is exactly that of the equivalent After calls.
+type Delay struct {
+	eng    *Engine
+	ring   jobRing
+	fireFn func()
+}
+
+// NewDelay returns a delay line on eng.
+func NewDelay(eng *Engine) *Delay {
+	d := &Delay{eng: eng}
+	d.fireFn = d.fire
+	return d
+}
+
+// After calls done(arg) delay cycles from now.
+func (d *Delay) After(delay Cycle, done Handler, arg uint64) {
+	at := d.eng.Now() + delay
+	d.ring.insert(job{end: at, done: done, arg: arg})
+	d.eng.At(at, d.fireFn)
+}
+
+func (d *Delay) fire() {
+	if j := d.ring.pop(); j.done != nil {
+		j.done(j.arg)
+	}
+}
+
 // PipeServer models a pipelined functional unit (a MAC engine): a new
 // job may start every initiation-interval cycles, and each job completes
 // after its own latency. This captures Table 1's security engines, whose
@@ -14,22 +97,12 @@ type PipeServer struct {
 	jobs      uint64
 	onJob     func(name string, start, end Cycle)
 
-	// pending holds in-flight jobs ordered by (end, submission order) —
-	// the exact order the engine fires their completion events in, so
-	// each firing of fireFn pops pending[pendHead]. fireFn is bound
-	// once; scheduling it instead of a per-job closure keeps Submit
-	// allocation-free (a job's start/end/done ride in the ring, not in
-	// a captured environment). Starts are monotonic, so out-of-order
-	// ends (a long job submitted before a short one) are rare and the
-	// ordered insert almost always appends at the tail.
-	pending  []pipeJob
-	pendHead int
-	fireFn   func()
-}
-
-type pipeJob struct {
-	start, end Cycle
-	done       func(start, end Cycle)
+	// pending holds the in-flight jobs; fireFn, bound once, is the
+	// completion event every job schedules (see jobRing). Starts are
+	// monotonic, so out-of-order ends (a long job submitted before a
+	// short one) are rare.
+	pending jobRing
+	fireFn  func()
 }
 
 // NewPipeServer returns a pipelined server with the given initiation
@@ -67,42 +140,24 @@ func (p *PipeServer) NextStart() Cycle {
 }
 
 // Submit enqueues a job with the given completion latency. done, if
-// non-nil, fires at start+latency.
-func (p *PipeServer) Submit(latency Cycle, done func(start, end Cycle)) {
-	start := p.eng.Now()
-	if p.nextStart > start {
-		start = p.nextStart
-	}
+// non-nil, is called with arg at start+latency.
+func (p *PipeServer) Submit(latency Cycle, done Handler, arg uint64) {
+	start := p.NextStart()
 	p.nextStart = start + p.ii
 	p.jobs++
 	end := start + latency
-
-	// Ordered insert by end (stable for ties: equal ends fire in
-	// submission order, and scanning from the tail keeps later
-	// submissions after earlier ones).
-	p.pending = append(p.pending, pipeJob{start: start, end: end, done: done})
-	for i := len(p.pending) - 1; i > p.pendHead && p.pending[i-1].end > end; i-- {
-		p.pending[i], p.pending[i-1] = p.pending[i-1], p.pending[i]
-	}
+	p.pending.insert(job{start: start, end: end, done: done, arg: arg})
 	p.eng.At(end, p.fireFn)
 }
 
-// fire completes the in-flight job whose turn it is: completion events
-// were scheduled in exactly the ring's (end, submission) order, so the
-// head is always the job this event belongs to.
+// fire completes the in-flight job whose turn it is.
 func (p *PipeServer) fire() {
-	job := p.pending[p.pendHead]
-	p.pending[p.pendHead] = pipeJob{}
-	p.pendHead++
-	if p.pendHead == len(p.pending) {
-		p.pending = p.pending[:0]
-		p.pendHead = 0
-	}
+	j := p.pending.pop()
 	if p.onJob != nil {
-		p.onJob(p.name, job.start, job.end)
+		p.onJob(p.name, j.start, j.end)
 	}
-	if job.done != nil {
-		job.done(job.start, job.end)
+	if j.done != nil {
+		j.done(j.arg)
 	}
 }
 
@@ -115,24 +170,20 @@ type Server struct {
 	name string
 
 	busyUntil Cycle
-	// queue is a head-indexed deque: pump consumes from queue[qHead]
-	// and rewinds to the base when it empties, so the append in Submit
-	// reuses one backing array for the run. Popping via queue[1:]
-	// instead would advance the slice base and every append would
-	// reallocate once the remaining capacity ran out.
+	// queue is a head-indexed deque of waiting jobs: pump consumes from
+	// queue[qHead] and rewinds to the base when it empties, so the
+	// append in Submit reuses one backing array for the run.
 	queue []serverJob
 	qHead int
 
-	// inflight is the FIFO ring of started-but-not-completed jobs, and
-	// fireFn the pre-bound completion handler scheduled for each (per-job
-	// closures would allocate once per submit for the same effect).
-	// Service is serial, so inflight almost always holds one job — but at
-	// the exact cycle a job ends, an event ordered before its completion
-	// can Submit and start the next job (the server is no longer busy),
-	// leaving two completions outstanding. Starts are serialized, so ends
-	// are non-decreasing and each firing pops the ring head.
-	inflight []pipeJob
-	inHead   int
+	// inflight holds the started-but-not-completed jobs, and fireFn the
+	// completion event each schedules (see jobRing). Service is serial,
+	// so inflight almost always holds one job — but at the exact cycle
+	// a job ends, an event ordered before its completion can Submit and
+	// start the next job (the server is no longer busy), leaving two
+	// completions outstanding. Starts are serialized, so ends are
+	// non-decreasing and each insert appends.
+	inflight jobRing
 	fireFn   func()
 
 	// Stats
@@ -143,9 +194,11 @@ type Server struct {
 	onJob func(name string, start, end Cycle)
 }
 
+// serverJob is a job waiting for the server.
 type serverJob struct {
 	service Cycle
-	done    func(start, end Cycle)
+	done    Handler
+	arg     uint64
 }
 
 // NewServer returns a server bound to the engine. The name is used only
@@ -179,10 +232,10 @@ func (s *Server) MaxQueue() int { return s.maxQueue }
 func (s *Server) SetJobHook(fn func(name string, start, end Cycle)) { s.onJob = fn }
 
 // Submit enqueues a job requiring service cycles of occupancy. done, if
-// non-nil, runs at service completion with the start and end cycles.
-// Jobs are served in submission order.
-func (s *Server) Submit(service Cycle, done func(start, end Cycle)) {
-	s.queue = append(s.queue, serverJob{service: service, done: done})
+// non-nil, is called with arg at service completion. Jobs are served in
+// submission order.
+func (s *Server) Submit(service Cycle, done Handler, arg uint64) {
+	s.queue = append(s.queue, serverJob{service: service, done: done, arg: arg})
 	if n := s.QueueLen(); n > s.maxQueue {
 		s.maxQueue = n
 	}
@@ -206,7 +259,7 @@ func (s *Server) pump() {
 	if s.qHead == len(s.queue) || s.Busy() {
 		return
 	}
-	job := s.queue[s.qHead]
+	w := s.queue[s.qHead]
 	s.queue[s.qHead] = serverJob{}
 	s.qHead++
 	if s.qHead == len(s.queue) {
@@ -217,28 +270,58 @@ func (s *Server) pump() {
 	if s.busyUntil > start {
 		start = s.busyUntil
 	}
-	end := start + job.service
+	end := start + w.service
 	s.busyUntil = end
 	s.jobs++
-	s.busyTotal += job.service
-	s.inflight = append(s.inflight, pipeJob{start: start, end: end, done: job.done})
+	s.busyTotal += w.service
+	s.inflight.insert(job{start: start, end: end, done: w.done, arg: w.arg})
 	s.eng.At(end, s.fireFn)
 }
 
 // fire completes the oldest in-flight job and starts the next queued one.
 func (s *Server) fire() {
-	job := s.inflight[s.inHead]
-	s.inflight[s.inHead] = pipeJob{}
-	s.inHead++
-	if s.inHead == len(s.inflight) {
-		s.inflight = s.inflight[:0]
-		s.inHead = 0
-	}
+	j := s.inflight.pop()
 	if s.onJob != nil {
-		s.onJob(s.name, job.start, job.end)
+		s.onJob(s.name, j.start, j.end)
 	}
-	if job.done != nil {
-		job.done(job.start, job.end)
+	if j.done != nil {
+		j.done(j.arg)
 	}
 	s.pump()
 }
+
+// Slab is a table of in-flight request records that reuses freed rows:
+// a requester puts a record when it issues a request and takes it back
+// (or frees its row) when the request completes, and the row index is
+// the argument the request's Handler receives. Once the table has grown
+// to the peak number of requests in flight, it allocates nothing. A
+// freed row keeps its old contents until it is reused.
+type Slab[T any] struct {
+	rows []T
+	free []uint32
+}
+
+// Put stores v in a free row and returns the row's index.
+func (s *Slab[T]) Put(v T) uint64 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.rows[i] = v
+		return uint64(i)
+	}
+	s.rows = append(s.rows, v)
+	return uint64(len(s.rows) - 1)
+}
+
+// At returns the record in row i, which must be in use. The pointer
+// refers to the table only until the next Put, which may move it.
+func (s *Slab[T]) At(i uint64) *T { return &s.rows[i] }
+
+// Take returns the record in row i and frees the row.
+func (s *Slab[T]) Take(i uint64) T {
+	s.free = append(s.free, uint32(i))
+	return s.rows[i]
+}
+
+// Free frees row i.
+func (s *Slab[T]) Free(i uint64) { s.free = append(s.free, uint32(i)) }

@@ -32,7 +32,7 @@ func BenchmarkServerSubmit(b *testing.B) {
 	e := NewEngine()
 	s := NewServer(e, "b")
 	for i := 0; i < b.N; i++ {
-		s.Submit(1, nil)
+		s.Submit(1, nil, 0)
 	}
 	b.ResetTimer()
 	e.Run(0)
@@ -42,7 +42,7 @@ func BenchmarkPipeServerSubmit(b *testing.B) {
 	e := NewEngine()
 	p := NewPipeServer(e, "b", 1)
 	for i := 0; i < b.N; i++ {
-		p.Submit(10, nil)
+		p.Submit(10, nil, 0)
 	}
 	b.ResetTimer()
 	e.Run(0)
