@@ -162,17 +162,15 @@ profile:
 serve:
 	$(GO) run ./cmd/dolos-serve -addr 127.0.0.1:8080
 
-# End-to-end service smoke: start dolos-serve on a durable store in a
-# temp directory, drive it with dolos-load for 5 seconds (zero errors,
-# at least one cache hit), then run a streaming pass against the same
-# server — every grid job's cells must arrive over SSE exactly once, in
-# order, with zero errors (DESIGN.md §16) — then SIGTERM and verify the
-# drain exits cleanly. Runs in CI.
+# End-to-end service smoke: start dolos-serve, drive it with dolos-load
+# for 5 seconds (zero errors, at least one cache hit), then run a
+# streaming pass against the same server — every grid job's cells must
+# arrive over SSE exactly once, in order, with zero errors (DESIGN.md
+# §16) — then SIGTERM and verify the drain exits cleanly. Runs in CI.
 load-smoke:
 	$(GO) build -o /tmp/dolos-serve-ci ./cmd/dolos-serve
 	$(GO) build -o /tmp/dolos-load-ci ./cmd/dolos-load
-	storedir=$$(mktemp -d /tmp/dolos-load-smoke.XXXXXX); \
-	/tmp/dolos-serve-ci -addr 127.0.0.1:8099 -store-dir $$storedir & \
+	/tmp/dolos-serve-ci -addr 127.0.0.1:8099 & \
 	pid=$$!; \
 	/tmp/dolos-load-ci -addr 127.0.0.1:8099 -duration 5s -concurrency 4 \
 		-txns 100 -min-hits 1 -max-errors 0 && \
@@ -180,7 +178,6 @@ load-smoke:
 		-workloads Hashmap,Btree -schemes baseline,dolos-partial \
 		-duration 3s -concurrency 2 -txns 200 -max-errors 0; rc=$$?; \
 	kill -TERM $$pid; wait $$pid || rc=$$?; \
-	rm -rf $$storedir; \
 	exit $$rc
 
 clean:

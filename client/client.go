@@ -3,9 +3,11 @@
 // and fetch RunRecord JSON — with context deadlines on every call,
 // exponential backoff with deterministic jitter that honors the
 // server's Retry-After on 429/503, and idempotent resubmission of
-// failed jobs keyed by the request hash (the server's result cache and
-// single-flight dedup key on the normalized request, so a resubmitted
-// job reuses completed work instead of repeating it).
+// failed or forgotten jobs keyed by the request hash (the server's
+// result cache and single-flight dedup key on the normalized request,
+// so a resubmitted job reuses completed work instead of repeating it,
+// and records are a pure function of the request, so recomputing one
+// after a server restart is exact).
 //
 // The one-call entry point:
 //
@@ -16,7 +18,8 @@
 //	})
 //
 // Run submits, waits, and retries through queue-full rejections,
-// drain windows and server-side job failures; errors that survive the
+// drain windows, server-side job failures and server restarts (which
+// forget every job); errors that survive the
 // retry budget match the package sentinels under errors.Is (see
 // errors.go). V2 exposes the same machinery one step at a time, plus
 // resumable per-cell streaming. See
@@ -196,7 +199,8 @@ func (c *Client) BaseURL() string { return c.base }
 // errors) the client has performed.
 func (c *Client) Retries() uint64 { return c.retries.Load() }
 
-// Resubmits returns how many failed jobs Run has resubmitted.
+// Resubmits returns how many failed or forgotten jobs Run has
+// resubmitted.
 func (c *Client) Resubmits() uint64 { return c.resubmits.Load() }
 
 // Hash returns the client-side idempotency key of a request: the hex
@@ -218,10 +222,12 @@ func (r Request) Hash() string {
 // Run is the one-call happy path: submit the request, wait for the job
 // to settle, fetch its result. Submission retries 429/503/transport
 // errors with backoff (honoring Retry-After); a job that settles
-// "failed" — a crashed handler, an expired server-side deadline — is
-// resubmitted up to the policy's attempt budget, which is idempotent
-// because the server keys results by the request hash. Concurrent Run
-// calls with an identical Request share one flight.
+// "failed" — a crashed handler, an expired server-side deadline — or
+// that the server no longer knows (ErrJobNotFound: it restarted and
+// forgot its jobs) is resubmitted up to the policy's attempt budget,
+// which is idempotent because the server keys results by the request
+// hash. Concurrent Run calls with an identical Request share one
+// flight.
 func (c *Client) Run(ctx context.Context, req Request) (*RunResult, error) {
 	key := req.Hash()
 
@@ -272,7 +278,7 @@ func (c *Client) runAttempts(ctx context.Context, req Request) (*RunResult, erro
 		if err == nil {
 			return res, nil
 		}
-		if !errors.Is(err, ErrJobFailed) {
+		if !errors.Is(err, ErrJobFailed) && !errors.Is(err, ErrJobNotFound) {
 			return nil, err
 		}
 		last = err

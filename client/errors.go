@@ -30,7 +30,9 @@ var (
 	// the moment. Retried like ErrQueueFull.
 	ErrUnavailable = errors.New("client: server unavailable")
 	// ErrJobNotFound reports a 404 for a job id the server does not
-	// know. Not retried — a new id requires a new submission.
+	// know, such as an id from before a server restart (the server
+	// keeps jobs in memory only). Status, Result and Stream do not
+	// retry it; Run resubmits the request, which is exact.
 	ErrJobNotFound = errors.New("client: unknown job id")
 	// ErrJobFailed reports a job that settled in status "failed"; the
 	// wrapping error carries the server's failure cause. Run resubmits

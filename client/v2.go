@@ -21,8 +21,8 @@ func (c *Client) V2() *V2Client { return &V2Client{c: c} }
 // V2Client speaks the /v2 API of one dolos-serve node.
 type V2Client struct {
 	c *Client
-	// Tenant, when set, is sent as X-Dolos-Tenant on submissions, which
-	// attributes the job in the audit trail.
+	// Tenant, when set, is sent as X-Dolos-Tenant on submissions; the
+	// job's envelope reports it back as its tenant.
 	Tenant string
 }
 
@@ -152,8 +152,10 @@ func (v *V2Client) Result(ctx context.Context, id string) ([]byte, error) {
 // the job's per-cell results. Next delivers each cell exactly once in
 // index order; a dropped connection reconnects automatically with
 // Last-Event-ID, so already-delivered cells are neither repeated nor
-// lost. Next returns io.EOF after the terminal done event, or an error
-// wrapping ErrJobFailed when the job fails.
+// lost. Next returns io.EOF after the terminal done event, an error
+// wrapping ErrJobFailed when the job fails, or one wrapping
+// ErrJobNotFound when a reconnect reaches a server that no longer knows
+// the job (it restarted); the stream does not retry that.
 func (v *V2Client) Stream(ctx context.Context, id string) (*Stream, error) {
 	s := &Stream{v: v, ctx: ctx, id: id}
 	if err := s.connect(); err != nil {

@@ -9,21 +9,17 @@
 //	dolos-serve -addr :9090 -workers 8 -queue 128 -cache 512
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v2/jobs -d '{"workloads":["Hashmap"],"schemes":["dolos-partial"]}'
-//	curl -s localhost:8080/v2/jobs/j00000001/result
+//	curl -s localhost:8080/v2/jobs/j5f0c2a9e41b7-00000001/result
 //	curl -s localhost:8080/metrics
+//
+// A job id is the id the submission answered with; its middle part is
+// drawn once per process, so a restarted server never reuses an id.
 //
 // SIGINT/SIGTERM shut the server down gracefully: intake stops (503),
 // queued and in-flight jobs drain, and the final Prometheus metrics
-// snapshot is written to stderr before exit.
-//
-// Durable mode (see README "Running durably" and DESIGN.md §16):
-//
-//	dolos-serve -store-dir /var/lib/dolos        # WAL-backed job store, crash recovery
-//
-// With -store-dir, every submission, finished cell and outcome is
-// logged before it becomes visible; a restart replays the log, finishes
-// interrupted jobs without re-running their logged cells, and serves
-// GET /v2/jobs/{id}/stream replays and GET /v2/audit from it.
+// snapshot is written to stderr before exit. Jobs live in memory only:
+// after a restart every old id answers 404, and a client resubmits
+// (see README "Streaming and restarts").
 package main
 
 import (
@@ -38,7 +34,6 @@ import (
 	"time"
 
 	"dolos/internal/service"
-	"dolos/internal/store"
 )
 
 func main() {
@@ -51,23 +46,7 @@ func main() {
 	txnsCap := flag.Int("txns-cap", 20000, "max transactions one request may ask for")
 	cellsCap := flag.Int("cells-cap", 64, "max workloads×schemes cells per request")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Minute, "how long shutdown waits for in-flight jobs")
-	storeDir := flag.String("store-dir", "",
-		"directory for the durable job store WAL (empty = in-memory only)")
-	compactAt := flag.Int64("store-compact", 16<<20,
-		"auto-compact the WAL into a snapshot past this many bytes (0 = never)")
 	flag.Parse()
-
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		st, err = store.Open(*storeDir, store.WithAutoCompact(*compactAt))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-serve: -store-dir: %v\n", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		fmt.Fprintf(os.Stderr, "dolos-serve: durable store at %s\n", *storeDir)
-	}
 
 	svc := service.New(service.Config{
 		Workers:        *workers,
@@ -79,7 +58,6 @@ func main() {
 			MaxTransactions: *txnsCap,
 			MaxCells:        *cellsCap,
 		},
-		Store: st,
 	})
 
 	httpServer := &http.Server{Addr: *addr, Handler: svc.Handler()}

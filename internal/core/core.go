@@ -212,27 +212,11 @@ func (r *Runner) Trace(workload string, txSize int) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%s/%d", canon, txSize)
-	r.traces.mu.Lock()
-	e, ok := r.traces.m[key]
-	if !ok {
-		e = &traceEntry{}
-		r.traces.m[key] = e
-	}
-	r.traces.mu.Unlock()
-	e.once.Do(func() {
-		w, err := whisper.ByName(canon)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.tr = w.Generate(whisper.Params{
-			Transactions: r.opts.Transactions,
-			TxSize:       txSize,
-			Seed:         r.opts.Seed,
-		})
+	return r.cachedTrace(fmt.Sprintf("%s/%d", canon, txSize), canon, whisper.Params{
+		Transactions: r.opts.Transactions,
+		TxSize:       txSize,
+		Seed:         r.opts.Seed,
 	})
-	return e.tr, e.err
 }
 
 // coreTrace returns the (cached) trace for one core of a multi-core
@@ -243,7 +227,20 @@ func (r *Runner) coreTrace(canon string, txSize, core int) (*trace.Trace, error)
 	if core == 0 {
 		return r.Trace(canon, txSize)
 	}
-	key := fmt.Sprintf("%s/%d/core%d", canon, txSize, core)
+	return r.cachedTrace(fmt.Sprintf("%s/%d/core%d", canon, txSize, core), canon, whisper.Params{
+		Transactions: r.opts.Transactions,
+		TxSize:       txSize,
+		Seed:         mcore.CoreSeed(r.opts.Seed, core),
+		HeapBase:     mcore.CoreHeapBase(core),
+	})
+}
+
+// cachedTrace generates the trace of workload canon with p once per key
+// and shares it. A run that could overflow its persistent heap
+// (whisper.CheckHeap) is never generated: the entry keeps the error
+// naming the workload, so every cell of it fails instead of a panic
+// part way through generation.
+func (r *Runner) cachedTrace(key, canon string, p whisper.Params) (*trace.Trace, error) {
 	r.traces.mu.Lock()
 	e, ok := r.traces.m[key]
 	if !ok {
@@ -253,16 +250,14 @@ func (r *Runner) coreTrace(canon string, txSize, core int) (*trace.Trace, error)
 	r.traces.mu.Unlock()
 	e.once.Do(func() {
 		w, err := whisper.ByName(canon)
+		if err == nil {
+			err = whisper.CheckHeap(w, p)
+		}
 		if err != nil {
 			e.err = err
 			return
 		}
-		e.tr = w.Generate(whisper.Params{
-			Transactions: r.opts.Transactions,
-			TxSize:       txSize,
-			Seed:         mcore.CoreSeed(r.opts.Seed, core),
-			HeapBase:     mcore.CoreHeapBase(core),
-		})
+		e.tr = w.Generate(p)
 	})
 	return e.tr, e.err
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"dolos/internal/controller"
@@ -54,6 +56,33 @@ func TestTraceCacheSharedAcrossAliases(t *testing.T) {
 	}
 	if _, err := r.Trace("Nope", 1024); err == nil {
 		t.Fatal("unknown workload accepted by Trace")
+	}
+}
+
+// TestRunnerRefusesHeapOverflow: at the paper's 50,000 transactions a
+// Hashmap trace could overflow the default 48 MB persistent heap. The
+// runner returns whisper.CheckHeap's error, naming the workload, for
+// the trace, a cell and a second core's trace, and generates nothing.
+func TestRunnerRefusesHeapOverflow(t *testing.T) {
+	r := NewRunner(Options{Transactions: 50000})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := r.Trace("Hashmap", 1024)
+	runtime.ReadMemStats(&after)
+	if err == nil || tr != nil {
+		t.Fatalf("Trace at 50,000 txns = %v, %v; want a heap error and no trace", tr, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "Hashmap") || !strings.Contains(msg, "persistent heap") {
+		t.Errorf("error %q does not name the workload and its heap", msg)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing the trace allocated %d bytes; it must not generate", grew)
+	}
+	if _, err := r.Run("Hashmap", Spec{Scheme: controller.DolosPartial}); err == nil || !strings.Contains(err.Error(), "Hashmap") {
+		t.Errorf("Run at 50,000 txns: err = %v, want the heap error", err)
+	}
+	if _, err := r.coreTrace("Hashmap", 1024, 1); err == nil || !strings.Contains(err.Error(), "Hashmap") {
+		t.Errorf("core 1 trace at 50,000 txns: err = %v, want the heap error", err)
 	}
 }
 

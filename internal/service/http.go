@@ -37,7 +37,6 @@ const (
 //	GET  /v2/jobs/{id}        job status with cell progress
 //	GET  /v2/jobs/{id}/stream SSE of per-cell results (Last-Event-ID resumable)
 //	GET  /v2/jobs/{id}/result RunRecord JSON (dolos-sim -json schema)
-//	GET  /v2/audit            the durable submission audit trail (?n= newest n)
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness ("ok", or 503 while draining)
 //
@@ -52,7 +51,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v2/jobs/{id}", s.handleStatusV2)
 	mux.HandleFunc("GET /v2/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /v2/jobs/{id}/result", s.handleResultV2)
-	mux.HandleFunc("GET /v2/audit", s.handleAudit)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -122,10 +120,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.isDraining() {
 		writeEnvelope(w, http.StatusServiceUnavailable, CodeUnavailable, "draining", 5*time.Second)
 		return
 	}

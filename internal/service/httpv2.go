@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"dolos/internal/store"
 )
 
 // JobV2 is the body of POST /v2/jobs and GET /v2/jobs/{id}: the job's
@@ -19,7 +17,7 @@ type JobV2 struct {
 	Tenant string    `json:"tenant,omitempty"`
 	Cached bool      `json:"cached"`
 	// Cells is the grid size; CellsDone counts the per-cell results
-	// already durable and streamed.
+	// already streamed.
 	Cells     int `json:"cells"`
 	CellsDone int `json:"cells_done"`
 	// QueuePosition is the 1-based position among queued jobs (present
@@ -27,11 +25,6 @@ type JobV2 struct {
 	QueuePosition int `json:"queue_position,omitempty"`
 	// Error carries the failure cause when Status is "failed".
 	Error string `json:"error,omitempty"`
-}
-
-// AuditResponse is the body of GET /v2/audit.
-type AuditResponse struct {
-	Entries []store.AuditEntry `json:"entries"`
 }
 
 // handleSubmitV2 serves POST /v2/jobs: decode, normalization, submit
@@ -105,9 +98,8 @@ func (s *Server) handleResultV2(w http.ResponseWriter, r *http.Request) {
 // handleStream serves GET /v2/jobs/{id}/stream: per-cell RunRecords as
 // server-sent events, in cell order, each numbered so a client that
 // reconnects with Last-Event-ID (or ?last_event_id=) resumes exactly
-// after the last cell it saw — replayed from the durable store-backed
-// cell slice, not recomputed. The stream ends with a terminal done or
-// failed event.
+// after the last cell it saw — replayed from the job's cell slice, not
+// recomputed. The stream ends with a terminal done or failed event.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.job(r.PathValue("id"))
 	if !ok {
@@ -157,25 +149,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleAudit serves GET /v2/audit: the durable submission trail
-// (?n= bounds it to the newest n entries).
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	n, err := parseCount("n", r.URL.Query().Get("n"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	resp := AuditResponse{Entries: []store.AuditEntry{}}
-	if s.store != nil {
-		resp.Entries = s.store.Audit(n)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // parseCount reads a non-negative integer query or header value. An
 // absent value is 0; anything else that is not a non-negative decimal
 // integer is an error naming the input, so a typo is answered with 400
-// instead of silently meaning "from the start" or "everything".
+// instead of silently meaning "from the start".
 func parseCount(name, v string) (int, error) {
 	if v == "" {
 		return 0, nil

@@ -10,16 +10,18 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
 	"dolos/internal/cliutil"
 	"dolos/internal/core"
-	"dolos/internal/store"
 	"dolos/internal/telemetry"
 )
 
@@ -40,11 +42,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// Limits bounds what one request may ask for.
 	Limits Limits
-	// Store, when non-nil, makes the job pipeline durable: submissions,
-	// per-cell completions and terminal outcomes are WAL-appended before
-	// they become externally visible, and New replays unfinished jobs
-	// from it. Nil keeps the PR-5 in-memory behavior.
-	Store *store.Store
 }
 
 func (c Config) withDefaults() Config {
@@ -124,9 +121,11 @@ type runnerKey struct {
 // Server owns the queue, worker pool, caches and metrics. Create with
 // New, expose with Handler, stop with Shutdown.
 type Server struct {
-	cfg   Config
-	reg   *telemetry.Registry
-	store *store.Store
+	cfg Config
+	reg *telemetry.Registry
+	// tag is this process's part of every job id, drawn once in New, so
+	// a restarted server never hands out an id its predecessor used.
+	tag string
 
 	mu       sync.Mutex
 	draining bool
@@ -135,10 +134,9 @@ type Server struct {
 	flights  map[string]*flight
 	runners  map[runnerKey]*core.Runner
 
-	queue      chan *Job
-	wg         sync.WaitGroup
-	recoveryWG sync.WaitGroup // re-enqueue of store-recovered jobs
-	drainOnce  sync.Once
+	queue     chan *Job
+	wg        sync.WaitGroup
+	drainOnce sync.Once
 
 	cache *lruCache
 	final []byte // Prometheus snapshot rendered by Shutdown after drain
@@ -147,31 +145,29 @@ type Server struct {
 	// execution — used to hold workers in a known state or to panic.
 	hookExecute func(*Job)
 	// hookCell, when set (tests only), runs after cell i of a computed
-	// job is durable and broadcast, before the next cell starts.
+	// job is broadcast, before the next cell starts.
 	hookCell func(job *Job, i int)
 
 	mSubmitted, mCompleted, mFailed, mRejected *telemetry.Counter
 	mCacheHits, mCacheMisses, mDedupHits       *telemetry.Counter
 	mSims, mPanics, mHTTP, mCorrupt            *telemetry.Counter
-	mStreamEvents, mRecovered                  *telemetry.Counter
+	mStreamEvents                              *telemetry.Counter
 	gQueueDepth                                *telemetry.Gauge
 	hJobSeconds                                *telemetry.CycleHist
 }
 
-// New builds a server and starts its worker pool. When a Store is
-// configured, New first recovers it: settled jobs warm the result
-// cache and answer /v2 lookups immediately; unsettled jobs — the ones
-// a crash interrupted — are re-enqueued in submission order, and the
-// cells whose completion records already reached the log are never
-// simulated again. The server is live immediately; callers typically
-// mount Handler on an http.Server.
+// New builds a server and starts its worker pool. The server keeps its
+// jobs in memory only: a restart forgets them, and a client resubmits
+// (records are a pure function of the request, so the resubmission is
+// exact). The server is live immediately; callers typically mount
+// Handler on an http.Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := telemetry.NewRegistry()
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
-		store:   cfg.Store,
+		tag:     newTag(),
 		jobs:    make(map[string]*Job),
 		flights: make(map[string]*flight),
 		runners: make(map[runnerKey]*core.Runner),
@@ -190,7 +186,6 @@ func New(cfg Config) *Server {
 		mHTTP:         reg.Counter("service_http_requests_total"),
 		mCorrupt:      reg.Counter("service_cache_corruptions_detected_total"),
 		mStreamEvents: reg.Counter("service_stream_events_total"),
-		mRecovered:    reg.Counter("service_jobs_recovered_total"),
 		gQueueDepth:   reg.Gauge("service_queue_depth"),
 		hJobSeconds:   reg.CycleHist("service_job_seconds"),
 	}
@@ -199,89 +194,19 @@ func New(cfg Config) *Server {
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
 	}
-	if s.store != nil {
-		s.recoverFromStore()
-	}
 	return s
 }
 
-// recoverFromStore rebuilds the jobs map from the durable store.
-// Settled jobs come back complete (result reassembled from their cell
-// records, cache warmed); unsettled jobs are re-enqueued under fresh
-// default deadlines by a background goroutine — the queue may be
-// smaller than the backlog, so the sends must not block New. The
-// goroutine is accounted in recoveryWG; Shutdown waits for it before
-// closing the queue, so a graceful drain never loses a recovered job
-// and never races a send against the close.
-func (s *Server) recoverFromStore() {
-	states := s.store.Jobs()
-	var pending []*Job
-	s.mu.Lock()
-	if ms := s.store.MaxSeq(); ms > s.seq {
-		s.seq = ms // continue j%08d ids where the last incarnation stopped
+// newTag draws the per-process part of job ids: 48 random bits, so two
+// incarnations of a server collide with odds of 2^-48. crypto/rand fails
+// only without an OS entropy source; the clock still tells two
+// processes apart then.
+func newTag() string {
+	var b [6]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return strconv.FormatInt(time.Now().UnixNano(), 36)
 	}
-	for _, st := range states {
-		var n normalized
-		if err := json.Unmarshal(st.Job.Req, &n); err != nil {
-			continue // undecodable request from a future/past version: skip
-		}
-		job := &Job{
-			id:      st.Job.ID,
-			seq:     st.Job.Seq,
-			key:     st.Job.Key,
-			req:     n,
-			tenant:  st.Job.Tenant,
-			created: st.Job.At,
-			total:   len(n.Workloads) * len(n.Schemes),
-			subs:    make(map[chan streamEvent]bool),
-		}
-		job.cells = make([][]byte, job.total)
-		for i, c := range st.Cells {
-			if i < job.total && c != nil {
-				job.cells[i] = c
-			}
-		}
-		switch {
-		case st.Done:
-			job.status = StatusDone
-			job.cached = st.Cached
-			job.emitted = job.total
-			if b, err := assembleResult(job.cells); err == nil {
-				job.result = b
-				s.cache.Put(job.key, b)
-			} else {
-				// A settled job with incomplete cell records cannot
-				// honor /result; surface it as failed rather than wrong.
-				job.status = StatusFailed
-				job.errMsg = "recovered result incomplete: " + err.Error()
-			}
-		case st.Failed:
-			job.status = StatusFailed
-			job.errMsg = st.Err
-			job.emitted = st.CellsDone()
-		default:
-			job.status = StatusQueued
-			job.emitted = st.CellsDone()
-			job.ctx, job.cancel = context.WithTimeout(context.Background(), s.cfg.DefaultTimeout)
-			pending = append(pending, job)
-			s.mRecovered.Inc()
-		}
-		s.jobs[job.id] = job
-	}
-	s.mu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	s.recoveryWG.Add(1)
-	go func() {
-		defer s.recoveryWG.Done()
-		for _, j := range pending {
-			if s.isDraining() {
-				return
-			}
-			s.queue <- j
-		}
-	}()
+	return hex.EncodeToString(b[:])
 }
 
 // Registry exposes the server's metrics registry (scraped by /metrics;
@@ -298,11 +223,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Lock()
 		s.draining = true
 		s.mu.Unlock()
-		// The recovery goroutine re-enqueues store-recovered jobs; wait
-		// for it to finish (or notice draining) before closing the queue
-		// so its sends cannot race the close. Submit sends cannot race:
-		// they happen under mu with draining false.
-		s.recoveryWG.Wait()
+		// Submit sends cannot race the close: they happen under mu
+		// with draining false.
 		close(s.queue)
 	})
 
@@ -370,18 +292,7 @@ func (s *Server) submit(n normalized, timeout time.Duration, tenant string) (*Jo
 	}
 	s.seq++
 	job.seq = s.seq
-	job.id = fmt.Sprintf("j%08d", job.seq)
-
-	// Durability before acknowledgment: the submit record (also the
-	// audit-trail entry) must be on disk before any client sees the job
-	// id. The append happens before the queue send, so a cell record
-	// can never reach the WAL ahead of its job's submit record.
-	if err := s.appendSubmit(job); err != nil {
-		s.mu.Unlock()
-		cancel()
-		s.mRejected.Inc()
-		return nil, err
-	}
+	job.id = fmt.Sprintf("j%s-%08d", s.tag, job.seq)
 
 	if b, ok := s.cache.Get(job.key); ok {
 		job.status = StatusRunning // finishJob settles it below
@@ -399,12 +310,6 @@ func (s *Server) submit(n normalized, timeout time.Duration, tenant string) (*Jo
 	default:
 		s.mu.Unlock()
 		cancel()
-		// The submit record is already durable; settle the job on disk
-		// too, or a restart would resurrect a request the client was
-		// told to retry.
-		if s.store != nil {
-			s.store.AppendFail(job.id, errQueueFull.Error())
-		}
 		s.mRejected.Inc()
 		return nil, errQueueFull
 	}
@@ -413,26 +318,6 @@ func (s *Server) submit(n normalized, timeout time.Duration, tenant string) (*Jo
 	s.mSubmitted.Inc()
 	s.gQueueDepth.Set(float64(len(s.queue)))
 	return job, nil
-}
-
-// appendSubmit writes the durable submit record (no-op without a
-// store). Called with s.mu held.
-func (s *Server) appendSubmit(job *Job) error {
-	if s.store == nil {
-		return nil
-	}
-	req, err := json.Marshal(job.req)
-	if err != nil {
-		return err
-	}
-	return s.store.AppendSubmit(store.JobRecord{
-		ID:     job.id,
-		Seq:    job.seq,
-		Key:    job.key,
-		Tenant: job.tenant,
-		Req:    req,
-		At:     job.created,
-	})
 }
 
 // job looks up a job by id.
@@ -589,37 +474,16 @@ func (s *Server) computeGuarded(job *Job) (b []byte, err error) {
 	return s.compute(job)
 }
 
-// compute runs the job's grid cell by cell and encodes the result
-// exactly as dolos-sim -json would: one RunRecord object for a single
-// cell, an array for a grid. Each finished cell is WAL-appended and
-// pushed to /v2 stream subscribers before the next cell starts; cells
-// the job already holds (recovered from the store after a crash) are
-// never simulated again. The missing cells run on the shared local
-// runner through the RunGridNotify seam.
+// compute runs the job's grid cell by cell on the shared runner and
+// encodes the result exactly as dolos-sim -json would: one RunRecord
+// object for a single cell, an array for a grid. Each finished cell is
+// pushed to /v2 stream subscribers before the next cell starts.
 func (s *Server) compute(job *Job) ([]byte, error) {
 	cells := job.req.cells()
 	recs := make([][]byte, len(cells))
-	s.mu.Lock()
-	copy(recs, job.cells)
-	s.mu.Unlock()
-
-	var missing []int
-	for i := range recs {
-		if recs[i] == nil {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return assembleResult(recs)
-	}
-	sub := make([]core.Cell, len(missing))
-	for k, i := range missing {
-		sub[k] = cells[i]
-	}
 	runner := s.runnerFor(job.req.Transactions, job.req.Seed)
 	var encErr error
-	_, err := runner.RunGridNotify(job.ctx, sub, func(k int, rr core.RunResult) {
-		i := missing[k]
+	_, err := runner.RunGridNotify(job.ctx, cells, func(i int, rr core.RunResult) {
 		rec, err := encodeRecord(job.req, cells[i], rr)
 		if err != nil {
 			encErr = err
@@ -642,7 +506,7 @@ func (s *Server) compute(job *Job) ([]byte, error) {
 }
 
 // encodeRecord builds one cell's RunRecord and marshals it compact —
-// the canonical per-cell form the store and the /v2 stream carry.
+// the canonical per-cell form the /v2 stream carries.
 // assembleResult re-indents these through the same encoder WriteJSON
 // uses, so the assembled grid is byte-identical to what the PR-5
 // whole-grid path produced.
@@ -734,15 +598,10 @@ func (s *Server) setStatus(job *Job, st JobStatus) {
 	s.mu.Unlock()
 }
 
-// recordCell makes one finished cell durable, then visible: the WAL
-// append happens before the in-order broadcast to stream subscribers,
-// so no client ever sees a cell the store could forget. Broadcasts are
-// strictly in index order; out-of-order completions wait in job.cells
-// until the gap fills.
+// recordCell keeps one finished cell and broadcasts it to stream
+// subscribers. Broadcasts are strictly in index order; out-of-order
+// completions wait in job.cells until the gap fills.
 func (s *Server) recordCell(job *Job, i int, rec []byte) {
-	if s.store != nil {
-		s.store.AppendCell(job.id, i, job.total, rec)
-	}
 	s.mu.Lock()
 	if job.cells[i] == nil {
 		job.cells[i] = rec
@@ -762,11 +621,10 @@ func (s *Server) recordCell(job *Job, i int, rec []byte) {
 }
 
 func (s *Server) finishJob(job *Job, result []byte, cached bool) {
-	// Jobs settling from shared bytes (cache hit, dedup follow,
-	// recovered result) still owe their subscribers — and the store —
-	// per-cell records. splitRecords failing would mean the result
-	// document itself is malformed; treat it as a failure rather than
-	// stream nothing and claim success.
+	// Jobs settling from shared bytes (cache hit, dedup follow) still
+	// owe their subscribers per-cell records. splitRecords failing
+	// would mean the result document itself is malformed; treat it as
+	// a failure rather than stream nothing and claim success.
 	s.mu.Lock()
 	owed := job.emitted < job.total
 	s.mu.Unlock()
@@ -784,9 +642,6 @@ func (s *Server) finishJob(job *Job, result []byte, cached bool) {
 				s.recordCell(job, i, rec)
 			}
 		}
-	}
-	if s.store != nil {
-		s.store.AppendDone(job.id, cached)
 	}
 	s.mu.Lock()
 	job.status = StatusDone
@@ -809,9 +664,6 @@ func (s *Server) finishJob(job *Job, result []byte, cached bool) {
 }
 
 func (s *Server) failJob(job *Job, err error) {
-	if s.store != nil {
-		s.store.AppendFail(job.id, err.Error())
-	}
 	s.mu.Lock()
 	job.status = StatusFailed
 	job.errMsg = err.Error()

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,29 +15,8 @@ import (
 	"time"
 
 	"dolos/client"
-	"dolos/internal/store"
 	"dolos/internal/telemetry"
 )
-
-// normalizeGridHostFields zeroes the host-timing fields of every
-// record in a grid result and re-encodes, so byte comparison covers
-// every deterministic field (see normalizeHostFields for one record).
-func normalizeGridHostFields(t *testing.T, gridJSON []byte) []byte {
-	t.Helper()
-	var recs []telemetry.RunRecord
-	if err := json.Unmarshal(gridJSON, &recs); err != nil {
-		t.Fatalf("result is not a RunRecord array: %v\n%s", err, gridJSON)
-	}
-	for i := range recs {
-		recs[i].WallSeconds = 0
-		recs[i].EventsPerSecond = 0
-	}
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSON(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // TestV2StreamDelivery: a grid submitted over /v2 streams every cell
 // exactly once, in enumeration order, with parseable RunRecords, and
@@ -221,233 +199,77 @@ func waitDone(t *testing.T, ctx context.Context, cl *client.V2Client, id string)
 	}
 }
 
-// TestV2AuditAttributesTenants: submissions carrying X-Dolos-Tenant
-// (or none, which is "default") are attributed to their tenant in the
-// store-backed audit trail, one complete entry per submission.
-func TestV2AuditAttributesTenants(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	svc := New(Config{Workers: 2, QueueDepth: 8, Store: st})
+// TestV2TenantAttribution: a submission's X-Dolos-Tenant comes back as
+// the tenant of its /v2 job envelope, on the submit answer and on every
+// later status read; a submission without the header is "default".
+func TestV2TenantAttribution(t *testing.T) {
+	svc := New(Config{Workers: 2, QueueDepth: 8})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	defer svc.Shutdown(context.Background())
+	ctx := context.Background()
 
-	for i, tenant := range []string{"acme", "acme", "other"} {
-		body := fmt.Sprintf(`{"transactions":30,"seed":%d}`, i+1)
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v2/jobs", strings.NewReader(body))
-		req.Header.Set("X-Dolos-Tenant", tenant)
-		resp, err := http.DefaultClient.Do(req)
+	for i, tenant := range []string{"acme", "acme", "other", ""} {
+		cl := client.New(ts.URL).V2()
+		cl.Tenant = tenant
+		want := tenant
+		if want == "" {
+			want = "default"
+		}
+		job, err := cl.SubmitGrid(ctx, client.Request{Transactions: 30, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatalf("submission %d (%q): %v", i, tenant, err)
+		}
+		if job.Tenant != want {
+			t.Errorf("submission %d: submit envelope tenant %q, want %q", i, job.Tenant, want)
+		}
+		waitDone(t, ctx, cl, job.ID)
+		js, err := cl.Status(ctx, job.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submission %d (%s): HTTP %d: %s", i, tenant, resp.StatusCode, b)
+		if js.Tenant != want {
+			t.Errorf("submission %d: Status().Tenant %q, want %q", i, js.Tenant, want)
 		}
-	}
-
-	aresp, err := http.Get(ts.URL + "/v2/audit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer aresp.Body.Close()
-	var audit AuditResponse
-	if err := json.NewDecoder(aresp.Body).Decode(&audit); err != nil {
-		t.Fatal(err)
-	}
-	if len(audit.Entries) != 3 {
-		t.Fatalf("audit has %d entries, want 3: %+v", len(audit.Entries), audit.Entries)
-	}
-	tenants := map[string]int{}
-	for _, e := range audit.Entries {
-		tenants[e.Tenant]++
-		if e.JobID == "" || e.Key == "" || e.At.IsZero() {
-			t.Errorf("incomplete audit entry: %+v", e)
-		}
-	}
-	if tenants["acme"] != 2 || tenants["other"] != 1 {
-		t.Errorf("audit tenants %v, want acme:2 other:1", tenants)
 	}
 }
 
-// TestStoreRecoverySettled: a restarted server answers for jobs the
-// previous incarnation completed — status, result bytes, stream replay
-// — without re-executing a single simulation, and a resubmission of
-// the same request is a warm cache hit.
-func TestStoreRecoverySettled(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := New(Config{Workers: 2, QueueDepth: 8, Store: st})
-	ts := httptest.NewServer(svc.Handler())
-	cl := client.New(ts.URL).V2()
+// TestJobIDsUniqueAcrossRestarts: a server keeps its jobs in memory
+// only, so a restart forgets them. Two servers built one after the
+// other must hand out different first ids, and the first server's id
+// must answer 404 (client.ErrJobNotFound) on the second, never another
+// request's job.
+func TestJobIDsUniqueAcrossRestarts(t *testing.T) {
 	ctx := context.Background()
+	req := client.Request{Workloads: []string{"Hashmap"}, Transactions: 30}
 
-	req := client.Request{
-		Workloads: []string{"Hashmap", "Btree"}, Schemes: []string{"baseline", "dolos-partial"},
-		Transactions: 30,
-	}
-	job, err := cl.SubmitGrid(ctx, req)
+	a := New(Config{Workers: 1, QueueDepth: 4})
+	tsA := httptest.NewServer(a.Handler())
+	jobA, err := client.New(tsA.URL).V2().SubmitGrid(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, ctx, cl, job.ID)
-	result1, err := cl.Result(ctx, job.ID)
-	if err != nil {
+	if err := a.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ts.Close()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	tsA.Close()
 
-	st2, err := store.Open(dir)
+	b := New(Config{Workers: 1, QueueDepth: 4})
+	tsB := httptest.NewServer(b.Handler())
+	defer tsB.Close()
+	defer b.Shutdown(ctx)
+	clB := client.New(tsB.URL).V2()
+	jobB, err := clB.SubmitGrid(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	svc2 := New(Config{Workers: 2, QueueDepth: 8, Store: st2})
-	ts2 := httptest.NewServer(svc2.Handler())
-	defer ts2.Close()
-	defer svc2.Shutdown(ctx)
-	cl2 := client.New(ts2.URL).V2()
-
-	js, err := cl2.Status(ctx, job.ID)
-	if err != nil || js.Status != client.StatusDone || js.CellsDone != 4 {
-		t.Fatalf("recovered status %+v, err %v", js, err)
+	if jobA.ID == jobB.ID {
+		t.Fatalf("both incarnations gave first id %q", jobA.ID)
 	}
-	result2, err := cl2.Result(ctx, job.ID)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := clB.Status(ctx, jobA.ID); !errors.Is(err, client.ErrJobNotFound) {
+		t.Errorf("old id %s on the new server: err = %v, want ErrJobNotFound", jobA.ID, err)
 	}
-	if !bytes.Equal(result1, result2) {
-		t.Error("recovered result bytes differ from the original — not even host timings may change on replay")
-	}
-	// Stream replay from the recovered store: all 4 cells + done.
-	stm, err := cl2.Stream(ctx, job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stm.Close()
-	n := 0
-	for {
-		_, err := stm.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != 4 {
-		t.Fatalf("recovered stream replayed %d cells, want 4", n)
-	}
-	// Nothing was simulated; the resubmission is a cache hit.
-	job2, err := cl2.SubmitGrid(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !job2.Cached || job2.Status != client.StatusDone {
-		t.Errorf("resubmission after recovery not a cache hit: %+v", job2)
-	}
-	if sims := counterVal(svc2, "service_sims_executed_total"); sims != 0 {
-		t.Errorf("recovered server executed %d simulations, want 0", sims)
-	}
-}
-
-// TestStoreRecoveryMidGrid simulates the SIGKILL-mid-grid crash: a
-// store holding a submit record and the first cell's completion but no
-// terminal record — exactly what a kill between cell appends leaves
-// behind. The restarted server must finish the job executing ONLY the
-// missing cells (no lost job, no double execution) and produce a
-// result whose deterministic fields are byte-identical to an
-// uninterrupted run.
-func TestStoreRecoveryMidGrid(t *testing.T) {
-	// Reference run: the same grid on a plain server.
-	ref := New(Config{Workers: 2, QueueDepth: 8})
-	tsRef := httptest.NewServer(ref.Handler())
-	defer tsRef.Close()
-	defer ref.Shutdown(context.Background())
-	ctx := context.Background()
-	req := client.Request{
-		Workloads: []string{"Hashmap"}, Schemes: []string{"baseline", "dolos-partial"},
-		Transactions: 30,
-	}
-	clRef := client.New(tsRef.URL).V2()
-	jobRef, err := clRef.SubmitGrid(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, ctx, clRef, jobRef.ID)
-	wantBytes, err := clRef.Result(ctx, jobRef.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRecs, err := splitRecords(wantBytes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Forge the crash wreckage: submit + cell 0 durable, cell 1 and the
-	// terminal record lost with the process.
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := normalize(Request{
-		Workloads: req.Workloads, Schemes: req.Schemes, Transactions: req.Transactions,
-	}, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqJSON, _ := json.Marshal(n)
-	if err := st.AppendSubmit(store.JobRecord{
-		ID: "j00000001", Seq: 1, Key: n.Key(), Tenant: "crashed", Req: reqJSON, At: time.Now(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendCell("j00000001", 0, 2, refRecs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	svc := New(Config{Workers: 2, QueueDepth: 8, Store: st2})
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	defer svc.Shutdown(ctx)
-	cl := client.New(ts.URL).V2()
-
-	if v := counterVal(svc, "service_jobs_recovered_total"); v != 1 {
-		t.Fatalf("service_jobs_recovered_total = %d, want 1", v)
-	}
-	waitDone(t, ctx, cl, "j00000001")
-	got, err := cl.Result(ctx, "j00000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(normalizeGridHostFields(t, got), normalizeGridHostFields(t, wantBytes)) {
-		t.Error("resumed grid differs from the uninterrupted run on deterministic fields")
-	}
-	if sims := counterVal(svc, "service_sims_executed_total"); sims != 1 {
-		t.Errorf("resumed job executed %d simulations, want exactly the 1 missing cell", sims)
+	if _, err := clB.Result(ctx, jobA.ID); !errors.Is(err, client.ErrJobNotFound) {
+		t.Errorf("old id %s result on the new server: err = %v, want ErrJobNotFound", jobA.ID, err)
 	}
 }
