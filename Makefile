@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-misu fuzz-smoke mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-misu fuzz-smoke smoke-patterns mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke clean
 
 all: build test
 
@@ -105,6 +105,7 @@ ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
+	$(MAKE) smoke-patterns
 	$(GO) test -race ./...
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
@@ -119,21 +120,55 @@ ci:
 	$(MAKE) load-smoke
 	$(MAKE) fuzz-smoke
 
+# The test selections of the smoke targets below: a -run pattern per
+# `go test` line. `go test -run` with a pattern that matches nothing
+# passes, so a renamed test would quietly empty its smoke target;
+# smoke-patterns (part of `make ci`) fails unless every |-separated
+# name of every pattern matches a test that `go test -list` finds in
+# the line's packages. A new smoke line gets its pattern here and a
+# smoke_list line in smoke-patterns.
+MCORE_SMOKE_CORE := TestMCoreSmoke|TestCoresOneMatchesLegacy
+MCORE_SMOKE_CPU := TestOoOWindowOneMatchesInOrder|TestMultiCoreDeterminism
+FAST_SMOKE_CORE := TestFastMode
+FAST_SMOKE_CRYPT := TestFastEngine|TestDispatchAllocFree
+FAST_SMOKE_CRASH := TestFastMode|TestCrashRefused|TestNewDriverRejects
+SCHEME_SMOKE_CRASH := TestSchemeSmokeRegistry|TestRelatedSchemesCrashRecovery|TestRecoveryRuntimeTradeoffOrdering|TestCrashThenAttackMatrix
+SCHEME_SMOKE_CLI := TestSchemeSetsMatchRegistry|TestParseScheme
+SCHEME_SMOKE_CORE := TestSchemeGridsCoverRegistry
+
+# $(call smoke_list,PATTERN,PACKAGES) fails unless every |-separated
+# name in PATTERN matches a test listed in PACKAGES.
+smoke_list = @listed="$$($(GO) test -list '$(1)' $(2) | grep -E '^(Test|Fuzz|Example)')"; \
+	for n in $$(echo '$(1)' | tr '|' ' '); do \
+		echo "$$listed" | grep -Eq "$$n" || { echo "smoke pattern $$n matches no test in $(2)"; exit 1; }; \
+	done
+
+smoke-patterns:
+	$(call smoke_list,$(MCORE_SMOKE_CORE),./internal/core)
+	$(call smoke_list,$(MCORE_SMOKE_CPU),./internal/cpu)
+	$(call smoke_list,$(FAST_SMOKE_CORE),./internal/core)
+	$(call smoke_list,$(FAST_SMOKE_CRYPT),./internal/crypt)
+	$(call smoke_list,$(FAST_SMOKE_CRASH),./internal/attack ./internal/crash)
+	$(call smoke_list,$(SCHEME_SMOKE_CRASH),./internal/crash)
+	$(call smoke_list,$(SCHEME_SMOKE_CLI),./internal/cliutil)
+	$(call smoke_list,$(SCHEME_SMOKE_CORE),./internal/core)
+
 # Multi-core determinism smoke under the race detector: a Cores>1 grid
 # run serially and at executor parallelism 4 must produce byte-identical
 # results and metrics snapshots (TestMCoreSmoke), plus the window 0 ≡
-# window 1 and Cores=1 ≡ single-core differential pins. Runs in CI.
+# window 1 and Cores=1 ≡ single-core differential pins and a 2-core
+# machine's run-to-run determinism (internal/cpu). Runs in CI.
 mcore-smoke:
-	$(GO) test -race -run 'TestMCoreSmoke|TestCoresOneMatchesLegacy' ./internal/core
-	$(GO) test -race -run 'TestOoOWindowOneMatchesInOrder|TestMultiCoreDeterminism' ./internal/mcore
+	$(GO) test -race -run '$(MCORE_SMOKE_CORE)' ./internal/core
+	$(GO) test -race -run '$(MCORE_SMOKE_CPU)' ./internal/cpu
 
 # Fast-mode smoke: the exhaustive scheme×workload differential against
 # the functional records and the dispatch-order proof under the race
 # detector. Runs in CI.
 fast-smoke:
-	$(GO) test -race -run 'TestFastMode' ./internal/core
-	$(GO) test -run 'TestFastEngine|TestDispatchAllocFree' ./internal/crypt
-	$(GO) test -run 'TestFastMode|TestCrashRefused|TestNewDriverRejects' ./internal/attack ./internal/crash
+	$(GO) test -race -run '$(FAST_SMOKE_CORE)' ./internal/core
+	$(GO) test -run '$(FAST_SMOKE_CRYPT)' ./internal/crypt
+	$(GO) test -run '$(FAST_SMOKE_CRASH)' ./internal/attack ./internal/crash
 
 # Scheme-registry smoke: every registered scheme (Dolos designs and the
 # related-work competitors — Triad-NVM, SuperMem, Phoenix, STUM) runs,
@@ -142,9 +177,9 @@ fast-smoke:
 # stay derived from the registry; and the registry-driven bench grids
 # have one row per entry. Runs in CI.
 scheme-smoke:
-	$(GO) test -run 'TestSchemeSmokeRegistry|TestRelatedSchemesCrashRecovery|TestRecoveryRuntimeTradeoffOrdering|TestCrashThenAttackMatrix' ./internal/crash
-	$(GO) test -run 'TestSchemeSetsMatchRegistry|TestParseScheme' ./internal/cliutil
-	$(GO) test -run 'TestSchemeGridsCoverRegistry' ./internal/core
+	$(GO) test -run '$(SCHEME_SMOKE_CRASH)' ./internal/crash
+	$(GO) test -run '$(SCHEME_SMOKE_CLI)' ./internal/cliutil
+	$(GO) test -run '$(SCHEME_SMOKE_CORE)' ./internal/core
 	$(GO) run ./cmd/dolos-bench -exp schemes -txns 50 -fast > /dev/null
 
 # CPU and heap profiles of the root Figure 12 benchmark (one

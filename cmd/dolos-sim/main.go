@@ -21,8 +21,6 @@ import (
 	"dolos/internal/cliutil"
 	"dolos/internal/controller"
 	"dolos/internal/cpu"
-	"dolos/internal/masu"
-	"dolos/internal/mcore"
 	"dolos/internal/sim"
 	"dolos/internal/telemetry"
 	"dolos/internal/whisper"
@@ -47,6 +45,10 @@ func main() {
 
 	if err := checkFlags(*txns, *txSize, *wpqSize, *cores, *oooWindow); err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
+		os.Exit(2)
+	}
+	if *traceOut != "" && *cores > 1 {
+		fmt.Fprintln(os.Stderr, "dolos-sim: -trace is not supported with -cores > 1")
 		os.Exit(2)
 	}
 	sch, err := cliutil.ParseScheme(*scheme)
@@ -82,36 +84,43 @@ func main() {
 	// definition); report the one the controller actually simulates.
 	kind = cfg.EffectiveTree()
 
-	if *cores > 1 {
-		runMulti(w, cfg, kind, *cores, *oooWindow, *txns, *txSize, *seed, *jsonOut, *showStats, *traceOut)
-		return
+	// Core i runs its own instance of the workload (per-core seed,
+	// disjoint heap); core 0's trace is the single-core trace.
+	specs := make([]cpu.CoreSpec, *cores)
+	for i := range specs {
+		coreSeed := cpu.CoreSeed(*seed, i)
+		specs[i] = cpu.CoreSpec{
+			Workload: w.Name(),
+			Seed:     coreSeed,
+			Trace: w.Generate(whisper.Params{
+				Transactions: *txns, TxSize: *txSize, Seed: coreSeed, HeapBase: cpu.CoreHeapBase(i),
+			}),
+		}
 	}
-
-	tr := w.Generate(whisper.Params{Transactions: *txns, TxSize: *txSize, Seed: *seed})
-	sys := cpu.NewSystem(cfg)
+	m := cpu.NewMachine(cpu.MachineConfig{Ctrl: cfg, Window: *oooWindow}, specs)
 	if *traceOut != "" {
 		// The probe is attached only on request: without -trace the run
 		// takes the uninstrumented (nil-probe) fast path.
-		sys.SetProbe(newTraceProbe(sys.Eng.Now, traceEventLimit))
+		m.SetProbe(newTraceProbe(m.Eng.Now, traceEventLimit))
 	}
 	start := time.Now()
-	res := sys.RunWindow(tr, *oooWindow)
+	res := m.Run()
 	wall := time.Since(start)
 
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, sys.Probe()); err != nil {
+		if err := writeTrace(*traceOut, m.Probe()); err != nil {
 			fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
 			os.Exit(1)
 		}
-		reportDropped(os.Stderr, sys.Probe())
+		reportDropped(os.Stderr, m.Probe())
 	}
 
 	if *jsonOut {
 		var reg *telemetry.Registry
-		if p := sys.Probe(); p != nil {
+		if p := m.Probe(); p != nil {
 			reg = p.Registry()
 		}
-		rec := cliutil.BuildRunRecord(res, kind, *txSize, *seed, sys.Eng.Processed(), wall, sys.Ctrl.Stats(), reg)
+		rec := cliutil.BuildRunRecord(res, kind, *txSize, *seed, m.Eng.Processed(), wall, m.Ctrl.Stats(), reg)
 		rec.Mode = cliutil.ModeLabel(cfg.FastMode)
 		if err := telemetry.WriteJSON(os.Stdout, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
@@ -120,7 +129,13 @@ func main() {
 		return
 	}
 
-	fmt.Printf("workload          %s\n", res.Workload)
+	// A multi-core run's cycles are the slowest core's, and its
+	// transactions and fence stalls are summed over cores.
+	if res.Cores > 1 {
+		fmt.Printf("workload          %s × %d cores (OoO window %d)\n", res.Workload, res.Cores, res.OoOWindow)
+	} else {
+		fmt.Printf("workload          %s\n", res.Workload)
+	}
 	fmt.Printf("scheme            %s (%s, %d-entry hardware WPQ, %dB tx)\n",
 		res.Scheme, kind, *wpqSize, *txSize)
 	fmt.Printf("cycles            %d\n", res.Cycles)
@@ -134,15 +149,27 @@ func main() {
 	fmt.Printf("mem reads         %d\n", res.MemReads)
 	fmt.Printf("mean interarrival %.0f cycles\n", res.MeanInterarrival)
 	fmt.Printf("mean WPQ occupancy %.1f entries\n", res.WPQMeanOccupancy)
+	if res.Prefetches > 0 {
+		fmt.Printf("prefetches        %d\n", res.Prefetches)
+	}
+	for _, pc := range res.PerCore {
+		fmt.Printf("core %d            %s seed %d: %d cycles, %d tx, %d grants, %d wait cycles\n",
+			pc.Core, pc.Workload, pc.Seed, pc.Cycles, pc.Transactions, pc.ArbGrants, pc.ArbWaitCycles)
+	}
 
 	if *showStats {
 		fmt.Println("\ncontroller counters:")
-		fmt.Print(sys.Ctrl.Stats())
+		fmt.Print(m.Ctrl.Stats())
+		var l1h, l1m, l2h, l2m, llch, llcm uint64
+		for _, c := range m.Cores {
+			h := c.Hier()
+			l1h, l1m = l1h+h.L1().Hits(), l1m+h.L1().Misses()
+			l2h, l2m = l2h+h.L2().Hits(), l2m+h.L2().Misses()
+			llch, llcm = llch+h.LLC().Hits(), llcm+h.LLC().Misses()
+		}
 		fmt.Printf("\ncache hit rates: L1 %.1f%%  L2 %.1f%%  LLC %.1f%%\n",
-			hitRate(sys.Hier.L1().Hits(), sys.Hier.L1().Misses()),
-			hitRate(sys.Hier.L2().Hits(), sys.Hier.L2().Misses()),
-			hitRate(sys.Hier.LLC().Hits(), sys.Hier.LLC().Misses()))
-		cc, mc := sys.Ctrl.MetaCaches()
+			hitRate(l1h, l1m), hitRate(l2h, l2m), hitRate(llch, llcm))
+		cc, mc := m.Ctrl.MetaCaches()
 		fmt.Printf("metadata caches: counter %.1f%%  MT %.1f%%\n",
 			hitRate(cc.Hits(), cc.Misses()),
 			hitRate(mc.Hits(), mc.Misses()))
@@ -178,63 +205,6 @@ func checkFlags(txns, txSize, wpq, cores, window int) error {
 // persistent heap (every core's heap has the default size).
 func checkHeap(w whisper.Workload, txns, txSize int) error {
 	return whisper.CheckHeap(w, whisper.Params{Transactions: txns, TxSize: txSize})
-}
-
-// runMulti simulates n instances of the workload (per-core seeds,
-// disjoint heaps) contending for one shared controller through the
-// mcore arbiter, and prints the aggregate plus per-core results.
-func runMulti(w whisper.Workload, cfg controller.Config, kind masu.TreeKind,
-	n, window, txns, txSize int, seed int64, jsonOut, showStats bool, traceOut string) {
-	if traceOut != "" {
-		fmt.Fprintln(os.Stderr, "dolos-sim: -trace is not supported with -cores > 1")
-		os.Exit(2)
-	}
-	specs := make([]mcore.CoreSpec, n)
-	for i := range specs {
-		coreSeed := mcore.CoreSeed(seed, i)
-		specs[i] = mcore.CoreSpec{
-			Workload: w.Name(),
-			Seed:     coreSeed,
-			Trace: w.Generate(whisper.Params{
-				Transactions: txns, TxSize: txSize, Seed: coreSeed,
-				HeapBase: mcore.CoreHeapBase(i),
-			}),
-		}
-	}
-	sys := mcore.NewSystem(mcore.Config{Ctrl: cfg, Window: window}, specs)
-	start := time.Now()
-	res := sys.Run()
-	wall := time.Since(start)
-
-	if jsonOut {
-		rec := cliutil.BuildRunRecord(res, kind, txSize, seed, sys.Eng.Processed(), wall, sys.Ctrl.Stats(), nil)
-		rec.Mode = cliutil.ModeLabel(cfg.FastMode)
-		if err := telemetry.WriteJSON(os.Stdout, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	fmt.Printf("workload          %s × %d cores (OoO window %d)\n", res.Workload, res.Cores, res.OoOWindow)
-	fmt.Printf("scheme            %s (%s, %d-entry shared WPQ, %dB tx)\n",
-		res.Scheme, kind, cfg.HardwareWPQ, txSize)
-	fmt.Printf("cycles            %d (slowest core)\n", res.Cycles)
-	fmt.Printf("transactions      %d (all cores)\n", res.Transactions)
-	fmt.Printf("cycles/tx         %.0f\n", res.CyclesPerTx)
-	fmt.Printf("fence stalls      %d cycles (summed)\n", res.FenceStalls)
-	fmt.Printf("write requests    %d\n", res.WriteRequests)
-	fmt.Printf("retry events      %d (%.2f per KWR)\n", res.RetryEvents, res.RetryPerKWR)
-	fmt.Printf("prefetches        %d\n", res.Prefetches)
-	for _, pc := range res.PerCore {
-		fmt.Printf("core %d            %s seed %d: %d cycles, %d tx, %d grants, %d wait cycles\n",
-			pc.Core, pc.Workload, pc.Seed, pc.Cycles, pc.Transactions, pc.ArbGrants, pc.ArbWaitCycles)
-	}
-
-	if showStats {
-		fmt.Println("\ncontroller counters:")
-		fmt.Print(sys.Ctrl.Stats())
-	}
 }
 
 // traceEventLimit caps the probe events a -trace run keeps. A

@@ -90,7 +90,7 @@ func TestRunRecordSchemaPinned(t *testing.T) {
 
 // TestRunRecordSchemaRecoveryAxis: recovery_cycles is omitempty — absent
 // from every legacy record (which is what keeps the schema pin above and
-// the committed bench baseline unchanged) and present, non-zero and
+// TestGoldenRecords unchanged) and present, non-zero and
 // deterministic for a related-work scheme that models recovery.
 func TestRunRecordSchemaRecoveryAxis(t *testing.T) {
 	r := core.NewRunner(core.Options{Transactions: 60, Seed: 1, Parallelism: 1})
@@ -120,9 +120,9 @@ func TestRunRecordSchemaRecoveryAxis(t *testing.T) {
 }
 
 // TestRunRecordSchemaMultiCore pins the extended field set of a
-// multi-core record: the single-core list above plus the mcore axes.
-// All four are omitempty, which is what keeps the single-core pin (and
-// the committed bench baseline) unchanged — this test is the proof the
+// multi-core record: the single-core list above plus the multi-core
+// axes. All four are omitempty, which is what keeps the single-core pin
+// (and TestGoldenRecords) unchanged — this test is the proof the
 // multi-core shape and the per-core sub-record stay deliberate too.
 func TestRunRecordSchemaMultiCore(t *testing.T) {
 	r := core.NewRunner(core.Options{Transactions: 30, Seed: 1, Parallelism: 1})

@@ -384,8 +384,8 @@ func (c *Controller) MiSU() *misu.Unit { return c.mi }
 // Config returns the configuration in effect.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Queue returns the WPQ regardless of scheme — the shared-arbiter
-// entry point internal/mcore uses to install its occupancy observer.
+// Queue returns the WPQ regardless of scheme — the entry point a
+// multi-core cpu.Machine uses to install its occupancy observer.
 func (c *Controller) Queue() *wpq.Queue { return c.queue() }
 
 // queue returns the WPQ regardless of scheme.

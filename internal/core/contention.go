@@ -14,7 +14,7 @@ var ContentionCores = []int{1, 2, 4, 8}
 
 // Contention sweeps core count for one workload under the
 // security-before-WPQ baseline and Dolos Partial-WPQ sharing a single
-// controller (internal/mcore). One row per core count:
+// controller (cpu.Machine). One row per core count:
 //
 //	base c/tx    — baseline cycles per transaction (slowest core's end
 //	               cycle over total transactions)

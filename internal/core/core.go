@@ -14,9 +14,7 @@ import (
 	"dolos/internal/controller"
 	"dolos/internal/cpu"
 	"dolos/internal/masu"
-	"dolos/internal/mcore"
 	"dolos/internal/sim"
-	"dolos/internal/stats"
 	"dolos/internal/trace"
 	"dolos/internal/whisper"
 )
@@ -86,9 +84,9 @@ type Spec struct {
 	// persistence). Ignored by other schemes.
 	TriadLevels int
 	// Cores runs N instances of the workload (per-core seeds, disjoint
-	// heaps) contending for one shared controller through the
-	// internal/mcore arbiter. 0 or 1 keeps the existing single-core
-	// path bit-for-bit.
+	// heaps) contending for one shared controller through the machine's
+	// arbiter (cpu.Machine). 0 and 1 both run one core, which reaches
+	// the controller directly.
 	Cores int
 	// OoOWindow is the core's read window (cpu.Issuer). 0 and 1 both
 	// issue in order through the same loop, with identical cycles; the
@@ -219,9 +217,9 @@ func (r *Runner) Trace(workload string, txSize int) (*trace.Trace, error) {
 	})
 }
 
-// coreTrace returns the (cached) trace for one core of a multi-core
-// cell: the same workload with a per-core seed and a disjoint per-core
-// heap region. Core 0 shares the single-core trace (same seed, same
+// coreTrace returns the (cached) trace for one core of a cell: the
+// same workload with a per-core seed and a disjoint per-core heap
+// region. Core 0 shares the single-core trace (same seed, same
 // heap base), so a Cores=N sweep reuses the plain sweep's cache entry.
 func (r *Runner) coreTrace(canon string, txSize, core int) (*trace.Trace, error) {
 	if core == 0 {
@@ -230,8 +228,8 @@ func (r *Runner) coreTrace(canon string, txSize, core int) (*trace.Trace, error)
 	return r.cachedTrace(fmt.Sprintf("%s/%d/core%d", canon, txSize, core), canon, whisper.Params{
 		Transactions: r.opts.Transactions,
 		TxSize:       txSize,
-		Seed:         mcore.CoreSeed(r.opts.Seed, core),
-		HeapBase:     mcore.CoreHeapBase(core),
+		Seed:         cpu.CoreSeed(r.opts.Seed, core),
+		HeapBase:     cpu.CoreHeapBase(core),
 	})
 }
 
@@ -269,31 +267,6 @@ func (r *Runner) Run(workload string, spec Spec) (cpu.Result, error) {
 	return res, err
 }
 
-// machineRef is the quiesced machinery behind one run: exactly one of
-// the two system shapes is set, depending on the cell's Cores axis.
-type machineRef struct {
-	// Single is the single-core system (nil for multi-core cells).
-	Single *cpu.System
-	// Multi is the multi-core system (nil for single-core cells).
-	Multi *mcore.System
-}
-
-// Events returns the engine's dispatched-event count.
-func (m machineRef) Events() uint64 {
-	if m.Multi != nil {
-		return m.Multi.Eng.Processed()
-	}
-	return m.Single.Eng.Processed()
-}
-
-// Stats returns the controller's per-run stats set.
-func (m machineRef) Stats() *stats.Set {
-	if m.Multi != nil {
-		return m.Multi.Ctrl.Stats()
-	}
-	return m.Single.Ctrl.Stats()
-}
-
 // RunContext simulates one workload under one configuration, bounded
 // by ctx. Like RunCell, the context is checked on entry only — one
 // simulation is indivisible, so a context that expires mid-run never
@@ -305,11 +278,11 @@ func (r *Runner) RunContext(ctx context.Context, workload string, spec Spec) (cp
 }
 
 // runSystem simulates one workload under one configuration and also
-// returns the quiesced machinery, for experiments that inspect
-// controller state (write amplification, crash/recovery ablations).
-// A Cores axis above 1 routes through internal/mcore; every other spec
-// runs the single-core system at its OoOWindow.
-func (r *Runner) runSystem(workload string, spec Spec) (cpu.Result, machineRef, error) {
+// returns the quiesced machine, for experiments that inspect controller
+// state (write amplification, crash/recovery ablations). Every core
+// count runs on one cpu.Machine: core i runs coreTrace(i), and core 0's
+// is the single-core trace.
+func (r *Runner) runSystem(workload string, spec Spec) (cpu.Result, *cpu.Machine, error) {
 	spec = spec.withDefaults()
 	cfg := controller.Config{
 		Scheme:            spec.Scheme,
@@ -325,33 +298,20 @@ func (r *Runner) runSystem(workload string, spec Spec) (cpu.Result, machineRef, 
 	copy(cfg.AESKey[:], "dolos-aes-key-16")
 	copy(cfg.MACKey[:], "dolos-mac-key-16")
 
-	if spec.Cores > 1 {
-		canon, err := whisper.Resolve(workload)
-		if err != nil {
-			return cpu.Result{}, machineRef{}, err
-		}
-		cores := make([]mcore.CoreSpec, spec.Cores)
-		for i := range cores {
-			tr, err := r.coreTrace(canon, spec.TxSize, i)
-			if err != nil {
-				return cpu.Result{}, machineRef{}, err
-			}
-			cores[i] = mcore.CoreSpec{
-				Workload: canon,
-				Seed:     mcore.CoreSeed(r.opts.Seed, i),
-				Trace:    tr,
-			}
-		}
-		sys := mcore.NewSystem(mcore.Config{Ctrl: cfg, Window: spec.OoOWindow}, cores)
-		return sys.Run(), machineRef{Multi: sys}, nil
-	}
-
-	tr, err := r.Trace(workload, spec.TxSize)
+	canon, err := whisper.Resolve(workload)
 	if err != nil {
-		return cpu.Result{}, machineRef{}, err
+		return cpu.Result{}, nil, err
 	}
-	sys := cpu.NewSystem(cfg)
-	return sys.RunWindow(tr, spec.OoOWindow), machineRef{Single: sys}, nil
+	cores := make([]cpu.CoreSpec, max(spec.Cores, 1))
+	for i := range cores {
+		tr, err := r.coreTrace(canon, spec.TxSize, i)
+		if err != nil {
+			return cpu.Result{}, nil, err
+		}
+		cores[i] = cpu.CoreSpec{Workload: canon, Seed: cpu.CoreSeed(r.opts.Seed, i), Trace: tr}
+	}
+	m := cpu.NewMachine(cpu.MachineConfig{Ctrl: cfg, Window: spec.OoOWindow}, cores)
+	return m.Run(), m, nil
 }
 
 // Speedup returns baseline cycles divided by candidate cycles — the

@@ -119,15 +119,15 @@ func (r *Runner) RunCell(ctx context.Context, workload string, spec Spec) (RunRe
 		return RunResult{}, canceled(err)
 	}
 	start := time.Now()
-	res, ref, err := r.runSystem(workload, spec)
+	res, m, err := r.runSystem(workload, spec)
 	if err != nil {
 		return RunResult{}, err
 	}
 	return RunResult{
 		Result: res,
-		Events: ref.Events(),
+		Events: m.Eng.Processed(),
 		Wall:   time.Since(start),
-		Stats:  ref.Stats(),
+		Stats:  m.Ctrl.Stats(),
 	}, nil
 }
 

@@ -455,13 +455,12 @@ func (r *Runner) AblateOsiris(workload string) (*stats.Table, error) {
 	fr := r.functional()
 	err := r.forEach(len(OsirisPeriods), func(i int) error {
 		period := OsirisPeriods[i]
-		_, ref, err := fr.runSystem(workload, Spec{
+		_, sys, err := fr.runSystem(workload, Spec{
 			Scheme: controller.DolosPartial, Tree: masu.BMTEager, OsirisPeriod: period,
 		})
 		if err != nil {
 			return fmt.Errorf("osiris period %d: %w", period, err)
 		}
-		sys := ref.Single
 		// Normalize by every Ma-SU write (checkpoint load included), so
 		// period 1 is exactly one persist per write.
 		persists := float64(sys.Ctrl.MaSU().Counters().Persists())
@@ -549,11 +548,11 @@ func (r *Runner) WriteAmplification() (*stats.Table, error) {
 	}
 	amp := make([]float64, len(cells))
 	err := r.forEach(len(cells), func(i int) error {
-		res, ref, err := r.runSystem(cells[i].workload, Spec{Scheme: cells[i].scheme, Tree: masu.BMTEager})
+		res, m, err := r.runSystem(cells[i].workload, Spec{Scheme: cells[i].scheme, Tree: masu.BMTEager})
 		if err != nil {
 			return fmt.Errorf("%s under %v: %w", cells[i].workload, cells[i].scheme, err)
 		}
-		nvmWrites := float64(ref.Stats().Counter("masu.nvm_writes").Value())
+		nvmWrites := float64(m.Ctrl.Stats().Counter("masu.nvm_writes").Value())
 		amp[i] = nvmWrites / float64(res.WriteRequests)
 		return nil
 	})

@@ -28,7 +28,7 @@ func record(t *testing.T, r *Runner, workload string, spec Spec) telemetry.RunRe
 		t.Fatalf("%s/%v: %v", workload, spec.Scheme, err)
 	}
 	rec := cliutil.BuildRunRecord(res, spec.Tree, spec.TxSize, r.Options().Seed,
-		m.Events(), 0, m.Stats(), nil)
+		m.Eng.Processed(), 0, m.Ctrl.Stats(), nil)
 	rec.Mode = cliutil.ModeLabel(spec.FastMode)
 	return rec
 }
@@ -96,7 +96,7 @@ func TestFastModeOptionsDefault(t *testing.T) {
 	}
 }
 
-// TestFastModeMultiCore extends the proof across the mcore arbiter: a
+// TestFastModeMultiCore extends the proof across the multi-core arbiter: a
 // 2-core contended cell must also be provider-blind.
 func TestFastModeMultiCore(t *testing.T) {
 	r := NewRunner(Options{Transactions: 60})

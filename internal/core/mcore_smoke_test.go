@@ -12,10 +12,10 @@ import (
 )
 
 // TestCoresOneMatchesLegacy pins the routing guarantee of the Cores
-// axis: Spec{Cores: 1} takes the original single-core path, so its
-// result — and the full controller metrics snapshot behind it — is
-// bit-for-bit the zero-value spec's. The committed bench baseline
-// depends on this.
+// axis: Spec{Cores: 1} runs the same one-core machine as the zero-value
+// spec, so its result — and the full controller metrics snapshot behind
+// it — is bit-for-bit the zero-value spec's. TestGoldenRecords' Cores=0
+// keys depend on this.
 func TestCoresOneMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	spec := Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager}

@@ -85,8 +85,8 @@ func (r *Runner) SchemeComparison() (*stats.Table, error) {
 	return t, nil
 }
 
-// SchemeContention runs every registered scheme through the mcore
-// shared-controller arbiter at one contended core count — the
+// SchemeContention runs every registered scheme through the
+// multi-core machine's shared-controller arbiter at one contended core count — the
 // multi-core counterpart of SchemeComparison. The baseline/Dolos
 // head-to-head sweep over core counts stays in Contention; this grid
 // answers "which pipeline holds up under sharing" for the whole

@@ -8,7 +8,7 @@ import (
 
 // The registry-driven grids must have exactly one row per registered
 // scheme — no hand-listed subsets, no duplicates — and the multi-core
-// grid must exercise the mcore arbiter (Cores=2) for every entry.
+// grid must exercise the multi-core arbiter (Cores=2) for every entry.
 func TestSchemeGridsCoverRegistry(t *testing.T) {
 	r := NewRunner(Options{Transactions: 30, Workloads: []string{"Hashmap", "Ctree"}})
 	n := len(scheme.All())

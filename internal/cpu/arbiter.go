@@ -1,4 +1,4 @@
-package mcore
+package cpu
 
 import (
 	"fmt"
@@ -42,12 +42,13 @@ func reqLess(x, y *request) bool {
 	return x.seq < y.seq
 }
 
-// arbiter serializes all cores' reads, persists and evictions onto the
-// shared memory controller through one command port that grants at most
-// one request per cycle. Contention for the controller's WPQ, counter
-// cache and security engines then unfolds inside the controller exactly
-// as in the single-core model — the arbiter only fixes *order*, and it
-// fixes it deterministically (see reqLess).
+// arbiter serializes a multi-core machine's reads, persists and
+// evictions onto the shared memory controller through one command port
+// that grants at most one request per cycle. Contention for the
+// controller's WPQ, counter cache and security engines then unfolds
+// inside the controller exactly as on one core — the arbiter only fixes
+// *order*, and it fixes it deterministically (see reqLess). A one-core
+// machine has no arbiter (see Machine).
 type arbiter struct {
 	eng  *sim.Engine
 	ctrl *controller.Controller
@@ -59,8 +60,8 @@ type arbiter struct {
 	grantFn  func()
 
 	// Per-core fairness counters, interned in the controller's stats
-	// set only when a multi-core system exists — default single-core
-	// snapshots stay byte-identical to the committed bench baseline.
+	// set only on a multi-core machine, so a one-core record's metrics
+	// snapshot (pinned by TestGoldenRecords) carries none of them.
 	grants []*stats.Counter
 	waits  []*stats.Counter
 }

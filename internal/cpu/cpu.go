@@ -4,16 +4,14 @@
 // workloads were written with — stores complete into the caches, clwb
 // pushes a line toward the memory controller asynchronously, and sfence
 // stalls the core until every outstanding flush has been accepted into
-// the persistence domain.
+// the persistence domain. One Machine runs any number of cores against
+// one controller; System is its one-core view.
 package cpu
 
 import (
 	"dolos/internal/cache"
 	"dolos/internal/controller"
-	"dolos/internal/nvm"
 	"dolos/internal/sim"
-	"dolos/internal/stats"
-	"dolos/internal/telemetry"
 	"dolos/internal/trace"
 )
 
@@ -68,9 +66,8 @@ type Result struct {
 	PerCore []CoreResult
 }
 
-// CoreResult summarizes one core of a multi-core run. It lives in this
-// package (pure data, filled by internal/mcore) so Result stays the one
-// result type every layer above the simulator shares.
+// CoreResult summarizes one core of a multi-core run (see
+// Machine.Collect).
 type CoreResult struct {
 	// Core is the core index; Workload and Seed identify its instance.
 	Core     int
@@ -94,92 +91,30 @@ type CoreResult struct {
 	ArbWaitCycles uint64
 }
 
-// System wires a core, the cache hierarchy and a secure memory
-// controller around one discrete-event engine.
+// System is the one-core view of the Machine: a core, the cache
+// hierarchy and a secure memory controller around one discrete-event
+// engine, with the trace given at Start or Run instead of at
+// construction. Its port to the controller is the controller itself.
 type System struct {
-	Eng  *sim.Engine
-	Dev  *nvm.Device
-	Ctrl *controller.Controller
+	Machine
+	Core
+
+	// Hier is the core's cache hierarchy.
 	Hier *cache.Hierarchy
 
-	// mirror tracks each line address's last application-written
-	// plaintext; see TraceMirror. The trace's line-address range is
-	// known when Start loads it, so the common case is a dense table
-	// indexed by line offset — the mirror is updated on every write and
-	// consulted on every eviction.
-	mirror *TraceMirror
-
-	// OnAccepted, when set, observes every persist acceptance (used by
-	// the crash driver to know which writes the platform has promised).
-	// Set it before Start.
-	OnAccepted func(addr uint64, data [64]byte)
-
-	issue       *Issuer
-	window      int // the read window Start was asked for
-	running     bool
-	txLatencies *stats.Histogram
-	txReservoir *stats.Reservoir
-
-	// Telemetry (nil/zero when disabled; see SetProbe).
-	probe *telemetry.Probe
-	tCPU  telemetry.TrackID
+	cores [1]*Core // backs Machine.Cores
 }
 
-// backend adapts the controller to the cache.Backend interface, sourcing
-// eviction data from the line mirror.
-type backend struct{ s *System }
-
-func (b backend) ReadLine(addr uint64, done sim.Handler, arg uint64) {
-	b.s.Ctrl.ReadLine(addr, done, arg)
-}
-
-func (b backend) EvictLine(addr uint64) {
-	var data [64]byte
-	if p := b.s.mirror.At(addr); p != nil {
-		data = *p
-	}
-	b.s.Ctrl.EvictWrite(addr, data)
-}
-
-// NewSystem builds a full machine for the given controller configuration.
+// NewSystem builds a full one-core machine for the given controller
+// configuration.
 func NewSystem(cfg controller.Config) *System {
-	eng := sim.NewEngine()
-	s := &System{
-		Eng:         eng,
-		mirror:      NewTraceMirror(),
-		txLatencies: stats.NewHistogram("tx_latency"),
-		txReservoir: stats.NewReservoir("tx_latency", 0),
-	}
-	s.Dev = nvm.NewDevice(eng, cfg.DeviceSize(), 0)
-	s.Ctrl = controller.New(eng, s.Dev, cfg)
-	s.Hier = cache.NewHierarchy(eng, backend{s})
-	s.issue = NewIssuer(eng, s.Hier, s.mirror, s, s.txLatencies, s.txReservoir)
+	s := &System{}
+	s.cores[0] = &s.Core
+	s.Cores = s.cores[:]
+	s.build(MachineConfig{Ctrl: cfg})
+	s.Hier = s.hier
 	return s
 }
-
-// SetProbe attaches (or with nil detaches) a telemetry probe to the
-// whole machine: the CPU front-end (fence stalls, transaction spans),
-// the event-dispatch counter on the engine, and — via the controller —
-// the WPQ, security units and NVM banks. Call before Start/Run. Hooks
-// are purely observational: timing is bit-identical with and without a
-// probe.
-func (s *System) SetProbe(p *telemetry.Probe) {
-	s.probe = p
-	s.issue.probe = p
-	if p == nil {
-		s.Ctrl.SetProbe(nil)
-		s.Eng.SetHook(nil)
-		return
-	}
-	s.tCPU = p.Track("cpu") // register first so the CPU is the top track
-	s.issue.track = s.tCPU
-	s.Ctrl.SetProbe(p)
-	events := p.Registry().Counter("sim.events_dispatched")
-	s.Eng.SetHook(func(_ sim.Cycle) { events.Inc() })
-}
-
-// Probe returns the attached telemetry probe (nil when disabled).
-func (s *System) Probe() *telemetry.Probe { return s.probe }
 
 // Run executes the trace to completion on the in-order core and returns
 // the result. The engine is drained afterwards so the controller
@@ -191,24 +126,9 @@ func (s *System) Run(tr *trace.Trace) Result { return s.RunWindow(tr, 0) }
 // window asked for).
 func (s *System) RunWindow(tr *trace.Trace, window int) Result {
 	s.start(tr, window)
-	s.Eng.Run(0)
-	if !s.issue.Finished() {
-		panic("cpu: trace execution deadlocked (fence never satisfied)")
-	}
+	s.runToEnd()
 	return s.Collect(tr)
 }
-
-// Mirror returns the current plaintext value of addr's line as the
-// application last wrote it.
-func (s *System) Mirror(addr uint64) ([64]byte, bool) {
-	if p := s.mirror.At(addr); p != nil {
-		return *p, true
-	}
-	return [64]byte{}, false
-}
-
-// Finished reports whether the trace has fully executed.
-func (s *System) Finished() bool { return s.issue.Finished() }
 
 // Start schedules trace execution on the in-order core without running
 // it; the caller drives the clock (RunUntil for crash injection). The
@@ -217,69 +137,17 @@ func (s *System) Finished() bool { return s.issue.Finished() }
 func (s *System) Start(tr *trace.Trace) { s.start(tr, 0) }
 
 func (s *System) start(tr *trace.Trace, window int) {
-	if s.running {
+	if s.started {
 		panic("cpu: system already running a trace")
 	}
-	s.running = true
-	s.window = window
-
-	s.mirror.SizeFor(tr)
-	s.Ctrl.LoadImage(tr.InitImage)
-	for i := range tr.InitImage {
-		il := &tr.InitImage[i]
-		s.mirror.Set(il.Addr, &il.Data)
-	}
-	s.issue.Start(tr, window)
+	s.spec = CoreSpec{Workload: tr.Name, Trace: tr}
+	s.cfg.Window = window
+	s.Machine.Start()
 }
 
-// Persist implements Port: the flushed line goes straight to the
-// controller. Without an OnAccepted hook the acceptance callback is the
-// issue loop's own, so a flush allocates nothing here.
-func (s *System) Persist(op *trace.Op, accepted func()) {
-	if s.OnAccepted == nil {
-		s.Ctrl.PersistWrite(op.Addr, op.Data, accepted)
-		return
-	}
-	s.Ctrl.PersistWrite(op.Addr, op.Data, func() {
-		s.OnAccepted(op.Addr, op.Data)
-		accepted()
-	})
-}
-
-// Collect gathers the result after a Run (or a partial run).
+// Collect gathers the result after a Run (or a partial run) of tr.
 func (s *System) Collect(tr *trace.Trace) Result {
-	st := s.Ctrl.Stats()
-	l := s.issue
-	res := Result{
-		Scheme:        s.Ctrl.Config().Scheme.String(),
-		Workload:      tr.Name,
-		Cycles:        l.EndCycle(),
-		Transactions:  l.Transactions(),
-		Ops:           l.Ops(),
-		FenceStalls:   l.FenceStalls(),
-		WriteRequests: s.Ctrl.WriteRequests(),
-		RetryEvents:   s.Ctrl.RetryEvents(),
-		RetryPerKWR:   s.Ctrl.RetryPerKWR(),
-		WPQReadHits:   st.Counter("wpq.read_hits").Value(),
-		MemReads:      st.Counter("mem.reads").Value(),
-		OoOWindow:     s.window,
-		Prefetches:    l.Prefetches(),
-	}
-	res.RecoveryCycles = s.Ctrl.RecoveryEstimate()
-	if res.Transactions > 0 {
-		res.CyclesPerTx = float64(res.Cycles) / float64(res.Transactions)
-	}
-	if res.Ops > 0 {
-		res.CPI = float64(res.Cycles) / float64(res.Ops)
-	}
-	res.MeanInterarrival = st.Histogram("wpq.interarrival_cycles").Mean()
-	res.WPQMeanOccupancy = st.Histogram("wpq.occupancy_at_arrival").Mean()
-	if s.txReservoir.Count() > 0 {
-		res.MedianTxCycles = s.txReservoir.Median()
-		res.P99TxCycles = s.txReservoir.P99()
-	}
+	res := s.Machine.Collect()
+	res.Workload = tr.Name
 	return res
 }
-
-// TxLatency returns the per-transaction latency histogram.
-func (s *System) TxLatency() *stats.Histogram { return s.txLatencies }

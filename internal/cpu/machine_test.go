@@ -1,4 +1,4 @@
-package mcore
+package cpu
 
 import (
 	"bytes"
@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"dolos/internal/controller"
-	"dolos/internal/cpu"
 	"dolos/internal/telemetry"
 	"dolos/internal/trace"
 	"dolos/internal/whisper"
 )
 
-func testTrace(t *testing.T, name string, txns int, seed int64, heapBase uint64) *trace.Trace {
+func machineTrace(t *testing.T, name string, txns int, seed int64, heapBase uint64) *trace.Trace {
 	t.Helper()
 	w, err := whisper.ByName(name)
 	if err != nil {
@@ -27,7 +26,7 @@ func testTrace(t *testing.T, name string, txns int, seed int64, heapBase uint64)
 	})
 }
 
-func testConfig(scheme controller.Scheme) controller.Config {
+func machineConfig(scheme controller.Scheme) controller.Config {
 	cfg := controller.Config{Scheme: scheme, HardwareWPQ: 16}
 	copy(cfg.AESKey[:], "dolos-aes-key-16")
 	copy(cfg.MACKey[:], "dolos-mac-key-16")
@@ -36,7 +35,7 @@ func testConfig(scheme controller.Scheme) controller.Config {
 
 // snapshotJSON renders a system's full metrics snapshot for byte
 // comparison.
-func snapshotJSON(t *testing.T, sys *cpu.System) []byte {
+func snapshotJSON(t *testing.T, sys *System) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := telemetry.WriteJSON(&buf, telemetry.Snapshot(sys.Ctrl.Stats(), nil)); err != nil {
@@ -53,12 +52,12 @@ func TestOoOWindowOneMatchesInOrder(t *testing.T) {
 	for _, scheme := range []controller.Scheme{
 		controller.DolosPartial, controller.PreWPQSecure, controller.DolosFull,
 	} {
-		tr := testTrace(t, "Hashmap", 60, 1, 0)
+		tr := machineTrace(t, "Hashmap", 60, 1, 0)
 
-		inOrder := cpu.NewSystem(testConfig(scheme))
+		inOrder := NewSystem(machineConfig(scheme))
 		resIn := inOrder.Run(tr)
 
-		ooo := cpu.NewSystem(testConfig(scheme))
+		ooo := NewSystem(machineConfig(scheme))
 		resOoO := ooo.RunWindow(tr, 1)
 
 		if resIn.OoOWindow != 0 || resOoO.OoOWindow != 1 {
@@ -84,10 +83,10 @@ func TestOoOWindowOneMatchesInOrder(t *testing.T) {
 // misses: the same trace must finish in no more cycles than in-order,
 // and strictly fewer whenever any overlap or prefetch happened.
 func TestOoOWiderWindowDeterministicAndOverlaps(t *testing.T) {
-	tr := testTrace(t, "Btree", 80, 1, 0)
+	tr := machineTrace(t, "Btree", 80, 1, 0)
 
-	run := func() (cpu.Result, []byte) {
-		sys := cpu.NewSystem(testConfig(controller.DolosPartial))
+	run := func() (Result, []byte) {
+		sys := NewSystem(machineConfig(controller.DolosPartial))
 		res := sys.RunWindow(tr, 8)
 		return res, snapshotJSON(t, sys)
 	}
@@ -100,7 +99,7 @@ func TestOoOWiderWindowDeterministicAndOverlaps(t *testing.T) {
 		t.Fatalf("RunWindow(tr, 8) reports OoOWindow = %d, want 8", res1.OoOWindow)
 	}
 
-	inOrder := cpu.NewSystem(testConfig(controller.DolosPartial)).Run(tr)
+	inOrder := NewSystem(machineConfig(controller.DolosPartial)).Run(tr)
 	if res1.Cycles > inOrder.Cycles {
 		t.Fatalf("window-8 OoO slower than in-order: %d > %d cycles", res1.Cycles, inOrder.Cycles)
 	}
@@ -112,12 +111,12 @@ func TestOoOWiderWindowDeterministicAndOverlaps(t *testing.T) {
 // TestMultiCoreDeterminism runs the same 2-core contention twice and
 // demands byte-identical aggregate and per-core results.
 func TestMultiCoreDeterminism(t *testing.T) {
-	build := func() *System {
+	build := func() *Machine {
 		cores := []CoreSpec{
-			{Workload: "Hashmap", Seed: 1, Trace: testTrace(t, "Hashmap", 40, 1, CoreHeapBase(0))},
-			{Workload: "Btree", Seed: CoreSeed(1, 1), Trace: testTrace(t, "Btree", 40, CoreSeed(1, 1), CoreHeapBase(1))},
+			{Workload: "Hashmap", Seed: 1, Trace: machineTrace(t, "Hashmap", 40, 1, CoreHeapBase(0))},
+			{Workload: "Btree", Seed: CoreSeed(1, 1), Trace: machineTrace(t, "Btree", 40, CoreSeed(1, 1), CoreHeapBase(1))},
 		}
-		return NewSystem(Config{Ctrl: testConfig(controller.DolosPartial), Window: 2}, cores)
+		return NewMachine(MachineConfig{Ctrl: machineConfig(controller.DolosPartial), Window: 2}, cores)
 	}
 	s1 := build()
 	r1 := s1.Run()
@@ -171,10 +170,10 @@ func TestMultiCoreDeterminism(t *testing.T) {
 // whatever the snapshot holds.
 func TestContentionMetricsExposition(t *testing.T) {
 	cores := []CoreSpec{
-		{Workload: "Hashmap", Seed: 1, Trace: testTrace(t, "Hashmap", 30, 1, CoreHeapBase(0))},
-		{Workload: "Hashmap", Seed: CoreSeed(1, 1), Trace: testTrace(t, "Hashmap", 30, CoreSeed(1, 1), CoreHeapBase(1))},
+		{Workload: "Hashmap", Seed: 1, Trace: machineTrace(t, "Hashmap", 30, 1, CoreHeapBase(0))},
+		{Workload: "Hashmap", Seed: CoreSeed(1, 1), Trace: machineTrace(t, "Hashmap", 30, CoreSeed(1, 1), CoreHeapBase(1))},
 	}
-	sys := NewSystem(Config{Ctrl: testConfig(controller.DolosPartial), Window: 2}, cores)
+	sys := NewMachine(MachineConfig{Ctrl: machineConfig(controller.DolosPartial), Window: 2}, cores)
 	sys.Run()
 
 	var buf bytes.Buffer
@@ -205,16 +204,16 @@ func TestMultiCoreGapShift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("contention comparison needs full traces")
 	}
-	run := func(scheme controller.Scheme, n int) cpu.Result {
+	run := func(scheme controller.Scheme, n int) Result {
 		var cores []CoreSpec
 		for i := 0; i < n; i++ {
 			cores = append(cores, CoreSpec{
 				Workload: "Hashmap",
 				Seed:     CoreSeed(1, i),
-				Trace:    testTrace(t, "Hashmap", 50, CoreSeed(1, i), CoreHeapBase(i)),
+				Trace:    machineTrace(t, "Hashmap", 50, CoreSeed(1, i), CoreHeapBase(i)),
 			})
 		}
-		return NewSystem(Config{Ctrl: testConfig(scheme)}, cores).Run()
+		return NewMachine(MachineConfig{Ctrl: machineConfig(scheme)}, cores).Run()
 	}
 	base1, dolos1 := run(controller.PreWPQSecure, 1), run(controller.DolosPartial, 1)
 	base4, dolos4 := run(controller.PreWPQSecure, 4), run(controller.DolosPartial, 4)

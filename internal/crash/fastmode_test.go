@@ -7,7 +7,6 @@ import (
 	"dolos/internal/controller"
 	"dolos/internal/cpu"
 	"dolos/internal/masu"
-	"dolos/internal/mcore"
 	"dolos/internal/whisper"
 )
 
@@ -27,8 +26,8 @@ func TestNewDriverRejectsNonFunctional(t *testing.T) {
 		t.Errorf("NewDriver(FastMode): err = %v, want ErrFastMode", err)
 	}
 
-	if _, err := NewMultiDriver(mcore.Config{Ctrl: fast, Window: 2}, multiSpecs(t, 2)); !errors.Is(err, masu.ErrFastMode) {
-		t.Errorf("NewMultiDriver(FastMode): err = %v, want ErrFastMode", err)
+	if _, err := NewMachineDriver(cpu.MachineConfig{Ctrl: fast, Window: 2}, coreSpecs(t, 2, "Hashmap")); !errors.Is(err, masu.ErrFastMode) {
+		t.Errorf("NewMachineDriver(FastMode): err = %v, want ErrFastMode", err)
 	}
 
 	// The serial functional config stays fully supported.

@@ -12,7 +12,6 @@ import (
 	"dolos/internal/controller"
 	"dolos/internal/cpu"
 	"dolos/internal/masu"
-	"dolos/internal/mcore"
 	"dolos/internal/nvm"
 	"dolos/internal/scheme"
 	"dolos/internal/sim"
@@ -151,7 +150,7 @@ func TestLoadImageMatchesPerLine(t *testing.T) {
 	cores := make([]*trace.Trace, 4)
 	for i := range cores {
 		cores[i] = whisper.Hashmap{}.Generate(whisper.Params{
-			Transactions: loadTxns, Seed: mcore.CoreSeed(1, i), HeapBase: mcore.CoreHeapBase(i),
+			Transactions: loadTxns, Seed: cpu.CoreSeed(1, i), HeapBase: cpu.CoreHeapBase(i),
 		})
 	}
 
@@ -177,16 +176,16 @@ func TestLoadImageMatchesPerLine(t *testing.T) {
 		}
 
 		name := lc.name + "/Hashmap/cores4"
-		var sys [2]*mcore.System
+		var sys [2]*cpu.Machine
 		var recs [2]telemetry.RunRecord
-		specs := make([]mcore.CoreSpec, len(cores))
+		specs := make([]cpu.CoreSpec, len(cores))
 		imgs := make([][]trace.InitLine, len(cores))
 		for c, tr := range cores {
-			specs[c] = mcore.CoreSpec{Workload: "Hashmap", Seed: mcore.CoreSeed(1, c), Trace: imageless(tr)}
+			specs[c] = cpu.CoreSpec{Workload: "Hashmap", Seed: cpu.CoreSeed(1, c), Trace: imageless(tr)}
 			imgs[c] = tr.InitImage
 		}
 		for i, load := range loaders {
-			sys[i] = mcore.NewSystem(mcore.Config{Ctrl: lc.cfg}, specs)
+			sys[i] = cpu.NewMachine(cpu.MachineConfig{Ctrl: lc.cfg}, specs)
 			for _, img := range imgs {
 				load(sys[i].Ctrl, img)
 			}

@@ -113,13 +113,13 @@ type RunRecord struct {
 	P99TxCycles      float64 `json:"p99_tx_cycles"`
 	// RecoveryCycles is the modeled boot-time recovery cost — the
 	// related-work schemes' measured axis. omitempty: legacy schemes
-	// report 0, so their records (and the committed bench baselines)
-	// stay byte-identical.
+	// report 0, so their records (pinned by TestGoldenRecords) stay
+	// byte-identical.
 	RecoveryCycles uint64 `json:"recovery_cycles,omitempty"`
 
-	// Multi-core / out-of-order axes (internal/mcore). All omitempty:
-	// single-core in-order records — including the committed bench
-	// baseline — are byte-identical with or without this block.
+	// Multi-core / out-of-order axes (cpu.Machine). All omitempty:
+	// single-core in-order records — including those TestGoldenRecords
+	// pins — are byte-identical with or without this block.
 	Cores      int          `json:"cores,omitempty"`
 	OoOWindow  int          `json:"ooo_window,omitempty"`
 	Prefetches uint64       `json:"prefetches,omitempty"`

@@ -7,7 +7,7 @@ import (
 	"hash"
 	"testing"
 
-	"dolos/internal/mcore"
+	"dolos/internal/cpu"
 	"dolos/internal/trace"
 )
 
@@ -32,7 +32,7 @@ func goldenTraceCases() []Params {
 		}
 	}
 	ps = append(ps, Params{
-		Transactions: 40, TxSize: 512, Seed: mcore.CoreSeed(2, 3), HeapBase: mcore.CoreHeapBase(3),
+		Transactions: 40, TxSize: 512, Seed: cpu.CoreSeed(2, 3), HeapBase: cpu.CoreHeapBase(3),
 	})
 	return ps
 }
