@@ -297,30 +297,30 @@ var goldenRecordSHA256 = map[string]string{
 	"baseline/Hashmap/eager-BMT/ooo0":             "d32cda76d31fb2059e000f3ff135fb027c1551af5a06d83e51c18dea0ad3eaa1",
 	"baseline/Hashmap/eager-BMT/ooo1":             "84dabbd8d37620ad2624f332cd52b778c83b948796e24858ebb875322c537810",
 	"baseline/Hashmap/eager-BMT/ooo2":             "981a5c5af1d9216ca3bb74a09debe5d0d621f640edd85a18ae8212c3f7defb3c",
-	"baseline/Hashmap/eager-BMT/cores2/ooo0":      "3aa7e717836ec1dce5b65ca14684a3fa44f721b85a5d57140d56f56689e62a5c",
+	"baseline/Hashmap/eager-BMT/cores2/ooo0":      "773b2b8d0e49f3e4ab1c517ad9e9597d58607b751f308315ad596177ca2ab3a0",
 	"baseline/Hashmap/eager-BMT/cores2/ooo2":      "887c89f409ce2452fc8f95c91d779a3657446118b445fd753e96bbc2a01e15b9",
-	"baseline/Hashmap/eager-BMT/cores4/ooo0":      "60f6d4e0dad41675301a21903850f421927c4726415d22549c4184f65bad80ef",
+	"baseline/Hashmap/eager-BMT/cores4/ooo0":      "47c9406aa0dbc863f558897c8c5c048ad533b86c3e7fd2cf9d9794bb9759d251",
 	"baseline/Hashmap/eager-BMT/cores4/ooo2":      "6f0bd89c824bb2916d32b9b3935934b4591c4d49f9ef02f29fea3bd241611eb0",
 	"baseline/Btree/eager-BMT/ooo0":               "592b2a4c937ad40738a3252054911494dd18858fe5049622d6fd3204f0f17775",
 	"baseline/Btree/eager-BMT/ooo1":               "cad42da99f733377fa53fc9f90fbc51c5782da0ea3e5fe23c638c474fdc0222c",
 	"baseline/Btree/eager-BMT/ooo2":               "ce82ae2dbe3e18c1f7a1c37158de61e8046cac3f3a4af5d2e26381eeec4c34a1",
-	"baseline/Btree/eager-BMT/cores2/ooo0":        "069d70dd5cf91987a6b448030525f1984bb341a991ce91377b90b3bec594adce",
+	"baseline/Btree/eager-BMT/cores2/ooo0":        "8449d97a6d017d26a26cd2b811a86ae57f268bfc529ac04de190d2062a655aad",
 	"baseline/Btree/eager-BMT/cores2/ooo2":        "71948bedc89e7fbc07915dce2767e15a6c95ebe170301e5ba720926b9b2bea46",
-	"baseline/Btree/eager-BMT/cores4/ooo0":        "4c643fb9140299702ce3982c2bc6d9247872e6c2190c4f8a0be95d225c9b6591",
+	"baseline/Btree/eager-BMT/cores4/ooo0":        "ad60169bc92f1e5f4063ad9645aecaca6c4ae884127ff0ecc89f6f254d4693f7",
 	"baseline/Btree/eager-BMT/cores4/ooo2":        "078eb9fdcdf6e80c23c3f8d0b75e4b1ea5202e673b0927ab23b858a62d92f735",
 	"dolos-partial/Hashmap/eager-BMT/ooo0":        "69f3edb85addcf0ffdb0a263c10348cdc461f2818c07bc2ded65bdcc4be7ae46",
 	"dolos-partial/Hashmap/eager-BMT/ooo1":        "8e232f41b6aecd8bd16323f9f34f33b89edb17c469140a3cf36309e3bc41c68d",
 	"dolos-partial/Hashmap/eager-BMT/ooo2":        "ada6ad856b548c134f74da95ad2097978bd7f02e7447447940a899c89abebdd9",
-	"dolos-partial/Hashmap/eager-BMT/cores2/ooo0": "521210d19250aaedc3a67bf7f8cad2e1a3f5bc0c7cdb040a1d839c78bad95599",
+	"dolos-partial/Hashmap/eager-BMT/cores2/ooo0": "a2df64d13ff35a9dd6fe144ad56b779c05dbf2781b481c2c4fb2b634ed3f0dba",
 	"dolos-partial/Hashmap/eager-BMT/cores2/ooo2": "b19c7e757d1761dbf5d472291edf6505517a8a1dc6c052896d024f0d64aab794",
-	"dolos-partial/Hashmap/eager-BMT/cores4/ooo0": "c4db481ec66044440070c6e7a5412a4b098df3d8362fe4da8aea9bcb64797471",
+	"dolos-partial/Hashmap/eager-BMT/cores4/ooo0": "e871e2c55a1e490b6108bce4f570185db60d8e2559a5039e95e7d245f6a10599",
 	"dolos-partial/Hashmap/eager-BMT/cores4/ooo2": "9523e43cbf885c7eb2e498164b02f538c7f5ce4eb01f1828dab40aa1a3077180",
 	"dolos-partial/Btree/eager-BMT/ooo0":          "c8c7aa75e5689b4164665f657df08a524391c0615bab3819eb7b04139215871c",
 	"dolos-partial/Btree/eager-BMT/ooo1":          "97f8e37a6f30620e713eab19dfc755a472245c8daedd41dd4a43d5d1c21ff99b",
 	"dolos-partial/Btree/eager-BMT/ooo2":          "4aa64b4267a039b7900c8f0371a1d9b94287771e26f10b80210ad6a4e021ca67",
-	"dolos-partial/Btree/eager-BMT/cores2/ooo0":   "56aaf3e2ded55d547f795163f217241ad59d56d1b39a7a13c99b64fe206ee0c6",
+	"dolos-partial/Btree/eager-BMT/cores2/ooo0":   "ced3c34c9bc7303049c5b5146977cac3ef4bd5865dc0c28f9cd5e6980b097c78",
 	"dolos-partial/Btree/eager-BMT/cores2/ooo2":   "1bc45dfab2b797b35a6929133833c527d063af4db05c586ffcec58a6d53949ad",
-	"dolos-partial/Btree/eager-BMT/cores4/ooo0":   "67502546c517c8895e1c557e7e1d5423a9ee9d27a4559e821913205437e69106",
+	"dolos-partial/Btree/eager-BMT/cores4/ooo0":   "fa2f37df7d604934cb0a066b6086a9bee580c477f1ffbf98bfdf9f69385e7c4f",
 	"dolos-partial/Btree/eager-BMT/cores4/ooo2":   "e733c8c3c569bf787dc9d2ed5e6b9df449a6a6b40c4a5fd56866ae31c075bfb7",
 
 	// The 200-transaction axis (txns200Cells).

@@ -50,7 +50,8 @@ type MachineConfig struct {
 	// counter cache, one set of security engines for all cores.
 	Ctrl controller.Config
 	// Window is every core's read window (see Issuer; values below 1
-	// issue as window 1, the in-order core).
+	// issue as window 1, the in-order core). The result reports the
+	// window asked for.
 	Window int
 }
 
@@ -192,9 +193,6 @@ type Machine struct {
 func NewMachine(cfg MachineConfig, specs []CoreSpec) *Machine {
 	if len(specs) == 0 {
 		panic("cpu: a machine needs at least one core")
-	}
-	if len(specs) > 1 && cfg.Window < 1 {
-		cfg.Window = 1
 	}
 	m := &Machine{}
 	cores := make([]Core, len(specs))
