@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-misu fuzz-smoke smoke-patterns mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-misu fuzz-smoke fuzz-targets smoke-patterns mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke clean
 
 all: build test
 
@@ -80,7 +80,8 @@ bench-misu:
 # loops over them; a failure stops the loop and leaves the crashing input
 # under the package's testdata/fuzz. Minimizing a new interesting input
 # may take up to a minute by default, which would stall a 10 s run, so it
-# is capped at 1 s. A new Fuzz* function goes on this list. Runs in CI.
+# is capped at 1 s. A new Fuzz* function goes on this list; fuzz-targets
+# (part of `make ci`) fails when one is missing. Runs in CI.
 FUZZ_TARGETS := ./internal/trace:FuzzLoad ./internal/scheme:FuzzParse ./internal/service:FuzzNormalize \
 	./internal/masu:FuzzLoadImage ./internal/misu:FuzzDrainRecover ./internal/whisper:FuzzResolve
 fuzz-smoke:
@@ -88,6 +89,20 @@ fuzz-smoke:
 		pkg=$${pt%%:*}; t=$${pt#*:}; \
 		echo "fuzz $$t in $$pkg for 10s"; \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s -fuzzminimizetime 1s $$pkg; \
+	done
+
+# Fails unless every func Fuzz* in the root module's test files is on
+# FUZZ_TARGETS, so a new fuzz target cannot be left out of fuzz-smoke.
+# `go list` stops at the module boundary, so benchmark/ is not scanned.
+fuzz-targets:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		pkg=.$${d#$(CURDIR)}; \
+		for t in $$(cat $$d/*_test.go 2>/dev/null | grep -oE '^func Fuzz[A-Za-z0-9_]*' | cut -d' ' -f2); do \
+			case " $(strip $(FUZZ_TARGETS)) " in \
+			*" $$pkg:$$t "*) ;; \
+			*) echo "fuzz target $$pkg:$$t is missing from FUZZ_TARGETS"; exit 1;; \
+			esac; \
+		done; \
 	done
 
 # The whole CI run: .github/workflows/ci.yml runs exactly this target.
@@ -106,6 +121,7 @@ ci:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 	$(MAKE) smoke-patterns
+	$(MAKE) fuzz-targets
 	$(GO) test -race ./...
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...

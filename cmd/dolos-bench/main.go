@@ -13,29 +13,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"dolos/internal/core"
-	"dolos/internal/stats"
-)
-
-var experiments = []string{
-	"fig6", "fig12", "table2", "fig13", "fig14", "fig15", "fig16",
-	"table3", "recovery", "adr", "ablate-coalesce", "ablate-cc",
-	"ablate-backend", "ablate-osiris", "eadr", "writes", "tail", "variance",
-	"contention", "schemes", "validate",
-}
-
-// contention experiment knobs (set from flags in main).
-var (
-	contentionCores  []int
-	contentionWindow int
+	"dolos/internal/cpu"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(experiments, ", ")+", or all")
+	exp := flag.String("exp", "all", "comma-separated experiments to run: "+names(core.Experiments(nil, 0))+", or all")
 	txns := flag.Int("txns", 1000, "measured transactions per run (paper: 50000)")
 	workloads := flag.String("workloads", "", "comma-separated workload subset (default: all six)")
 	format := flag.String("format", "table", "output format: table or csv")
@@ -46,42 +34,37 @@ func main() {
 	fast := flag.Bool("fast", false, "latency-only crypto provider for every sweep cell (bit-identical tables, fraction of the wall-clock; crash/recovery experiments ignore it)")
 	flag.Parse()
 
-	var err error
-	if contentionCores, err = checkFlags(*txns, *parallel, *format, *coresFlag, *oooWindow); err != nil {
+	selected, err := checkFlags(*exp, *txns, *parallel, *format, *coresFlag, *oooWindow)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-bench: %v\n", err)
 		os.Exit(2)
 	}
-	contentionWindow = *oooWindow
 
 	opts := core.Options{Transactions: *txns, Seed: *seed, Parallelism: *parallel, FastMode: *fast}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
 	}
 	r := core.NewRunner(opts)
-	asCSV = *format == "csv"
-
-	selected := experiments
-	if *exp != "all" {
-		selected = strings.Split(*exp, ",")
-	}
 	for _, e := range selected {
 		start := time.Now()
-		if err := run(r, strings.TrimSpace(e)); err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-bench: %s: %v\n", e, err)
+		if err := run(r, e, *format == "csv"); err != nil {
+			fmt.Fprintf(os.Stderr, "dolos-bench: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s completed in %.1fs]\n\n", e, time.Since(start).Seconds())
+		fmt.Printf("[%s completed in %.1fs]\n\n", e.Name, time.Since(start).Seconds())
 	}
 }
 
-// checkFlags rejects flag values a sweep would misread — -txns below 1
-// (0 fell back to the 1000-transaction default, a negative count
-// panicked in YCSB generation), a negative -parallel (which ran
-// GOMAXPROCS workers), a -format other than table or csv, a -cores entry
-// that is not a whole number of at least 1, and a negative -ooo-window —
-// and returns the -cores list. -txns has no upper bound: the paper's
-// scale is 50000.
-func checkFlags(txns, parallel int, format, cores string, window int) ([]int, error) {
+// checkFlags rejects flag values a sweep would misread — an -exp entry
+// that names no experiment (which used to fail only after the entries
+// before it had run), -txns below 1 (0 fell back to the 1000-transaction
+// default, a negative count panicked in YCSB generation), a negative
+// -parallel (which ran GOMAXPROCS workers), a -format other than table
+// or csv, a -cores entry that is not a whole number from 1 to
+// cpu.MaxCores (more cores' heaps do not fit the data region), and a
+// negative -ooo-window — and returns the selected experiments, in -exp
+// order. -txns has no upper bound: the paper's scale is 50000.
+func checkFlags(exp string, txns, parallel int, format, cores string, window int) ([]core.Experiment, error) {
 	if txns < 1 {
 		return nil, fmt.Errorf("-txns %d: want at least 1", txns)
 	}
@@ -94,168 +77,67 @@ func checkFlags(txns, parallel int, format, cores string, window int) ([]int, er
 	if window < 0 {
 		return nil, fmt.Errorf("-ooo-window %d: want 0 or more", window)
 	}
+	counts, err := parseCores(cores)
+	if err != nil {
+		return nil, err
+	}
+	all := core.Experiments(counts, window)
+	if exp == "all" {
+		return all, nil
+	}
+	var selected []core.Experiment
+	for _, name := range strings.Split(exp, ",") {
+		i := slices.IndexFunc(all, func(e core.Experiment) bool { return e.Name == strings.TrimSpace(name) })
+		if i < 0 {
+			return nil, fmt.Errorf("-exp entry %q: want one of %s, or all", name, names(all))
+		}
+		selected = append(selected, all[i])
+	}
+	return selected, nil
+}
+
+// names lists the experiments' names for help and error text.
+func names(exps []core.Experiment) string {
+	s := make([]string, len(exps))
+	for i, e := range exps {
+		s[i] = e.Name
+	}
+	return strings.Join(s, ", ")
+}
+
+// parseCores parses the -cores list.
+func parseCores(cores string) ([]int, error) {
 	var counts []int
 	for _, s := range strings.Split(cores, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-cores entry %q: want a whole number of at least 1", s)
+		if err != nil || n < 1 || n > cpu.MaxCores {
+			return nil, fmt.Errorf("-cores entry %q: want a whole number from 1 to %d", s, cpu.MaxCores)
 		}
 		counts = append(counts, n)
 	}
 	return counts, nil
 }
 
-// asCSV selects CSV output for tables.
-var asCSV bool
-
-// emit prints a table in the selected format.
-func emit(t *stats.Table) {
-	if asCSV {
-		if t.Title != "" {
-			fmt.Printf("# %s\n", t.Title)
-		}
-		fmt.Print(t.CSV())
-		fmt.Println()
-		return
+// run runs one experiment and prints its output: every table, in the
+// selected format, or the experiment's own text.
+func run(r *core.Runner, e core.Experiment, asCSV bool) error {
+	if e.Text != nil {
+		return e.Text(r, os.Stdout)
 	}
-	fmt.Println(t)
-}
-
-func run(r *core.Runner, exp string) error {
-	switch exp {
-	case "fig6":
-		t, err := r.Fig6()
-		if err != nil {
-			return err
+	tables, err := e.Tables(r)
+	if err != nil {
+		return err
+	}
+	for _, t := range tables {
+		if asCSV {
+			if t.Title != "" {
+				fmt.Printf("# %s\n", t.Title)
+			}
+			fmt.Print(t.CSV())
+			fmt.Println()
+		} else {
+			fmt.Println(t)
 		}
-		emit(t)
-	case "fig12":
-		t, err := r.Fig12()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "table2":
-		t, err := r.Table2()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "fig13":
-		t, err := r.Fig13()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "fig14":
-		t, err := r.Fig14()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "fig15":
-		spd, rtr, err := r.Fig15()
-		if err != nil {
-			return err
-		}
-		emit(spd)
-		emit(rtr)
-	case "fig16":
-		t, err := r.Fig16()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "table3":
-		emit(core.Table3())
-	case "recovery":
-		fmt.Println("Section 5.5: Mi-SU recovery time estimates")
-		for _, e := range core.Sec55Recovery() {
-			fmt.Printf("%-18s entries=%-3d read=%-6d pads=%-5d drain=%-6d total=%d cycles (%.4f ms)\n",
-				e.Design, e.Entries, e.ReadCycles, e.PadCycles, e.DrainCycles, e.TotalCycles, e.Milliseconds)
-		}
-		fmt.Println()
-	case "adr":
-		emit(core.ADRCompliance())
-	case "ablate-coalesce":
-		t, err := r.AblateCoalescing()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "ablate-cc":
-		t, err := r.AblateCounterCache()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "ablate-backend":
-		t, err := r.AblateBackend()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "ablate-osiris":
-		t, err := r.AblateOsiris("Hashmap")
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "eadr":
-		t, err := r.EADRComparison()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "writes":
-		t, err := r.WriteAmplification()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "tail":
-		t, err := r.TailLatency()
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "variance":
-		t, err := r.SeedSweep(3)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "contention":
-		t, err := r.Contention("Hashmap", contentionCores, contentionWindow)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "schemes":
-		// Related-work comparison over the whole scheme registry:
-		// single-core runtime + recovery axis, then the contended grid.
-		t, err := r.SchemeComparison()
-		if err != nil {
-			return err
-		}
-		emit(t)
-		t, err = r.SchemeContention("Hashmap", 2, contentionWindow)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "validate":
-		claims, allPassed, err := r.Validate()
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.FormatClaims(claims))
-		if !allPassed {
-			return fmt.Errorf("reproduction claims failed")
-		}
-		fmt.Println("\nall qualitative claims of the evaluation reproduce")
-	default:
-		return fmt.Errorf("unknown experiment %q (want one of %s)", exp, strings.Join(experiments, ", "))
 	}
 	return nil
 }

@@ -177,8 +177,9 @@ func main() {
 }
 
 // checkFlags rejects numeric flags outside the ranges a run accepts:
-// the /v2 API's bounds for -txns, -txsize and -wpq, at least one core,
-// and a non-negative OoO window.
+// the /v2 API's bounds for -txns, -txsize and -wpq, 1 to cpu.MaxCores
+// cores (more cores' heaps do not fit the data region), and a
+// non-negative OoO window.
 func checkFlags(txns, txSize, wpq, cores, window int) error {
 	for _, c := range []struct {
 		name      string
@@ -192,8 +193,8 @@ func checkFlags(txns, txSize, wpq, cores, window int) error {
 			return err
 		}
 	}
-	if cores < 1 {
-		return fmt.Errorf("-cores %d: want at least 1", cores)
+	if cores < 1 || cores > cpu.MaxCores {
+		return fmt.Errorf("-cores %d: want 1 to %d", cores, cpu.MaxCores)
 	}
 	if window < 0 {
 		return fmt.Errorf("-ooo-window %d: want 0 or more", window)

@@ -13,7 +13,7 @@ import (
 
 // Out-of-range numeric flags are rejected by name instead of being
 // silently misread (-txns 0 used to run the default 1024 transactions,
-// -wpq 0 ran 16 entries, -txsize -1 panicked).
+// -wpq 0 ran 16 entries, -txsize -1 and -cores 65 panicked).
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
 		txns, txSize, wpq, cores, window int
@@ -32,6 +32,8 @@ func TestCheckFlags(t *testing.T) {
 		{1000, 1024, -4, 2, 0, "-wpq"},
 		{1000, 1024, 1025, 1, 0, "-wpq"},
 		{1000, 1024, 16, 0, 0, "-cores"},
+		{1000, 1024, 16, 64, 0, ""},
+		{1000, 1024, 16, 65, 0, "-cores"},
 		{1000, 1024, 16, 1, -3, "-ooo-window"},
 	} {
 		err := checkFlags(c.txns, c.txSize, c.wpq, c.cores, c.window)

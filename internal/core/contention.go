@@ -3,8 +3,7 @@ package core
 import (
 	"fmt"
 
-	"dolos/internal/controller"
-	"dolos/internal/masu"
+	"dolos/internal/cpu"
 	"dolos/internal/stats"
 )
 
@@ -36,16 +35,15 @@ func (r *Runner) Contention(workload string, coreCounts []int, window int) (*sta
 	if len(coreCounts) == 0 {
 		coreCounts = ContentionCores
 	}
-	cells := make([]cell, 0, 2*len(coreCounts))
-	for _, n := range coreCounts {
-		cells = append(cells,
-			cell{workload, Spec{Scheme: controller.PreWPQSecure, Tree: masu.BMTEager, Cores: n, OoOWindow: window}},
-			cell{workload, Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager, Cores: n, OoOWindow: window}})
+	points := make([]Spec, len(coreCounts))
+	for j, n := range coreCounts {
+		points[j] = Spec{Cores: n, OoOWindow: window}
 	}
-	res, err := r.runCells(cells)
+	res, err := r.sweep([]string{workload}, partialPairs(points))
 	if err != nil {
 		return nil, err
 	}
+	baseRes, dolosRes := halves(res[0])
 	t := &stats.Table{
 		Title: fmt.Sprintf("Multi-core contention: %s, shared controller (window %d)",
 			workload, max(window, 1)),
@@ -53,18 +51,21 @@ func (r *Runner) Contention(workload string, coreCounts []int, window int) (*sta
 			"dolos rt/KWR", "base rt/KWR", "dolos stall%"},
 	}
 	for i, n := range coreCounts {
-		base, dolos := res[2*i], res[2*i+1]
-		stallShare := 0.0
-		if dolos.Cycles > 0 {
-			// Fence stalls are summed over cores; each core can stall for
-			// at most the run's end cycle, so normalize by cores×cycles.
-			denom := float64(dolos.Cycles) * float64(max(dolos.Cores, 1))
-			stallShare = 100 * float64(dolos.FenceStalls) / denom
-		}
+		base, dolos := baseRes[i].Result, dolosRes[i].Result
 		t.AddRow(fmt.Sprintf("%d cores", n),
 			base.CyclesPerTx, dolos.CyclesPerTx,
 			base.CyclesPerTx/dolos.CyclesPerTx,
-			dolos.RetryPerKWR, base.RetryPerKWR, stallShare)
+			dolos.RetryPerKWR, base.RetryPerKWR, stallShare(dolos))
 	}
 	return t, nil
+}
+
+// stallShare is the percentage of core-cycles res spent parked at
+// fences. Fence stalls are summed over cores; each core can stall for at
+// most the run's end cycle, so they are normalized by cores × cycles.
+func stallShare(res cpu.Result) float64 {
+	if res.Cycles == 0 {
+		return 0
+	}
+	return 100 * float64(res.FenceStalls) / (float64(res.Cycles) * float64(max(res.Cores, 1)))
 }

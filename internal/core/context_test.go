@@ -25,7 +25,7 @@ func TestRunGridCancelledBeforeStart(t *testing.T) {
 		{"Hashmap", Spec{Scheme: controller.PreWPQSecure}},
 		{"Hashmap", Spec{Scheme: controller.DolosPartial}},
 	}
-	out, err := r.RunGrid(ctx, cells)
+	out, err := r.RunGridNotify(ctx, cells, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

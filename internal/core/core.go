@@ -279,10 +279,15 @@ func (r *Runner) RunContext(ctx context.Context, workload string, spec Spec) (cp
 
 // runSystem simulates one workload under one configuration and also
 // returns the quiesced machine, for experiments that inspect controller
-// state (write amplification, crash/recovery ablations). Every core
-// count runs on one cpu.Machine: core i runs coreTrace(i), and core 0's
-// is the single-core trace.
+// state (the crash/recovery ablation). Every core count up to
+// cpu.MaxCores runs on one cpu.Machine: core i runs coreTrace(i), and
+// core 0's is the single-core trace. A larger count is refused before
+// any trace is generated.
 func (r *Runner) runSystem(workload string, spec Spec) (cpu.Result, *cpu.Machine, error) {
+	if spec.Cores > cpu.MaxCores {
+		return cpu.Result{}, nil, fmt.Errorf("cores %d: want at most %d, the most whose heaps fit the data region",
+			spec.Cores, cpu.MaxCores)
+	}
 	spec = spec.withDefaults()
 	cfg := controller.Config{
 		Scheme:            spec.Scheme,

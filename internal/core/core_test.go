@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -83,6 +84,21 @@ func TestRunnerRefusesHeapOverflow(t *testing.T) {
 	}
 	if _, err := r.coreTrace("Hashmap", 1024, 1); err == nil || !strings.Contains(err.Error(), "Hashmap") {
 		t.Errorf("core 1 trace at 50,000 txns: err = %v, want the heap error", err)
+	}
+}
+
+// TestRunnerRefusesTooManyCores: above cpu.MaxCores cores the last
+// cores' heaps would lie past the data region (65 cores panicked reading
+// there). The runner returns an error naming the count and generates no
+// trace.
+func TestRunnerRefusesTooManyCores(t *testing.T) {
+	r := NewRunner(Options{Transactions: 1})
+	_, err := r.Run("Hashmap", Spec{Scheme: controller.DolosPartial, Cores: cpu.MaxCores + 1, FastMode: true})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cores %d", cpu.MaxCores+1)) {
+		t.Fatalf("Run at %d cores: err = %v, want one naming the count", cpu.MaxCores+1, err)
+	}
+	if n := len(r.traces.m); n != 0 {
+		t.Errorf("refusing the cell generated %d traces", n)
 	}
 }
 

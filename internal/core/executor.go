@@ -13,17 +13,6 @@ import (
 	"dolos/internal/stats"
 )
 
-// cell is one point of an experiment sweep: a workload replayed under
-// one configuration. Experiments enumerate their full grid as a flat
-// []cell, fan the cells out over the executor, and assemble table rows
-// from the returned slice — which is always in enumeration order, so
-// every emitted table is byte-identical to a serial run regardless of
-// the order in which cells happen to finish.
-type cell struct {
-	Workload string
-	Spec     Spec
-}
-
 // parallelism resolves the worker count: Options.Parallelism, or
 // GOMAXPROCS when unset.
 func (r *Runner) parallelism() int {
@@ -89,10 +78,10 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 	return errors.Join(all...)
 }
 
-// Cell is one point of a caller-assembled sweep: a workload replayed
-// under one configuration. It is the exported counterpart of the
-// internal cell type used by the paper's fixed experiment grids, and is
-// what the serving layer (internal/service) submits.
+// Cell is one point of a sweep: a workload replayed under one
+// configuration. Every experiment grid (see sweep) and every job of the
+// serving layer (internal/service) runs as a []Cell through
+// RunGridNotify.
 type Cell struct {
 	Workload string
 	Spec     Spec
@@ -131,23 +120,17 @@ func (r *Runner) RunCell(ctx context.Context, workload string, spec Spec) (RunRe
 	}, nil
 }
 
-// RunGrid executes a caller-assembled grid under ctx, concurrently up
-// to Options.Parallelism, returning results in enumeration order. Once
-// ctx is done no further cell is scheduled (in-flight cells complete)
-// and ctx.Err() is joined with any cell errors; skipped cells are left
-// zero in the returned slice.
-func (r *Runner) RunGrid(ctx context.Context, cells []Cell) ([]RunResult, error) {
-	return r.RunGridNotify(ctx, cells, nil)
-}
-
-// RunGridNotify is RunGrid with a per-cell completion callback: notify
-// fires once for every cell that completes successfully, as soon as it
-// completes, with the cell's enumeration index and result. It is the
-// seam the serving layer's streaming API hangs off — partial grid
-// results can be pushed to clients while later cells are still
-// simulating. notify may be called from executor worker goroutines
-// concurrently (never twice for the same index); a nil notify is
-// RunGrid exactly. The returned slice is still in enumeration order.
+// RunGridNotify executes a grid under ctx, concurrently up to
+// Options.Parallelism, and returns the results in enumeration order.
+// Once ctx is done no further cell is scheduled (in-flight cells
+// complete) and ctx.Err() is joined with any cell errors; skipped cells
+// are left zero in the returned slice. notify, when non-nil, fires once
+// for every cell that completes successfully, as soon as it completes,
+// with the cell's enumeration index and result. It is the seam the
+// serving layer's streaming API hangs off — partial grid results can be
+// pushed to clients while later cells are still simulating. notify may
+// be called from executor worker goroutines concurrently (never twice
+// for the same index).
 func (r *Runner) RunGridNotify(ctx context.Context, cells []Cell,
 	notify func(i int, rr RunResult)) ([]RunResult, error) {
 	rc := r.WithContext(ctx)
@@ -167,21 +150,27 @@ func (r *Runner) RunGridNotify(ctx context.Context, cells []Cell,
 	return out, err
 }
 
-// runCells executes every cell (concurrently up to the configured
-// parallelism) and returns the results in enumeration order. Traces are
-// generated once per (workload, txSize) via the Runner's single-flight
-// cache and replayed read-only, so all schemes of a sweep share one
-// operation stream exactly as in a serial run.
-func (r *Runner) runCells(cells []cell) ([]cpu.Result, error) {
-	out := make([]cpu.Result, len(cells))
-	err := r.forEach(len(cells), func(i int) error {
-		res, err := r.Run(cells[i].Workload, cells[i].Spec)
-		if err != nil {
-			return fmt.Errorf("cell %d (%s, scheme %v): %w",
-				i, cells[i].Workload, cells[i].Spec.Scheme, err)
+// sweep runs every spec on every workload through RunGridNotify,
+// workload-major, and returns the results indexed [workload][spec].
+// Every table experiment except AblateOsiris and SeedSweep runs through
+// it, so the order cells are enumerated in is decided here alone.
+// Traces are generated once per (workload, txSize) by the runner's
+// single-flight cache and replayed read-only, so all specs of a
+// workload replay one operation stream exactly as in a serial run.
+func (r *Runner) sweep(workloads []string, specs []Spec) ([][]RunResult, error) {
+	cells := make([]Cell, 0, len(workloads)*len(specs))
+	for _, w := range workloads {
+		for _, s := range specs {
+			cells = append(cells, Cell{w, s})
 		}
-		out[i] = res
-		return nil
-	})
-	return out, err
+	}
+	flat, err := r.RunGridNotify(r.context(), cells, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]RunResult, len(workloads))
+	for i := range out {
+		out[i] = flat[i*len(specs) : (i+1)*len(specs)]
+	}
+	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dolos/internal/controller"
-	"dolos/internal/stats"
 )
 
 // TestTraceCacheConcurrent hammers the single-flight trace cache from
@@ -122,17 +121,17 @@ func multiUnwrap(err error) []error {
 	return []error{err}
 }
 
-// TestRunCellsFailedCellDoesNotAbortGrid runs a mixed grid where one
+// TestRunGridFailedCellDoesNotAbortGrid runs a mixed grid where one
 // cell has an unknown workload: the good cells' results must still be
 // produced, with the bad cell identified in the error.
-func TestRunCellsFailedCellDoesNotAbortGrid(t *testing.T) {
+func TestRunGridFailedCellDoesNotAbortGrid(t *testing.T) {
 	r := NewRunner(Options{Transactions: 50, Parallelism: 2})
-	cells := []cell{
+	cells := []Cell{
 		{"Hashmap", Spec{Scheme: controller.PreWPQSecure}},
 		{"NoSuchWorkload", Spec{Scheme: controller.PreWPQSecure}},
 		{"Hashmap", Spec{Scheme: controller.DolosPartial}},
 	}
-	res, err := r.runCells(cells)
+	res, err := r.RunGridNotify(context.Background(), cells, nil)
 	if err == nil {
 		t.Fatal("bad cell did not surface an error")
 	}
@@ -142,59 +141,37 @@ func TestRunCellsFailedCellDoesNotAbortGrid(t *testing.T) {
 	if !strings.Contains(err.Error(), "cell 1") || !strings.Contains(err.Error(), "NoSuchWorkload") {
 		t.Fatalf("error does not identify the failing cell: %v", err)
 	}
-	if res[0].Cycles == 0 || res[2].Cycles == 0 {
+	if res[0].Result.Cycles == 0 || res[2].Result.Cycles == 0 {
 		t.Fatal("good cells were aborted by the failing cell")
 	}
-	if res[1].Cycles != 0 {
+	if res[1].Result.Cycles != 0 {
 		t.Fatal("failed cell produced a result")
 	}
 }
 
-// experimentsUnderTest enumerates every sweep experiment as a
-// name → CSV closure, so the serial/parallel equivalence test below
-// covers the full grid the bench CLI exposes.
-func experimentsUnderTest(r *Runner) []struct {
-	name string
-	run  func() (string, error)
-} {
-	csv := func(t *stats.Table, err error) (string, error) {
-		if err != nil {
-			return "", err
-		}
-		return t.CSV(), nil
+// runExperiment runs one entry of the experiment table and returns its
+// output as dolos-bench's CSV format prints it (tables) or as its text.
+func runExperiment(r *Runner, e Experiment) (string, error) {
+	var b strings.Builder
+	if e.Text != nil {
+		err := e.Text(r, &b)
+		return b.String(), err
 	}
-	return []struct {
-		name string
-		run  func() (string, error)
-	}{
-		{"fig6", func() (string, error) { return csv(r.Fig6()) }},
-		{"fig12", func() (string, error) { return csv(r.Fig12()) }},
-		{"fig16", func() (string, error) { return csv(r.Fig16()) }},
-		{"table2", func() (string, error) { return csv(r.Table2()) }},
-		{"fig13", func() (string, error) { return csv(r.Fig13()) }},
-		{"fig14", func() (string, error) { return csv(r.Fig14()) }},
-		{"fig15", func() (string, error) {
-			spd, rtr, err := r.Fig15()
-			if err != nil {
-				return "", err
-			}
-			return spd.CSV() + rtr.CSV(), nil
-		}},
-		{"ablate-coalesce", func() (string, error) { return csv(r.AblateCoalescing()) }},
-		{"ablate-cc", func() (string, error) { return csv(r.AblateCounterCache()) }},
-		{"ablate-backend", func() (string, error) { return csv(r.AblateBackend()) }},
-		{"ablate-osiris", func() (string, error) { return csv(r.AblateOsiris("Hashmap")) }},
-		{"eadr", func() (string, error) { return csv(r.EADRComparison()) }},
-		{"writes", func() (string, error) { return csv(r.WriteAmplification()) }},
-		{"tail", func() (string, error) { return csv(r.TailLatency()) }},
-		{"variance", func() (string, error) { return csv(r.SeedSweep(2)) }},
+	tables, err := e.Tables(r)
+	if err != nil {
+		return "", err
 	}
+	for _, t := range tables {
+		b.WriteString(t.Title + "\n" + t.CSV())
+	}
+	return b.String(), nil
 }
 
 // TestSerialParallelEquivalence is the executor's core determinism
-// guarantee: for every experiment, the emitted CSV is byte-identical
-// between a serial runner (Parallelism 1) and a wide parallel runner
-// (Parallelism 8), regardless of core count or scheduling. Run under
+// guarantee: for every experiment of the table dolos-bench runs, the
+// emitted CSV (or text) is byte-identical between a serial runner
+// (Parallelism 1) and a wide parallel runner (Parallelism 8),
+// regardless of core count or scheduling. Run under
 // -race in CI, this doubles as the concurrency-safety check for the
 // whole experiment layer.
 func TestSerialParallelEquivalence(t *testing.T) {
@@ -208,20 +185,18 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	serial := NewRunner(serialOpts)
 	parallel := NewRunner(parallelOpts)
 
-	ser := experimentsUnderTest(serial)
-	par := experimentsUnderTest(parallel)
-	for i := range ser {
-		want, err := ser[i].run()
+	for _, e := range Experiments(nil, 0) {
+		want, err := runExperiment(serial, e)
 		if err != nil {
-			t.Fatalf("%s serial: %v", ser[i].name, err)
+			t.Fatalf("%s serial: %v", e.Name, err)
 		}
-		got, err := par[i].run()
+		got, err := runExperiment(parallel, e)
 		if err != nil {
-			t.Fatalf("%s parallel: %v", par[i].name, err)
+			t.Fatalf("%s parallel: %v", e.Name, err)
 		}
 		if got != want {
 			t.Errorf("%s: parallel CSV differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
-				ser[i].name, want, got)
+				e.Name, want, got)
 		}
 	}
 }
@@ -239,7 +214,7 @@ func TestParallelismResolution(t *testing.T) {
 
 // TestRunGridNotify pins the per-cell completion seam: notify fires
 // exactly once per cell with the result that lands at the same index of
-// the returned slice, and a nil notify degenerates to RunGrid.
+// the returned slice, and a nil notify returns the same results.
 func TestRunGridNotify(t *testing.T) {
 	r := NewRunner(Options{Transactions: 40, Parallelism: 2})
 	cells := []Cell{
@@ -270,13 +245,13 @@ func TestRunGridNotify(t *testing.T) {
 		}
 	}
 
-	plain, err := r.RunGrid(context.Background(), cells)
+	plain, err := r.RunGridNotify(context.Background(), cells, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range plain {
 		if plain[i].Result.Cycles != got[i].Result.Cycles {
-			t.Errorf("cell %d: RunGrid and RunGridNotify disagree on cycles", i)
+			t.Errorf("cell %d: nil and non-nil notify disagree on cycles", i)
 		}
 	}
 }

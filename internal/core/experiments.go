@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 
 	"dolos/internal/controller"
 	"dolos/internal/crypt"
@@ -17,113 +18,228 @@ var dolosSchemes = []controller.Scheme{
 	controller.DolosFull, controller.DolosPartial, controller.DolosPost,
 }
 
-// Every experiment below follows the executor's three-phase shape
-// (DESIGN.md §9): enumerate the full grid as a flat cell list in the
-// same nested order the tables print, execute the cells through
-// runCells/forEach (parallel up to Options.Parallelism, one independent
-// simulated system per cell), then assemble rows from the
-// enumeration-ordered results. Output is byte-identical at every
-// parallelism setting.
+// Experiment is one named experiment of the evaluation, as dolos-bench
+// runs it. Tables runs it and returns its tables in print order; Text is
+// set instead for an experiment whose output is not a table, and writes
+// that output to w.
+type Experiment struct {
+	Name   string
+	Tables func(r *Runner) ([]*stats.Table, error)
+	Text   func(r *Runner, w io.Writer) error
+}
+
+// Experiments lists every experiment in the order `dolos-bench -exp
+// all` runs them. cores (nil = ContentionCores) and window configure the
+// multi-core contention grids.
+func Experiments(cores []int, window int) []Experiment {
+	one := func(run func(r *Runner) (*stats.Table, error)) func(*Runner) ([]*stats.Table, error) {
+		return func(r *Runner) ([]*stats.Table, error) {
+			t, err := run(r)
+			if err != nil {
+				return nil, err
+			}
+			return []*stats.Table{t}, nil
+		}
+	}
+	static := func(build func() *stats.Table) func(*Runner) ([]*stats.Table, error) {
+		return func(*Runner) ([]*stats.Table, error) { return []*stats.Table{build()}, nil }
+	}
+	return []Experiment{
+		{Name: "fig6", Tables: one((*Runner).Fig6)},
+		{Name: "fig12", Tables: one((*Runner).Fig12)},
+		{Name: "table2", Tables: one((*Runner).Table2)},
+		{Name: "fig13", Tables: one((*Runner).Fig13)},
+		{Name: "fig14", Tables: one((*Runner).Fig14)},
+		{Name: "fig15", Tables: func(r *Runner) ([]*stats.Table, error) {
+			spd, rtr, err := r.Fig15()
+			if err != nil {
+				return nil, err
+			}
+			return []*stats.Table{spd, rtr}, nil
+		}},
+		{Name: "fig16", Tables: one((*Runner).Fig16)},
+		{Name: "table3", Tables: static(Table3)},
+		{Name: "recovery", Text: func(_ *Runner, w io.Writer) error {
+			fmt.Fprintln(w, "Section 5.5: Mi-SU recovery time estimates")
+			for _, e := range Sec55Recovery() {
+				fmt.Fprintf(w, "%-18s entries=%-3d read=%-6d pads=%-5d drain=%-6d total=%d cycles (%.4f ms)\n",
+					e.Design, e.Entries, e.ReadCycles, e.PadCycles, e.DrainCycles, e.TotalCycles, e.Milliseconds)
+			}
+			fmt.Fprintln(w)
+			return nil
+		}},
+		{Name: "adr", Tables: static(ADRCompliance)},
+		{Name: "ablate-coalesce", Tables: one((*Runner).AblateCoalescing)},
+		{Name: "ablate-cc", Tables: one((*Runner).AblateCounterCache)},
+		{Name: "ablate-backend", Tables: one((*Runner).AblateBackend)},
+		{Name: "ablate-osiris", Tables: one(func(r *Runner) (*stats.Table, error) { return r.AblateOsiris("Hashmap") })},
+		{Name: "eadr", Tables: one((*Runner).EADRComparison)},
+		{Name: "writes", Tables: one((*Runner).WriteAmplification)},
+		{Name: "tail", Tables: one((*Runner).TailLatency)},
+		{Name: "variance", Tables: one(func(r *Runner) (*stats.Table, error) { return r.SeedSweep(3) })},
+		{Name: "contention", Tables: one(func(r *Runner) (*stats.Table, error) {
+			return r.Contention("Hashmap", cores, window)
+		})},
+		// The related-work comparison over the whole scheme registry:
+		// single-core runtime and recovery, then the contended grid.
+		{Name: "schemes", Tables: func(r *Runner) ([]*stats.Table, error) {
+			cmp, err := r.SchemeComparison()
+			if err != nil {
+				return nil, err
+			}
+			cont, err := r.SchemeContention("Hashmap", 2, window)
+			if err != nil {
+				return nil, err
+			}
+			return []*stats.Table{cmp, cont}, nil
+		}},
+		{Name: "validate", Text: func(r *Runner, w io.Writer) error {
+			claims, allPassed, err := r.Validate()
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(w, FormatClaims(claims))
+			if !allPassed {
+				return fmt.Errorf("reproduction claims failed")
+			}
+			fmt.Fprintln(w, "\nall qualitative claims of the evaluation reproduce")
+			return nil
+		}},
+	}
+}
+
+// eager returns scheme s on the eager BMT, the backend of every sweep
+// but Figure 16's.
+func eager(s controller.Scheme) Spec { return Spec{Scheme: s, Tree: masu.BMTEager} }
+
+// Every table experiment below runs its grid through sweep: it lists
+// the specs of one workload's row, sweep runs them on every workload
+// (parallel up to Options.Parallelism, one independent simulated system
+// per cell) and hands back the results indexed [workload][spec], from
+// which the rows are read in order. Output is byte-identical at every
+// parallelism setting (DESIGN.md §9).
+
+// workloadRows runs specs on every workload of the batch and adds one
+// row per workload to t, computed by row from that workload's results
+// in spec order.
+func (r *Runner) workloadRows(t *stats.Table, specs []Spec,
+	row func(res []RunResult) []float64) (*stats.Table, error) {
+	res, err := r.sweep(r.opts.Workloads, specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, w := range r.opts.Workloads {
+		t.AddRow(w, row(res[i])...)
+	}
+	return t, nil
+}
+
+// partialPairs expands a one-parameter sweep into the specs of one row:
+// every point under the Pre-WPQ-Secure baseline, then every point under
+// Dolos Partial-WPQ, both on the eager BMT. halves splits such a row.
+func partialPairs(points []Spec) []Spec {
+	specs := make([]Spec, 0, 2*len(points))
+	for _, s := range []controller.Scheme{controller.PreWPQSecure, controller.DolosPartial} {
+		for _, p := range points {
+			p.Scheme, p.Tree = s, masu.BMTEager
+			specs = append(specs, p)
+		}
+	}
+	return specs
+}
+
+// halves splits a row of partialPairs results into its baseline and
+// Partial-WPQ halves, each in point order.
+func halves(res []RunResult) (base, partial []RunResult) {
+	n := len(res) / 2
+	return res[:n], res[n:]
+}
+
+// speedups returns each candidate's speedup over base.
+func speedups(base RunResult, cands []RunResult) []float64 {
+	out := make([]float64, len(cands))
+	for j, c := range cands {
+		out[j] = Speedup(base.Result, c.Result)
+	}
+	return out
+}
+
+// pairedSpeedups returns, for a row of partialPairs results, each
+// point's Partial-WPQ speedup over its baseline.
+func pairedSpeedups(res []RunResult) []float64 {
+	base, partial := halves(res)
+	out := make([]float64, len(base))
+	for j := range base {
+		out[j] = Speedup(base[j].Result, partial[j].Result)
+	}
+	return out
+}
+
+// retryRates returns each result's WPQ retries per kilo write requests.
+func retryRates(res []RunResult) []float64 {
+	out := make([]float64, len(res))
+	for j, rr := range res {
+		out[j] = rr.Result.RetryPerKWR
+	}
+	return out
+}
 
 // Fig6 reproduces Figure 6: the motivation CPI comparison between
 // placing the security unit before the WPQ (the baseline) and the
 // hypothetical post-WPQ placement (the ideal). The paper reports an
 // average 2.1x slowdown for the former.
 func (r *Runner) Fig6() (*stats.Table, error) {
-	cells := make([]cell, 0, 2*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		cells = append(cells,
-			cell{w, Spec{Scheme: controller.PreWPQSecure, Tree: masu.BMTEager}},
-			cell{w, Spec{Scheme: controller.NonSecureADR, Tree: masu.BMTEager}})
-	}
-	res, err := r.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   "Figure 6: CPI, security before vs after WPQ (normalized to post-WPQ)",
 		Columns: []string{"Pre-WPQ CPI", "Post-WPQ CPI", "Slowdown"},
 		Summary: "mean",
-	}
-	for i, w := range r.opts.Workloads {
-		pre, post := res[2*i], res[2*i+1]
-		t.AddRow(w, pre.CPI, post.CPI, pre.CPI/post.CPI)
-	}
-	return t, nil
+	}, []Spec{eager(controller.PreWPQSecure), eager(controller.NonSecureADR)},
+		func(res []RunResult) []float64 {
+			pre, post := res[0].Result, res[1].Result
+			return []float64{pre.CPI, post.CPI, pre.CPI / post.CPI}
+		})
 }
 
 // Fig12 reproduces Figure 12: speedup of the three Mi-SU designs over
 // the Pre-WPQ-Secure baseline with the eager-update Merkle tree at
 // 1024-byte transactions (paper averages: 1.66 / 1.66 / 1.59).
 func (r *Runner) Fig12() (*stats.Table, error) {
-	return r.speedupTable(
-		"Figure 12: Speedup over Pre-WPQ-Secure (eager BMT, 1024B tx)",
-		masu.BMTEager, 1024, 16)
+	return r.speedupTable("Figure 12: Speedup over Pre-WPQ-Secure (eager BMT, 1024B tx)", masu.BMTEager)
 }
 
 // Fig16 reproduces Figure 16: the same comparison under the lazy-update
 // Tree of Counters backend (paper averages: 1.044 / 1.079 / 1.071).
 func (r *Runner) Fig16() (*stats.Table, error) {
-	return r.speedupTable(
-		"Figure 16: Speedup over Pre-WPQ-Secure (lazy ToC, 1024B tx)",
-		masu.ToCLazy, 1024, 16)
+	return r.speedupTable("Figure 16: Speedup over Pre-WPQ-Secure (lazy ToC, 1024B tx)", masu.ToCLazy)
 }
 
-func (r *Runner) speedupTable(title string, tree masu.TreeKind, txSize, hwWPQ int) (*stats.Table, error) {
-	perW := 1 + len(dolosSchemes)
-	cells := make([]cell, 0, perW*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		cells = append(cells, cell{w, Spec{Scheme: controller.PreWPQSecure, Tree: tree, TxSize: txSize, HardwareWPQ: hwWPQ}})
-		for _, s := range dolosSchemes {
-			cells = append(cells, cell{w, Spec{Scheme: s, Tree: tree, TxSize: txSize, HardwareWPQ: hwWPQ}})
-		}
+// speedupTable is Figures 12 and 16 on one backend: each Mi-SU design's
+// speedup over the Pre-WPQ-Secure baseline at the default 1024 B
+// transactions and 16-entry hardware WPQ.
+func (r *Runner) speedupTable(title string, tree masu.TreeKind) (*stats.Table, error) {
+	specs := []Spec{{Scheme: controller.PreWPQSecure, Tree: tree}}
+	for _, s := range dolosSchemes {
+		specs = append(specs, Spec{Scheme: s, Tree: tree})
 	}
-	res, err := r.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   title,
 		Columns: []string{"Full-WPQ", "Partial-WPQ", "Post-WPQ"},
 		Summary: "mean",
-	}
-	for i, w := range r.opts.Workloads {
-		base := res[perW*i]
-		row := make([]float64, 0, len(dolosSchemes))
-		for j := range dolosSchemes {
-			row = append(row, Speedup(base, res[perW*i+1+j]))
-		}
-		t.AddRow(w, row...)
-	}
-	return t, nil
+	}, specs, func(res []RunResult) []float64 { return speedups(res[0], res[1:]) })
 }
 
 // Table2 reproduces Table 2: WPQ insertion re-try events per kilo write
 // requests for the three Mi-SU designs (eager BMT, 1024B transactions).
 func (r *Runner) Table2() (*stats.Table, error) {
-	cells := make([]cell, 0, len(dolosSchemes)*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		for _, s := range dolosSchemes {
-			cells = append(cells, cell{w, Spec{Scheme: s, Tree: masu.BMTEager}})
-		}
+	specs := make([]Spec, len(dolosSchemes))
+	for j, s := range dolosSchemes {
+		specs[j] = eager(s)
 	}
-	res, err := r.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   "Table 2: WPQ insertion re-try events per kilo write requests",
 		Columns: []string{"Full-WPQ", "Partial-WPQ", "Post-WPQ"},
 		Summary: "mean",
-	}
-	for i, w := range r.opts.Workloads {
-		row := make([]float64, 0, len(dolosSchemes))
-		for j := range dolosSchemes {
-			row = append(row, res[len(dolosSchemes)*i+j].RetryPerKWR)
-		}
-		t.AddRow(w, row...)
-	}
-	return t, nil
+	}, specs, retryRates)
 }
 
 // TxSizes is the transaction-size sweep of Figures 13-14.
@@ -132,69 +248,33 @@ var TxSizes = []int{128, 256, 512, 1024, 2048}
 // Fig13 reproduces Figure 13: retry events per KWR for Partial-WPQ
 // across transaction sizes.
 func (r *Runner) Fig13() (*stats.Table, error) {
-	cells := make([]cell, 0, len(TxSizes)*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		for _, sz := range TxSizes {
-			cells = append(cells, cell{w, Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager, TxSize: sz}})
-		}
+	specs := make([]Spec, len(TxSizes))
+	cols := make([]string, len(TxSizes))
+	for j, sz := range TxSizes {
+		specs[j] = Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager, TxSize: sz}
+		cols[j] = fmt.Sprintf("%dB", sz)
 	}
-	res, err := r.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   "Figure 13: Partial-WPQ retry events per KWR vs transaction size",
-		Columns: sizeColumns(),
+		Columns: cols,
 		Summary: "mean",
-	}
-	for i, w := range r.opts.Workloads {
-		row := make([]float64, 0, len(TxSizes))
-		for j := range TxSizes {
-			row = append(row, res[len(TxSizes)*i+j].RetryPerKWR)
-		}
-		t.AddRow(w, row...)
-	}
-	return t, nil
+	}, specs, retryRates)
 }
 
 // Fig14 reproduces Figure 14: Partial-WPQ speedup over the baseline
 // across transaction sizes.
 func (r *Runner) Fig14() (*stats.Table, error) {
-	cells := make([]cell, 0, 2*len(TxSizes)*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		for _, sz := range TxSizes {
-			cells = append(cells,
-				cell{w, Spec{Scheme: controller.PreWPQSecure, Tree: masu.BMTEager, TxSize: sz}},
-				cell{w, Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager, TxSize: sz}})
-		}
+	points := make([]Spec, len(TxSizes))
+	cols := make([]string, len(TxSizes))
+	for j, sz := range TxSizes {
+		points[j].TxSize = sz
+		cols[j] = fmt.Sprintf("%dB", sz)
 	}
-	res, err := r.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   "Figure 14: Partial-WPQ speedup vs transaction size",
-		Columns: sizeColumns(),
+		Columns: cols,
 		Summary: "mean",
-	}
-	for i, w := range r.opts.Workloads {
-		row := make([]float64, 0, len(TxSizes))
-		for j := range TxSizes {
-			base := res[2*(len(TxSizes)*i+j)]
-			fast := res[2*(len(TxSizes)*i+j)+1]
-			row = append(row, Speedup(base, fast))
-		}
-		t.AddRow(w, row...)
-	}
-	return t, nil
-}
-
-func sizeColumns() []string {
-	cols := make([]string, 0, len(TxSizes))
-	for _, sz := range TxSizes {
-		cols = append(cols, fmt.Sprintf("%dB", sz))
-	}
-	return cols
+	}, partialPairs(points), pairedSpeedups)
 }
 
 // WPQSizes is the hardware WPQ sweep of Figure 15 (usable Partial-WPQ
@@ -207,49 +287,32 @@ var WPQSizes = []int{16, 32, 64, 128}
 // retry-rate series (Section 5.3's 201/29/14/11 per KWR) is returned in
 // the second table.
 func (r *Runner) Fig15() (speedup, retries *stats.Table, err error) {
-	cells := make([]cell, 0, 2*len(WPQSizes)*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		for _, hw := range WPQSizes {
-			cells = append(cells,
-				cell{w, Spec{Scheme: controller.PreWPQSecure, Tree: masu.BMTEager, HardwareWPQ: hw}},
-				cell{w, Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager, HardwareWPQ: hw}})
-		}
+	points := make([]Spec, len(WPQSizes))
+	cols := make([]string, len(WPQSizes))
+	for j, hw := range WPQSizes {
+		points[j].HardwareWPQ = hw
+		cols[j] = fmt.Sprintf("%d", misu.PartialWPQ.Entries(hw))
 	}
-	res, err := r.runCells(cells)
+	res, err := r.sweep(r.opts.Workloads, partialPairs(points))
 	if err != nil {
 		return nil, nil, err
 	}
 	speedup = &stats.Table{
 		Title:   "Figure 15: Partial-WPQ speedup vs WPQ size",
-		Columns: wpqColumns(),
+		Columns: cols,
 		Summary: "mean",
 	}
 	retries = &stats.Table{
 		Title:   "Figure 15 companion: Partial-WPQ retry events per KWR vs WPQ size",
-		Columns: wpqColumns(),
+		Columns: cols,
 		Summary: "mean",
 	}
 	for i, w := range r.opts.Workloads {
-		spdRow := make([]float64, 0, len(WPQSizes))
-		rtrRow := make([]float64, 0, len(WPQSizes))
-		for j := range WPQSizes {
-			base := res[2*(len(WPQSizes)*i+j)]
-			fast := res[2*(len(WPQSizes)*i+j)+1]
-			spdRow = append(spdRow, Speedup(base, fast))
-			rtrRow = append(rtrRow, fast.RetryPerKWR)
-		}
-		speedup.AddRow(w, spdRow...)
-		retries.AddRow(w, rtrRow...)
+		_, partial := halves(res[i])
+		speedup.AddRow(w, pairedSpeedups(res[i])...)
+		retries.AddRow(w, retryRates(partial)...)
 	}
 	return speedup, retries, nil
-}
-
-func wpqColumns() []string {
-	cols := make([]string, 0, len(WPQSizes))
-	for _, hw := range WPQSizes {
-		cols = append(cols, fmt.Sprintf("%d", misu.PartialWPQ.Entries(hw)))
-	}
-	return cols
 }
 
 // Table3 reproduces Table 3: the Mi-SU storage overhead per design for a
@@ -325,27 +388,15 @@ func Sec55Recovery() []RecoveryEstimate {
 // coalescing tag array (an extra design-choice ablation beyond the
 // paper's figures).
 func (r *Runner) AblateCoalescing() (*stats.Table, error) {
-	cells := make([]cell, 0, 3*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		cells = append(cells,
-			cell{w, Spec{Scheme: controller.PreWPQSecure, Tree: masu.BMTEager}},
-			cell{w, Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager}},
-			cell{w, Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager, DisableCoalescing: true}})
-	}
-	res, err := r.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   "Ablation: Partial-WPQ with/without write coalescing (speedup over baseline)",
 		Columns: []string{"Coalescing on", "Coalescing off"},
 		Summary: "mean",
-	}
-	for i, w := range r.opts.Workloads {
-		base, on, off := res[3*i], res[3*i+1], res[3*i+2]
-		t.AddRow(w, Speedup(base, on), Speedup(base, off))
-	}
-	return t, nil
+	}, []Spec{
+		eager(controller.PreWPQSecure),
+		eager(controller.DolosPartial),
+		{Scheme: controller.DolosPartial, Tree: masu.BMTEager, DisableCoalescing: true},
+	}, func(res []RunResult) []float64 { return speedups(res[0], res[1:]) })
 }
 
 // CounterCacheSizes is the sweep of the counter-cache ablation.
@@ -357,37 +408,17 @@ var CounterCacheSizes = []uint64{16 << 10, 32 << 10, 128 << 10, 512 << 10}
 // metadata fetches inside the Ma-SU, which Dolos hides but the baseline
 // serializes).
 func (r *Runner) AblateCounterCache() (*stats.Table, error) {
-	cells := make([]cell, 0, 2*len(CounterCacheSizes)*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		for _, sz := range CounterCacheSizes {
-			cells = append(cells,
-				cell{w, Spec{Scheme: controller.PreWPQSecure, Tree: masu.BMTEager, CounterCacheBytes: sz}},
-				cell{w, Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager, CounterCacheBytes: sz}})
-		}
+	points := make([]Spec, len(CounterCacheSizes))
+	cols := make([]string, len(CounterCacheSizes))
+	for j, sz := range CounterCacheSizes {
+		points[j].CounterCacheBytes = sz
+		cols[j] = fmt.Sprintf("%dKB", sz>>10)
 	}
-	res, err := r.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(CounterCacheSizes))
-	for _, sz := range CounterCacheSizes {
-		cols = append(cols, fmt.Sprintf("%dKB", sz>>10))
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   "Ablation: Partial-WPQ speedup vs counter-cache capacity",
 		Columns: cols,
 		Summary: "mean",
-	}
-	for i, w := range r.opts.Workloads {
-		row := make([]float64, 0, len(CounterCacheSizes))
-		for j := range CounterCacheSizes {
-			base := res[2*(len(CounterCacheSizes)*i+j)]
-			fast := res[2*(len(CounterCacheSizes)*i+j)+1]
-			row = append(row, Speedup(base, fast))
-		}
-		t.AddRow(w, row...)
-	}
-	return t, nil
+	}, partialPairs(points), pairedSpeedups)
 }
 
 // BackendIntervals is the Ma-SU pipeline-strength sweep: one new write
@@ -401,37 +432,17 @@ var BackendIntervals = []uint64{160, 320, 800, 1600}
 // front-end win should persist while the back-end keeps pace, and
 // degrade gracefully once the back-end itself becomes the bottleneck.
 func (r *Runner) AblateBackend() (*stats.Table, error) {
-	cells := make([]cell, 0, 2*len(BackendIntervals)*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		for _, ii := range BackendIntervals {
-			cells = append(cells,
-				cell{w, Spec{Scheme: controller.PreWPQSecure, Tree: masu.BMTEager, MaSUInterval: ii}},
-				cell{w, Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager, MaSUInterval: ii}})
-		}
+	points := make([]Spec, len(BackendIntervals))
+	cols := make([]string, len(BackendIntervals))
+	for j, ii := range BackendIntervals {
+		points[j].MaSUInterval = ii
+		cols[j] = fmt.Sprintf("II=%d", ii)
 	}
-	res, err := r.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(BackendIntervals))
-	for _, ii := range BackendIntervals {
-		cols = append(cols, fmt.Sprintf("II=%d", ii))
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   "Ablation: Partial-WPQ speedup vs Ma-SU pipeline initiation interval",
 		Columns: cols,
 		Summary: "mean",
-	}
-	for i, w := range r.opts.Workloads {
-		row := make([]float64, 0, len(BackendIntervals))
-		for j := range BackendIntervals {
-			base := res[2*(len(BackendIntervals)*i+j)]
-			fast := res[2*(len(BackendIntervals)*i+j)+1]
-			row = append(row, Speedup(base, fast))
-		}
-		t.AddRow(w, row...)
-	}
-	return t, nil
+	}, partialPairs(points), pairedSpeedups)
 }
 
 // OsirisPeriods is the counter-persist-period sweep.
@@ -453,6 +464,7 @@ func (r *Runner) AblateOsiris(workload string) (*stats.Table, error) {
 	// This sweep crashes and recovers each cell, so it always runs the
 	// functional provider regardless of the batch FastMode default.
 	fr := r.functional()
+	// Bespoke, not sweep: each cell's machine is crashed after its run.
 	err := r.forEach(len(OsirisPeriods), func(i int) error {
 		period := OsirisPeriods[i]
 		_, sys, err := fr.runSystem(workload, Spec{
@@ -498,33 +510,21 @@ func (r *Runner) AblateOsiris(workload string) (*stats.Table, error) {
 // Partial-WPQ over the Pre-WPQ baseline, and Dolos' fraction of the eADR
 // gain.
 func (r *Runner) EADRComparison() (*stats.Table, error) {
-	cells := make([]cell, 0, 3*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		cells = append(cells,
-			cell{w, Spec{Scheme: controller.PreWPQSecure, Tree: masu.BMTEager}},
-			cell{w, Spec{Scheme: controller.EADRSecure, Tree: masu.BMTEager}},
-			cell{w, Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager}})
-	}
-	res, err := r.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   "Extension: Dolos vs extended-ADR (speedup over Pre-WPQ-Secure)",
 		Columns: []string{"eADR", "Dolos-Partial", "Fraction of eADR gain"},
 		Summary: "mean",
-	}
-	for i, w := range r.opts.Workloads {
-		base, eadr, dolos := res[3*i], res[3*i+1], res[3*i+2]
-		se := Speedup(base, eadr)
-		sd := Speedup(base, dolos)
+	}, []Spec{
+		eager(controller.PreWPQSecure), eager(controller.EADRSecure), eager(controller.DolosPartial),
+	}, func(res []RunResult) []float64 {
+		s := speedups(res[0], res[1:])
+		se, sd := s[0], s[1]
 		frac := 0.0
 		if se > 1 {
 			frac = (sd - 1) / (se - 1)
 		}
-		t.AddRow(w, se, sd, frac)
-	}
-	return t, nil
+		return []float64{se, sd, frac}
+	})
 }
 
 // WriteAmplification reports NVM write traffic per accepted data write
@@ -536,73 +536,44 @@ func (r *Runner) WriteAmplification() (*stats.Table, error) {
 	schemes := []controller.Scheme{
 		controller.PreWPQSecure, controller.DolosPartial, controller.EADRSecure,
 	}
-	type ampCell struct {
-		workload string
-		scheme   controller.Scheme
+	specs := make([]Spec, len(schemes))
+	cols := make([]string, len(schemes))
+	for j, s := range schemes {
+		specs[j] = eager(s)
+		cols[j] = s.String()
 	}
-	cells := make([]ampCell, 0, len(schemes)*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		for _, s := range schemes {
-			cells = append(cells, ampCell{w, s})
-		}
-	}
-	amp := make([]float64, len(cells))
-	err := r.forEach(len(cells), func(i int) error {
-		res, m, err := r.runSystem(cells[i].workload, Spec{Scheme: cells[i].scheme, Tree: masu.BMTEager})
-		if err != nil {
-			return fmt.Errorf("%s under %v: %w", cells[i].workload, cells[i].scheme, err)
-		}
-		nvmWrites := float64(m.Ctrl.Stats().Counter("masu.nvm_writes").Value())
-		amp[i] = nvmWrites / float64(res.WriteRequests)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(schemes))
-	for _, s := range schemes {
-		cols = append(cols, s.String())
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   "Extension: NVM line-writes per accepted data write",
 		Columns: cols,
 		Summary: "mean",
-	}
-	for i, w := range r.opts.Workloads {
-		t.AddRow(w, amp[len(schemes)*i:len(schemes)*(i+1)]...)
-	}
-	return t, nil
+	}, specs, func(res []RunResult) []float64 {
+		amp := make([]float64, len(res))
+		for j, rr := range res {
+			nvmWrites := float64(rr.Stats.Counter("masu.nvm_writes").Value())
+			amp[j] = nvmWrites / float64(rr.Result.WriteRequests)
+		}
+		return amp
+	})
 }
 
 // TailLatency reports per-transaction latency quantiles under the
 // baseline and Dolos Partial-WPQ: persist stalls concentrate in the
 // tail, so the p99 improvement exceeds the mean speedup.
 func (r *Runner) TailLatency() (*stats.Table, error) {
-	cells := make([]cell, 0, 2*len(r.opts.Workloads))
-	for _, w := range r.opts.Workloads {
-		cells = append(cells,
-			cell{w, Spec{Scheme: controller.PreWPQSecure, Tree: masu.BMTEager}},
-			cell{w, Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager}})
-	}
-	res, err := r.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
+	return r.workloadRows(&stats.Table{
 		Title:   "Extension: transaction latency (cycles), baseline vs Dolos Partial-WPQ",
 		Columns: []string{"base p50", "base p99", "dolos p50", "dolos p99", "p99 speedup"},
 		Format:  "%.1f",
-	}
-	for i, w := range r.opts.Workloads {
-		base, dolos := res[2*i], res[2*i+1]
-		spd := 0.0
-		if dolos.P99TxCycles > 0 {
-			spd = base.P99TxCycles / dolos.P99TxCycles
-		}
-		t.AddRow(w, base.MedianTxCycles, base.P99TxCycles,
-			dolos.MedianTxCycles, dolos.P99TxCycles, spd)
-	}
-	return t, nil
+	}, []Spec{eager(controller.PreWPQSecure), eager(controller.DolosPartial)},
+		func(res []RunResult) []float64 {
+			base, dolos := res[0].Result, res[1].Result
+			spd := 0.0
+			if dolos.P99TxCycles > 0 {
+				spd = base.P99TxCycles / dolos.P99TxCycles
+			}
+			return []float64{base.MedianTxCycles, base.P99TxCycles,
+				dolos.MedianTxCycles, dolos.P99TxCycles, spd}
+		})
 }
 
 // SeedSweep runs Fig 12's Partial-WPQ comparison across `seeds`
@@ -613,10 +584,14 @@ func (r *Runner) SeedSweep(seeds int) (*stats.Table, error) {
 	if seeds <= 0 {
 		seeds = 3
 	}
-	speedups := make([]float64, len(r.opts.Workloads)*seeds)
-	err := r.forEach(len(speedups), func(i int) error {
-		w := r.opts.Workloads[i/seeds]
-		s := i % seeds
+	// Bespoke, not sweep: every seed needs a runner of its own.
+	spd := make([][]float64, len(r.opts.Workloads))
+	for i := range spd {
+		spd[i] = make([]float64, seeds)
+	}
+	err := r.forEach(len(spd)*seeds, func(i int) error {
+		wi, s := i/seeds, i%seeds
+		w := r.opts.Workloads[wi]
 		// Fresh runner per seed: traces must differ. The sub-runner is
 		// serial — the outer executor already owns the worker pool.
 		sub := NewRunner(Options{
@@ -633,7 +608,7 @@ func (r *Runner) SeedSweep(seeds int) (*stats.Table, error) {
 		if err != nil {
 			return fmt.Errorf("%s seed %d: %w", w, s, err)
 		}
-		speedups[i] = Speedup(base, fast)
+		spd[wi][s] = Speedup(base, fast)
 		return nil
 	})
 	if err != nil {
@@ -646,8 +621,8 @@ func (r *Runner) SeedSweep(seeds int) (*stats.Table, error) {
 	}
 	for i, w := range r.opts.Workloads {
 		h := stats.NewHistogram(w)
-		for s := 0; s < seeds; s++ {
-			h.Observe(speedups[i*seeds+s])
+		for _, v := range spd[i] {
+			h.Observe(v)
 		}
 		t.AddRow(w, h.Mean(), h.StdDev(), h.Min(), h.Max())
 	}

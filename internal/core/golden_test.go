@@ -146,7 +146,7 @@ func TestGoldenRecords(t *testing.T) {
 			}
 		}
 		r := NewRunner(Options{Transactions: txns, Seed: goldenRecordSeed})
-		rrs, err := r.RunGrid(context.Background(), grid)
+		rrs, err := r.RunGridNotify(context.Background(), grid, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func TestMCoreSmoke(t *testing.T) {
 	}
 	run := func(parallelism int) ([]RunResult, [][]byte) {
 		r := NewRunner(Options{Transactions: 40, Seed: 1, Parallelism: parallelism})
-		out, err := r.RunGrid(context.Background(), cells)
+		out, err := r.RunGridNotify(context.Background(), cells, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

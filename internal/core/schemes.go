@@ -37,31 +37,26 @@ func registrySpecs() []Spec {
 // but pay for it at reboot; full persistence recovers in O(1).
 func (r *Runner) SchemeComparison() (*stats.Table, error) {
 	entries := scheme.All()
-	specs := registrySpecs()
-	nW := len(r.opts.Workloads)
-	cells := make([]cell, 0, len(specs)*nW)
-	for _, sp := range specs {
-		for _, w := range r.opts.Workloads {
-			cells = append(cells, cell{w, sp})
-		}
-	}
-	res, err := r.runCells(cells)
+	res, err := r.sweep(r.opts.Workloads, registrySpecs())
 	if err != nil {
 		return nil, err
 	}
 
-	// Mean c/tx per scheme, plus the baseline row for the speedup column.
+	// Per-scheme means over the workloads, plus the baseline row for the
+	// speedup column.
+	nW := float64(len(r.opts.Workloads))
 	mean := make([]float64, len(entries))
 	recovery := make([]float64, len(entries))
+	retry := make([]float64, len(entries))
 	baseline := -1
 	for i, e := range entries {
-		var sumC, sumR float64
-		for j := 0; j < nW; j++ {
-			sumC += res[i*nW+j].CyclesPerTx
-			sumR += float64(res[i*nW+j].RecoveryCycles)
+		var sumC, sumR, sumRt float64
+		for _, row := range res {
+			sumC += row[i].Result.CyclesPerTx
+			sumR += float64(row[i].Result.RecoveryCycles)
+			sumRt += row[i].Result.RetryPerKWR
 		}
-		mean[i] = sumC / float64(nW)
-		recovery[i] = sumR / float64(nW)
+		mean[i], recovery[i], retry[i] = sumC/nW, sumR/nW, sumRt/nW
 		if e.Name == "baseline" {
 			baseline = i
 		}
@@ -75,12 +70,7 @@ func (r *Runner) SchemeComparison() (*stats.Table, error) {
 		Columns: []string{"c/tx (mean)", "vs baseline", "rt/KWR", "recovery cyc"},
 	}
 	for i, e := range entries {
-		var sumRt float64
-		for j := 0; j < nW; j++ {
-			sumRt += res[i*nW+j].RetryPerKWR
-		}
-		t.AddRow(e.Label, mean[i], mean[baseline]/mean[i],
-			sumRt/float64(nW), recovery[i])
+		t.AddRow(e.Label, mean[i], mean[baseline]/mean[i], retry[i], recovery[i])
 	}
 	return t, nil
 }
@@ -96,29 +86,25 @@ func (r *Runner) SchemeContention(workload string, cores, window int) (*stats.Ta
 		cores = 2
 	}
 	entries := scheme.All()
-	cells := make([]cell, 0, len(entries))
-	for _, sp := range registrySpecs() {
-		sp.Cores = cores
-		sp.OoOWindow = window
-		cells = append(cells, cell{workload, sp})
+	specs := registrySpecs()
+	for j := range specs {
+		specs[j].Cores = cores
+		specs[j].OoOWindow = window
 	}
-	res, err := r.runCells(cells)
+	grid, err := r.sweep([]string{workload}, specs)
 	if err != nil {
 		return nil, err
 	}
+	res := grid[0]
 	t := &stats.Table{
 		Title: fmt.Sprintf("Scheme contention: %s × %d cores, shared controller (window %d)",
 			workload, cores, max(window, 1)),
 		Columns: []string{"c/tx", "rt/KWR", "stall%", "recovery cyc"},
 	}
 	for i, e := range entries {
-		stallShare := 0.0
-		if res[i].Cycles > 0 {
-			denom := float64(res[i].Cycles) * float64(max(res[i].Cores, 1))
-			stallShare = 100 * float64(res[i].FenceStalls) / denom
-		}
-		t.AddRow(e.Label, res[i].CyclesPerTx, res[i].RetryPerKWR,
-			stallShare, float64(res[i].RecoveryCycles))
+		rr := res[i].Result
+		t.AddRow(e.Label, rr.CyclesPerTx, rr.RetryPerKWR,
+			stallShare(rr), float64(rr.RecoveryCycles))
 	}
 	return t, nil
 }

@@ -15,11 +15,13 @@ import (
 
 // CoreSeedStride separates per-core workload seeds; CoreHeapStride
 // separates per-core persistent heaps in the default 16 GB data region
-// (256 MB apart comfortably holds the default 48 MB heap, for up to 64
-// cores).
+// (256 MB apart comfortably holds the default 48 MB heap). MaxCores is
+// the most cores whose heaps fit that region: core MaxCores's heap
+// would start past its end.
 const (
 	CoreSeedStride = 7919
 	CoreHeapStride = 256 << 20
+	MaxCores       = 64
 )
 
 // CoreSeed derives core i's workload seed from a base seed. Core 0

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dolos/internal/controller"
+	"dolos/internal/layout"
 	"dolos/internal/telemetry"
 	"dolos/internal/trace"
 	"dolos/internal/whisper"
@@ -229,5 +230,23 @@ func TestMultiCoreGapShift(t *testing.T) {
 	if dolos4.RetryPerKWR <= dolos1.RetryPerKWR || dolos4.RetryPerKWR <= base4.RetryPerKWR {
 		t.Fatalf("expected WPQ-full retries to explain the shift: dolos 1-core %.1f, 4-core %.1f, base 4-core %.1f",
 			dolos1.RetryPerKWR, dolos4.RetryPerKWR, base4.RetryPerKWR)
+	}
+}
+
+// TestMaxCoresHeapsFitDataRegion pins MaxCores to the default layout:
+// core MaxCores-1's default persistent heap ends inside the data region
+// of layout.Default(), and core MaxCores's would not.
+func TestMaxCoresHeapsFitDataRegion(t *testing.T) {
+	m := layout.Default()
+	end := m.DataBase + m.DataSpan
+	heapEnd := func(core int) uint64 {
+		p := whisper.Params{HeapBase: CoreHeapBase(core)}.WithDefaults()
+		return p.HeapBase + p.HeapSize
+	}
+	if e := heapEnd(MaxCores - 1); e > end {
+		t.Errorf("core %d's heap ends at %#x, past the data region's end %#x", MaxCores-1, e, end)
+	}
+	if e := heapEnd(MaxCores); e <= end {
+		t.Errorf("core %d's heap ends at %#x, inside the data region (end %#x): MaxCores is too small", MaxCores, e, end)
 	}
 }

@@ -39,9 +39,6 @@ type Outcome struct {
 	// LinesAudited is how many lines were read back and compared,
 	// across all cores.
 	LinesAudited int
-	// TxRolledBack reports whether the application undo log had an
-	// interrupted transaction to roll back.
-	TxRolledBack bool
 }
 
 // RecoveryCycleEstimate converts the drain accounting into the paper's

@@ -28,64 +28,64 @@ import (
 // how the host computes tree MACs, or on the front-end that issues the
 // persists, must leave every constant as it is.
 var goldenToCSHA256 = map[string]string{
-	"Pre-WPQ-Secure/NStore:YCSB":         "69d653b50f3ba0ac9b295748a755cc52dc342d8d350c08d76d92547ba46aea8a",
-	"Pre-WPQ-Secure/NStore:YCSB/tiny":    "3e75a62c8722d1f248ad5f1fdf681af099aa24658c4f3fe617b3706bff995af8",
-	"Pre-WPQ-Secure/Hashmap":             "d37fafe8831a19cfc80326e899b308984984ff75eb87a71d74f5627e8fdc19b1",
-	"Pre-WPQ-Secure/Hashmap/tiny":        "b6d2b5853db87cf638b6314ba7718dcd7fd81c76acc97ba1eb5a75289a0cdcbb",
-	"Dolos-Full-WPQ/NStore:YCSB":         "fe8128d4bc544426d497f9bab2b639a330c51509504153f1eed743b230e5ab4e",
-	"Dolos-Full-WPQ/NStore:YCSB/tiny":    "bbd098ba84568fddd0e9d5098178483dd187516dd4e58f8746776e2098b83a42",
-	"Dolos-Full-WPQ/Hashmap":             "a5bd5593cb0c7d91285c8419313b6e3eac1505de590848661cc563bf2fd521d2",
-	"Dolos-Full-WPQ/Hashmap/tiny":        "decb48a0f118910dabee48ed788c9eb8fc0291c520b386a6992a69dcd59e6a3e",
-	"Dolos-Partial-WPQ/NStore:YCSB":      "b5ca60683e3fbf71ad060b7adbcd2ec7898cf45efb49fc82bc0908c52fbf8466",
-	"Dolos-Partial-WPQ/NStore:YCSB/tiny": "7babae99cfc5ffd8d412cb70c2a4bede218548afd7baf2a08d0a4547e5483b14",
-	"Dolos-Partial-WPQ/Hashmap":          "5b9446a475f29390913e04b4d60a9b2d115cd6671c321b0bdfa1d4208810f3a8",
-	"Dolos-Partial-WPQ/Hashmap/tiny":     "66c32d0f5f49e22c48703db565ecce449d72fb5695b975dd3453d1666ecb9cdc",
-	"Dolos-Post-WPQ/NStore:YCSB":         "affba0d7788e12c766791136ce1df3a975ebc5111d999379e9a9c32853800029",
-	"Dolos-Post-WPQ/NStore:YCSB/tiny":    "c865114e5c37a163e16460c53412d546baa696ac898799a5fd2fa0c0e0c3021f",
-	"Dolos-Post-WPQ/Hashmap":             "e7d895df95b87a68346f4dfb4d2f8f209b70d9bf3e0a7b804742accb20cf186f",
-	"Dolos-Post-WPQ/Hashmap/tiny":        "3d2daf84d21fde409fd9ba984cd5dc37acf20df1303343674a9b63751f5133a3",
-	"Phoenix/NStore:YCSB":                "bdaa4b70c9722e4bf7586a6a563f36c450df695541773748bc195dbe5f8fa9f7",
-	"Phoenix/NStore:YCSB/tiny":           "cbf8b50f07de947931d4e914f155618cc44d94c8453c3aa4c4f3d4d4d7e02578",
-	"Phoenix/Hashmap":                    "7c181343e54e8e1ddc91bda67280b7651a9f98421a3fbb471dd77a22ad5b8144",
-	"Phoenix/Hashmap/tiny":               "521f3beb62b5c7c77369cc22f163bb56a2481a13d1098a9dfc09e3fd3f30c0c5",
+	"Pre-WPQ-Secure/NStore:YCSB":         "d466830ec4cafe652e41d0c00d4ff051e682e8ec5020389fdac6dea8feb84f5e",
+	"Pre-WPQ-Secure/NStore:YCSB/tiny":    "07ea54482829151bad772a71d85939973e3417dfce4a4a50a6791b2566e7e7e2",
+	"Pre-WPQ-Secure/Hashmap":             "9fe9e5ba5dd886f53b1bf8675939526c8352c25ae82d5aa5a42e2cd0d9885ecc",
+	"Pre-WPQ-Secure/Hashmap/tiny":        "a47248874d4db6f3190ee2882d4016ebaa76dc07baefb910ae171fe29094a45a",
+	"Dolos-Full-WPQ/NStore:YCSB":         "86446624837c77ffd904d8e62464beda0c5e55f2dd51d305b84de45475e8150d",
+	"Dolos-Full-WPQ/NStore:YCSB/tiny":    "540bde0698dc61b3397e0de3c2c103c623c9103a706859f23cf1bbb9d1b0431e",
+	"Dolos-Full-WPQ/Hashmap":             "2fd809e3d93242628c57f85223784b8197cf8dde05aa9004a6711448d1e70eac",
+	"Dolos-Full-WPQ/Hashmap/tiny":        "0b33b92ec33b7b2c1687daffc95f77c38a41d76e836749980881e53fd75370bf",
+	"Dolos-Partial-WPQ/NStore:YCSB":      "a8a77fc0083980fe68a1adc0c1ead3ea4c7e2da0a489faf7e237accf1852696b",
+	"Dolos-Partial-WPQ/NStore:YCSB/tiny": "1829bd7258c79140d62c853f94d172e0d82340f362dd1de44afd1ff11b215bcd",
+	"Dolos-Partial-WPQ/Hashmap":          "a62aa043dfcabe0858bd9b04ea6435419dabfd23a5d494fd44e1461066bf23ab",
+	"Dolos-Partial-WPQ/Hashmap/tiny":     "fac26c5f2033c3cb508834d3c99b58ffffca266a270f67cf2cc86a5e6d303c84",
+	"Dolos-Post-WPQ/NStore:YCSB":         "2e815e97fcc32314a1fdc14ea69c6b6ef5fcd67f26090cb2900a2817aee7e0ea",
+	"Dolos-Post-WPQ/NStore:YCSB/tiny":    "c82e677824b924e6895339af1ca5e7c3de5dd066d5c9ba0aba9cfe94dc06b5ae",
+	"Dolos-Post-WPQ/Hashmap":             "c39333f9de404e374a821fd27cad106ceb194c92a6ab6dd578d1641927ca5c56",
+	"Dolos-Post-WPQ/Hashmap/tiny":        "a63ce50c1bc3b059c8ae95636c0f0380a786fef46d7bafe2acc1ddb92fb17da2",
+	"Phoenix/NStore:YCSB":                "a99330a6a1858225146d4ae90efbbd148dd7c35bba04afb646a8f2ee0548a020",
+	"Phoenix/NStore:YCSB/tiny":           "6eee590dd335908bea8df1b09df220b298469884de0000607694e15f3d998b09",
+	"Phoenix/Hashmap":                    "56db6fa7818df09963f21cbda9a5d2ad24310046596780e74d4aa81826fca0d8",
+	"Phoenix/Hashmap/tiny":               "60bb6111c12d4ca0e1d8de0a29b321016b627efa4e6211ba8dceea8be78d7b0f",
 
 	// Eager BMT.
-	"NonSecure-ADR/NStore:YCSB/eager-BMT":          "97066e97f6947262dd9b0dae01c5ae819c5b5cd4dc5b858d75c4b52db69aa177",
-	"NonSecure-ADR/NStore:YCSB/eager-BMT/tiny":     "80aca93d9af16433cec7cd909ac73c2d183a466d32be3ff36b019849d364cf8d",
-	"NonSecure-ADR/Hashmap/eager-BMT":              "9c886e553ec0ec5f6b6e9af01477e1638043b7ba3446b36e0330b131de77b956",
-	"NonSecure-ADR/Hashmap/eager-BMT/tiny":         "b0c79ceddc1b3bc896c07e246f1886b15c78c3d76c6616ebb4fafe48257adb82",
-	"Pre-WPQ-Secure/NStore:YCSB/eager-BMT":         "7f1dc0c590e803ebac3f4f1fb05393cd00b560f447cfde65fb32775ab015b9db",
-	"Pre-WPQ-Secure/NStore:YCSB/eager-BMT/tiny":    "ecebe81268cf75bb2173258947da957cdc864db6b50c20cd5ce8a190c127f922",
-	"Pre-WPQ-Secure/Hashmap/eager-BMT":             "090d3f83fb36480661be3983b711564f8e58bcdfcea5f35d46633c21c3bb7a83",
-	"Pre-WPQ-Secure/Hashmap/eager-BMT/tiny":        "116f80f31d117db4c640d39ca2ade2d97781753fec6182b5c85b4fc993c7f416",
-	"Dolos-Full-WPQ/NStore:YCSB/eager-BMT":         "0145d9d9591d07caca17c7e3e6f42ea5673e7797a2abce20cbeb768e080aa17c",
-	"Dolos-Full-WPQ/NStore:YCSB/eager-BMT/tiny":    "ec908c5dc867581de5a05fe2ad4abd8fbbeacdb172471a3dcdde7ca5f3487c63",
-	"Dolos-Full-WPQ/Hashmap/eager-BMT":             "ebcc9d5af43a87b35e271d80a35437fba0bf569278b98b021d0df1332b487594",
-	"Dolos-Full-WPQ/Hashmap/eager-BMT/tiny":        "8fe6573746cf3afecd19b1ca9b14a8a2b9155eae68be75364a61576d66984be1",
-	"Dolos-Partial-WPQ/NStore:YCSB/eager-BMT":      "a0b728f64b2aff97051cb9e7dfe26d86dc21294d8323320a0268d3b468353cbc",
-	"Dolos-Partial-WPQ/NStore:YCSB/eager-BMT/tiny": "940a03d7b4885f8bba9a4d1ef67adff4c46865455012b8c21d8e2e376ef40119",
-	"Dolos-Partial-WPQ/Hashmap/eager-BMT":          "8fb3832ab74fe46953469c2c6dfd1a1597dc16c45dc356e0d589be8526682e04",
-	"Dolos-Partial-WPQ/Hashmap/eager-BMT/tiny":     "0c1800f470d90ca3304a2b2f3a399e462d9b8743b71a7bf7add00b8cf41ab743",
-	"Dolos-Post-WPQ/NStore:YCSB/eager-BMT":         "1ef6cd0503b5cfe16e7612ad2fa54e926c1223ea8b74eee65c39449635ae8782",
-	"Dolos-Post-WPQ/NStore:YCSB/eager-BMT/tiny":    "5603e4db6f3b210fbbb655bf850e1b621351f9c5080072fb8f668b2147a92748",
-	"Dolos-Post-WPQ/Hashmap/eager-BMT":             "6f3d687d88b1cf5eeff37295b89c782a12437f47039414631310008e60c6cd57",
-	"Dolos-Post-WPQ/Hashmap/eager-BMT/tiny":        "bade9aa05c3148d44bf7c987898e1cba8613f70339c30c6b6929cf7e1d59d0d3",
-	"eADR-Secure/NStore:YCSB/eager-BMT":            "8666941eb4e9f044c2ad225b2b24e372a17039c531e45d130f74812e31e76029",
-	"eADR-Secure/NStore:YCSB/eager-BMT/tiny":       "f0f42c25635c0538f2b1aeb3d2e28c874b0e98014618915ae105e9b8a925ec42",
-	"eADR-Secure/Hashmap/eager-BMT":                "ff79fb1eb934c58ff72a9f69603bc1895754a949bef77e5191dcd339dc739104",
-	"eADR-Secure/Hashmap/eager-BMT/tiny":           "d21a2ff8401e8b3724b5dc2a7b6e916c279a62bb14e99c5c0787f89e899b605b",
-	"Triad-NVM/NStore:YCSB/eager-BMT":              "649c0063dc70598a4a5948e729f8b1a0a39bd422bb0e19a87defac48319f6127",
-	"Triad-NVM/NStore:YCSB/eager-BMT/tiny":         "619e6d822777736fdd60b73494ff6377f8179b6fb51859e0a94d0ac89841e0b7",
-	"Triad-NVM/Hashmap/eager-BMT":                  "a2876f3c1bb19962593b679a4e24771a2b384376e9d73e29a75f0fad980f60e4",
-	"Triad-NVM/Hashmap/eager-BMT/tiny":             "979234a92f36b3f660e991a8ead990c30e1cbafd1f0f6ea0ab17865e3b26d819",
-	"SuperMem/NStore:YCSB/eager-BMT":               "ab87d03cf8de68e8f86e7ed41f6bb15b1f74d127ab69e042bf957ecc02b949ee",
-	"SuperMem/NStore:YCSB/eager-BMT/tiny":          "65fdc9572ce87b395c50cd4b3a8b5ff3e1d0c81661e51f08accfcb78f4f18495",
-	"SuperMem/Hashmap/eager-BMT":                   "61a77971f810e55d925e69d931c318cabedd7d5dfd995f60944602caead79dbb",
-	"SuperMem/Hashmap/eager-BMT/tiny":              "11d020060461d862aa885650491ff8daba8a760e7031c2dd12db3f9592b659e4",
-	"STUM/NStore:YCSB/eager-BMT":                   "a16a7492e7bfb0eaacc986017886e1a0c079a8c6f791d089182a297dfab6f9de",
-	"STUM/NStore:YCSB/eager-BMT/tiny":              "579f2be78264d487de677364255c1c09d39eb7a84d192e12d527446795b262f9",
-	"STUM/Hashmap/eager-BMT":                       "f4a6dcd726e1474f7f36218fe14c04e6e7c3f00ea474ce0643515af00093c6c9",
-	"STUM/Hashmap/eager-BMT/tiny":                  "46ff973822adf6e46f9709a3b7bfad577c1060b650c85ff4b436c306f98536fe",
+	"NonSecure-ADR/NStore:YCSB/eager-BMT":          "21b4cd2007c54cbba738be7a5f2c4a1eda9d43f4b4e5c578926b8a2c63b9b306",
+	"NonSecure-ADR/NStore:YCSB/eager-BMT/tiny":     "005dd71370147baaf78e5aa6c3d4e343080d36332fb949a8707329f66da5f0ef",
+	"NonSecure-ADR/Hashmap/eager-BMT":              "33a152dcdf34b11b7c16902bdc346732e1c31b96faf2695c7df9e16d43866d2b",
+	"NonSecure-ADR/Hashmap/eager-BMT/tiny":         "6b329b913e076b9c6e5ee793f0d6067f069228aa61cb78ff10f29d3fe33fabfb",
+	"Pre-WPQ-Secure/NStore:YCSB/eager-BMT":         "0e51f42f9cfefc3f63cb84dc0904ac13af648b8d8bf37c9285d02a9759e0a302",
+	"Pre-WPQ-Secure/NStore:YCSB/eager-BMT/tiny":    "c854ed278ff591918c44bb2219a93a1657c1abef49dcb741ffe1ba31b9ceca63",
+	"Pre-WPQ-Secure/Hashmap/eager-BMT":             "85297ff71f29751b4545782ba39a921828a889d15dbab224dc995ff375557ce7",
+	"Pre-WPQ-Secure/Hashmap/eager-BMT/tiny":        "c9e5599754aff5c25bf519a272815abea180fb059679706a69befbb81242ea1e",
+	"Dolos-Full-WPQ/NStore:YCSB/eager-BMT":         "091578b92623f2cf3056093f1afde0ae070af0921236cc28366dd9c9952e3ec0",
+	"Dolos-Full-WPQ/NStore:YCSB/eager-BMT/tiny":    "d179dd545b9f36dcae7e1198aa0a0824335f35e969fb1d3552cf2830b6e87dae",
+	"Dolos-Full-WPQ/Hashmap/eager-BMT":             "a65b22589d54c7c8c12b08330b4c210521f2f98a87465bfc70dd7ef289ee5bd7",
+	"Dolos-Full-WPQ/Hashmap/eager-BMT/tiny":        "e186ba50845e0087bdcf4f963bb041ec145a0e3e6e791c7bd1372b76bc4495ca",
+	"Dolos-Partial-WPQ/NStore:YCSB/eager-BMT":      "706be8fb4fb345f17e888aa23ac562f81ba49b0c7b7f46ce371f9b2a6ec98b2f",
+	"Dolos-Partial-WPQ/NStore:YCSB/eager-BMT/tiny": "0e1523a8bb1bca4fc2d89790fb8927728905e74b9422540100dd798c18e84059",
+	"Dolos-Partial-WPQ/Hashmap/eager-BMT":          "1a30de3e08a8fc264b51865a94e11bd510a62c80af79ed8c2bcc72272b46e967",
+	"Dolos-Partial-WPQ/Hashmap/eager-BMT/tiny":     "6102a33ef090289a431cc0eea5b3105df0f68814f7b64c6f7ec51f613973ea41",
+	"Dolos-Post-WPQ/NStore:YCSB/eager-BMT":         "9ed178a74cc1c60a0cc79ae4a551ac5c26b516f36a0a244c440c1fab839f29e1",
+	"Dolos-Post-WPQ/NStore:YCSB/eager-BMT/tiny":    "f0b72d6fc48783f046e329cc62dd2aaf0d7858c2a9d413a5ca86455aaf6f0368",
+	"Dolos-Post-WPQ/Hashmap/eager-BMT":             "414be4c0da7910aad534ba3eaa7945354a21872aac5ad28b069a7746cebed3fb",
+	"Dolos-Post-WPQ/Hashmap/eager-BMT/tiny":        "ad8371aedac3b436239e97deeebf50e1ef3ea2cf1d3f95544b0383792b53ec85",
+	"eADR-Secure/NStore:YCSB/eager-BMT":            "90d615a8bfebecdef10a985d7c54a9d4b16890ca04e28b99522deb964650c22e",
+	"eADR-Secure/NStore:YCSB/eager-BMT/tiny":       "c0660c16d31f8f72fd301157ccd116130de5f6736dc5b99700f470827784188a",
+	"eADR-Secure/Hashmap/eager-BMT":                "670b7ab321daf00bd2ef9fbb5c1db2410a30f8f1059699a66b77659ebd5bee1f",
+	"eADR-Secure/Hashmap/eager-BMT/tiny":           "644e6d2edfb41aa1c661ea67f54088dd4819e668a3372df921844710f42c2206",
+	"Triad-NVM/NStore:YCSB/eager-BMT":              "020d08432364f86e6d81e7d95f8608ad3849b7bf70b8006377ff5388f69d9e02",
+	"Triad-NVM/NStore:YCSB/eager-BMT/tiny":         "95809fb7c19ed3e807f9ce60dce61851f54bbcafaf22e270bf5e792400f5492d",
+	"Triad-NVM/Hashmap/eager-BMT":                  "a183fb6c15210e2089c653c6151ac941d46d0ed7f7b74f0db36a6ee48ea21bf4",
+	"Triad-NVM/Hashmap/eager-BMT/tiny":             "1e6b7d01e3fb940a9635283e813fea0cf2d5e44a92971a4fa7a53af164e480e7",
+	"SuperMem/NStore:YCSB/eager-BMT":               "8ff47aa172e676575e4a304135385bfac830ab9be245e2a3df9a895faac34a08",
+	"SuperMem/NStore:YCSB/eager-BMT/tiny":          "3d39ad0cbeb32ee7d4c3978a7bcd662f83d2f99f4e3f146a09d77a45465f3d06",
+	"SuperMem/Hashmap/eager-BMT":                   "8e4e4870438eb41dcc68db79f2f15ce1cae4a7043574aaa7f6d5efd30db25eb4",
+	"SuperMem/Hashmap/eager-BMT/tiny":              "06153b04077b8efe2ab0a99ea00e7ce2a18255280385ee1f8b6cdc8c1234d5e3",
+	"STUM/NStore:YCSB/eager-BMT":                   "aeedc6ff4571ad2f22f22f92f2c8eb41d5f35942d9d15a390949c8eb9a64eaa4",
+	"STUM/NStore:YCSB/eager-BMT/tiny":              "edcc89c1eb55a47393cf5a51092e6c6e26e0b9c4f17929678beae68f8ef58173",
+	"STUM/Hashmap/eager-BMT":                       "8fe0ac73a48dd048743f0fe12f11e825f81df19af13f00a813914d008ebed9e0",
+	"STUM/Hashmap/eager-BMT/tiny":                  "9da4fe98bb523c29c54a1b50e284f8ce6034b56f4912387d588a4a06fe144665",
 }
 
 // goldenToCCrashCycles are the crash points: early, mid-run and late.
@@ -196,7 +196,7 @@ func (g goldenHasher) outcome(o Outcome) {
 		uint64(d.EntriesWritten), uint64(d.MACBlocksWritten), uint64(d.DeferredMACs),
 		uint64(o.Recover.WPQReplayed), o.Recover.RecoveryCycles,
 		boolWord(m.RedoReplayed), uint64(m.ShadowRestored), uint64(m.LinesVerified), uint64(m.OsirisProbes),
-		uint64(o.LinesAudited), boolWord(o.TxRolledBack))
+		uint64(o.LinesAudited))
 }
 
 func boolWord(b bool) uint64 {
