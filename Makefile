@@ -225,7 +225,7 @@ load-smoke:
 	pid=$$!; \
 	/tmp/dolos-load-ci -addr 127.0.0.1:8099 -duration 5s -concurrency 4 \
 		-txns 100 -min-hits 1 -max-errors 0 && \
-	/tmp/dolos-load-ci -addr 127.0.0.1:8099 -stream -tenant smoke \
+	/tmp/dolos-load-ci -addr 127.0.0.1:8099 -stream \
 		-workloads Hashmap,Btree -schemes baseline,dolos-partial \
 		-duration 3s -concurrency 2 -txns 200 -max-errors 0; rc=$$?; \
 	kill -TERM $$pid; wait $$pid || rc=$$?; \

@@ -3,11 +3,11 @@
 // and fetch RunRecord JSON — with context deadlines on every call,
 // exponential backoff with deterministic jitter that honors the
 // server's Retry-After on 429/503, and idempotent resubmission of
-// failed or forgotten jobs keyed by the request hash (the server's
-// result cache and single-flight dedup key on the normalized request,
-// so a resubmitted job reuses completed work instead of repeating it,
-// and records are a pure function of the request, so recomputing one
-// after a server restart is exact).
+// failed or forgotten jobs (the server's result cache and single-flight
+// dedup key on the normalized request, so identical requests run one
+// simulation and a resubmitted job reuses completed work instead of
+// repeating it; records are a pure function of the request, so
+// recomputing one after a server restart is exact).
 //
 // The one-call entry point:
 //
@@ -21,16 +21,13 @@
 // drain windows, server-side job failures and server restarts (which
 // forget every job); errors that survive the
 // retry budget match the package sentinels under errors.Is (see
-// errors.go). V2 exposes the same machinery one step at a time, plus
-// resumable per-cell streaming. See
+// errors.go). SubmitGrid, Status, Result and Stream expose the same
+// machinery one step at a time, plus resumable per-cell streaming. See
 // DESIGN.md §11 for the retry policy's backoff table.
 package client
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -73,7 +70,7 @@ const (
 // RunRecord JSON bytes (one object for a single cell, an array for a
 // grid — the dolos-sim -json schema).
 type RunResult struct {
-	Job   JobV2
+	Job   Job
 	Bytes []byte
 }
 
@@ -116,14 +113,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// flight is one in-process single-flight slot: concurrent Run calls
-// for the identical request share one submission and result.
-type flight struct {
-	done chan struct{}
-	res  *RunResult
-	err  error
-}
-
 // Client talks to one dolos-serve instance. It is safe for concurrent
 // use; create with New.
 type Client struct {
@@ -132,9 +121,8 @@ type Client struct {
 	policy RetryPolicy
 	poll   time.Duration
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	flights map[string]*flight
+	mu  sync.Mutex
+	rng *rand.Rand
 
 	retries   atomic.Uint64
 	resubmits atomic.Uint64
@@ -179,12 +167,11 @@ func New(baseURL string, opts ...Option) *Client {
 		baseURL = "http://" + baseURL
 	}
 	c := &Client{
-		base:    strings.TrimRight(baseURL, "/"),
-		hc:      &http.Client{Timeout: 30 * time.Second},
-		policy:  RetryPolicy{}.withDefaults(),
-		poll:    5 * time.Millisecond,
-		rng:     rand.New(rand.NewSource(1)),
-		flights: make(map[string]*flight),
+		base:   strings.TrimRight(baseURL, "/"),
+		hc:     &http.Client{Timeout: 30 * time.Second},
+		policy: RetryPolicy{}.withDefaults(),
+		poll:   5 * time.Millisecond,
+		rng:    rand.New(rand.NewSource(1)),
 	}
 	for _, o := range opts {
 		o(c)
@@ -203,65 +190,16 @@ func (c *Client) Retries() uint64 { return c.retries.Load() }
 // resubmitted.
 func (c *Client) Resubmits() uint64 { return c.resubmits.Load() }
 
-// Hash returns the client-side idempotency key of a request: the hex
-// SHA-256 of its JSON encoding. Concurrent Run calls with the same
-// hash share one in-process flight; the server's own dedup key (the
-// normalized request) is at least as coarse, so equal hashes always
-// mean one simulation server-side.
-func (r Request) Hash() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// Request holds only slices of strings, ints and bools; Marshal
-		// cannot fail on it.
-		panic(err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // Run is the one-call happy path: submit the request, wait for the job
 // to settle, fetch its result. Submission retries 429/503/transport
 // errors with backoff (honoring Retry-After); a job that settles
 // "failed" — a crashed handler, an expired server-side deadline — or
 // that the server no longer knows (ErrJobNotFound: it restarted and
 // forgot its jobs) is resubmitted up to the policy's attempt budget,
-// which is idempotent because the server keys results by the request
-// hash. Concurrent Run calls with an identical Request share one
-// flight.
+// which is idempotent because the server keys results by the
+// normalized request. Concurrent Run calls with an identical Request
+// share one simulation on the server, which deduplicates them.
 func (c *Client) Run(ctx context.Context, req Request) (*RunResult, error) {
-	key := req.Hash()
-
-	c.mu.Lock()
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if f.err == nil {
-			return f.res, nil
-		}
-		// The leading call failed; make an attempt of our own rather
-		// than propagating a failure that may have been its deadline.
-		return c.runAttempts(ctx, req)
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	res, err := c.runAttempts(ctx, req)
-	c.mu.Lock()
-	delete(c.flights, key)
-	c.mu.Unlock()
-	f.res, f.err = res, err
-	close(f.done)
-	return res, err
-}
-
-// runAttempts is Run's submit → wait → resubmit loop.
-func (c *Client) runAttempts(ctx context.Context, req Request) (*RunResult, error) {
-	v := c.V2()
 	var last error
 	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -270,11 +208,11 @@ func (c *Client) runAttempts(ctx context.Context, req Request) (*RunResult, erro
 				return nil, errors.Join(err, last)
 			}
 		}
-		job, err := v.SubmitGrid(ctx, req)
+		job, err := c.SubmitGrid(ctx, req)
 		if err != nil {
 			return nil, err // SubmitGrid spent its own retry budget
 		}
-		res, err := v.wait(ctx, job)
+		res, err := c.wait(ctx, job)
 		if err == nil {
 			return res, nil
 		}
@@ -289,14 +227,13 @@ func (c *Client) runAttempts(ctx context.Context, req Request) (*RunResult, erro
 // wait polls a job envelope to settlement and fetches the result.
 // Transient status-poll errors are tolerated up to the policy's
 // attempt budget of consecutive failures.
-func (v *V2Client) wait(ctx context.Context, job *JobV2) (*RunResult, error) {
-	c := v.c
+func (c *Client) wait(ctx context.Context, job *Job) (*RunResult, error) {
 	interval := c.poll
 	misses := 0
 	for {
 		switch job.Status {
 		case StatusDone:
-			b, err := v.Result(ctx, job.ID)
+			b, err := c.Result(ctx, job.ID)
 			if err != nil {
 				return nil, err
 			}
@@ -307,7 +244,7 @@ func (v *V2Client) wait(ctx context.Context, job *JobV2) (*RunResult, error) {
 		if err := c.sleep(ctx, interval); err != nil {
 			return nil, err
 		}
-		next, err := v.Status(ctx, job.ID)
+		next, err := c.Status(ctx, job.ID)
 		if err != nil {
 			if !retryable(err) {
 				return nil, err

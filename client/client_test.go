@@ -55,11 +55,11 @@ func TestSubmitRetriesQueueFull(t *testing.T) {
 			writeJSON(w, http.StatusTooManyRequests, envelope("queue_full", "job queue is full"))
 			return
 		}
-		writeJSON(w, http.StatusAccepted, JobV2{ID: "j1", Status: StatusQueued})
+		writeJSON(w, http.StatusAccepted, Job{ID: "j1", Status: StatusQueued})
 	})
 	c, slept := newTestClient(t, mux)
 
-	job, err := c.V2().SubmitGrid(context.Background(), Request{Workloads: []string{"Hashmap"}})
+	job, err := c.SubmitGrid(context.Background(), Request{Workloads: []string{"Hashmap"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSubmitGivesUp(t *testing.T) {
 	})
 	c, _ := newTestClient(t, mux, WithRetryPolicy(RetryPolicy{MaxAttempts: 3}))
 
-	_, err := c.V2().SubmitGrid(context.Background(), Request{})
+	_, err := c.SubmitGrid(context.Background(), Request{})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -148,14 +148,14 @@ func TestRunPollsToDone(t *testing.T) {
 	var polls atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, JobV2{ID: "j7", Status: StatusQueued, QueuePosition: 1})
+		writeJSON(w, http.StatusAccepted, Job{ID: "j7", Status: StatusQueued, QueuePosition: 1})
 	})
 	mux.HandleFunc("GET /v2/jobs/j7", func(w http.ResponseWriter, r *http.Request) {
 		i := polls.Add(1) - 1
 		if i >= int64(len(statuses)) {
 			i = int64(len(statuses)) - 1
 		}
-		writeJSON(w, http.StatusOK, JobV2{ID: "j7", Status: statuses[i]})
+		writeJSON(w, http.StatusOK, Job{ID: "j7", Status: statuses[i]})
 	})
 	mux.HandleFunc("GET /v2/jobs/j7/result", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`[{"workload":"Hashmap"}]`))
@@ -182,13 +182,13 @@ func TestRunResubmitsFailedJob(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
 		id := fmt.Sprintf("j%d", submits.Add(1))
-		writeJSON(w, http.StatusAccepted, JobV2{ID: id, Status: StatusQueued})
+		writeJSON(w, http.StatusAccepted, Job{ID: id, Status: StatusQueued})
 	})
 	mux.HandleFunc("GET /v2/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, JobV2{ID: "j1", Status: StatusFailed, Err: "injected panic"})
+		writeJSON(w, http.StatusOK, Job{ID: "j1", Status: StatusFailed, Err: "injected panic"})
 	})
 	mux.HandleFunc("GET /v2/jobs/j2", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, JobV2{ID: "j2", Status: StatusDone})
+		writeJSON(w, http.StatusOK, Job{ID: "j2", Status: StatusDone})
 	})
 	mux.HandleFunc("GET /v2/jobs/j2/result", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`[{"ok":true}]`))
@@ -213,10 +213,10 @@ func TestRunGivesUpOnPersistentFailure(t *testing.T) {
 	var submits atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, JobV2{ID: fmt.Sprintf("j%d", submits.Add(1)), Status: StatusQueued})
+		writeJSON(w, http.StatusAccepted, Job{ID: fmt.Sprintf("j%d", submits.Add(1)), Status: StatusQueued})
 	})
 	mux.HandleFunc("GET /v2/jobs/", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, JobV2{ID: "j", Status: StatusFailed, Err: "boom"})
+		writeJSON(w, http.StatusOK, Job{ID: "j", Status: StatusFailed, Err: "boom"})
 	})
 	c, _ := newTestClient(t, mux, WithRetryPolicy(RetryPolicy{MaxAttempts: 2}))
 
@@ -242,10 +242,10 @@ func TestStatusNotFound(t *testing.T) {
 	mux.HandleFunc("GET /v2/jobs/nope/result", notFound)
 	c, _ := newTestClient(t, mux)
 
-	if _, err := c.V2().Status(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
+	if _, err := c.Status(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
 		t.Fatalf("Status err = %v, want ErrJobNotFound", err)
 	}
-	if _, err := c.V2().Result(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
+	if _, err := c.Result(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
 		t.Fatalf("Result err = %v, want ErrJobNotFound", err)
 	}
 }
@@ -259,7 +259,7 @@ func TestStatusErrorRawBody(t *testing.T) {
 	})
 	c, _ := newTestClient(t, mux, WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
 
-	_, err := c.V2().Status(context.Background(), "j1")
+	_, err := c.Status(context.Background(), "j1")
 	var se *StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want a StatusError", err)
@@ -273,56 +273,11 @@ func TestStatusErrorRawBody(t *testing.T) {
 func TestResultNotDone(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v2/jobs/j1/result", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, JobV2{ID: "j1", Status: StatusRunning})
+		writeJSON(w, http.StatusAccepted, Job{ID: "j1", Status: StatusRunning})
 	})
 	c, _ := newTestClient(t, mux)
-	if _, err := c.V2().Result(context.Background(), "j1"); !errors.Is(err, ErrJobNotDone) {
+	if _, err := c.Result(context.Background(), "j1"); !errors.Is(err, ErrJobNotDone) {
 		t.Fatalf("err = %v, want ErrJobNotDone", err)
-	}
-}
-
-// TestRunSingleFlight: concurrent Runs of the identical request share
-// one submission.
-func TestRunSingleFlight(t *testing.T) {
-	var submits atomic.Int64
-	release := make(chan struct{})
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
-		submits.Add(1)
-		<-release
-		writeJSON(w, http.StatusOK, JobV2{ID: "j1", Status: StatusDone, Cached: true})
-	})
-	mux.HandleFunc("GET /v2/jobs/j1/result", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`[{}]`))
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	c := New(srv.URL)
-
-	req := Request{Workloads: []string{"Hashmap"}, Seed: 3}
-	const callers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = c.Run(context.Background(), req)
-		}(i)
-	}
-	// Let the followers pile onto the leader's flight before the server
-	// answers.
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-	}
-	if got := submits.Load(); got != 1 {
-		t.Fatalf("server saw %d submits, want 1 (single-flight)", got)
 	}
 }
 
@@ -337,7 +292,7 @@ func TestContextCancelPropagates(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.V2().SubmitGrid(ctx, Request{})
+	_, err := c.SubmitGrid(ctx, Request{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -357,19 +312,5 @@ func TestParseRetryAfter(t *testing.T) {
 	future := time.Now().Add(5 * time.Second).UTC().Format(http.TimeFormat)
 	if d := parseRetryAfter(future); d <= 0 || d > 5*time.Second {
 		t.Errorf("http-date form = %v", d)
-	}
-}
-
-// TestHashStability: the idempotency key is stable across calls and
-// distinguishes distinct requests.
-func TestHashStability(t *testing.T) {
-	a := Request{Workloads: []string{"Hashmap"}, Seed: 1}
-	b := Request{Workloads: []string{"Hashmap"}, Seed: 1}
-	if a.Hash() != b.Hash() {
-		t.Fatal("equal requests must hash equal")
-	}
-	c := Request{Workloads: []string{"Hashmap"}, Seed: 2}
-	if a.Hash() == c.Hash() {
-		t.Fatal("distinct requests must hash distinct")
 	}
 }

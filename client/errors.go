@@ -38,8 +38,8 @@ var (
 	// wrapping error carries the server's failure cause. Run resubmits
 	// failed jobs (idempotently) before surfacing this.
 	ErrJobFailed = errors.New("client: job failed")
-	// ErrJobNotDone reports a V2().Result call on a job that has not
-	// settled yet. Run and V2().Stream wait for settlement and never
+	// ErrJobNotDone reports a Result call on a job that has not
+	// settled yet. Run and Stream wait for settlement and never
 	// return it.
 	ErrJobNotDone = errors.New("client: job not done")
 )

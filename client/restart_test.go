@@ -162,7 +162,7 @@ func TestStreamForgottenJobNotFound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stm, err := c.V2().Stream(ctx, done.Job.ID)
+	stm, err := c.Stream(ctx, done.Job.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

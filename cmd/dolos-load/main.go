@@ -57,7 +57,6 @@ func main() {
 	maxErrors := flag.Int("max-errors", -1, "fail if more than this many requests errored (-1 = no check)")
 	stream := flag.Bool("stream", false,
 		"submit full grids via POST /v2/jobs and consume per-cell SSE streams; reports time-to-first-cell percentiles")
-	tenant := flag.String("tenant", "", "tenant identity sent as X-Dolos-Tenant on /v2 submissions")
 	flag.Parse()
 
 	if err := waitHealthy(*addr, *wait); err != nil {
@@ -101,8 +100,8 @@ func main() {
 		pace = t.C
 	}
 
-	// One shared client: its single-flight layer mirrors production use,
-	// and its retry/resubmission counters aggregate across the pool.
+	// One shared client: its retry/resubmission counters aggregate
+	// across the pool.
 	cl := client.New(*addr, client.WithSeed(*seed),
 		client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 8}))
 	deadline := time.Now().Add(*duration)
@@ -132,7 +131,7 @@ func main() {
 					}
 				}
 				if *stream {
-					resultCh <- runOneStream(cl, *tenant, nextReq(), deadline)
+					resultCh <- runOneStream(cl, nextReq(), deadline)
 				} else {
 					resultCh <- runOne(cl, nextReq(), deadline)
 				}
@@ -220,17 +219,15 @@ func runOne(cl *client.Client, req client.Request, deadline time.Time) result {
 // assertions ride along: the stream must deliver exactly the job's
 // cell count, in order, exactly once — the Stream iterator already
 // refuses duplicates and reconnects with Last-Event-ID on drops.
-func runOneStream(cl *client.Client, tenant string, req client.Request, deadline time.Time) result {
+func runOneStream(cl *client.Client, req client.Request, deadline time.Time) result {
 	ctx, cancel := context.WithDeadline(context.Background(), deadline.Add(30*time.Second))
 	defer cancel()
-	v2 := cl.V2()
-	v2.Tenant = tenant
 	start := time.Now()
-	job, err := v2.SubmitGrid(ctx, req)
+	job, err := cl.SubmitGrid(ctx, req)
 	if err != nil {
 		return result{err: err}
 	}
-	st, err := v2.Stream(ctx, job.ID)
+	st, err := cl.Stream(ctx, job.ID)
 	if err != nil {
 		return result{err: err}
 	}

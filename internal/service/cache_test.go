@@ -6,15 +6,18 @@ import (
 	"testing"
 )
 
+// recs is a one-record cache value.
+func recs(s string) [][]byte { return [][]byte{[]byte(s)} }
+
 func TestLRUEvictsOldest(t *testing.T) {
 	c := newLRU(2)
-	c.Put("a", []byte("A"))
-	c.Put("b", []byte("B"))
-	c.Put("c", []byte("C")) // evicts a
+	c.Put("a", recs("A"))
+	c.Put("b", recs("B"))
+	c.Put("c", recs("C")) // evicts a
 	if _, ok := c.Get("a"); ok {
 		t.Error("oldest entry survived past capacity")
 	}
-	if v, ok := c.Get("b"); !ok || !bytes.Equal(v, []byte("B")) {
+	if v, ok := c.Get("b"); !ok || len(v) != 1 || !bytes.Equal(v[0], []byte("B")) {
 		t.Error("recent entry lost")
 	}
 	if c.Len() != 2 {
@@ -24,10 +27,10 @@ func TestLRUEvictsOldest(t *testing.T) {
 
 func TestLRUGetPromotes(t *testing.T) {
 	c := newLRU(2)
-	c.Put("a", []byte("A"))
-	c.Put("b", []byte("B"))
-	c.Get("a")              // a is now most recent
-	c.Put("c", []byte("C")) // must evict b, not a
+	c.Put("a", recs("A"))
+	c.Put("b", recs("B"))
+	c.Get("a")            // a is now most recent
+	c.Put("c", recs("C")) // must evict b, not a
 	if _, ok := c.Get("a"); !ok {
 		t.Error("promoted entry evicted")
 	}
@@ -38,9 +41,9 @@ func TestLRUGetPromotes(t *testing.T) {
 
 func TestLRUPutRefreshes(t *testing.T) {
 	c := newLRU(4)
-	c.Put("a", []byte("old"))
-	c.Put("a", []byte("new"))
-	if v, _ := c.Get("a"); !bytes.Equal(v, []byte("new")) {
+	c.Put("a", recs("old"))
+	c.Put("a", recs("new"))
+	if v, _ := c.Get("a"); len(v) != 1 || !bytes.Equal(v[0], []byte("new")) {
 		t.Errorf("refresh lost: %q", v)
 	}
 	if c.Len() != 1 {
@@ -56,7 +59,7 @@ func TestLRUConcurrent(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", (g*7+i)%16)
-				c.Put(k, []byte(k))
+				c.Put(k, recs(k))
 				c.Get(k)
 			}
 		}(g)

@@ -90,15 +90,6 @@ func (s *Server) decodeSubmit(w http.ResponseWriter, r *http.Request) (Request, 
 	return req, true
 }
 
-// tenantOf reads the submission's tenant identity ("default" when the
-// header is absent).
-func tenantOf(r *http.Request) string {
-	if t := r.Header.Get("X-Dolos-Tenant"); t != "" {
-		return t
-	}
-	return "default"
-}
-
 // maxTimeoutMS is the largest timeout_ms whose nanoseconds fit a
 // time.Duration.
 const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)

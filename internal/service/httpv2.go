@@ -9,12 +9,11 @@ import (
 )
 
 // JobV2 is the body of POST /v2/jobs and GET /v2/jobs/{id}: the job's
-// identity and lifecycle status, its tenant, whether the result came
-// from the cache, and its streaming progress.
+// identity and lifecycle status, whether the result came from the
+// cache, and its streaming progress.
 type JobV2 struct {
 	ID     string    `json:"id"`
 	Status JobStatus `json:"status"`
-	Tenant string    `json:"tenant,omitempty"`
 	Cached bool      `json:"cached"`
 	// Cells is the grid size; CellsDone counts the per-cell results
 	// already streamed.
@@ -27,8 +26,7 @@ type JobV2 struct {
 	Error string `json:"error,omitempty"`
 }
 
-// handleSubmitV2 serves POST /v2/jobs: decode, normalization, submit
-// under the request's tenant.
+// handleSubmitV2 serves POST /v2/jobs: decode, normalization, submit.
 func (s *Server) handleSubmitV2(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeSubmit(w, r)
 	if !ok {
@@ -44,7 +42,7 @@ func (s *Server) handleSubmitV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job, err := s.submit(n, timeout, tenantOf(r))
+	job, err := s.submit(n, timeout)
 	switch {
 	case errors.Is(err, errDraining):
 		writeEnvelope(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error(), 5*time.Second)
@@ -172,7 +170,6 @@ func snapshotV2(s *Server, job *Job) JobV2 {
 	return JobV2{
 		ID:            job.id,
 		Status:        job.status,
-		Tenant:        job.tenant,
 		Cached:        job.cached,
 		Cells:         job.total,
 		CellsDone:     job.emitted,

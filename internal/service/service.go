@@ -77,19 +77,18 @@ const (
 // Job is one submitted request. All mutable fields are guarded by the
 // server mutex; result bytes are immutable once set.
 type Job struct {
-	id     string
-	seq    int64
-	key    string
-	req    normalized
-	tenant string
+	id  string
+	seq int64
+	key string
+	req normalized
 
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	status  JobStatus
-	cached  bool   // result came from the cache or a deduplicated flight
+	cached  bool   // records came from the cache or a deduplicated flight
 	errMsg  string // set when status == StatusFailed
-	result  []byte // RunRecord JSON (object for one cell, array for a grid)
+	result  []byte // RunRecord JSON (object for one cell, array for a grid), assembled at settle
 	created time.Time
 
 	// Streaming state: the grid's per-cell RunRecord bytes (compact
@@ -103,11 +102,11 @@ type Job struct {
 
 // flight is one single-flight slot: the first worker to take a key
 // computes; every concurrent worker with the same key blocks on done
-// and shares the identical bytes.
+// and shares the identical per-cell records.
 type flight struct {
-	done  chan struct{}
-	bytes []byte
-	err   error
+	done chan struct{}
+	recs [][]byte
+	err  error
 }
 
 // runnerKey identifies the core.Runner able to serve a request: trace
@@ -266,7 +265,7 @@ var (
 	errQueueFull = errors.New("job queue is full")
 )
 
-func (s *Server) submit(n normalized, timeout time.Duration, tenant string) (*Job, error) {
+func (s *Server) submit(n normalized, timeout time.Duration) (*Job, error) {
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
@@ -274,7 +273,6 @@ func (s *Server) submit(n normalized, timeout time.Duration, tenant string) (*Jo
 	job := &Job{
 		key:     n.Key(),
 		req:     n,
-		tenant:  tenant,
 		ctx:     ctx,
 		cancel:  cancel,
 		created: time.Now(),
@@ -294,13 +292,13 @@ func (s *Server) submit(n normalized, timeout time.Duration, tenant string) (*Jo
 	job.seq = s.seq
 	job.id = fmt.Sprintf("j%s-%08d", s.tag, job.seq)
 
-	if b, ok := s.cache.Get(job.key); ok {
+	if recs, ok := s.cache.Get(job.key); ok {
 		job.status = StatusRunning // finishJob settles it below
 		s.jobs[job.id] = job
 		s.mu.Unlock()
 		s.mSubmitted.Inc()
 		s.mCacheHits.Inc()
-		s.finishJob(job, b, true)
+		s.finishJob(job, recs, true)
 		return job, nil
 	}
 
@@ -373,10 +371,10 @@ func (s *Server) execute(job *Job) {
 			s.failJob(job, err)
 			return
 		}
-		b, f, leader := s.claim(job.key)
-		if b != nil {
+		recs, f, leader := s.claim(job.key)
+		if recs != nil {
 			s.mCacheHits.Inc()
-			s.finishJob(job, b, true)
+			s.finishJob(job, recs, true)
 			return
 		}
 		if leader {
@@ -384,20 +382,20 @@ func (s *Server) execute(job *Job) {
 			// hits + dedup hits + misses partitions completed jobs and a
 			// burst of identical submissions scores one miss, not N.
 			s.mCacheMisses.Inc()
-			b, err := s.computeGuarded(job)
-			s.publish(job.key, f, b, err)
+			recs, err := s.computeGuarded(job)
+			s.publish(job.key, f, recs, err)
 			if err != nil {
 				s.failJob(job, err)
 				return
 			}
-			s.finishJob(job, b, false)
+			s.finishJob(job, recs, false)
 			return
 		}
 		select {
 		case <-f.done:
 			if f.err == nil {
 				s.mDedupHits.Inc()
-				s.finishJob(job, f.bytes, true)
+				s.finishJob(job, f.recs, true)
 				return
 			}
 			// The leader failed. If its failure was its own deadline or
@@ -424,11 +422,11 @@ func (s *Server) execute(job *Job) {
 // window in which a worker can miss the cache and also miss the flight,
 // which is what makes "exactly one simulation per key" a guarantee
 // rather than a likelihood.
-func (s *Server) claim(key string) (b []byte, f *flight, leader bool) {
+func (s *Server) claim(key string) (recs [][]byte, f *flight, leader bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.cache.Get(key); ok {
-		return b, nil, false
+	if recs, ok := s.cache.Get(key); ok {
+		return recs, nil, false
 	}
 	if f, ok := s.flights[key]; ok {
 		return nil, f, false
@@ -442,12 +440,12 @@ func (s *Server) claim(key string) (b []byte, f *flight, leader bool) {
 // flight leaves the map atomically (see claim), then followers are
 // released. Failed computations are not cached — errors are retryable
 // by a later submission.
-func (s *Server) publish(key string, f *flight, b []byte, err error) {
+func (s *Server) publish(key string, f *flight, recs [][]byte, err error) {
 	s.mu.Lock()
 	if err == nil {
-		s.cache.Put(key, b)
+		s.cache.Put(key, recs)
 	}
-	f.bytes, f.err = b, err
+	f.recs, f.err = recs, err
 	delete(s.flights, key)
 	s.mu.Unlock()
 	close(f.done)
@@ -464,7 +462,7 @@ func (s *Server) isDraining() bool {
 // leader's computation: the panic becomes the flight's error, so
 // followers are released with a cause instead of hanging until their
 // deadlines.
-func (s *Server) computeGuarded(job *Job) (b []byte, err error) {
+func (s *Server) computeGuarded(job *Job) (recs [][]byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.mPanics.Inc()
@@ -475,10 +473,9 @@ func (s *Server) computeGuarded(job *Job) (b []byte, err error) {
 }
 
 // compute runs the job's grid cell by cell on the shared runner and
-// encodes the result exactly as dolos-sim -json would: one RunRecord
-// object for a single cell, an array for a grid. Each finished cell is
-// pushed to /v2 stream subscribers before the next cell starts.
-func (s *Server) compute(job *Job) ([]byte, error) {
+// returns each cell's compact RunRecord in cells() order. Each finished
+// cell is pushed to /v2 stream subscribers before the next cell starts.
+func (s *Server) compute(job *Job) ([][]byte, error) {
 	cells := job.req.cells()
 	recs := make([][]byte, len(cells))
 	runner := s.runnerFor(job.req.Transactions, job.req.Seed)
@@ -502,14 +499,18 @@ func (s *Server) compute(job *Job) ([]byte, error) {
 	if encErr != nil {
 		return nil, encErr
 	}
-	return assembleResult(recs)
+	for i, r := range recs {
+		if r == nil {
+			return nil, fmt.Errorf("cell %d missing", i)
+		}
+	}
+	return recs, nil
 }
 
 // encodeRecord builds one cell's RunRecord and marshals it compact —
-// the canonical per-cell form the /v2 stream carries.
-// assembleResult re-indents these through the same encoder WriteJSON
-// uses, so the assembled grid is byte-identical to what the PR-5
-// whole-grid path produced.
+// the canonical per-cell form the /v2 stream carries, the flights share
+// and the cache holds. assembleResult re-indents these into the result
+// document.
 func encodeRecord(n normalized, cell core.Cell, rr core.RunResult) ([]byte, error) {
 	rec := cliutil.BuildRunRecord(rr.Result, cell.Spec.EffectiveTree(),
 		cell.Spec.TxSize, n.Seed, rr.Events, rr.Wall, rr.Stats, nil)
@@ -517,14 +518,12 @@ func encodeRecord(n normalized, cell core.Cell, rr core.RunResult) ([]byte, erro
 }
 
 // assembleResult turns the per-cell compact records into the public
-// result document: one indented RunRecord object for a single cell, an
-// indented array for a grid (the dolos-sim -json schema).
+// result document through the encoder dolos-sim -json uses: one
+// indented RunRecord object for a single cell, an indented array for a
+// grid.
 func assembleResult(recs [][]byte) ([]byte, error) {
 	raws := make([]json.RawMessage, len(recs))
 	for i, r := range recs {
-		if r == nil {
-			return nil, fmt.Errorf("cell %d missing", i)
-		}
 		raws[i] = json.RawMessage(r)
 	}
 	var buf bytes.Buffer
@@ -538,34 +537,6 @@ func assembleResult(recs [][]byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// splitRecords is assembleResult's inverse: the result document back
-// into per-cell compact records. Used when a job settles from shared
-// bytes (cache hit, dedup follow) and still owes its stream
-// subscribers per-cell events.
-func splitRecords(result []byte, total int) ([][]byte, error) {
-	trimmed := bytes.TrimSpace(result)
-	var raws []json.RawMessage
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		if err := json.Unmarshal(trimmed, &raws); err != nil {
-			return nil, err
-		}
-	} else {
-		raws = []json.RawMessage{trimmed}
-	}
-	if len(raws) != total {
-		return nil, fmt.Errorf("result has %d records, job has %d cells", len(raws), total)
-	}
-	out := make([][]byte, total)
-	for i, r := range raws {
-		var buf bytes.Buffer
-		if err := json.Compact(&buf, r); err != nil {
-			return nil, err
-		}
-		out[i] = buf.Bytes()
-	}
-	return out, nil
 }
 
 // runnerFor returns the shared runner for a (transactions, seed) pair.
@@ -620,28 +591,17 @@ func (s *Server) recordCell(job *Job, i int, rec []byte) {
 	s.mu.Unlock()
 }
 
-func (s *Server) finishJob(job *Job, result []byte, cached bool) {
-	// Jobs settling from shared bytes (cache hit, dedup follow) still
-	// owe their subscribers per-cell records. splitRecords failing
-	// would mean the result document itself is malformed; treat it as
-	// a failure rather than stream nothing and claim success.
-	s.mu.Lock()
-	owed := job.emitted < job.total
-	s.mu.Unlock()
-	if owed {
-		recs, err := splitRecords(result, job.total)
-		if err != nil {
-			s.failJob(job, fmt.Errorf("malformed result document: %w", err))
-			return
-		}
-		for i, rec := range recs {
-			s.mu.Lock()
-			have := job.cells[i] != nil
-			s.mu.Unlock()
-			if !have {
-				s.recordCell(job, i, rec)
-			}
-		}
+// finishJob settles a job from its per-cell records: cells it has not
+// yet streamed (a cache hit, a dedup follow) are broadcast in order,
+// and the result document is assembled once.
+func (s *Server) finishJob(job *Job, recs [][]byte, cached bool) {
+	result, err := assembleResult(recs)
+	if err != nil {
+		s.failJob(job, err)
+		return
+	}
+	for i, rec := range recs {
+		s.recordCell(job, i, rec)
 	}
 	s.mu.Lock()
 	job.status = StatusDone

@@ -716,8 +716,8 @@ func TestNoJobLostOrDoubled(t *testing.T) {
 	}
 }
 
-// TestCorruptedCacheEntryNeverServed: a byte flipped in the cached
-// result itself is caught by the entry's checksum on the next lookup.
+// TestCorruptedCacheEntryNeverServed: a byte flipped in one cached cell
+// record is caught by the entry's checksum on the next lookup.
 // Each later round counts one detection, recomputes and returns the
 // same bytes; an intact entry is then served without recomputing.
 func TestCorruptedCacheEntryNeverServed(t *testing.T) {
@@ -765,9 +765,9 @@ func TestCorruptedCacheEntryNeverServed(t *testing.T) {
 	}
 }
 
-// corruptCacheEntry flips one byte of a cached result without updating
-// its checksum. The flip goes into a copy, so result slices already
-// handed to jobs stay intact and only the cached entry goes bad.
+// corruptCacheEntry flips one byte of a cached cell record without
+// updating the entry's checksum. The flip goes into copies, so records
+// already handed to jobs stay intact and only the cached entry goes bad.
 func corruptCacheEntry(t *testing.T, c *lruCache, key string) {
 	t.Helper()
 	c.mu.Lock()
@@ -777,9 +777,11 @@ func corruptCacheEntry(t *testing.T, c *lruCache, key string) {
 		t.Fatalf("no cached entry for key %s", key)
 	}
 	e := el.Value.(*lruEntry)
-	b := append([]byte(nil), e.val...)
-	b[len(b)/2] ^= 0xff
-	e.val = b
+	recs := append([][]byte(nil), e.val...)
+	r := append([]byte(nil), recs[0]...)
+	r[len(r)/2] ^= 0xff
+	recs[0] = r
+	e.val = recs
 }
 
 // awaitDraining blocks until Shutdown has begun closing intake.
@@ -910,7 +912,7 @@ func TestChaosClientSentinelRoundTrip(t *testing.T) {
 
 	// Two client attempts, both rejected by the real full queue.
 	cl := client.New(ts.URL, fastRetry(2))
-	_, err := cl.V2().SubmitGrid(context.Background(), client.Request{Transactions: 50, Seed: 13})
+	_, err := cl.SubmitGrid(context.Background(), client.Request{Transactions: 50, Seed: 13})
 	var se *client.StatusError
 	if !errors.Is(err, client.ErrQueueFull) || !errors.As(err, &se) {
 		t.Fatalf("full-queue client submit err = %v, want ErrQueueFull from a StatusError", err)
@@ -925,7 +927,7 @@ func TestChaosClientSentinelRoundTrip(t *testing.T) {
 	if rejected := counterVal(svc, "service_jobs_rejected_total"); rejected != 2 {
 		t.Errorf("rejected counter = %d, want 2", rejected)
 	}
-	if _, err := cl.V2().Status(context.Background(), "j99999999"); !errors.Is(err, client.ErrJobNotFound) {
+	if _, err := cl.Status(context.Background(), "j99999999"); !errors.Is(err, client.ErrJobNotFound) {
 		t.Errorf("unknown id err = %v, want ErrJobNotFound", err)
 	}
 
@@ -933,7 +935,7 @@ func TestChaosClientSentinelRoundTrip(t *testing.T) {
 	go func() { shutdownDone <- svc.Shutdown(context.Background()) }()
 	awaitDraining(t, svc)
 	one := client.New(ts.URL, client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 1}))
-	_, err = one.V2().SubmitGrid(context.Background(), client.Request{})
+	_, err = one.SubmitGrid(context.Background(), client.Request{})
 	if !errors.Is(err, client.ErrUnavailable) || !errors.As(err, &se) {
 		t.Fatalf("draining submit err = %v, want ErrUnavailable from a StatusError", err)
 	}
