@@ -47,10 +47,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
 		os.Exit(2)
 	}
-	if *traceOut != "" && *cores > 1 {
-		fmt.Fprintln(os.Stderr, "dolos-sim: -trace is not supported with -cores > 1")
-		os.Exit(2)
-	}
 	sch, err := cliutil.ParseScheme(*scheme)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)

@@ -245,6 +245,10 @@ type Controller struct {
 	tWPQ, tMiSU, tMaSU telemetry.TrackID
 	hAccept            *telemetry.CycleHist
 	hDrain             *telemetry.CycleHist
+	// wpqInner is the WPQ observer the probe's observer wraps (the
+	// machine's occupancy histogram, when cores contend); detaching the
+	// probe puts it back.
+	wpqInner wpq.Observer
 
 	// Interned stats handles. stats.Set.Counter creates-on-first-use and
 	// returns a stable pointer, so resolving each hot-path metric once in

@@ -17,15 +17,20 @@ import (
 //
 // The wiring is purely observational: hooks never schedule events or
 // change a latency, so an instrumented run's cycle counts are
-// bit-identical to an uninstrumented one. Call before the first request;
-// with a nil probe every site reduces to one nil check.
+// bit-identical to an uninstrumented one. The probe's WPQ observer calls
+// through to the one installed before it, and detaching restores that
+// one, so a probe never erases a non-probe statistic. Call before the
+// first request; with a nil probe every site reduces to one nil check.
 func (c *Controller) SetProbe(p *telemetry.Probe) {
+	if c.probe != nil {
+		c.queue().SetObserver(c.wpqInner)
+		c.wpqInner = nil
+	}
 	c.probe = p
 	if p == nil {
 		c.miSU.SetJobHook(nil)
 		c.maSU.SetJobHook(nil)
 		c.secUnit.SetJobHook(nil)
-		c.queue().SetObserver(nil)
 		c.dev.SetAccessHook(nil)
 		c.ma.SetWriteHook(nil)
 		if c.mi != nil {
@@ -62,7 +67,12 @@ func (c *Controller) SetProbe(p *telemetry.Probe) {
 	// markers for coalesces and Ma-SU fetches.
 	gOcc := reg.Gauge("wpq.occupancy")
 	cCoalesce := reg.Counter("wpq.coalesces")
+	inner := c.queue().SetObserver(nil)
+	c.wpqInner = inner
 	c.queue().SetObserver(func(ev wpq.ObsEvent, addr uint64, live int) {
+		if inner != nil {
+			inner(ev, addr, live)
+		}
 		gOcc.Set(float64(live))
 		p.Counter(c.tWPQ, "occupancy", float64(live))
 		switch ev {

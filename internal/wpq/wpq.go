@@ -154,8 +154,14 @@ func (q *Queue) Coalesces() uint64 { return q.coalesces }
 // ReadHits returns how many reads were served from the WPQ.
 func (q *Queue) ReadHits() uint64 { return q.readHits }
 
-// SetObserver installs (or with nil removes) the queue-event observer.
-func (q *Queue) SetObserver(obs Observer) { q.obs = obs }
+// SetObserver installs (or with nil removes) the queue-event observer
+// and returns the one it replaces, so an observer layered over another
+// can call through to it and later put it back.
+func (q *Queue) SetObserver(obs Observer) Observer {
+	prev := q.obs
+	q.obs = obs
+	return prev
+}
 
 // CanCoalesce reports whether a write to addr would coalesce into an
 // existing live entry rather than needing a free slot. Coalescing into a
