@@ -20,6 +20,7 @@ import (
 
 	"dolos/internal/core"
 	"dolos/internal/cpu"
+	"dolos/internal/whisper"
 )
 
 func main() {
@@ -34,17 +35,14 @@ func main() {
 	fast := flag.Bool("fast", false, "latency-only crypto provider for every sweep cell (bit-identical tables, fraction of the wall-clock; crash/recovery experiments ignore it)")
 	flag.Parse()
 
-	selected, err := checkFlags(*exp, *txns, *parallel, *format, *coresFlag, *oooWindow)
+	selected, wls, err := checkFlags(*exp, *workloads, *txns, *parallel, *format, *coresFlag, *oooWindow)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-bench: %v\n", err)
 		os.Exit(2)
 	}
 
-	opts := core.Options{Transactions: *txns, Seed: *seed, Parallelism: *parallel, FastMode: *fast}
-	if *workloads != "" {
-		opts.Workloads = strings.Split(*workloads, ",")
-	}
-	r := core.NewRunner(opts)
+	r := core.NewRunner(core.Options{Transactions: *txns, Seed: *seed, Parallelism: *parallel,
+		FastMode: *fast, Workloads: wls})
 	for _, e := range selected {
 		start := time.Now()
 		if err := run(r, e, *format == "csv"); err != nil {
@@ -57,43 +55,56 @@ func main() {
 
 // checkFlags rejects flag values a sweep would misread — an -exp entry
 // that names no experiment (which used to fail only after the entries
-// before it had run), -txns below 1 (0 fell back to the 1000-transaction
+// before it had run), a -workloads entry that names no workload (which
+// used to fail cell by cell after the valid workloads' cells had run),
+// -txns below 1 (0 fell back to the 1000-transaction
 // default, a negative count panicked in YCSB generation), a negative
 // -parallel (which ran GOMAXPROCS workers), a -format other than table
 // or csv, a -cores entry that is not a whole number from 1 to
 // cpu.MaxCores (more cores' heaps do not fit the data region), and a
 // negative -ooo-window — and returns the selected experiments, in -exp
-// order. -txns has no upper bound: the paper's scale is 50000.
-func checkFlags(exp string, txns, parallel int, format, cores string, window int) ([]core.Experiment, error) {
+// order, and the canonical names of the -workloads subset (nil for all).
+// -txns has no upper bound: the paper's scale is 50000.
+func checkFlags(exp, workloads string, txns, parallel int, format, cores string, window int) ([]core.Experiment, []string, error) {
 	if txns < 1 {
-		return nil, fmt.Errorf("-txns %d: want at least 1", txns)
+		return nil, nil, fmt.Errorf("-txns %d: want at least 1", txns)
 	}
 	if parallel < 0 {
-		return nil, fmt.Errorf("-parallel %d: want 0 or more", parallel)
+		return nil, nil, fmt.Errorf("-parallel %d: want 0 or more", parallel)
 	}
 	if format != "table" && format != "csv" {
-		return nil, fmt.Errorf("-format %q: want table or csv", format)
+		return nil, nil, fmt.Errorf("-format %q: want table or csv", format)
 	}
 	if window < 0 {
-		return nil, fmt.Errorf("-ooo-window %d: want 0 or more", window)
+		return nil, nil, fmt.Errorf("-ooo-window %d: want 0 or more", window)
 	}
 	counts, err := parseCores(cores)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	var wls []string
+	if workloads != "" {
+		for _, name := range strings.Split(workloads, ",") {
+			canon, err := whisper.Resolve(strings.TrimSpace(name))
+			if err != nil {
+				return nil, nil, fmt.Errorf("-workloads entry %q: %w", name, err)
+			}
+			wls = append(wls, canon)
+		}
 	}
 	all := core.Experiments(counts, window)
 	if exp == "all" {
-		return all, nil
+		return all, wls, nil
 	}
 	var selected []core.Experiment
 	for _, name := range strings.Split(exp, ",") {
 		i := slices.IndexFunc(all, func(e core.Experiment) bool { return e.Name == strings.TrimSpace(name) })
 		if i < 0 {
-			return nil, fmt.Errorf("-exp entry %q: want one of %s, or all", name, names(all))
+			return nil, nil, fmt.Errorf("-exp entry %q: want one of %s, or all", name, names(all))
 		}
 		selected = append(selected, all[i])
 	}
-	return selected, nil
+	return selected, wls, nil
 }
 
 // names lists the experiments' names for help and error text.

@@ -41,7 +41,7 @@ func TestCheckFlags(t *testing.T) {
 		{"table3,bogus", 1000, 0, "table", "1", 0, nil, "-exp"},
 		{"", 1000, 0, "table", "1", 0, nil, "-exp"},
 	} {
-		exps, err := checkFlags(c.exp, c.txns, c.parallel, c.format, c.cores, c.window)
+		exps, _, err := checkFlags(c.exp, "", c.txns, c.parallel, c.format, c.cores, c.window)
 		cores, _ := parseCores(c.cores)
 		switch {
 		case c.bad == "" && (err != nil || !slices.Equal(cores, c.want)):
@@ -50,6 +50,31 @@ func TestCheckFlags(t *testing.T) {
 			t.Errorf("%+v: selected %v", c, selectedNames(exps))
 		case c.bad != "" && (err == nil || !strings.HasPrefix(err.Error(), c.bad+" ")):
 			t.Errorf("%+v: error %v, want one naming %s", c, err, c.bad)
+		}
+	}
+}
+
+// TestCheckFlagsWorkloads: every -workloads entry resolves to its
+// canonical name before any cell runs; one that names no workload is
+// rejected by name.
+func TestCheckFlagsWorkloads(t *testing.T) {
+	for _, c := range []struct {
+		workloads string
+		want      []string // canonical names when accepted
+		bad       string   // quoted entry named in the error, "" = accepted
+	}{
+		{"", nil, ""},
+		{"Hashmap", []string{"Hashmap"}, ""},
+		{"hashmap, ycsb,Redis", []string{"Hashmap", "NStore:YCSB", "Redis"}, ""},
+		{"Hashmap,Bogus", nil, `"Bogus"`},
+		{"Hashmap,,Btree", nil, `""`},
+	} {
+		_, wls, err := checkFlags("fig6", c.workloads, 10, 0, "table", "1", 0)
+		switch {
+		case c.bad == "" && (err != nil || !slices.Equal(wls, c.want)):
+			t.Errorf("-workloads %q: got %v, %v; want %v", c.workloads, wls, err, c.want)
+		case c.bad != "" && (err == nil || !strings.HasPrefix(err.Error(), "-workloads entry "+c.bad+":")):
+			t.Errorf("-workloads %q: error %v, want one naming the entry %s", c.workloads, err, c.bad)
 		}
 	}
 }
