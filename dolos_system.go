@@ -69,9 +69,14 @@ func NewCrashDriver(cfg SystemConfig) (*CrashDriver, error) { return crash.NewDr
 func NewAdversary(dev *nvm.Device, seed int64) *Adversary { return attack.New(dev, seed) }
 
 // GenerateTrace runs the named workload and returns its memory trace.
+// A run that could exhaust the workload's persistent heap is refused
+// with whisper.CheckHeap's error before any generation starts.
 func GenerateTrace(workload string, p WorkloadParams) (*Trace, error) {
 	w, err := whisper.ByName(workload)
 	if err != nil {
+		return nil, err
+	}
+	if err := whisper.CheckHeap(w, p); err != nil {
 		return nil, err
 	}
 	return w.Generate(p), nil

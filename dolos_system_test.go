@@ -1,6 +1,9 @@
 package dolos
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSystemFacade(t *testing.T) {
 	tr, err := GenerateTrace("Ctree", WorkloadParams{
@@ -72,5 +75,18 @@ func TestTraceSaveLoadFacade(t *testing.T) {
 func TestAddressMaps(t *testing.T) {
 	if DefaultAddressMap().DataSpan != 16<<30 || SmallAddressMap().DataSpan != 64<<20 {
 		t.Fatal("address map facades wrong")
+	}
+}
+
+// TestGenerateTraceRefusesHeapOverflow: a run that could exhaust the
+// workload's persistent heap is an error, not a heap-exhausted panic
+// part way through generation.
+func TestGenerateTraceRefusesHeapOverflow(t *testing.T) {
+	tr, err := GenerateTrace("Hashmap", WorkloadParams{Transactions: 20000, TxSize: 4096})
+	if err == nil || tr != nil {
+		t.Fatalf("GenerateTrace = %v, %v; want a heap error", tr, err)
+	}
+	if !strings.Contains(err.Error(), "persistent heap") {
+		t.Errorf("error %q does not name the persistent heap", err)
 	}
 }
