@@ -47,11 +47,15 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
 
-# Trace generation at the repository benchmark's cell sizes (Hashmap
-# and Btree at 1000 txns, YCSB at 3000 txns with 95% reads): ns/op,
-# B/op and allocs/op, fixed iterations and repeats so runs compare.
+# A cell's set-up at the repository benchmark's cell sizes: trace
+# generation (Hashmap and Btree at 1000 txns, YCSB at 3000 txns with 95%
+# reads, BenchmarkGenerateCell) and the whole cpu.start span, NewSystem
+# and Start, on the ycsb-read-lazy and hashmap-eager traces
+# (BenchmarkStartCell). ns/op, B/op and allocs/op, fixed iterations and
+# repeats so runs compare.
 bench-gen:
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchmem -benchtime 20x -count 5 ./internal/whisper
+	$(GO) test -run '^$$' -bench 'StartCell' -benchmem -benchtime 20x -count 5 ./internal/cpu
 
 # Ma-SU layer at the same fixed sizes: ProcessWrite on the eager BMT
 # and the lazy ToC, a verified ReadLine, a crash with Anubis and with
@@ -126,6 +130,7 @@ ci:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchtime 1x ./internal/whisper
+	$(GO) test -run '^$$' -bench 'StartCell' -benchtime 1x ./internal/cpu
 	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine|Recovery|Audit|LoadCheckpoint' -benchtime 1x ./internal/masu
 	$(GO) test -run '^$$' -bench 'Protect|DrainRecover' -benchtime 1x ./internal/misu
 	$(GO) build -o /tmp/dolos-bench-ci ./cmd/dolos-bench

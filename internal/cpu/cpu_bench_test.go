@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dolos/internal/controller"
+	"dolos/internal/masu"
 	"dolos/internal/trace"
 	"dolos/internal/whisper"
 )
@@ -37,3 +38,32 @@ func BenchmarkRunBaseline(b *testing.B)     { benchScheme(b, controller.PreWPQSe
 func BenchmarkRunDolosFull(b *testing.B)    { benchScheme(b, controller.DolosFull) }
 func BenchmarkRunDolosPartial(b *testing.B) { benchScheme(b, controller.DolosPartial) }
 func BenchmarkRunDolosPost(b *testing.B)    { benchScheme(b, controller.DolosPost) }
+
+// BenchmarkStartCell times a cell's whole cpu.start span, NewSystem and
+// Start: the machine build, the trace mirror's sizing and fill and the
+// checkpoint load. The traces are those of two cells of benchmark/: a
+// 3000-txn, 95%-read YCSB trace on the lazy ToC (ycsb-read-lazy) and a
+// 1000-txn Hashmap trace on the eager BMT (hashmap-eager), both under
+// Dolos-Partial with functional crypto. `make bench-gen` runs it.
+func BenchmarkStartCell(b *testing.B) {
+	cases := []struct {
+		name string
+		tr   *trace.Trace
+		tree masu.TreeKind
+	}{
+		{"ycsb-read-lazy", whisper.YCSB{}.Generate(whisper.Params{Transactions: 3000, ReadPercent: 95, Seed: 1000}), masu.ToCLazy},
+		{"hashmap-eager", whisper.Hashmap{}.Generate(whisper.Params{Transactions: 1000, Seed: 1000}), masu.BMTEager},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := controller.Config{Scheme: controller.DolosPartial, Tree: c.tree}
+			copy(cfg.AESKey[:], "cpu-aes-key-0016")
+			copy(cfg.MACKey[:], "cpu-mac-key-0016")
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(c.tr.InitImage)), "lines/op")
+			for i := 0; i < b.N; i++ {
+				NewSystem(cfg).Start(c.tr)
+			}
+		})
+	}
+}

@@ -27,30 +27,14 @@ func NewTraceMirror() *TraceMirror {
 	return &TraceMirror{m: make(map[uint64]*[64]byte)}
 }
 
-// SizeFor sizes the dense table to the trace's touched line range.
+// SizeFor sizes the dense table to the trace's touched line range,
+// which the trace carries (trace.Trace.LineSpan).
 func (m *TraceMirror) SizeFor(tr *trace.Trace) {
-	lo, hi := ^uint64(0), uint64(0)
-	track := func(a uint64) {
-		a &^= 63
-		if a < lo {
-			lo = a
-		}
-		if a > hi {
-			hi = a
-		}
-	}
-	for i := range tr.InitImage {
-		track(tr.InitImage[i].Addr)
-	}
-	for i := range tr.Ops {
-		if k := tr.Ops[i].Kind; k == trace.Write || k == trace.Flush || k == trace.Read {
-			track(tr.Ops[i].Addr)
-		}
-	}
-	if lo > hi {
+	lo, end := tr.LineSpan()
+	if end == 0 {
 		return // no memory operations
 	}
-	if n := (hi-lo)>>6 + 1; n <= mirrorTabLimit {
+	if n := (end - lo) >> 6; n <= mirrorTabLimit {
 		m.base = lo
 		m.tab = make([]*[64]byte, n)
 	}

@@ -386,23 +386,37 @@ func (s *Store) ApplyBlock(pi uint64, blk *Block, forcePersist bool) {
 
 // ApplyRun applies one update per entry of slots, in order, to page pi's
 // live block: each advances that line's minor counter, exactly as
-// ApplyBlock does with the line's staged block, and the block persists
-// at every Osiris period point the updates reach — after every update
-// when persistEach — with its image at that point. An update that would
-// overflow a minor counter is not a run's: it panics.
+// ApplyBlock does with the line's staged block. It leaves what one
+// ApplyBlock per update leaves: every Osiris period point the updates
+// reach — every update when persistEach — counts as a persist, and the
+// block's NVM image is what the last of them wrote. It writes that image
+// once, since the persists before it are overwritten. An update that
+// would overflow a minor counter is not a run's: it panics.
 func (s *Store) ApplyRun(pi uint64, slots []uint8, persistEach bool) {
 	b := s.volatile.Get(pi)
 	up := s.updates.Ptr(pi)
-	for _, li := range slots {
+	n := uint64(len(slots))
+	// Update k (1-based) persists when its count, *up+k, is a multiple
+	// of the period; last is the latest such k, 0 when there is none.
+	persists, last := n, n
+	if !persistEach {
+		persists = (*up+n)/s.period - *up/s.period
+		last = 0
+		if persists > 0 {
+			last = n - (*up+n)%s.period
+		}
+	}
+	for k, li := range slots {
 		if b.Minors[li] == MinorMax {
 			panic(fmt.Sprintf("ctr: run update overflows page %d line %d", pi, li))
 		}
 		b.Minors[li]++
-		*up++
-		if persistEach || *up%s.period == 0 {
-			s.persistBlock(pi)
+		if uint64(k+1) == last {
+			s.dev.WriteLine(s.base+pi*BlockSize, b.Encode())
 		}
 	}
+	*up += n
+	s.persists += persists
 }
 
 // PersistByIndex persists page pi's counter block if live (metadata-cache

@@ -241,3 +241,44 @@ func TestRegionBytes(t *testing.T) {
 		t.Fatalf("RegionBytes = %d, want %d", s.RegionBytes(), want)
 	}
 }
+
+// TestApplyRunMatchesApplyBlock pins ApplyRun to one ApplyBlock per
+// update: the same live block, update count and persist count, and the
+// same NVM image, for runs that start at every phase of the Osiris
+// period, reach zero, one or several period points, or persist at every
+// update. A run's block is live: its page's first line was just written.
+func TestApplyRunMatchesApplyBlock(t *testing.T) {
+	const addr = 1<<20 + 3*nvm.PageSize
+	for _, period := range []uint64{1, 3, 4} {
+		for _, persistEach := range []bool{false, true} {
+			for pre := 1; pre <= 4; pre++ {
+				for n := 0; n <= 9; n++ {
+					run, ref := newTestStore(period), newTestStore(period)
+					for _, s := range []*Store{run, ref} {
+						for i := 0; i < pre; i++ {
+							s.Increment(addr)
+						}
+					}
+					pi := run.pageIndex(addr)
+					slots := make([]uint8, n)
+					for k := range slots {
+						slots[k] = uint8(5 + k)
+					}
+					run.ApplyRun(pi, slots, persistEach)
+					for _, li := range slots {
+						blk := ref.BlockByIndex(pi)
+						blk.Minors[li]++
+						ref.ApplyBlock(pi, &blk, persistEach)
+					}
+					if *run.volatile.Get(pi) != *ref.volatile.Get(pi) || run.updates.Get(pi) != ref.updates.Get(pi) ||
+						run.Persists() != ref.Persists() {
+						t.Errorf("period %d persistEach %v pre %d n %d: live state differs", period, persistEach, pre, n)
+					}
+					if run.dev.ReadLine(run.base+pi*BlockSize) != ref.dev.ReadLine(ref.base+pi*BlockSize) {
+						t.Errorf("period %d persistEach %v pre %d n %d: counter block image differs", period, persistEach, pre, n)
+					}
+				}
+			}
+		}
+	}
+}

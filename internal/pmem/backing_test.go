@@ -68,6 +68,32 @@ func TestBackingGrowsWithUse(t *testing.T) {
 	}
 }
 
+func TestReserveBacksOnce(t *testing.T) {
+	h := NewHeap(0, 1<<20, nil)
+	a := h.Alloc(64)
+	h.WriteU64(a, 9)
+	h.Reserve(300<<10 + 1)
+	if len(h.mem) != 300<<10+LineSize {
+		t.Fatalf("backing = %d bytes after Reserve, want %d", len(h.mem), 300<<10+LineSize)
+	}
+	if h.ReadU64(a) != 9 {
+		t.Fatal("Reserve lost a written word")
+	}
+	// Accesses inside the reservation leave it; one past it grows.
+	h.WriteU64(300<<10, 1)
+	if len(h.mem) != 300<<10+LineSize {
+		t.Fatalf("backing = %d bytes after a write inside the reservation", len(h.mem))
+	}
+	h.Reserve(1) // never shrinks
+	if len(h.mem) != 300<<10+LineSize {
+		t.Fatalf("backing = %d bytes after a smaller Reserve", len(h.mem))
+	}
+	h.Reserve(8 << 20) // capped at the heap size
+	if len(h.mem) != 1<<20 {
+		t.Fatalf("backing = %d bytes, want the 1 MB heap size", len(h.mem))
+	}
+}
+
 func TestSetLinePastBacking(t *testing.T) {
 	// Recovery rebuilds a heap from NVM contents line by line, in any
 	// order, with nothing allocated.

@@ -101,7 +101,23 @@ func (h *Heap) check(addr, n uint64) uint64 {
 // The new bytes are zero.
 func (h *Heap) grow(end uint64) {
 	end = (end + LineSize - 1) &^ uint64(LineSize-1)
-	mem := make([]byte, min(max(end, 2*uint64(len(h.mem)), minBacking), h.size))
+	h.resize(max(end, 2*uint64(len(h.mem)), minBacking))
+}
+
+// Reserve backs the heap's first n bytes (whole lines, at most its size)
+// at once, for a caller that knows how much it will touch: growing to
+// that by doubling allocates about twice as much and copies at each
+// step. Later accesses past it still grow the backing.
+func (h *Heap) Reserve(n uint64) {
+	if n > uint64(len(h.mem)) {
+		h.resize((n + LineSize - 1) &^ uint64(LineSize-1))
+	}
+}
+
+// resize reallocates the backing at n bytes, at most the heap size,
+// keeping its contents; the new bytes are zero.
+func (h *Heap) resize(n uint64) {
+	mem := make([]byte, min(n, h.size))
 	copy(mem, h.mem)
 	h.mem = mem
 }

@@ -3,6 +3,7 @@ package pmem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"dolos/internal/sim"
 )
@@ -51,10 +52,13 @@ type TxHeap struct {
 	logBase  uint64
 	logLines uint64
 
+	// logged and dataLines hold the transaction's undo-logged and
+	// modified lines, dataLines in first-touch order (the deterministic
+	// flush order). A transaction touches at most the log's capacity in
+	// lines, a few dozen, so a linear scan finds a line.
 	active    bool
-	logged    map[uint64]bool
-	dataLines map[uint64]bool
-	dataOrder []uint64 // dataLines in first-touch order (deterministic flush order)
+	logged    []uint64
+	dataLines []uint64
 	entries   uint64
 
 	committed uint64
@@ -71,11 +75,9 @@ func LogLines(capacity int) uint64 {
 func NewTx(h *Heap, capacity int) *TxHeap {
 	lines := LogLines(capacity)
 	return &TxHeap{
-		Heap:      h,
-		logBase:   h.Alloc(lines * LineSize),
-		logLines:  lines,
-		logged:    make(map[uint64]bool),
-		dataLines: make(map[uint64]bool),
+		Heap:     h,
+		logBase:  h.Alloc(lines * LineSize),
+		logLines: lines,
 	}
 }
 
@@ -92,9 +94,8 @@ func (t *TxHeap) Begin() {
 	}
 	t.active = true
 	t.entries = 0
-	clear(t.logged)
-	clear(t.dataLines)
-	t.dataOrder = t.dataOrder[:0]
+	t.logged = t.logged[:0]
+	t.dataLines = t.dataLines[:0]
 	if t.rec != nil {
 		t.rec.TxBegin()
 	}
@@ -113,13 +114,13 @@ func (t *TxHeap) Begin() {
 // modification only).
 func (t *TxHeap) logLine(addr uint64) {
 	line := addr &^ 63
-	if t.logged[line] {
+	if slices.Contains(t.logged, line) {
 		return
 	}
 	if t.entries >= (t.logLines-logHeaderLines)/linesPerEntry {
 		panic(fmt.Sprintf("pmem: undo log full (%d entries)", t.entries))
 	}
-	t.logged[line] = true
+	t.logged = append(t.logged, line)
 	entryBase := t.logBase + (logHeaderLines+t.entries*linesPerEntry)*LineSize
 	t.entries++
 
@@ -155,9 +156,8 @@ func (t *TxHeap) Store(addr uint64, data []byte) {
 
 // markData adds a line to the commit-time flush set once.
 func (t *TxHeap) markData(line uint64) {
-	if !t.dataLines[line] {
-		t.dataLines[line] = true
-		t.dataOrder = append(t.dataOrder, line)
+	if !slices.Contains(t.dataLines, line) {
+		t.dataLines = append(t.dataLines, line)
 	}
 }
 
@@ -197,7 +197,7 @@ func (t *TxHeap) Commit() {
 		panic("pmem: Commit outside transaction")
 	}
 	t.Compute(CommitCompute)
-	for _, line := range t.dataOrder {
+	for _, line := range t.dataLines {
 		t.Flush(line)
 	}
 	t.Fence()

@@ -126,3 +126,25 @@ func TestEmptyRecorderHasNoOps(t *testing.T) {
 		t.Fatalf("empty trace = %+v", tr)
 	}
 }
+
+// TestRecorderTracksLineSpan pins the span the Recorder keeps: the
+// checkpoint image and every Read, Write and Flush widen it to whole
+// lines, and nothing else does.
+func TestRecorderTracksLineSpan(t *testing.T) {
+	r := NewRecorder("span", 0)
+	if _, end := r.Finish().LineSpan(); end != 0 {
+		t.Fatalf("empty trace spans up to %#x", end)
+	}
+	var d [64]byte
+	r.SetInitImage([]InitLine{{Addr: 0x3000, Data: d}})
+	r.Compute(10)
+	r.Fence()
+	r.TxBegin()
+	r.Write(0x2010, d)
+	r.Flush(0x5000, d)
+	r.Read(0x1fff)
+	r.TxEnd()
+	if lo, end := r.Finish().LineSpan(); lo != 0x1fc0 || end != 0x5040 {
+		t.Fatalf("span [%#x, %#x), want [0x1fc0, 0x5040)", lo, end)
+	}
+}

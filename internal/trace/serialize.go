@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"dolos/internal/layout"
 )
 
 // Save writes the trace to w as gzipped gob — workload generation is the
@@ -22,8 +24,10 @@ func (t *Trace) Save(w io.Writer) error {
 }
 
 // Load reads a trace previously written by Save. A trace file crosses a
-// trust boundary, so an op of a kind outside the enum is an error here
-// rather than a panic in the replaying core.
+// trust boundary, so an op of a kind outside the enum, and a checkpoint
+// line or a Read, Write or Flush op addressing no line of the default
+// address map's data region, are errors here rather than panics in the
+// replaying machine. The same pass computes the trace's line span.
 func Load(r io.Reader) (*Trace, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -34,9 +38,23 @@ func Load(r io.Reader) (*Trace, error) {
 	if err := gob.NewDecoder(zr).Decode(&t); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
+	data := layout.Default()
+	for i := range t.InitImage {
+		if a := t.InitImage[i].Addr; !data.ValidData(a) {
+			return nil, fmt.Errorf("trace: checkpoint line %d at %#x lies outside the data region", i, a)
+		}
+		t.cover(t.InitImage[i].Addr)
+	}
 	for i := range t.Ops {
-		if k := t.Ops[i].Kind; k > TxEnd {
-			return nil, fmt.Errorf("trace: op %d has unknown kind %v", i, k)
+		op := &t.Ops[i]
+		if op.Kind > TxEnd {
+			return nil, fmt.Errorf("trace: op %d has unknown kind %v", i, op.Kind)
+		}
+		if isMem(op.Kind) {
+			if !data.ValidData(op.Addr) {
+				return nil, fmt.Errorf("trace: op %d (%v) at %#x lies outside the data region", i, op.Kind, op.Addr)
+			}
+			t.cover(op.Addr)
 		}
 	}
 	return &t, nil

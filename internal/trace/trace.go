@@ -87,6 +87,31 @@ type Trace struct {
 	InitImage []InitLine
 	// Ops is the operation stream.
 	Ops []Op
+
+	// lo and end delimit the lines the checkpoint image and the memory
+	// ops touch (see LineSpan).
+	lo, end uint64
+}
+
+// LineSpan returns the lines the trace's checkpoint image and Read,
+// Write and Flush ops touch: lo is the first line's address and end the
+// last line's plus 64. end is 0 when the trace touches no line.
+// The Recorder tracks the span as it records and Load recomputes it; a
+// trace edited after either may touch lines outside it.
+func (t *Trace) LineSpan() (lo, end uint64) { return t.lo, t.end }
+
+// isMem reports whether ops of kind k address a line.
+func isMem(k Kind) bool { return k == Read || k == Write || k == Flush }
+
+// cover widens the span to addr's line.
+func (t *Trace) cover(addr uint64) {
+	addr &^= 63
+	if t.end == 0 {
+		t.lo, t.end = addr, addr+64
+		return
+	}
+	t.lo = min(t.lo, addr)
+	t.end = max(t.end, addr+64)
 }
 
 // Counts summarizes a trace's composition.
@@ -173,25 +198,35 @@ func (r *Recorder) flushCompute() {
 func (r *Recorder) Compute(c sim.Cycle) { r.pendingCompute += c }
 
 // Read records a load of addr's line.
-func (r *Recorder) Read(addr uint64) { r.add(Read, addr&^63) }
+func (r *Recorder) Read(addr uint64) {
+	r.add(Read, addr&^63)
+	r.t.cover(addr)
+}
 
 // Write records a store; data is the line value after the store.
 func (r *Recorder) Write(addr uint64, data [64]byte) {
 	r.flushCompute()
 	*r.next() = Op{Kind: Write, Addr: addr &^ 63, Data: data}
+	r.t.cover(addr)
 }
 
 // Flush records a clwb; data is the line value being persisted.
 func (r *Recorder) Flush(addr uint64, data [64]byte) {
 	r.flushCompute()
 	*r.next() = Op{Kind: Flush, Addr: addr &^ 63, Data: data}
+	r.t.cover(addr)
 }
 
 // Fence records an sfence.
 func (r *Recorder) Fence() { r.add(Fence, 0) }
 
 // SetInitImage attaches the fast-forward memory image.
-func (r *Recorder) SetInitImage(img []InitLine) { r.t.InitImage = img }
+func (r *Recorder) SetInitImage(img []InitLine) {
+	r.t.InitImage = img
+	for i := range img {
+		r.t.cover(img[i].Addr)
+	}
+}
 
 // TxBegin records a transaction start.
 func (r *Recorder) TxBegin() { r.add(TxBegin, 0) }

@@ -178,7 +178,7 @@ func (b *btreeState) get(key uint64) uint64 {
 
 // Generate implements Workload.
 func (Btree) Generate(p Params) *trace.Trace {
-	s := newSession("Btree", p)
+	s := newSession(Btree{}, p)
 	b := &btreeState{session: s}
 	b.root = b.newNode(true)
 

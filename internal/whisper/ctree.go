@@ -132,7 +132,7 @@ func (c *ctreeState) get(key uint64) uint64 {
 
 // Generate implements Workload.
 func (Ctree) Generate(p Params) *trace.Trace {
-	s := newSession("Ctree", p)
+	s := newSession(Ctree{}, p)
 	c := &ctreeState{session: s}
 	c.rootSlot = s.heap.Alloc(64)
 

@@ -87,7 +87,7 @@ func (m *hashmapState) del(key uint64) {
 
 // Generate implements Workload.
 func (Hashmap) Generate(p Params) *trace.Trace {
-	s := newSession("Hashmap", p)
+	s := newSession(Hashmap{}, p)
 	m := &hashmapState{session: s}
 	m.buckets = s.heap.Alloc(hashmapBuckets * 8)
 

@@ -20,7 +20,7 @@ func (TxStream) Name() string { return "TxStream" }
 
 // Generate implements Workload.
 func (TxStream) Generate(p Params) *trace.Trace {
-	s := newSession("TxStream", p)
+	s := newSession(TxStream{}, p)
 	const buffers = 64
 	bufs := make([]uint64, buffers)
 	for i := range bufs {
@@ -95,7 +95,7 @@ func (q *pqueueState) dequeue() bool {
 
 // Generate implements Workload.
 func (PQueue) Generate(p Params) *trace.Trace {
-	s := newSession("PQueue", p)
+	s := newSession(PQueue{}, p)
 	q := &pqueueState{session: s}
 	q.headSlot = s.heap.Alloc(64)
 	q.tailSlot = s.heap.Alloc(64)

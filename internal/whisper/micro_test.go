@@ -36,7 +36,7 @@ func TestTxStreamFlushCount(t *testing.T) {
 }
 
 func TestPQueueFIFO(t *testing.T) {
-	s := newSession("PQueue", Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1})
+	s := newSession(PQueue{}, Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1})
 	q := &pqueueState{session: s}
 	q.headSlot = s.heap.Alloc(64)
 	q.tailSlot = s.heap.Alloc(64)

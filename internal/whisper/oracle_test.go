@@ -19,7 +19,7 @@ func oracleKeys(rng *rand.Rand) []uint64 {
 }
 
 func TestHashmapOracle(t *testing.T) {
-	s := newSession("Hashmap", Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
+	s := newSession(Hashmap{}, Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
 	m := &hashmapState{session: s}
 	m.buckets = s.heap.Alloc(hashmapBuckets * 8)
 	rng := rand.New(rand.NewSource(99))
@@ -42,7 +42,7 @@ func TestHashmapOracle(t *testing.T) {
 }
 
 func TestBtreeOracle(t *testing.T) {
-	s := newSession("Btree", Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
+	s := newSession(Btree{}, Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
 	b := &btreeState{session: s}
 	b.root = b.newNode(true)
 	rng := rand.New(rand.NewSource(7))
@@ -65,7 +65,7 @@ func TestBtreeOracle(t *testing.T) {
 }
 
 func TestCtreeOracle(t *testing.T) {
-	s := newSession("Ctree", Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
+	s := newSession(Ctree{}, Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
 	c := &ctreeState{session: s}
 	c.rootSlot = s.heap.Alloc(64)
 	rng := rand.New(rand.NewSource(13))
@@ -83,7 +83,7 @@ func TestCtreeOracle(t *testing.T) {
 }
 
 func TestRBtreeOracle(t *testing.T) {
-	s := newSession("RBtree", Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
+	s := newSession(RBtree{}, Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
 	r := &rbtreeState{session: s}
 	r.rootSlot = s.heap.Alloc(64)
 	rng := rand.New(rand.NewSource(21))
@@ -136,7 +136,7 @@ func assertRedBlackInvariants(t *testing.T, r *rbtreeState) {
 }
 
 func TestRedisOracle(t *testing.T) {
-	s := newSession("Redis", Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
+	s := newSession(Redis{}, Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
 	r := &redisState{session: s}
 	r.buckets = s.heap.Alloc(redisBuckets * 8)
 	rng := rand.New(rand.NewSource(31))
@@ -159,7 +159,7 @@ func TestRedisOracle(t *testing.T) {
 }
 
 func TestYCSBGenerationsAdvance(t *testing.T) {
-	s := newSession("NStore:YCSB", Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
+	s := newSession(YCSB{}, Params{Transactions: 1, Warmup: 1, TxSize: 128, Seed: 1, HeapSize: 64 << 20})
 	y := &ycsbState{session: s}
 	y.table = s.heap.Alloc(64 * 8)
 	for i := uint64(0); i < 8; i++ {

@@ -202,7 +202,7 @@ func (r *rbtreeState) get(key uint64) uint64 {
 
 // Generate implements Workload.
 func (RBtree) Generate(p Params) *trace.Trace {
-	s := newSession("RBtree", p)
+	s := newSession(RBtree{}, p)
 	r := &rbtreeState{session: s}
 	r.rootSlot = s.heap.Alloc(64)
 

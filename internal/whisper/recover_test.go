@@ -18,7 +18,7 @@ func heapReader(h *pmem.Heap) ReadLineFunc {
 func buildHashmap(t *testing.T, n int) (*hashmapState, Params) {
 	t.Helper()
 	p := Params{Transactions: 1, Warmup: 1, TxSize: 256, Seed: 1, HeapSize: 32 << 20}
-	s := newSession("Hashmap", p)
+	s := newSession(Hashmap{}, p)
 	m := &hashmapState{session: s}
 	m.buckets = s.heap.Alloc(hashmapBuckets * 8)
 	for i := 0; i < n; i++ {
@@ -99,7 +99,7 @@ func TestWalkPropagatesReadErrors(t *testing.T) {
 
 func TestResolveRecoveredLog(t *testing.T) {
 	p := Params{Transactions: 1, Warmup: 1, TxSize: 256, Seed: 1, HeapSize: 32 << 20}
-	s := newSession("Hashmap", p)
+	s := newSession(Hashmap{}, p)
 	a := s.heap.Alloc(64)
 	s.heap.WriteU64(a, 42)
 	s.tx.Begin()
@@ -120,7 +120,7 @@ func TestLayoutHelpersConsistent(t *testing.T) {
 		t.Fatal("structure base not after log")
 	}
 	// The session's actual first post-log allocation matches.
-	s := newSession("Hashmap", p)
+	s := newSession(Hashmap{}, p)
 	got := s.heap.Alloc(8)
 	if got != StructureBase(p) {
 		t.Fatalf("StructureBase = %#x, session allocates at %#x", StructureBase(p), got)

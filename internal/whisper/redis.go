@@ -107,7 +107,7 @@ func (r *redisState) del(key uint64) {
 
 // Generate implements Workload.
 func (Redis) Generate(p Params) *trace.Trace {
-	s := newSession("Redis", p)
+	s := newSession(Redis{}, p)
 	r := &redisState{session: s}
 	r.buckets = s.heap.Alloc(redisBuckets * 8)
 

@@ -171,25 +171,28 @@ type session struct {
 	heap *pmem.Heap
 	tx   *pmem.TxHeap
 	rng  *rand.Rand
-	val  []byte // payload's buffer
+	pat  []byte // payload's pattern: pat[k] = byte(7k)
 	sink []byte // discard's buffer
 }
 
-// newSession builds the heap (recording disabled until record()).
-func newSession(name string, p Params) *session {
+// newSession builds w's heap (recording disabled until record()) with
+// its backing reserved at heapNeed, so it is allocated once.
+func newSession(w Workload, p Params) *session {
 	p = p.withDefaults()
-	rec := trace.NewRecorder(name, p.TxSize)
+	rec := trace.NewRecorder(w.Name(), p.TxSize)
 	heap := pmem.NewHeap(p.HeapBase, p.HeapSize, nil)
-	// Log capacity: payload lines + structural lines + slack for deep
-	// rebalance chains (RBtree recoloring can ascend many levels).
-	capacity := p.TxSize/64 + 64
+	heap.Reserve(heapNeed(w, p))
+	pat := make([]byte, p.TxSize+256)
+	for k := range pat {
+		pat[k] = byte(7 * k)
+	}
 	return &session{
 		p:    p,
 		rec:  rec,
 		heap: heap,
-		tx:   pmem.NewTx(heap, capacity),
+		tx:   pmem.NewTx(heap, LogCapacity(p)),
 		rng:  rand.New(rand.NewSource(p.Seed)),
-		val:  make([]byte, p.TxSize),
+		pat:  pat,
 		sink: make([]byte, p.TxSize),
 	}
 }
@@ -203,7 +206,8 @@ func (s *session) record() {
 }
 
 // LogCapacity returns the undo-log entry capacity a session uses for the
-// given parameters (mirrors newSession's computation).
+// given parameters: payload lines plus structural lines plus slack for
+// deep rebalance chains (RBtree recoloring can ascend many levels).
 func LogCapacity(p Params) int {
 	p = p.withDefaults()
 	return p.TxSize/64 + 64
@@ -222,14 +226,15 @@ func LogBase(p Params) uint64 {
 	return p.withDefaults().HeapBase
 }
 
-// payload builds a deterministic value of the transaction size. The
-// buffer is the session's and is overwritten by the next call; every
-// caller copies it into the heap before that.
+// payload returns a deterministic value of the transaction size: byte i
+// is byte(key + 7i). It is a window of the session's pattern, since
+// byte(key + 7i) = byte(7(j+i)) for j = 183·key mod 256 (183 is the
+// inverse of 7 mod 256). The window's capacity ends at its length, so an
+// append copies rather than writing into the pattern; callers only read
+// it.
 func (s *session) payload(key uint64) []byte {
-	for i := range s.val {
-		s.val[i] = byte(key + uint64(i)*7)
-	}
-	return s.val
+	j := int(byte(183 * key))
+	return s.pat[j : j+s.p.TxSize : j+s.p.TxSize]
 }
 
 // discard records a load of n bytes at addr whose value the workload

@@ -1,6 +1,7 @@
 package whisper
 
 import (
+	"slices"
 	"testing"
 
 	"dolos/internal/trace"
@@ -110,8 +111,37 @@ func TestAddressesWithinHeap(t *testing.T) {
 	}
 }
 
+// TestPayloadMatchesLoop pins payload's pattern window to the loop it
+// replaced, byte i = byte(key + 7i), for every residue of the key mod 256
+// (a key above 255 with the same low byte gives the same value) and a
+// range of transaction sizes, and pins that the window's capacity ends
+// at its length, so an append cannot write into the shared pattern.
+func TestPayloadMatchesLoop(t *testing.T) {
+	for _, size := range []int{64, 100, 1024, 4096} {
+		s := newSession(Hashmap{}, Params{Transactions: 1, TxSize: size})
+		for key := uint64(0); key < 256+3; key++ {
+			got := s.payload(key)
+			if len(got) != size || cap(got) != size {
+				t.Fatalf("size %d key %d: len %d cap %d", size, key, len(got), cap(got))
+			}
+			for i := range got {
+				if want := byte(key + uint64(i)*7); got[i] != want {
+					t.Fatalf("size %d key %d: byte %d = %d, want %d", size, key, i, got[i], want)
+				}
+			}
+		}
+		pat := slices.Clone(s.pat)
+		for key := uint64(0); key < 256; key++ {
+			_ = append(s.payload(key), 0xFF)
+		}
+		if !slices.Equal(s.pat, pat) {
+			t.Fatalf("size %d: an append to a payload wrote into the pattern", size)
+		}
+	}
+}
+
 func TestHashmapFunctional(t *testing.T) {
-	s := newSession("Hashmap", Params{Transactions: 10, Warmup: 1, TxSize: 128, Seed: 1})
+	s := newSession(Hashmap{}, Params{Transactions: 10, Warmup: 1, TxSize: 128, Seed: 1})
 	m := &hashmapState{session: s}
 	m.buckets = s.heap.Alloc(hashmapBuckets * 8)
 	m.put(42)
@@ -127,7 +157,7 @@ func TestHashmapFunctional(t *testing.T) {
 }
 
 func TestBtreeFunctional(t *testing.T) {
-	s := newSession("Btree", Params{Transactions: 10, Warmup: 1, TxSize: 128, Seed: 1})
+	s := newSession(Btree{}, Params{Transactions: 10, Warmup: 1, TxSize: 128, Seed: 1})
 	b := &btreeState{session: s}
 	b.root = b.newNode(true)
 	keys := []uint64{50, 10, 90, 30, 70, 20, 80, 40, 60, 1, 99, 55, 45, 35, 25, 15, 5, 65, 75, 85}
@@ -145,7 +175,7 @@ func TestBtreeFunctional(t *testing.T) {
 }
 
 func TestBtreeManyKeysSorted(t *testing.T) {
-	s := newSession("Btree", Params{Transactions: 10, Warmup: 1, TxSize: 128, Seed: 1})
+	s := newSession(Btree{}, Params{Transactions: 10, Warmup: 1, TxSize: 128, Seed: 1})
 	b := &btreeState{session: s}
 	b.root = b.newNode(true)
 	for k := uint64(1); k <= 300; k++ {
@@ -159,7 +189,7 @@ func TestBtreeManyKeysSorted(t *testing.T) {
 }
 
 func TestCtreeFunctional(t *testing.T) {
-	s := newSession("Ctree", Params{Transactions: 10, Warmup: 1, TxSize: 128, Seed: 1})
+	s := newSession(Ctree{}, Params{Transactions: 10, Warmup: 1, TxSize: 128, Seed: 1})
 	c := &ctreeState{session: s}
 	c.rootSlot = s.heap.Alloc(64)
 	keys := []uint64{0, 1, 2, 255, 256, 1 << 40, 1<<40 + 1, 7, 8, 9}
@@ -177,7 +207,7 @@ func TestCtreeFunctional(t *testing.T) {
 }
 
 func TestRBtreeFunctionalAndBalanced(t *testing.T) {
-	s := newSession("RBtree", Params{Transactions: 10, Warmup: 1, TxSize: 128, Seed: 1})
+	s := newSession(RBtree{}, Params{Transactions: 10, Warmup: 1, TxSize: 128, Seed: 1})
 	r := &rbtreeState{session: s}
 	r.rootSlot = s.heap.Alloc(64)
 	n := uint64(500)

@@ -63,7 +63,7 @@ func (y *ycsbState) read(i uint64) {
 
 // Generate implements Workload.
 func (YCSB) Generate(p Params) *trace.Trace {
-	s := newSession("NStore:YCSB", p)
+	s := newSession(YCSB{}, p)
 	y := &ycsbState{session: s}
 	nRecords := uint64(p.withDefaults().Warmup)
 	if nRecords < 64 {
