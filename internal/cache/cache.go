@@ -6,12 +6,30 @@ package cache
 
 import "fmt"
 
-// Line is one cache line's state.
+// line is one cache line's state in 16 bytes. use packs the line's
+// last-touch stamp and dirty bit as stamp<<1 | dirty, and 0 means the
+// way is invalid: the cache's stamp starts at 1, so a resident line's
+// use is at least 2. No two resident lines share a stamp, so the
+// resident line with the smallest use is the least recently used one.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // last-touch stamp; higher = more recent
+	tag uint64
+	use uint64
+}
+
+func (l *line) valid() bool { return l.use != 0 }
+func (l *line) dirty() bool { return l.use&1 != 0 }
+
+// touch stamps the line as used at stamp, setting it dirty if dirty
+// and keeping it dirty if it was.
+func (l *line) touch(stamp uint64, dirty bool) {
+	l.use = stamp<<1 | l.use&1 | b2u(dirty)
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Victim describes a line evicted by a fill.
@@ -119,7 +137,9 @@ func (c *Cache) lookup(addr uint64) *line {
 	set, tag := c.index(addr)
 	ways := c.set(set)
 	for i := range ways {
-		if l := &ways[i]; l.valid && l.tag == tag {
+		// l.use != 0 spelled out, not l.valid(): it keeps lookup within
+		// the inliner's budget.
+		if l := &ways[i]; l.tag == tag && l.use != 0 {
 			return l
 		}
 	}
@@ -133,7 +153,7 @@ func (c *Cache) Contains(addr uint64) bool { return c.lookup(addr) != nil }
 // IsDirty reports whether addr's line is present and dirty.
 func (c *Cache) IsDirty(addr uint64) bool {
 	l := c.lookup(addr)
-	return l != nil && l.dirty
+	return l != nil && l.dirty()
 }
 
 // Access looks up addr, filling on miss. write marks the line dirty.
@@ -144,38 +164,14 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicte
 	ways := c.set(set)
 	c.stamp++
 	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
+		if l := &ways[i]; l.tag == tag && l.valid() {
 			c.hits++
-			l.lru = c.stamp
-			if write {
-				l.dirty = true
-			}
+			l.touch(c.stamp, write)
 			return true, Victim{}, false
 		}
 	}
 	c.misses++
-	// Choose victim: first invalid way, else LRU.
-	vi := 0
-	for i := range ways {
-		if !ways[i].valid {
-			vi = i
-			break
-		}
-		if ways[i].lru < ways[vi].lru {
-			vi = i
-		}
-	}
-	v := &ways[vi]
-	if v.valid {
-		c.evictions++
-		if v.dirty {
-			c.writebacks++
-		}
-		victim = Victim{Addr: (v.tag*c.sets + set) * c.lineSize, Dirty: v.dirty}
-		evicted = true
-	}
-	*v = line{tag: tag, valid: true, dirty: write, lru: c.stamp}
+	victim, evicted = c.replace(set, ways, tag, write)
 	return false, victim, evicted
 }
 
@@ -187,35 +183,35 @@ func (c *Cache) Fill(addr uint64, dirty bool) (victim Victim, evicted bool) {
 	ways := c.set(set)
 	c.stamp++
 	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
-			l.lru = c.stamp
-			if dirty {
-				l.dirty = true
-			}
+		if l := &ways[i]; l.tag == tag && l.valid() {
+			l.touch(c.stamp, dirty)
 			return Victim{}, false
 		}
 	}
+	return c.replace(set, ways, tag, dirty)
+}
+
+// replace installs tag's line, stamped with the current stamp, in the
+// set's first invalid way, or else over its least recently used line,
+// and returns the line it displaced. An invalid way's use of 0 is below
+// every resident line's, so the first smallest use is that way.
+func (c *Cache) replace(set uint64, ways []line, tag uint64, dirty bool) (victim Victim, evicted bool) {
 	vi := 0
-	for i := range ways {
-		if !ways[i].valid {
-			vi = i
-			break
-		}
-		if ways[i].lru < ways[vi].lru {
+	for i := 1; i < len(ways) && ways[vi].valid(); i++ {
+		if ways[i].use < ways[vi].use {
 			vi = i
 		}
 	}
 	v := &ways[vi]
-	if v.valid {
+	if v.valid() {
 		c.evictions++
-		if v.dirty {
+		if v.dirty() {
 			c.writebacks++
 		}
-		victim = Victim{Addr: (v.tag*c.sets + set) * c.lineSize, Dirty: v.dirty}
+		victim = Victim{Addr: (v.tag*c.sets + set) * c.lineSize, Dirty: v.dirty()}
 		evicted = true
 	}
-	*v = line{tag: tag, valid: true, dirty: dirty, lru: c.stamp}
+	*v = line{tag: tag, use: c.stamp<<1 | b2u(dirty)}
 	return victim, evicted
 }
 
@@ -235,11 +231,7 @@ func (c *Cache) RepeatHits(addrs []uint64, write bool, rounds uint64) bool {
 	n := uint64(len(addrs))
 	last := c.stamp + (rounds-1)*n // the stamp before the final pass
 	for i, a := range addrs {
-		l := c.lookup(a)
-		l.lru = last + uint64(i) + 1
-		if write {
-			l.dirty = true
-		}
+		c.lookup(a).touch(last+uint64(i)+1, write)
 	}
 	c.stamp += rounds * n
 	c.hits += rounds * n
@@ -254,8 +246,8 @@ func (c *Cache) CleanLine(addr uint64) bool {
 	if l == nil {
 		return false
 	}
-	wasDirty := l.dirty
-	l.dirty = false
+	wasDirty := l.dirty()
+	l.use &^= 1
 	return wasDirty
 }
 
@@ -266,7 +258,7 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	if l == nil {
 		return false, false
 	}
-	dirty = l.dirty
+	dirty = l.dirty()
 	*l = line{}
 	return true, dirty
 }
@@ -277,9 +269,8 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 func (c *Cache) DirtyLines() []uint64 {
 	var out []uint64
 	for si := uint64(0); si < c.sets; si++ {
-		for i, l := range c.set(si) {
-			_ = i
-			if l.valid && l.dirty {
+		for _, l := range c.set(si) {
+			if l.dirty() {
 				out = append(out, (l.tag*c.sets+si)*c.lineSize)
 			}
 		}
@@ -289,16 +280,14 @@ func (c *Cache) DirtyLines() []uint64 {
 
 // InvalidateAll drops every line (a power failure destroys volatile state).
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.lines)
 }
 
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
 	for _, l := range c.lines {
-		if l.valid {
+		if l.valid() {
 			n++
 		}
 	}

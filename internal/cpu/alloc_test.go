@@ -9,17 +9,17 @@ import (
 )
 
 // Allocation bounds of one single-core Run of the Hashmap trace below,
-// measured with Go 1.24 on linux/amd64 once requests in the event loop
-// stopped allocating closures (3,139 allocations and 4,741,811 bytes
-// before): 353 allocations and at most 4,595,782 bytes, nearly all of
-// them building the system and loading the checkpoint image. The byte
-// bound adds 0.25% for runtime jitter. The trace flushes 529 lines, so a
-// persist path that copies each 64-byte line into a per-flush closure
-// adds over 35 KB and fails it, and one closure per request fails the
-// allocation bound.
+// measured with Go 1.24 on linux/amd64 once the dense tables grew their
+// chunk directories on demand and cache lines shrank to 16 bytes
+// (4,595,782 bytes before): 353 allocations and at most 3,428,470
+// bytes, nearly all of them building the system and loading the
+// checkpoint image. The byte bound adds 0.25% for runtime jitter. The
+// trace flushes 529 lines, so a persist path that copies each 64-byte
+// line into a per-flush closure adds over 35 KB and fails it, and one
+// closure per request fails the allocation bound.
 const (
 	runAllocsBound = 353
-	runBytesBound  = 4_607_300
+	runBytesBound  = 3_437_100
 )
 
 // TestRunAllocs pins the allocation shape of single-core Run.
