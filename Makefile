@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-misu fuzz-smoke fuzz-targets smoke-patterns mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-misu fuzz-smoke fuzz-targets pprof ci profile reproduce validate serve load-smoke clean
 
 all: build test
 
@@ -117,14 +117,15 @@ fuzz-targets:
 # of silently tripling runtime. The benchmark is a module of its own,
 # which the root `go test ./...` does not reach, so its tests run here.
 # Bit-identity of the simulated output is Tier-1: TestGoldenRecords in
-# internal/core pins every RunRecord, functional and fast, at 50
-# transactions and, on the Dolos, related-work and multi-core cells, at
-# 200 transactions (the `/txns200` keys).
+# internal/core pins every RunRecord, on the functional and the
+# latency-only crypto engine, at 50 transactions and, on the Dolos,
+# related-work and multi-core cells, at 200 transactions (the `/txns200`
+# keys). Every test of the root module runs once, in `go test -race
+# ./...`, and `-exp all` includes `-exp schemes`.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
-	$(MAKE) smoke-patterns
 	$(MAKE) fuzz-targets
 	$(GO) test -race ./...
 	cd benchmark && $(GO) test ./...
@@ -135,73 +136,8 @@ ci:
 	$(GO) test -run '^$$' -bench 'Protect|DrainRecover' -benchtime 1x ./internal/misu
 	$(GO) build -o /tmp/dolos-bench-ci ./cmd/dolos-bench
 	timeout 300 /tmp/dolos-bench-ci -exp all -txns 50 > /dev/null
-	$(MAKE) mcore-smoke
-	$(MAKE) fast-smoke
-	$(MAKE) scheme-smoke
 	$(MAKE) load-smoke
 	$(MAKE) fuzz-smoke
-
-# The test selections of the smoke targets below: a -run pattern per
-# `go test` line. `go test -run` with a pattern that matches nothing
-# passes, so a renamed test would quietly empty its smoke target;
-# smoke-patterns (part of `make ci`) fails unless every |-separated
-# name of every pattern matches a test that `go test -list` finds in
-# the line's packages. A new smoke line gets its pattern here and a
-# smoke_list line in smoke-patterns.
-MCORE_SMOKE_CORE := TestMCoreSmoke|TestCoresOneMatchesLegacy
-MCORE_SMOKE_CPU := TestOoOWindowOneMatchesInOrder|TestMultiCoreDeterminism
-FAST_SMOKE_CORE := TestFastMode
-FAST_SMOKE_CRYPT := TestFastEngine|TestDispatchAllocFree
-FAST_SMOKE_CRASH := TestFastMode|TestCrashRefused|TestNewDriverRejects
-SCHEME_SMOKE_CRASH := TestSchemeSmokeRegistry|TestRelatedSchemesCrashRecovery|TestRecoveryRuntimeTradeoffOrdering|TestCrashThenAttackMatrix
-SCHEME_SMOKE_CLI := TestSchemeSetsMatchRegistry|TestParseScheme
-SCHEME_SMOKE_CORE := TestSchemeGridsCoverRegistry
-
-# $(call smoke_list,PATTERN,PACKAGES) fails unless every |-separated
-# name in PATTERN matches a test listed in PACKAGES.
-smoke_list = @listed="$$($(GO) test -list '$(1)' $(2) | grep -E '^(Test|Fuzz|Example)')"; \
-	for n in $$(echo '$(1)' | tr '|' ' '); do \
-		echo "$$listed" | grep -Eq "$$n" || { echo "smoke pattern $$n matches no test in $(2)"; exit 1; }; \
-	done
-
-smoke-patterns:
-	$(call smoke_list,$(MCORE_SMOKE_CORE),./internal/core)
-	$(call smoke_list,$(MCORE_SMOKE_CPU),./internal/cpu)
-	$(call smoke_list,$(FAST_SMOKE_CORE),./internal/core)
-	$(call smoke_list,$(FAST_SMOKE_CRYPT),./internal/crypt)
-	$(call smoke_list,$(FAST_SMOKE_CRASH),./internal/attack ./internal/crash)
-	$(call smoke_list,$(SCHEME_SMOKE_CRASH),./internal/crash)
-	$(call smoke_list,$(SCHEME_SMOKE_CLI),./internal/cliutil)
-	$(call smoke_list,$(SCHEME_SMOKE_CORE),./internal/core)
-
-# Multi-core determinism smoke under the race detector: a Cores>1 grid
-# run serially and at executor parallelism 4 must produce byte-identical
-# results and metrics snapshots (TestMCoreSmoke), plus the window 0 ≡
-# window 1 and Cores=1 ≡ single-core differential pins and a 2-core
-# machine's run-to-run determinism (internal/cpu). Runs in CI.
-mcore-smoke:
-	$(GO) test -race -run '$(MCORE_SMOKE_CORE)' ./internal/core
-	$(GO) test -race -run '$(MCORE_SMOKE_CPU)' ./internal/cpu
-
-# Fast-mode smoke: the exhaustive scheme×workload differential against
-# the functional records and the dispatch-order proof under the race
-# detector. Runs in CI.
-fast-smoke:
-	$(GO) test -race -run '$(FAST_SMOKE_CORE)' ./internal/core
-	$(GO) test -run '$(FAST_SMOKE_CRYPT)' ./internal/crypt
-	$(GO) test -run '$(FAST_SMOKE_CRASH)' ./internal/attack ./internal/crash
-
-# Scheme-registry smoke: every registered scheme (Dolos designs and the
-# related-work competitors — Triad-NVM, SuperMem, Phoenix, STUM) runs,
-# crashes mid-flight, recovers and passes the durability audit; the
-# recovery/runtime trade-off ordering pins hold; the CLI alias tables
-# stay derived from the registry; and the registry-driven bench grids
-# have one row per entry. Runs in CI.
-scheme-smoke:
-	$(GO) test -run '$(SCHEME_SMOKE_CRASH)' ./internal/crash
-	$(GO) test -run '$(SCHEME_SMOKE_CLI)' ./internal/cliutil
-	$(GO) test -run '$(SCHEME_SMOKE_CORE)' ./internal/core
-	$(GO) run ./cmd/dolos-bench -exp schemes -txns 50 -fast > /dev/null
 
 # CPU and heap profiles of the root Figure 12 benchmark (one
 # iteration), ready for `go tool pprof -top cpu.pprof`.

@@ -32,7 +32,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent simulations per sweep (0 = GOMAXPROCS, 1 = serial); tables are identical at any setting")
 	coresFlag := flag.String("cores", "1,2,4,8", "comma-separated core counts for the contention experiment")
 	oooWindow := flag.Int("ooo-window", 0, "OoO issue window for the contention experiment (0 = in-order)")
-	fast := flag.Bool("fast", false, "latency-only crypto provider for every sweep cell (bit-identical tables, fraction of the wall-clock; crash/recovery experiments ignore it)")
 	flag.Parse()
 
 	selected, wls, err := checkFlags(*exp, *workloads, *txns, *parallel, *format, *coresFlag, *oooWindow)
@@ -41,8 +40,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	r := core.NewRunner(core.Options{Transactions: *txns, Seed: *seed, Parallelism: *parallel,
-		FastMode: *fast, Workloads: wls})
+	r := core.NewRunner(core.Options{Transactions: *txns, Seed: *seed, Parallelism: *parallel, Workloads: wls})
 	for _, e := range selected {
 		start := time.Now()
 		if err := run(r, e, *format == "csv"); err != nil {

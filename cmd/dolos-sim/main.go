@@ -1,5 +1,7 @@
 // Command dolos-sim runs one simulation: a workload under a controller
-// scheme, printing the timing result and controller statistics.
+// scheme, printing the timing result and controller statistics. The
+// cell is the one core.Runner builds for the same Spec, so its record
+// matches the grid's.
 //
 // Usage:
 //
@@ -19,11 +21,10 @@ import (
 	"time"
 
 	"dolos/internal/cliutil"
-	"dolos/internal/controller"
+	"dolos/internal/core"
 	"dolos/internal/cpu"
 	"dolos/internal/sim"
 	"dolos/internal/telemetry"
-	"dolos/internal/whisper"
 )
 
 func main() {
@@ -33,14 +34,13 @@ func main() {
 	txns := flag.Int("txns", 1000, "measured transactions")
 	txSize := flag.Int("txsize", 1024, fmt.Sprintf("transaction payload bytes (%d-%d)", cliutil.MinTxSize, cliutil.MaxTxSize))
 	wpqSize := flag.Int("wpq", 16, fmt.Sprintf("hardware WPQ entries (%d-%d)", cliutil.MinWPQ, cliutil.MaxWPQ))
-	seed := flag.Int64("seed", 1, "workload seed")
+	seed := flag.Int64("seed", 1, "workload seed (0 means 1)")
 	noCoalesce := flag.Bool("no-coalesce", false, "disable WPQ write coalescing")
 	cores := flag.Int("cores", 1, "workload instances contending for one shared controller")
 	oooWindow := flag.Int("ooo-window", 0, "out-of-order read window (0 or 1 = in-order core)")
 	showStats := flag.Bool("stats", false, "dump controller counters")
 	jsonOut := flag.Bool("json", false, "emit the run result as JSON on stdout instead of text")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this path")
-	fast := flag.Bool("fast", false, "latency-only crypto provider (bit-identical timing, no real AES/SHA-256)")
 	flag.Parse()
 
 	if err := checkFlags(*txns, *txSize, *wpqSize, *cores, *oooWindow); err != nil {
@@ -57,44 +57,43 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
 		os.Exit(2)
 	}
+	os.Exit(run(config{
+		workload: *workload,
+		opts:     core.Options{Transactions: *txns, Seed: *seed},
+		spec: core.Spec{Scheme: sch, Tree: kind, TxSize: *txSize, HardwareWPQ: *wpqSize,
+			DisableCoalescing: *noCoalesce, Cores: *cores, OoOWindow: *oooWindow},
+		stats: *showStats,
+		json:  *jsonOut,
+		trace: *traceOut,
+	}, os.Stdout, os.Stderr))
+}
 
-	w, err := whisper.ByName(*workload)
+// config is one dolos-sim run: the cell, as core.Runner builds it, and
+// what to report about it.
+type config struct {
+	workload string
+	opts     core.Options
+	spec     core.Spec
+	stats    bool   // -stats: controller counters and cache hit rates
+	json     bool   // -json: a RunRecord instead of text
+	trace    string // -trace: path of the Chrome trace, "" for none
+}
+
+// run simulates the cell c names and writes its report to stdout and
+// any error to stderr. It returns the exit code: 2 for a cell the flags
+// make impossible (an unknown workload, or a trace that could overflow
+// its persistent heap), 1 when the report cannot be written.
+func run(c config, stdout, stderr io.Writer) int {
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "dolos-sim: %v\n", err)
+		return code
+	}
+	r := core.NewRunner(c.opts)
+	m, err := r.Machine(c.workload, c.spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
-		os.Exit(1)
+		return fail(2, err)
 	}
-	if err := checkHeap(w, *txns, *txSize); err != nil {
-		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
-		os.Exit(2)
-	}
-
-	cfg := controller.Config{
-		Scheme:            sch,
-		Tree:              kind,
-		HardwareWPQ:       *wpqSize,
-		DisableCoalescing: *noCoalesce,
-		FastMode:          *fast,
-	}
-	cfg.AESKey, cfg.MACKey = cliutil.DemoKeys("sim")
-	// Some schemes pin the integrity backend (Phoenix is the lazy ToC by
-	// definition); report the one the controller actually simulates.
-	kind = cfg.EffectiveTree()
-
-	// Core i runs its own instance of the workload (per-core seed,
-	// disjoint heap); core 0's trace is the single-core trace.
-	specs := make([]cpu.CoreSpec, *cores)
-	for i := range specs {
-		coreSeed := cpu.CoreSeed(*seed, i)
-		specs[i] = cpu.CoreSpec{
-			Workload: w.Name(),
-			Seed:     coreSeed,
-			Trace: w.Generate(whisper.Params{
-				Transactions: *txns, TxSize: *txSize, Seed: coreSeed, HeapBase: cpu.CoreHeapBase(i),
-			}),
-		}
-	}
-	m := cpu.NewMachine(cpu.MachineConfig{Ctrl: cfg, Window: *oooWindow}, specs)
-	if *traceOut != "" {
+	if c.trace != "" {
 		// The probe is attached only on request: without -trace the run
 		// takes the uninstrumented (nil-probe) fast path.
 		m.SetProbe(newTraceProbe(m.Eng.Now, traceEventLimit))
@@ -103,73 +102,74 @@ func main() {
 	res := m.Run()
 	wall := time.Since(start)
 
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, m.Probe()); err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
-			os.Exit(1)
+	if c.trace != "" {
+		if err := writeTrace(c.trace, m.Probe()); err != nil {
+			return fail(1, err)
 		}
-		reportDropped(os.Stderr, m.Probe())
+		reportDropped(stderr, m.Probe())
 	}
 
-	if *jsonOut {
+	// Some schemes pin the integrity backend (Phoenix is the lazy ToC by
+	// definition); report the one the controller actually simulates.
+	kind := c.spec.EffectiveTree()
+	if c.json {
 		var reg *telemetry.Registry
 		if p := m.Probe(); p != nil {
 			reg = p.Registry()
 		}
-		rec := cliutil.BuildRunRecord(res, kind, *txSize, *seed, m.Eng.Processed(), wall, m.Ctrl.Stats(), reg)
-		rec.Mode = cliutil.ModeLabel(cfg.FastMode)
-		if err := telemetry.WriteJSON(os.Stdout, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
-			os.Exit(1)
+		rec := cliutil.BuildRunRecord(res, kind, c.spec.TxSize, r.Options().Seed, m.Eng.Processed(), wall, m.Ctrl.Stats(), reg)
+		if err := telemetry.WriteJSON(stdout, rec); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	// A multi-core run's cycles are the slowest core's, and its
 	// transactions and fence stalls are summed over cores.
 	if res.Cores > 1 {
-		fmt.Printf("workload          %s × %d cores (OoO window %d)\n", res.Workload, res.Cores, res.OoOWindow)
+		fmt.Fprintf(stdout, "workload          %s × %d cores (OoO window %d)\n", res.Workload, res.Cores, res.OoOWindow)
 	} else {
-		fmt.Printf("workload          %s\n", res.Workload)
+		fmt.Fprintf(stdout, "workload          %s\n", res.Workload)
 	}
-	fmt.Printf("scheme            %s (%s, %d-entry hardware WPQ, %dB tx)\n",
-		res.Scheme, kind, *wpqSize, *txSize)
-	fmt.Printf("cycles            %d\n", res.Cycles)
-	fmt.Printf("transactions      %d\n", res.Transactions)
-	fmt.Printf("cycles/tx         %.0f\n", res.CyclesPerTx)
-	fmt.Printf("CPI (per op)      %.2f\n", res.CPI)
-	fmt.Printf("fence stalls      %d cycles\n", res.FenceStalls)
-	fmt.Printf("write requests    %d\n", res.WriteRequests)
-	fmt.Printf("retry events      %d (%.2f per KWR)\n", res.RetryEvents, res.RetryPerKWR)
-	fmt.Printf("WPQ read hits     %d\n", res.WPQReadHits)
-	fmt.Printf("mem reads         %d\n", res.MemReads)
-	fmt.Printf("mean interarrival %.0f cycles\n", res.MeanInterarrival)
-	fmt.Printf("mean WPQ occupancy %.1f entries\n", res.WPQMeanOccupancy)
+	fmt.Fprintf(stdout, "scheme            %s (%s, %d-entry hardware WPQ, %dB tx)\n",
+		res.Scheme, kind, c.spec.HardwareWPQ, c.spec.TxSize)
+	fmt.Fprintf(stdout, "cycles            %d\n", res.Cycles)
+	fmt.Fprintf(stdout, "transactions      %d\n", res.Transactions)
+	fmt.Fprintf(stdout, "cycles/tx         %.0f\n", res.CyclesPerTx)
+	fmt.Fprintf(stdout, "CPI (per op)      %.2f\n", res.CPI)
+	fmt.Fprintf(stdout, "fence stalls      %d cycles\n", res.FenceStalls)
+	fmt.Fprintf(stdout, "write requests    %d\n", res.WriteRequests)
+	fmt.Fprintf(stdout, "retry events      %d (%.2f per KWR)\n", res.RetryEvents, res.RetryPerKWR)
+	fmt.Fprintf(stdout, "WPQ read hits     %d\n", res.WPQReadHits)
+	fmt.Fprintf(stdout, "mem reads         %d\n", res.MemReads)
+	fmt.Fprintf(stdout, "mean interarrival %.0f cycles\n", res.MeanInterarrival)
+	fmt.Fprintf(stdout, "mean WPQ occupancy %.1f entries\n", res.WPQMeanOccupancy)
 	if res.Prefetches > 0 {
-		fmt.Printf("prefetches        %d\n", res.Prefetches)
+		fmt.Fprintf(stdout, "prefetches        %d\n", res.Prefetches)
 	}
 	for _, pc := range res.PerCore {
-		fmt.Printf("core %d            %s seed %d: %d cycles, %d tx, %d grants, %d wait cycles\n",
+		fmt.Fprintf(stdout, "core %d            %s seed %d: %d cycles, %d tx, %d grants, %d wait cycles\n",
 			pc.Core, pc.Workload, pc.Seed, pc.Cycles, pc.Transactions, pc.ArbGrants, pc.ArbWaitCycles)
 	}
 
-	if *showStats {
-		fmt.Println("\ncontroller counters:")
-		fmt.Print(m.Ctrl.Stats())
+	if c.stats {
+		fmt.Fprintln(stdout, "\ncontroller counters:")
+		fmt.Fprint(stdout, m.Ctrl.Stats())
 		var l1h, l1m, l2h, l2m, llch, llcm uint64
-		for _, c := range m.Cores {
-			h := c.Hier()
+		for _, mc := range m.Cores {
+			h := mc.Hier()
 			l1h, l1m = l1h+h.L1().Hits(), l1m+h.L1().Misses()
 			l2h, l2m = l2h+h.L2().Hits(), l2m+h.L2().Misses()
 			llch, llcm = llch+h.LLC().Hits(), llcm+h.LLC().Misses()
 		}
-		fmt.Printf("\ncache hit rates: L1 %.1f%%  L2 %.1f%%  LLC %.1f%%\n",
+		fmt.Fprintf(stdout, "\ncache hit rates: L1 %.1f%%  L2 %.1f%%  LLC %.1f%%\n",
 			hitRate(l1h, l1m), hitRate(l2h, l2m), hitRate(llch, llcm))
 		cc, mc := m.Ctrl.MetaCaches()
-		fmt.Printf("metadata caches: counter %.1f%%  MT %.1f%%\n",
+		fmt.Fprintf(stdout, "metadata caches: counter %.1f%%  MT %.1f%%\n",
 			hitRate(cc.Hits(), cc.Misses()),
 			hitRate(mc.Hits(), mc.Misses()))
 	}
+	return 0
 }
 
 // checkFlags rejects numeric flags outside the ranges a run accepts:
@@ -196,12 +196,6 @@ func checkFlags(txns, txSize, wpq, cores, window int) error {
 		return fmt.Errorf("-ooo-window %d: want 0 or more", window)
 	}
 	return nil
-}
-
-// checkHeap rejects a run whose trace could overflow the workload's
-// persistent heap (every core's heap has the default size).
-func checkHeap(w whisper.Workload, txns, txSize int) error {
-	return whisper.CheckHeap(w, whisper.Params{Transactions: txns, TxSize: txSize})
 }
 
 // traceEventLimit caps the probe events a -trace run keeps. A

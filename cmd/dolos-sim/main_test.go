@@ -1,11 +1,17 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"dolos/internal/cliutil"
 	"dolos/internal/controller"
+	"dolos/internal/core"
 	"dolos/internal/cpu"
 	"dolos/internal/telemetry"
 	"dolos/internal/whisper"
@@ -46,34 +52,102 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// Runs whose trace could overflow the workload's persistent heap are
-// rejected before generation: Hashmap, Btree and Redis at 20,000
-// transactions of 4 KB used to panic with heap exhausted.
+// Runs whose trace could overflow the workload's persistent heap exit 2
+// before generation: Hashmap, Btree and Redis at 20,000 transactions of
+// 4 KB used to panic with heap exhausted. A second core's heap is
+// checked as well.
 func TestCheckHeap(t *testing.T) {
 	for _, c := range []struct {
 		workload     string
 		txns, txSize int
-		reject       bool
+		cores        int
+		code         int
 	}{
-		{"Hashmap", 20000, 4096, true},
-		{"Btree", 20000, 4096, true},
-		{"Redis", 20000, 4096, true},
-		{"NStore:YCSB", 20000, 4096, false},
-		{"Hashmap", 20000, 1024, false},
-		{"Btree", 20000, 1024, false},
-		{"Redis", 20000, 1024, false},
-		{"Hashmap", 1, 4096, false},
+		{"Hashmap", 20000, 4096, 1, 2},
+		{"Btree", 20000, 4096, 1, 2},
+		{"Redis", 20000, 4096, 2, 2},
+		{"Hashmap", 1, 4096, 1, 0},
 	} {
-		w, err := whisper.ByName(c.workload)
+		var out, errb strings.Builder
+		code := run(config{
+			workload: c.workload,
+			opts:     core.Options{Transactions: c.txns, Seed: 1},
+			spec:     core.Spec{Scheme: controller.DolosPartial, TxSize: c.txSize, Cores: c.cores},
+			json:     true,
+		}, &out, &errb)
+		if code != c.code {
+			t.Errorf("%+v: exit %d, want %d (stderr %q)", c, code, c.code, errb.String())
+		}
+		if c.code == 2 && !strings.Contains(errb.String(), fmt.Sprintf("txns %d with txsize %d", c.txns, c.txSize)) {
+			t.Errorf("%+v: stderr %q, want the heap error naming txns and txsize", c, errb.String())
+		}
+	}
+}
+
+// simRecord runs c with -json and decodes its record.
+func simRecord(t *testing.T, c config) telemetry.RunRecord {
+	t.Helper()
+	c.json = true
+	var out, errb strings.Builder
+	if code := run(c, &out, &errb); code != 0 {
+		t.Fatalf("%+v: exit %d: %s", c, code, errb.String())
+	}
+	var rec telemetry.RunRecord
+	if err := json.Unmarshal([]byte(out.String()), &rec); err != nil {
+		t.Fatalf("%+v: decoding the record: %v", c, err)
+	}
+	return rec
+}
+
+// runCases are the cells the run-path tests drive: one core in order,
+// and two contending cores at OoO window 2.
+var runCases = []config{
+	{workload: "Hashmap", opts: core.Options{Transactions: 50, Seed: 1},
+		spec: core.Spec{Scheme: controller.DolosPartial, TxSize: 1024, HardwareWPQ: 16}},
+	{workload: "Hashmap", opts: core.Options{Transactions: 50, Seed: 1},
+		spec: core.Spec{Scheme: controller.PreWPQSecure, TxSize: 1024, HardwareWPQ: 16, Cores: 2, OoOWindow: 2}},
+}
+
+// A -json run reports the record core.Runner.RunCell gives for the same
+// cell: dolos-sim builds its cell through the runner.
+func TestRunMatchesRunner(t *testing.T) {
+	for _, c := range runCases {
+		got := simRecord(t, c)
+		r := core.NewRunner(c.opts)
+		rr, err := r.RunCell(context.Background(), c.workload, c.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = checkHeap(w, c.txns, c.txSize)
-		switch {
-		case !c.reject && err != nil:
-			t.Errorf("%+v: rejected: %v", c, err)
-		case c.reject && (err == nil || !strings.Contains(err.Error(), "txns 20000 with txsize 4096")):
-			t.Errorf("%+v: error %v, want one naming txns and txsize", c, err)
+		want := cliutil.BuildRunRecord(rr.Result, c.spec.EffectiveTree(), c.spec.TxSize, r.Options().Seed,
+			rr.Events, rr.Wall, rr.Stats, nil)
+		if d := cliutil.CompareBenchRecords([]telemetry.RunRecord{got}, []telemetry.RunRecord{want}); !d.Identical() {
+			t.Errorf("%d cores: dolos-sim's record differs from the runner's:\n  %s",
+				max(c.spec.Cores, 1), strings.Join(d.Diffs, "\n  "))
+		}
+	}
+}
+
+// -trace writes a Chrome trace that parses and leaves every field of
+// the untraced record as it was; the probe only adds its own metrics.
+func TestRunTraceKeepsRecord(t *testing.T) {
+	for _, c := range runCases {
+		plain := simRecord(t, c)
+		c.trace = filepath.Join(t.TempDir(), "trace.json")
+		traced := simRecord(t, c)
+		for _, d := range cliutil.CompareBenchRecords([]telemetry.RunRecord{traced}, []telemetry.RunRecord{plain}).Diffs {
+			if !strings.HasSuffix(d, "absent in baseline") {
+				t.Errorf("%d cores: -trace changed %s", max(c.spec.Cores, 1), d)
+			}
+		}
+		buf, err := os.ReadFile(c.trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf, &tr); err != nil || len(tr.TraceEvents) == 0 {
+			t.Errorf("%d cores: trace holds %d events (%v)", max(c.spec.Cores, 1), len(tr.TraceEvents), err)
 		}
 	}
 }

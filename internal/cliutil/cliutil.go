@@ -24,7 +24,7 @@ import (
 func SchemeNames() []string { return scheme.Names() }
 
 // AllSchemes returns every registered scheme ID in registry (ID) order —
-// the one enumeration the grids, smoke suites and differential tests
+// the one enumeration the grids, crash suites and differential tests
 // iterate so new registry entries are covered without hand-listing.
 func AllSchemes() []controller.Scheme {
 	entries := scheme.All()
@@ -127,15 +127,6 @@ func BuildRunRecord(res cpu.Result, tree masu.TreeKind, txSize int, seed int64,
 	}
 }
 
-// ModeLabel names how a run executed for RunRecord.Mode: "fast" for the
-// latency-only provider, empty for the default functional simulator.
-func ModeLabel(fastMode bool) string {
-	if fastMode {
-		return "fast"
-	}
-	return ""
-}
-
 // BenchDelta is the result of comparing two lists of RunRecords field by
 // field. Diffs lists every deterministic-field divergence (empty =
 // bit-identical simulation output).
@@ -151,10 +142,8 @@ func (d BenchDelta) Identical() bool { return len(d.Diffs) == 0 }
 // hostFields are the RunRecord JSON fields measured on the host rather
 // than in the simulated model; they differ run to run by design and are
 // excluded from bit-identity comparison (events_processed stays in: the
-// engine's dispatch count is deterministic). mode is a label of how the
-// host executed the run — fast-mode records must match their functional
-// baseline on every other field.
-var hostFields = []string{"mode", "wall_seconds", "sim_events_per_sec"}
+// engine's dispatch count is deterministic).
+var hostFields = []string{"wall_seconds", "sim_events_per_sec"}
 
 // CompareBenchRecords compares two lists of RunRecords field by field.
 // Records pair by position (grids assemble records in enumeration

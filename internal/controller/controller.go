@@ -94,6 +94,8 @@ type Config struct {
 	// mode — the model charges latency from cost counts and addresses,
 	// never from crypto bytes — but NVM contents are fake, so Crash,
 	// Recover and the audit paths refuse to run (see masu.ErrFastMode).
+	// No CLI or core.Spec sets it: the repository benchmark's btree-fast
+	// workload and the bit-identity tests do (DESIGN.md §14).
 	FastMode bool
 }
 

@@ -43,11 +43,6 @@ type Options struct {
 	// is an independent single-clock-domain system, so output is
 	// byte-identical at every setting; see DESIGN.md §9.
 	Parallelism int
-	// FastMode makes every run in the batch use the latency-only crypto
-	// provider (see Spec.FastMode) unless a cell asks otherwise. Every
-	// deterministic result field is bit-identical to functional mode;
-	// crash/recovery and attack experiments refuse it.
-	FastMode bool
 }
 
 func (o Options) withDefaults() Options {
@@ -93,16 +88,6 @@ type Spec struct {
 	// record reports the value asked for. Above 1 the core overlaps
 	// independent read misses and runs a stride prefetcher.
 	OoOWindow int
-	// FastMode swaps the functional crypto engine (AES-CTR pads,
-	// SHA-256 MACs) for a latency-only provider. All simulated timing
-	// derives from event counts and latency constants, never from
-	// crypto byte values, so every deterministic result field is
-	// bit-identical to a functional run (pinned by TestFastMode* in
-	// this package) at a fraction of the host CPU cost. Crash,
-	// recovery and attack experiments require functional crypto and
-	// return masu.ErrFastMode / misu.ErrFastMode if asked to run on a
-	// fast-mode system.
-	FastMode bool
 }
 
 func (s Spec) withDefaults() Spec {
@@ -177,20 +162,6 @@ func (r *Runner) WithContext(ctx context.Context) *Runner {
 	return &Runner{opts: r.opts, ctx: ctx, traces: r.traces}
 }
 
-// functional returns a view of the runner with the batch-level FastMode
-// default cleared (sharing options, context and trace cache otherwise).
-// Crash/recovery experiments run through this view: they exist to prove
-// real MACs and ECC survive power loss, and the masu/misu guards refuse
-// the latency-only provider outright.
-func (r *Runner) functional() *Runner {
-	if !r.opts.FastMode {
-		return r
-	}
-	o := r.opts
-	o.FastMode = false
-	return &Runner{opts: o, ctx: r.ctx, traces: r.traces}
-}
-
 // context returns the runner's bounding context (Background when unset).
 func (r *Runner) context() context.Context {
 	if r.ctx != nil {
@@ -263,8 +234,7 @@ func (r *Runner) cachedTrace(key, canon string, p whisper.Params) (*trace.Trace,
 // Run simulates one workload under one configuration. It is
 // RunContext with context.Background(): an unbounded run.
 func (r *Runner) Run(workload string, spec Spec) (cpu.Result, error) {
-	res, _, err := r.runSystem(workload, spec)
-	return res, err
+	return r.RunContext(context.Background(), workload, spec)
 }
 
 // RunContext simulates one workload under one configuration, bounded
@@ -277,46 +247,57 @@ func (r *Runner) RunContext(ctx context.Context, workload string, spec Spec) (cp
 	return rr.Result, err
 }
 
-// runSystem simulates one workload under one configuration and also
-// returns the quiesced machine, for experiments that inspect controller
-// state (the crash/recovery ablation). Every core count up to
-// cpu.MaxCores runs on one cpu.Machine: core i runs coreTrace(i), and
-// core 0's is the single-core trace. A larger count is refused before
-// any trace is generated.
-func (r *Runner) runSystem(workload string, spec Spec) (cpu.Result, *cpu.Machine, error) {
-	if spec.Cores > cpu.MaxCores {
-		return cpu.Result{}, nil, fmt.Errorf("cores %d: want at most %d, the most whose heaps fit the data region",
-			spec.Cores, cpu.MaxCores)
-	}
+// Machine builds, without running it, the cell that RunCell simulates
+// for one workload under one configuration, so a caller can attach a
+// probe before the run or inspect controller state after it (the
+// crash/recovery ablation). Every core count up to cpu.MaxCores runs on
+// one cpu.Machine: core i runs coreTrace(i), and core 0's is the
+// single-core trace. A larger count is refused before any trace is
+// generated, as is a workload whose trace could overflow its heap.
+func (r *Runner) Machine(workload string, spec Spec) (*cpu.Machine, error) {
 	spec = spec.withDefaults()
+	return r.machine(workload, spec, spec.config())
+}
+
+// config is the controller configuration spec simulates, under the
+// runner's fixed keys.
+func (s Spec) config() controller.Config {
 	cfg := controller.Config{
-		Scheme:            spec.Scheme,
-		Tree:              spec.Tree,
-		HardwareWPQ:       spec.HardwareWPQ,
-		DisableCoalescing: spec.DisableCoalescing,
-		CounterCacheBytes: spec.CounterCacheBytes,
-		MaSUInterval:      sim.Cycle(spec.MaSUInterval),
-		OsirisPeriod:      spec.OsirisPeriod,
-		TriadLevels:       spec.TriadLevels,
-		FastMode:          spec.FastMode || r.opts.FastMode,
+		Scheme:            s.Scheme,
+		Tree:              s.Tree,
+		HardwareWPQ:       s.HardwareWPQ,
+		DisableCoalescing: s.DisableCoalescing,
+		CounterCacheBytes: s.CounterCacheBytes,
+		MaSUInterval:      sim.Cycle(s.MaSUInterval),
+		OsirisPeriod:      s.OsirisPeriod,
+		TriadLevels:       s.TriadLevels,
 	}
 	copy(cfg.AESKey[:], "dolos-aes-key-16")
 	copy(cfg.MACKey[:], "dolos-mac-key-16")
+	return cfg
+}
 
+// machine builds the cell of workload under spec (defaults applied)
+// around the controller cfg. Machine passes spec.config(); the
+// bit-identity tests pass the same config on the latency-only engine.
+func (r *Runner) machine(workload string, spec Spec, cfg controller.Config) (*cpu.Machine, error) {
+	if spec.Cores > cpu.MaxCores {
+		return nil, fmt.Errorf("cores %d: want at most %d, the most whose heaps fit the data region",
+			spec.Cores, cpu.MaxCores)
+	}
 	canon, err := whisper.Resolve(workload)
 	if err != nil {
-		return cpu.Result{}, nil, err
+		return nil, err
 	}
 	cores := make([]cpu.CoreSpec, max(spec.Cores, 1))
 	for i := range cores {
 		tr, err := r.coreTrace(canon, spec.TxSize, i)
 		if err != nil {
-			return cpu.Result{}, nil, err
+			return nil, err
 		}
 		cores[i] = cpu.CoreSpec{Workload: canon, Seed: cpu.CoreSeed(r.opts.Seed, i), Trace: tr}
 	}
-	m := cpu.NewMachine(cpu.MachineConfig{Ctrl: cfg, Window: spec.OoOWindow}, cores)
-	return m.Run(), m, nil
+	return cpu.NewMachine(cpu.MachineConfig{Ctrl: cfg, Window: spec.OoOWindow}, cores), nil
 }
 
 // Speedup returns baseline cycles divided by candidate cycles — the

@@ -93,7 +93,7 @@ func TestRunnerRefusesHeapOverflow(t *testing.T) {
 // trace.
 func TestRunnerRefusesTooManyCores(t *testing.T) {
 	r := NewRunner(Options{Transactions: 1})
-	_, err := r.Run("Hashmap", Spec{Scheme: controller.DolosPartial, Cores: cpu.MaxCores + 1, FastMode: true})
+	_, err := r.Run("Hashmap", Spec{Scheme: controller.DolosPartial, Cores: cpu.MaxCores + 1})
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cores %d", cpu.MaxCores+1)) {
 		t.Fatalf("Run at %d cores: err = %v, want one naming the count", cpu.MaxCores+1, err)
 	}

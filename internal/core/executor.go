@@ -108,12 +108,12 @@ func (r *Runner) RunCell(ctx context.Context, workload string, spec Spec) (RunRe
 		return RunResult{}, canceled(err)
 	}
 	start := time.Now()
-	res, m, err := r.runSystem(workload, spec)
+	m, err := r.Machine(workload, spec)
 	if err != nil {
 		return RunResult{}, err
 	}
 	return RunResult{
-		Result: res,
+		Result: m.Run(),
 		Events: m.Eng.Processed(),
 		Wall:   time.Since(start),
 		Stats:  m.Ctrl.Stats(),

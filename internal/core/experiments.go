@@ -461,18 +461,16 @@ func (r *Runner) AblateOsiris(workload string) (*stats.Table, error) {
 		probes   float64
 	}
 	points := make([]osirisPoint, len(OsirisPeriods))
-	// This sweep crashes and recovers each cell, so it always runs the
-	// functional provider regardless of the batch FastMode default.
-	fr := r.functional()
 	// Bespoke, not sweep: each cell's machine is crashed after its run.
 	err := r.forEach(len(OsirisPeriods), func(i int) error {
 		period := OsirisPeriods[i]
-		_, sys, err := fr.runSystem(workload, Spec{
+		sys, err := r.Machine(workload, Spec{
 			Scheme: controller.DolosPartial, Tree: masu.BMTEager, OsirisPeriod: period,
 		})
 		if err != nil {
 			return fmt.Errorf("osiris period %d: %w", period, err)
 		}
+		sys.Run()
 		// Normalize by every Ma-SU write (checkpoint load included), so
 		// period 1 is exactly one persist per write.
 		persists := float64(sys.Ctrl.MaSU().Counters().Persists())

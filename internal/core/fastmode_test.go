@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,23 +19,39 @@ import (
 // for each one, and a new registry entry joins this suite automatically.
 var allSchemes = cliutil.AllSchemes()
 
-// record runs one cell through the runner and freezes it as a RunRecord
-// with wall time zeroed, so the comparison below sees every deterministic
-// field (cycles, counters, histograms, event counts) and nothing host-side.
-func record(t *testing.T, r *Runner, workload string, spec Spec) telemetry.RunRecord {
+// runEngine simulates one cell as RunCell does, on the functional
+// crypto engine or, when fast is set, on the latency-only one
+// (controller.Config.FastMode), which no Spec or Option selects.
+func runEngine(r *Runner, workload string, spec Spec, fast bool) (RunResult, error) {
+	spec = spec.withDefaults()
+	cfg := spec.config()
+	cfg.FastMode = fast
+	m, err := r.machine(workload, spec, cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
+	if m.Ctrl.Functional() == fast {
+		return RunResult{}, fmt.Errorf("fast %v built a controller with Functional() %v", fast, !fast)
+	}
+	return RunResult{Result: m.Run(), Events: m.Eng.Processed(), Stats: m.Ctrl.Stats()}, nil
+}
+
+// record runs one cell on the chosen engine and freezes it as a
+// RunRecord with wall time zeroed, so the comparison below sees every
+// deterministic field (cycles, counters, histograms, event counts) and
+// nothing host-side.
+func record(t *testing.T, r *Runner, workload string, spec Spec, fast bool) telemetry.RunRecord {
 	t.Helper()
-	res, m, err := r.runSystem(workload, spec)
+	rr, err := runEngine(r, workload, spec, fast)
 	if err != nil {
 		t.Fatalf("%s/%v: %v", workload, spec.Scheme, err)
 	}
-	rec := cliutil.BuildRunRecord(res, spec.Tree, spec.TxSize, r.Options().Seed,
-		m.Eng.Processed(), 0, m.Ctrl.Stats(), nil)
-	rec.Mode = cliutil.ModeLabel(spec.FastMode)
-	return rec
+	return cliutil.BuildRunRecord(rr.Result, spec.Tree, spec.TxSize, r.Options().Seed,
+		rr.Events, 0, rr.Stats, nil)
 }
 
 // diffRecords compares two records over every deterministic field and
-// reports the divergences (mode and host throughput excluded).
+// reports the divergences (host throughput excluded).
 func diffRecords(fast, functional telemetry.RunRecord) []string {
 	d := cliutil.CompareBenchRecords(
 		[]telemetry.RunRecord{fast}, []telemetry.RunRecord{functional})
@@ -53,9 +70,8 @@ func TestFastModeBitIdentical(t *testing.T) {
 	for _, wl := range whisper.Names() {
 		for _, sch := range allSchemes {
 			spec := Spec{Scheme: sch, Tree: masu.BMTEager}
-			functional := record(t, r, wl, spec)
-			spec.FastMode = true
-			fast := record(t, r, wl, spec)
+			functional := record(t, r, wl, spec, false)
+			fast := record(t, r, wl, spec, true)
 			if diffs := diffRecords(fast, functional); len(diffs) > 0 {
 				t.Errorf("%s/%s: fast mode diverged:\n  %s",
 					wl, sch, strings.Join(diffs, "\n  "))
@@ -71,28 +87,12 @@ func TestFastModeBitIdenticalLazyTree(t *testing.T) {
 	r := NewRunner(Options{Transactions: 100})
 	for _, sch := range allSchemes {
 		spec := Spec{Scheme: sch, Tree: masu.ToCLazy}
-		functional := record(t, r, "Hashmap", spec)
-		spec.FastMode = true
-		fast := record(t, r, "Hashmap", spec)
+		functional := record(t, r, "Hashmap", spec, false)
+		fast := record(t, r, "Hashmap", spec, true)
 		if diffs := diffRecords(fast, functional); len(diffs) > 0 {
 			t.Errorf("Hashmap/%s (lazy): fast mode diverged:\n  %s",
 				sch, strings.Join(diffs, "\n  "))
 		}
-	}
-}
-
-// TestFastModeOptionsDefault: Options.FastMode is the batch-level switch
-// (the runner applies it to every cell), and it composes with per-cell
-// specs exactly like Spec.FastMode — same records, same bit-identity.
-func TestFastModeOptionsDefault(t *testing.T) {
-	slow := NewRunner(Options{Transactions: 100})
-	fast := NewRunner(Options{Transactions: 100, FastMode: true})
-	spec := Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager}
-	functional := record(t, slow, "Btree", spec)
-	batched := record(t, fast, "Btree", spec)
-	if diffs := diffRecords(batched, functional); len(diffs) > 0 {
-		t.Errorf("Options.FastMode diverged from functional:\n  %s",
-			strings.Join(diffs, "\n  "))
 	}
 }
 
@@ -101,9 +101,8 @@ func TestFastModeOptionsDefault(t *testing.T) {
 func TestFastModeMultiCore(t *testing.T) {
 	r := NewRunner(Options{Transactions: 60})
 	spec := Spec{Scheme: controller.DolosPartial, Tree: masu.BMTEager, Cores: 2, OoOWindow: 2}
-	functional := record(t, r, "Hashmap", spec)
-	spec.FastMode = true
-	fast := record(t, r, "Hashmap", spec)
+	functional := record(t, r, "Hashmap", spec, false)
+	fast := record(t, r, "Hashmap", spec, true)
 	if diffs := diffRecords(fast, functional); len(diffs) > 0 {
 		t.Errorf("2-core fast mode diverged:\n  %s", strings.Join(diffs, "\n  "))
 	}
@@ -136,9 +135,7 @@ func runInstrumented(t *testing.T, cfg controller.Config, workload string, txns 
 	var h dispatchHash
 	sys.Eng.SetHook(h.observe)
 	res := sys.Run(tr)
-	rec := cliutil.BuildRunRecord(res, cfg.Tree, 1024, 1, sys.Eng.Processed(), 0, sys.Ctrl.Stats(), nil)
-	rec.Mode = cliutil.ModeLabel(cfg.FastMode)
-	return rec, h.h
+	return cliutil.BuildRunRecord(res, cfg.Tree, 1024, 1, sys.Eng.Processed(), 0, sys.Ctrl.Stats(), nil), h.h
 }
 
 // TestFastModeDispatchOrder goes below the record: for every scheme on

@@ -105,8 +105,8 @@ func txns200Cells() []goldenCell {
 }
 
 // recordSHA256 hashes the JSON of rr's RunRecord without its host-side
-// fields (wall time, events/s and the mode label are left zero, so they
-// are omitted): exactly the fields cliutil.CompareBenchRecords compares.
+// fields (wall time and events/s are left zero, so they are omitted):
+// exactly the fields cliutil.CompareBenchRecords compares.
 func recordSHA256(t *testing.T, rr RunResult, spec Spec) string {
 	t.Helper()
 	spec = spec.withDefaults()
@@ -121,11 +121,11 @@ func recordSHA256(t *testing.T, rr RunResult, spec Spec) string {
 }
 
 // TestGoldenRecords pins the deterministic RunRecord of every golden
-// cell, run both with functional crypto and in FastMode against the
-// same constant. A change to the timing model, the cost tables or the
-// front-end shows up here as a changed hash; a refactor must leave
-// every constant as it is. Each transaction count runs through its own
-// Runner.
+// cell, run both with functional crypto (through RunGridNotify) and on
+// the latency-only engine (runEngine) against the same constant. A
+// change to the timing model, the cost tables or the front-end shows up
+// here as a changed hash; a refactor must leave every constant as it
+// is. Each transaction count runs through its own Runner.
 func TestGoldenRecords(t *testing.T) {
 	cs := goldenCells()
 	if len(goldenRecordSHA256) != len(cs) {
@@ -135,27 +135,32 @@ func TestGoldenRecords(t *testing.T) {
 		var run []goldenCell
 		var grid []Cell
 		for _, c := range cs {
-			if c.txns != txns {
-				continue
-			}
-			run = append(run, c)
-			for _, fast := range []bool{false, true} {
-				spec := c.spec
-				spec.FastMode = fast
-				grid = append(grid, Cell{Workload: c.workload, Spec: spec})
+			if c.txns == txns {
+				run = append(run, c)
+				grid = append(grid, Cell{Workload: c.workload, Spec: c.spec})
 			}
 		}
 		r := NewRunner(Options{Transactions: txns, Seed: goldenRecordSeed})
-		rrs, err := r.RunGridNotify(context.Background(), grid, nil)
+		functional, err := r.RunGridNotify(context.Background(), grid, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast := make([]RunResult, len(grid))
+		err = r.forEach(len(grid), func(i int) (err error) {
+			fast[i], err = runEngine(r, grid[i].Workload, grid[i].Spec, true)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, c := range run {
 			want, ok := goldenRecordSHA256[c.name]
-			for j, mode := range []string{"functional", "fast"} {
-				got := recordSHA256(t, rrs[2*i+j], grid[2*i+j].Spec)
-				if !ok || got != want {
-					t.Errorf("%q (%s): sha256 %s, pinned %s", c.name, mode, got, want)
+			for _, e := range []struct {
+				mode string
+				rr   RunResult
+			}{{"functional", functional[i]}, {"fast", fast[i]}} {
+				if got := recordSHA256(t, e.rr, c.spec); !ok || got != want {
+					t.Errorf("%q (%s): sha256 %s, pinned %s", c.name, e.mode, got, want)
 				}
 			}
 		}

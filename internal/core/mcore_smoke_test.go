@@ -52,12 +52,12 @@ func TestCoresOneMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestMCoreSmoke is the `make mcore-smoke` target: a small Cores>1 grid
-// run serially and at parallelism 4 (under -race in the make target)
-// must produce byte-identical deterministic output — results, engine
-// event counts and the full metrics snapshots. Each multi-core cell is
-// still one single-clock-domain system, so executor parallelism must
-// not be observable.
+// TestMCoreSmoke: a small Cores>1 grid run serially and at parallelism
+// 4 (under -race in `make ci`) must produce byte-identical
+// deterministic output — results, engine event counts and the full
+// metrics snapshots. Each multi-core cell is still one
+// single-clock-domain system, so executor parallelism must not be
+// observable.
 func TestMCoreSmoke(t *testing.T) {
 	cells := []Cell{
 		{Workload: "Hashmap", Spec: Spec{Scheme: controller.PreWPQSecure, Tree: masu.BMTEager, Cores: 2}},

@@ -116,18 +116,14 @@ func TestRecoveryRuntimeTradeoffOrdering(t *testing.T) {
 	}
 }
 
-// TestSchemeSmokeRegistry is the scheme-smoke gate (make scheme-smoke):
-// one short run, a mid-run crash, recovery and the durability audit for
-// every crash-capable scheme in the registry — a new registry entry is
-// covered the moment it is added.
+// TestSchemeSmokeRegistry runs one short run, a mid-run crash, recovery
+// and the durability audit for every scheme in the registry — a new
+// registry entry is covered the moment it is added.
 func TestSchemeSmokeRegistry(t *testing.T) {
 	tr := whisper.Hashmap{}.Generate(whisper.Params{
 		Transactions: 20, Warmup: 10, TxSize: 512, Seed: 5, HeapSize: 16 << 20,
 	})
 	for _, e := range scheme.All() {
-		if !e.Caps.CrashSafe {
-			continue
-		}
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			d := mustDriver(t, testConfig(e.ID))

@@ -100,7 +100,7 @@ type goldenToCCase struct {
 }
 
 // goldenToCCases lists the lazy-ToC cases, then the eager-BMT cases of
-// every crash-safe registry scheme that simulates the BMT.
+// every registry scheme that simulates the BMT.
 func goldenToCCases() []goldenToCCase {
 	traces := []*trace.Trace{
 		whisper.YCSB{}.Generate(whisper.Params{Transactions: 200, TxSize: 512, Seed: 5, ReadPercent: 95, HeapSize: 16 << 20}),
@@ -126,7 +126,7 @@ func goldenToCCases() []goldenToCCase {
 	}
 	for _, e := range scheme.All() {
 		cfg := controller.Config{Scheme: e.ID, Tree: masu.BMTEager}
-		if e.Caps.CrashSafe && cfg.EffectiveTree() == masu.BMTEager {
+		if cfg.EffectiveTree() == masu.BMTEager {
 			add(e.ID, masu.BMTEager, "/"+masu.BMTEager.String())
 		}
 	}
@@ -208,7 +208,7 @@ func boolWord(b bool) uint64 {
 
 // TestGoldenToC pins the integrity backends' persistent state, bit for
 // bit, over two workloads and two metadata-cache sizes: the lazy ToC
-// under five schemes and the eager BMT under every crash-safe scheme
+// under five schemes and the eager BMT under every registry scheme
 // that simulates it. The crash outcomes it hashes count the acceptances
 // the front-end reports, so their order and number are pinned too.
 func TestGoldenToC(t *testing.T) {

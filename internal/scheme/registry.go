@@ -8,25 +8,13 @@ import (
 	"dolos/internal/masu"
 )
 
-// Capabilities describes what a scheme supports — the suites and axes a
-// registry consumer may enumerate it into.
-type Capabilities struct {
-	// CrashSafe schemes accept Crash/Recover and pass the durability
-	// audit (every registered scheme today; a future volatile-only
-	// strawman would clear it).
-	CrashSafe bool
-	// ReportsRecovery mirrors Pipeline.ReportsRecovery for callers that
-	// only see the entry.
-	ReportsRecovery bool
-}
-
-// Entry is one registered scheme: identity, naming, capabilities, and
-// the security pipeline the controller instantiates for it.
+// Entry is one registered scheme: identity, naming, and the security
+// pipeline the controller instantiates for it.
 type Entry struct {
 	ID ID
 	// Name is the canonical CLI name (dolos-sim -scheme <Name>).
 	Name string
-	// Label is the figure label, identical to ID.String().
+	// Label is the figure label, which ID.String() returns.
 	Label string
 	// Aliases are additional accepted spellings (Go identifiers, label
 	// variants). Parse also normalizes case and -_/space separators.
@@ -34,18 +22,16 @@ type Entry struct {
 	// Paper cites the design's source.
 	Paper string
 
-	Caps     Capabilities
 	Pipeline Pipeline
 }
 
-// entries is the registry, in ID order. Every CLI, the service API and
-// the grid enumerate this one table.
+// entries is the registry, indexed by ID (entries[id].ID == id). Every
+// CLI, the service API and the grid enumerate this one table.
 var entries = []Entry{
 	{
 		ID: NonSecureADR, Name: "ideal", Label: "NonSecure-ADR",
 		Aliases: []string{"NonSecureADR"},
 		Paper:   "Dolos (MICRO 2021), Figure 5-c upper bound",
-		Caps:    Capabilities{CrashSafe: true},
 		Pipeline: Pipeline{
 			Insert: InsertIdeal,
 		},
@@ -54,7 +40,6 @@ var entries = []Entry{
 		ID: PreWPQSecure, Name: "baseline", Label: "Pre-WPQ-Secure",
 		Aliases: []string{"PreWPQSecure"},
 		Paper:   "Anubis AGIT baseline (Zubair & Awad, ISCA 2019)",
-		Caps:    Capabilities{CrashSafe: true},
 		Pipeline: Pipeline{
 			Insert: InsertPreWPQ,
 		},
@@ -63,7 +48,6 @@ var entries = []Entry{
 		ID: DolosFull, Name: "dolos-full", Label: "Dolos-Full-WPQ",
 		Aliases: []string{"DolosFull"},
 		Paper:   "Dolos (MICRO 2021), Full-WPQ Mi-SU",
-		Caps:    Capabilities{CrashSafe: true},
 		Pipeline: Pipeline{
 			Insert: InsertDolosSplit,
 		},
@@ -72,7 +56,6 @@ var entries = []Entry{
 		ID: DolosPartial, Name: "dolos-partial", Label: "Dolos-Partial-WPQ",
 		Aliases: []string{"DolosPartial"},
 		Paper:   "Dolos (MICRO 2021), Partial-WPQ Mi-SU",
-		Caps:    Capabilities{CrashSafe: true},
 		Pipeline: Pipeline{
 			Insert: InsertDolosSplit,
 		},
@@ -81,7 +64,6 @@ var entries = []Entry{
 		ID: DolosPost, Name: "dolos-post", Label: "Dolos-Post-WPQ",
 		Aliases: []string{"DolosPost"},
 		Paper:   "Dolos (MICRO 2021), Post-WPQ Mi-SU",
-		Caps:    Capabilities{CrashSafe: true},
 		Pipeline: Pipeline{
 			Insert: InsertDolosSplit,
 		},
@@ -90,7 +72,6 @@ var entries = []Entry{
 		ID: EADRSecure, Name: "eadr", Label: "eADR-Secure",
 		Aliases: []string{"EADRSecure", "eadr_secure"},
 		Paper:   "Dolos (MICRO 2021), eADR comparison point",
-		Caps:    Capabilities{CrashSafe: true},
 		Pipeline: Pipeline{
 			Insert: InsertEADR,
 		},
@@ -99,7 +80,6 @@ var entries = []Entry{
 		ID: TriadNVM, Name: "triad-nvm", Label: "Triad-NVM",
 		Aliases: []string{"TriadNVM", "triad"},
 		Paper:   "Triad-NVM (Awad et al., ISCA 2019)",
-		Caps:    Capabilities{CrashSafe: true, ReportsRecovery: true},
 		Pipeline: Pipeline{
 			Insert: InsertPreWPQ,
 			Policy: masu.Policy{
@@ -116,7 +96,6 @@ var entries = []Entry{
 		ID: SuperMem, Name: "supermem", Label: "SuperMem",
 		Aliases: []string{"super-mem"},
 		Paper:   "SuperMem (Zuo et al., MICRO 2019)",
-		Caps:    Capabilities{CrashSafe: true, ReportsRecovery: true},
 		Pipeline: Pipeline{
 			Insert: InsertPreWPQ,
 			Policy: masu.Policy{
@@ -134,7 +113,6 @@ var entries = []Entry{
 		ID: Phoenix, Name: "phoenix", Label: "Phoenix",
 		Aliases: []string{},
 		Paper:   "Phoenix (Alwadi et al., PACT 2022)",
-		Caps:    Capabilities{CrashSafe: true, ReportsRecovery: true},
 		Pipeline: Pipeline{
 			Insert:    InsertPreWPQ,
 			ForceTree: masu.ToCLazy, HasForceTree: true,
@@ -146,7 +124,6 @@ var entries = []Entry{
 		ID: STUM, Name: "stum", Label: "STUM",
 		Aliases: []string{},
 		Paper:   "STUM (Freij et al., MICRO 2021)",
-		Caps:    Capabilities{CrashSafe: true, ReportsRecovery: true},
 		Pipeline: Pipeline{
 			Insert: InsertPreWPQ,
 			Policy: masu.Policy{
@@ -197,12 +174,10 @@ func All() []Entry { return entries }
 
 // ByID returns the registry entry for id.
 func ByID(id ID) (Entry, bool) {
-	for _, e := range entries {
-		if e.ID == id {
-			return e, true
-		}
+	if id < 0 || int(id) >= len(entries) {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	return entries[id], true
 }
 
 // PipelineOf returns the security pipeline for id; unknown IDs get the

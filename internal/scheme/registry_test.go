@@ -1,6 +1,31 @@
 package scheme
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
+
+// TestEntriesIndexedByID pins the table layout ByID and ID.String read:
+// entry i has ID i, and String is its Label. An ID past the table is
+// unknown and prints as Scheme(n).
+func TestEntriesIndexedByID(t *testing.T) {
+	for i, e := range All() {
+		if e.ID != ID(i) {
+			t.Errorf("entry %d (%s) has ID %d", i, e.Name, int(e.ID))
+		}
+		if e.ID.String() != e.Label {
+			t.Errorf("%s: String() = %q, Label %q", e.Name, e.ID.String(), e.Label)
+		}
+	}
+	for _, id := range []ID{-1, ID(len(All()))} {
+		if _, ok := ByID(id); ok {
+			t.Errorf("ByID(%d) found an entry", int(id))
+		}
+		if got, want := id.String(), fmt.Sprintf("Scheme(%d)", int(id)); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+}
 
 // FuzzParse feeds Parse arbitrary spellings: it must never panic,
 // normalize must be idempotent, and a spelling Parse accepts must

@@ -78,29 +78,11 @@ const (
 	STUM
 )
 
-// String returns the scheme name as used in the figures.
+// String returns the scheme name as used in the figures: its registry
+// entry's Label.
 func (s ID) String() string {
-	switch s {
-	case NonSecureADR:
-		return "NonSecure-ADR"
-	case PreWPQSecure:
-		return "Pre-WPQ-Secure"
-	case DolosFull:
-		return "Dolos-Full-WPQ"
-	case DolosPartial:
-		return "Dolos-Partial-WPQ"
-	case DolosPost:
-		return "Dolos-Post-WPQ"
-	case EADRSecure:
-		return "eADR-Secure"
-	case TriadNVM:
-		return "Triad-NVM"
-	case SuperMem:
-		return "SuperMem"
-	case Phoenix:
-		return "Phoenix"
-	case STUM:
-		return "STUM"
+	if e, ok := ByID(s); ok {
+		return e.Label
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }

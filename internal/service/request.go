@@ -124,7 +124,10 @@ func normalize(req Request, lim Limits) (normalized, error) {
 		workloads = []string{"Hashmap"}
 	}
 	for _, wl := range workloads {
-		canon, err := canonicalWorkload(wl)
+		// Any case or hyphenation the façade's ParseWorkload accepts
+		// resolves to the spelling whisper.Names uses. The error wraps
+		// whisper.ErrUnknown, which the handler maps to HTTP 400.
+		canon, err := whisper.Resolve(wl)
 		if err != nil {
 			return normalized{}, err
 		}
@@ -154,15 +157,6 @@ func normalize(req Request, lim Limits) (normalized, error) {
 			cells, lim.MaxCells)
 	}
 	return n, nil
-}
-
-// canonicalWorkload resolves a workload name — any case or
-// hyphenation the façade's ParseWorkload accepts — to the spelling
-// the paper's figures (and whisper.Names) use. The error wraps
-// whisper.ErrUnknown, so errors.Is reaches the sentinel from the
-// HTTP 400 the handler maps it to.
-func canonicalWorkload(name string) (string, error) {
-	return whisper.Resolve(name)
 }
 
 // Key returns the canonical cache key: the hex SHA-256 of the canonical

@@ -128,11 +128,7 @@ type RunRecord struct {
 	// Host-side throughput of the simulator itself (not part of the
 	// simulated model, so these never participate in bit-identity
 	// comparisons): wall-clock duration of the run and discrete events
-	// dispatched by the engine, from which events/second derives. Mode
-	// labels how the simulator executed ("fast"; empty = functional) — a
-	// host-side property too, since every deterministic field is
-	// bit-identical across modes.
-	Mode            string  `json:"mode,omitempty"`
+	// dispatched by the engine, from which events/second derives.
 	WallSeconds     float64 `json:"wall_seconds,omitempty"`
 	EventsProcessed uint64  `json:"events_processed,omitempty"`
 	EventsPerSecond float64 `json:"sim_events_per_sec,omitempty"`

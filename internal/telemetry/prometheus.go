@@ -74,13 +74,6 @@ func WritePrometheus(w io.Writer, snap MetricsSnapshot) error {
 	return nil
 }
 
-// WritePrometheus renders the registry in the Prometheus text
-// exposition format. It is nil-safe like every registry method: a nil
-// registry renders as empty output.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return WritePrometheus(w, Snapshot(nil, r))
-}
-
 // sample is one "name value" exposition line of a metric block.
 type sample struct {
 	name  string

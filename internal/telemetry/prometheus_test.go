@@ -21,7 +21,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h.Observe(30)
 
 	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, Snapshot(nil, reg)); err != nil {
 		t.Fatal(err)
 	}
 	const want = `# HELP service_jobs_total service_jobs_total
@@ -75,7 +75,7 @@ func TestWritePrometheusValidFormat(t *testing.T) {
 	reg.Gauge("g").Set(-1.25e9)
 	reg.CycleHist("h") // empty histogram: min/max render but must stay parseable
 	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, Snapshot(nil, reg)); err != nil {
 		t.Fatal(err)
 	}
 	ValidPrometheus(t, b.String())
@@ -95,11 +95,12 @@ func TestPromNameSanitization(t *testing.T) {
 }
 
 // TestWritePrometheusNilRegistry pins the nil-safety contract shared by
-// every registry method: rendering a nil registry is an empty no-op.
+// every registry method: a nil registry's snapshot renders as empty
+// output.
 func TestWritePrometheusNilRegistry(t *testing.T) {
 	var reg *Registry
 	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, Snapshot(nil, reg)); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 0 {
