@@ -158,11 +158,16 @@ serve:
 # for 5 seconds (zero errors, at least one cache hit), then run a
 # streaming pass against the same server — every grid job's cells must
 # arrive over SSE exactly once, in order, with zero errors (DESIGN.md
-# §16) — then SIGTERM and verify the drain exits cleanly. Runs in CI.
+# §16) — then SIGTERM and verify the drain exits cleanly. The server's
+# stderr, which ends with its final Prometheus snapshot, goes to a file:
+# the target fails unless that snapshot's service_jobs_retained is at
+# most maxSettledJobs (read from internal/service/service.go). The
+# 5-second pass alone settles tens of thousands of jobs, so the bound is
+# exercised. Runs in CI.
 load-smoke:
 	$(GO) build -o /tmp/dolos-serve-ci ./cmd/dolos-serve
 	$(GO) build -o /tmp/dolos-load-ci ./cmd/dolos-load
-	/tmp/dolos-serve-ci -addr 127.0.0.1:8099 & \
+	/tmp/dolos-serve-ci -addr 127.0.0.1:8099 2>/tmp/dolos-serve-ci.log & \
 	pid=$$!; \
 	/tmp/dolos-load-ci -addr 127.0.0.1:8099 -duration 5s -concurrency 4 \
 		-txns 100 -min-hits 1 -max-errors 0 && \
@@ -170,6 +175,14 @@ load-smoke:
 		-workloads Hashmap,Btree -schemes baseline,dolos-partial \
 		-duration 3s -concurrency 2 -txns 200 -max-errors 0; rc=$$?; \
 	kill -TERM $$pid; wait $$pid || rc=$$?; \
+	cat /tmp/dolos-serve-ci.log >&2; \
+	awk 'FNR == NR { if ($$1 == "const" && $$2 == "maxSettledJobs") max = $$4; next } \
+		$$1 == "service_jobs_retained" { seen = 1; v = $$2 } \
+		END { \
+			if (max == "" || !seen) { print "load-smoke: no bound or no service_jobs_retained in the final snapshot"; exit 1 } \
+			if (v + 0 > max + 0) { print "load-smoke: service_jobs_retained " v " exceeds " max; exit 1 } \
+			print "load-smoke: service_jobs_retained " v " (bound " max ")" \
+		}' internal/service/service.go /tmp/dolos-serve-ci.log || rc=1; \
 	exit $$rc
 
 clean:

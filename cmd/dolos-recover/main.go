@@ -33,7 +33,7 @@ func main() {
 	attackKind := flag.String("attack", "", "tamper with NVM before recovery: spoof, replay, relocate, wpq")
 	flag.Parse()
 
-	mode, err := checkFlags(*txns, *recovery)
+	w, mode, err := checkFlags(*workload, *txns, *recovery)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-recover: %v\n", err)
 		os.Exit(2)
@@ -44,11 +44,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	w, err := whisper.ByName(*workload)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dolos-recover: %v\n", err)
-		os.Exit(1)
-	}
 	tr := w.Generate(whisper.Params{Transactions: *txns, TxSize: 512, Seed: 1, HeapSize: 32 << 20})
 
 	lay := layout.Small()
@@ -123,17 +118,27 @@ func main() {
 	fmt.Printf("post-recovery scrub: %d lines clean\n", lines)
 }
 
-// checkFlags rejects a -txns outside the bounds dolos-sim accepts and a
-// -recovery other than anubis or osiris, and returns the recovery mode.
-func checkFlags(txns int, recovery string) (controller.RecoveryMode, error) {
+// checkFlags rejects a -txns outside the bounds dolos-sim accepts, a
+// -recovery other than anubis or osiris and a -workload no spelling rule
+// resolves (an error wrapping whisper.ErrUnknown, as dolos-sim reports
+// it), and returns the workload and the recovery mode.
+func checkFlags(workload string, txns int, recovery string) (whisper.Workload, controller.RecoveryMode, error) {
 	if err := cliutil.CheckRange("-txns", txns, 1, cliutil.MaxTransactions); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
+	var mode controller.RecoveryMode
 	switch recovery {
 	case "anubis":
-		return controller.AnubisRecovery, nil
+		mode = controller.AnubisRecovery
 	case "osiris":
-		return controller.OsirisRecovery, nil
+		mode = controller.OsirisRecovery
+	default:
+		return nil, 0, fmt.Errorf("-recovery %q: want anubis or osiris", recovery)
 	}
-	return 0, fmt.Errorf("-recovery %q: want anubis or osiris", recovery)
+	canon, err := whisper.Resolve(workload)
+	if err != nil {
+		return nil, 0, err
+	}
+	w, err := whisper.ByName(canon)
+	return w, mode, err
 }

@@ -1,7 +1,8 @@
 // Command dolos-serve runs the Dolos simulator as a long-lived service:
-// a bounded job queue and worker pool over the experiment executor, an
-// LRU result cache with single-flight deduplication, and a small HTTP
-// API (see internal/service and DESIGN.md §10).
+// a bounded job queue and worker pool over the experiment executor, one
+// result table (a normalized request's single flight, then its cached
+// records and result document, least recently used evicted first past
+// -cache), and a small HTTP API (see internal/service and DESIGN.md §10).
 //
 // Usage:
 //
@@ -17,9 +18,12 @@
 //
 // SIGINT/SIGTERM shut the server down gracefully: intake stops (503),
 // queued and in-flight jobs drain, and the final Prometheus metrics
-// snapshot is written to stderr before exit. Jobs live in memory only:
-// after a restart every old id answers 404, and a client resubmits
-// (see README "Streaming and restarts").
+// snapshot is written to stderr before exit. Jobs live in memory only,
+// and the server remembers at most 4096 settled jobs, forgetting the
+// oldest first (service_jobs_retained on /metrics counts those it
+// holds). A forgotten job answers 404, like every old id after a
+// restart, and the client resubmits it (see README "Streaming and
+// restarts").
 package main
 
 import (
@@ -40,7 +44,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "max queued jobs before submissions get 429")
-	cacheEntries := flag.Int("cache", 256, "LRU result cache capacity (entries)")
+	cacheEntries := flag.Int("cache", 256, "settled rows the result table keeps, least recently used evicted first")
 	maxBody := flag.Int64("max-body", 1<<20, "max request body bytes")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-job deadline (queue wait + execution)")
 	txnsCap := flag.Int("txns-cap", 20000, "max transactions one request may ask for")

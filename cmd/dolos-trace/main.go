@@ -30,24 +30,19 @@ func main() {
 	dump := flag.Int("dump", 0, "print the first N operations")
 	flag.Parse()
 
-	if err := checkFlags(*txns, *txSize); err != nil {
+	w, err := checkFlags(*workload, *txns, *txSize)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-trace: %v\n", err)
 		os.Exit(2)
 	}
 	var tr *trace.Trace
 	if *load != "" {
-		var err error
 		tr, err = trace.LoadFile(*load)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dolos-trace: %v\n", err)
 			os.Exit(1)
 		}
 	} else {
-		w, err := whisper.ByName(*workload)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-trace: %v\n", err)
-			os.Exit(1)
-		}
 		if err := checkHeap(w, *txns, *txSize); err != nil {
 			fmt.Fprintf(os.Stderr, "dolos-trace: %v\n", err)
 			os.Exit(2)
@@ -138,12 +133,21 @@ func checkHeap(w whisper.Workload, txns, txSize int) error {
 }
 
 // checkFlags rejects -txns and -txsize outside the bounds dolos-sim and
-// the /v2 API accept.
-func checkFlags(txns, txSize int) error {
+// the /v2 API accept and a -workload no spelling rule resolves (an error
+// wrapping whisper.ErrUnknown, as dolos-sim reports it), and returns the
+// workload.
+func checkFlags(workload string, txns, txSize int) (whisper.Workload, error) {
 	if err := cliutil.CheckRange("-txns", txns, 1, cliutil.MaxTransactions); err != nil {
-		return err
+		return nil, err
 	}
-	return cliutil.CheckRange("-txsize", txSize, cliutil.MinTxSize, cliutil.MaxTxSize)
+	if err := cliutil.CheckRange("-txsize", txSize, cliutil.MinTxSize, cliutil.MaxTxSize); err != nil {
+		return nil, err
+	}
+	canon, err := whisper.Resolve(workload)
+	if err != nil {
+		return nil, err
+	}
+	return whisper.ByName(canon)
 }
 
 func per(n, d int) float64 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,27 +9,33 @@ import (
 )
 
 // Out-of-range numeric flags are rejected by name instead of generating
-// a trace no simulation would accept.
+// a trace no simulation would accept, and an unknown workload with the
+// whisper.ErrUnknown error dolos-sim gives for it.
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
+		workload     string
 		txns, txSize int
 		bad          string // flag named in the error, "" = accepted
 	}{
-		{200, 1024, ""},
-		{1, 64, ""},
-		{20000, 4096, ""},
-		{0, 1024, "-txns"},
-		{-3, 1024, "-txns"},
-		{20001, 1024, "-txns"},
-		{200, 5, "-txsize"},
-		{200, -1, "-txsize"},
-		{200, 4097, "-txsize"},
+		{"Hashmap", 200, 1024, ""},
+		{"Hashmap", 1, 64, ""},
+		{"Hashmap", 20000, 4096, ""},
+		{"nstore-ycsb", 200, 1024, ""},
+		{"Hashmap", 0, 1024, "-txns"},
+		{"Hashmap", -3, 1024, "-txns"},
+		{"Hashmap", 20001, 1024, "-txns"},
+		{"Hashmap", 200, 5, "-txsize"},
+		{"Hashmap", 200, -1, "-txsize"},
+		{"Hashmap", 200, 4097, "-txsize"},
+		{"Bogus", 200, 1024, "-workload"},
 	} {
-		err := checkFlags(c.txns, c.txSize)
+		w, err := checkFlags(c.workload, c.txns, c.txSize)
 		switch {
-		case c.bad == "" && err != nil:
+		case c.bad == "" && (err != nil || w == nil):
 			t.Errorf("%+v: rejected: %v", c, err)
-		case c.bad != "" && (err == nil || !strings.HasPrefix(err.Error(), c.bad+" ")):
+		case c.bad == "-workload" && !errors.Is(err, whisper.ErrUnknown):
+			t.Errorf("%+v: error %v, want one wrapping whisper.ErrUnknown", c, err)
+		case c.bad != "" && c.bad != "-workload" && (err == nil || !strings.HasPrefix(err.Error(), c.bad+" ")):
 			t.Errorf("%+v: error %v, want one naming %s", c, err, c.bad)
 		}
 	}

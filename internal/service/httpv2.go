@@ -80,12 +80,10 @@ func (s *Server) handleResultV2(w http.ResponseWriter, r *http.Request) {
 	st := snapshotV2(s, job)
 	switch st.Status {
 	case StatusDone:
-		s.mu.Lock()
-		result := job.result
-		s.mu.Unlock()
+		// job.res was set once, before the status snapshotV2 read as done.
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		w.Write(result)
+		w.Write(job.res.doc)
 	case StatusFailed:
 		writeEnvelope(w, http.StatusInternalServerError, CodeJobFailed, st.Error, 0)
 	default:

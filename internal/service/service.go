@@ -1,16 +1,20 @@
 // Package service turns the Dolos experiment layer into a long-lived
 // simulation-as-a-service daemon: a bounded job queue and worker pool
-// over internal/core's executor, an LRU result cache keyed by the
-// canonical hash of a normalized request with single-flight
-// deduplication (mirroring the Runner's trace cache one level up), and
-// a small stdlib-only HTTP API — submit a grid, poll its status, fetch
-// the RunRecord JSON, scrape Prometheus metrics. See DESIGN.md §10.
+// over internal/core's executor, one result table keyed by the
+// canonical hash of a normalized request (a row is a key's single
+// flight, then its cached result, mirroring the Runner's trace cache
+// one level up), and a small stdlib-only HTTP API — submit a grid, poll
+// its status, fetch the RunRecord JSON, scrape Prometheus metrics. See
+// DESIGN.md §10.
 package service
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -33,7 +37,8 @@ type Config struct {
 	// QueueDepth bounds the number of jobs waiting for a worker;
 	// submissions beyond it are rejected with 429 (default 64).
 	QueueDepth int
-	// CacheEntries is the LRU result-cache capacity (default 256).
+	// CacheEntries is how many settled rows the result table keeps,
+	// least recently used evicted first (default 256).
 	CacheEntries int
 	// MaxBodyBytes bounds a request body (default 1 MiB).
 	MaxBodyBytes int64
@@ -74,8 +79,15 @@ const (
 	StatusFailed  JobStatus = "failed"
 )
 
-// Job is one submitted request. All mutable fields are guarded by the
-// server mutex; result bytes are immutable once set.
+// maxSettledJobs bounds how many settled jobs a server remembers; the
+// oldest settled job is forgotten first. Queued and running jobs are
+// never forgotten, so the job map holds at most this many plus the
+// live ones. A forgotten id answers 404, as after a restart, and a
+// client resubmits it (DESIGN.md §10).
+const maxSettledJobs = 4096
+
+// Job is one submitted request. Every field but its identity (id, seq,
+// key, req, ctx, cancel, created, total) is guarded by the server mutex.
 type Job struct {
 	id  string
 	seq int64
@@ -86,27 +98,122 @@ type Job struct {
 	cancel context.CancelFunc
 
 	status  JobStatus
-	cached  bool   // records came from the cache or a deduplicated flight
+	cached  bool   // records came from a settled row or another job's flight
 	errMsg  string // set when status == StatusFailed
-	result  []byte // RunRecord JSON (object for one cell, array for a grid), assembled at settle
+	res     *entry // the row whose document is the result (status == StatusDone)
 	created time.Time
 
 	// Streaming state: the grid's per-cell RunRecord bytes (compact
-	// JSON, indexed in cells() enumeration order), how many of them have
-	// been broadcast in order, and the live /v2 stream subscribers.
+	// JSON, indexed in cells() enumeration order; the row's records
+	// once the job is done), how many of them have been broadcast in
+	// order, and the live /v2 stream subscribers.
 	total   int
 	cells   [][]byte
 	emitted int
 	subs    map[chan streamEvent]bool
 }
 
-// flight is one single-flight slot: the first worker to take a key
-// computes; every concurrent worker with the same key blocks on done
-// and shares the identical per-cell records.
-type flight struct {
+// entry is one row of the result table: a normalized request key's
+// flight and, once it succeeds, its result. The row is in flight until
+// done closes. Its leader sets err, or recs, doc and sum, before closing
+// done, and none of them changes after.
+type entry struct {
+	key  string
 	done chan struct{}
-	recs [][]byte
 	err  error
+	recs [][]byte          // per-cell compact RunRecords, cells() order
+	doc  []byte            // the result document, assembled once per key
+	sum  [sha256.Size]byte // checksum of recs and doc
+	el   *list.Element     // the row's place in the LRU order once settled
+}
+
+// settled reports whether the row holds a result rather than a flight.
+func (e *entry) settled() bool { return e.el != nil }
+
+// results is the service's one result table: one row per normalized
+// request key, so a key's single flight, cached records and result
+// document are one object. Settled rows are evicted least recently used
+// first beyond cap; a failed flight leaves the table, so a later
+// submission retries it. Each lookup verifies a settled row's SHA-256:
+// a corrupted row (bit rot, a stray write) is dropped and recomputed,
+// never served to a new job. Every method runs under Server.mu.
+type results struct {
+	cap     int
+	rows    map[string]*entry
+	lru     *list.List         // settled rows, front = most recently used
+	corrupt *telemetry.Counter // settled rows dropped by a failed checksum
+}
+
+func newResults(capacity int, corrupt *telemetry.Counter) *results {
+	return &results{cap: capacity, rows: make(map[string]*entry), lru: list.New(), corrupt: corrupt}
+}
+
+// lookup returns key's row, or nil. A settled row is promoted to most
+// recently used; one whose checksum no longer matches is dropped and
+// counted instead, and lookup returns nil.
+func (t *results) lookup(key string) *entry {
+	e := t.rows[key]
+	if e == nil || !e.settled() {
+		return e
+	}
+	if checksum(e.recs, e.doc) != e.sum {
+		t.remove(e)
+		t.corrupt.Inc()
+		return nil
+	}
+	t.lru.MoveToFront(e.el)
+	return e
+}
+
+// claim returns key's row, settled or in flight, or inserts a new
+// in-flight row that the caller must lead and publish. Because claim and
+// publish run under the same mutex, no worker can miss both a key's
+// result and its flight: that makes "exactly one simulation per key" a
+// guarantee rather than a likelihood.
+func (t *results) claim(key string) (e *entry, leader bool) {
+	if e := t.lookup(key); e != nil {
+		return e, false
+	}
+	e = &entry{key: key, done: make(chan struct{})}
+	t.rows[key] = e
+	return e, true
+}
+
+// publish settles the in-flight row e. A result takes the front of the
+// LRU order, evicting the least recently used rows beyond cap; an error
+// takes the row out of the table. The caller closes e.done after
+// releasing Server.mu.
+func (t *results) publish(e *entry, recs [][]byte, doc []byte, err error) {
+	if err != nil {
+		e.err = err
+		delete(t.rows, e.key)
+		return
+	}
+	e.recs, e.doc, e.sum = recs, doc, checksum(recs, doc)
+	e.el = t.lru.PushFront(e)
+	for t.lru.Len() > t.cap {
+		t.remove(t.lru.Back().Value.(*entry))
+	}
+}
+
+func (t *results) remove(e *entry) {
+	t.lru.Remove(e.el)
+	delete(t.rows, e.key)
+}
+
+// checksum hashes a row's records, each prefixed with its length so a
+// byte moved across a record boundary changes the sum too, and then its
+// document.
+func checksum(recs [][]byte, doc []byte) [sha256.Size]byte {
+	h := sha256.New()
+	var n [8]byte
+	for _, r := range recs {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(r)))
+		h.Write(n[:])
+		h.Write(r)
+	}
+	h.Write(doc)
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 // runnerKey identifies the core.Runner able to serve a request: trace
@@ -117,8 +224,8 @@ type runnerKey struct {
 	seed int64
 }
 
-// Server owns the queue, worker pool, caches and metrics. Create with
-// New, expose with Handler, stop with Shutdown.
+// Server owns the queue, worker pool, result table and metrics. Create
+// with New, expose with Handler, stop with Shutdown.
 type Server struct {
 	cfg Config
 	reg *telemetry.Registry
@@ -130,14 +237,17 @@ type Server struct {
 	draining bool
 	seq      int64
 	jobs     map[string]*Job
-	flights  map[string]*flight
-	runners  map[runnerKey]*core.Runner
+	// settled is a ring of the retained settled jobs; next is the
+	// oldest, forgotten when the next job settles.
+	settled [maxSettledJobs]*Job
+	next    int
+	results *results
+	runners map[runnerKey]*core.Runner
 
 	queue     chan *Job
 	wg        sync.WaitGroup
 	drainOnce sync.Once
 
-	cache *lruCache
 	final []byte // Prometheus snapshot rendered by Shutdown after drain
 
 	// hookExecute, when set (tests only), runs at the top of every job
@@ -151,14 +261,15 @@ type Server struct {
 	mCacheHits, mCacheMisses, mDedupHits       *telemetry.Counter
 	mSims, mPanics, mHTTP, mCorrupt            *telemetry.Counter
 	mStreamEvents                              *telemetry.Counter
-	gQueueDepth                                *telemetry.Gauge
+	gQueueDepth, gJobsRetained                 *telemetry.Gauge
 	hJobSeconds                                *telemetry.CycleHist
 }
 
 // New builds a server and starts its worker pool. The server keeps its
-// jobs in memory only: a restart forgets them, and a client resubmits
-// (records are a pure function of the request, so the resubmission is
-// exact). The server is live immediately; callers typically mount
+// jobs in memory only, and at most maxSettledJobs settled ones: a
+// restart or the retention bound forgets a job, and a client resubmits
+// it (records are a pure function of the request, so the resubmission
+// is exact). The server is live immediately; callers typically mount
 // Handler on an http.Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -168,10 +279,8 @@ func New(cfg Config) *Server {
 		reg:     reg,
 		tag:     newTag(),
 		jobs:    make(map[string]*Job),
-		flights: make(map[string]*flight),
 		runners: make(map[runnerKey]*core.Runner),
 		queue:   make(chan *Job, cfg.QueueDepth),
-		cache:   newLRU(cfg.CacheEntries),
 
 		mSubmitted:    reg.Counter("service_jobs_submitted_total"),
 		mCompleted:    reg.Counter("service_jobs_completed_total"),
@@ -186,9 +295,10 @@ func New(cfg Config) *Server {
 		mCorrupt:      reg.Counter("service_cache_corruptions_detected_total"),
 		mStreamEvents: reg.Counter("service_stream_events_total"),
 		gQueueDepth:   reg.Gauge("service_queue_depth"),
+		gJobsRetained: reg.Gauge("service_jobs_retained"),
 		hJobSeconds:   reg.CycleHist("service_job_seconds"),
 	}
-	s.cache.onCorrupt = func(string) { s.mCorrupt.Inc() }
+	s.results = newResults(cfg.CacheEntries, s.mCorrupt)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -277,9 +387,7 @@ func (s *Server) submit(n normalized, timeout time.Duration) (*Job, error) {
 		cancel:  cancel,
 		created: time.Now(),
 		total:   len(n.Workloads) * len(n.Schemes),
-		subs:    make(map[chan streamEvent]bool),
 	}
-	job.cells = make([][]byte, job.total)
 
 	s.mu.Lock()
 	if s.draining {
@@ -292,29 +400,31 @@ func (s *Server) submit(n normalized, timeout time.Duration) (*Job, error) {
 	job.seq = s.seq
 	job.id = fmt.Sprintf("j%s-%08d", s.tag, job.seq)
 
-	if recs, ok := s.cache.Get(job.key); ok {
+	e := s.results.lookup(job.key)
+	hit := e != nil && e.settled()
+	if hit {
 		job.status = StatusRunning // finishJob settles it below
-		s.jobs[job.id] = job
-		s.mu.Unlock()
-		s.mSubmitted.Inc()
-		s.mCacheHits.Inc()
-		s.finishJob(job, recs, true)
-		return job, nil
-	}
-
-	job.status = StatusQueued
-	select {
-	case s.queue <- job:
-	default:
-		s.mu.Unlock()
-		cancel()
-		s.mRejected.Inc()
-		return nil, errQueueFull
+	} else {
+		job.status = StatusQueued
+		select {
+		case s.queue <- job:
+		default:
+			s.mu.Unlock()
+			cancel()
+			s.mRejected.Inc()
+			return nil, errQueueFull
+		}
 	}
 	s.jobs[job.id] = job
+	s.gJobsRetained.Set(float64(len(s.jobs)))
 	s.mu.Unlock()
 	s.mSubmitted.Inc()
-	s.gQueueDepth.Set(float64(len(s.queue)))
+	if hit {
+		s.mCacheHits.Inc()
+		s.finishJob(job, e, true)
+	} else {
+		s.gQueueDepth.Set(float64(len(s.queue)))
+	}
 	return job, nil
 }
 
@@ -351,9 +461,9 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one dequeued job to completion: cache hit, single-flight
-// follow, or leading the computation. A panic anywhere in the pipeline
-// fails the job instead of killing the worker.
+// execute runs one dequeued job to completion: a settled row, a
+// single-flight follow, or leading the computation. A panic anywhere in
+// the pipeline fails the job instead of killing the worker.
 func (s *Server) execute(job *Job) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -371,10 +481,13 @@ func (s *Server) execute(job *Job) {
 			s.failJob(job, err)
 			return
 		}
-		recs, f, leader := s.claim(job.key)
-		if recs != nil {
+		s.mu.Lock()
+		e, leader := s.results.claim(job.key)
+		hit := e.settled()
+		s.mu.Unlock()
+		if hit {
 			s.mCacheHits.Inc()
-			s.finishJob(job, recs, true)
+			s.finishJob(job, e, true)
 			return
 		}
 		if leader {
@@ -382,20 +495,20 @@ func (s *Server) execute(job *Job) {
 			// hits + dedup hits + misses partitions completed jobs and a
 			// burst of identical submissions scores one miss, not N.
 			s.mCacheMisses.Inc()
-			recs, err := s.computeGuarded(job)
-			s.publish(job.key, f, recs, err)
-			if err != nil {
-				s.failJob(job, err)
+			recs, doc, err := s.computeGuarded(job)
+			s.publish(e, recs, doc, err)
+			if e.err != nil {
+				s.failJob(job, e.err)
 				return
 			}
-			s.finishJob(job, recs, false)
+			s.finishJob(job, e, false)
 			return
 		}
 		select {
-		case <-f.done:
-			if f.err == nil {
+		case <-e.done:
+			if e.err == nil {
 				s.mDedupHits.Inc()
-				s.finishJob(job, f.recs, true)
+				s.finishJob(job, e, true)
 				return
 			}
 			// The leader failed. If its failure was its own deadline or
@@ -403,8 +516,8 @@ func (s *Server) execute(job *Job) {
 			// retry under our own context (we may become the leader).
 			// Any other error is deterministic for the shared key, so
 			// share it.
-			if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-				s.failJob(job, f.err)
+			if !errors.Is(e.err, context.Canceled) && !errors.Is(e.err, context.DeadlineExceeded) {
+				s.failJob(job, e.err)
 				return
 			}
 		case <-job.ctx.Done():
@@ -414,41 +527,13 @@ func (s *Server) execute(job *Job) {
 	}
 }
 
-// claim resolves a key under one lock acquisition: a cached result, an
-// existing flight to follow, or a brand-new flight the caller must
-// lead. Holding the server mutex across the cache probe and the flight
-// map keeps the pair atomic with publish, which installs the cache
-// entry and retires the flight under the same mutex — so there is no
-// window in which a worker can miss the cache and also miss the flight,
-// which is what makes "exactly one simulation per key" a guarantee
-// rather than a likelihood.
-func (s *Server) claim(key string) (recs [][]byte, f *flight, leader bool) {
+// publish completes a flight: the row settles and the followers are
+// released.
+func (s *Server) publish(e *entry, recs [][]byte, doc []byte, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if recs, ok := s.cache.Get(key); ok {
-		return recs, nil, false
-	}
-	if f, ok := s.flights[key]; ok {
-		return nil, f, false
-	}
-	f = &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	return nil, f, true
-}
-
-// publish completes a flight: the result enters the cache and the
-// flight leaves the map atomically (see claim), then followers are
-// released. Failed computations are not cached — errors are retryable
-// by a later submission.
-func (s *Server) publish(key string, f *flight, recs [][]byte, err error) {
-	s.mu.Lock()
-	if err == nil {
-		s.cache.Put(key, recs)
-	}
-	f.recs, f.err = recs, err
-	delete(s.flights, key)
+	s.results.publish(e, recs, doc, err)
 	s.mu.Unlock()
-	close(f.done)
+	close(e.done)
 }
 
 // isDraining reports whether Shutdown has begun.
@@ -462,7 +547,7 @@ func (s *Server) isDraining() bool {
 // leader's computation: the panic becomes the flight's error, so
 // followers are released with a cause instead of hanging until their
 // deadlines.
-func (s *Server) computeGuarded(job *Job) (recs [][]byte, err error) {
+func (s *Server) computeGuarded(job *Job) (recs [][]byte, doc []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.mPanics.Inc()
@@ -473,9 +558,10 @@ func (s *Server) computeGuarded(job *Job) (recs [][]byte, err error) {
 }
 
 // compute runs the job's grid cell by cell on the shared runner and
-// returns each cell's compact RunRecord in cells() order. Each finished
-// cell is pushed to /v2 stream subscribers before the next cell starts.
-func (s *Server) compute(job *Job) ([][]byte, error) {
+// returns each cell's compact RunRecord in cells() order, and the result
+// document assembled from them, once for the key. Each finished cell is
+// pushed to /v2 stream subscribers before the next cell starts.
+func (s *Server) compute(job *Job) ([][]byte, []byte, error) {
 	cells := job.req.cells()
 	recs := make([][]byte, len(cells))
 	runner := s.runnerFor(job.req.Transactions, job.req.Seed)
@@ -494,22 +580,23 @@ func (s *Server) compute(job *Job) ([][]byte, error) {
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if encErr != nil {
-		return nil, encErr
+		return nil, nil, encErr
 	}
 	for i, r := range recs {
 		if r == nil {
-			return nil, fmt.Errorf("cell %d missing", i)
+			return nil, nil, fmt.Errorf("cell %d missing", i)
 		}
 	}
-	return recs, nil
+	doc, err := assembleResult(recs)
+	return recs, doc, err
 }
 
 // encodeRecord builds one cell's RunRecord and marshals it compact —
-// the canonical per-cell form the /v2 stream carries, the flights share
-// and the cache holds. assembleResult re-indents these into the result
+// the canonical per-cell form the /v2 stream carries and the result
+// table holds. assembleResult re-indents these into the result
 // document.
 func encodeRecord(n normalized, cell core.Cell, rr core.RunResult) ([]byte, error) {
 	rec := cliutil.BuildRunRecord(rr.Result, cell.Spec.EffectiveTree(),
@@ -569,15 +656,23 @@ func (s *Server) setStatus(job *Job, st JobStatus) {
 	s.mu.Unlock()
 }
 
-// recordCell keeps one finished cell and broadcasts it to stream
-// subscribers. Broadcasts are strictly in index order; out-of-order
-// completions wait in job.cells until the gap fills.
+// recordCell keeps one finished cell of a computing job and broadcasts
+// it to stream subscribers.
 func (s *Server) recordCell(job *Job, i int, rec []byte) {
 	s.mu.Lock()
-	if job.cells[i] == nil {
-		job.cells[i] = rec
+	if job.cells == nil {
+		job.cells = make([][]byte, job.total)
 	}
-	for job.emitted < job.total && job.cells[job.emitted] != nil {
+	job.cells[i] = rec
+	s.emit(job)
+	s.mu.Unlock()
+}
+
+// emit broadcasts the job's cells to its stream subscribers, strictly in
+// index order: a cell completed out of order waits in job.cells until
+// the gap fills. Called under s.mu.
+func (s *Server) emit(job *Job) {
+	for job.emitted < len(job.cells) && job.cells[job.emitted] != nil {
 		ev := streamEvent{kind: eventCell, index: job.emitted, total: job.total, data: job.cells[job.emitted]}
 		for ch := range job.subs {
 			select {
@@ -588,35 +683,18 @@ func (s *Server) recordCell(job *Job, i int, rec []byte) {
 		job.emitted++
 		s.mStreamEvents.Inc()
 	}
-	s.mu.Unlock()
 }
 
-// finishJob settles a job from its per-cell records: cells it has not
-// yet streamed (a cache hit, a dedup follow) are broadcast in order,
-// and the result document is assembled once.
-func (s *Server) finishJob(job *Job, recs [][]byte, cached bool) {
-	result, err := assembleResult(recs)
-	if err != nil {
-		s.failJob(job, err)
-		return
-	}
-	for i, rec := range recs {
-		s.recordCell(job, i, rec)
-	}
+// finishJob settles a job on a settled row: the job takes the row's
+// records and document, and cells it has not yet streamed (a settled
+// row, a dedup follow) are broadcast in order.
+func (s *Server) finishJob(job *Job, e *entry, cached bool) {
 	s.mu.Lock()
-	job.status = StatusDone
-	job.result = result
+	job.res = e
 	job.cached = cached
-	subs := job.subs
-	job.subs = nil
-	ev := streamEvent{kind: eventDone, total: job.total, cached: cached}
-	for ch := range subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-		close(ch)
-	}
+	job.cells = e.recs
+	s.emit(job)
+	s.settle(job, StatusDone, streamEvent{kind: eventDone, total: job.total, cached: cached})
 	s.mu.Unlock()
 	job.cancel()
 	s.mCompleted.Inc()
@@ -625,19 +703,30 @@ func (s *Server) finishJob(job *Job, recs [][]byte, cached bool) {
 
 func (s *Server) failJob(job *Job, err error) {
 	s.mu.Lock()
-	job.status = StatusFailed
 	job.errMsg = err.Error()
-	subs := job.subs
-	job.subs = nil
-	ev := streamEvent{kind: eventFailed, total: job.total, data: []byte(err.Error())}
-	for ch := range subs {
+	s.settle(job, StatusFailed, streamEvent{kind: eventFailed, total: job.total, data: []byte(job.errMsg)})
+	s.mu.Unlock()
+	job.cancel()
+	s.mFailed.Inc()
+}
+
+// settle gives a job its final status, ends its streams with ev and
+// retains it among the settled jobs, forgetting the oldest settled job
+// beyond maxSettledJobs. Called under s.mu.
+func (s *Server) settle(job *Job, st JobStatus, ev streamEvent) {
+	job.status = st
+	for ch := range job.subs {
 		select {
 		case ch <- ev:
 		default:
 		}
 		close(ch)
 	}
-	s.mu.Unlock()
-	job.cancel()
-	s.mFailed.Inc()
+	job.subs = nil
+	if old := s.settled[s.next]; old != nil {
+		delete(s.jobs, old.id)
+	}
+	s.settled[s.next] = job
+	s.next = (s.next + 1) % maxSettledJobs
+	s.gJobsRetained.Set(float64(len(s.jobs)))
 }

@@ -746,7 +746,7 @@ func TestCorruptedCacheEntryNeverServed(t *testing.T) {
 	first := run()
 	const rounds = 3
 	for i := uint64(1); i <= rounds; i++ {
-		corruptCacheEntry(t, svc.cache, n.Key())
+		corruptCacheEntry(t, svc, n.Key())
 		if got := run(); !bytes.Equal(got, first) {
 			t.Fatalf("round %d: result differs from round 0:\n%s\nvs\n%s", i, got, first)
 		}
@@ -765,23 +765,101 @@ func TestCorruptedCacheEntryNeverServed(t *testing.T) {
 	}
 }
 
-// corruptCacheEntry flips one byte of a cached cell record without
-// updating the entry's checksum. The flip goes into copies, so records
-// already handed to jobs stay intact and only the cached entry goes bad.
-func corruptCacheEntry(t *testing.T, c *lruCache, key string) {
+// corruptCacheEntry flips one byte of a settled row's cell record
+// without updating the row's checksum. The flip goes into copies, so
+// records already handed to jobs stay intact and only the table's row
+// goes bad.
+func corruptCacheEntry(t *testing.T, svc *Server, key string) {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		t.Fatalf("no cached entry for key %s", key)
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	e, ok := svc.results.rows[key]
+	if !ok || !e.settled() {
+		t.Fatalf("no settled row for key %s", key)
 	}
-	e := el.Value.(*lruEntry)
-	recs := append([][]byte(nil), e.val...)
+	recs := append([][]byte(nil), e.recs...)
 	r := append([]byte(nil), recs[0]...)
 	r[len(r)/2] ^= 0xff
 	recs[0] = r
-	e.val = recs
+	e.recs = recs
+}
+
+// TestSettledJobsBounded: a server remembers at most maxSettledJobs
+// settled jobs. Cache-hit submissions past the bound forget the oldest
+// settled job first: the job map and the service_jobs_retained gauge
+// never exceed the bound plus the live jobs, the oldest id answers 404
+// like an id from before a restart, and client.Run for its request
+// returns the same bytes without simulating again.
+func TestSettledJobsBounded(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 8})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+
+	ctx := context.Background()
+	cl := client.New(ts.URL, client.WithPollInterval(2*time.Millisecond))
+	req := client.Request{Workloads: []string{"Hashmap"}, Schemes: []string{"dolos-partial"},
+		Transactions: 30, Seed: 1}
+	first, err := cl.SubmitGrid(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := awaitJob(t, ts, first.ID); st.Status != StatusDone {
+		t.Fatalf("first job ended %s: %s", st.Status, st.Error)
+	}
+	want, code := getResult(t, ts, first.ID)
+	if code != http.StatusOK {
+		t.Fatalf("first result HTTP %d", code)
+	}
+
+	n, err := normalize(Request{Workloads: req.Workloads, Schemes: req.Schemes,
+		Transactions: req.Transactions, Seed: req.Seed}, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := svc.Registry().Gauge("service_jobs_retained")
+	for i := 0; i < maxSettledJobs+16; i++ {
+		job, err := svc.submit(n, 0)
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		svc.mu.Lock()
+		status, retained, live := job.status, len(svc.jobs), 0
+		for _, j := range svc.jobs {
+			if j.status == StatusQueued || j.status == StatusRunning {
+				live++
+			}
+		}
+		svc.mu.Unlock()
+		if status != StatusDone {
+			t.Fatalf("submission %d: status %s, want a done cache hit", i, status)
+		}
+		if retained > maxSettledJobs+live || int(gauge.Value()) > maxSettledJobs+live {
+			t.Fatalf("submission %d: %d jobs retained, gauge %v, want at most %d + %d live",
+				i, retained, gauge.Value(), maxSettledJobs, live)
+		}
+	}
+	if int(gauge.Value()) != maxSettledJobs {
+		t.Errorf("service_jobs_retained = %v, want %d", gauge.Value(), maxSettledJobs)
+	}
+
+	if _, err := cl.Status(ctx, first.ID); !errors.Is(err, client.ErrJobNotFound) {
+		t.Errorf("oldest id %s: err = %v, want ErrJobNotFound", first.ID, err)
+	}
+	if _, code := getResult(t, ts, first.ID); code != http.StatusNotFound {
+		t.Errorf("oldest id %s result HTTP %d, want 404", first.ID, code)
+	}
+	sims := counterVal(svc, "service_sims_executed_total")
+	res, err := cl.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := normalizeHostFields(t, res.Bytes); !bytes.Equal(got, normalizeHostFields(t, want)) {
+		t.Errorf("rerun of a forgotten job's request differs:\n%s\nvs\n%s", got, want)
+	}
+	if after := counterVal(svc, "service_sims_executed_total"); after != sims {
+		t.Errorf("sims executed %d -> %d, want no new simulation", sims, after)
+	}
 }
 
 // awaitDraining blocks until Shutdown has begun closing intake.

@@ -44,7 +44,7 @@ func writeSSE(w io.Writer, ev streamEvent) {
 
 // subscribe attaches a stream consumer to a job at a resume point:
 // cells after (0-based count of cells already seen — the Last-Event-ID
-// value) are replayed from the job's cell slice, and a live
+// value) are replayed from the job's cells, and a live
 // channel carries the rest. A settled job gets its terminal event in
 // the replay and a nil channel; the caller just writes the replay and
 // returns. cancel detaches the subscriber (idempotent; safe after the
@@ -70,12 +70,13 @@ func (s *Server) subscribe(job *Job, after int) (replay []streamEvent, ch chan s
 		return replay, nil, func() {}
 	}
 	ch = make(chan streamEvent, job.total+2)
+	if job.subs == nil {
+		job.subs = make(map[chan streamEvent]bool)
+	}
 	job.subs[ch] = true
 	cancel = func() {
 		s.mu.Lock()
-		if job.subs != nil {
-			delete(job.subs, ch)
-		}
+		delete(job.subs, ch)
 		s.mu.Unlock()
 	}
 	return replay, ch, cancel
