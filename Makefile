@@ -62,9 +62,11 @@ bench-gen:
 # Osiris recovery, the audit of a written image (BenchmarkAudit) and the
 # checkpoint load of a ycsb-read-lazy and a hashmap-eager cell
 # (BenchmarkLoadCheckpoint).
-# A write's data-line MAC and ECC are computed where they are observed,
-# so the crash and the audit are where that work now lands. Fixed
-# iterations and five repeats, so a change reports the median and
+# A write's data-line ciphertext, MAC and ECC are computed where they
+# are observed, one pad per line and no decrypt, so neither a write nor
+# the checkpoint load computes a pad or a hash; the crash, the audit's
+# page count and a read of a filled line are where that work lands.
+# Fixed iterations and five repeats, so a change reports the median and
 # quartiles of each.
 bench-masu:
 	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine' -benchmem -benchtime 200000x -count 5 ./internal/masu

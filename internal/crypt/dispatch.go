@@ -13,7 +13,7 @@ package crypt
 type Dispatch struct {
 	f *Engine
 	x *FastEngine
-	n *Counting // non-nil when the hashes are counted
+	n *Counting // non-nil when the hashes and pads are counted
 }
 
 // AsDispatch wraps a Provider for devirtualized use. Only the two
@@ -34,13 +34,50 @@ func AsDispatch(p Provider) Dispatch {
 }
 
 // Counting is a Provider that counts the hashes computed through it —
-// line MACs, node MACs and ECC words — and delegates every primitive
-// to the engine it wraps (*Engine or *FastEngine). Tests use it to pin
-// where the host hashes; a unit built over it counts through its
-// Dispatch as well.
+// line MACs, node MACs and ECC words — and the AES pads (every
+// GeneratePad*, Encrypt* and Decrypt* call), and delegates every
+// primitive to the engine it wraps (*Engine or *FastEngine). Tests use
+// it to pin where the host hashes and encrypts; a unit built over it
+// counts through its Dispatch as well.
 type Counting struct {
 	Provider
-	LineMACs, NodeMACs, ECCs uint64
+	LineMACs, NodeMACs, ECCs, Pads uint64
+}
+
+// GeneratePad counts and produces the pad for iv.
+func (c *Counting) GeneratePad(iv IV) Pad {
+	c.Pads++
+	return c.Provider.GeneratePad(iv)
+}
+
+// GeneratePadInto counts and writes the pad for iv into *pad.
+func (c *Counting) GeneratePadInto(pad *Pad, iv IV) {
+	c.Pads++
+	c.Provider.GeneratePadInto(pad, iv)
+}
+
+// EncryptLine counts a pad and encrypts plain with it.
+func (c *Counting) EncryptLine(plain [BlockSize]byte, iv IV) [BlockSize]byte {
+	c.Pads++
+	return c.Provider.EncryptLine(plain, iv)
+}
+
+// EncryptLineTo counts a pad and encrypts *src into *dst with it.
+func (c *Counting) EncryptLineTo(dst, src *[BlockSize]byte, iv IV) {
+	c.Pads++
+	c.Provider.EncryptLineTo(dst, src, iv)
+}
+
+// DecryptLine counts a pad and decrypts ct with it.
+func (c *Counting) DecryptLine(ct [BlockSize]byte, iv IV) [BlockSize]byte {
+	c.Pads++
+	return c.Provider.DecryptLine(ct, iv)
+}
+
+// DecryptLineTo counts a pad and decrypts *src into *dst with it.
+func (c *Counting) DecryptLineTo(dst, src *[BlockSize]byte, iv IV) {
+	c.Pads++
+	c.Provider.DecryptLineTo(dst, src, iv)
 }
 
 // LineMAC counts and computes the MAC over (ciphertext, address, counter).
@@ -66,6 +103,9 @@ func (d Dispatch) Functional() bool { return d.f != nil }
 
 // GeneratePad produces the pad for iv.
 func (d Dispatch) GeneratePad(iv IV) Pad {
+	if d.n != nil {
+		d.n.Pads++
+	}
 	if d.f != nil {
 		return d.f.GeneratePad(iv)
 	}
@@ -74,6 +114,9 @@ func (d Dispatch) GeneratePad(iv IV) Pad {
 
 // GeneratePadInto writes the pad for iv into *pad.
 func (d Dispatch) GeneratePadInto(pad *Pad, iv IV) {
+	if d.n != nil {
+		d.n.Pads++
+	}
 	if d.f != nil {
 		d.f.GeneratePadInto(pad, iv)
 		return
@@ -83,6 +126,9 @@ func (d Dispatch) GeneratePadInto(pad *Pad, iv IV) {
 
 // EncryptLine encrypts plain with the pad for iv.
 func (d Dispatch) EncryptLine(plain [BlockSize]byte, iv IV) [BlockSize]byte {
+	if d.n != nil {
+		d.n.Pads++
+	}
 	if d.f != nil {
 		return d.f.EncryptLine(plain, iv)
 	}
@@ -91,6 +137,9 @@ func (d Dispatch) EncryptLine(plain [BlockSize]byte, iv IV) [BlockSize]byte {
 
 // EncryptLineTo encrypts *src into *dst.
 func (d Dispatch) EncryptLineTo(dst, src *[BlockSize]byte, iv IV) {
+	if d.n != nil {
+		d.n.Pads++
+	}
 	if d.f != nil {
 		d.f.EncryptLineTo(dst, src, iv)
 		return
@@ -100,6 +149,9 @@ func (d Dispatch) EncryptLineTo(dst, src *[BlockSize]byte, iv IV) {
 
 // DecryptLine decrypts ct with the pad for iv.
 func (d Dispatch) DecryptLine(ct [BlockSize]byte, iv IV) [BlockSize]byte {
+	if d.n != nil {
+		d.n.Pads++
+	}
 	if d.f != nil {
 		return d.f.DecryptLine(ct, iv)
 	}
@@ -108,6 +160,9 @@ func (d Dispatch) DecryptLine(ct [BlockSize]byte, iv IV) [BlockSize]byte {
 
 // DecryptLineTo decrypts *src into *dst.
 func (d Dispatch) DecryptLineTo(dst, src *[BlockSize]byte, iv IV) {
+	if d.n != nil {
+		d.n.Pads++
+	}
 	if d.f != nil {
 		d.f.DecryptLineTo(dst, src, iv)
 		return

@@ -148,7 +148,8 @@ func TestDispatchAllocFree(t *testing.T) {
 }
 
 // A Counting provider computes the wrapped engine's values and counts
-// each hash once, whether called directly or through a Dispatch.
+// each hash and each pad once, whether called directly or through a
+// Dispatch.
 func TestCountingCountsHashes(t *testing.T) {
 	var aes, mac [16]byte
 	copy(aes[:], "counting-aes-k16")
@@ -168,9 +169,29 @@ func TestCountingCountsHashes(t *testing.T) {
 	if c.LineECC(&line) != e.LineECC(&line) || d.LineECC(&line) != e.LineECC(&line) {
 		t.Fatal("LineECC differs from the wrapped engine's")
 	}
-	d.EncryptLineTo(&line, &line, MakeIV(1, 2, 3))
-	if c.LineMACs != 2 || c.NodeMACs != 2 || c.ECCs != 2 {
-		t.Fatalf("counted %d line MACs, %d node MACs, %d ECCs; want 2 of each", c.LineMACs, c.NodeMACs, c.ECCs)
+	iv := MakeIV(1, 2, 3)
+	want := e.EncryptLine(line, iv)
+	var pad, padD Pad
+	c.GeneratePadInto(&pad, iv)
+	d.GeneratePadInto(&padD, iv)
+	if c.GeneratePad(iv) != e.GeneratePad(iv) || d.GeneratePad(iv) != e.GeneratePad(iv) || pad != e.GeneratePad(iv) || padD != pad {
+		t.Fatal("a pad differs from the wrapped engine's")
+	}
+	if c.EncryptLine(line, iv) != want || d.EncryptLine(line, iv) != want ||
+		c.DecryptLine(want, iv) != line || d.DecryptLine(want, iv) != line {
+		t.Fatal("EncryptLine or DecryptLine differs from the wrapped engine's")
+	}
+	var ct, ctD, back [BlockSize]byte
+	c.EncryptLineTo(&ct, &line, iv)
+	d.EncryptLineTo(&ctD, &line, iv)
+	c.DecryptLineTo(&back, &ct, iv)
+	d.DecryptLineTo(&back, &ctD, iv)
+	if ct != want || ctD != want || back != line {
+		t.Fatal("EncryptLineTo or DecryptLineTo differs from the wrapped engine's")
+	}
+	if c.LineMACs != 2 || c.NodeMACs != 2 || c.ECCs != 2 || c.Pads != 12 {
+		t.Fatalf("counted %d line MACs, %d node MACs, %d ECCs, %d pads; want 2, 2, 2 and 12",
+			c.LineMACs, c.NodeMACs, c.ECCs, c.Pads)
 	}
 	if !d.Functional() || AsDispatch(&Counting{Provider: NewFastEngine()}).Functional() {
 		t.Fatal("Counting does not report its engine's Functional")

@@ -16,8 +16,9 @@ import (
 // incurs; each further line only hits what the first brought in, so the
 // counter-cache hits, the counter-block updates, the tree update and the
 // MT-cache walk of all of them are applied once for the rest of the run.
-// Each line is still encrypted under its own counter, and its MAC and ECC
-// turn pending. The write hook observes the lines that go through
+// Each line's plaintext is staged under its own counter, and its
+// ciphertext, MAC and ECC turn pending: the load computes no AES pad and
+// no hash. The write hook observes the lines that go through
 // ProcessWrite; the others re-encrypt nothing.
 func (u *Unit) LoadImage(img []trace.InitLine) {
 	for i := 0; i < len(img); {
@@ -54,7 +55,7 @@ func (u *Unit) runLength(first uint64, rest []trace.InitLine) int {
 // from the MT cache, since then the lines would not all hit. Otherwise
 // every line hits the counter block and every path node, evicts nothing
 // and leaves the shadow entries the first line made live and pending, so
-// only its ciphertext and its counter are its own.
+// only its staged plaintext and its counter are its own.
 func (u *Unit) loadRun(first uint64, lines []trace.InitLine) bool {
 	leaf := u.lay.LeafIndex(first)
 	n := uint64(len(lines))
@@ -72,9 +73,7 @@ func (u *Unit) loadRun(first uint64, lines []trace.InitLine) bool {
 		li := a / 64 % ctr.LinesPerBlock
 		slots[j] = uint8(li)
 		counter := blk.Major<<ctr.MinorBits | uint64(blk.Minors[li]) + 1
-		var ct [64]byte
-		u.eng.EncryptLineTo(&ct, &lines[j].Data, lineIV(a, counter))
-		u.writeCipher(a, &ct, counter, linePending)
+		u.stageLine(a, &lines[j].Data, counter, linePending)
 	}
 	u.counters.ApplyRun(leaf, slots[:n], u.policy.CounterWriteThrough)
 	if u.policy.CounterWriteThrough && u.policy.CoalesceCounterWrites {

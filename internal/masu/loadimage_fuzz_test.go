@@ -57,7 +57,10 @@ func fuzzImage(data []byte) (controller.Config, masu.Params, []trace.InitLine) {
 // arbitrary images over tiny metadata caches, so counter blocks and
 // tree nodes are evicted during the load: neither side panics on an
 // in-region image, and both leave identical state, before and after a
-// crash.
+// crash. After the crash every image line's NVM bytes are the eager
+// encryption of the last data written to it under its counter, computed
+// from the crypt package alone, and after recovery ReadLine returns
+// that data.
 func FuzzLoadImage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -81,6 +84,14 @@ func FuzzLoadImage(f *testing.F) {
 		if d := masu.StateDiff(units[0], units[1]); d != "" {
 			t.Fatalf("state after the install differs at %s", d)
 		}
+		last := map[uint64][64]byte{}
+		counters := map[uint64]uint64{}
+		for _, il := range img {
+			last[il.Addr] = il.Data
+		}
+		for addr := range last {
+			counters[addr] = units[0].Counters().Counter(addr)
+		}
 		for _, u := range units {
 			u.CrashVolatile()
 		}
@@ -89,6 +100,27 @@ func FuzzLoadImage(f *testing.F) {
 		}
 		if a, b := snapshotSHA256(devs[0]), snapshotSHA256(devs[1]); a != b {
 			t.Fatalf("NVM after the crash differs: %s vs %s", a, b)
+		}
+		eng := crypt.NewEngine(aesKey, macKey)
+		for addr, data := range last {
+			iv := crypt.MakeIV(addr/nvm.PageSize, uint16(addr%nvm.PageSize/64), counters[addr])
+			if got, want := devs[0].ReadLine(addr), eng.EncryptLine(data, iv); got != want {
+				t.Fatalf("NVM line %#x after the crash is %x, want the eager ciphertext %x", addr, got, want)
+			}
+		}
+		var err error
+		if scheme.PipelineOf(cfg.Scheme).Recovery == scheme.RecoverReconstruct {
+			_, err = units[0].RecoverReconstruct()
+		} else {
+			_, err = units[0].RecoverAnubis()
+		}
+		if err != nil {
+			t.Fatalf("recovery after the crash: %v", err)
+		}
+		for addr, data := range last {
+			if got, _, err := units[0].ReadLine(addr); err != nil || got != data {
+				t.Fatalf("ReadLine(%#x) after recovery: %v, data equal %v", addr, err, got == data)
+			}
 		}
 	})
 }

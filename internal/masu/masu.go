@@ -11,11 +11,12 @@
 // metadata block so recovery can restore the caches to a state
 // consistent with the eagerly updated root. Counters are additionally
 // recoverable via Osiris ECC probing (the slow path). Tree MACs, leaf
-// MACs included, BMT and ToC alike, and each data line's MAC and ECC
-// word are computed where they are observed (DESIGN.md §18), so a write
-// computes none; CrashVolatile is one such point, filling the data
-// lines' MACs and ECC, the shadow images (and the BMT redo record's temp
-// root) from the live counter blocks and the refreshed tree.
+// MACs included, BMT and ToC alike, and each data line's ciphertext, MAC
+// and ECC word are computed where they are observed (DESIGN.md §18), so
+// a write computes no hash and no AES pad; CrashVolatile is one such
+// point, filling the data lines, the shadow images (and the BMT redo
+// record's temp root) from the live counter blocks and the refreshed
+// tree.
 package masu
 
 import (
@@ -108,13 +109,13 @@ func (c *Cost) Add(o Cost) {
 }
 
 // Op is a prepared write held in the redo-log registers (Figure 11
-// step 2 output). Ready becomes true once fully staged. The line's MAC
-// and ECC word are not staged: ApplyWrite leaves them pending, and they
-// are computed from the NVM ciphertext where observed.
+// step 2 output). Ready becomes true once fully staged. The line's
+// ciphertext, MAC and ECC word are not staged: ApplyWrite writes the
+// plaintext to the line's slot and leaves all three pending, and they
+// are computed from it, under Counter, where observed.
 type Op struct {
 	Addr     uint64
 	Plain    [64]byte
-	Cipher   [64]byte
 	Counter  uint64
 	Overflow bool
 
@@ -195,19 +196,20 @@ type Unit struct {
 	// written holds each line's state bits, indexed by line within the
 	// data region: lineWritten for lines that have ever been written
 	// (the recovery scan set; in hardware this is a memory scan), and
-	// the pending bits of a MAC or ECC word owed to NVM (fillLine).
-	// writtenCount counts written lines.
+	// the pending bits of a ciphertext with its MAC, or of an ECC word,
+	// owed to NVM (fillLine). writtenCount counts written lines.
 	written      *dense.Table[uint8]
 	writtenCount int
-	// lineCounter records the counter each line's current NVM ciphertext
-	// was produced with. Normally equal to the counter store's value; it
-	// diverges only transiently during post-overflow page re-encryption,
-	// where hardware reads the pre-reset counters from the old block.
+	// lineCounter records the counter each line's current ciphertext,
+	// in NVM or owed to it, was produced with. Normally equal to the
+	// counter store's value; it diverges only transiently during
+	// post-overflow page re-encryption, where hardware reads the
+	// pre-reset counters from the old block.
 	lineCounter *dense.Table[uint64]
-	// macWB and eccWB are the data-MAC and ECC regions, written back
-	// when observed; dataWB guards the data region, so a foreign write
-	// to a line with a pending MAC or ECC fills them first.
-	macWB, eccWB, dataWB *nvm.WriteBack
+	// dataWB, macWB and eccWB are the data, data-MAC and ECC regions,
+	// written back when observed: a data-pending line's slot holds its
+	// plaintext, which only the Ma-SU reads (dataWB.ReadLine).
+	dataWB, macWB, eccWB *nvm.WriteBack
 
 	redo redoLog
 
@@ -282,14 +284,14 @@ func NewWithParams(kind TreeKind, eng crypt.Provider, dev *nvm.Device, lay layou
 		u.tocTree = toc.New(eng, dev, lay.TreeBase, lay.Leaves(), u.counters.ImageByIndex)
 	}
 	end := lay.DataBase + lay.DataSpan
+	u.dataWB = dev.SetWriteBack(lay.DataBase, end, func(lo, hi uint64) {
+		u.fillLines(u.lineIdx(lo), u.lineIdx(hi+63))
+	})
 	u.macWB = dev.SetWriteBack(lay.MACBase, lay.LineMACAddr(end), func(lo, hi uint64) {
 		u.fillLines((lo-lay.MACBase)/crypt.MACSize, (hi-lay.MACBase+crypt.MACSize-1)/crypt.MACSize)
 	})
 	u.eccWB = dev.SetWriteBack(lay.ECCBase, lay.ECCAddr(end), func(lo, hi uint64) {
 		u.fillLines((lo-lay.ECCBase)/eccSize, (hi-lay.ECCBase+eccSize-1)/eccSize)
-	})
-	u.dataWB = dev.SetWriteGuard(lay.DataBase, end, func(lo, hi uint64) {
-		u.fillLines(u.lineIdx(lo), u.lineIdx(hi+63))
 	})
 	return u
 }
@@ -451,10 +453,12 @@ func (u *Unit) shadowWrite(nvmAddr uint64, cost *Cost) {
 }
 
 // PrepareWrite performs Figure 11 step 2 for a write to addr: it computes
-// the ciphertext, the counter block and, for the ToC, the path versions,
-// stages everything in the redo-log registers and sets the ready bit. It
-// computes no MAC and no ECC: the line's are filled where observed, the
-// tree's likewise (DESIGN.md §18). No architectural state changes yet.
+// the counter block and, for the ToC, the path versions, stages them
+// with the plaintext in the redo-log registers and sets the ready bit.
+// It computes no ciphertext, no MAC and no ECC: the line's are filled
+// where observed, the tree's likewise (DESIGN.md §18), and the cost
+// still charges the pad and the data MAC. No architectural state
+// changes yet.
 func (u *Unit) PrepareWrite(addr uint64, plain [64]byte, wpqSlot int) (*Op, Cost) {
 	if !u.lay.ValidData(addr) {
 		panic(fmt.Sprintf("masu: write outside data region: %#x", addr))
@@ -476,8 +480,7 @@ func (u *Unit) PrepareWrite(addr uint64, plain [64]byte, wpqSlot int) (*Op, Cost
 	op.Counter = prev.Counter
 	op.Overflow = prev.Overflow
 	op.WPQSlot = wpqSlot
-	u.eng.EncryptLineTo(&op.Cipher, &op.Plain, lineIV(addr, prev.Counter))
-	cost.AESOps++
+	cost.AESOps++    // the pad, filled when observed
 	cost.TotalMACs++ // the data MAC, filled when observed
 
 	// New leaf image: the counter block after this increment.
@@ -569,9 +572,9 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 		cost.NVMWrites++ // the leaf MAC, written back when observed
 	}
 
-	// Data to NVM; its MAC and ECC turn pending, written back when
-	// observed.
-	u.writeCipher(op.Addr, &op.Cipher, op.Counter, linePending)
+	// The plaintext to the line's slot; its ciphertext, MAC and ECC
+	// turn pending, written back when observed.
+	u.stageLine(op.Addr, &op.Plain, op.Counter, linePending)
 	cost.NVMWrites += 2 // the line, then MAC+ECC sharing a metadata write slot
 	u.writes++
 
@@ -598,15 +601,18 @@ func (u *Unit) ProcessWrite(addr uint64, plain [64]byte, wpqSlot int) Cost {
 }
 
 // reencryptPage re-encrypts every line of addr's page after a minor-
-// counter overflow gave the whole page fresh counters. Previously
-// written lines are decrypted with the counter their ciphertext was
-// produced under and re-encrypted under the reset counter; never-written
-// lines get their defined zero content encrypted too, because the reset
-// leaves them with a nonzero counter and the invariant "counter != 0
-// implies valid ciphertext+MAC" must hold for the read path and for
-// recovery audits. Every line's new MAC turns pending. A re-encrypted
-// line keeps its ECC word (its plaintext is unchanged), pending or not;
-// a never-written line owes the ECC of its zero content.
+// counter overflow gave the whole page fresh counters; the modelled cost
+// is a decrypt under the old counter for each written line and an
+// encrypt under the reset one for every line. Never-written lines get
+// their defined zero content too, because the reset leaves them with a
+// nonzero counter and the invariant "counter != 0 implies valid
+// ciphertext+MAC" must hold for the read path and for recovery audits.
+// The host encrypts nothing: every line ends data-pending under its new
+// counter. A data-pending line's slot already holds its plaintext, so
+// only its counter moves. A filled line is decrypted under the counter
+// its ciphertext was produced with, and its plaintext staged. A
+// re-encrypted line keeps its ECC word (its plaintext is unchanged),
+// pending or not; a never-written line owes the ECC of its zero content.
 func (u *Unit) reencryptPage(addr uint64) Cost {
 	var cost Cost
 	page := addr / nvm.PageSize * nvm.PageSize
@@ -615,18 +621,22 @@ func (u *Unit) reencryptPage(addr uint64) Cost {
 			continue
 		}
 		ai := u.lineIdx(a)
-		var plain [64]byte
-		owed := uint8(linePending)
-		if s := u.written.Get(ai); s&lineWritten != 0 {
-			ct := u.dev.ReadLine(a)
-			u.eng.DecryptLineTo(&plain, &ct, lineIV(a, u.lineCounter.Get(ai)))
-			cost.AESOps++
-			owed = macPending | s&eccPending
-		}
 		newCtr := u.counters.Counter(a)
-		var ct2 [64]byte
-		u.eng.EncryptLineTo(&ct2, &plain, lineIV(a, newCtr))
-		u.writeCipher(a, &ct2, newCtr, owed)
+		s := u.written.Get(ai)
+		switch {
+		case s&dataPending != 0:
+			u.lineCounter.Set(ai, newCtr)
+		case s&lineWritten != 0:
+			plain := u.dataWB.ReadLine(a)
+			u.eng.DecryptLineTo(&plain, &plain, lineIV(a, u.lineCounter.Get(ai)))
+			u.stageLine(a, &plain, newCtr, dataPending)
+		default:
+			var zero [64]byte
+			u.stageLine(a, &zero, newCtr, linePending)
+		}
+		if s&lineWritten != 0 {
+			cost.AESOps++ // the decrypt under the old counter
+		}
 		cost.ReencryptedLines++
 		cost.AESOps++
 		cost.TotalMACs++
@@ -638,13 +648,16 @@ func (u *Unit) reencryptPage(addr uint64) Cost {
 // Line-state bits of the written table.
 const (
 	lineWritten uint8 = 1 << iota
-	// macPending: the line's data MAC is owed to NVM. Its value is
-	// LineMAC(NVM ciphertext, addr, lineCounter).
-	macPending
-	// eccPending: the line's ECC word is owed to NVM. Its value is
-	// LineECC of the NVM ciphertext decrypted under lineCounter.
+	// dataPending: the line's slot holds the plaintext the Ma-SU staged,
+	// and its eager ciphertext, EncryptLine(plaintext, lineIV(addr,
+	// lineCounter)), is owed to NVM with the MAC of that ciphertext. A
+	// line's MAC is owed exactly when its ciphertext is, so one bit
+	// says both.
+	dataPending
+	// eccPending: the line's ECC word, LineECC of its plaintext, is owed
+	// to NVM. Only a data-pending line owes one.
 	eccPending
-	linePending = macPending | eccPending
+	linePending = dataPending | eccPending
 )
 
 // eccSize is the size of a line's ECC word in the ECC region.
@@ -655,28 +668,28 @@ func lineIV(addr, counter uint64) crypt.IV {
 	return crypt.MakeIV(addr/nvm.PageSize, uint16(addr%nvm.PageSize/64), counter)
 }
 
-// writeCipher writes the Ma-SU's own ciphertext ct, produced under
-// counter, to the line at addr, and leaves the owed bits pending, so
-// the device regions that observe them are marked. The line's pending
-// bits clear before the write, so the write fills nothing: what they
-// owed belongs to the ciphertext it replaces, and the caller owes afresh
-// whatever the new ciphertext changes.
-func (u *Unit) writeCipher(addr uint64, ct *[64]byte, counter uint64, owed uint8) {
+// stageLine writes the plaintext data, staged under counter, to the
+// line at addr — the slot its ciphertext will occupy — and leaves the
+// owed bits pending, so the device regions that observe them are
+// marked. It writes as the owner and fills nothing: what the line owed
+// belongs to the content the write replaces, and the caller owes afresh
+// whatever the new content changes.
+func (u *Unit) stageLine(addr uint64, data *[64]byte, counter uint64, owed uint8) {
 	i := u.lineIdx(addr)
 	s := u.written.Ptr(i)
 	if *s&lineWritten == 0 {
 		u.writtenCount++
 	}
-	*s = lineWritten
-	u.dev.WriteLine(addr, *ct)
-	*s |= owed
+	*s = lineWritten | owed
+	u.dataWB.WriteLine(addr, data)
 	u.lineCounter.Set(i, counter)
+	u.dataWB.Mark()
 	u.macWB.Mark()
 	u.eccWB.Mark()
-	u.dataWB.Mark()
 }
 
-// fillLines fills the pending MAC and ECC words of lines [lo, hi).
+// fillLines fills the pending ciphertexts, MACs and ECC words of lines
+// [lo, hi).
 func (u *Unit) fillLines(lo, hi uint64) {
 	u.written.RangeIn(lo, hi, func(i uint64, s *uint8) bool {
 		if *s&linePending != 0 {
@@ -686,40 +699,62 @@ func (u *Unit) fillLines(lo, hi uint64) {
 	})
 }
 
-// fillLine writes line i's pending MAC and ECC word: exactly the bytes
-// an eager write would have written, computed from the line's NVM
-// ciphertext and the counter it was produced under. The bits clear
-// first, so the writes below observe nothing of their own.
+// fillLine writes what data-pending line i owes NVM: exactly the bytes
+// an eager write would have written. It encrypts the plaintext the
+// line's slot holds under lineCounter and writes the ciphertext over
+// it, then the MAC of that ciphertext and, if pending, the ECC of the
+// plaintext; so a fill computes one pad and decrypts nothing. The bits
+// clear first, so the MAC and ECC writes below, which the device
+// observes, fill nothing of their own.
 func (u *Unit) fillLine(i uint64, s *uint8) {
 	owed := *s & linePending
 	*s &^= linePending
 	addr := u.lay.DataBase + i*64
 	counter := u.lineCounter.Get(i)
-	ct := u.dev.ReadLine(addr)
-	if owed&macPending != 0 {
-		mac := u.eng.LineMAC(&ct, addr, counter)
-		u.dev.Write(u.lay.LineMACAddr(addr), mac[:])
-	}
+	plain := u.dataWB.ReadLine(addr)
+	var ct [64]byte
+	u.eng.EncryptLineTo(&ct, &plain, lineIV(addr, counter))
+	u.dataWB.WriteLine(addr, &ct)
+	mac := u.eng.LineMAC(&ct, addr, counter)
+	u.dev.Write(u.lay.LineMACAddr(addr), mac[:])
 	if owed&eccPending != 0 {
-		var plain [64]byte
-		u.eng.DecryptLineTo(&plain, &ct, lineIV(addr, counter))
 		var ecc [eccSize]byte
 		binary.LittleEndian.PutUint32(ecc[:], u.eng.LineECC(&plain))
 		u.dev.Write(u.lay.ECCAddr(addr), ecc[:])
 	}
 }
 
+// ownLine returns the line at addr as a check under counter reads it.
+// A line whose data is pending under counter is read as its owner: the
+// slot's plaintext, with pending true, and its MAC holds by
+// construction, because its value is the MAC of the eager ciphertext
+// under that counter — the check's own computation — and any access
+// that could change the slot or the MAC slot fills it first. Any other
+// line is its NVM ciphertext, filled first if it was owed under another
+// counter.
+func (u *Unit) ownLine(addr, counter uint64) (line [64]byte, pending bool) {
+	i := u.lineIdx(addr)
+	if u.written.Get(i)&dataPending != 0 {
+		if u.lineCounter.Get(i) == counter {
+			return u.dataWB.ReadLine(addr), true
+		}
+		u.fillLine(i, u.written.Ptr(i))
+	}
+	return u.dataWB.ReadLine(addr), false
+}
+
+// lineHolds reports whether the line at addr verifies under counter: a
+// data-pending line produced under counter holds by construction (see
+// ownLine), and any other line's stored MAC must match its ciphertext.
+func (u *Unit) lineHolds(addr, counter uint64) bool {
+	ct, pending := u.ownLine(addr, counter)
+	return pending || u.macHolds(addr, counter, &ct)
+}
+
 // macHolds reports whether the data MAC stored for the line at addr
 // matches ct under counter. It reads only the line's own 8-byte MAC
-// slot. A pending MAC whose line was produced under counter holds by
-// construction: its value is the MAC of the NVM ciphertext under that
-// counter — the check's own computation — and any access that could
-// change the ciphertext or the slot fills it first.
+// slot.
 func (u *Unit) macHolds(addr, counter uint64, ct *[64]byte) bool {
-	i := u.lineIdx(addr)
-	if u.written.Get(i)&macPending != 0 && u.lineCounter.Get(i) == counter {
-		return true
-	}
 	var stored crypt.MAC
 	u.dev.Read(u.lay.LineMACAddr(addr), stored[:])
 	return u.eng.LineMAC(ct, addr, counter) == stored

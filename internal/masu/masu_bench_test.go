@@ -36,8 +36,9 @@ func BenchmarkReadLineVerified(b *testing.B) {
 }
 
 // The recovery benchmarks time a crash with its recovery: CrashVolatile
-// writes what the crash observes, the pending data-line MACs and ECC
-// words included, so that work is timed with the recovery it precedes.
+// writes what the crash observes, the pending data lines' ciphertexts,
+// MACs and ECC words included, so that work is timed with the recovery
+// it precedes.
 func BenchmarkAnubisRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -74,8 +75,8 @@ func BenchmarkOsirisRecovery(b *testing.B) {
 // BenchmarkAudit audits a written image the way a benchmark cell's
 // check does: 8192 writes to 4096 lines of 64 pages, then (timed) the
 // device's page count and the Ma-SU's audit of every written line. The
-// page count is the first observation of the MAC and ECC regions, so it
-// fills the lines' pending MACs and ECC words.
+// page count is the first observation of the data, MAC and ECC regions,
+// so it fills the lines' pending ciphertexts, MACs and ECC words.
 func BenchmarkAudit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

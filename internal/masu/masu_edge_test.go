@@ -266,3 +266,24 @@ func TestReplayOverwritesTamperedPathNode(t *testing.T) {
 		t.Fatal("NVM after recovery differs from the untampered run")
 	}
 }
+
+// Every recovery path accepts a unit that was never written: the
+// rebuilt tree has no leaf, and the root register was never set.
+func TestRecoverNeverWritten(t *testing.T) {
+	for _, kind := range []TreeKind{BMTEager, ToCLazy} {
+		for _, path := range []struct {
+			name    string
+			recover func(u *Unit) (RecoveryReport, error)
+		}{
+			{"anubis", (*Unit).RecoverAnubis},
+			{"osiris", (*Unit).RecoverOsiris},
+			{"reconstruct", (*Unit).RecoverReconstruct},
+		} {
+			u, _, _ := newUnit(kind)
+			u.CrashVolatile()
+			if _, err := path.recover(u); err != nil && !errors.Is(err, ErrNeedsBMT) {
+				t.Errorf("%s %s recovery of a never-written unit: %v", kind, path.name, err)
+			}
+		}
+	}
+}

@@ -19,7 +19,11 @@ func (e *IntegrityError) Error() string {
 // ReadLine fetches, verifies and decrypts the line at addr. A line whose
 // counter is zero has never been written under this tree (counters are
 // integrity-protected, so an adversary cannot fake this state) and reads
-// as zeroes without verification.
+// as zeroes without verification. A line whose data is pending under
+// its counter is read as its owner (ownLine): its slot holds the
+// plaintext, so the host neither fills it nor decrypts, and its MAC
+// holds by construction; the cost charges the MAC and the pad as for
+// any line.
 func (u *Unit) ReadLine(addr uint64) ([64]byte, Cost, error) {
 	var cost Cost
 	addr &^= uint64(63)
@@ -35,12 +39,12 @@ func (u *Unit) ReadLine(addr uint64) ([64]byte, Cost, error) {
 		return zero, cost, nil
 	}
 
-	ct := u.dev.ReadLine(addr)
+	line, pending := u.ownLine(addr, counter)
 
 	// Verify the data MAC over (ciphertext, address, counter).
 	cost.TotalMACs++
 	cost.SerialMACs++
-	if !u.macHolds(addr, counter, &ct) {
+	if !pending && !u.macHolds(addr, counter, &line) {
 		return [64]byte{}, cost, &IntegrityError{Addr: addr, Reason: "data MAC mismatch"}
 	}
 
@@ -61,9 +65,11 @@ func (u *Unit) ReadLine(addr uint64) ([64]byte, Cost, error) {
 		}
 	}
 
-	plain := u.eng.DecryptLine(ct, lineIV(addr, counter))
+	if !pending {
+		u.eng.DecryptLineTo(&line, &line, lineIV(addr, counter))
+	}
 	cost.AESOps++
-	return plain, cost, nil
+	return line, cost, nil
 }
 
 // CheckLine verifies addr's stored MAC against its ciphertext and
@@ -78,7 +84,7 @@ func (u *Unit) CheckLine(addr uint64) error {
 	if counter == 0 {
 		return nil
 	}
-	if ct := u.dev.ReadLine(addr); !u.macHolds(addr, counter, &ct) {
+	if !u.lineHolds(addr, counter) {
 		return &IntegrityError{Addr: addr, Reason: "audit MAC mismatch"}
 	}
 	return nil

@@ -3,18 +3,21 @@ package masu
 import (
 	"encoding/binary"
 	"fmt"
+
+	"dolos/internal/crypt"
 )
 
 // CrashVolatile models power failure inside the Ma-SU: metadata caches
 // and the live (cached) counter/tree state vanish. The redo-log
 // registers, the root register, the shadow region and all NVM contents
 // survive. The crash observes the tree and the counter blocks: every
-// pending data-line MAC and ECC word is written, pending shadow images
-// are filled from the live blocks and the live tree, with a BMT a
-// staged op's temp root is computed from its block, and the trees fill
-// their stale leaves (the BMT root register, the ToC leaf-MAC region)
-// from the live counter blocks before those are dropped. What survives
-// is byte for byte what eager hashing wrote.
+// pending data line is filled (its ciphertext, MAC and ECC word
+// written), pending shadow images are filled from the live blocks and
+// the live tree, with a BMT a staged op's temp root is computed from
+// its block, and the trees fill their stale leaves (the BMT root
+// register, the ToC leaf-MAC region) from the live counter blocks
+// before those are dropped. What survives is byte for byte what eager
+// encryption and hashing wrote.
 func (u *Unit) CrashVolatile() {
 	u.fillLines(0, u.written.Len())
 	u.shadow.Range(func(i uint64, e *shadowEntry) bool {
@@ -183,7 +186,7 @@ func (u *Unit) RecoverOsiris() (RecoveryReport, error) {
 		leafImages[leaf] = u.counters.ImageByIndex(leaf)
 		return true
 	})
-	if got := u.bmtTree.RebuildFromLeaves(leafImages); got != u.bmtTree.Root() {
+	if got := u.bmtTree.RebuildFromLeaves(leafImages); !u.rebuiltRootHolds(got) {
 		return rep, &IntegrityError{Addr: 0, Reason: "rebuilt tree root mismatch"}
 	}
 	// Install the rebuilt leaves as the live state.
@@ -224,7 +227,7 @@ func (u *Unit) RecoverReconstruct() (RecoveryReport, error) {
 		leafImages[leaf] = u.counters.ImageByIndex(leaf)
 		return true
 	})
-	if got := u.bmtTree.RebuildFromLeaves(leafImages); got != u.bmtTree.Root() {
+	if got := u.bmtTree.RebuildFromLeaves(leafImages); !u.rebuiltRootHolds(got) {
 		return rep, &IntegrityError{Addr: 0, Reason: "reconstructed tree root mismatch"}
 	}
 	// Install the rebuilt leaves as the live state.
@@ -241,16 +244,23 @@ func (u *Unit) RecoverReconstruct() (RecoveryReport, error) {
 	return rep, nil
 }
 
+// rebuiltRootHolds reports whether a root rebuilt from the written
+// lines' counter blocks matches the root register. A unit that no write
+// has reached rebuilds from no leaf and has never set its register, so
+// there is nothing to compare.
+func (u *Unit) rebuiltRootHolds(got crypt.MAC) bool {
+	return u.writtenCount == 0 || got == u.bmtTree.Root()
+}
+
 // auditWrittenLines re-verifies every written line post-recovery: data
-// MAC against the recovered counter (a pending MAC holds by
-// construction, see macHolds), and the counter block against the root
+// MAC against the recovered counter (a data-pending line holds by
+// construction, see ownLine), and the counter block against the root
 // register (full path, no trusted-cache shortcut for the BMT).
 func (u *Unit) auditWrittenLines(rep *RecoveryReport) error {
 	verifiedLeaves := make(map[uint64]bool)
 	var auditErr error
 	u.eachWritten(func(addr uint64) bool {
-		counter := u.counters.Counter(addr)
-		if ct := u.dev.ReadLine(addr); !u.macHolds(addr, counter, &ct) {
+		if !u.lineHolds(addr, u.counters.Counter(addr)) {
 			auditErr = &IntegrityError{Addr: addr, Reason: "post-recovery data MAC mismatch"}
 			return false
 		}
@@ -288,7 +298,7 @@ func (u *Unit) eachWritten(f func(addr uint64) bool) {
 
 // rebuildLineCounters re-derives the per-line ciphertext counters from
 // the recovered counter store. A pending line whose counter changes is
-// filled first: what it owes was produced under the old one.
+// filled first: what it owes is owed under the old one.
 func (u *Unit) rebuildLineCounters() {
 	u.written.Range(func(i uint64, s *uint8) bool {
 		if *s&lineWritten == 0 {

@@ -53,8 +53,8 @@ type Device struct {
 
 	reads, writes uint64
 
-	// regions are the write-back regions and write guards owners
-	// registered (SetWriteBack, SetWriteGuard); they do not overlap.
+	// regions are the write-back regions owners registered
+	// (SetWriteBack); they do not overlap.
 	regions []*WriteBack
 
 	// onAccess, when non-nil, observes every timed access with its bank
@@ -71,21 +71,54 @@ type access struct {
 	arg   uint64
 }
 
-// WriteBack is a region of the device whose owner holds state the
-// device's bytes depend on, registered with SetWriteBack or
-// SetWriteGuard. The owner calls Mark while it may hold such state;
-// pending is cleared while flush runs, so the owner's own accesses do
-// not re-enter it.
+// WriteBack is a region of the device whose owner may hold bytes newer
+// than the device's copy, registered with SetWriteBack. The owner calls
+// Mark while it may hold such bytes; pending is cleared while flush
+// runs, so the owner's own accesses do not re-enter it.
 type WriteBack struct {
+	dev     *Device
 	lo, hi  uint64
 	flush   func(lo, hi uint64)
-	guard   bool // observed by writes only
 	pending bool
 }
 
-// Mark notes that the region's owner may hold state the device's bytes
-// depend on: the next access that observes the region calls its flush.
+// Mark notes that the region's owner may hold bytes newer than the
+// device's: the next access that observes the region calls its flush.
 func (w *WriteBack) Mark() { w.pending = true }
+
+// ReadLine reads the 64-byte line containing addr (aligned down), which
+// must lie in the region, as the device holds it, without observing the
+// region: no flush runs. Only the owner reads this way, because the
+// bytes may be older than the ones it holds.
+func (w *WriteBack) ReadLine(addr uint64) [LineSize]byte {
+	addr = w.regionLine(addr)
+	var line [LineSize]byte
+	if p := w.dev.page(addr, false); p != nil {
+		off := addr % PageSize
+		copy(line[:], p[off:off+LineSize])
+	}
+	return line
+}
+
+// WriteLine writes *line to the 64-byte line containing addr (aligned
+// down), which must lie in the region, without observing the region: no
+// flush runs. Only the owner writes this way, over a line for which it
+// holds no newer bytes.
+func (w *WriteBack) WriteLine(addr uint64, line *[LineSize]byte) {
+	addr = w.regionLine(addr)
+	off := addr % PageSize
+	copy(w.dev.page(addr, true)[off:off+LineSize], line[:])
+}
+
+// regionLine aligns addr down to its line and panics unless the line
+// lies in the region.
+func (w *WriteBack) regionLine(addr uint64) uint64 {
+	addr &^= LineSize - 1
+	if addr < w.lo || addr+LineSize > w.hi {
+		panic(fmt.Sprintf("nvm: owner access at %#x outside its region [%#x, %#x)", addr, w.lo, w.hi))
+	}
+	return addr
+}
 
 // NewDevice creates a device of the given capacity in bytes with the given
 // number of banks (0 means DefaultBanks). The engine may be nil for purely
@@ -120,7 +153,7 @@ func (d *Device) Writes() uint64 { return d.writes }
 
 // AllocatedPages returns how many 4 KB pages are materialized.
 func (d *Device) AllocatedPages() int {
-	d.observeAll(false)
+	d.observeAll()
 	return d.allocated
 }
 
@@ -129,37 +162,24 @@ func (d *Device) AllocatedPages() int {
 // (it says so with Mark), and the device calls flush with the
 // overlapping range before any access that observes those bytes —
 // Read, Write, Snapshot, Restore, Clear and AllocatedPages. flush must
-// write every newer byte in the range it is given.
+// write every newer byte in the range it is given. Regions may not
+// overlap.
 func (d *Device) SetWriteBack(lo, hi uint64, flush func(lo, hi uint64)) *WriteBack {
-	return d.addRegion(&WriteBack{lo: lo, hi: hi, flush: flush})
-}
-
-// SetWriteGuard makes [lo, hi) a write-guarded region: the device's
-// bytes there are current, but the owner may hold state still to be
-// derived from them (it says so with Mark), so the device calls flush
-// with the overlapping range before any write that would change them —
-// Write, Restore and Clear. flush must derive, from the bytes as they
-// are, everything it owes for the range it is given.
-func (d *Device) SetWriteGuard(lo, hi uint64, flush func(lo, hi uint64)) *WriteBack {
-	return d.addRegion(&WriteBack{lo: lo, hi: hi, flush: flush, guard: true})
-}
-
-func (d *Device) addRegion(w *WriteBack) *WriteBack {
 	for _, o := range d.regions {
-		if w.lo < o.hi && o.lo < w.hi {
-			panic(fmt.Sprintf("nvm: region [%#x, %#x) overlaps [%#x, %#x)", w.lo, w.hi, o.lo, o.hi))
+		if lo < o.hi && o.lo < hi {
+			panic(fmt.Sprintf("nvm: region [%#x, %#x) overlaps [%#x, %#x)", lo, hi, o.lo, o.hi))
 		}
 	}
+	w := &WriteBack{dev: d, lo: lo, hi: hi, flush: flush}
 	d.regions = append(d.regions, w)
 	return w
 }
 
 // observe flushes the part of every pending region that an access to
-// [lo, hi) observes: write-back regions on any access, write guards on
-// writes only.
-func (d *Device) observe(lo, hi uint64, write bool) {
+// [lo, hi) observes.
+func (d *Device) observe(lo, hi uint64) {
 	for _, w := range d.regions {
-		if !w.pending || hi <= w.lo || lo >= w.hi || (w.guard && !write) {
+		if !w.pending || hi <= w.lo || lo >= w.hi {
 			continue
 		}
 		w.pending = false
@@ -169,9 +189,9 @@ func (d *Device) observe(lo, hi uint64, write bool) {
 	}
 }
 
-// observeAll flushes every region an access to the whole device
-// observes.
-func (d *Device) observeAll(write bool) { d.observe(0, d.size, write) }
+// observeAll flushes every pending region: the access observes the
+// whole device.
+func (d *Device) observeAll() { d.observe(0, d.size) }
 
 // BankCount returns the number of banks (0 on a purely functional device).
 func (d *Device) BankCount() int { return len(d.banks) }
@@ -206,7 +226,7 @@ func (d *Device) page(addr uint64, create bool) *[PageSize]byte {
 // Read copies len(buf) bytes starting at addr into buf. Unwritten memory
 // reads as zero. This is the functional path; use Access for timing.
 func (d *Device) Read(addr uint64, buf []byte) {
-	d.observe(addr, addr+uint64(len(buf)), false)
+	d.observe(addr, addr+uint64(len(buf)))
 	for n := 0; n < len(buf); {
 		off := (addr + uint64(n)) % PageSize
 		chunk := PageSize - off
@@ -226,7 +246,7 @@ func (d *Device) Read(addr uint64, buf []byte) {
 
 // Write copies data into the device starting at addr.
 func (d *Device) Write(addr uint64, data []byte) {
-	d.observe(addr, addr+uint64(len(data)), true)
+	d.observe(addr, addr+uint64(len(data)))
 	for n := 0; n < len(data); {
 		off := (addr + uint64(n)) % PageSize
 		chunk := PageSize - off
@@ -298,7 +318,7 @@ func (d *Device) ReadReadyAt(addr uint64) sim.Cycle {
 // model to implement replay (rollback) attacks and by tests to compare
 // memory images across crashes.
 func (d *Device) Snapshot() map[uint64][PageSize]byte {
-	d.observeAll(false)
+	d.observeAll()
 	out := make(map[uint64][PageSize]byte, d.allocated)
 	d.pages.Range(func(id uint64, p **[PageSize]byte) bool {
 		if *p != nil {
@@ -311,7 +331,7 @@ func (d *Device) Snapshot() map[uint64][PageSize]byte {
 
 // Restore overwrites the device contents with a snapshot taken earlier.
 func (d *Device) Restore(snap map[uint64][PageSize]byte) {
-	d.observeAll(true)
+	d.observeAll()
 	d.pages.Reset()
 	d.allocated = 0
 	for id, img := range snap {
@@ -323,7 +343,7 @@ func (d *Device) Restore(snap map[uint64][PageSize]byte) {
 
 // Clear erases all contents (a fresh, never-written device).
 func (d *Device) Clear() {
-	d.observeAll(true)
+	d.observeAll()
 	d.pages.Reset()
 	d.allocated = 0
 }

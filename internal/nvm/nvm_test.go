@@ -220,39 +220,65 @@ func TestWriteBackRegion(t *testing.T) {
 	}
 }
 
-// A write guard is flushed before writes that overlap it, with the
-// device's bytes still as they were, and never for reads; regions do
-// not overlap, and each is flushed on its own.
-func TestWriteGuard(t *testing.T) {
+// The owner's read and write of its own line reach the device's bytes
+// without flushing; every other access to a pending region flushes it
+// first. Regions do not overlap, and each is flushed on its own.
+func TestWriteBackOwnerAccess(t *testing.T) {
 	d := NewDevice(nil, 1<<20, 0)
 	d.Write(0x2000, []byte{1, 2, 3, 4})
-	var seen []byte
-	g := d.SetWriteGuard(0x2000, 0x3000, func(a, b uint64) {
-		buf := make([]byte, 1)
-		d.Read(a, buf)
-		seen = append(seen, buf[0])
+	var flushed []byte
+	var wb *WriteBack
+	wb = d.SetWriteBack(0x2000, 0x3000, func(a, b uint64) {
+		line := wb.ReadLine(a)
+		flushed = append(flushed, line[0])
+		line[0] = 9
+		d.Write(a&^63, line[:]) // the owner's own write does not re-enter
 	})
-	var wbCalls int
-	wb := d.SetWriteBack(0x4000, 0x5000, func(uint64, uint64) { wbCalls++ })
-	g.Mark()
+	var otherCalls int
+	other := d.SetWriteBack(0x4000, 0x5000, func(uint64, uint64) { otherCalls++ })
 	wb.Mark()
-	d.ReadLine(0x2000)
+	other.Mark()
+	if got := wb.ReadLine(0x2003); got[0] != 1 || got[3] != 4 {
+		t.Fatalf("owner read %v, want the device's bytes 1 2 3 4", got[:4])
+	}
+	if got := wb.ReadLine(0x2FC0); got != [LineSize]byte{} {
+		t.Fatal("owner read of an unwritten line is not zero")
+	}
+	pages := d.allocated
+	line := [LineSize]byte{5}
+	wb.WriteLine(0x2FC0, &line)
+	if got := wb.ReadLine(0x2FC0); got != line || d.allocated != pages {
+		t.Fatalf("owner write read back %v with %d pages, want 5 on the same page count %d", got[:1], d.allocated, pages)
+	}
+	if len(flushed) != 0 || otherCalls != 0 {
+		t.Fatal("an owner access flushed a region")
+	}
+	if got := d.ReadLine(0x2000); got[0] != 9 || len(flushed) != 1 || flushed[0] != 1 {
+		t.Fatalf("a device read saw %d after flushes %v, want the flushed byte 9 after one flush of 1", got[0], flushed)
+	}
+	if otherCalls != 0 {
+		t.Fatal("a read of one region flushed the other")
+	}
 	d.Snapshot()
-	if len(seen) != 0 {
-		t.Fatal("a read or snapshot flushed a write guard")
+	if otherCalls != 1 {
+		t.Fatalf("snapshot flushed the other region %d times, want 1", otherCalls)
 	}
-	if wbCalls != 1 {
-		t.Fatalf("snapshot flushed the write-back region %d times, want 1", wbCalls)
-	}
-	d.Write(0x2000, []byte{9})
-	if len(seen) != 1 || seen[0] != 1 {
-		t.Fatalf("guard saw %v, want the pre-write byte 1", seen)
-	}
-	g.Mark()
-	d.Clear()
-	if len(seen) != 2 {
-		t.Fatal("Clear did not flush the write guard")
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an owner read outside the region was accepted")
+			}
+		}()
+		wb.ReadLine(0x3000)
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an owner write outside the region was accepted")
+			}
+		}()
+		wb.WriteLine(0x1FC0, &line)
+	}()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("an overlapping region was accepted")
