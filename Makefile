@@ -89,7 +89,8 @@ bench-misu:
 # is capped at 1 s. A new Fuzz* function goes on this list; fuzz-targets
 # (part of `make ci`) fails when one is missing. Runs in CI.
 FUZZ_TARGETS := ./internal/trace:FuzzLoad ./internal/scheme:FuzzParse ./internal/service:FuzzNormalize \
-	./internal/masu:FuzzLoadImage ./internal/misu:FuzzDrainRecover ./internal/whisper:FuzzResolve
+	./internal/masu:FuzzLoadImage ./internal/misu:FuzzDrainRecover ./internal/whisper:FuzzResolve \
+	.:FuzzSystem
 fuzz-smoke:
 	@set -e; for pt in $(FUZZ_TARGETS); do \
 		pkg=$${pt%%:*}; t=$${pt#*:}; \

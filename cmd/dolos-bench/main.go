@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"dolos/internal/core"
-	"dolos/internal/cpu"
 	"dolos/internal/whisper"
 )
 
@@ -58,11 +57,12 @@ func main() {
 // -txns below 1 (0 fell back to the 1000-transaction
 // default, a negative count panicked in YCSB generation), a negative
 // -parallel (which ran GOMAXPROCS workers), a -format other than table
-// or csv, a -cores entry that is not a whole number from 1 to
-// cpu.MaxCores (more cores' heaps do not fit the data region), and a
-// negative -ooo-window — and returns the selected experiments, in -exp
-// order, and the canonical names of the -workloads subset (nil for all).
-// -txns has no upper bound: the paper's scale is 50000.
+// or csv, a -cores entry that is not a whole number — and any cell
+// core.CheckCell refuses for a selected workload at a -cores count and
+// the -ooo-window (a heap overflow used to fail once per cell after the
+// sweep had started). It returns the selected experiments, in -exp
+// order, and the canonical names of the -workloads subset (nil for
+// all). -txns has no upper bound of its own: the paper's scale is 50000.
 func checkFlags(exp, workloads string, txns, parallel int, format, cores string, window int) ([]core.Experiment, []string, error) {
 	if txns < 1 {
 		return nil, nil, fmt.Errorf("-txns %d: want at least 1", txns)
@@ -72,9 +72,6 @@ func checkFlags(exp, workloads string, txns, parallel int, format, cores string,
 	}
 	if format != "table" && format != "csv" {
 		return nil, nil, fmt.Errorf("-format %q: want table or csv", format)
-	}
-	if window < 0 {
-		return nil, nil, fmt.Errorf("-ooo-window %d: want 0 or more", window)
 	}
 	counts, err := parseCores(cores)
 	if err != nil {
@@ -88,6 +85,17 @@ func checkFlags(exp, workloads string, txns, parallel int, format, cores string,
 				return nil, nil, fmt.Errorf("-workloads entry %q: %w", name, err)
 			}
 			wls = append(wls, canon)
+		}
+	}
+	checked := wls
+	if checked == nil {
+		checked = whisper.Names()
+	}
+	for _, wl := range checked {
+		for _, n := range counts {
+			if _, _, err := core.CheckCell(core.Options{Transactions: txns}, wl, core.Spec{Cores: n, OoOWindow: window}); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	all := core.Experiments(counts, window)
@@ -114,13 +122,13 @@ func names(exps []core.Experiment) string {
 	return strings.Join(s, ", ")
 }
 
-// parseCores parses the -cores list.
+// parseCores parses the -cores list; checkFlags checks each count.
 func parseCores(cores string) ([]int, error) {
 	var counts []int
 	for _, s := range strings.Split(cores, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 || n > cpu.MaxCores {
-			return nil, fmt.Errorf("-cores entry %q: want a whole number from 1 to %d", s, cpu.MaxCores)
+		if err != nil {
+			return nil, fmt.Errorf("-cores entry %q: want a whole number", s)
 		}
 		counts = append(counts, n)
 	}

@@ -13,35 +13,38 @@ import (
 // GOMAXPROCS workers, -format xml printed tables, -cores 2x ran 2 cores),
 // panicking (-txns -5 exhausted the YCSB generator's heap, -cores 65 read
 // outside the data region) or failing only after earlier experiments had
-// run (-exp table3,bogus).
+// run (-exp table3,bogus) or once per cell (-txns 50000 on Hashmap). The
+// -cores counts and -ooo-window rows name core.CheckCell's rules.
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
 		exp            string
+		workloads      string
 		txns, parallel int
 		format, cores  string
 		window         int
 		want           []int  // the parsed -cores list when accepted
-		bad            string // flag named in the error, "" = accepted
+		bad            string // flag or rule named in the error, "" = accepted
 	}{
-		{"all", 1000, 0, "table", "1,2,4,8", 0, []int{1, 2, 4, 8}, ""},
-		{"fig6", 1, 1, "csv", " 2, 4", 2, []int{2, 4}, ""},
-		{"all", 50000, 8, "table", "1", 0, []int{1}, ""},
-		{"table2, fig6", 1000, 0, "table", "64", 0, []int{64}, ""},
-		{"all", 0, 0, "table", "1", 0, nil, "-txns"},
-		{"all", -5, 0, "table", "1", 0, nil, "-txns"},
-		{"all", 1000, -1, "table", "1", 0, nil, "-parallel"},
-		{"all", 1000, 0, "xml", "1", 0, nil, "-format"},
-		{"all", 1000, 0, "", "1", 0, nil, "-format"},
-		{"all", 1000, 0, "CSV", "1", 0, nil, "-format"},
-		{"all", 1000, 0, "csv", "1", -1, nil, "-ooo-window"},
-		{"all", 1000, 0, "table", "2x,4", 0, nil, "-cores"},
-		{"all", 1000, 0, "table", "0", 0, nil, "-cores"},
-		{"all", 1000, 0, "table", "1,,2", 0, nil, "-cores"},
-		{"contention", 1000, 0, "table", "1,65", 0, nil, "-cores"},
-		{"table3,bogus", 1000, 0, "table", "1", 0, nil, "-exp"},
-		{"", 1000, 0, "table", "1", 0, nil, "-exp"},
+		{"all", "", 1000, 0, "table", "1,2,4,8", 0, []int{1, 2, 4, 8}, ""},
+		{"fig6", "", 1, 1, "csv", " 2, 4", 2, []int{2, 4}, ""},
+		{"all", "NStore:YCSB", 50000, 8, "table", "1", 0, []int{1}, ""},
+		{"fig12", "Hashmap", 50000, 0, "table", "1", 0, nil, "txns"},
+		{"table2, fig6", "", 1000, 0, "table", "64", 0, []int{64}, ""},
+		{"all", "", 0, 0, "table", "1", 0, nil, "-txns"},
+		{"all", "", -5, 0, "table", "1", 0, nil, "-txns"},
+		{"all", "", 1000, -1, "table", "1", 0, nil, "-parallel"},
+		{"all", "", 1000, 0, "xml", "1", 0, nil, "-format"},
+		{"all", "", 1000, 0, "", "1", 0, nil, "-format"},
+		{"all", "", 1000, 0, "CSV", "1", 0, nil, "-format"},
+		{"all", "", 1000, 0, "csv", "1", -1, nil, "ooo window"},
+		{"all", "", 1000, 0, "table", "2x,4", 0, nil, "-cores"},
+		{"all", "", 1000, 0, "table", "0", 0, []int{0}, ""},
+		{"all", "", 1000, 0, "table", "1,,2", 0, nil, "-cores"},
+		{"contention", "", 1000, 0, "table", "1,65", 0, nil, "cores"},
+		{"table3,bogus", "", 1000, 0, "table", "1", 0, nil, "-exp"},
+		{"", "", 1000, 0, "table", "1", 0, nil, "-exp"},
 	} {
-		exps, _, err := checkFlags(c.exp, "", c.txns, c.parallel, c.format, c.cores, c.window)
+		exps, _, err := checkFlags(c.exp, c.workloads, c.txns, c.parallel, c.format, c.cores, c.window)
 		cores, _ := parseCores(c.cores)
 		switch {
 		case c.bad == "" && (err != nil || !slices.Equal(cores, c.want)):

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"dolos/client"
+	"dolos/internal/whisper"
 )
 
 type result struct {
@@ -50,7 +51,7 @@ func main() {
 	workloads := flag.String("workloads", "Hashmap", "comma-separated workloads to rotate through")
 	schemes := flag.String("schemes", "dolos-partial,baseline", "comma-separated schemes to rotate through")
 	txns := flag.Int("txns", 100, "transactions per job")
-	txSize := flag.Int("txsize", 1024, "transaction payload bytes")
+	txSize := flag.Int("txsize", whisper.DefaultTxSize, "transaction payload bytes")
 	seed := flag.Int64("seed", 1, "workload seed")
 	wait := flag.Duration("wait", 10*time.Second, "how long to wait for the server's /healthz before starting")
 	minHits := flag.Int("min-hits", -1, "fail unless at least this many responses were cache hits (-1 = no check)")

@@ -58,7 +58,10 @@ func main() {
 	sys := d.System()
 
 	// Run to the crash point and cut power.
-	sys.Start(tr)
+	if err := sys.Start(tr); err != nil {
+		fmt.Fprintf(os.Stderr, "dolos-recover: %v\n", err)
+		os.Exit(1)
+	}
 	sys.Eng.RunUntil(sim.Cycle(*crashAt))
 	fmt.Printf("power failure at cycle %d\n", sys.Eng.Now())
 

@@ -21,10 +21,11 @@ import (
 	"time"
 
 	"dolos/internal/cliutil"
+	"dolos/internal/controller"
 	"dolos/internal/core"
-	"dolos/internal/cpu"
 	"dolos/internal/sim"
 	"dolos/internal/telemetry"
+	"dolos/internal/whisper"
 )
 
 func main() {
@@ -32,8 +33,8 @@ func main() {
 	scheme := flag.String("scheme", "dolos-partial", "scheme: "+strings.Join(cliutil.SchemeNames(), ", "))
 	tree := flag.String("tree", "eager", "integrity backend: eager (BMT) or lazy (ToC)")
 	txns := flag.Int("txns", 1000, "measured transactions")
-	txSize := flag.Int("txsize", 1024, fmt.Sprintf("transaction payload bytes (%d-%d)", cliutil.MinTxSize, cliutil.MaxTxSize))
-	wpqSize := flag.Int("wpq", 16, fmt.Sprintf("hardware WPQ entries (%d-%d)", cliutil.MinWPQ, cliutil.MaxWPQ))
+	txSize := flag.Int("txsize", whisper.DefaultTxSize, fmt.Sprintf("transaction payload bytes (%d-%d)", whisper.MinTxSize, whisper.MaxTxSize))
+	wpqSize := flag.Int("wpq", controller.DefaultWPQ, fmt.Sprintf("hardware WPQ entries (1-%d)", controller.MaxWPQ))
 	seed := flag.Int64("seed", 1, "workload seed (0 means 1)")
 	noCoalesce := flag.Bool("no-coalesce", false, "disable WPQ write coalescing")
 	cores := flag.Int("cores", 1, "workload instances contending for one shared controller")
@@ -43,7 +44,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this path")
 	flag.Parse()
 
-	if err := checkFlags(*txns, *txSize, *wpqSize, *cores, *oooWindow); err != nil {
+	if err := checkFlags(*txns); err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
 		os.Exit(2)
 	}
@@ -81,8 +82,8 @@ type config struct {
 
 // run simulates the cell c names and writes its report to stdout and
 // any error to stderr. It returns the exit code: 2 for a cell the flags
-// make impossible (an unknown workload, or a trace that could overflow
-// its persistent heap), 1 when the report cannot be written.
+// make impossible (one core.CheckCell refuses), 1 when the report
+// cannot be written.
 func run(c config, stdout, stderr io.Writer) int {
 	fail := func(code int, err error) int {
 		fmt.Fprintf(stderr, "dolos-sim: %v\n", err)
@@ -110,14 +111,16 @@ func run(c config, stdout, stderr io.Writer) int {
 	}
 
 	// Some schemes pin the integrity backend (Phoenix is the lazy ToC by
-	// definition); report the one the controller actually simulates.
+	// definition); report the one the controller actually simulates, and
+	// the sizes it runs with, defaults applied.
 	kind := c.spec.EffectiveTree()
+	cfg, txSize := m.Ctrl.Config(), m.Cores[0].Spec().Trace.TxSize
 	if c.json {
 		var reg *telemetry.Registry
 		if p := m.Probe(); p != nil {
 			reg = p.Registry()
 		}
-		rec := cliutil.BuildRunRecord(res, kind, c.spec.TxSize, r.Options().Seed, m.Eng.Processed(), wall, m.Ctrl.Stats(), reg)
+		rec := cliutil.BuildRunRecord(res, kind, txSize, r.Options().Seed, m.Eng.Processed(), wall, m.Ctrl.Stats(), reg)
 		if err := telemetry.WriteJSON(stdout, rec); err != nil {
 			return fail(1, err)
 		}
@@ -132,7 +135,7 @@ func run(c config, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "workload          %s\n", res.Workload)
 	}
 	fmt.Fprintf(stdout, "scheme            %s (%s, %d-entry hardware WPQ, %dB tx)\n",
-		res.Scheme, kind, c.spec.HardwareWPQ, c.spec.TxSize)
+		res.Scheme, kind, cfg.HardwareWPQ, txSize)
 	fmt.Fprintf(stdout, "cycles            %d\n", res.Cycles)
 	fmt.Fprintf(stdout, "transactions      %d\n", res.Transactions)
 	fmt.Fprintf(stdout, "cycles/tx         %.0f\n", res.CyclesPerTx)
@@ -172,30 +175,11 @@ func run(c config, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// checkFlags rejects numeric flags outside the ranges a run accepts:
-// the /v2 API's bounds for -txns, -txsize and -wpq, 1 to cpu.MaxCores
-// cores (more cores' heaps do not fit the data region), and a
-// non-negative OoO window.
-func checkFlags(txns, txSize, wpq, cores, window int) error {
-	for _, c := range []struct {
-		name      string
-		v, lo, hi int
-	}{
-		{"-txns", txns, 1, cliutil.MaxTransactions},
-		{"-txsize", txSize, cliutil.MinTxSize, cliutil.MaxTxSize},
-		{"-wpq", wpq, cliutil.MinWPQ, cliutil.MaxWPQ},
-	} {
-		if err := cliutil.CheckRange(c.name, c.v, c.lo, c.hi); err != nil {
-			return err
-		}
-	}
-	if cores < 1 || cores > cpu.MaxCores {
-		return fmt.Errorf("-cores %d: want 1 to %d", cores, cpu.MaxCores)
-	}
-	if window < 0 {
-		return fmt.Errorf("-ooo-window %d: want 0 or more", window)
-	}
-	return nil
+// checkFlags rejects a -txns outside the /v2 API's request bound (0
+// used to run the default 1000 transactions). The model's own bounds
+// are core.CheckCell's, which run reports with exit 2.
+func checkFlags(txns int) error {
+	return cliutil.CheckRange("-txns", txns, 1, cliutil.MaxTransactions)
 }
 
 // traceEventLimit caps the probe events a -trace run keeps. A

@@ -23,7 +23,7 @@ import (
 func main() {
 	workload := flag.String("workload", "Hashmap", "workload to generate")
 	txns := flag.Int("txns", 200, "measured transactions")
-	txSize := flag.Int("txsize", 1024, fmt.Sprintf("transaction payload bytes (%d-%d)", cliutil.MinTxSize, cliutil.MaxTxSize))
+	txSize := flag.Int("txsize", whisper.DefaultTxSize, fmt.Sprintf("transaction payload bytes (%d-%d)", whisper.MinTxSize, whisper.MaxTxSize))
 	seed := flag.Int64("seed", 1, "generator seed")
 	save := flag.String("save", "", "write the generated trace to this file (gzipped gob)")
 	load := flag.String("load", "", "inspect a previously saved trace instead of generating")
@@ -43,10 +43,6 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		if err := checkHeap(w, *txns, *txSize); err != nil {
-			fmt.Fprintf(os.Stderr, "dolos-trace: %v\n", err)
-			os.Exit(2)
-		}
 		tr = w.Generate(whisper.Params{Transactions: *txns, TxSize: *txSize, Seed: *seed})
 	}
 	if *save != "" {
@@ -126,28 +122,25 @@ func main() {
 	}
 }
 
-// checkHeap rejects a generation that could overflow the workload's
-// persistent heap.
-func checkHeap(w whisper.Workload, txns, txSize int) error {
-	return whisper.CheckHeap(w, whisper.Params{Transactions: txns, TxSize: txSize})
-}
-
-// checkFlags rejects -txns and -txsize outside the bounds dolos-sim and
-// the /v2 API accept and a -workload no spelling rule resolves (an error
-// wrapping whisper.ErrUnknown, as dolos-sim reports it), and returns the
+// checkFlags rejects a -txns outside the request bound dolos-sim and the
+// /v2 API accept, a -workload no spelling rule resolves (an error
+// wrapping whisper.ErrUnknown, as dolos-sim reports it), and parameters
+// whisper.Check refuses: a -txsize outside the payload bounds, or a run
+// that could overflow the workload's persistent heap. It returns the
 // workload.
 func checkFlags(workload string, txns, txSize int) (whisper.Workload, error) {
 	if err := cliutil.CheckRange("-txns", txns, 1, cliutil.MaxTransactions); err != nil {
-		return nil, err
-	}
-	if err := cliutil.CheckRange("-txsize", txSize, cliutil.MinTxSize, cliutil.MaxTxSize); err != nil {
 		return nil, err
 	}
 	canon, err := whisper.Resolve(workload)
 	if err != nil {
 		return nil, err
 	}
-	return whisper.ByName(canon)
+	w, err := whisper.ByName(canon)
+	if err != nil {
+		return nil, err
+	}
+	return w, whisper.Check(w, whisper.Params{Transactions: txns, TxSize: txSize})
 }
 
 func per(n, d int) float64 {

@@ -9,8 +9,9 @@ import (
 )
 
 // Out-of-range numeric flags are rejected by name instead of generating
-// a trace no simulation would accept, and an unknown workload with the
-// whisper.ErrUnknown error dolos-sim gives for it.
+// a trace no simulation would accept (-txsize with whisper.Check's
+// error), and an unknown workload with the whisper.ErrUnknown error
+// dolos-sim gives for it.
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
 		workload     string
@@ -19,14 +20,14 @@ func TestCheckFlags(t *testing.T) {
 	}{
 		{"Hashmap", 200, 1024, ""},
 		{"Hashmap", 1, 64, ""},
-		{"Hashmap", 20000, 4096, ""},
+		{"nstore-ycsb", 20000, 4096, ""}, // Hashmap's heap overflows there: TestCheckHeap
 		{"nstore-ycsb", 200, 1024, ""},
 		{"Hashmap", 0, 1024, "-txns"},
 		{"Hashmap", -3, 1024, "-txns"},
 		{"Hashmap", 20001, 1024, "-txns"},
-		{"Hashmap", 200, 5, "-txsize"},
-		{"Hashmap", 200, -1, "-txsize"},
-		{"Hashmap", 200, 4097, "-txsize"},
+		{"Hashmap", 200, 5, "txsize"},
+		{"Hashmap", 200, -1, "txsize"},
+		{"Hashmap", 200, 4097, "txsize"},
 		{"Bogus", 200, 1024, "-workload"},
 	} {
 		w, err := checkFlags(c.workload, c.txns, c.txSize)
@@ -59,11 +60,7 @@ func TestCheckHeap(t *testing.T) {
 		{"Redis", 20000, 1024, false},
 		{"Hashmap", 1, 4096, false},
 	} {
-		w, err := whisper.ByName(c.workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = checkHeap(w, c.txns, c.txSize)
+		_, err := checkFlags(c.workload, c.txns, c.txSize)
 		switch {
 		case !c.reject && err != nil:
 			t.Errorf("%+v: rejected: %v", c, err)

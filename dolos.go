@@ -25,6 +25,7 @@ import (
 	"dolos/internal/cpu"
 	"dolos/internal/masu"
 	"dolos/internal/stats"
+	"dolos/internal/trace"
 	"dolos/internal/whisper"
 )
 
@@ -41,6 +42,16 @@ var (
 	// chain still carries the underlying context.Canceled or
 	// context.DeadlineExceeded for callers that care why.
 	ErrCanceled = core.ErrCanceled
+	// ErrInvalidConfig reports a SystemConfig the model does not define
+	// (an unregistered scheme, an unknown tree kind, a hardware WPQ
+	// outside 1 to 1024, a metadata-cache size no cache geometry has, a
+	// negative Triad-NVM level count). NewSystem, NewCrashDriver and
+	// Runner.Run wrap it.
+	ErrInvalidConfig = controller.ErrInvalidConfig
+	// ErrTraceOutsideData reports a trace that addresses a line outside
+	// the data region of the system it is run on. System.Run and
+	// System.Start wrap it, naming the address, before loading anything.
+	ErrTraceOutsideData = trace.ErrOutsideData
 )
 
 // Scheme selects the secure memory controller configuration.

@@ -58,25 +58,34 @@ type CrashOutcome = crash.Outcome
 type Adversary = attack.Adversary
 
 // NewSystem builds a complete simulated machine for the configuration.
-func NewSystem(cfg SystemConfig) *System { return cpu.NewSystem(cfg) }
+// A configuration the model does not define is refused with an error
+// wrapping ErrInvalidConfig.
+func NewSystem(cfg SystemConfig) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return cpu.NewSystem(cfg), nil
+}
 
 // NewCrashDriver builds a machine with crash-audit instrumentation.
-// It refuses FastMode configs with a typed error (masu.ErrFastMode):
-// crash experiments need real crypto.
+// It refuses a config NewSystem refuses (ErrInvalidConfig), and FastMode
+// configs with a typed error (masu.ErrFastMode): crash experiments need
+// real crypto.
 func NewCrashDriver(cfg SystemConfig) (*CrashDriver, error) { return crash.NewDriver(cfg) }
 
 // NewAdversary binds an adversary to a device (reproducible via seed).
 func NewAdversary(dev *nvm.Device, seed int64) *Adversary { return attack.New(dev, seed) }
 
 // GenerateTrace runs the named workload and returns its memory trace.
-// A run that could exhaust the workload's persistent heap is refused
-// with whisper.CheckHeap's error before any generation starts.
+// Parameters the workload cannot be generated with — a payload outside
+// 64 to 4096 bytes, or a run that could exhaust its persistent heap —
+// are refused with an error before any generation starts.
 func GenerateTrace(workload string, p WorkloadParams) (*Trace, error) {
 	w, err := whisper.ByName(workload)
 	if err != nil {
 		return nil, err
 	}
-	if err := whisper.CheckHeap(w, p); err != nil {
+	if err := whisper.Check(w, p); err != nil {
 		return nil, err
 	}
 	return w.Generate(p), nil

@@ -1,8 +1,12 @@
 package dolos
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"dolos/internal/trace"
 )
 
 func TestSystemFacade(t *testing.T) {
@@ -15,8 +19,14 @@ func TestSystemFacade(t *testing.T) {
 	cfg := SystemConfig{Scheme: DolosPartial, Tree: BMTEager, Layout: SmallAddressMap()}
 	copy(cfg.AESKey[:], "facade-aes-key16")
 	copy(cfg.MACKey[:], "facade-mac-key16")
-	sys := NewSystem(cfg)
-	res := sys.Run(tr)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Transactions < 30 || res.Cycles == 0 {
 		t.Fatalf("degenerate run: %+v", res)
 	}
@@ -46,7 +56,10 @@ func TestAdversaryFacade(t *testing.T) {
 	cfg := SystemConfig{Scheme: DolosPartial, Layout: SmallAddressMap()}
 	copy(cfg.AESKey[:], "facade-aes-key16")
 	copy(cfg.MACKey[:], "facade-mac-key16")
-	sys := NewSystem(cfg)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var p [64]byte
 	p[0] = 1
 	sys.Ctrl.MaSU().ProcessWrite(0x1000, p, -1)
@@ -89,4 +102,136 @@ func TestGenerateTraceRefusesHeapOverflow(t *testing.T) {
 	if !strings.Contains(err.Error(), "persistent heap") {
 		t.Errorf("error %q does not name the persistent heap", err)
 	}
+}
+
+// The configurations below used to panic in NewSystem (cache geometry,
+// cost table, tree) or run silently misread (a negative WPQ ran one
+// entry under Dolos-Partial, a negative Triad-NVM level count ran N =
+// 1); each is now an error wrapping ErrInvalidConfig.
+func TestNewSystemRefusesInvalidConfig(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  SystemConfig
+	}{
+		{"counter cache 1 B", SystemConfig{Scheme: DolosPartial, CounterCacheBytes: 1}},
+		{"MT cache 64 B", SystemConfig{Scheme: DolosPartial, MTCacheBytes: 64}},
+		{"scheme 99", SystemConfig{Scheme: Scheme(99)}},
+		{"tree 7", SystemConfig{Scheme: DolosPartial, Tree: TreeKind(7)}},
+		{"WPQ -3 Dolos-Full", SystemConfig{Scheme: DolosFull, HardwareWPQ: -3}},
+		{"WPQ -3 Dolos-Partial", SystemConfig{Scheme: DolosPartial, HardwareWPQ: -3}},
+		{"WPQ -3 Pre-WPQ-Secure", SystemConfig{Scheme: PreWPQSecure, HardwareWPQ: -3}},
+		{"Triad levels -1", SystemConfig{Scheme: TriadNVM, TriadLevels: -1}},
+	} {
+		c.cfg.Layout = SmallAddressMap()
+		sys, err := NewSystem(c.cfg)
+		if sys != nil || !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: NewSystem = %v, %v; want an error wrapping ErrInvalidConfig", c.name, sys, err)
+		}
+		if _, err := NewCrashDriver(c.cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: NewCrashDriver error %v, want one wrapping ErrInvalidConfig", c.name, err)
+		}
+	}
+}
+
+// A trace generated at a heap base past a smaller layout's data region
+// used to panic in the Ma-SU ("write outside data region"); Run and the
+// crash driver now refuse it, naming the address, before loading it.
+func TestRunRefusesTraceOutsideLayout(t *testing.T) {
+	tr, err := GenerateTrace("Hashmap", WorkloadParams{Transactions: 20, Seed: 1, HeapBase: 100 << 20, HeapSize: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SystemConfig{Scheme: DolosPartial, Layout: SmallAddressMap()}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := fmt.Sprintf("%#x", tr.InitImage[0].Addr)
+	if _, err := sys.Run(tr); !errors.Is(err, ErrTraceOutsideData) || !strings.Contains(err.Error(), addr) {
+		t.Errorf("Run error %v, want one wrapping ErrTraceOutsideData naming %s", err, addr)
+	}
+	d, err := NewCrashDriver(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RunAndCrash(tr, 1000, AnubisRecovery); !errors.Is(err, ErrTraceOutsideData) {
+		t.Errorf("RunAndCrash error %v, want one wrapping ErrTraceOutsideData", err)
+	}
+}
+
+// fuzzTrace is the small trace FuzzSystem mutates.
+var fuzzTrace = func() *Trace {
+	tr, err := GenerateTrace("Hashmap", WorkloadParams{Transactions: 4, Warmup: 4, TxSize: 64, Seed: 1, HeapSize: 1 << 20})
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}()
+
+// mutateTrace records tr again with every line address shifted by
+// shift bytes and op at rewritten to kind, so the copy's line span is
+// exact, as a Recorder keeps it.
+func mutateTrace(tr *Trace, shift uint64, at int, kind trace.Kind) *Trace {
+	rec := trace.NewRecorder(tr.Name, tr.TxSize)
+	img := make([]trace.InitLine, len(tr.InitImage))
+	for i, il := range tr.InitImage {
+		img[i] = trace.InitLine{Addr: il.Addr + shift, Data: il.Data}
+	}
+	rec.SetInitImage(img)
+	for i, op := range tr.Ops {
+		if i == at {
+			op.Kind = kind
+		}
+		switch op.Kind {
+		case trace.Compute:
+			rec.Compute(op.Cycles)
+		case trace.Read:
+			rec.Read(op.Addr + shift)
+		case trace.Write:
+			rec.Write(op.Addr+shift, op.Data)
+		case trace.Flush:
+			rec.Flush(op.Addr+shift, op.Data)
+		case trace.Fence:
+			rec.Fence()
+		case trace.TxBegin:
+			rec.TxBegin()
+		case trace.TxEnd:
+			rec.TxEnd()
+		}
+	}
+	return rec.Finish()
+}
+
+// FuzzSystem builds a system from fuzzed controller config fields and
+// runs a small Hashmap trace on it, shifted by a fuzzed number of lines
+// and with one op's kind rewritten. The oracle: an error or a record,
+// never a panic. NewSystem's errors wrap ErrInvalidConfig and Run's wrap
+// ErrTraceOutsideData. Cache overrides are taken modulo 8 MB, so no
+// input allocates a large cache. The seeds under testdata/fuzz/FuzzSystem
+// are the configurations and the trace that used to panic or be
+// misread.
+func FuzzSystem(f *testing.F) {
+	f.Add(int(DolosPartial), int(BMTEager), 16, uint64(0), uint64(0), 0, false, true, uint32(0), uint16(0), uint8(trace.Compute))
+	f.Fuzz(func(t *testing.T, sch, tree, wpq int, ctrBytes, mtBytes uint64, triad int,
+		noCoalesce, small bool, shiftLines uint32, at uint16, kind uint8) {
+		cfg := SystemConfig{
+			Scheme: Scheme(sch), Tree: TreeKind(tree), HardwareWPQ: wpq,
+			CounterCacheBytes: ctrBytes % (8 << 20), MTCacheBytes: mtBytes % (8 << 20),
+			TriadLevels: triad, DisableCoalescing: noCoalesce,
+		}
+		if small {
+			cfg.Layout = SmallAddressMap()
+		}
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("NewSystem(%+v): error %v does not wrap ErrInvalidConfig", cfg, err)
+			}
+			return
+		}
+		tr := mutateTrace(fuzzTrace, uint64(shiftLines)<<6, int(at)%len(fuzzTrace.Ops), trace.Kind(kind%(uint8(trace.TxEnd)+1)))
+		if _, err := sys.Run(tr); err != nil && !errors.Is(err, ErrTraceOutsideData) {
+			t.Fatalf("Run: error %v does not wrap ErrTraceOutsideData", err)
+		}
+	})
 }

@@ -60,24 +60,13 @@ type Cache struct {
 	hits, misses, evictions, writebacks uint64
 }
 
-// New creates a cache. size and lineSize are in bytes; size must be a
-// multiple of ways*lineSize and the resulting set count a power of two,
-// matching the Table 1 configurations.
+// New creates a cache. size and lineSize are in bytes; the geometry
+// must pass CheckGeometry, as the Table 1 configurations do.
 func New(name string, size uint64, ways int, lineSize uint64) *Cache {
-	if ways <= 0 || lineSize == 0 || size == 0 {
-		panic("cache: invalid geometry")
+	if err := CheckGeometry(size, ways, lineSize); err != nil {
+		panic(fmt.Sprintf("cache %s: %v", name, err))
 	}
-	setBytes := uint64(ways) * lineSize
-	if size%setBytes != 0 {
-		panic(fmt.Sprintf("cache %s: size %d not a multiple of ways*lineSize %d", name, size, setBytes))
-	}
-	sets := size / setBytes
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: %d sets not a power of two", name, sets))
-	}
-	if lineSize&(lineSize-1) != 0 {
-		panic(fmt.Sprintf("cache %s: line size %d not a power of two", name, lineSize))
-	}
+	sets := size / (uint64(ways) * lineSize)
 	lineShift := uint(0)
 	for 1<<lineShift != lineSize {
 		lineShift++
@@ -96,6 +85,26 @@ func New(name string, size uint64, ways int, lineSize uint64) *Cache {
 		setShift:  setShift,
 		setMask:   sets - 1,
 	}
+}
+
+// CheckGeometry reports a geometry New refuses: size must be a nonzero
+// multiple of ways*lineSize, and lineSize and the resulting set count
+// powers of two.
+func CheckGeometry(size uint64, ways int, lineSize uint64) error {
+	if ways <= 0 || lineSize == 0 || size == 0 {
+		return fmt.Errorf("invalid geometry: size %d, %d ways, line size %d", size, ways, lineSize)
+	}
+	setBytes := uint64(ways) * lineSize
+	if size%setBytes != 0 {
+		return fmt.Errorf("size %d not a multiple of ways*lineSize %d", size, setBytes)
+	}
+	if sets := size / setBytes; sets&(sets-1) != 0 {
+		return fmt.Errorf("%d sets not a power of two", sets)
+	}
+	if lineSize&(lineSize-1) != 0 {
+		return fmt.Errorf("line size %d not a power of two", lineSize)
+	}
+	return nil
 }
 
 // Name returns the cache's diagnostic name.

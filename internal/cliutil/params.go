@@ -2,17 +2,10 @@ package cliutil
 
 import "fmt"
 
-// Bounds of a run's numeric parameters, shared by the /v2 request
-// normalizer and the dolos-sim flags so both accept the same runs.
-const (
-	// MaxTransactions is the default cap on measured transactions (a
-	// service may set its own).
-	MaxTransactions = 20000
-	// MinTxSize and MaxTxSize bound the transaction payload in bytes.
-	MinTxSize, MaxTxSize = 64, 4096
-	// MinWPQ and MaxWPQ bound the hardware WPQ entries.
-	MinWPQ, MaxWPQ = 1, 1024
-)
+// MaxTransactions is the default cap on measured transactions a request
+// may ask for (a service may set its own). The model's own bounds are
+// checked by the layer that owns each parameter (DESIGN.md §2).
+const MaxTransactions = 20000
 
 // CheckRange reports v outside [lo, hi] as an error naming the
 // parameter.

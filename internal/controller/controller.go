@@ -22,6 +22,9 @@
 package controller
 
 import (
+	"errors"
+	"fmt"
+
 	"dolos/internal/cache"
 	"dolos/internal/crypt"
 	"dolos/internal/layout"
@@ -99,9 +102,78 @@ type Config struct {
 	FastMode bool
 }
 
+// DefaultWPQ is the hardware WPQ size a zero Config.HardwareWPQ selects
+// (Table 1), and MaxWPQ the largest Validate accepts.
+const (
+	DefaultWPQ = 16
+	MaxWPQ     = 1024
+)
+
+// ErrInvalidConfig marks a controller configuration the model does not
+// define. Every error Validate returns wraps it.
+var ErrInvalidConfig = errors.New("invalid controller config")
+
+// ConfigError reports one Config field whose value the model does not
+// define. It wraps ErrInvalidConfig.
+type ConfigError struct {
+	// Field names the Config field.
+	Field string
+	// Value is the field's value as given.
+	Value any
+	// Reason says which rule the value breaks.
+	Reason string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("controller: %s %v: %s", e.Field, e.Value, e.Reason)
+}
+
+func (e *ConfigError) Unwrap() error { return ErrInvalidConfig }
+
+// Validate reports the first field of c that the model does not define:
+// a scheme outside the registry, a tree kind other than the eager BMT
+// and the lazy ToC, a hardware WPQ outside 1 to MaxWPQ (0 selects
+// DefaultWPQ), a metadata-cache override that is neither 0 nor a
+// geometry cache.New accepts, or a negative Triad-NVM level count. New
+// panics with the same error, so a caller with a config from outside
+// the program validates it first.
+func (c Config) Validate() error {
+	bad := func(field string, v any, reason string) error {
+		return &ConfigError{Field: field, Value: v, Reason: reason}
+	}
+	if _, ok := scheme.ByID(c.Scheme); !ok {
+		return bad("Scheme", int(c.Scheme), "not in the scheme registry")
+	}
+	if c.Tree != masu.BMTEager && c.Tree != masu.ToCLazy {
+		return bad("Tree", int(c.Tree), "want the eager BMT or the lazy ToC")
+	}
+	if wpq := c.withDefaults().HardwareWPQ; wpq < 1 || wpq > MaxWPQ {
+		return bad("HardwareWPQ", c.HardwareWPQ, fmt.Sprintf("want 1 to %d, or 0 for %d", MaxWPQ, DefaultWPQ))
+	}
+	for _, o := range []struct {
+		field string
+		bytes uint64
+		ways  int
+	}{
+		{"CounterCacheBytes", c.CounterCacheBytes, masu.CounterCacheWays},
+		{"MTCacheBytes", c.MTCacheBytes, masu.MTCacheWays},
+	} {
+		if o.bytes == 0 {
+			continue
+		}
+		if err := cache.CheckGeometry(o.bytes, o.ways, masu.MetaLineSize); err != nil {
+			return bad(o.field, o.bytes, err.Error())
+		}
+	}
+	if c.TriadLevels < 0 {
+		return bad("TriadLevels", c.TriadLevels, "want 0 (the scheme default) or more")
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.HardwareWPQ == 0 {
-		c.HardwareWPQ = 16
+		c.HardwareWPQ = DefaultWPQ
 	}
 	if c.Layout == (layout.Map{}) {
 		c.Layout = layout.Default()
@@ -278,15 +350,14 @@ type Controller struct {
 }
 
 // New creates a controller bound to a simulation engine and NVM device.
-// The device must span cfg.Layout.DeviceSize.
+// The device must span cfg.Layout.DeviceSize. It panics with
+// cfg.Validate's error on a config the model does not define.
 func New(eng *sim.Engine, dev *nvm.Device, cfg Config) *Controller {
-	cfg = cfg.withDefaults()
-	costs, err := scheme.CostTableFor(cfg.Scheme)
-	if err != nil {
-		// A scheme without a cost table has no timing model; defaulting
-		// would silently mis-time every operation.
-		panic("controller: " + err.Error())
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
+	cfg = cfg.withDefaults()
+	costs := scheme.CostTableFor(cfg.Scheme)
 	// The execution-mode seam: functional runs build the security units
 	// with the real crypto engine; fast runs swap in the latency-only
 	// provider.

@@ -62,8 +62,8 @@ func (o Options) withDefaults() Options {
 type Spec struct {
 	Scheme            controller.Scheme
 	Tree              masu.TreeKind
-	TxSize            int // bytes per transaction (default 1024)
-	HardwareWPQ       int // physical WPQ entries (default 16)
+	TxSize            int // bytes per transaction (default whisper.DefaultTxSize)
+	HardwareWPQ       int // physical WPQ entries (default controller.DefaultWPQ)
 	DisableCoalescing bool
 	// CounterCacheBytes overrides the counter metadata cache capacity
 	// (0 = Table 1's 128 KB; cache-size ablation).
@@ -81,7 +81,7 @@ type Spec struct {
 	// Cores runs N instances of the workload (per-core seeds, disjoint
 	// heaps) contending for one shared controller through the machine's
 	// arbiter (cpu.Machine). 0 and 1 both run one core, which reaches
-	// the controller directly.
+	// the controller directly; at most cpu.MaxCores.
 	Cores int
 	// OoOWindow is the core's read window (cpu.Issuer). 0 and 1 both
 	// issue in order through the same loop, with identical cycles; the
@@ -92,12 +92,46 @@ type Spec struct {
 
 func (s Spec) withDefaults() Spec {
 	if s.TxSize == 0 {
-		s.TxSize = 1024
+		s.TxSize = whisper.DefaultTxSize
 	}
 	if s.HardwareWPQ == 0 {
-		s.HardwareWPQ = 16
+		s.HardwareWPQ = controller.DefaultWPQ
 	}
 	return s
+}
+
+// CheckCell reports a cell that cannot run: a workload no spelling rule
+// resolves (an error wrapping whisper.ErrUnknown), a core count outside
+// 0 to cpu.MaxCores (more cores' heaps do not fit the data region), a
+// negative OoO window, a controller configuration
+// controller.Config.Validate refuses (an error wrapping
+// controller.ErrInvalidConfig), or workload parameters whisper.Check
+// refuses at opts's transaction count (a payload outside its bounds, or
+// a trace that could overflow its persistent heap). It generates
+// nothing. On success it returns the workload's canonical name and spec
+// with its defaults applied; Runner.Machine runs exactly that cell.
+func CheckCell(opts Options, workload string, spec Spec) (string, Spec, error) {
+	opts = opts.withDefaults()
+	spec = spec.withDefaults()
+	canon, err := whisper.Resolve(workload)
+	if err != nil {
+		return "", spec, err
+	}
+	if spec.Cores < 0 || spec.Cores > cpu.MaxCores {
+		return "", spec, fmt.Errorf("cores %d: want 1 to %d, the most whose heaps fit the data region (0 runs one)",
+			spec.Cores, cpu.MaxCores)
+	}
+	if spec.OoOWindow < 0 {
+		return "", spec, fmt.Errorf("ooo window %d: want 0 or more", spec.OoOWindow)
+	}
+	if err := spec.config().Validate(); err != nil {
+		return "", spec, err
+	}
+	w, _ := whisper.ByName(canon)
+	if err := whisper.Check(w, whisper.Params{Transactions: opts.Transactions, TxSize: spec.TxSize}); err != nil {
+		return "", spec, err
+	}
+	return canon, spec, nil
 }
 
 // EffectiveTree returns the integrity backend the spec will actually
@@ -175,12 +209,18 @@ func (r *Runner) context() context.Context {
 // generation completes and then share the same immutable trace. The
 // workload spelling is normalized through whisper.Resolve before keying
 // the cache, so an alias ("redis") and the canonical name ("Redis")
-// share one generated trace instead of silently generating twice.
+// share one generated trace instead of silently generating twice. A
+// trace CheckCell refuses is never generated.
 func (r *Runner) Trace(workload string, txSize int) (*trace.Trace, error) {
-	canon, err := whisper.Resolve(workload)
+	canon, spec, err := CheckCell(r.opts, workload, Spec{TxSize: txSize})
 	if err != nil {
 		return nil, err
 	}
+	return r.trace(canon, spec.TxSize)
+}
+
+// trace is Trace for a checked canonical workload name and payload.
+func (r *Runner) trace(canon string, txSize int) (*trace.Trace, error) {
 	return r.cachedTrace(fmt.Sprintf("%s/%d", canon, txSize), canon, whisper.Params{
 		Transactions: r.opts.Transactions,
 		TxSize:       txSize,
@@ -194,7 +234,7 @@ func (r *Runner) Trace(workload string, txSize int) (*trace.Trace, error) {
 // heap base), so a Cores=N sweep reuses the plain sweep's cache entry.
 func (r *Runner) coreTrace(canon string, txSize, core int) (*trace.Trace, error) {
 	if core == 0 {
-		return r.Trace(canon, txSize)
+		return r.trace(canon, txSize)
 	}
 	return r.cachedTrace(fmt.Sprintf("%s/%d/core%d", canon, txSize, core), canon, whisper.Params{
 		Transactions: r.opts.Transactions,
@@ -205,10 +245,7 @@ func (r *Runner) coreTrace(canon string, txSize, core int) (*trace.Trace, error)
 }
 
 // cachedTrace generates the trace of workload canon with p once per key
-// and shares it. A run that could overflow its persistent heap
-// (whisper.CheckHeap) is never generated: the entry keeps the error
-// naming the workload, so every cell of it fails instead of a panic
-// part way through generation.
+// and shares it. Its callers have checked p (CheckCell).
 func (r *Runner) cachedTrace(key, canon string, p whisper.Params) (*trace.Trace, error) {
 	r.traces.mu.Lock()
 	e, ok := r.traces.m[key]
@@ -219,9 +256,6 @@ func (r *Runner) cachedTrace(key, canon string, p whisper.Params) (*trace.Trace,
 	r.traces.mu.Unlock()
 	e.once.Do(func() {
 		w, err := whisper.ByName(canon)
-		if err == nil {
-			err = whisper.CheckHeap(w, p)
-		}
 		if err != nil {
 			e.err = err
 			return
@@ -252,11 +286,15 @@ func (r *Runner) RunContext(ctx context.Context, workload string, spec Spec) (cp
 // probe before the run or inspect controller state after it (the
 // crash/recovery ablation). Every core count up to cpu.MaxCores runs on
 // one cpu.Machine: core i runs coreTrace(i), and core 0's is the
-// single-core trace. A larger count is refused before any trace is
-// generated, as is a workload whose trace could overflow its heap.
+// single-core trace. A cell CheckCell refuses is refused before any
+// trace is generated, and one whose traces lie outside the controller's
+// data region (cpu.Machine.CheckTraces) before any is loaded.
 func (r *Runner) Machine(workload string, spec Spec) (*cpu.Machine, error) {
-	spec = spec.withDefaults()
-	return r.machine(workload, spec, spec.config())
+	canon, spec, err := CheckCell(r.opts, workload, spec)
+	if err != nil {
+		return nil, err
+	}
+	return r.machine(canon, spec, spec.config())
 }
 
 // config is the controller configuration spec simulates, under the
@@ -277,18 +315,11 @@ func (s Spec) config() controller.Config {
 	return cfg
 }
 
-// machine builds the cell of workload under spec (defaults applied)
-// around the controller cfg. Machine passes spec.config(); the
-// bit-identity tests pass the same config on the latency-only engine.
-func (r *Runner) machine(workload string, spec Spec, cfg controller.Config) (*cpu.Machine, error) {
-	if spec.Cores > cpu.MaxCores {
-		return nil, fmt.Errorf("cores %d: want at most %d, the most whose heaps fit the data region",
-			spec.Cores, cpu.MaxCores)
-	}
-	canon, err := whisper.Resolve(workload)
-	if err != nil {
-		return nil, err
-	}
+// machine builds the cell of the canonical workload canon under spec,
+// which CheckCell accepted, around the controller cfg. Machine passes
+// spec.config(); the bit-identity tests pass the same config on the
+// latency-only engine.
+func (r *Runner) machine(canon string, spec Spec, cfg controller.Config) (*cpu.Machine, error) {
 	cores := make([]cpu.CoreSpec, max(spec.Cores, 1))
 	for i := range cores {
 		tr, err := r.coreTrace(canon, spec.TxSize, i)
@@ -297,7 +328,11 @@ func (r *Runner) machine(workload string, spec Spec, cfg controller.Config) (*cp
 		}
 		cores[i] = cpu.CoreSpec{Workload: canon, Seed: cpu.CoreSeed(r.opts.Seed, i), Trace: tr}
 	}
-	return cpu.NewMachine(cpu.MachineConfig{Ctrl: cfg, Window: spec.OoOWindow}, cores), nil
+	m := cpu.NewMachine(cpu.MachineConfig{Ctrl: cfg, Window: spec.OoOWindow}, cores)
+	if err := m.CheckTraces(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Speedup returns baseline cycles divided by candidate cycles — the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -8,7 +9,9 @@ import (
 
 	"dolos/internal/controller"
 	"dolos/internal/cpu"
+	"dolos/internal/masu"
 	"dolos/internal/sim"
+	"dolos/internal/whisper"
 )
 
 // testOpts keeps runs quick; queueing steady-state is reached within a
@@ -62,8 +65,8 @@ func TestTraceCacheSharedAcrossAliases(t *testing.T) {
 
 // TestRunnerRefusesHeapOverflow: at the paper's 50,000 transactions a
 // Hashmap trace could overflow the default 48 MB persistent heap. The
-// runner returns whisper.CheckHeap's error, naming the workload, for
-// the trace, a cell and a second core's trace, and generates nothing.
+// runner returns whisper.Check's error, naming the workload, for the
+// trace, a cell and a two-core cell, and generates nothing.
 func TestRunnerRefusesHeapOverflow(t *testing.T) {
 	r := NewRunner(Options{Transactions: 50000})
 	var before, after runtime.MemStats
@@ -82,8 +85,60 @@ func TestRunnerRefusesHeapOverflow(t *testing.T) {
 	if _, err := r.Run("Hashmap", Spec{Scheme: controller.DolosPartial}); err == nil || !strings.Contains(err.Error(), "Hashmap") {
 		t.Errorf("Run at 50,000 txns: err = %v, want the heap error", err)
 	}
-	if _, err := r.coreTrace("Hashmap", 1024, 1); err == nil || !strings.Contains(err.Error(), "Hashmap") {
-		t.Errorf("core 1 trace at 50,000 txns: err = %v, want the heap error", err)
+	if _, err := r.Run("Hashmap", Spec{Scheme: controller.DolosPartial, Cores: 2}); err == nil || !strings.Contains(err.Error(), "Hashmap") {
+		t.Errorf("two cores at 50,000 txns: err = %v, want the heap error", err)
+	}
+	if n := len(r.traces.m); n != 0 {
+		t.Errorf("refusing the cells generated %d traces", n)
+	}
+}
+
+// TestCheckCell has a row per rule CheckCell owns or delegates: the
+// workload name, the core count and OoO window (dolos-sim's -cores and
+// -ooo-window rows), the controller config (Validate) and the workload
+// parameters (whisper.Check). An accepted cell comes back canonical,
+// with its defaults applied.
+func TestCheckCell(t *testing.T) {
+	for _, c := range []struct {
+		workload string
+		txns     int
+		spec     Spec
+		want     string // canonical name when accepted
+		bad      string // text the error must hold, "" = accepted
+	}{
+		{"Hashmap", 1000, Spec{}, "Hashmap", ""}, // TxSize, WPQ, Cores 0 select the defaults
+		{"redis", 200, Spec{Scheme: controller.DolosPost, Tree: masu.ToCLazy}, "Redis", ""},
+		{"Hashmap", 1, Spec{TxSize: 64, HardwareWPQ: 1, Cores: 4, OoOWindow: 2}, "Hashmap", ""},
+		{"NStore:YCSB", 20000, Spec{TxSize: 4096, HardwareWPQ: controller.MaxWPQ, OoOWindow: 1}, "NStore:YCSB", ""},
+		{"Hashmap", 1000, Spec{Cores: 0}, "Hashmap", ""},
+		{"Hashmap", 1000, Spec{Cores: cpu.MaxCores}, "Hashmap", ""},
+		{"Hashmap", 1000, Spec{Cores: cpu.MaxCores + 1}, "", "cores 65"},
+		{"Hashmap", 1000, Spec{Cores: -1}, "", "cores -1"},
+		{"Hashmap", 1000, Spec{OoOWindow: -3}, "", "ooo window -3"},
+		{"Hashmap", 1000, Spec{HardwareWPQ: -4, Cores: 2}, "", "HardwareWPQ -4"},
+		{"Hashmap", 1000, Spec{HardwareWPQ: controller.MaxWPQ + 1}, "", "HardwareWPQ 1025"},
+		{"Hashmap", 1000, Spec{Scheme: controller.Scheme(99)}, "", "Scheme 99"},
+		{"Hashmap", 1000, Spec{TriadLevels: -1}, "", "TriadLevels -1"},
+		{"Hashmap", 1000, Spec{CounterCacheBytes: 1}, "", "CounterCacheBytes 1"},
+		{"Hashmap", 1000, Spec{TxSize: -1}, "", "txsize -1"},
+		{"Hashmap", 1000, Spec{TxSize: 63}, "", "txsize 63"},
+		{"Hashmap", 1000, Spec{TxSize: 4097}, "", "txsize 4097"},
+		{"Hashmap", 50000, Spec{}, "", "persistent heap"},
+		{"Nope", 1000, Spec{}, "", "unknown workload"},
+	} {
+		canon, spec, err := CheckCell(Options{Transactions: c.txns}, c.workload, c.spec)
+		switch {
+		case c.bad == "" && (err != nil || canon != c.want || spec.TxSize == 0 || spec.HardwareWPQ == 0):
+			t.Errorf("%s %+v: got %q, %+v, %v", c.workload, c.spec, canon, spec, err)
+		case c.bad != "" && (err == nil || !strings.Contains(err.Error(), c.bad)):
+			t.Errorf("%s %+v: error %v, want one naming %q", c.workload, c.spec, err, c.bad)
+		}
+	}
+	if _, _, err := CheckCell(Options{}, "Hashmap", Spec{HardwareWPQ: -3}); !errors.Is(err, controller.ErrInvalidConfig) {
+		t.Errorf("a negative WPQ: error %v, want one wrapping controller.ErrInvalidConfig", err)
+	}
+	if _, _, err := CheckCell(Options{}, "Nope", Spec{}); !errors.Is(err, whisper.ErrUnknown) {
+		t.Errorf("an unknown workload: error %v, want one wrapping whisper.ErrUnknown", err)
 	}
 }
 

@@ -328,7 +328,7 @@ func Table3() *stats.Table {
 	designs := []misu.Design{misu.FullWPQ, misu.PartialWPQ, misu.PostWPQ}
 	rows := [][]float64{{}, {}, {}, {}}
 	for _, d := range designs {
-		u := misu.New(d, eng, devless, 1<<20, d.Entries(16))
+		u := misu.New(d, eng, devless, 1<<20, d.Entries(controller.DefaultWPQ))
 		st := u.Storage()
 		rows[0] = append(rows[0], float64(st.PersistentCounterBytes))
 		rows[1] = append(rows[1], float64(st.MACRegisterBytes))
@@ -365,7 +365,7 @@ func Sec55Recovery() []RecoveryEstimate {
 	)
 	out := make([]RecoveryEstimate, 0, 3)
 	for _, d := range []misu.Design{misu.FullWPQ, misu.PartialWPQ, misu.PostWPQ} {
-		n := d.Entries(16)
+		n := d.Entries(controller.DefaultWPQ)
 		blocks := uint64(n) // one 64B read per 72B record, rounded to per-entry reads
 		if d != misu.FullWPQ {
 			blocks += uint64((n + 7) / 8) // MAC block reads
@@ -637,10 +637,10 @@ func ADRCompliance() *stats.Table {
 		Format:  "%.0f",
 	}
 	eng := crypt.NewEngine([16]byte{}, [16]byte{})
-	budget := controller.StandardADR(16)
+	budget := controller.StandardADR(controller.DefaultWPQ)
 	for _, d := range []misu.Design{misu.FullWPQ, misu.PartialWPQ, misu.PostWPQ} {
 		dev := nvm.NewDevice(nil, 1<<26, 0)
-		u := misu.New(d, eng, dev, 1<<20, d.Entries(16))
+		u := misu.New(d, eng, dev, 1<<20, d.Entries(controller.DefaultWPQ))
 		var p [64]byte
 		for i := 0; u.CanAccept(uint64(i+1) * 64); i++ {
 			u.Protect(uint64(i+1)*64, p)

@@ -23,10 +23,13 @@ var allSchemes = cliutil.AllSchemes()
 // crypto engine or, when fast is set, on the latency-only one
 // (controller.Config.FastMode), which no Spec or Option selects.
 func runEngine(r *Runner, workload string, spec Spec, fast bool) (RunResult, error) {
-	spec = spec.withDefaults()
+	canon, spec, err := CheckCell(r.Options(), workload, spec)
+	if err != nil {
+		return RunResult{}, err
+	}
 	cfg := spec.config()
 	cfg.FastMode = fast
-	m, err := r.machine(workload, spec, cfg)
+	m, err := r.machine(canon, spec, cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -134,7 +137,10 @@ func runInstrumented(t *testing.T, cfg controller.Config, workload string, txns 
 	sys := cpu.NewSystem(cfg)
 	var h dispatchHash
 	sys.Eng.SetHook(h.observe)
-	res := sys.Run(tr)
+	res, err := sys.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return cliutil.BuildRunRecord(res, cfg.Tree, 1024, 1, sys.Eng.Processed(), 0, sys.Ctrl.Stats(), nil), h.h
 }
 

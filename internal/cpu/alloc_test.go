@@ -29,7 +29,7 @@ func TestRunAllocs(t *testing.T) {
 	}
 	tr := whisper.Hashmap{}.Generate(whisper.Params{Transactions: 20, TxSize: 1024, Seed: 1})
 	cfg := testConfig(controller.DolosPartial)
-	run := func() { NewSystem(cfg).Run(tr) }
+	run := func() { must(NewSystem(cfg).Run(tr)) }
 	if n := testing.AllocsPerRun(5, run); n > runAllocsBound {
 		t.Errorf("Run allocates %.0f times, bound %d", n, runAllocsBound)
 	}

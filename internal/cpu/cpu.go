@@ -118,31 +118,39 @@ func NewSystem(cfg controller.Config) *System {
 
 // Run executes the trace to completion on the in-order core and returns
 // the result. The engine is drained afterwards so the controller
-// quiesces.
-func (s *System) Run(tr *trace.Trace) Result { return s.RunWindow(tr, 0) }
+// quiesces. A trace Start refuses is returned as its error, unrun.
+func (s *System) Run(tr *trace.Trace) (Result, error) { return s.RunWindow(tr, 0) }
 
 // RunWindow is Run with the given out-of-order read window (see
 // Issuer; 0 and 1 both issue in order, and the result reports the
 // window asked for).
-func (s *System) RunWindow(tr *trace.Trace, window int) Result {
-	s.start(tr, window)
+func (s *System) RunWindow(tr *trace.Trace, window int) (Result, error) {
+	if err := s.start(tr, window); err != nil {
+		return Result{}, err
+	}
 	s.runToEnd()
-	return s.Collect(tr)
+	return s.Collect(tr), nil
 }
 
 // Start schedules trace execution on the in-order core without running
 // it; the caller drives the clock (RunUntil for crash injection). The
 // trace's checkpoint image (the fast-forwarded warm-up state) is loaded
 // into the secure memory functionally first, with no cycles charged.
-func (s *System) Start(tr *trace.Trace) { s.start(tr, 0) }
+// A trace that addresses a line outside the controller's data region
+// is returned as CheckTraces's error, and nothing is loaded.
+func (s *System) Start(tr *trace.Trace) error { return s.start(tr, 0) }
 
-func (s *System) start(tr *trace.Trace, window int) {
+func (s *System) start(tr *trace.Trace, window int) error {
 	if s.started {
 		panic("cpu: system already running a trace")
 	}
 	s.spec = CoreSpec{Workload: tr.Name, Trace: tr}
+	if err := s.CheckTraces(); err != nil {
+		return err
+	}
 	s.cfg.Window = window
 	s.Machine.Start()
+	return nil
 }
 
 // Collect gathers the result after a Run (or a partial run) of tr.

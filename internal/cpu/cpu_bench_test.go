@@ -28,7 +28,7 @@ func benchScheme(b *testing.B, s controller.Scheme) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := NewSystem(testConfig(s))
-		res := sys.Run(tr)
+		res := must(sys.Run(tr))
 		b.ReportMetric(float64(res.Cycles), "sim-cycles")
 	}
 }

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"dolos/internal/controller"
@@ -12,7 +14,7 @@ func TestComputeOnlyTrace(t *testing.T) {
 	rec.Compute(1000)
 	rec.Compute(500) // coalesced
 	s := NewSystem(testConfig(controller.DolosPartial))
-	res := s.Run(rec.Finish())
+	res := must(s.Run(rec.Finish()))
 	if res.Cycles != 1500 {
 		t.Fatalf("compute-only trace took %d cycles, want 1500", res.Cycles)
 	}
@@ -24,7 +26,7 @@ func TestComputeOnlyTrace(t *testing.T) {
 func TestEmptyTrace(t *testing.T) {
 	rec := trace.NewRecorder("empty", 0)
 	s := NewSystem(testConfig(controller.NonSecureADR))
-	res := s.Run(rec.Finish())
+	res := must(s.Run(rec.Finish()))
 	if res.Cycles != 0 || res.Ops != 0 {
 		t.Fatalf("empty trace result %+v", res)
 	}
@@ -42,7 +44,7 @@ func TestEvictionHeavyTrace(t *testing.T) {
 		rec.Write(4096+i*stride, d)
 	}
 	s := NewSystem(testConfig(controller.DolosPartial))
-	res := s.Run(rec.Finish())
+	res := must(s.Run(rec.Finish()))
 	evicts := s.Ctrl.Stats().Counter("wpq.evict_requests").Value()
 	if evicts == 0 {
 		t.Fatal("no evictions reached the controller")
@@ -70,9 +72,40 @@ func TestDoubleStartPanics(t *testing.T) {
 	s.Start(tr)
 }
 
+// A trace that addresses a line outside the controller's data region
+// is refused before anything is loaded: Start and Run return an error
+// naming the address, and a Machine's Start panics with it (it used to
+// panic in the Ma-SU with "write outside data region").
+func TestStartRefusesTraceOutsideLayout(t *testing.T) {
+	rec := trace.NewRecorder("far", 0)
+	rec.Compute(1)
+	rec.Write(100<<20, [64]byte{1})
+	tr := rec.Finish()
+	cfg := testConfig(controller.DolosPartial) // layout.Small(): 64 MB of data
+	for name, run := range map[string]func() error{
+		"Start": func() error { return NewSystem(cfg).Start(tr) },
+		"Run":   func() error { _, err := NewSystem(cfg).Run(tr); return err },
+	} {
+		err := run()
+		if !errors.Is(err, trace.ErrOutsideData) || !strings.Contains(err.Error(), "0x6400000") {
+			t.Errorf("%s: error %v, want one wrapping trace.ErrOutsideData naming 0x6400000", name, err)
+		}
+	}
+	m := NewMachine(MachineConfig{Ctrl: cfg}, []CoreSpec{{Workload: "far", Trace: tr}})
+	if err := m.CheckTraces(); !errors.Is(err, trace.ErrOutsideData) {
+		t.Fatalf("CheckTraces: %v, want trace.ErrOutsideData", err)
+	}
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, trace.ErrOutsideData) {
+			t.Fatalf("Machine.Start panicked with %v, want trace.ErrOutsideData", err)
+		}
+	}()
+	m.Start()
+}
+
 func TestTxLatencyHistogram(t *testing.T) {
 	s := NewSystem(testConfig(controller.DolosPartial))
-	s.Run(syntheticTrace())
+	must(s.Run(syntheticTrace()))
 	h := s.TxLatency()
 	if h.Count() != 5 || h.Mean() <= 0 {
 		t.Fatalf("tx latency histogram: n=%d mean=%f", h.Count(), h.Mean())
@@ -85,7 +118,7 @@ func TestMirrorTracksWrites(t *testing.T) {
 	d[7] = 0x77
 	rec.Write(4096, d)
 	s := NewSystem(testConfig(controller.NonSecureADR))
-	s.Run(rec.Finish())
+	must(s.Run(rec.Finish()))
 	got, ok := s.Mirror(4096 + 8) // any offset within the line
 	if !ok || got[7] != 0x77 {
 		t.Fatal("mirror lost the written line")

@@ -9,6 +9,14 @@ import (
 	"dolos/internal/whisper"
 )
 
+// must returns a run's result, panicking on its error.
+func must(res Result, err error) Result {
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func testConfig(s controller.Scheme) controller.Config {
 	cfg := controller.Config{Scheme: s, Layout: layout.Small()}
 	copy(cfg.AESKey[:], "cpu-aes-key-0016")
@@ -35,7 +43,7 @@ func syntheticTrace() *trace.Trace {
 
 func TestSyntheticTraceRuns(t *testing.T) {
 	s := NewSystem(testConfig(controller.DolosPartial))
-	res := s.Run(syntheticTrace())
+	res := must(s.Run(syntheticTrace()))
 	if res.Transactions != 5 {
 		t.Fatalf("transactions = %d", res.Transactions)
 	}
@@ -50,8 +58,8 @@ func TestSyntheticTraceRuns(t *testing.T) {
 func TestFenceBlocksUntilAccepted(t *testing.T) {
 	// With the baseline scheme a fence must wait for the full security
 	// latency; the ideal scheme's fence is nearly free.
-	base := NewSystem(testConfig(controller.PreWPQSecure)).Run(syntheticTrace())
-	ideal := NewSystem(testConfig(controller.NonSecureADR)).Run(syntheticTrace())
+	base := must(NewSystem(testConfig(controller.PreWPQSecure)).Run(syntheticTrace()))
+	ideal := must(NewSystem(testConfig(controller.NonSecureADR)).Run(syntheticTrace()))
 	if base.FenceStalls <= ideal.FenceStalls {
 		t.Fatalf("fence stalls: baseline %d <= ideal %d", base.FenceStalls, ideal.FenceStalls)
 	}
@@ -71,7 +79,7 @@ func TestSchemeOrderingOnRealWorkload(t *testing.T) {
 		controller.NonSecureADR, controller.PreWPQSecure,
 		controller.DolosFull, controller.DolosPartial, controller.DolosPost,
 	} {
-		res := NewSystem(testConfig(sch)).Run(tr)
+		res := must(NewSystem(testConfig(sch)).Run(tr))
 		cycles[sch] = float64(res.Cycles)
 	}
 	if !(cycles[controller.NonSecureADR] < cycles[controller.PreWPQSecure]) {
@@ -98,7 +106,7 @@ func TestReadsGoThroughHierarchy(t *testing.T) {
 		rec.Read(addr) // hot line: hits L1 after first access
 	}
 	s := NewSystem(testConfig(controller.DolosPartial))
-	res := s.Run(rec.Finish())
+	res := must(s.Run(rec.Finish()))
 	if res.MemReads > 1 {
 		t.Fatalf("hot-line reads reached memory %d times", res.MemReads)
 	}
@@ -114,7 +122,7 @@ func TestCleanFlushSkipsController(t *testing.T) {
 	rec.Flush(addr, data) // second flush: line already clean
 	rec.Fence()
 	s := NewSystem(testConfig(controller.DolosPartial))
-	res := s.Run(rec.Finish())
+	res := must(s.Run(rec.Finish()))
 	if res.WriteRequests != 1 {
 		t.Fatalf("write requests = %d, want 1 (clean flush is a no-op)", res.WriteRequests)
 	}
@@ -124,7 +132,7 @@ func TestInterarrivalReported(t *testing.T) {
 	tr := whisper.Ctree{}.Generate(whisper.Params{
 		Transactions: 30, Warmup: 20, TxSize: 512, Seed: 3, HeapSize: 16 << 20,
 	})
-	res := NewSystem(testConfig(controller.DolosPartial)).Run(tr)
+	res := must(NewSystem(testConfig(controller.DolosPartial)).Run(tr))
 	if res.MeanInterarrival <= 0 {
 		t.Fatal("no inter-arrival statistic")
 	}

@@ -271,15 +271,33 @@ func (m *Machine) Probe() *telemetry.Probe { return m.probe }
 // every core.
 func (m *Machine) TxLatency() *stats.Histogram { return m.txLat }
 
+// CheckTraces reports the first core whose trace addresses a line
+// outside the controller's data region (trace.Trace.CheckLayout). Start
+// panics with the same error, so a caller holding a trace from outside
+// the program checks it first.
+func (m *Machine) CheckTraces() error {
+	lay := m.Ctrl.Config().Layout
+	for _, c := range m.Cores {
+		if err := c.spec.Trace.CheckLayout(lay); err != nil {
+			return fmt.Errorf("cpu: core %d: %w", c.id, err)
+		}
+	}
+	return nil
+}
+
 // Start loads every core's checkpoint image (the fast-forwarded
 // warm-up state) into the secure memory functionally — core order, no
 // cycles charged — and schedules every core's issue loop at the
 // current cycle, core order again, so the first-cycle interleave is
 // deterministic. The caller drives the clock (RunUntil for crash
-// injection).
+// injection). It panics with CheckTraces's error before loading
+// anything.
 func (m *Machine) Start() {
 	if m.started {
 		panic("cpu: machine already running")
+	}
+	if err := m.CheckTraces(); err != nil {
+		panic(err)
 	}
 	m.started = true
 	for _, c := range m.Cores {

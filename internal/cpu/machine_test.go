@@ -56,10 +56,10 @@ func TestOoOWindowOneMatchesInOrder(t *testing.T) {
 		tr := machineTrace(t, "Hashmap", 60, 1, 0)
 
 		inOrder := NewSystem(machineConfig(scheme))
-		resIn := inOrder.Run(tr)
+		resIn := must(inOrder.Run(tr))
 
 		ooo := NewSystem(machineConfig(scheme))
-		resOoO := ooo.RunWindow(tr, 1)
+		resOoO := must(ooo.RunWindow(tr, 1))
 
 		if resIn.OoOWindow != 0 || resOoO.OoOWindow != 1 {
 			t.Fatalf("%v: reported windows %d and %d, want 0 and 1", scheme, resIn.OoOWindow, resOoO.OoOWindow)
@@ -88,7 +88,7 @@ func TestOoOWiderWindowDeterministicAndOverlaps(t *testing.T) {
 
 	run := func() (Result, []byte) {
 		sys := NewSystem(machineConfig(controller.DolosPartial))
-		res := sys.RunWindow(tr, 8)
+		res := must(sys.RunWindow(tr, 8))
 		return res, snapshotJSON(t, sys)
 	}
 	res1, snap1 := run()
@@ -100,7 +100,7 @@ func TestOoOWiderWindowDeterministicAndOverlaps(t *testing.T) {
 		t.Fatalf("RunWindow(tr, 8) reports OoOWindow = %d, want 8", res1.OoOWindow)
 	}
 
-	inOrder := NewSystem(machineConfig(controller.DolosPartial)).Run(tr)
+	inOrder := must(NewSystem(machineConfig(controller.DolosPartial)).Run(tr))
 	if res1.Cycles > inOrder.Cycles {
 		t.Fatalf("window-8 OoO slower than in-order: %d > %d cycles", res1.Cycles, inOrder.Cycles)
 	}

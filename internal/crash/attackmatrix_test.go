@@ -40,7 +40,9 @@ func TestCrashThenAttackMatrix(t *testing.T) {
 			t.Run(scheme.String()+"/"+k.name, func(t *testing.T) {
 				d := mustDriver(t, testConfig(scheme))
 				sys := d.System()
-				sys.Start(tr)
+				if err := sys.Start(tr); err != nil {
+					t.Fatal(err)
+				}
 				sys.Eng.RunUntil(sim.Cycle(120_000))
 				if _, err := sys.Ctrl.Crash(); err != nil {
 					t.Fatal(err)

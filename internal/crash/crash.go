@@ -79,9 +79,10 @@ type Driver struct {
 // latency-only configuration is a caller bug, not a degraded mode: the
 // constructor refuses it with a typed error (masu.ErrFastMode) rather
 // than silently normalizing the config, mirroring the controller's own
-// Crash/Recover guards.
+// Crash/Recover guards. A config Validate refuses is returned as its
+// error.
 func NewDriver(cfg controller.Config) (*Driver, error) {
-	if err := checkFunctional(cfg); err != nil {
+	if err := checkConfig(cfg); err != nil {
 		return nil, err
 	}
 	sys := cpu.NewSystem(cfg)
@@ -92,15 +93,24 @@ func NewDriver(cfg controller.Config) (*Driver, error) {
 
 // NewMachineDriver builds a machine for cfg with one core per spec and
 // per-core acceptance tracking installed; CrashAt runs it. Like
-// NewDriver it refuses a latency-only controller config.
+// NewDriver it refuses an invalid or latency-only controller config,
+// and it refuses a core trace outside the controller's data region
+// (cpu.Machine.CheckTraces).
 func NewMachineDriver(cfg cpu.MachineConfig, cores []cpu.CoreSpec) (*Driver, error) {
-	if err := checkFunctional(cfg.Ctrl); err != nil {
+	if err := checkConfig(cfg.Ctrl); err != nil {
 		return nil, err
 	}
-	return newDriver(cpu.NewMachine(cfg, cores)), nil
+	m := cpu.NewMachine(cfg, cores)
+	if err := m.CheckTraces(); err != nil {
+		return nil, err
+	}
+	return newDriver(m), nil
 }
 
-func checkFunctional(cfg controller.Config) error {
+func checkConfig(cfg controller.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if cfg.FastMode {
 		return fmt.Errorf("crash: driver requires functional crypto: %w", masu.ErrFastMode)
 	}
@@ -136,9 +146,12 @@ func (d *Driver) System() *cpu.System { return d.sys }
 func (d *Driver) Machine() *cpu.Machine { return d.m }
 
 // RunAndCrash starts tr on the one-core system NewDriver built and
-// crashes it at crashCycle (see CrashAt).
+// crashes it at crashCycle (see CrashAt). A trace Start refuses is
+// returned as its error, unrun.
 func (d *Driver) RunAndCrash(tr *trace.Trace, crashCycle sim.Cycle, mode controller.RecoveryMode) (Outcome, error) {
-	d.sys.Start(tr)
+	if err := d.sys.Start(tr); err != nil {
+		return Outcome{}, err
+	}
 	return d.CrashAt(crashCycle, mode)
 }
 

@@ -86,7 +86,10 @@ func TestRecoveryRuntimeTradeoffOrdering(t *testing.T) {
 		cfg := testConfig(s)
 		cfg.TriadLevels = triadLevels
 		sys := cpu.NewSystem(cfg)
-		res := sys.Run(tr)
+		res, err := sys.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return uint64(res.Cycles), res.RecoveryCycles
 	}
 

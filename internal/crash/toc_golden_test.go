@@ -217,7 +217,11 @@ func TestGoldenToC(t *testing.T) {
 	for _, c := range cases {
 		g := goldenHasher{sha256.New()}
 		d := mustDriver(t, c.config())
-		g.result(d.System().Run(c.tr))
+		res, err := d.System().Run(c.tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.result(res)
 		g.state(d.System())
 		if ma := d.System().Ctrl.MaSU(); c.tree == masu.ToCLazy {
 			ma.ToC().PersistAll()

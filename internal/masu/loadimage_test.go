@@ -166,7 +166,10 @@ func TestLoadImageMatchesPerLine(t *testing.T) {
 			checkInstalled(t, name, lc.cfg, [][]trace.InitLine{tr.InitImage},
 				[2]*masu.Unit{sys[0].Ctrl.MaSU(), sys[1].Ctrl.MaSU()})
 			for i, s := range sys {
-				res := s.Run(imageless(tr))
+				res, err := s.Run(imageless(tr))
+				if err != nil {
+					t.Fatal(err)
+				}
 				recs[i] = cliutil.BuildRunRecord(res, lc.cfg.EffectiveTree(), tr.TxSize, 1,
 					s.Eng.Processed(), 0, s.Ctrl.Stats(), nil)
 			}

@@ -1,8 +1,6 @@
 package scheme
 
 import (
-	"fmt"
-
 	"dolos/internal/crypt"
 	"dolos/internal/masu"
 	"dolos/internal/sim"
@@ -25,7 +23,7 @@ const (
 // the same table, which is what keeps their schedules bit-identical.
 //
 // Tables come only from CostTableFor: a scheme missing from the
-// registry has no latency model and must fail loudly, not default.
+// registry has no latency model (controller.Config.Validate refuses it).
 type CostTable struct {
 	// XOR, AES and MAC are the Table 1 primitive latencies.
 	XOR, AES, MAC sim.Cycle
@@ -51,14 +49,9 @@ type CostTable struct {
 }
 
 // CostTableFor derives the latency table for a registered scheme from
-// its pipeline. Unknown schemes return an error: a missing cost entry
-// means the timing model has no definition for the scheme, and running
-// it with defaults would silently mis-time every operation.
-func CostTableFor(id ID) (CostTable, error) {
-	e, ok := ByID(id)
-	if !ok {
-		return CostTable{}, fmt.Errorf("scheme: no cost table for %v (not in the registry)", id)
-	}
+// its pipeline. An ID outside the registry has no table: it panics.
+func CostTableFor(id ID) CostTable {
+	e := entries[id]
 	t := CostTable{
 		XOR:        crypt.XORLatency,
 		AES:        crypt.AESLatency,
@@ -79,7 +72,7 @@ func CostTableFor(id ID) (CostTable, error) {
 			t.DeferredMAC = crypt.MACLatency
 		}
 	}
-	return t, nil
+	return t
 }
 
 // DrainService prices a Ma-SU drain-path write (Figure 11): the WPQ

@@ -23,10 +23,7 @@ func TestCostTableMatchesEngineConstants(t *testing.T) {
 		{SerialMACs: 2, CounterMisses: 1, TreeMisses: 1, ReencryptedLines: 1},
 	}
 	for _, e := range All() {
-		tab, err := CostTableFor(e.ID)
-		if err != nil {
-			t.Fatalf("%s: no cost table: %v", e.Name, err)
-		}
+		tab := CostTableFor(e.ID)
 		if tab.XOR != crypt.XORLatency || tab.AES != crypt.AESLatency || tab.MAC != crypt.MACLatency {
 			t.Fatalf("%s: primitive latencies diverge from crypt constants: %+v", e.Name, tab)
 		}
@@ -82,9 +79,18 @@ func TestCostTableMatchesEngineConstants(t *testing.T) {
 }
 
 // TestCostTableUnknownSchemeFails pins the fail-loudly contract: an ID
-// outside the registry has no latency model and must be rejected.
+// outside the registry has no latency model, so asking for its table
+// panics instead of returning a default one. Configs reach the table
+// only through controller.Config.Validate, which refuses such an ID.
 func TestCostTableUnknownSchemeFails(t *testing.T) {
-	if _, err := CostTableFor(ID(999)); err == nil {
-		t.Fatal("CostTableFor(unregistered) succeeded; want a loud failure")
+	for _, id := range []ID{ID(999), ID(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CostTableFor(%d) returned a table; want a panic", int(id))
+				}
+			}()
+			CostTableFor(id)
+		}()
 	}
 }

@@ -180,15 +180,9 @@ func ByID(id ID) (Entry, bool) {
 	return entries[id], true
 }
 
-// PipelineOf returns the security pipeline for id; unknown IDs get the
-// ideal (zero) pipeline, matching the controller's historical default
-// branch for out-of-range values.
-func PipelineOf(id ID) Pipeline {
-	if e, ok := ByID(id); ok {
-		return e.Pipeline
-	}
-	return Pipeline{}
-}
+// PipelineOf returns the security pipeline for a registered id; it
+// panics on an ID outside the registry.
+func PipelineOf(id ID) Pipeline { return entries[id].Pipeline }
 
 // Names returns the canonical CLI names, sorted.
 func Names() []string {

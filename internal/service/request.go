@@ -8,7 +8,7 @@ import (
 
 	"dolos/internal/cliutil"
 	"dolos/internal/core"
-	"dolos/internal/whisper"
+	"dolos/internal/scheme"
 )
 
 // Request is the JSON body of POST /v2/jobs: a grid (workloads ×
@@ -59,85 +59,46 @@ func (l Limits) withDefaults() Limits {
 }
 
 // normalized is the canonical form of a request: defaults applied and
-// every name resolved to its one canonical spelling. Two requests for
+// every name resolved to its one canonical value. Two requests for
 // the same deterministic computation normalize identically no matter
 // which aliases, cases or implicit defaults they used — which is what
 // makes Key a sound result-cache key. encoding/json marshals struct
 // fields in declaration order, so the JSON encoding of this struct is
 // itself canonical. TimeoutMS is deliberately absent: a deadline bounds
-// the job, it does not change the simulated result.
+// the job, it does not change the simulated result. Spec is every
+// cell's spec but for its scheme, with core's defaults applied.
 type normalized struct {
-	Workloads    []string `json:"workloads"`
-	Schemes      []string `json:"schemes"`
-	Tree         string   `json:"tree"`
-	Transactions int      `json:"transactions"`
-	TxSize       int      `json:"tx_size"`
-	Seed         int64    `json:"seed"`
-	WPQ          int      `json:"wpq"`
-	NoCoalesce   bool     `json:"no_coalesce"`
+	Workloads    []string    `json:"workloads"`
+	Schemes      []scheme.ID `json:"schemes"`
+	Transactions int         `json:"transactions"`
+	Seed         int64       `json:"seed"`
+	Spec         core.Spec   `json:"spec"`
 }
 
 // normalize validates a request against the limits and returns its
 // canonical form. List order is preserved (it determines result order),
 // so the same cells in a different order are a different — but equally
-// correct — cache entry.
+// correct — cache entry. The model's own rules (payload, WPQ, heap fit)
+// are core.CheckCell's, checked once per workload.
 func normalize(req Request, lim Limits) (normalized, error) {
 	lim = lim.withDefaults()
-	n := normalized{
-		Tree:         req.Tree,
-		Transactions: req.Transactions,
-		TxSize:       req.TxSize,
-		Seed:         req.Seed,
-		WPQ:          req.WPQ,
-		NoCoalesce:   req.NoCoalesce,
-	}
-	if n.Tree == "" {
-		n.Tree = "eager"
-	}
-	if _, err := cliutil.ParseTree(n.Tree); err != nil {
-		return normalized{}, err
-	}
+	n := normalized{Transactions: req.Transactions, Seed: req.Seed}
 	if n.Transactions == 0 {
 		n.Transactions = 200
 	}
 	if err := cliutil.CheckRange("transactions", n.Transactions, 1, lim.MaxTransactions); err != nil {
 		return normalized{}, err
 	}
-	if n.TxSize == 0 {
-		n.TxSize = 1024
-	}
-	if err := cliutil.CheckRange("tx_size", n.TxSize, cliutil.MinTxSize, cliutil.MaxTxSize); err != nil {
-		return normalized{}, err
-	}
 	if n.Seed == 0 {
 		n.Seed = 1
 	}
-	if n.WPQ == 0 {
-		n.WPQ = 16
+	tree := req.Tree
+	if tree == "" {
+		tree = "eager"
 	}
-	if err := cliutil.CheckRange("wpq", n.WPQ, cliutil.MinWPQ, cliutil.MaxWPQ); err != nil {
+	kind, err := cliutil.ParseTree(tree)
+	if err != nil {
 		return normalized{}, err
-	}
-
-	workloads := req.Workloads
-	if len(workloads) == 0 {
-		workloads = []string{"Hashmap"}
-	}
-	for _, wl := range workloads {
-		// Any case or hyphenation the façade's ParseWorkload accepts
-		// resolves to the spelling whisper.Names uses. The error wraps
-		// whisper.ErrUnknown, which the handler maps to HTTP 400.
-		canon, err := whisper.Resolve(wl)
-		if err != nil {
-			return normalized{}, err
-		}
-		// A run whose trace could overflow the persistent heap would
-		// panic in generation; reject it here, as the CLIs do.
-		w, _ := whisper.ByName(canon)
-		if err := whisper.CheckHeap(w, whisper.Params{Transactions: n.Transactions, TxSize: n.TxSize}); err != nil {
-			return normalized{}, err
-		}
-		n.Workloads = append(n.Workloads, canon)
 	}
 
 	schemes := req.Schemes
@@ -149,12 +110,30 @@ func normalize(req Request, lim Limits) (normalized, error) {
 		if err != nil {
 			return normalized{}, err
 		}
-		n.Schemes = append(n.Schemes, sch.String())
+		n.Schemes = append(n.Schemes, sch)
 	}
 
-	if cells := len(n.Workloads) * len(n.Schemes); cells > lim.MaxCells {
+	workloads := req.Workloads
+	if len(workloads) == 0 {
+		workloads = []string{"Hashmap"}
+	}
+	if cells := len(workloads) * len(n.Schemes); cells > lim.MaxCells {
 		return normalized{}, fmt.Errorf("grid of %d cells exceeds the per-request limit of %d",
 			cells, lim.MaxCells)
+	}
+	opts := core.Options{Transactions: n.Transactions, Seed: n.Seed}
+	spec := core.Spec{Tree: kind, TxSize: req.TxSize, HardwareWPQ: req.WPQ, DisableCoalescing: req.NoCoalesce}
+	for _, wl := range workloads {
+		// Any case or hyphenation the façade's ParseWorkload accepts
+		// resolves to the spelling whisper.Names uses; an unknown name's
+		// error wraps whisper.ErrUnknown, which the handler maps to
+		// HTTP 400 like every other error here.
+		canon, checked, err := core.CheckCell(opts, wl, spec)
+		if err != nil {
+			return normalized{}, err
+		}
+		n.Workloads = append(n.Workloads, canon)
+		n.Spec = checked
 	}
 	return n, nil
 }
@@ -164,8 +143,8 @@ func normalize(req Request, lim Limits) (normalized, error) {
 func (n normalized) Key() string {
 	b, err := json.Marshal(n)
 	if err != nil {
-		// normalized holds only strings, ints and bools; Marshal cannot
-		// fail on it.
+		// normalized holds only strings, integers and bools; Marshal
+		// cannot fail on it.
 		panic(err)
 	}
 	sum := sha256.Sum256(b)
@@ -178,24 +157,9 @@ func (n normalized) cells() []core.Cell {
 	cells := make([]core.Cell, 0, len(n.Workloads)*len(n.Schemes))
 	for _, wl := range n.Workloads {
 		for _, s := range n.Schemes {
-			sch, err := cliutil.ParseScheme(s)
-			if err != nil {
-				panic(err) // canonical names always parse
-			}
-			tree, err := cliutil.ParseTree(n.Tree)
-			if err != nil {
-				panic(err)
-			}
-			cells = append(cells, core.Cell{
-				Workload: wl,
-				Spec: core.Spec{
-					Scheme:            sch,
-					Tree:              tree,
-					TxSize:            n.TxSize,
-					HardwareWPQ:       n.WPQ,
-					DisableCoalescing: n.NoCoalesce,
-				},
-			})
+			spec := n.Spec
+			spec.Scheme = s
+			cells = append(cells, core.Cell{Workload: wl, Spec: spec})
 		}
 	}
 	return cells

@@ -125,6 +125,9 @@ func TestCellsEnumeration(t *testing.T) {
 	}
 }
 
+// treeNames spells each tree kind as a request names it.
+var treeNames = map[masu.TreeKind]string{masu.BMTEager: "eager", masu.ToCLazy: "lazy"}
+
 // FuzzNormalize feeds arbitrary submit bodies, decoded exactly as the
 // submit handler decodes them, to normalize. It must never panic, and
 // its output must be a fixed point: the request rebuilt from an
@@ -143,10 +146,14 @@ func FuzzNormalize(f *testing.F) {
 		if err != nil {
 			return
 		}
+		schemes := make([]string, len(n.Schemes))
+		for i, s := range n.Schemes {
+			schemes[i] = s.String()
+		}
 		again, err := normalize(Request{
-			Workloads: n.Workloads, Schemes: n.Schemes, Tree: n.Tree,
-			Transactions: n.Transactions, TxSize: n.TxSize, Seed: n.Seed,
-			WPQ: n.WPQ, NoCoalesce: n.NoCoalesce,
+			Workloads: n.Workloads, Schemes: schemes, Tree: treeNames[n.Spec.Tree],
+			Transactions: n.Transactions, TxSize: n.Spec.TxSize, Seed: n.Seed,
+			WPQ: n.Spec.HardwareWPQ, NoCoalesce: n.Spec.DisableCoalescing,
 		}, Limits{})
 		if err != nil {
 			t.Fatalf("%s normalized to %+v, which normalize rejects: %v", body, n, err)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -26,8 +27,9 @@ func (t *Trace) Save(w io.Writer) error {
 // Load reads a trace previously written by Save. A trace file crosses a
 // trust boundary, so an op of a kind outside the enum, and a checkpoint
 // line or a Read, Write or Flush op addressing no line of the default
-// address map's data region, are errors here rather than panics in the
-// replaying machine. The same pass computes the trace's line span.
+// address map's data region (CheckLayout), are errors here rather than
+// panics in the replaying machine. The same pass computes the trace's
+// line span.
 func Load(r io.Reader) (*Trace, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -38,11 +40,7 @@ func Load(r io.Reader) (*Trace, error) {
 	if err := gob.NewDecoder(zr).Decode(&t); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	data := layout.Default()
 	for i := range t.InitImage {
-		if a := t.InitImage[i].Addr; !data.ValidData(a) {
-			return nil, fmt.Errorf("trace: checkpoint line %d at %#x lies outside the data region", i, a)
-		}
 		t.cover(t.InitImage[i].Addr)
 	}
 	for i := range t.Ops {
@@ -51,13 +49,41 @@ func Load(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: op %d has unknown kind %v", i, op.Kind)
 		}
 		if isMem(op.Kind) {
-			if !data.ValidData(op.Addr) {
-				return nil, fmt.Errorf("trace: op %d (%v) at %#x lies outside the data region", i, op.Kind, op.Addr)
-			}
 			t.cover(op.Addr)
 		}
 	}
+	if err := t.CheckLayout(layout.Default()); err != nil {
+		return nil, err
+	}
 	return &t, nil
+}
+
+// ErrOutsideData marks a trace that addresses a line outside the data
+// region of the layout it was checked against. Every error CheckLayout
+// returns wraps it.
+var ErrOutsideData = errors.New("lies outside the data region")
+
+// CheckLayout reports a trace that addresses a line outside lay's data
+// region, naming the first such checkpoint line or memory op and its
+// address. It compares the trace's line span with the region, so it
+// costs O(1) for a trace that fits; the span is exact for a trace a
+// Recorder built or Load read and nobody edited since.
+func (t *Trace) CheckLayout(lay layout.Map) error {
+	lo, end := t.LineSpan()
+	if end == 0 || lay.ValidData(lo) && lay.ValidData(end-64) {
+		return nil
+	}
+	for i := range t.InitImage {
+		if a := t.InitImage[i].Addr; !lay.ValidData(a) {
+			return fmt.Errorf("trace: checkpoint line %d at %#x %w", i, a, ErrOutsideData)
+		}
+	}
+	for i := range t.Ops {
+		if op := &t.Ops[i]; isMem(op.Kind) && !lay.ValidData(op.Addr) {
+			return fmt.Errorf("trace: op %d (%v) at %#x %w", i, op.Kind, op.Addr, ErrOutsideData)
+		}
+	}
+	return fmt.Errorf("trace: lines [%#x, %#x) %w", lo, end, ErrOutsideData)
 }
 
 // SaveFile writes the trace to path (atomically via a temp file).

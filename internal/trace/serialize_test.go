@@ -123,6 +123,8 @@ func TestLoadRejectsAddressOutsideData(t *testing.T) {
 	img.InitImage[0].Addr = end
 	read := sampleTrace()
 	read.Ops[5].Addr = end
+	top := sampleTrace() // the top line, whose end wraps to 0 unless saturated
+	top.Ops[2].Addr = ^uint64(63)
 	for _, c := range []struct {
 		name string
 		tr   *Trace
@@ -131,6 +133,7 @@ func TestLoadRejectsAddressOutsideData(t *testing.T) {
 		{"write", far, "op 2 (write) at 0x4000000000000"},
 		{"checkpoint", img, "checkpoint line 0 at 0x400000000"},
 		{"read", read, "op 5 (read) at 0x400000000"},
+		{"top line", top, "op 2 (write) at 0xffffffffffffffc0"},
 	} {
 		_, err := Load(bytes.NewReader(saved(t, c.tr)))
 		if err == nil || !strings.Contains(err.Error(), c.want) {

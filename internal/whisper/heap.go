@@ -53,12 +53,28 @@ func heapNeed(w Workload, p Params) uint64 {
 	return pmem.LogLines(LogCapacity(p))*pmem.LineSize + structures
 }
 
-// CheckHeap reports a run of w with p that could exhaust its persistent
-// heap (p.HeapSize, 48 MB by default) as an error naming its transaction
-// count and size: generating it could stop part way with a heap-exhausted
-// panic. The bound is heapNeed's, so a run it accepts always fits.
-func CheckHeap(w Workload, p Params) error {
+// DefaultTxSize is the transaction payload a zero Params.TxSize
+// selects; MinTxSize and MaxTxSize bound the payloads Check accepts.
+const (
+	DefaultTxSize        = 1024
+	MinTxSize, MaxTxSize = 64, 4096
+)
+
+// Check reports parameters w cannot be generated with: a transaction
+// payload outside MinTxSize to MaxTxSize (0 selects DefaultTxSize), a
+// negative transaction or warm-up count, or a run that could exhaust its
+// persistent heap (p.HeapSize, 48 MB by default), which is named with
+// its transaction count and size: generating it could stop part way with
+// a heap-exhausted panic. The heap bound is heapNeed's, so a run Check
+// accepts always fits.
+func Check(w Workload, p Params) error {
 	p = p.withDefaults()
+	if p.TxSize < MinTxSize || p.TxSize > MaxTxSize {
+		return fmt.Errorf("txsize %d: want %d to %d bytes", p.TxSize, MinTxSize, MaxTxSize)
+	}
+	if p.Transactions < 0 || p.Warmup < 0 {
+		return fmt.Errorf("txns %d with warmup %d: want 0 or more of each", p.Transactions, p.Warmup)
+	}
 	if need := heapNeed(w, p); need > p.HeapSize {
 		return fmt.Errorf("txns %d with txsize %d: %s may need %d bytes of persistent heap, over its %d",
 			p.Transactions, p.TxSize, w.Name(), need, p.HeapSize)

@@ -75,7 +75,7 @@ func TestCheckHeapAtUpperBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = CheckHeap(w, Params{Transactions: c.txns, TxSize: c.txSize})
+		err = Check(w, Params{Transactions: c.txns, TxSize: c.txSize})
 		switch {
 		case !c.wantRejection && err != nil:
 			t.Errorf("%+v: rejected: %v", c, err)
@@ -83,6 +83,38 @@ func TestCheckHeapAtUpperBounds(t *testing.T) {
 			t.Errorf("%+v: accepted", c)
 		case c.wantRejection && !strings.Contains(err.Error(), "txns 20000 with txsize 4096"):
 			t.Errorf("%+v: error %q does not name txns and txsize", c, err)
+		}
+	}
+}
+
+// TestCheckTxSize pins Check's payload and count rules, the rows the
+// dolos-sim, dolos-trace and /v2 front ends used to check themselves: a
+// payload from MinTxSize to MaxTxSize (0 selects DefaultTxSize) and no
+// negative transaction count.
+func TestCheckTxSize(t *testing.T) {
+	for _, c := range []struct {
+		txns, txSize int
+		ok           bool
+	}{
+		{200, 0, true},
+		{200, MinTxSize, true},
+		{200, MaxTxSize, true},
+		{200, 1024, true},
+		{200, 63, false},
+		{200, 5, false},
+		{200, 32, false},
+		{200, -1, false},
+		{200, 4097, false},
+		{200, 8192, false},
+		{-3, 1024, false},
+		{-5, 1024, false},
+	} {
+		err := Check(Hashmap{}, Params{Transactions: c.txns, TxSize: c.txSize})
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%+v: rejected: %v", c, err)
+		case !c.ok && err == nil:
+			t.Errorf("%+v: accepted", c)
 		}
 	}
 }

@@ -34,7 +34,7 @@ type Params struct {
 	// Transactions is the number of measured transactions.
 	Transactions int
 	// TxSize is the per-transaction value payload in bytes (the paper's
-	// "transaction size"; default 1024).
+	// "transaction size"; default DefaultTxSize, MinTxSize to MaxTxSize).
 	TxSize int
 	// Warmup is the number of unrecorded warm-up operations (default
 	// Transactions / 2).
@@ -59,7 +59,7 @@ func (p Params) withDefaults() Params {
 		p.Transactions = 1000
 	}
 	if p.TxSize == 0 {
-		p.TxSize = 1024
+		p.TxSize = DefaultTxSize
 	}
 	if p.Warmup == 0 {
 		p.Warmup = p.Transactions / 2
