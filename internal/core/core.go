@@ -216,27 +216,20 @@ func (r *Runner) Trace(workload string, txSize int) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.trace(canon, spec.TxSize)
-}
-
-// trace is Trace for a checked canonical workload name and payload.
-func (r *Runner) trace(canon string, txSize int) (*trace.Trace, error) {
-	return r.cachedTrace(fmt.Sprintf("%s/%d", canon, txSize), canon, whisper.Params{
-		Transactions: r.opts.Transactions,
-		TxSize:       txSize,
-		Seed:         r.opts.Seed,
-	})
+	return r.coreTrace(canon, spec.TxSize, 0)
 }
 
 // coreTrace returns the (cached) trace for one core of a cell: the
 // same workload with a per-core seed and a disjoint per-core heap
-// region. Core 0 shares the single-core trace (same seed, same
-// heap base), so a Cores=N sweep reuses the plain sweep's cache entry.
+// region. Core 0 is the single-core trace (the base seed and the
+// default heap base), so a Cores=N sweep reuses the plain sweep's cache
+// entry.
 func (r *Runner) coreTrace(canon string, txSize, core int) (*trace.Trace, error) {
-	if core == 0 {
-		return r.trace(canon, txSize)
+	key := fmt.Sprintf("%s/%d", canon, txSize)
+	if core > 0 {
+		key = fmt.Sprintf("%s/core%d", key, core)
 	}
-	return r.cachedTrace(fmt.Sprintf("%s/%d/core%d", canon, txSize, core), canon, whisper.Params{
+	return r.cachedTrace(key, canon, whisper.Params{
 		Transactions: r.opts.Transactions,
 		TxSize:       txSize,
 		Seed:         cpu.CoreSeed(r.opts.Seed, core),
