@@ -57,12 +57,13 @@ func main() {
 // -txns below 1 (0 fell back to the 1000-transaction
 // default, a negative count panicked in YCSB generation), a negative
 // -parallel (which ran GOMAXPROCS workers), a -format other than table
-// or csv, a -cores entry that is not a whole number — and any cell
-// core.CheckCell refuses for a selected workload at a -cores count and
-// the -ooo-window (a heap overflow used to fail once per cell after the
-// sweep had started). It returns the selected experiments, in -exp
-// order, and the canonical names of the -workloads subset (nil for
-// all). -txns has no upper bound of its own: the paper's scale is 50000.
+// or csv, a -cores entry that is not a whole number or is 0, a -cores
+// entry or -ooo-window core.CheckMachine refuses — and any cell of the
+// selected experiments core.CheckExperiments refuses (a heap overflow
+// used to fail once per cell after the sweep had started). It returns
+// the selected experiments, in -exp order, and the canonical names of
+// the -workloads subset (nil for all). -txns has no upper bound of its
+// own: the paper's scale is 50000.
 func checkFlags(exp, workloads string, txns, parallel int, format, cores string, window int) ([]core.Experiment, []string, error) {
 	if txns < 1 {
 		return nil, nil, fmt.Errorf("-txns %d: want at least 1", txns)
@@ -87,28 +88,25 @@ func checkFlags(exp, workloads string, txns, parallel int, format, cores string,
 			wls = append(wls, canon)
 		}
 	}
-	checked := wls
-	if checked == nil {
-		checked = whisper.Names()
+	for _, n := range counts {
+		if err := core.CheckMachine(n, window); err != nil {
+			return nil, nil, err
+		}
 	}
-	for _, wl := range checked {
-		for _, n := range counts {
-			if _, _, err := core.CheckCell(core.Options{Transactions: txns}, wl, core.Spec{Cores: n, OoOWindow: window}); err != nil {
-				return nil, nil, err
+	selected := core.Experiments(counts, window)
+	if exp != "all" {
+		all := selected
+		selected = nil
+		for _, name := range strings.Split(exp, ",") {
+			i := slices.IndexFunc(all, func(e core.Experiment) bool { return e.Name == strings.TrimSpace(name) })
+			if i < 0 {
+				return nil, nil, fmt.Errorf("-exp entry %q: want one of %s, or all", name, names(all))
 			}
+			selected = append(selected, all[i])
 		}
 	}
-	all := core.Experiments(counts, window)
-	if exp == "all" {
-		return all, wls, nil
-	}
-	var selected []core.Experiment
-	for _, name := range strings.Split(exp, ",") {
-		i := slices.IndexFunc(all, func(e core.Experiment) bool { return e.Name == strings.TrimSpace(name) })
-		if i < 0 {
-			return nil, nil, fmt.Errorf("-exp entry %q: want one of %s, or all", name, names(all))
-		}
-		selected = append(selected, all[i])
+	if err := core.CheckExperiments(core.Options{Transactions: txns, Workloads: wls}, selected); err != nil {
+		return nil, nil, err
 	}
 	return selected, wls, nil
 }
@@ -122,13 +120,14 @@ func names(exps []core.Experiment) string {
 	return strings.Join(s, ", ")
 }
 
-// parseCores parses the -cores list; checkFlags checks each count.
+// parseCores parses the -cores list; checkFlags checks each count. A 0,
+// which a Spec reads as one core, is refused as a slip.
 func parseCores(cores string) ([]int, error) {
 	var counts []int
 	for _, s := range strings.Split(cores, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return nil, fmt.Errorf("-cores entry %q: want a whole number", s)
+		if err != nil || n == 0 {
+			return nil, fmt.Errorf("-cores entry %q: want a whole number other than 0", s)
 		}
 		counts = append(counts, n)
 	}

@@ -14,7 +14,10 @@ import (
 // panicking (-txns -5 exhausted the YCSB generator's heap, -cores 65 read
 // outside the data region) or failing only after earlier experiments had
 // run (-exp table3,bogus) or once per cell (-txns 50000 on Hashmap). The
-// -cores counts and -ooo-window rows name core.CheckCell's rules.
+// -cores counts and -ooo-window rows name core.CheckMachine's rules, and
+// the heap rows core.CheckExperiments's, which checks the cells of the
+// selected experiments only: Figure 13's 2048-byte payload, and no cell
+// of a static table.
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
 		exp            string
@@ -27,8 +30,12 @@ func TestCheckFlags(t *testing.T) {
 	}{
 		{"all", "", 1000, 0, "table", "1,2,4,8", 0, []int{1, 2, 4, 8}, ""},
 		{"fig6", "", 1, 1, "csv", " 2, 4", 2, []int{2, 4}, ""},
-		{"all", "NStore:YCSB", 50000, 8, "table", "1", 0, []int{1}, ""},
-		{"fig12", "Hashmap", 50000, 0, "table", "1", 0, nil, "txns"},
+		{"fig12,fig6", "NStore:YCSB", 50000, 8, "table", "1", 0, []int{1}, ""},
+		{"all", "NStore:YCSB", 50000, 8, "table", "1", 0, nil, "fig13:"},
+		{"fig12", "Hashmap", 50000, 0, "table", "1", 0, nil, "fig12:"},
+		{"fig12", "Hashmap", 30000, 0, "table", "1", 0, []int{1}, ""},
+		{"fig13", "Hashmap", 30000, 0, "table", "1", 0, nil, "fig13:"},
+		{"table3,adr,recovery", "", 50000, 0, "table", "1", 0, []int{1}, ""},
 		{"table2, fig6", "", 1000, 0, "table", "64", 0, []int{64}, ""},
 		{"all", "", 0, 0, "table", "1", 0, nil, "-txns"},
 		{"all", "", -5, 0, "table", "1", 0, nil, "-txns"},
@@ -38,9 +45,12 @@ func TestCheckFlags(t *testing.T) {
 		{"all", "", 1000, 0, "CSV", "1", 0, nil, "-format"},
 		{"all", "", 1000, 0, "csv", "1", -1, nil, "ooo window"},
 		{"all", "", 1000, 0, "table", "2x,4", 0, nil, "-cores"},
-		{"all", "", 1000, 0, "table", "0", 0, []int{0}, ""},
+		{"all", "", 1000, 0, "table", "0", 0, nil, "-cores"},
+		{"all", "", 1000, 0, "table", "2,-1", 0, nil, "cores"},
 		{"all", "", 1000, 0, "table", "1,,2", 0, nil, "-cores"},
 		{"contention", "", 1000, 0, "table", "1,65", 0, nil, "cores"},
+		{"fig12", "", 1000, 0, "table", "1,65", 0, nil, "cores"},
+		{"fig12", "", 1000, 0, "table", "1", -1, nil, "ooo window"},
 		{"table3,bogus", "", 1000, 0, "table", "1", 0, nil, "-exp"},
 		{"", "", 1000, 0, "table", "1", 0, nil, "-exp"},
 	} {

@@ -44,7 +44,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this path")
 	flag.Parse()
 
-	if err := checkFlags(*txns); err != nil {
+	if err := checkFlags(*txns, *txSize, *wpqSize, *cores); err != nil {
 		fmt.Fprintf(os.Stderr, "dolos-sim: %v\n", err)
 		os.Exit(2)
 	}
@@ -176,10 +176,22 @@ func run(c config, stdout, stderr io.Writer) int {
 }
 
 // checkFlags rejects a -txns outside the /v2 API's request bound (0
-// used to run the default 1000 transactions). The model's own bounds
-// are core.CheckCell's, which run reports with exit 2.
-func checkFlags(txns int) error {
-	return cliutil.CheckRange("-txns", txns, 1, cliutil.MaxTransactions)
+// used to run the default 1000 transactions) and a -txsize, -wpq or
+// -cores of 0, which a Spec would read as its default. The model's own
+// bounds are core.CheckCell's, which run reports with exit 2.
+func checkFlags(txns, txSize, wpq, cores int) error {
+	if err := cliutil.CheckRange("-txns", txns, 1, cliutil.MaxTransactions); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-txsize", txSize}, {"-wpq", wpq}, {"-cores", cores}} {
+		if err := cliutil.CheckNonZero(f.name, f.v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // traceEventLimit caps the probe events a -trace run keeps. A

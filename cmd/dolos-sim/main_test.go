@@ -18,22 +18,27 @@ import (
 )
 
 // An out-of-range -txns is rejected by name instead of being silently
-// misread (-txns 0 used to run the default 1024 transactions). The other
-// numeric flags' rows are core's TestCheckCell: run exits 2 on any
-// CheckCell error, as TestCheckHeap shows for the heap.
+// misread (-txns 0 used to run the default 1024 transactions), and so is
+// a -txsize, -wpq or -cores of 0 (-wpq 0 would run 16 entries). The
+// model's bounds on those flags are core's TestCheckCell rows: run exits
+// 2 on any CheckCell error, as TestCheckHeap shows for the heap.
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
-		txns int
-		bad  string // flag named in the error, "" = accepted
+		txns, txSize, wpq, cores int
+		bad                      string // flag named in the error, "" = accepted
 	}{
-		{1000, ""},
-		{1, ""},
-		{20000, ""},
-		{0, "-txns"},
-		{-5, "-txns"},
-		{20001, "-txns"},
+		{1000, 1024, 16, 1, ""},
+		{1, 64, 1, 4, ""},
+		{20000, 4096, 1024, 1, ""},
+		{1000, 1024, 16, 64, ""},
+		{0, 1024, 16, 1, "-txns"},
+		{-5, 1024, 16, 1, "-txns"},
+		{20001, 1024, 16, 1, "-txns"},
+		{1000, 0, 16, 1, "-txsize"},
+		{1000, 1024, 0, 1, "-wpq"},
+		{1000, 1024, 16, 0, "-cores"},
 	} {
-		err := checkFlags(c.txns)
+		err := checkFlags(c.txns, c.txSize, c.wpq, c.cores)
 		switch {
 		case c.bad == "" && err != nil:
 			t.Errorf("%+v: rejected: %v", c, err)

@@ -123,13 +123,17 @@ func main() {
 }
 
 // checkFlags rejects a -txns outside the request bound dolos-sim and the
-// /v2 API accept, a -workload no spelling rule resolves (an error
-// wrapping whisper.ErrUnknown, as dolos-sim reports it), and parameters
+// /v2 API accept, a -txsize of 0 (which would generate the default), a
+// -workload no spelling rule resolves (an error wrapping
+// whisper.ErrUnknown, as dolos-sim reports it), and parameters
 // whisper.Check refuses: a -txsize outside the payload bounds, or a run
 // that could overflow the workload's persistent heap. It returns the
 // workload.
 func checkFlags(workload string, txns, txSize int) (whisper.Workload, error) {
 	if err := cliutil.CheckRange("-txns", txns, 1, cliutil.MaxTransactions); err != nil {
+		return nil, err
+	}
+	if err := cliutil.CheckNonZero("-txsize", txSize); err != nil {
 		return nil, err
 	}
 	canon, err := whisper.Resolve(workload)

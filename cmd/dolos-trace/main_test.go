@@ -25,6 +25,7 @@ func TestCheckFlags(t *testing.T) {
 		{"Hashmap", 0, 1024, "-txns"},
 		{"Hashmap", -3, 1024, "-txns"},
 		{"Hashmap", 20001, 1024, "-txns"},
+		{"Hashmap", 200, 0, "-txsize"},
 		{"Hashmap", 200, 5, "txsize"},
 		{"Hashmap", 200, -1, "txsize"},
 		{"Hashmap", 200, 4097, "txsize"},

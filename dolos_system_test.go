@@ -3,6 +3,7 @@ package dolos
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,6 +116,7 @@ func TestNewSystemRefusesInvalidConfig(t *testing.T) {
 	}{
 		{"counter cache 1 B", SystemConfig{Scheme: DolosPartial, CounterCacheBytes: 1}},
 		{"MT cache 64 B", SystemConfig{Scheme: DolosPartial, MTCacheBytes: 64}},
+		{"counter cache 1 TB", SystemConfig{Scheme: DolosPartial, CounterCacheBytes: 1 << 40}},
 		{"scheme 99", SystemConfig{Scheme: Scheme(99)}},
 		{"tree 7", SystemConfig{Scheme: DolosPartial, Tree: TreeKind(7)}},
 		{"WPQ -3 Dolos-Full", SystemConfig{Scheme: DolosFull, HardwareWPQ: -3}},
@@ -136,19 +138,39 @@ func TestNewSystemRefusesInvalidConfig(t *testing.T) {
 // A trace generated at a heap base past a smaller layout's data region
 // used to panic in the Ma-SU ("write outside data region"); Run and the
 // crash driver now refuse it, naming the address, before loading it.
+// Run reads the lines, not the span the recorder kept, so a generated
+// trace whose Ops were edited afterwards and one built by hand are
+// refused too.
 func TestRunRefusesTraceOutsideLayout(t *testing.T) {
 	tr, err := GenerateTrace("Hashmap", WorkloadParams{Transactions: 20, Seed: 1, HeapBase: 100 << 20, HeapSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SystemConfig{Scheme: DolosPartial, Layout: SmallAddressMap()}
-	sys, err := NewSystem(cfg)
+	edited, err := GenerateTrace("Hashmap", WorkloadParams{Transactions: 20, Seed: 1, HeapSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := fmt.Sprintf("%#x", tr.InitImage[0].Addr)
-	if _, err := sys.Run(tr); !errors.Is(err, ErrTraceOutsideData) || !strings.Contains(err.Error(), addr) {
-		t.Errorf("Run error %v, want one wrapping ErrTraceOutsideData naming %s", err, addr)
+	w := slices.IndexFunc(edited.Ops, func(op trace.Op) bool { return op.Kind == trace.Write })
+	edited.Ops[w].Addr = 64 << 20
+	byHand := &Trace{Ops: []trace.Op{{Kind: trace.TxBegin}, {Kind: trace.Write, Addr: 100 << 20}, {Kind: trace.TxEnd}}}
+	cfg := SystemConfig{Scheme: DolosPartial, Layout: SmallAddressMap()}
+	for _, c := range []struct {
+		name string
+		tr   *Trace
+		addr uint64
+	}{
+		{"heap base 100 MB", tr, tr.InitImage[0].Addr},
+		{"edited op", edited, 64 << 20},
+		{"built by hand", byHand, 100 << 20},
+	} {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := fmt.Sprintf("%#x", c.addr)
+		if _, err := sys.Run(c.tr); !errors.Is(err, ErrTraceOutsideData) || !strings.Contains(err.Error(), addr) {
+			t.Errorf("%s: Run error %v, want one wrapping ErrTraceOutsideData naming %s", c.name, err, addr)
+		}
 	}
 	d, err := NewCrashDriver(cfg)
 	if err != nil {
@@ -168,59 +190,42 @@ var fuzzTrace = func() *Trace {
 	return tr
 }()
 
-// mutateTrace records tr again with every line address shifted by
-// shift bytes and op at rewritten to kind, so the copy's line span is
-// exact, as a Recorder keeps it.
+// mutateTrace copies tr with every address shifted by shift bytes and
+// op at rewritten to kind. It edits the copy's InitImage and Ops the way
+// a caller holding a trace would, so the copy keeps tr's line span: Run
+// must check the lines themselves.
 func mutateTrace(tr *Trace, shift uint64, at int, kind trace.Kind) *Trace {
-	rec := trace.NewRecorder(tr.Name, tr.TxSize)
-	img := make([]trace.InitLine, len(tr.InitImage))
-	for i, il := range tr.InitImage {
-		img[i] = trace.InitLine{Addr: il.Addr + shift, Data: il.Data}
+	cp := *tr
+	cp.InitImage = slices.Clone(tr.InitImage)
+	cp.Ops = slices.Clone(tr.Ops)
+	for i := range cp.InitImage {
+		cp.InitImage[i].Addr += shift
 	}
-	rec.SetInitImage(img)
-	for i, op := range tr.Ops {
-		if i == at {
-			op.Kind = kind
-		}
-		switch op.Kind {
-		case trace.Compute:
-			rec.Compute(op.Cycles)
-		case trace.Read:
-			rec.Read(op.Addr + shift)
-		case trace.Write:
-			rec.Write(op.Addr+shift, op.Data)
-		case trace.Flush:
-			rec.Flush(op.Addr+shift, op.Data)
-		case trace.Fence:
-			rec.Fence()
-		case trace.TxBegin:
-			rec.TxBegin()
-		case trace.TxEnd:
-			rec.TxEnd()
-		}
+	for i := range cp.Ops {
+		cp.Ops[i].Addr += shift
 	}
-	return rec.Finish()
+	cp.Ops[at].Kind = kind
+	return &cp
 }
 
-// FuzzSystem builds a system from fuzzed controller config fields and
-// runs a small Hashmap trace on it, shifted by a fuzzed number of lines
-// and with one op's kind rewritten. The oracle: an error or a record,
-// never a panic. NewSystem's errors wrap ErrInvalidConfig and Run's wrap
-// ErrTraceOutsideData. Cache overrides are taken modulo 8 MB, so no
-// input allocates a large cache. The seeds under testdata/fuzz/FuzzSystem
-// are the configurations and the trace that used to panic or be
-// misread.
+// FuzzSystem builds a system from fuzzed controller config fields on the
+// small layout and runs a small Hashmap trace on it, shifted by a fuzzed
+// number of lines and with one op's kind rewritten. The oracle: an error
+// or a record, never a panic. NewSystem's errors wrap ErrInvalidConfig
+// and Run's wrap ErrTraceOutsideData. Validate bounds each cache
+// override by the small layout's 16 MB metadata region it caches, so no
+// input allocates more than a few megabytes of cache. The seeds under
+// testdata/fuzz/FuzzSystem are the configurations and the trace that
+// used to panic or be misread.
 func FuzzSystem(f *testing.F) {
-	f.Add(int(DolosPartial), int(BMTEager), 16, uint64(0), uint64(0), 0, false, true, uint32(0), uint16(0), uint8(trace.Compute))
+	f.Add(int(DolosPartial), int(BMTEager), 16, uint64(0), uint64(0), 0, false, uint32(0), uint16(0), uint8(trace.Compute))
 	f.Fuzz(func(t *testing.T, sch, tree, wpq int, ctrBytes, mtBytes uint64, triad int,
-		noCoalesce, small bool, shiftLines uint32, at uint16, kind uint8) {
+		noCoalesce bool, shiftLines uint32, at uint16, kind uint8) {
 		cfg := SystemConfig{
 			Scheme: Scheme(sch), Tree: TreeKind(tree), HardwareWPQ: wpq,
-			CounterCacheBytes: ctrBytes % (8 << 20), MTCacheBytes: mtBytes % (8 << 20),
+			CounterCacheBytes: ctrBytes, MTCacheBytes: mtBytes,
 			TriadLevels: triad, DisableCoalescing: noCoalesce,
-		}
-		if small {
-			cfg.Layout = SmallAddressMap()
+			Layout: SmallAddressMap(),
 		}
 		sys, err := NewSystem(cfg)
 		if err != nil {

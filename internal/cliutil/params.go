@@ -15,3 +15,14 @@ func CheckRange(name string, v, lo, hi int) error {
 	}
 	return nil
 }
+
+// CheckNonZero reports a numeric flag given as 0. A zero model
+// parameter selects the model's default, but the flag already declares
+// that default, so an explicit 0 is a slip, not a request for it (-wpq 0
+// would run 16 entries).
+func CheckNonZero(name string, v int) error {
+	if v == 0 {
+		return fmt.Errorf("%s 0: omit the flag for its default", name)
+	}
+	return nil
+}

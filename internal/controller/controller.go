@@ -134,9 +134,10 @@ func (e *ConfigError) Unwrap() error { return ErrInvalidConfig }
 // a scheme outside the registry, a tree kind other than the eager BMT
 // and the lazy ToC, a hardware WPQ outside 1 to MaxWPQ (0 selects
 // DefaultWPQ), a metadata-cache override that is neither 0 nor a
-// geometry cache.New accepts, or a negative Triad-NVM level count. New
-// panics with the same error, so a caller with a config from outside
-// the program validates it first.
+// geometry cache.New accepts, or one larger than the layout's region
+// whose lines it caches (counter blocks, tree nodes), or a negative
+// Triad-NVM level count. New panics with the same error, so a caller
+// with a config from outside the program validates it first.
 func (c Config) Validate() error {
 	bad := func(field string, v any, reason string) error {
 		return &ConfigError{Field: field, Value: v, Reason: reason}
@@ -147,22 +148,27 @@ func (c Config) Validate() error {
 	if c.Tree != masu.BMTEager && c.Tree != masu.ToCLazy {
 		return bad("Tree", int(c.Tree), "want the eager BMT or the lazy ToC")
 	}
-	if wpq := c.withDefaults().HardwareWPQ; wpq < 1 || wpq > MaxWPQ {
+	d := c.withDefaults()
+	if d.HardwareWPQ < 1 || d.HardwareWPQ > MaxWPQ {
 		return bad("HardwareWPQ", c.HardwareWPQ, fmt.Sprintf("want 1 to %d, or 0 for %d", MaxWPQ, DefaultWPQ))
 	}
+	lay := d.Layout
 	for _, o := range []struct {
-		field string
-		bytes uint64
-		ways  int
+		field, region string
+		bytes, max    uint64 // max: the bytes of the region the cache holds lines of
+		ways          int
 	}{
-		{"CounterCacheBytes", c.CounterCacheBytes, masu.CounterCacheWays},
-		{"MTCacheBytes", c.MTCacheBytes, masu.MTCacheWays},
+		{"CounterCacheBytes", "counter", c.CounterCacheBytes, lay.TreeBase - lay.CounterBase, masu.CounterCacheWays},
+		{"MTCacheBytes", "tree", c.MTCacheBytes, lay.MACBase - lay.TreeBase, masu.MTCacheWays},
 	} {
 		if o.bytes == 0 {
 			continue
 		}
 		if err := cache.CheckGeometry(o.bytes, o.ways, masu.MetaLineSize); err != nil {
 			return bad(o.field, o.bytes, err.Error())
+		}
+		if o.bytes > o.max {
+			return bad(o.field, o.bytes, fmt.Sprintf("over the %d-byte %s region it caches", o.max, o.region))
 		}
 	}
 	if c.TriadLevels < 0 {

@@ -13,8 +13,11 @@ import (
 // TestValidate has a row per rule of Config.Validate, each value at and
 // just past its bound. A refused config's error wraps ErrInvalidConfig
 // and names its field, and New panics with the same error; the rows a
-// front end used to check (-wpq, /v2's wpq) are here.
+// front end used to check (-wpq, /v2's wpq) are here. A cache override
+// is bounded by the layout's region it caches, so no config asks for a
+// cache that exhausts memory (1 TB used to pass).
 func TestValidate(t *testing.T) {
+	small := layout.Small()
 	for _, c := range []struct {
 		name  string
 		cfg   Config
@@ -40,6 +43,12 @@ func TestValidate(t *testing.T) {
 		{"counter cache 3 sets", Config{CounterCacheBytes: 3 * 4 * 64}, "CounterCacheBytes"},
 		{"MT cache 32 KB", Config{MTCacheBytes: 32 << 10}, ""},
 		{"MT cache 64 B", Config{MTCacheBytes: 64}, "MTCacheBytes"},
+		{"counter cache the size of its region", Config{Layout: small, CounterCacheBytes: 16 << 20}, ""},
+		{"counter cache past its region", Config{Layout: small, CounterCacheBytes: 32 << 20}, "CounterCacheBytes"},
+		{"counter cache 1 TB", Config{Layout: small, CounterCacheBytes: 1 << 40}, "CounterCacheBytes"},
+		{"MT cache the size of its region", Config{Layout: small, MTCacheBytes: 16 << 20}, ""},
+		{"MT cache past its region", Config{Layout: small, MTCacheBytes: 32 << 20}, "MTCacheBytes"},
+		{"counter cache 1 GB on the default layout", Config{CounterCacheBytes: 1 << 30}, ""},
 		{"Triad levels 0", Config{Scheme: TriadNVM}, ""},
 		{"Triad levels 30", Config{Scheme: TriadNVM, TriadLevels: 30}, ""},
 		{"Triad levels -1", Config{Scheme: TriadNVM, TriadLevels: -1}, "TriadLevels"},

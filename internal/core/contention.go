@@ -52,7 +52,7 @@ func (r *Runner) Contention(workload string, coreCounts []int, window int) (*sta
 	}
 	for i, n := range coreCounts {
 		base, dolos := baseRes[i].Result, dolosRes[i].Result
-		t.AddRow(fmt.Sprintf("%d cores", max(n, 1)), // Cores 0 runs one core
+		t.AddRow(fmt.Sprintf("%d cores", n),
 			base.CyclesPerTx, dolos.CyclesPerTx,
 			base.CyclesPerTx/dolos.CyclesPerTx,
 			dolos.RetryPerKWR, base.RetryPerKWR, stallShare(dolos))

@@ -100,10 +100,23 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// CheckMachine reports a core count outside 0 to cpu.MaxCores (more
+// cores' heaps do not fit the data region) or a negative OoO window: the
+// two Spec fields that shape the machine around the controller.
+func CheckMachine(cores, window int) error {
+	if cores < 0 || cores > cpu.MaxCores {
+		return fmt.Errorf("cores %d: want 1 to %d, the most whose heaps fit the data region (0 runs one)",
+			cores, cpu.MaxCores)
+	}
+	if window < 0 {
+		return fmt.Errorf("ooo window %d: want 0 or more", window)
+	}
+	return nil
+}
+
 // CheckCell reports a cell that cannot run: a workload no spelling rule
-// resolves (an error wrapping whisper.ErrUnknown), a core count outside
-// 0 to cpu.MaxCores (more cores' heaps do not fit the data region), a
-// negative OoO window, a controller configuration
+// resolves (an error wrapping whisper.ErrUnknown), a machine
+// CheckMachine refuses, a controller configuration
 // controller.Config.Validate refuses (an error wrapping
 // controller.ErrInvalidConfig), or workload parameters whisper.Check
 // refuses at opts's transaction count (a payload outside its bounds, or
@@ -117,12 +130,8 @@ func CheckCell(opts Options, workload string, spec Spec) (string, Spec, error) {
 	if err != nil {
 		return "", spec, err
 	}
-	if spec.Cores < 0 || spec.Cores > cpu.MaxCores {
-		return "", spec, fmt.Errorf("cores %d: want 1 to %d, the most whose heaps fit the data region (0 runs one)",
-			spec.Cores, cpu.MaxCores)
-	}
-	if spec.OoOWindow < 0 {
-		return "", spec, fmt.Errorf("ooo window %d: want 0 or more", spec.OoOWindow)
+	if err := CheckMachine(spec.Cores, spec.OoOWindow); err != nil {
+		return "", spec, err
 	}
 	if err := spec.config().Validate(); err != nil {
 		return "", spec, err

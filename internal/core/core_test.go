@@ -94,8 +94,7 @@ func TestRunnerRefusesHeapOverflow(t *testing.T) {
 }
 
 // TestCheckCell has a row per rule CheckCell owns or delegates: the
-// workload name, the core count and OoO window (dolos-sim's -cores and
-// -ooo-window rows), the controller config (Validate) and the workload
+// workload name, the core count and OoO window, the controller config (Validate) and the workload
 // parameters (whisper.Check). An accepted cell comes back canonical,
 // with its defaults applied.
 func TestCheckCell(t *testing.T) {
@@ -110,7 +109,6 @@ func TestCheckCell(t *testing.T) {
 		{"redis", 200, Spec{Scheme: controller.DolosPost, Tree: masu.ToCLazy}, "Redis", ""},
 		{"Hashmap", 1, Spec{TxSize: 64, HardwareWPQ: 1, Cores: 4, OoOWindow: 2}, "Hashmap", ""},
 		{"NStore:YCSB", 20000, Spec{TxSize: 4096, HardwareWPQ: controller.MaxWPQ, OoOWindow: 1}, "NStore:YCSB", ""},
-		{"Hashmap", 1000, Spec{Cores: 0}, "Hashmap", ""},
 		{"Hashmap", 1000, Spec{Cores: cpu.MaxCores}, "Hashmap", ""},
 		{"Hashmap", 1000, Spec{Cores: cpu.MaxCores + 1}, "", "cores 65"},
 		{"Hashmap", 1000, Spec{Cores: -1}, "", "cores -1"},

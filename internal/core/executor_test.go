@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -253,5 +254,59 @@ func TestRunGridNotify(t *testing.T) {
 		if plain[i].Result.Cycles != got[i].Result.Cycles {
 			t.Errorf("cell %d: nil and non-nil notify disagree on cycles", i)
 		}
+	}
+}
+
+// TestExperimentCellsCoverRuns pins that each experiment's cells list
+// what it simulates, so CheckExperiments checks every cell a run would
+// refuse: every trace an experiment generates (one per workload, payload
+// and core) belongs to a listed cell. The static tables list none and
+// generate none. It also pins that CheckExperiments follows the
+// selection: a payload only Figure 13 runs is refused for fig13 alone.
+func TestExperimentCellsCoverRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	opts := Options{Transactions: 20, Workloads: []string{"Hashmap", "Redis"}, Parallelism: 2}
+	for _, e := range Experiments([]int{1, 3}, 2) {
+		r := NewRunner(opts)
+		if _, err := runExperiment(r, e); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		var cells []Cell
+		if e.cells != nil {
+			cells = e.cells(opts.Workloads)
+		}
+		for key := range r.traces.m {
+			var w string
+			var size, core int
+			if n, _ := fmt.Sscanf(strings.Replace(key, "/", " ", -1), "%s %d core%d", &w, &size, &core); n < 2 {
+				t.Fatalf("%s: trace key %q", e.Name, key)
+			}
+			if !slices.ContainsFunc(cells, func(c Cell) bool {
+				s := c.Spec.withDefaults()
+				return c.Workload == w && s.TxSize == size && core < max(s.Cores, 1)
+			}) {
+				t.Errorf("%s generated %s, which none of its cells %v runs", e.Name, key, cells)
+			}
+		}
+	}
+
+	// Hashmap fits its heap at 1024-byte payloads but not at 2048.
+	at := Options{Transactions: 30000, Workloads: []string{"Hashmap"}}
+	byName := func(names ...string) []Experiment {
+		var out []Experiment
+		for _, e := range Experiments(nil, 0) {
+			if slices.Contains(names, e.Name) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	if err := CheckExperiments(at, byName("fig12", "table3", "adr", "recovery")); err != nil {
+		t.Errorf("fig12 and the static tables at 30,000 txns: %v", err)
+	}
+	if err := CheckExperiments(at, byName("fig13")); err == nil || !strings.Contains(err.Error(), "fig13: txns 30000 with txsize 2048: Hashmap") {
+		t.Errorf("fig13 at 30,000 txns: error %v, want the 2048-byte heap error", err)
 	}
 }

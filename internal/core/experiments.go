@@ -26,6 +26,32 @@ type Experiment struct {
 	Name   string
 	Tables func(r *Runner) ([]*stats.Table, error)
 	Text   func(r *Runner, w io.Writer) error
+
+	// cells lists, for the run's workloads, one cell per workload,
+	// payload, core count and OoO window the experiment simulates: the
+	// spec fields a run's options can put out of bounds (CheckCell). It
+	// is nil for an experiment that simulates nothing.
+	cells func(workloads []string) []Cell
+}
+
+// CheckExperiments reports the first cell of exps that CheckCell refuses
+// under opts (its workloads, all when nil, and transaction count), so a
+// caller can refuse the run before any experiment starts: a payload of
+// Figures 13 and 14's TxSizes or a core count of the contention grids
+// can overflow a heap or the data region that the default cell fits.
+func CheckExperiments(opts Options, exps []Experiment) error {
+	opts = opts.withDefaults()
+	for _, e := range exps {
+		if e.cells == nil {
+			continue
+		}
+		for _, c := range e.cells(opts.Workloads) {
+			if _, _, err := CheckCell(opts, c.Workload, c.Spec); err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Experiments lists every experiment in the order `dolos-bench -exp
@@ -44,20 +70,47 @@ func Experiments(cores []int, window int) []Experiment {
 	static := func(build func() *stats.Table) func(*Runner) ([]*stats.Table, error) {
 		return func(*Runner) ([]*stats.Table, error) { return []*stats.Table{build()}, nil }
 	}
+	// each runs specs on the run's workloads, on runs them on one.
+	each := func(specs ...Spec) func([]string) []Cell {
+		return func(workloads []string) []Cell {
+			var cells []Cell
+			for _, w := range workloads {
+				for _, s := range specs {
+					cells = append(cells, Cell{w, s})
+				}
+			}
+			return cells
+		}
+	}
+	on := func(workload string, specs ...Spec) func([]string) []Cell {
+		return func([]string) []Cell { return each(specs...)([]string{workload}) }
+	}
+	sizes := make([]Spec, len(TxSizes))
+	for j, sz := range TxSizes {
+		sizes[j].TxSize = sz
+	}
+	if len(cores) == 0 {
+		cores = ContentionCores
+	}
+	machines := make([]Spec, len(cores))
+	for j, n := range cores {
+		machines[j] = Spec{Cores: n, OoOWindow: window}
+	}
+	schemeContention := Spec{Cores: 2, OoOWindow: window}
 	return []Experiment{
-		{Name: "fig6", Tables: one((*Runner).Fig6)},
-		{Name: "fig12", Tables: one((*Runner).Fig12)},
-		{Name: "table2", Tables: one((*Runner).Table2)},
-		{Name: "fig13", Tables: one((*Runner).Fig13)},
-		{Name: "fig14", Tables: one((*Runner).Fig14)},
+		{Name: "fig6", Tables: one((*Runner).Fig6), cells: each(Spec{})},
+		{Name: "fig12", Tables: one((*Runner).Fig12), cells: each(Spec{})},
+		{Name: "table2", Tables: one((*Runner).Table2), cells: each(Spec{})},
+		{Name: "fig13", Tables: one((*Runner).Fig13), cells: each(sizes...)},
+		{Name: "fig14", Tables: one((*Runner).Fig14), cells: each(sizes...)},
 		{Name: "fig15", Tables: func(r *Runner) ([]*stats.Table, error) {
 			spd, rtr, err := r.Fig15()
 			if err != nil {
 				return nil, err
 			}
 			return []*stats.Table{spd, rtr}, nil
-		}},
-		{Name: "fig16", Tables: one((*Runner).Fig16)},
+		}, cells: each(Spec{})},
+		{Name: "fig16", Tables: one((*Runner).Fig16), cells: each(Spec{})},
 		{Name: "table3", Tables: static(Table3)},
 		{Name: "recovery", Text: func(_ *Runner, w io.Writer) error {
 			fmt.Fprintln(w, "Section 5.5: Mi-SU recovery time estimates")
@@ -69,17 +122,17 @@ func Experiments(cores []int, window int) []Experiment {
 			return nil
 		}},
 		{Name: "adr", Tables: static(ADRCompliance)},
-		{Name: "ablate-coalesce", Tables: one((*Runner).AblateCoalescing)},
-		{Name: "ablate-cc", Tables: one((*Runner).AblateCounterCache)},
-		{Name: "ablate-backend", Tables: one((*Runner).AblateBackend)},
-		{Name: "ablate-osiris", Tables: one(func(r *Runner) (*stats.Table, error) { return r.AblateOsiris("Hashmap") })},
-		{Name: "eadr", Tables: one((*Runner).EADRComparison)},
-		{Name: "writes", Tables: one((*Runner).WriteAmplification)},
-		{Name: "tail", Tables: one((*Runner).TailLatency)},
-		{Name: "variance", Tables: one(func(r *Runner) (*stats.Table, error) { return r.SeedSweep(3) })},
+		{Name: "ablate-coalesce", Tables: one((*Runner).AblateCoalescing), cells: each(Spec{})},
+		{Name: "ablate-cc", Tables: one((*Runner).AblateCounterCache), cells: each(Spec{})},
+		{Name: "ablate-backend", Tables: one((*Runner).AblateBackend), cells: each(Spec{})},
+		{Name: "ablate-osiris", Tables: one(func(r *Runner) (*stats.Table, error) { return r.AblateOsiris("Hashmap") }), cells: on("Hashmap", Spec{})},
+		{Name: "eadr", Tables: one((*Runner).EADRComparison), cells: each(Spec{})},
+		{Name: "writes", Tables: one((*Runner).WriteAmplification), cells: each(Spec{})},
+		{Name: "tail", Tables: one((*Runner).TailLatency), cells: each(Spec{})},
+		{Name: "variance", Tables: one(func(r *Runner) (*stats.Table, error) { return r.SeedSweep(3) }), cells: each(Spec{})},
 		{Name: "contention", Tables: one(func(r *Runner) (*stats.Table, error) {
 			return r.Contention("Hashmap", cores, window)
-		})},
+		}), cells: on("Hashmap", machines...)},
 		// The related-work comparison over the whole scheme registry:
 		// single-core runtime and recovery, then the contended grid.
 		{Name: "schemes", Tables: func(r *Runner) ([]*stats.Table, error) {
@@ -87,11 +140,13 @@ func Experiments(cores []int, window int) []Experiment {
 			if err != nil {
 				return nil, err
 			}
-			cont, err := r.SchemeContention("Hashmap", 2, window)
+			cont, err := r.SchemeContention("Hashmap", schemeContention.Cores, window)
 			if err != nil {
 				return nil, err
 			}
 			return []*stats.Table{cmp, cont}, nil
+		}, cells: func(workloads []string) []Cell {
+			return append(each(Spec{})(workloads), Cell{"Hashmap", schemeContention})
 		}},
 		{Name: "validate", Text: func(r *Runner, w io.Writer) error {
 			claims, allPassed, err := r.Validate()
@@ -104,7 +159,7 @@ func Experiments(cores []int, window int) []Experiment {
 			}
 			fmt.Fprintln(w, "\nall qualitative claims of the evaluation reproduce")
 			return nil
-		}},
+		}, cells: each(sizes...)}, // Figures 6 to 16; TxSizes holds the default
 	}
 }
 

@@ -145,12 +145,8 @@ func (s *System) start(tr *trace.Trace, window int) error {
 		panic("cpu: system already running a trace")
 	}
 	s.spec = CoreSpec{Workload: tr.Name, Trace: tr}
-	if err := s.CheckTraces(); err != nil {
-		return err
-	}
 	s.cfg.Window = window
-	s.Machine.Start()
-	return nil
+	return s.Machine.start()
 }
 
 // Collect gathers the result after a Run (or a partial run) of tr.

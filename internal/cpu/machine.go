@@ -184,7 +184,9 @@ type Machine struct {
 	txLat   *stats.Histogram
 	txRes   *stats.Reservoir
 	started bool
-	probe   *telemetry.Probe
+	// tracesOK records that CheckTraces passed every core's trace.
+	tracesOK bool
+	probe    *telemetry.Probe
 }
 
 // NewMachine builds a machine with one core per CoreSpec, all
@@ -274,14 +276,19 @@ func (m *Machine) TxLatency() *stats.Histogram { return m.txLat }
 // CheckTraces reports the first core whose trace addresses a line
 // outside the controller's data region (trace.Trace.CheckLayout). Start
 // panics with the same error, so a caller holding a trace from outside
-// the program checks it first.
+// the program checks it first; Start does not scan traces again that
+// CheckTraces passed.
 func (m *Machine) CheckTraces() error {
+	if m.tracesOK {
+		return nil
+	}
 	lay := m.Ctrl.Config().Layout
 	for _, c := range m.Cores {
 		if err := c.spec.Trace.CheckLayout(lay); err != nil {
 			return fmt.Errorf("cpu: core %d: %w", c.id, err)
 		}
 	}
+	m.tracesOK = true
 	return nil
 }
 
@@ -293,11 +300,18 @@ func (m *Machine) CheckTraces() error {
 // injection). It panics with CheckTraces's error before loading
 // anything.
 func (m *Machine) Start() {
+	if err := m.start(); err != nil {
+		panic(err)
+	}
+}
+
+// start is Start returning CheckTraces's error instead of panicking.
+func (m *Machine) start() error {
 	if m.started {
 		panic("cpu: machine already running")
 	}
 	if err := m.CheckTraces(); err != nil {
-		panic(err)
+		return err
 	}
 	m.started = true
 	for _, c := range m.Cores {
@@ -312,6 +326,7 @@ func (m *Machine) Start() {
 	for _, c := range m.Cores {
 		c.issue.Start(c.spec.Trace, m.cfg.Window)
 	}
+	return nil
 }
 
 // Run executes every core's trace to completion and collects the

@@ -28,8 +28,8 @@ func (t *Trace) Save(w io.Writer) error {
 // trust boundary, so an op of a kind outside the enum, and a checkpoint
 // line or a Read, Write or Flush op addressing no line of the default
 // address map's data region (CheckLayout), are errors here rather than
-// panics in the replaying machine. The same pass computes the trace's
-// line span.
+// panics in the replaying machine. The pass that checks the kinds
+// computes the trace's line span.
 func Load(r io.Reader) (*Trace, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -65,14 +65,10 @@ var ErrOutsideData = errors.New("lies outside the data region")
 
 // CheckLayout reports a trace that addresses a line outside lay's data
 // region, naming the first such checkpoint line or memory op and its
-// address. It compares the trace's line span with the region, so it
-// costs O(1) for a trace that fits; the span is exact for a trace a
-// Recorder built or Load read and nobody edited since.
+// address. It reads every line address rather than the line span, so a
+// trace edited after recording is checked as it stands; one pass costs
+// well under a millisecond for a benchmark-sized trace.
 func (t *Trace) CheckLayout(lay layout.Map) error {
-	lo, end := t.LineSpan()
-	if end == 0 || lay.ValidData(lo) && lay.ValidData(end-64) {
-		return nil
-	}
 	for i := range t.InitImage {
 		if a := t.InitImage[i].Addr; !lay.ValidData(a) {
 			return fmt.Errorf("trace: checkpoint line %d at %#x %w", i, a, ErrOutsideData)
@@ -83,7 +79,7 @@ func (t *Trace) CheckLayout(lay layout.Map) error {
 			return fmt.Errorf("trace: op %d (%v) at %#x %w", i, op.Kind, op.Addr, ErrOutsideData)
 		}
 	}
-	return fmt.Errorf("trace: lines [%#x, %#x) %w", lo, end, ErrOutsideData)
+	return nil
 }
 
 // SaveFile writes the trace to path (atomically via a temp file).

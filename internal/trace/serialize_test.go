@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,7 +124,7 @@ func TestLoadRejectsAddressOutsideData(t *testing.T) {
 	img.InitImage[0].Addr = end
 	read := sampleTrace()
 	read.Ops[5].Addr = end
-	top := sampleTrace() // the top line, whose end wraps to 0 unless saturated
+	top := sampleTrace() // the last line of the address space
 	top.Ops[2].Addr = ^uint64(63)
 	for _, c := range []struct {
 		name string
@@ -144,6 +145,36 @@ func TestLoadRejectsAddressOutsideData(t *testing.T) {
 	last.Ops[2].Addr = end - 64
 	if _, err := Load(bytes.NewReader(saved(t, last))); err != nil {
 		t.Errorf("the last data line was refused: %v", err)
+	}
+}
+
+// TestCheckLayoutReadsEveryLine pins that CheckLayout reads the lines
+// themselves, not the span the Recorder tracked: a recorded trace whose
+// Ops were edited afterwards, and one built by hand with no span at all,
+// are refused for the line outside the data region.
+func TestCheckLayoutReadsEveryLine(t *testing.T) {
+	small := layout.Small()
+	edited := sampleTrace()
+	edited.Ops[5].Addr = small.DataSpan
+	byHand := &Trace{
+		InitImage: []InitLine{{Addr: 4096}},
+		Ops:       []Op{{Kind: Compute, Cycles: 5}, {Kind: Write, Addr: small.DataSpan + 64}},
+	}
+	for _, c := range []struct {
+		name string
+		tr   *Trace
+		want string
+	}{
+		{"edited op", edited, "op 5 (read) at 0x4000000"},
+		{"built by hand", byHand, "op 1 (write) at 0x4000040"},
+	} {
+		err := c.tr.CheckLayout(small)
+		if !errors.Is(err, ErrOutsideData) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CheckLayout error %v, want one wrapping ErrOutsideData naming %q", c.name, err, c.want)
+		}
+		if err := c.tr.CheckLayout(layout.Default()); err != nil {
+			t.Errorf("%s: refused on the default layout: %v", c.name, err)
+		}
 	}
 }
 

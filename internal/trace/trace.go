@@ -9,7 +9,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"dolos/internal/sim"
@@ -96,8 +95,7 @@ type Trace struct {
 
 // LineSpan returns the lines the trace's checkpoint image and Read,
 // Write and Flush ops touch: lo is the first line's address and end the
-// last line's plus 64, saturated at the top of the address space. end
-// is 0 when the trace touches no line.
+// last line's plus 64. end is 0 when the trace touches no line.
 // The Recorder tracks the span as it records and Load recomputes it; a
 // trace edited after either may touch lines outside it.
 func (t *Trace) LineSpan() (lo, end uint64) { return t.lo, t.end }
@@ -105,20 +103,15 @@ func (t *Trace) LineSpan() (lo, end uint64) { return t.lo, t.end }
 // isMem reports whether ops of kind k address a line.
 func isMem(k Kind) bool { return k == Read || k == Write || k == Flush }
 
-// cover widens the span to addr's line. The top line's end saturates
-// rather than wrapping to 0, which would read as no line at all.
+// cover widens the span to addr's line.
 func (t *Trace) cover(addr uint64) {
 	addr &^= 63
-	end := addr + 64
-	if end == 0 {
-		end = math.MaxUint64
-	}
 	if t.end == 0 {
-		t.lo, t.end = addr, end
+		t.lo, t.end = addr, addr+64
 		return
 	}
 	t.lo = min(t.lo, addr)
-	t.end = max(t.end, end)
+	t.end = max(t.end, addr+64)
 }
 
 // Counts summarizes a trace's composition.
