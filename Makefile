@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-masu bench-misu fuzz-smoke fuzz-targets pprof ci profile reproduce validate serve load-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-cache bench-masu bench-misu fuzz-smoke fuzz-targets pprof ci profile reproduce validate serve load-smoke clean
 
 all: build test
 
@@ -80,6 +80,14 @@ bench-masu:
 bench-misu:
 	$(GO) test -run '^$$' -bench 'Protect' -benchmem -benchtime 200000x -count 5 ./internal/misu
 	$(GO) test -run '^$$' -bench 'DrainRecover' -benchmem -benchtime 200x -count 5 ./internal/misu
+
+# Cache layer: a hit, an LLC stream that fills every way of every set,
+# an LLC held at a hashmap-eager cell's 11% occupancy where every access
+# misses (BenchmarkAccessSparseLLC), and a read hit and a write through
+# the whole hierarchy. Fixed iterations and five repeats, so a change
+# reports the median and quartiles of each.
+bench-cache:
+	$(GO) test -run '^$$' -bench 'AccessHit|AccessStream|AccessSparseLLC|HierarchyReadHit|HierarchyWrite' -benchmem -benchtime 1000000x -count 5 ./internal/cache
 
 # Every native fuzz target of the root module for 10 s each, listed as
 # package:target. go test -fuzz takes one target per invocation, so this

@@ -177,6 +177,21 @@ func (t *Tree) NodeNVMAddr(level int, index uint64) uint64 {
 	return t.nodeBase + t.offsets[level] + index*NodeSize
 }
 
+// NodeAt returns the interior node whose NVM home is addr, the inverse
+// of NodeNVMAddr; ok is false for an address outside the node region.
+func (t *Tree) NodeAt(addr uint64) (level int, index uint64, ok bool) {
+	if addr < t.nodeBase {
+		return 0, 0, false
+	}
+	off := addr - t.nodeBase
+	for l := 1; l < len(t.counts); l++ {
+		if off < t.offsets[l]+t.counts[l]*NodeSize {
+			return l, (off - t.offsets[l]) / NodeSize, true
+		}
+	}
+	return 0, 0, false
+}
+
 // position tags a node for MAC domain separation.
 func position(level int, index uint64) uint64 { return uint64(level)<<56 | index }
 

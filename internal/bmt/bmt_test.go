@@ -236,6 +236,37 @@ func TestNodeAddressesDisjoint(t *testing.T) {
 	}
 }
 
+// TestNodeAt round-trips NodeNVMAddr at the first and last node of
+// every level, on a tree whose levels are not powers of the arity, and
+// checks that an address below the node region or past its last level
+// is no node.
+func TestNodeAt(t *testing.T) {
+	tree, _ := newTestTree(1000) // levels of 125, 16, 2 and 1 nodes
+	type want struct {
+		level int
+		index uint64
+		ok    bool
+	}
+	cases := map[uint64]want{
+		tree.NodeNVMAddr(1, 0) - 1:                  {},
+		tree.NodeNVMAddr(1, 0) + tree.RegionBytes(): {},
+	}
+	n := tree.Leaves()
+	for level := 1; level <= tree.Levels(); level++ {
+		n = (n + Arity - 1) / Arity
+		cases[tree.NodeNVMAddr(level, 0)] = want{level, 0, true}
+		cases[tree.NodeNVMAddr(level, n-1)] = want{level, n - 1, true}
+	}
+	if len(cases) != 2+2*tree.Levels()-1 { // the top level has one node
+		t.Fatalf("%d cases for %d levels: addresses collide", len(cases), tree.Levels())
+	}
+	for addr, w := range cases {
+		if level, index, ok := tree.NodeAt(addr); (want{level, index, ok}) != w {
+			t.Errorf("NodeAt(%#x) = %d, %d, %v; want %d, %d, %v", addr, level, index, ok, w.level, w.index, w.ok)
+		}
+	}
+}
+
 func TestRegionBytes(t *testing.T) {
 	tree, _ := newTestTree(64)
 	// 64 leaves -> interior: 8 nodes + 1 node = 9 * 64 bytes.

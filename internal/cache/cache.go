@@ -38,15 +38,39 @@ type Victim struct {
 	Dirty bool
 }
 
+// inlineWays is the most ways a set of a packed cache keeps inline.
+// Four 16-byte lines fill one 64-byte host cache line, and a benchmark
+// cell holds 3-13% of its LLC's lines, never more than four in a set
+// (DESIGN.md §12).
+const inlineWays = 4
+
+// packedLines is the size, in lines, above which a cache packs its
+// sets. A smaller cache keeps every way inline: a cell fills the L2
+// (8,192 lines), where a split set costs every lookup a second scan,
+// and a small cache's whole line array is cheap.
+const packedLines = 1 << 16
+
 // Cache is a set-associative write-back cache with LRU replacement.
 // It tracks presence and dirtiness only; data contents live in the
 // functional memory model. The zero value is not usable; use New.
+//
+// Each set of a cache of more than packedLines lines keeps its first
+// min(ways, inlineWays) ways inline, in one array; a smaller cache keeps
+// them all there. The rest of a set's ways live in an overflow block,
+// taken from one slab the first time the set needs one more line than
+// its inline ways hold; overIdx, allocated at the cache's first
+// overflow, holds each set's block number plus one, or 0 for none. A
+// cache that keeps every way inline never overflows.
 type Cache struct {
 	name     string
 	sets     uint64
 	ways     int
 	lineSize uint64
-	lines    []line // sets*ways entries
+	inWays   uint64 // inline ways per set
+	overWays uint64 // ways-inWays: an overflow block's lines
+	inline   []line // sets*inWays entries
+	over     []line // overflow blocks of overWays entries each
+	overIdx  []uint32
 	stamp    uint64
 
 	// lineShift/setMask are the shift-and-mask form of the index
@@ -75,12 +99,18 @@ func New(name string, size uint64, ways int, lineSize uint64) *Cache {
 	for 1<<setShift != sets {
 		setShift++
 	}
+	inWays := uint64(ways)
+	if sets*inWays > packedLines {
+		inWays = min(inWays, inlineWays)
+	}
 	return &Cache{
 		name:      name,
 		sets:      sets,
 		ways:      ways,
 		lineSize:  lineSize,
-		lines:     make([]line, sets*uint64(ways)),
+		inWays:    inWays,
+		overWays:  uint64(ways) - inWays,
+		inline:    make([]line, sets*inWays),
 		lineShift: lineShift,
 		setShift:  setShift,
 		setMask:   sets - 1,
@@ -136,23 +166,72 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return lineAddr & c.setMask, lineAddr >> c.setShift
 }
 
-func (c *Cache) set(set uint64) []line {
-	base := set * uint64(c.ways)
-	return c.lines[base : base+uint64(c.ways)]
+// inlineSet returns the set's inline ways.
+func (c *Cache) inlineSet(set uint64) []line {
+	base := set * c.inWays
+	return c.inline[base : base+c.inWays]
 }
 
-// lookup returns addr's resident line, or nil.
-func (c *Cache) lookup(addr uint64) *line {
-	set, tag := c.index(addr)
-	ways := c.set(set)
+// overflow returns the set's overflow block, or nil if it has none.
+func (c *Cache) overflow(set uint64) []line {
+	if c.overIdx == nil {
+		return nil
+	}
+	end := uint64(c.overIdx[set]) * c.overWays
+	if end == 0 {
+		return nil
+	}
+	return c.over[end-c.overWays : end]
+}
+
+// grow gives the set an overflow block of invalid lines and returns
+// it. The index is allocated at the cache's first overflow.
+func (c *Cache) grow(set uint64) []line {
+	if c.overIdx == nil {
+		c.overIdx = make([]uint32, c.sets)
+	}
+	c.over = append(c.over, make([]line, c.overWays)...)
+	c.overIdx[set] = uint32(uint64(len(c.over)) / c.overWays)
+	return c.over[uint64(len(c.over))-c.overWays:]
+}
+
+// findInline returns the resident line with tag among the set's inline
+// ways, or nil. It stays within the inliner's budget: Access and Fill
+// run it on every access of every cache level.
+func (c *Cache) findInline(set, tag uint64) *line {
+	ways := c.inlineSet(set)
 	for i := range ways {
-		// l.use != 0 spelled out, not l.valid(): it keeps lookup within
-		// the inliner's budget.
+		// l.use != 0 spelled out, not l.valid(): it keeps findInline
+		// within the inliner's budget.
 		if l := &ways[i]; l.tag == tag && l.use != 0 {
 			return l
 		}
 	}
 	return nil
+}
+
+// findOver is findInline over the set's overflow block.
+func (c *Cache) findOver(set, tag uint64) *line {
+	ways := c.overflow(set)
+	for i := range ways {
+		if l := &ways[i]; l.tag == tag && l.valid() {
+			return l
+		}
+	}
+	return nil
+}
+
+// lookup returns addr's resident line, or nil. It scans the overflow
+// block only if the cache has overflowed. lookup is past the inliner's
+// budget, so Access and Fill spell its two steps out instead of calling
+// it, and both scans inline into them.
+func (c *Cache) lookup(addr uint64) *line {
+	set, tag := c.index(addr)
+	l := c.findInline(set, tag)
+	if l == nil && c.overIdx != nil {
+		l = c.findOver(set, tag)
+	}
+	return l
 }
 
 // Contains reports whether addr's line is present, without touching LRU
@@ -170,17 +249,18 @@ func (c *Cache) IsDirty(addr uint64) bool {
 // line, the victim (evicted == true).
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicted bool) {
 	set, tag := c.index(addr)
-	ways := c.set(set)
 	c.stamp++
-	for i := range ways {
-		if l := &ways[i]; l.tag == tag && l.valid() {
-			c.hits++
-			l.touch(c.stamp, write)
-			return true, Victim{}, false
-		}
+	l := c.findInline(set, tag)
+	if l == nil && c.overIdx != nil {
+		l = c.findOver(set, tag)
+	}
+	if l != nil {
+		c.hits++
+		l.touch(c.stamp, write)
+		return true, Victim{}, false
 	}
 	c.misses++
-	victim, evicted = c.replace(set, ways, tag, write)
+	victim, evicted = c.replace(set, tag, write)
 	return false, victim, evicted
 }
 
@@ -189,29 +269,44 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicte
 // any displaced victim.
 func (c *Cache) Fill(addr uint64, dirty bool) (victim Victim, evicted bool) {
 	set, tag := c.index(addr)
-	ways := c.set(set)
 	c.stamp++
-	for i := range ways {
-		if l := &ways[i]; l.tag == tag && l.valid() {
-			l.touch(c.stamp, dirty)
-			return Victim{}, false
-		}
+	l := c.findInline(set, tag)
+	if l == nil && c.overIdx != nil {
+		l = c.findOver(set, tag)
 	}
-	return c.replace(set, ways, tag, dirty)
+	if l != nil {
+		l.touch(c.stamp, dirty)
+		return Victim{}, false
+	}
+	return c.replace(set, tag, dirty)
 }
 
 // replace installs tag's line, stamped with the current stamp, in the
 // set's first invalid way, or else over its least recently used line,
 // and returns the line it displaced. An invalid way's use of 0 is below
-// every resident line's, so the first smallest use is that way.
-func (c *Cache) replace(set uint64, ways []line, tag uint64, dirty bool) (victim Victim, evicted bool) {
-	vi := 0
-	for i := 1; i < len(ways) && ways[vi].valid(); i++ {
-		if ways[i].use < ways[vi].use {
-			vi = i
+// every resident line's, so the first smallest use is that way. The
+// ways run inline first, then through the overflow block; a set whose
+// inline ways are all resident and that has no block yet takes one, and
+// its first way is the invalid one.
+func (c *Cache) replace(set uint64, tag uint64, dirty bool) (victim Victim, evicted bool) {
+	ways := c.inlineSet(set)
+	v := &ways[0]
+	for i := 1; i < len(ways) && v.valid(); i++ {
+		if ways[i].use < v.use {
+			v = &ways[i]
 		}
 	}
-	v := &ways[vi]
+	if v.valid() && c.overWays != 0 {
+		ways = c.overflow(set)
+		if ways == nil {
+			ways = c.grow(set)
+		}
+		for i := 0; i < len(ways) && v.valid(); i++ {
+			if ways[i].use < v.use {
+				v = &ways[i]
+			}
+		}
+	}
 	if v.valid() {
 		c.evictions++
 		if v.dirty() {
@@ -261,7 +356,10 @@ func (c *Cache) CleanLine(addr uint64) bool {
 }
 
 // Invalidate removes addr's line, returning whether it was present and
-// whether it was dirty (clflush semantics).
+// whether it was dirty (clflush semantics). No simulator path calls it:
+// a persist cleans its line (CleanLine) and keeps it, and a crash drops
+// every line (InvalidateAll). The tests compare it with a reference
+// cache's.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	l := c.lookup(addr)
 	if l == nil {
@@ -273,31 +371,40 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 }
 
 // DirtyLines returns the addresses of all dirty lines, in no particular
-// order. Used by the Anubis-style shadow tracker and by drain-on-crash
-// audits of the metadata caches.
+// order. No simulator path calls it: the Ma-SU's shadow tracker keeps
+// its own table of dirty metadata blocks, and a crash drops every line
+// (InvalidateAll). The tests compare it with a reference cache's.
 func (c *Cache) DirtyLines() []uint64 {
 	var out []uint64
 	for si := uint64(0); si < c.sets; si++ {
-		for _, l := range c.set(si) {
-			if l.dirty() {
-				out = append(out, (l.tag*c.sets+si)*c.lineSize)
+		for _, ways := range [2][]line{c.inlineSet(si), c.overflow(si)} {
+			for _, l := range ways {
+				if l.dirty() {
+					out = append(out, (l.tag*c.sets+si)*c.lineSize)
+				}
 			}
 		}
 	}
 	return out
 }
 
-// InvalidateAll drops every line (a power failure destroys volatile state).
+// InvalidateAll drops every line (a power failure destroys volatile
+// state) and every overflow block; the slab and the index keep their
+// memory for the sets that overflow again.
 func (c *Cache) InvalidateAll() {
-	clear(c.lines)
+	clear(c.inline)
+	c.over = c.over[:0]
+	clear(c.overIdx)
 }
 
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, l := range c.lines {
-		if l.valid() {
-			n++
+	for _, ways := range [2][]line{c.inline, c.over} {
+		for _, l := range ways {
+			if l.valid() {
+				n++
+			}
 		}
 	}
 	return n

@@ -8,8 +8,9 @@ import (
 )
 
 // refCache is the cache as it was with a 24-byte line of separate
-// valid, dirty and LRU-stamp fields: the reference the packed 16-byte
-// line must match operation for operation.
+// valid, dirty and LRU-stamp fields and every set's ways in one dense
+// array: the reference the packed 16-byte line and the inline ways with
+// their overflow blocks must match operation for operation.
 type refCache struct {
 	sets, lineSize uint64
 	ways           int
@@ -191,7 +192,9 @@ func TestLineIs16Bytes(t *testing.T) {
 // TestMatchesReference drives the cache and the reference with the same
 // random operations and compares every result, counter, dirty-line set
 // and occupancy after each one. Addresses crowd a few sets with more
-// tags than ways, so evictions, dirty victims and re-fills are common.
+// tags than ways, so evictions, dirty victims and re-fills are common,
+// and the LLC's sets overflow their inline ways. The overflow subtest
+// runs a fixed sequence through one set's overflow block.
 func TestMatchesReference(t *testing.T) {
 	for _, g := range []struct {
 		name  string
@@ -261,22 +264,97 @@ func TestMatchesReference(t *testing.T) {
 					c.InvalidateAll()
 					ref.InvalidateAll()
 				}
-				got = append(got, c.Hits(), c.Misses(), c.Evictions(), c.Writebacks(), c.Occupancy())
-				want = append(want, ref.hits, ref.misses, ref.evictions, ref.writebacks, ref.Occupancy())
-				if !slices.Equal(got, want) {
-					t.Fatalf("step %d: got %v, want %v", step, got, want)
-				}
-				gd, wd := c.DirtyLines(), ref.DirtyLines()
-				slices.Sort(gd)
-				slices.Sort(wd)
-				if !slices.Equal(gd, wd) {
-					t.Fatalf("step %d: dirty lines %x, want %x", step, gd, wd)
-				}
+				matchState(t, step, c, ref, got, want)
 			}
 			if c.Evictions() == 0 || c.Writebacks() == 0 || repeated == 0 {
 				t.Fatalf("the sequence evicted %d lines, %d dirty, and repeated hits %d times: it misses a path",
 					c.Evictions(), c.Writebacks(), repeated)
 			}
 		})
+	}
+	t.Run("overflow", overflowSequence)
+}
+
+// matchState fails t unless the results got and want of one step
+// agree, and so do the two caches' counters, occupancy and sorted
+// dirty lines after it.
+func matchState(t *testing.T, step int, c *Cache, ref *refCache, got, want []any) {
+	t.Helper()
+	got = append(got, c.Hits(), c.Misses(), c.Evictions(), c.Writebacks(), c.Occupancy())
+	want = append(want, ref.hits, ref.misses, ref.evictions, ref.writebacks, ref.Occupancy())
+	if !slices.Equal(got, want) {
+		t.Fatalf("step %d: got %v, want %v", step, got, want)
+	}
+	gd, wd := c.DirtyLines(), ref.DirtyLines()
+	slices.Sort(gd)
+	slices.Sort(wd)
+	if !slices.Equal(gd, wd) {
+		t.Fatalf("step %d: dirty lines %x, want %x", step, gd, wd)
+	}
+}
+
+// overflowSequence walks one LLC set through its overflow block in a
+// fixed order, checked against the reference after every step: it
+// fills the set to all its ways, evicts from it, repeats hits over the
+// lines the overflow block holds, drops every line while the set is
+// overflowed and fills it again.
+func overflowSequence(t *testing.T) {
+	c := New("t", LLCSize, LLCWays, DataLineSize)
+	ref := newRefCache(LLCSize, LLCWays, DataLineSize)
+	const set = 5
+	addr := func(tag uint64) uint64 { return (tag*c.Sets() + set) * DataLineSize }
+	step := 0
+	access := func(tag uint64, write bool) {
+		t.Helper()
+		h, v, e := c.Access(addr(tag), write)
+		rh, rv, re := ref.Access(addr(tag), write)
+		matchState(t, step, c, ref, []any{"Access", tag, h, v, e}, []any{"Access", tag, rh, rv, re})
+		step++
+	}
+	fill := func(from, to uint64) {
+		t.Helper()
+		for tag := from; tag < to; tag++ {
+			access(tag, tag%3 == 0)
+		}
+	}
+
+	fill(0, LLCWays)
+	if c.overflow(set) == nil || c.Occupancy() != LLCWays {
+		t.Fatalf("a full set holds %d lines, overflow block %v", c.Occupancy(), c.overflow(set) != nil)
+	}
+	fill(LLCWays, LLCWays+3) // evicts tags 0, 1 and 2, the first dirty
+	if c.Evictions() != 3 || c.Writebacks() != 1 {
+		t.Fatalf("%d evictions, %d write-backs; want 3 and 1", c.Evictions(), c.Writebacks())
+	}
+	var inOver []uint64
+	for _, l := range c.overflow(set) {
+		inOver = append(inOver, (l.tag*c.Sets()+set)*DataLineSize)
+	}
+	for _, w := range []bool{false, true} {
+		ok, rok := c.RepeatHits(inOver, w, 3), ref.RepeatHits(inOver, w, 3)
+		matchState(t, step, c, ref, []any{"RepeatHits", ok}, []any{"RepeatHits", rok})
+		step++
+		if !ok {
+			t.Fatalf("RepeatHits over the overflow block's %d lines missed", len(inOver))
+		}
+	}
+	fill(200, 204) // the repeated lines are the recent ones: these evict the inline ways
+	for _, a := range inOver {
+		if !c.Contains(a) {
+			t.Fatalf("line %#x of the overflow block was evicted before the inline ways", a)
+		}
+	}
+	c.InvalidateAll()
+	ref.InvalidateAll()
+	matchState(t, step, c, ref, []any{"InvalidateAll"}, []any{"InvalidateAll"})
+	step++
+	if c.overflow(set) != nil {
+		t.Fatal("InvalidateAll kept the set's overflow block")
+	}
+	fill(100, 100+LLCWays+2)
+	for tag := uint64(100); tag < 100+LLCWays+2; tag++ {
+		if got, want := c.Contains(addr(tag)), ref.lookup(addr(tag)) != nil; got != want {
+			t.Fatalf("refilled tag %d: Contains %v, want %v", tag, got, want)
+		}
 	}
 }

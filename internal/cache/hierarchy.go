@@ -114,11 +114,11 @@ func (h *Hierarchy) llcVictim(v Victim) {
 // available to the core, after the hitting level's latency or, on a full
 // miss, after the memory controller returns the line.
 func (h *Hierarchy) Read(addr uint64, done func()) {
-	if hit, _, _ := probe(h.l1, addr, false); hit {
+	if probe(h.l1, addr, false) {
 		h.eng.After(L1Latency, done)
 		return
 	}
-	if hit, _, _ := probe(h.l2, addr, false); hit {
+	if probe(h.l2, addr, false) {
 		h.fillInto(h.l1, addr, false, func(v Victim) {
 			if v.Dirty {
 				h.fillInto(h.l2, v.Addr, true, h.l2Victim)
@@ -127,7 +127,7 @@ func (h *Hierarchy) Read(addr uint64, done func()) {
 		h.eng.After(L1Latency+L2Latency, done)
 		return
 	}
-	if hit, _, _ := probe(h.llc, addr, false); hit {
+	if probe(h.llc, addr, false) {
 		h.promote(addr, false)
 		h.eng.After(L1Latency+L2Latency+LLCLatency, done)
 		return
@@ -151,14 +151,20 @@ func (h *Hierarchy) fill(i uint64) {
 	m.done()
 }
 
-// probe is Access without double-counting fills across levels: it only
-// touches the cache if the line is present.
-func probe(c *Cache, addr uint64, write bool) (bool, Victim, bool) {
-	if !c.Contains(addr) {
+// probe is Access without double-counting fills across levels: a
+// present line takes Access's hit, and a missing one only counts the
+// miss (the level is filled later, with Fill). It looks the line up
+// once.
+func probe(c *Cache, addr uint64, write bool) bool {
+	l := c.lookup(addr)
+	if l == nil {
 		c.misses++
-		return false, Victim{}, false
+		return false
 	}
-	return c.Access(addr, write)
+	c.stamp++
+	c.hits++
+	l.touch(c.stamp, write)
+	return true
 }
 
 // promote installs addr into L1 and L2 after an LLC hit.
@@ -183,7 +189,7 @@ func (h *Hierarchy) installAll(addr uint64, dirty bool) {
 // writes, so the fill data is irrelevant to the model). The returned
 // latency is the store-buffer drain cost.
 func (h *Hierarchy) Write(addr uint64) sim.Cycle {
-	if hit, _, _ := probe(h.l1, addr, true); hit {
+	if probe(h.l1, addr, true) {
 		return L1Latency
 	}
 	h.installAll(addr, true)

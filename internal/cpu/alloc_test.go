@@ -9,17 +9,20 @@ import (
 )
 
 // Allocation bounds of one single-core Run of the Hashmap trace below,
-// measured with Go 1.24 on linux/amd64 once the dense tables grew their
-// chunk directories on demand and cache lines shrank to 16 bytes
-// (4,595,782 bytes before): 353 allocations and at most 3,428,470
-// bytes, nearly all of them building the system and loading the
-// checkpoint image. The byte bound adds 0.25% for runtime jitter. The
-// trace flushes 529 lines, so a persist path that copies each 64-byte
-// line into a per-flush closure adds over 35 KB and fails it, and one
-// closure per request fails the allocation bound.
+// measured with Go 1.24 on linux/amd64 once the LLC's sets kept only
+// four ways inline, the shadow table kept its images apart and
+// tree-node references were computed (353 allocations and 3,428,604
+// bytes before; 4,595,782 bytes before the dense tables grew their
+// chunk directories on demand and cache lines shrank to 16 bytes): 351
+// allocations and at most 1,300,110 bytes, nearly all of them building
+// the system and loading the checkpoint image. The byte bound adds
+// 0.25% for runtime jitter. The trace flushes 529 lines, so a persist
+// path that copies each 64-byte line into a per-flush closure adds over
+// 35 KB and fails it, and one closure per request fails the allocation
+// bound.
 const (
-	runAllocsBound = 353
-	runBytesBound  = 3_437_100
+	runAllocsBound = 351
+	runBytesBound  = 1_303_400
 )
 
 // TestRunAllocs pins the allocation shape of single-core Run.

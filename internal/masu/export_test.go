@@ -15,7 +15,7 @@ func (u *Unit) ShadowImages() map[uint64][64]byte {
 			if e.pending {
 				u.fillShadow(i, e)
 			}
-			out[u.lay.CounterBase+i*64] = e.img
+			out[u.lay.CounterBase+i*64] = u.shadowImg.Get(i)
 		}
 		return true
 	})

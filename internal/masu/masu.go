@@ -157,10 +157,9 @@ type redoLog struct {
 // distinguishes a present entry from the zero value of an untouched
 // slot (a zero image is a legal shadow payload). pending marks an entry
 // whose image is the live image of its block — the counter block or
-// the tree node (BMT or ToC) — copied in at CrashVolatile (or before
-// any other read) rather than on every write.
+// the tree node (BMT or ToC) — copied into the image table at
+// CrashVolatile (or before any other read) rather than on every write.
 type shadowEntry struct {
-	img     [64]byte
 	live    bool
 	pending bool
 }
@@ -179,18 +178,15 @@ type Unit struct {
 	counterCache *cache.Cache
 	mtCache      *cache.Cache
 
-	// nodeByAddr maps a tree-node NVM address (64 B granules over
-	// [TreeBase, MACBase)) to its packed (level<<56 | index) reference;
-	// 0 means unknown, which is unambiguous because tree levels start
-	// at 1. A dense table replaced the former map: the write path
-	// stores into it once per touched tree node (DESIGN.md §12).
-	nodeByAddr *dense.Table[uint64]
-
 	// shadow is the Anubis shadow-tracker region: NVM-resident by
 	// construction (it survives CrashVolatile), mirroring every metadata
 	// block that is dirty in the caches. Indexed by 64 B granule over
-	// [CounterBase, MACBase); shadowCount counts live entries.
+	// [CounterBase, MACBase); shadowCount counts live entries. shadowImg
+	// holds the entries' images, same index; only fillShadow writes one
+	// (and TamperShadow corrupts one), so a run that never crashes
+	// allocates none.
 	shadow      *dense.Table[shadowEntry]
+	shadowImg   *dense.Table[[64]byte]
 	shadowCount int
 
 	// written holds each line's state bits, indexed by line within the
@@ -272,8 +268,8 @@ func NewWithParams(kind TreeKind, eng crypt.Provider, dev *nvm.Device, lay layou
 		counters:     ctr.NewStore(dev, lay.CounterBase, lay.DataBase, lay.DataSpan, p.OsirisPeriod),
 		counterCache: cache.New("counter-cache", ccBytes, CounterCacheWays, MetaLineSize),
 		mtCache:      cache.New("mt-cache", mtBytes, MTCacheWays, MetaLineSize),
-		nodeByAddr:   dense.NewTable[uint64]((lay.MACBase - lay.TreeBase) / 64),
 		shadow:       dense.NewTable[shadowEntry]((lay.MACBase - lay.CounterBase) / 64),
+		shadowImg:    dense.NewTable[[64]byte]((lay.MACBase - lay.CounterBase) / 64),
 		written:      dense.NewTable[uint8](lay.DataSpan / 64),
 		lineCounter:  dense.NewTable[uint64](lay.DataSpan / 64),
 	}
@@ -361,20 +357,13 @@ func (u *Unit) metaIdx(nvmAddr uint64) (uint64, bool) {
 	return (nvmAddr - u.lay.CounterBase) / 64, true
 }
 
-// setNodeRef records the (level, index) identity of a tree node's NVM
-// address for victim persistence and shadow replay.
-func (u *Unit) setNodeRef(nvmAddr uint64, level int, index uint64) {
-	u.nodeByAddr.Set((nvmAddr-u.lay.TreeBase)/64, uint64(level)<<56|index)
-}
-
-// nodeRefAt returns the packed (level, index) for a tree-node NVM
-// address, or 0 when unknown (levels start at 1, so 0 is never a
-// valid reference).
-func (u *Unit) nodeRefAt(nvmAddr uint64) uint64 {
-	if nvmAddr < u.lay.TreeBase || nvmAddr >= u.lay.MACBase {
-		return 0
+// nodeRefAt returns the tree node whose NVM home is nvmAddr, for victim
+// persistence and shadow replay; ok is false for any other address.
+func (u *Unit) nodeRefAt(nvmAddr uint64) (level int, index uint64, ok bool) {
+	if u.bmtTree != nil {
+		return u.bmtTree.NodeAt(nvmAddr)
 	}
-	return u.nodeByAddr.Get((nvmAddr - u.lay.TreeBase) / 64)
+	return u.tocTree.NodeAt(nvmAddr)
 }
 
 // touchCounter charges a counter-cache access for addr's counter block
@@ -396,8 +385,7 @@ func (u *Unit) touchCounter(addr uint64, write bool, cost *Cost) {
 }
 
 // touchTreeNode charges an MT-cache access for a tree-node NVM address.
-func (u *Unit) touchTreeNode(nodeAddr uint64, level int, index uint64, write bool, cost *Cost) {
-	u.setNodeRef(nodeAddr, level, index)
+func (u *Unit) touchTreeNode(nodeAddr uint64, write bool, cost *Cost) {
 	if u.policy.PartialTreePersistence {
 		// Persisted levels are written through at apply time; volatile
 		// levels are simply dropped on eviction. Either way the cached
@@ -418,11 +406,11 @@ func (u *Unit) touchTreeNode(nodeAddr uint64, level int, index uint64, write boo
 func (u *Unit) persistMetaVictim(nvmAddr uint64, cost *Cost) {
 	if pi, ok := u.counters.PageIndexOfNVMAddr(nvmAddr); ok {
 		u.counters.PersistByIndex(pi)
-	} else if ref := u.nodeRefAt(nvmAddr); ref != 0 {
+	} else if level, index, ok := u.nodeRefAt(nvmAddr); ok {
 		if u.bmtTree != nil {
-			u.bmtTree.PersistNode(int(ref>>56), ref&(1<<56-1))
+			u.bmtTree.PersistNode(level, index)
 		} else {
-			u.tocTree.PersistNode(int(ref>>56), ref&(1<<56-1))
+			u.tocTree.PersistNode(level, index)
 		}
 	}
 	if i, ok := u.metaIdx(nvmAddr); ok {
@@ -551,7 +539,7 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 		for level := 1; level <= u.bmtTree.Levels(); level++ {
 			idx /= bmt.Arity
 			nodeAddr := u.bmtTree.NodeNVMAddr(level, idx)
-			u.touchTreeNode(nodeAddr, level, idx, true, &cost)
+			u.touchTreeNode(nodeAddr, true, &cost)
 			if u.policy.PartialTreePersistence {
 				if level <= through {
 					cost.NVMWrites++
@@ -566,7 +554,7 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 		for level := 1; level <= u.tocTree.Levels(); level++ {
 			idx /= toc.Arity
 			nodeAddr := u.tocTree.NodeNVMAddr(level, idx)
-			u.touchTreeNode(nodeAddr, level, idx, true, &cost)
+			u.touchTreeNode(nodeAddr, true, &cost)
 			u.shadowWrite(nodeAddr, &cost)
 		}
 		cost.NVMWrites++ // the leaf MAC, written back when observed

@@ -178,7 +178,7 @@ func TestTamperPendingToCEntryDetected(t *testing.T) {
 		if !e.live {
 			return true
 		}
-		if !e.pending || u.nodeRefAt(lay.CounterBase+i*64) == 0 {
+		if _, _, node := u.nodeRefAt(lay.CounterBase + i*64); !e.pending || !node {
 			t.Fatalf("lowest live shadow entry %#x is not a pending ToC node", lay.CounterBase+i*64)
 		}
 		found = true
@@ -228,13 +228,14 @@ func TestReplayOverwritesTamperedPathNode(t *testing.T) {
 			child := op.LeafIndex
 			for level := 1; level <= u.ToC().Levels(); level++ {
 				idx := child / 8
-				e := u.shadow.Ptr((u.ToC().NodeNVMAddr(level, idx) - lay.CounterBase) / 64)
-				if !e.live {
+				i := (u.ToC().NodeNVMAddr(level, idx) - lay.CounterBase) / 64
+				if !u.shadow.Get(i).live {
 					t.Fatalf("path node (%d,%d) has no live shadow entry", level, idx)
 				}
+				img := u.shadowImg.Ptr(i)
 				for s := uint64(0); s < 8; s++ {
-					if s != child%8 && e.img[s*7] != 0 {
-						e.img[s*7]-- // roll the version back
+					if s != child%8 && img[s*7] != 0 {
+						img[s*7]-- // roll the version back
 						tampered++
 					}
 				}

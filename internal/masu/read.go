@@ -109,7 +109,6 @@ func (u *Unit) chargeTreePath(leaf uint64, cost *Cost) {
 		} else {
 			nodeAddr = u.tocTree.NodeNVMAddr(level, idx)
 		}
-		u.setNodeRef(nodeAddr, level, idx)
 		hit, victim, evicted := u.mtCache.Access(nodeAddr, false)
 		if evicted && victim.Dirty {
 			u.persistMetaVictim(victim.Addr, cost)

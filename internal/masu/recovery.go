@@ -42,19 +42,19 @@ func (u *Unit) CrashVolatile() {
 	u.counters.DropVolatile()
 }
 
-// fillShadow copies a pending entry's image from its live block: the
-// counter block, or the tree node with its pending MACs computed.
+// fillShadow copies a pending entry's image from its live block into
+// the image table: the counter block, or the tree node with its pending
+// MACs computed.
 func (u *Unit) fillShadow(i uint64, e *shadowEntry) {
 	nvmAddr := u.lay.CounterBase + i*64
+	img := u.shadowImg.Ptr(i)
 	if pi, ok := u.counters.PageIndexOfNVMAddr(nvmAddr); ok {
-		e.img = u.counters.ImageByIndex(pi)
-	} else {
-		ref := u.nodeRefAt(nvmAddr)
-		level, index := int(ref>>56), ref&(1<<56-1)
+		*img = u.counters.ImageByIndex(pi)
+	} else if level, index, ok := u.nodeRefAt(nvmAddr); ok {
 		if u.bmtTree != nil {
-			e.img = u.bmtTree.NodeImage(level, index)
+			*img = u.bmtTree.NodeImage(level, index)
 		} else {
-			e.img = u.tocTree.NodeImage(level, index)
+			*img = u.tocTree.NodeImage(level, index)
 		}
 	}
 	e.pending = false
@@ -111,16 +111,17 @@ func (u *Unit) RecoverAnubis() (RecoveryReport, error) {
 			u.fillShadow(i, e)
 		}
 		nvmAddr := u.lay.CounterBase + i*64
+		img := u.shadowImg.Get(i)
 		if pi, ok := u.counters.PageIndexOfNVMAddr(nvmAddr); ok {
-			u.counters.RestoreByIndex(pi, e.img)
+			u.counters.RestoreByIndex(pi, img)
 			rep.ShadowRestored++
 			return true
 		}
-		if ref := u.nodeRefAt(nvmAddr); ref != 0 {
+		if level, index, ok := u.nodeRefAt(nvmAddr); ok {
 			if u.bmtTree != nil {
-				u.bmtTree.RestoreNode(int(ref>>56), ref&(1<<56-1), e.img)
+				u.bmtTree.RestoreNode(level, index, img)
 			} else {
-				u.tocTree.RestoreNode(int(ref>>56), ref&(1<<56-1), e.img)
+				u.tocTree.RestoreNode(level, index, img)
 			}
 			rep.ShadowRestored++
 		}
@@ -342,7 +343,7 @@ func (u *Unit) TamperShadow() bool {
 		if e.pending {
 			u.fillShadow(i, e)
 		}
-		e.img[0] ^= 0xFF
+		u.shadowImg.Ptr(i)[0] ^= 0xFF
 		tampered = true
 		return false
 	})

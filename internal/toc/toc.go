@@ -204,6 +204,22 @@ func (t *Tree) NodeNVMAddr(level int, index uint64) uint64 {
 	return t.nodeBase + t.offsets[level] + index*NodeSize
 }
 
+// NodeAt returns the node whose NVM home is addr, the inverse of
+// NodeNVMAddr; ok is false for an address outside the interior nodes,
+// the leaf-MAC region included.
+func (t *Tree) NodeAt(addr uint64) (level int, index uint64, ok bool) {
+	if addr < t.nodeBase {
+		return 0, 0, false
+	}
+	off := addr - t.nodeBase
+	for l := 1; l < len(t.counts); l++ {
+		if off < t.offsets[l]+t.counts[l]*NodeSize {
+			return l, (off - t.offsets[l]) / NodeSize, true
+		}
+	}
+	return 0, 0, false
+}
+
 func (t *Tree) node(level int, index uint64) *Node {
 	slot := t.volatile[level].Ptr(index)
 	if *slot == nil {

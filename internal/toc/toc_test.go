@@ -266,6 +266,42 @@ func TestRegionAndAddrs(t *testing.T) {
 	}
 }
 
+// TestNodeAt round-trips NodeNVMAddr at the first and last node of
+// every level, on a tree whose levels are not powers of the arity, and
+// checks that an address below the node region, past its last level or
+// in the leaf-MAC region that follows it is no node.
+func TestNodeAt(t *testing.T) {
+	tr := newTestTree(1000) // levels of 125, 16, 2 and 1 nodes
+	type want struct {
+		level int
+		index uint64
+		ok    bool
+	}
+	cases := map[uint64]want{
+		tr.NodeNVMAddr(1, 0) - 1:                   {},
+		tr.NodeNVMAddr(1, 0) + tr.RegionBytes():    {},
+		tr.LeafMACAddr(0):                          {},
+		tr.LeafMACAddr(tr.Leaves() - 1):            {},
+		tr.LeafMACAddr(tr.Leaves()) + toc.NodeSize: {},
+	}
+	n := tr.Leaves()
+	for level := 1; level <= tr.Levels(); level++ {
+		n = (n + toc.Arity - 1) / toc.Arity
+		cases[tr.NodeNVMAddr(level, 0)] = want{level, 0, true}
+		cases[tr.NodeNVMAddr(level, n-1)] = want{level, n - 1, true}
+	}
+	// The leaf-MAC region starts where the nodes end, and the top level
+	// has one node.
+	if len(cases) != 4+2*tr.Levels()-1 {
+		t.Fatalf("%d cases for %d levels: addresses collide", len(cases), tr.Levels())
+	}
+	for addr, w := range cases {
+		if level, index, ok := tr.NodeAt(addr); (want{level, index, ok}) != w {
+			t.Errorf("NodeAt(%#x) = %d, %d, %v; want %d, %d, %v", addr, level, index, ok, w.level, w.index, w.ok)
+		}
+	}
+}
+
 func TestManyUpdatesProperty(t *testing.T) {
 	tr := newTestTree(256)
 	f := func(idx uint8, img [64]byte) bool {
