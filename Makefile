@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-cache bench-masu bench-misu fuzz-smoke fuzz-targets pprof ci profile reproduce validate serve load-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-sim bench-cache bench-masu bench-misu fuzz-smoke fuzz-targets pprof ci profile reproduce validate serve load-smoke clean
 
 all: build test
 
@@ -81,6 +81,17 @@ bench-misu:
 	$(GO) test -run '^$$' -bench 'Protect' -benchmem -benchtime 200000x -count 5 ./internal/misu
 	$(GO) test -run '^$$' -bench 'DrainRecover' -benchmem -benchtime 200x -count 5 ./internal/misu
 
+# Event engine: BenchmarkEngineQueue holds 16, 64, 512 or 4096 events
+# pending (a benchmark cell, the contention cells, -exp schemes' deepest
+# cell, an 8-core eADR run) under the measured delay mix and under a FIFO
+# one; the others time a one-event chain, a fan-out of scattered events,
+# a Server's and a PipeServer's jobs from submission to completion, and
+# the bare pending list against the container/heap reference. Fixed
+# iterations and five repeats, so a change reports the median and
+# quartiles of each.
+bench-sim:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1000000x -count 5 ./internal/sim
+
 # Cache layer: a hit, an LLC stream that fills every way of every set,
 # an LLC held at a hashmap-eager cell's 11% occupancy where every access
 # misses (BenchmarkAccessSparseLLC), and a read hit and a write through
@@ -143,6 +154,7 @@ ci:
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchtime 1x ./internal/whisper
 	$(GO) test -run '^$$' -bench 'StartCell' -benchtime 1x ./internal/cpu
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine|Recovery|Audit|LoadCheckpoint' -benchtime 1x ./internal/masu
 	$(GO) test -run '^$$' -bench 'Protect|DrainRecover' -benchtime 1x ./internal/misu
 	$(GO) build -o /tmp/dolos-bench-ci ./cmd/dolos-bench

@@ -286,8 +286,9 @@ type Controller struct {
 
 	// waiters[waitHead:] is the retry queue of parked writes. The head
 	// index (rather than re-slicing on pop) keeps the backing array's
-	// base fixed, so pushes reuse freed capacity instead of marching the
-	// slice through the heap one realloc per retry burst.
+	// base fixed, and the array rewinds when it empties and compacts
+	// (sim.Compact) when a back park finds it full, so pushes reuse freed
+	// capacity even while the queue never empties.
 	waiters  []waiter
 	waitHead int
 

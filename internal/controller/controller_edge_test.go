@@ -188,3 +188,33 @@ func TestReadExtraLatencyComposition(t *testing.T) {
 		t.Fatalf("verified read latency = %d, want >= %d", lat, min)
 	}
 }
+
+// TestWaitersBounded drives the retry queue with a backlog that never
+// drains, parking at the back and (every seventh write, as a full-WPQ
+// retry does) at the front, and pins both its FIFO order against a
+// plain slice and its backing array to a small multiple of its peak.
+func TestWaitersBounded(t *testing.T) {
+	c := &Controller{}
+	var ref []uint64
+	peak := 0
+	for i := uint64(0); i < 100000; i++ {
+		front := i%7 == 0
+		c.park(&waiter{addr: i}, front, false)
+		if front {
+			ref = append([]uint64{i}, ref...)
+		} else {
+			ref = append(ref, i)
+		}
+		peak = max(peak, len(c.waiters)-c.waitHead)
+		if len(ref) > 4 {
+			w, ok := c.popWaiter()
+			if !ok || w.addr != ref[0] {
+				t.Fatalf("write %d: popped %d (ok %v), want %d", i, w.addr, ok, ref[0])
+			}
+			ref = ref[1:]
+		}
+	}
+	if c := cap(c.waiters); c > 5*peak+8 {
+		t.Fatalf("retry queue holds %d slots for a peak of %d parked writes", c, peak)
+	}
+}

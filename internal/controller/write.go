@@ -3,6 +3,7 @@ package controller
 import (
 	"dolos/internal/masu"
 	"dolos/internal/scheme"
+	"dolos/internal/sim"
 	"dolos/internal/wpq"
 )
 
@@ -134,6 +135,7 @@ func (c *Controller) park(w *waiter, front, countRetry bool) {
 			c.waiters[0] = *w
 		}
 	} else {
+		c.waiters, c.waitHead = sim.Compact(c.waiters, c.waitHead)
 		c.waiters = append(c.waiters, *w)
 	}
 }

@@ -21,9 +21,10 @@ type scheduled struct {
 	fn  Event
 }
 
-// before is the queue's strict total order: by cycle, then by scheduling
-// sequence. seq is unique, so any correct heap pops the exact same
-// sequence — dispatch order is independent of the heap's internal shape.
+// before is the engine's one dispatch order: by cycle, then by
+// scheduling sequence. seq is unique, so it is a strict total order and
+// the dispatch sequence is independent of how the pending events are
+// stored.
 func (s scheduled) before(o scheduled) bool {
 	if s.at != o.at {
 		return s.at < o.at
@@ -31,63 +32,89 @@ func (s scheduled) before(o scheduled) bool {
 	return s.seq < o.seq
 }
 
-// eventQueue is a 4-ary min-heap of scheduled events stored by value.
-// Compared to the earlier container/heap implementation it performs no
-// per-event allocation (events were boxed as *scheduled and passed
-// through `any`) and does fewer cache-missing compares per pop: a 4-ary
-// heap is half the depth of a binary one, and the four children share
-// cache lines. The heap property is the only invariant; the dispatch
-// order is fully determined by scheduled.before.
-type eventQueue struct {
-	a []scheduled
+// eventList holds the pending events in one array sorted by before:
+// the live ones are a[head:], the next to dispatch first, and the dead
+// slots below head are zeroed so dispatched closures are collectable.
+// A new event has the highest seq yet, so it lands behind every event
+// at or before its cycle: at the tail for FIFO traffic, at the head for
+// the earliest continuation, else where a binary search puts it. push
+// shifts the shorter side to open the slot, into the dead prefix or up
+// at the tail.
+type eventList struct {
+	a    []scheduled
+	head int
 }
 
-const heapArity = 4
+func (l *eventList) len() int { return len(l.a) - l.head }
 
-func (q *eventQueue) len() int { return len(q.a) }
-
-func (q *eventQueue) push(ev scheduled) {
-	q.a = append(q.a, ev)
-	i := len(q.a) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !q.a[i].before(q.a[parent]) {
-			break
-		}
-		q.a[i], q.a[parent] = q.a[parent], q.a[i]
-		i = parent
+// next returns the cycle of the next event to dispatch, if any.
+func (l *eventList) next() (Cycle, bool) {
+	if l.head == len(l.a) {
+		return 0, false
 	}
+	return l.a[l.head].at, true
 }
 
-func (q *eventQueue) pop() scheduled {
-	top := q.a[0]
-	n := len(q.a) - 1
-	q.a[0] = q.a[n]
-	q.a[n] = scheduled{} // release the fn reference for the GC
-	q.a = q.a[:n]
-	i := 0
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q.a[c].before(q.a[min]) {
-				min = c
+func (l *eventList) push(ev scheduled) {
+	a, head := l.a, l.head
+	n := len(a)
+	// i is the first live event ev sorts before, n when none does.
+	i := n
+	if n > head && ev.before(a[n-1]) {
+		i = head
+		if !ev.before(a[head]) {
+			lo, hi := head+1, n-1
+			for lo < hi {
+				m := int(uint(lo+hi) >> 1)
+				if ev.before(a[m]) {
+					hi = m
+				} else {
+					lo = m + 1
+				}
 			}
+			i = lo
 		}
-		if !q.a[min].before(q.a[i]) {
-			break
-		}
-		q.a[i], q.a[min] = q.a[min], q.a[i]
-		i = min
 	}
-	return top
+	if head > 0 && i-head < n-i {
+		copy(a[head-1:], a[head:i])
+		a[i-1] = ev
+		l.head = head - 1
+		return
+	}
+	a, l.head = Compact(a, head)
+	i -= head - l.head
+	n = len(a)
+	a = append(a, ev)
+	if i < n {
+		copy(a[i+1:], a[i:n])
+		a[i] = ev
+	}
+	l.a = a
+}
+
+func (l *eventList) pop() scheduled {
+	ev := l.a[l.head]
+	l.a[l.head] = scheduled{} // release the fn reference for the GC
+	l.head++
+	if l.head == len(l.a) {
+		l.a = l.a[:0]
+		l.head = 0
+	}
+	return ev
+}
+
+// Compact prepares a head-indexed array (live elements a[head:], dead
+// prefix cleared) for an append: when it is full and at least half dead,
+// it moves the live part to the base and clears the vacated tail. The
+// array then grows only while over half of it is live, and each element
+// moves O(1) times per append amortized. It returns the array and head.
+func Compact[T any](a []T, head int) ([]T, int) {
+	if head == 0 || len(a) < cap(a) || 2*head < len(a) {
+		return a, head
+	}
+	n := copy(a, a[head:])
+	clear(a[n:])
+	return a[:n], 0
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
@@ -100,18 +127,8 @@ func (q *eventQueue) pop() scheduled {
 type Engine struct {
 	now    Cycle
 	seq    uint64
-	queue  eventQueue
+	queue  eventList
 	events uint64
-	// nowQ is the FIFO of events scheduled for the current cycle — the
-	// commonest case (zero-latency continuations) — which skip the heap:
-	// O(1) ring append/pop instead of a sift per push and pop. Every
-	// entry has at == now: the clock only advances once nowQ drains,
-	// because a non-empty nowQ means the earliest pending event is at
-	// now. Dispatch order is unchanged — Step picks the (at, seq)
-	// minimum across the ring head and the heap top, and both structures
-	// are (at, seq)-sorted from their heads.
-	nowQ    []scheduled
-	nowHead int
 	// hook, when non-nil, observes every dispatched event (telemetry).
 	// It must be purely observational: scheduling events or mutating
 	// model state from the hook would perturb the timing model.
@@ -142,7 +159,7 @@ func (e *Engine) Now() Cycle { return e.now }
 func (e *Engine) Processed() uint64 { return e.events }
 
 // Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int { return e.queue.len() + len(e.nowQ) - e.nowHead }
+func (e *Engine) Pending() int { return e.queue.len() }
 
 // SetHook installs (or with nil removes) the event-dispatch observer.
 // The hook runs before each event's callback with the event's cycle.
@@ -157,10 +174,6 @@ func (e *Engine) At(at Cycle, fn Event) {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d before now %d", at, e.now))
 	}
 	e.seq++
-	if at == e.now {
-		e.nowQ = append(e.nowQ, scheduled{at: at, seq: e.seq, fn: fn})
-		return
-	}
 	e.queue.push(scheduled{at: at, seq: e.seq, fn: fn})
 }
 
@@ -170,21 +183,10 @@ func (e *Engine) After(delay Cycle, fn Event) { e.At(e.now+delay, fn) }
 // Step executes the next event, advancing the clock to its timestamp.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	var ev scheduled
-	if e.nowHead < len(e.nowQ) &&
-		(e.queue.len() == 0 || e.nowQ[e.nowHead].before(e.queue.a[0])) {
-		ev = e.nowQ[e.nowHead]
-		e.nowQ[e.nowHead] = scheduled{}
-		e.nowHead++
-		if e.nowHead == len(e.nowQ) {
-			e.nowQ = e.nowQ[:0]
-			e.nowHead = 0
-		}
-	} else if e.queue.len() > 0 {
-		ev = e.queue.pop()
-	} else {
+	if e.queue.len() == 0 {
 		return false
 	}
+	ev := e.queue.pop()
 	e.now = ev.at
 	e.events++
 	if e.hook != nil {
@@ -200,19 +202,21 @@ func (e *Engine) Step() bool {
 // to now+delay, count the event and call the hook — and reports true,
 // and the caller then runs the continuation itself instead of
 // returning. It succeeds only when that event would be the next one
-// dispatched: nothing is pending at the current cycle and the earliest
-// queued event is strictly later than now+delay. It also stays within
-// the running Run's event limit and RunUntil's deadline, and outside
-// Run and RunUntil (a bare Step) it always declines. On false nothing
-// changed, and the caller schedules the continuation with After.
+// dispatched: every pending event is strictly later than now+delay (one
+// at that very cycle is older, so it would go first). It also stays
+// within the running Run's event limit and RunUntil's deadline, and
+// outside Run and RunUntil (a bare Step) it always declines. On false
+// nothing changed, and the caller schedules the continuation with After.
 //
 // Only a continuation that is the last thing its event does may be
 // dispatched in place: code that runs after it returns would otherwise
 // run at the advanced clock.
 func (e *Engine) Advance(delay Cycle) bool {
 	at := e.now + delay
-	if e.events >= e.bounds.limit || at > e.bounds.deadline || e.nowHead < len(e.nowQ) ||
-		(e.queue.len() > 0 && e.queue.a[0].at <= at) {
+	if e.events >= e.bounds.limit || at > e.bounds.deadline {
+		return false
+	}
+	if next, ok := e.queue.next(); ok && next <= at {
 		return false
 	}
 	e.seq++
@@ -246,14 +250,7 @@ func (e *Engine) RunUntil(deadline Cycle) uint64 {
 	start := e.events
 	e.bounds = runBounds{limit: ^uint64(0), deadline: deadline}
 	for {
-		// Earliest pending timestamp across the now-ring and the heap.
-		next, any := Cycle(0), false
-		if e.nowHead < len(e.nowQ) {
-			next, any = e.nowQ[e.nowHead].at, true
-		} else if e.queue.len() > 0 {
-			next, any = e.queue.a[0].at, true
-		}
-		if !any || next > deadline {
+		if next, ok := e.queue.next(); !ok || next > deadline {
 			break
 		}
 		e.Step()

@@ -23,8 +23,8 @@ type job struct {
 // completion callback therefore belongs to the ring's head, and the job
 // rides in the ring instead of in a per-job closure. Ends are usually
 // non-decreasing, so the ordered insert almost always appends at the
-// tail; the ring rewinds to its base whenever it empties, so a run
-// reuses one backing array.
+// tail. The ring rewinds when it empties and compacts (see Compact), so
+// a run reuses one backing array even if its owner never idles.
 type jobRing struct {
 	a    []job
 	head int
@@ -33,6 +33,7 @@ type jobRing struct {
 // insert adds j behind every job with an end at or before j's: equal
 // ends keep submission order.
 func (r *jobRing) insert(j job) {
+	r.a, r.head = Compact(r.a, r.head)
 	r.a = append(r.a, j)
 	for i := len(r.a) - 1; i > r.head && r.a[i-1].end > j.end; i-- {
 		r.a[i], r.a[i-1] = r.a[i-1], r.a[i]
@@ -171,8 +172,8 @@ type Server struct {
 
 	busyUntil Cycle
 	// queue is a head-indexed deque of waiting jobs: pump consumes from
-	// queue[qHead] and rewinds to the base when it empties, so the
-	// append in Submit reuses one backing array for the run.
+	// queue[qHead], and it rewinds when it empties and compacts (see
+	// Compact), so the append in Submit reuses one backing array.
 	queue []serverJob
 	qHead int
 
@@ -235,6 +236,7 @@ func (s *Server) SetJobHook(fn func(name string, start, end Cycle)) { s.onJob = 
 // non-nil, is called with arg at service completion. Jobs are served in
 // submission order.
 func (s *Server) Submit(service Cycle, done Handler, arg uint64) {
+	s.queue, s.qHead = Compact(s.queue, s.qHead)
 	s.queue = append(s.queue, serverJob{service: service, done: done, arg: arg})
 	if n := s.QueueLen(); n > s.maxQueue {
 		s.maxQueue = n
