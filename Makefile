@@ -58,10 +58,15 @@ bench-gen:
 	$(GO) test -run '^$$' -bench 'StartCell' -benchmem -benchtime 20x -count 5 ./internal/cpu
 
 # Ma-SU layer at the same fixed sizes: ProcessWrite on the eager BMT
-# and the lazy ToC, a verified ReadLine, a crash with Anubis and with
-# Osiris recovery, the audit of a written image (BenchmarkAudit) and the
+# and the lazy ToC over a 256 KB loop on the 5-level test layout, and at
+# a cell's scale (BenchmarkProcessWriteCell: the flush stream of a
+# Hashmap and a Btree trace on the eager BMT and of a ycsb-read-lazy
+# trace on the lazy ToC, each after its checkpoint image, on the 8-level
+# default layout), a verified ReadLine, a crash with Anubis and with
+# Osiris recovery, the audit of a written image (BenchmarkAudit), the
 # checkpoint load of a ycsb-read-lazy and a hashmap-eager cell
-# (BenchmarkLoadCheckpoint).
+# (BenchmarkLoadCheckpoint) and the counter-block codec (Encode,
+# DecodeBlock).
 # A write's data-line ciphertext, MAC and ECC are computed where they
 # are observed, one pad per line and no decrypt, so neither a write nor
 # the checkpoint load computes a pad or a hash; the crash, the audit's
@@ -72,6 +77,7 @@ bench-masu:
 	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine' -benchmem -benchtime 200000x -count 5 ./internal/masu
 	$(GO) test -run '^$$' -bench 'AnubisRecovery|OsirisRecovery|Audit' -benchmem -benchtime 200x -count 5 ./internal/masu
 	$(GO) test -run '^$$' -bench 'LoadCheckpoint' -benchmem -benchtime 20x -count 5 ./internal/masu
+	$(GO) test -run '^$$' -bench 'Encode|DecodeBlock' -benchmem -benchtime 1000000x -count 5 ./internal/ctr
 
 # Mi-SU layer: one insert per design (the insert computes no MAC; the
 # owed MACs are hashed at the drain) and a 13-entry Partial-WPQ drain +

@@ -260,8 +260,49 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicte
 		return true, Victim{}, false
 	}
 	c.misses++
-	victim, evicted = c.replace(set, tag, write)
+	_, victim, evicted = c.replace(set, tag, write)
 	return false, victim, evicted
+}
+
+// AccessHint is Access for a caller that remembers where addr's line
+// was: hint is the way it was last found or filled at, or -1 for none.
+// The hinted way is checked by tag, so a line that has been evicted or
+// replaced since, or a hint into an overflow block, is looked up as
+// Access looks it up; the hits, misses, stamps, victims and dirty bits
+// are exactly Access's. way is where addr's line is after the access,
+// the next hint.
+func (c *Cache) AccessHint(addr uint64, write bool, hint int) (hit bool, victim Victim, evicted bool, way int) {
+	set, tag := c.index(addr)
+	c.stamp++
+	base := set * c.inWays
+	var l *line
+	if w := uint64(hint); w < c.inWays { // -1 wraps past every way
+		if h := &c.inline[base+w]; h.tag == tag && h.use != 0 {
+			l, way = h, hint
+		}
+	}
+	for i := uint64(0); l == nil && i < c.inWays; i++ {
+		if h := &c.inline[base+i]; h.tag == tag && h.use != 0 {
+			l, way = h, int(i)
+		}
+	}
+	if l == nil && c.overIdx != nil {
+		over := c.overflow(set)
+		for i := range over {
+			if over[i].tag == tag && over[i].valid() {
+				l, way = &over[i], int(c.inWays)+i
+				break
+			}
+		}
+	}
+	if l != nil {
+		c.hits++
+		l.touch(c.stamp, write)
+		return true, Victim{}, false, way
+	}
+	c.misses++
+	way, victim, evicted = c.replace(set, tag, write)
+	return false, victim, evicted, way
 }
 
 // Fill inserts addr's line clean without counting a hit or miss (used when
@@ -278,22 +319,23 @@ func (c *Cache) Fill(addr uint64, dirty bool) (victim Victim, evicted bool) {
 		l.touch(c.stamp, dirty)
 		return Victim{}, false
 	}
-	return c.replace(set, tag, dirty)
+	_, victim, evicted = c.replace(set, tag, dirty)
+	return victim, evicted
 }
 
 // replace installs tag's line, stamped with the current stamp, in the
 // set's first invalid way, or else over its least recently used line,
-// and returns the line it displaced. An invalid way's use of 0 is below
-// every resident line's, so the first smallest use is that way. The
-// ways run inline first, then through the overflow block; a set whose
-// inline ways are all resident and that has no block yet takes one, and
-// its first way is the invalid one.
-func (c *Cache) replace(set uint64, tag uint64, dirty bool) (victim Victim, evicted bool) {
+// and returns the way it took and the line it displaced. An invalid
+// way's use of 0 is below every resident line's, so the first smallest
+// use is that way. The ways run inline first, then through the overflow
+// block; a set whose inline ways are all resident and that has no block
+// yet takes one, and its first way is the invalid one.
+func (c *Cache) replace(set uint64, tag uint64, dirty bool) (way int, victim Victim, evicted bool) {
 	ways := c.inlineSet(set)
 	v := &ways[0]
 	for i := 1; i < len(ways) && v.valid(); i++ {
 		if ways[i].use < v.use {
-			v = &ways[i]
+			v, way = &ways[i], i
 		}
 	}
 	if v.valid() && c.overWays != 0 {
@@ -303,7 +345,7 @@ func (c *Cache) replace(set uint64, tag uint64, dirty bool) (victim Victim, evic
 		}
 		for i := 0; i < len(ways) && v.valid(); i++ {
 			if ways[i].use < v.use {
-				v = &ways[i]
+				v, way = &ways[i], int(c.inWays)+i
 			}
 		}
 	}
@@ -316,7 +358,7 @@ func (c *Cache) replace(set uint64, tag uint64, dirty bool) (victim Victim, evic
 		evicted = true
 	}
 	*v = line{tag: tag, use: c.stamp<<1 | b2u(dirty)}
-	return victim, evicted
+	return way, victim, evicted
 }
 
 // RepeatHits replays rounds passes over addrs, in order, as Access calls

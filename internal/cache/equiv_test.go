@@ -193,7 +193,11 @@ func TestLineIs16Bytes(t *testing.T) {
 // random operations and compares every result, counter, dirty-line set
 // and occupancy after each one. Addresses crowd a few sets with more
 // tags than ways, so evictions, dirty victims and re-fills are common,
-// and the LLC's sets overflow their inline ways. The overflow subtest
+// and the LLC's sets overflow their inline ways. Half the accesses go
+// through AccessHint, with the way the line was last reported at
+// (correct, or stale once the line moved), a way another set's line was
+// at, any way, or -1; each must report the way that then holds the
+// line. The overflow subtest
 // runs a fixed sequence through one set's overflow block.
 func TestMatchesReference(t *testing.T) {
 	for _, g := range []struct {
@@ -222,15 +226,56 @@ func TestMatchesReference(t *testing.T) {
 				recent[rng.Intn(len(recent))] = a
 				return a
 			}
-			repeated := 0
+			// hrng picks which accesses carry a hint, and the hint, so
+			// rng draws the same operations as without hints.
+			hrng := rand.New(rand.NewSource(int64(len(g.name)) + 1))
+			repeated, kept, stale := 0, 0, 0
+			hints := map[uint64]int{} // line address -> way AccessHint last reported
+			var hinted []uint64       // hints' keys, in the order they came
+			setOf := func(a uint64) uint64 { set, _ := c.index(a); return set }
 			for step := 0; step < g.steps; step++ {
 				var got, want []any
 				switch op := rng.Intn(100); {
-				case op < 40:
+				case op < 40 && hrng.Intn(2) == 0:
 					a, w := addr(), rng.Intn(3) == 0
 					h, v, e := c.Access(a, w)
 					rh, rv, re := ref.Access(a, w)
 					got, want = []any{"Access", h, v, e}, []any{"Access", rh, rv, re}
+				case op < 40:
+					a, w := addr(), rng.Intn(3) == 0
+					hint, kind := -1, hrng.Intn(4)
+					switch kind {
+					case 0: // the way a's line was last at: correct, or stale if evicted since
+						if wy, ok := hints[a>>6]; ok {
+							hint = wy
+						}
+					case 1: // a way another set's line was last at
+						for _, la := range hinted {
+							if setOf(la<<6) != setOf(a) {
+								hint = hints[la]
+								break
+							}
+						}
+					case 2: // any way
+						hint = hrng.Intn(g.ways)
+					}
+					h, v, e, wy := c.AccessHint(a, w, hint)
+					if l := c.lookup(a); l == nil || l != c.wayLine(setOf(a), wy) {
+						t.Fatalf("step %d: AccessHint(%#x) reports way %d, which does not hold the line", step, a, wy)
+					}
+					if kind == 0 && hint >= 0 {
+						if wy == hint {
+							kept++
+						} else {
+							stale++
+						}
+					}
+					if _, ok := hints[a>>6]; !ok {
+						hinted = append(hinted, a>>6)
+					}
+					hints[a>>6] = wy
+					rh, rv, re := ref.Access(a, w)
+					got, want = []any{"AccessHint", h, v, e}, []any{"AccessHint", rh, rv, re}
 				case op < 60:
 					a, d := addr(), rng.Intn(3) == 0
 					v, e := c.Fill(a, d)
@@ -266,13 +311,28 @@ func TestMatchesReference(t *testing.T) {
 				}
 				matchState(t, step, c, ref, got, want)
 			}
-			if c.Evictions() == 0 || c.Writebacks() == 0 || repeated == 0 {
-				t.Fatalf("the sequence evicted %d lines, %d dirty, and repeated hits %d times: it misses a path",
-					c.Evictions(), c.Writebacks(), repeated)
+			if c.Evictions() == 0 || c.Writebacks() == 0 || repeated == 0 || kept == 0 || stale == 0 {
+				t.Fatalf("the sequence evicted %d lines, %d dirty, repeated hits %d times and gave %d correct and %d stale hints: it misses a path",
+					c.Evictions(), c.Writebacks(), repeated, kept, stale)
 			}
 		})
 	}
 	t.Run("overflow", overflowSequence)
+}
+
+// wayLine returns the line at way of set, inline or in the set's
+// overflow block, or nil when the set has no such way.
+func (c *Cache) wayLine(set uint64, way int) *line {
+	if way < 0 {
+		return nil
+	}
+	if w := uint64(way); w < c.inWays {
+		return &c.inlineSet(set)[w]
+	}
+	if over := c.overflow(set); over != nil && uint64(way) < uint64(c.ways) {
+		return &over[uint64(way)-c.inWays]
+	}
+	return nil
 }
 
 // matchState fails t unless the results got and want of one step

@@ -48,55 +48,63 @@ func (b *Block) Counter(idx int) uint64 {
 // Encode packs the block into its 64-byte NVM image: the 8-byte
 // little-endian major followed by 64 7-bit minors as a little-endian
 // bitstream. Eight minors fill exactly 56 bits, so each group of eight
-// packs into one uint64 and lands on a 7-byte boundary — the image
-// bytes are identical to per-minor bit packing, at an eighth of the
-// loop iterations (this codec runs on every counter persist, shadow
-// write and counter-cache fill).
+// packs into one uint64 and lands on a 7-byte boundary. A group packs a
+// word at a time (packMinors), so the codec, which runs on every
+// counter persist, dirty counter victim and leaf hash, makes no
+// per-minor pass.
 func (b *Block) Encode() [BlockSize]byte {
 	var out [BlockSize]byte
 	binary.LittleEndian.PutUint64(out[0:8], b.Major)
-	for g := 0; g < 8; g++ {
-		var w uint64
-		for j := 0; j < 8; j++ {
-			w |= uint64(b.Minors[g*8+j]&MinorMax) << (7 * j)
-		}
-		o := 8 + g*7
-		if g < 7 {
-			// w's top byte is zero; the next group overwrites it with
-			// its own low byte.
-			binary.LittleEndian.PutUint64(out[o:o+8], w)
-		} else {
-			// Last group: only 7 bytes remain.
-			binary.LittleEndian.PutUint32(out[o:o+4], uint32(w))
-			binary.LittleEndian.PutUint16(out[o+4:o+6], uint16(w>>32))
-			out[o+6] = byte(w >> 48)
-		}
+	for g := 0; g < 7; g++ {
+		// w's top byte is zero; the next group overwrites it with its
+		// own low byte.
+		w := packMinors(binary.LittleEndian.Uint64(b.Minors[g*8:]))
+		binary.LittleEndian.PutUint64(out[8+g*7:], w)
 	}
+	// The last group: only 7 bytes remain.
+	w := packMinors(binary.LittleEndian.Uint64(b.Minors[56:]))
+	binary.LittleEndian.PutUint32(out[57:], uint32(w))
+	binary.LittleEndian.PutUint16(out[61:], uint16(w>>32))
+	out[63] = byte(w >> 48)
 	return out
 }
 
 // DecodeBlock unpacks a 64-byte NVM image into a Block (the inverse of
-// Encode, group-at-a-time).
+// Encode, a word at a time).
 func DecodeBlock(img [BlockSize]byte) Block {
 	var b Block
 	b.Major = binary.LittleEndian.Uint64(img[0:8])
-	for g := 0; g < 8; g++ {
-		o := 8 + g*7
-		var w uint64
-		if g < 7 {
-			// The load overlaps the next group's first byte; only the
-			// low 56 bits are consumed.
-			w = binary.LittleEndian.Uint64(img[o : o+8])
-		} else {
-			w = uint64(binary.LittleEndian.Uint32(img[o:o+4])) |
-				uint64(binary.LittleEndian.Uint16(img[o+4:o+6]))<<32 |
-				uint64(img[o+6])<<48
-		}
-		for j := 0; j < 8; j++ {
-			b.Minors[g*8+j] = uint8(w>>(7*j)) & MinorMax
-		}
+	for g := 0; g < 7; g++ {
+		// The load overlaps the next group's first byte, which
+		// unpackMinors drops.
+		binary.LittleEndian.PutUint64(b.Minors[g*8:], unpackMinors(binary.LittleEndian.Uint64(img[8+g*7:])))
 	}
+	w := uint64(binary.LittleEndian.Uint32(img[57:])) |
+		uint64(binary.LittleEndian.Uint16(img[61:]))<<32 |
+		uint64(img[63])<<48
+	binary.LittleEndian.PutUint64(b.Minors[56:], unpackMinors(w))
 	return b
+}
+
+// packMinors packs the eight minors of w, one per byte (little-endian,
+// bit 7 ignored), into its low 56 bits, minor j at bit 7j. Each step
+// halves the number of lanes: it closes the gap between the two values
+// of every 16-bit lane (one bit), then of every 32-bit lane (two bits),
+// then of the word (four bits).
+func packMinors(w uint64) uint64 {
+	w &= 0x7f7f7f7f7f7f7f7f
+	w = w&0x007f007f007f007f | w>>1&0x3f803f803f803f80
+	w = w&0x00003fff00003fff | w>>2&0x0fffc0000fffc000
+	return w&0x000000000fffffff | w>>4&0x00fffffff0000000
+}
+
+// unpackMinors is the inverse of packMinors: it spreads the low 56
+// bits of w, minor j at bit 7j, to one minor per byte. Bits 56-63 are
+// ignored.
+func unpackMinors(w uint64) uint64 {
+	w = w&0x000000000fffffff | w<<4&0x0fffffff00000000
+	w = w&0x00003fff00003fff | w<<2&0x3fff00003fff0000
+	return w&0x007f007f007f007f | w<<1&0x7f007f007f007f00
 }
 
 // Store manages the counters for a contiguous data region. The current
@@ -175,10 +183,17 @@ func (s *Store) BlockNVMAddr(addr uint64) uint64 {
 	return s.base + s.pageIndex(addr)*BlockSize
 }
 
+// BlockAddr returns the NVM address of page pi's counter block.
+func (s *Store) BlockAddr(pi uint64) uint64 { return s.base + pi*BlockSize }
+
 // block returns the live block for the page covering addr, loading it
 // from NVM on first touch.
-func (s *Store) block(addr uint64) *Block {
-	pi := s.pageIndex(addr)
+func (s *Store) block(addr uint64) *Block { return s.Live(s.pageIndex(addr)) }
+
+// Live returns page pi's live counter block, loading it from NVM on
+// first touch. The pointer stays the page's live block until
+// DropVolatile.
+func (s *Store) Live(pi uint64) *Block {
 	slot := s.volatile.Ptr(pi)
 	if *slot == nil {
 		img := s.dev.ReadLine(s.base + pi*BlockSize)
@@ -231,15 +246,14 @@ func (s *Store) Increment(addr uint64) IncrementResult {
 	up := s.updates.Ptr(pi)
 	*up++
 	if res.Overflow || *up%s.period == 0 {
-		s.persistBlock(pi)
+		s.persist(pi, b)
 		res.Persisted = true
 	}
 	return res
 }
 
-// persistBlock writes the live block image to the NVM counter region.
-func (s *Store) persistBlock(pi uint64) {
-	b := s.volatile.Get(pi)
+// persist writes page pi's live block b to the NVM counter region.
+func (s *Store) persist(pi uint64, b *Block) {
 	s.dev.WriteLine(s.base+pi*BlockSize, b.Encode())
 	s.persists++
 }
@@ -248,8 +262,8 @@ func (s *Store) persistBlock(pi uint64) {
 // eviction of a dirty block, or an Anubis-style forced persist).
 func (s *Store) PersistAddr(addr uint64) {
 	pi := s.pageIndex(addr)
-	if s.volatile.Get(pi) != nil {
-		s.persistBlock(pi)
+	if b := s.volatile.Get(pi); b != nil {
+		s.persist(pi, b)
 	}
 }
 
@@ -258,7 +272,7 @@ func (s *Store) PersistAddr(addr uint64) {
 func (s *Store) PersistAll() {
 	s.volatile.Range(func(pi uint64, b **Block) bool {
 		if *b != nil {
-			s.persistBlock(pi)
+			s.persist(pi, *b)
 		}
 		return true
 	})
@@ -335,12 +349,8 @@ func (s *Store) ApplyUpdate(pi uint64, img [BlockSize]byte, forcePersist bool) {
 		*slot = new(Block)
 		s.live++
 	}
-	**slot = DecodeBlock(img)
-	up := s.updates.Ptr(pi)
-	*up++
-	if forcePersist || *up%s.period == 0 {
-		s.persistBlock(pi)
-	}
+	blk := DecodeBlock(img)
+	s.Commit(pi, *slot, &blk, forcePersist)
 }
 
 // ImageByIndex returns the current 64-byte image of page pi's counter
@@ -366,8 +376,7 @@ func (s *Store) BlockByIndex(pi uint64) Block {
 }
 
 // ApplyBlock is ApplyUpdate for a caller that already holds the decoded
-// block (the Ma-SU stages both forms: the image for the redo record and
-// shadow region, the block for the counter store). Behaviour is
+// block (the Ma-SU stages the block in its redo record). Behaviour is
 // identical to ApplyUpdate(pi, blk.Encode(), forcePersist) — the codec
 // is lossless — minus the image decode.
 func (s *Store) ApplyBlock(pi uint64, blk *Block, forcePersist bool) {
@@ -376,11 +385,18 @@ func (s *Store) ApplyBlock(pi uint64, blk *Block, forcePersist bool) {
 		*slot = new(Block)
 		s.live++
 	}
-	**slot = *blk
+	s.Commit(pi, *slot, blk, forcePersist)
+}
+
+// Commit is ApplyBlock for a caller that holds page pi's live block,
+// live, as Live returned it: it installs blk there without looking the
+// page up again.
+func (s *Store) Commit(pi uint64, live, blk *Block, forcePersist bool) {
+	*live = *blk
 	up := s.updates.Ptr(pi)
 	*up++
 	if forcePersist || *up%s.period == 0 {
-		s.persistBlock(pi)
+		s.persist(pi, live)
 	}
 }
 
@@ -422,8 +438,8 @@ func (s *Store) ApplyRun(pi uint64, slots []uint8, persistEach bool) {
 // PersistByIndex persists page pi's counter block if live (metadata-cache
 // eviction keyed by NVM address).
 func (s *Store) PersistByIndex(pi uint64) {
-	if s.volatile.Get(pi) != nil {
-		s.persistBlock(pi)
+	if b := s.volatile.Get(pi); b != nil {
+		s.persist(pi, b)
 	}
 }
 

@@ -27,9 +27,12 @@ func (u *Unit) ShadowImages() map[uint64][64]byte {
 // everything reachable from the units — the counter store, the tree,
 // both metadata caches down to their LRU stamps and hit counts, the
 // shadow table, the line state bits and counters, the redo registers
-// and the device's pages — skipping function values, and the redo op
-// while neither ready bit is set (its bytes are then the stale contents
-// of the last applied op, which nothing reads).
+// and the device's pages — skipping function values, the walk memo
+// (host-only state: it holds what the last walk derived, and where a
+// unit that loaded a page run at a time walked differs from one that
+// wrote every line, nothing simulated does), and the redo op while
+// neither ready bit is set (its bytes are then the stale contents of
+// the last applied op, which nothing reads).
 func StateDiff(u, o *Unit) string {
 	c := differ{skipOp: !u.redo.ready && !o.redo.ready, seen: map[visit]bool{}}
 	if d, same := c.diff(reflect.ValueOf(u), reflect.ValueOf(o)); !same {
@@ -50,7 +53,10 @@ type differ struct {
 	seen   map[visit]bool
 }
 
-var redoLogType = reflect.TypeOf(redoLog{})
+var (
+	redoLogType = reflect.TypeOf(redoLog{})
+	unitType    = reflect.TypeOf(Unit{})
+)
 
 // diff compares a and b, which have the same type. On a difference it
 // returns the path below a at which it lies.
@@ -76,7 +82,8 @@ func (c *differ) diff(a, b reflect.Value) (string, bool) {
 		return c.diff(a.Elem(), b.Elem())
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
-			if c.skipOp && a.Type() == redoLogType && a.Type().Field(i).Name == "op" {
+			if c.skipOp && a.Type() == redoLogType && a.Type().Field(i).Name == "op" ||
+				a.Type() == unitType && a.Type().Field(i).Name == "memo" {
 				continue
 			}
 			if d, same := c.diff(a.Field(i), b.Field(i)); !same {
@@ -136,3 +143,7 @@ func plain(t reflect.Type) bool {
 	}
 	return false
 }
+
+// ForgetWalk empties the unit's walk memo, so its next call derives
+// every address, cache way and shadow entry afresh.
+func (u *Unit) ForgetWalk() { u.forgetWalk() }

@@ -1,7 +1,6 @@
 package masu
 
 import (
-	"dolos/internal/bmt"
 	"dolos/internal/ctr"
 	"dolos/internal/toc"
 	"dolos/internal/trace"
@@ -36,7 +35,7 @@ func (u *Unit) LoadImage(img []trace.InitLine) {
 // the run has not written yet, whose minor counter is short of overflow.
 func (u *Unit) runLength(first uint64, rest []trace.InitLine) int {
 	leaf := u.lay.LeafIndex(first)
-	blk := u.counters.BlockByIndex(leaf)
+	blk := u.memo[0].block // first's live block: the write just loaded it
 	seen := uint64(1) << (first / 64 % ctr.LinesPerBlock)
 	for n, il := range rest {
 		a := il.Addr &^ 63
@@ -55,18 +54,22 @@ func (u *Unit) runLength(first uint64, rest []trace.InitLine) int {
 // from the MT cache, since then the lines would not all hit. Otherwise
 // every line hits the counter block and every path node, evicts nothing
 // and leaves the shadow entries the first line made live and pending, so
-// only its staged plaintext and its counter are its own.
+// only its staged plaintext and its counter are its own. The first
+// line's write left its counter block and path in the walk memo.
 func (u *Unit) loadRun(first uint64, lines []trace.InitLine) bool {
 	leaf := u.lay.LeafIndex(first)
 	n := uint64(len(lines))
 	var pathBuf [toc.MaxLevels]uint64
-	path := u.treePath(leaf, pathBuf[:0])
+	path := pathBuf[:0]
+	for _, s := range u.memo[1:] {
+		path = append(path, s.addr)
+	}
 	if !u.mtCache.RepeatHits(path, !u.policy.PartialTreePersistence, n) {
 		return false
 	}
-	u.counterCache.RepeatHits([]uint64{u.counters.BlockNVMAddr(first)}, !u.policy.CounterWriteThrough, n)
+	u.counterCache.RepeatHits([]uint64{u.memo[0].addr}, !u.policy.CounterWriteThrough, n)
 
-	blk := u.counters.BlockByIndex(leaf)
+	blk := u.memo[0].block
 	var slots [ctr.LinesPerBlock]uint8
 	for j := range lines {
 		a := lines[j].Addr &^ 63
@@ -94,22 +97,4 @@ func (u *Unit) loadRun(first uint64, lines []trace.InitLine) bool {
 	}
 	u.writes += n
 	return true
-}
-
-// treePath appends the MT-cache addresses of leaf's path nodes, level 1
-// upward, to buf: the order a write walks them.
-func (u *Unit) treePath(leaf uint64, buf []uint64) []uint64 {
-	idx := leaf
-	if u.kind == BMTEager {
-		for level := 1; level <= u.bmtTree.Levels(); level++ {
-			idx /= bmt.Arity
-			buf = append(buf, u.bmtTree.NodeNVMAddr(level, idx))
-		}
-		return buf
-	}
-	for level := 1; level <= u.tocTree.Levels(); level++ {
-		idx /= toc.Arity
-		buf = append(buf, u.tocTree.NodeNVMAddr(level, idx))
-	}
-	return buf
 }

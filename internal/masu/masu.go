@@ -209,6 +209,11 @@ type Unit struct {
 
 	redo redoLog
 
+	// memo is the walk memo: memo[0] the last write's counter block,
+	// memo[l] its level-l tree node. Host-only state, derived from the
+	// rest; forgetWalk empties it.
+	memo []walkStep
+
 	// policy is the metadata-persistence policy (zero = original
 	// behavior; see policy.go).
 	policy Policy
@@ -276,9 +281,12 @@ func NewWithParams(kind TreeKind, eng crypt.Provider, dev *nvm.Device, lay layou
 	switch kind {
 	case BMTEager:
 		u.bmtTree = bmt.New(eng, dev, lay.TreeBase, lay.Leaves(), u.counters.ImageByIndex)
+		u.memo = make([]walkStep, u.bmtTree.Levels()+1)
 	case ToCLazy:
 		u.tocTree = toc.New(eng, dev, lay.TreeBase, lay.Leaves(), u.counters.ImageByIndex)
+		u.memo = make([]walkStep, u.tocTree.Levels()+1)
 	}
+	u.forgetWalk()
 	end := lay.DataBase + lay.DataSpan
 	u.dataWB = dev.SetWriteBack(lay.DataBase, end, func(lo, hi uint64) {
 		u.fillLines(u.lineIdx(lo), u.lineIdx(hi+63))
@@ -366,39 +374,112 @@ func (u *Unit) nodeRefAt(nvmAddr uint64) (level int, index uint64, ok bool) {
 	return u.tocTree.NodeAt(nvmAddr)
 }
 
-// touchCounter charges a counter-cache access for addr's counter block
-// and handles dirty victim persistence.
-func (u *Unit) touchCounter(addr uint64, write bool, cost *Cost) {
-	blockAddr := u.counters.BlockNVMAddr(addr)
+// arity is the fan-out of both trees: the write walk, the read walk,
+// the checkpoint load and STUM's shared-level count divide a leaf index
+// by it once per level.
+const arity = bmt.Arity
+
+// The trees agree on arity: the index is out of range otherwise.
+var _ = [1]struct{}{}[arity-toc.Arity]
+
+// walkStep is one node of the walk memo: the write's counter block
+// (level 0) or one of its tree nodes, as the last write walked it. A
+// write that lands on the same node takes the node's NVM address, its
+// metadata-cache way and its shadow entry from here instead of
+// deriving them again.
+type walkStep struct {
+	index uint64 // page index (level 0) or node index; noStep when empty
+	addr  uint64 // the block's NVM address, its metadata-cache key
+	// hint is the way the block's line was last at in its metadata
+	// cache, or -1. The cache checks it (AccessHint).
+	hint int
+	// shadow is the block's shadow-table entry once a write has marked
+	// it; nil before. It points into u.shadow.
+	shadow *shadowEntry
+	// block is, on level 0, the page's live counter block once loaded;
+	// nil before. It points into the counter store.
+	block *ctr.Block
+}
+
+// noStep is the index of an empty walkStep: no page or node has it.
+const noStep = ^uint64(0)
+
+// forgetWalk empties the walk memo. It runs wherever the tables the
+// memo points into drop their contents: WipeShadow resets the shadow
+// table, and CrashVolatile the live counter blocks.
+func (u *Unit) forgetWalk() {
+	for i := range u.memo {
+		u.memo[i] = walkStep{index: noStep, hint: -1}
+	}
+}
+
+// step returns the memo of the level-level block index (the counter
+// block on level 0, a tree node above), started afresh when the last
+// walk's block on that level was another.
+func (u *Unit) step(level int, index uint64) *walkStep {
+	s := &u.memo[level]
+	if s.index != index {
+		*s = walkStep{index: index, addr: u.blockAddr(level, index), hint: -1}
+	}
+	return s
+}
+
+// blockAddr returns the NVM address of the level-level block index.
+func (u *Unit) blockAddr(level int, index uint64) uint64 {
+	switch {
+	case level == 0:
+		return u.counters.BlockAddr(index)
+	case u.bmtTree != nil:
+		return u.bmtTree.NodeNVMAddr(level, index)
+	}
+	return u.tocTree.NodeNVMAddr(level, index)
+}
+
+// liveBlock returns the live counter block of level-0 step s, loading
+// it on first touch.
+func (u *Unit) liveBlock(s *walkStep) *ctr.Block {
+	if s.block == nil {
+		s.block = u.counters.Live(s.index)
+	}
+	return s.block
+}
+
+// touchCounter charges a counter-cache access for step s's counter
+// block and handles dirty victim persistence.
+func (u *Unit) touchCounter(s *walkStep, write bool, cost *Cost) {
 	if u.policy.CounterWriteThrough {
 		// Write-through: the NVM copy is updated at apply time, so the
 		// cached line is never dirty and eviction needs no writeback.
 		write = false
 	}
-	hit, victim, evicted := u.counterCache.Access(blockAddr, write)
-	if !hit {
+	if !u.touch(u.counterCache, s, write, cost) {
 		cost.CounterMisses++
-	}
-	if evicted && victim.Dirty {
-		u.persistMetaVictim(victim.Addr, cost)
 	}
 }
 
-// touchTreeNode charges an MT-cache access for a tree-node NVM address.
-func (u *Unit) touchTreeNode(nodeAddr uint64, write bool, cost *Cost) {
+// touchNode charges an MT-cache access for step s's tree node.
+func (u *Unit) touchNode(s *walkStep, write bool, cost *Cost) {
 	if u.policy.PartialTreePersistence {
 		// Persisted levels are written through at apply time; volatile
 		// levels are simply dropped on eviction. Either way the cached
 		// line is never dirty.
 		write = false
 	}
-	hit, victim, evicted := u.mtCache.Access(nodeAddr, write)
-	if !hit {
+	if !u.touch(u.mtCache, s, write, cost) {
 		cost.TreeMisses++
 	}
+}
+
+// touch accesses step s's line in c at s's way hint, keeps the way the
+// line is at as the next hint, persists a dirty victim and reports
+// whether the access hit.
+func (u *Unit) touch(c *cache.Cache, s *walkStep, write bool, cost *Cost) bool {
+	hit, victim, evicted, way := c.AccessHint(s.addr, write, s.hint)
+	s.hint = way
 	if evicted && victim.Dirty {
 		u.persistMetaVictim(victim.Addr, cost)
 	}
+	return hit
 }
 
 // persistMetaVictim writes an evicted dirty metadata block to NVM and
@@ -423,13 +504,17 @@ func (u *Unit) persistMetaVictim(nvmAddr uint64, cost *Cost) {
 	cost.NVMWrites++
 }
 
-// shadowWrite records the current image of a dirty metadata block in the
-// Anubis shadow region (one extra NVM write, off the critical path). The
-// entry turns pending: its image is the block's live image, copied when
-// the entry is read (fillShadow).
-func (u *Unit) shadowWrite(nvmAddr uint64, cost *Cost) {
-	if i, ok := u.metaIdx(nvmAddr); ok {
-		e := u.shadow.Ptr(i)
+// markShadow records the current image of step s's dirty metadata
+// block in the Anubis shadow region (one extra NVM write, off the
+// critical path). The entry turns pending: its image is the block's
+// live image, copied when the entry is read (fillShadow).
+func (u *Unit) markShadow(s *walkStep, cost *Cost) {
+	if s.shadow == nil {
+		if i, ok := u.metaIdx(s.addr); ok {
+			s.shadow = u.shadow.Ptr(i)
+		}
+	}
+	if e := s.shadow; e != nil {
 		if !e.live {
 			e.live = true
 			u.shadowCount++
@@ -456,36 +541,32 @@ func (u *Unit) PrepareWrite(addr uint64, plain [64]byte, wpqSlot int) (*Op, Cost
 	}
 	var cost Cost
 	addr &^= uint64(63)
-
-	u.touchCounter(addr, true, &cost)
-	prev := u.counters.Preview(addr)
+	leaf := u.lay.LeafIndex(addr)
+	s := u.step(0, leaf)
+	u.touchCounter(s, true, &cost)
 
 	// Stage into the redo registers in place: the op is reused across
-	// writes.
+	// writes. The staged block is the live one after this increment; a
+	// minor counter at its maximum overflows into the major.
 	op := &u.redo.op
 	op.Addr = addr
 	op.Plain = plain
-	op.Counter = prev.Counter
-	op.Overflow = prev.Overflow
 	op.WPQSlot = wpqSlot
-	cost.AESOps++    // the pad, filled when observed
-	cost.TotalMACs++ // the data MAC, filled when observed
-
-	// New leaf image: the counter block after this increment.
-	leaf := u.lay.LeafIndex(addr)
 	op.LeafIndex = leaf
-	blk := u.counters.BlockByIndex(leaf)
+	op.LeafBlock = *u.liveBlock(s)
+	blk := &op.LeafBlock
 	li := int(addr/64) % ctr.LinesPerBlock
-	if prev.Overflow {
+	op.Overflow = blk.Minors[li] == ctr.MinorMax
+	if op.Overflow {
 		blk.Major++
-		for i := range blk.Minors {
-			blk.Minors[i] = 0
-		}
+		clear(blk.Minors[:])
 		blk.Minors[li] = 1
 	} else {
 		blk.Minors[li]++
 	}
-	op.LeafBlock = blk
+	op.Counter = blk.Counter(li)
+	cost.AESOps++    // the pad, filled when observed
+	cost.TotalMACs++ // the data MAC, filled when observed
 
 	switch u.kind {
 	case BMTEager:
@@ -512,7 +593,13 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 	// takes the block before the tree marks the leaf. Overflow forces a
 	// persist; a write-through policy forces one on every write and
 	// skips the shadow entry (the NVM copy IS the recovery source).
-	u.counters.ApplyBlock(op.LeafIndex, &op.LeafBlock, op.Overflow || u.policy.CounterWriteThrough)
+	s := u.step(0, op.LeafIndex)
+	force := op.Overflow || u.policy.CounterWriteThrough
+	if s.block != nil {
+		u.counters.Commit(op.LeafIndex, s.block, &op.LeafBlock, force)
+	} else {
+		u.counters.ApplyBlock(op.LeafIndex, &op.LeafBlock, force) // the memo lost the block: a replay after a crash
+	}
 	if u.policy.CounterWriteThrough {
 		if u.policy.CoalesceCounterWrites && u.haveWTLeaf && u.lastWTLeaf == op.LeafIndex {
 			u.coalescedCtr++ // merged with the in-flight write to the same block
@@ -521,7 +608,7 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 		}
 		u.lastWTLeaf, u.haveWTLeaf = op.LeafIndex, true
 	} else {
-		u.shadowWrite(u.counters.BlockNVMAddr(op.Addr), &cost)
+		u.markShadow(s, &cost)
 	}
 
 	// Integrity tree.
@@ -529,34 +616,16 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 	case BMTEager:
 		// Triad-NVM writes the first N levels through to NVM (the tree
 		// writes them back when observed); higher levels stay volatile
-		// (rebuilt at recovery).
+		// (rebuilt at recovery). Under that policy no level is shadowed.
 		through := 0
 		if u.policy.PartialTreePersistence {
 			through = u.persistLevels()
 		}
 		u.bmtTree.UpdateLeaf(op.LeafIndex, through)
-		idx := op.LeafIndex
-		for level := 1; level <= u.bmtTree.Levels(); level++ {
-			idx /= bmt.Arity
-			nodeAddr := u.bmtTree.NodeNVMAddr(level, idx)
-			u.touchTreeNode(nodeAddr, true, &cost)
-			if u.policy.PartialTreePersistence {
-				if level <= through {
-					cost.NVMWrites++
-				}
-			} else {
-				u.shadowWrite(nodeAddr, &cost)
-			}
-		}
+		u.writePath(op.LeafIndex, u.bmtTree.Levels(), through, !u.policy.PartialTreePersistence, &cost)
 	case ToCLazy:
 		u.tocTree.Apply(&op.ToC)
-		idx := op.LeafIndex
-		for level := 1; level <= u.tocTree.Levels(); level++ {
-			idx /= toc.Arity
-			nodeAddr := u.tocTree.NodeNVMAddr(level, idx)
-			u.touchTreeNode(nodeAddr, true, &cost)
-			u.shadowWrite(nodeAddr, &cost)
-		}
+		u.writePath(op.LeafIndex, u.tocTree.Levels(), 0, true, &cost)
 		cost.NVMWrites++ // the leaf MAC, written back when observed
 	}
 
@@ -574,6 +643,24 @@ func (u *Unit) ApplyWrite(op *Op) Cost {
 	// caller still holding the *Op until the next PrepareWrite.
 	u.redo.ready = false
 	return cost
+}
+
+// writePath touches leaf's path in the MT cache, level 1 upward, as a
+// write (touchNode), and marks each node's shadow entry if shadowed;
+// otherwise each of the first through levels, written through, counts
+// an NVM write.
+func (u *Unit) writePath(leaf uint64, levels, through int, shadowed bool, cost *Cost) {
+	idx := leaf
+	for level := 1; level <= levels; level++ {
+		idx /= arity
+		s := u.step(level, idx)
+		u.touchNode(s, true, cost)
+		if shadowed {
+			u.markShadow(s, cost)
+		} else if level <= through {
+			cost.NVMWrites++
+		}
+	}
 }
 
 // ProcessWrite runs the full prepare+apply pipeline (the common case when

@@ -67,8 +67,10 @@ func (u *Unit) serialMACsFor(leaf uint64) int {
 			return base
 		}
 		shared := 0
+		a, b := leaf, u.prevLeaf
 		for l := 1; l <= u.bmtTree.Levels(); l++ {
-			if leaf>>(3*uint(l)) == u.prevLeaf>>(3*uint(l)) {
+			a, b = a/arity, b/arity
+			if a == b {
 				shared++
 			}
 		}
@@ -101,10 +103,12 @@ func (u *Unit) ancestorCounts() []int {
 	})
 	counts := make([]int, levels+1)
 	counts[0] = len(leaves)
+	span := uint64(1) // leaves under one level-l ancestor
 	for l := 1; l <= levels; l++ {
+		span *= arity
 		anc := make(map[uint64]struct{})
 		for leaf := range leaves {
-			anc[leaf>>(3*uint(l))] = struct{}{}
+			anc[leaf/span] = struct{}{}
 		}
 		counts[l] = len(anc)
 	}

@@ -2,6 +2,8 @@ package masu
 
 import (
 	"fmt"
+
+	"dolos/internal/ctr"
 )
 
 // IntegrityError reports a read-path integrity violation (spoofing,
@@ -32,8 +34,10 @@ func (u *Unit) ReadLine(addr uint64) ([64]byte, Cost, error) {
 	}
 	u.reads++
 
-	u.touchCounter(addr, false, &cost)
-	counter := u.counters.Counter(addr)
+	leaf := u.lay.LeafIndex(addr)
+	s := u.step(0, leaf)
+	u.touchCounter(s, false, &cost)
+	counter := u.liveBlock(s).Counter(int(addr/64) % ctr.LinesPerBlock)
 	if counter == 0 {
 		var zero [64]byte
 		return zero, cost, nil
@@ -49,7 +53,6 @@ func (u *Unit) ReadLine(addr uint64) ([64]byte, Cost, error) {
 	}
 
 	// Verify the counter's integrity through the tree.
-	leaf := u.lay.LeafIndex(addr)
 	switch u.kind {
 	case BMTEager:
 		macs, err := u.bmtTree.VerifyLeaf(leaf)
@@ -102,14 +105,8 @@ func (u *Unit) chargeTreePath(leaf uint64, cost *Cost) {
 		levels = u.tocTree.Levels()
 	}
 	for level := 1; level <= levels; level++ {
-		idx /= 8
-		var nodeAddr uint64
-		if u.bmtTree != nil {
-			nodeAddr = u.bmtTree.NodeNVMAddr(level, idx)
-		} else {
-			nodeAddr = u.tocTree.NodeNVMAddr(level, idx)
-		}
-		hit, victim, evicted := u.mtCache.Access(nodeAddr, false)
+		idx /= arity
+		hit, victim, evicted := u.mtCache.Access(u.blockAddr(level, idx), false)
 		if evicted && victim.Dirty {
 			u.persistMetaVictim(victim.Addr, cost)
 		}

@@ -40,6 +40,7 @@ func (u *Unit) CrashVolatile() {
 		u.tocTree.DropVolatile()
 	}
 	u.counters.DropVolatile()
+	u.forgetWalk()
 }
 
 // fillShadow copies a pending entry's image from its live block into
@@ -355,6 +356,7 @@ func (u *Unit) TamperShadow() bool {
 func (u *Unit) WipeShadow() {
 	u.shadow.Reset()
 	u.shadowCount = 0
+	u.forgetWalk()
 }
 
 // ShadowEntries returns the number of live shadow-region entries.
