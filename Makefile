@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-sim bench-cache bench-masu bench-misu fuzz-smoke fuzz-targets pprof ci profile reproduce validate serve load-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-gen bench-loop bench-sim bench-cache bench-masu bench-misu fuzz-smoke fuzz-targets pprof ci profile reproduce validate serve load-smoke clean
 
 all: build test
 
@@ -56,6 +56,16 @@ bench-smoke:
 bench-gen:
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchmem -benchtime 20x -count 5 ./internal/whisper
 	$(GO) test -run '^$$' -bench 'StartCell' -benchmem -benchtime 20x -count 5 ./internal/cpu
+
+# The event loop alone (BenchmarkLoopCell): Engine.Run from Start to the
+# end of a btree-fast cell's 1000-txn Btree trace (latency-only crypto,
+# eager BMT) under Pre-WPQ-Secure and each Dolos design, with the
+# machine build and Start outside the timer. Each Dolos time over the
+# Pre-WPQ one is the host cost of simulating the split write path.
+# Fixed iterations and five repeats, so a change reports the median and
+# quartiles of each.
+bench-loop:
+	$(GO) test -run '^$$' -bench 'LoopCell' -benchmem -benchtime 20x -count 5 ./internal/cpu
 
 # Ma-SU layer at the same fixed sizes: ProcessWrite on the eager BMT
 # and the lazy ToC over a 256 KB loop on the 5-level test layout, and at
@@ -160,6 +170,7 @@ ci:
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench 'GenerateCell' -benchtime 1x ./internal/whisper
 	$(GO) test -run '^$$' -bench 'StartCell' -benchtime 1x ./internal/cpu
+	$(GO) test -run '^$$' -bench 'LoopCell' -benchtime 1x ./internal/cpu
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench 'ProcessWrite|ReadLine|Recovery|Audit|LoadCheckpoint' -benchtime 1x ./internal/masu
 	$(GO) test -run '^$$' -bench 'Protect|DrainRecover' -benchtime 1x ./internal/misu

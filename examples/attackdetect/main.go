@@ -78,7 +78,7 @@ func main() {
 	mi := misu.New(misu.PartialWPQ, eng, dev, lay.DrainBase, 13)
 	var w [64]byte
 	w[0] = 0x42
-	mi.Protect(0x2000, w)
+	mi.Protect(0x2000, &w)
 	mi.Drain()
 	adv.Spoof(lay.DrainBase+8+8, 4) // inside slot 0's ciphertext
 	if _, err := mi.Recover(); err != nil {

@@ -130,7 +130,7 @@ func TestWPQDrainImageAttack(t *testing.T) {
 	eng, ctrl := newDolosSystem(t)
 	var p [64]byte
 	p[0] = 0x11
-	ctrl.PersistWrite(0x2000, p, nil)
+	ctrl.PersistWrite(0x2000, &p, nil)
 	eng.RunUntil(200) // entry still in WPQ
 	if _, err := ctrl.Crash(); err != nil {
 		t.Fatal(err)

@@ -231,11 +231,12 @@ func (c Config) UsableWPQ() int {
 	return c.HardwareWPQ
 }
 
-// waiter is a write request: the line and the acceptance callback of
-// its requester. Parked writes (retried insertions) wait as waiters.
+// waiter is a write request: the line, by reference (see PersistWrite),
+// and the acceptance callback of its requester. Parked writes (retried
+// insertions) wait as waiters.
 type waiter struct {
 	addr     uint64
-	data     [64]byte
+	data     *[64]byte
 	accepted func()
 }
 

@@ -28,7 +28,7 @@ func TestTinyWPQStillCorrect(t *testing.T) {
 	eng, c := newCustomSystem(Config{Scheme: DolosPartial, HardwareWPQ: 2})
 	accepted := 0
 	for i := uint64(0); i < 12; i++ {
-		c.PersistWrite(0x1000+i*64, line(byte(i)), func() { accepted++ })
+		c.PersistWrite(0x1000+i*64, lineRef(byte(i)), func() { accepted++ })
 	}
 	eng.Run(0)
 	if accepted != 12 {
@@ -48,7 +48,7 @@ func TestTinyWPQStillCorrect(t *testing.T) {
 func TestLargeWPQNoRetries(t *testing.T) {
 	eng, c := newCustomSystem(Config{Scheme: DolosPartial, HardwareWPQ: 128})
 	for i := uint64(0); i < 40; i++ {
-		c.PersistWrite(0x1000+i*64, line(byte(i)), nil)
+		c.PersistWrite(0x1000+i*64, lineRef(byte(i)), nil)
 	}
 	eng.Run(0)
 	if c.RetryEvents() != 0 {
@@ -68,7 +68,7 @@ func drainTime(t *testing.T, ii sim.Cycle) sim.Cycle {
 	t.Helper()
 	eng, c := newCustomSystem(Config{Scheme: DolosPartial, MaSUInterval: ii})
 	for i := uint64(0); i < 10; i++ {
-		c.PersistWrite(0x1000+i*64, line(byte(i)), nil)
+		c.PersistWrite(0x1000+i*64, lineRef(byte(i)), nil)
 	}
 	eng.Run(0)
 	return eng.Now()
@@ -81,7 +81,7 @@ func TestSmallCounterCacheMoreMisses(t *testing.T) {
 		// large counter cache and thrashes in a small one.
 		for pass := 0; pass < 2; pass++ {
 			for i := uint64(0); i < 200; i++ {
-				c.PersistWrite(0x1000+i*4096, line(byte(i)), nil)
+				c.PersistWrite(0x1000+i*4096, lineRef(byte(i)), nil)
 			}
 			eng.Run(0)
 		}
@@ -100,7 +100,7 @@ func TestToCCrashRecoverThroughController(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		addr := 0x2000 + i*64
 		p := line(byte(40 + i))
-		c.PersistWrite(addr, p, func() { want[addr] = p })
+		c.PersistWrite(addr, &p, func() { want[addr] = p })
 	}
 	eng.RunUntil(3000)
 	if _, err := c.Crash(); err != nil {
@@ -119,7 +119,7 @@ func TestToCCrashRecoverThroughController(t *testing.T) {
 
 func TestOsirisRejectedUnderToC(t *testing.T) {
 	eng, c := newCustomSystem(Config{Scheme: DolosPartial, Tree: masu.ToCLazy})
-	c.PersistWrite(0x1000, line(1), nil)
+	c.PersistWrite(0x1000, lineRef(1), nil)
 	eng.Run(0)
 	if _, err := c.Crash(); err != nil {
 		t.Fatal(err)
@@ -131,14 +131,14 @@ func TestOsirisRejectedUnderToC(t *testing.T) {
 
 func TestWritesAfterCrashIgnored(t *testing.T) {
 	eng, c := newCustomSystem(Config{Scheme: DolosPartial})
-	c.PersistWrite(0x1000, line(1), nil)
+	c.PersistWrite(0x1000, lineRef(1), nil)
 	eng.Run(0)
 	if _, err := c.Crash(); err != nil {
 		t.Fatal(err)
 	}
 	before := c.WriteRequests()
 	accepted := false
-	c.PersistWrite(0x2000, line(2), func() { accepted = true })
+	c.PersistWrite(0x2000, lineRef(2), func() { accepted = true })
 	eng.Run(0)
 	if accepted {
 		t.Fatal("write accepted while powered off")
@@ -154,7 +154,7 @@ func TestPipelinedBaselineThroughput(t *testing.T) {
 	const n = 8
 	var last sim.Cycle
 	for i := uint64(0); i < n; i++ {
-		c.PersistWrite(0x1000+i*64, line(byte(i)), func() {
+		c.PersistWrite(0x1000+i*64, lineRef(byte(i)), func() {
 			if eng.Now() > last {
 				last = eng.Now()
 			}
@@ -175,7 +175,7 @@ func TestPipelinedBaselineThroughput(t *testing.T) {
 
 func TestReadExtraLatencyComposition(t *testing.T) {
 	eng, c := newCustomSystem(Config{Scheme: DolosPartial})
-	c.PersistWrite(0x1000, line(1), nil)
+	c.PersistWrite(0x1000, lineRef(1), nil)
 	eng.Run(0)
 	// First read: counter is cached from the write -> only the data MAC
 	// verification beyond the NVM fetch.

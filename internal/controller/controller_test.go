@@ -29,6 +29,12 @@ func line(seed byte) [64]byte {
 	return l
 }
 
+// lineRef returns line(seed) by reference, as PersistWrite takes it.
+func lineRef(seed byte) *[64]byte {
+	l := line(seed)
+	return &l
+}
+
 func allSchemes() []Scheme {
 	return []Scheme{NonSecureADR, PreWPQSecure, DolosFull, DolosPartial, DolosPost}
 }
@@ -56,7 +62,7 @@ func TestPersistWriteAccepted(t *testing.T) {
 		t.Run(s.String(), func(t *testing.T) {
 			eng, c := newSystem(s, masu.BMTEager)
 			var acceptedAt sim.Cycle
-			c.PersistWrite(0x1000, line(1), func() { acceptedAt = eng.Now() })
+			c.PersistWrite(0x1000, lineRef(1), func() { acceptedAt = eng.Now() })
 			eng.Run(0)
 			if acceptedAt == 0 {
 				t.Fatal("write never accepted")
@@ -75,7 +81,7 @@ func TestInsertLatencyOrdering(t *testing.T) {
 	for _, s := range allSchemes() {
 		eng, c := newSystem(s, masu.BMTEager)
 		var acceptedAt sim.Cycle
-		c.PersistWrite(0x1000, line(1), func() { acceptedAt = eng.Now() })
+		c.PersistWrite(0x1000, lineRef(1), func() { acceptedAt = eng.Now() })
 		eng.Run(0)
 		lat[s] = acceptedAt
 	}
@@ -94,7 +100,7 @@ func TestInsertLatencyOrdering(t *testing.T) {
 func TestDolosDrainsInBackground(t *testing.T) {
 	eng, c := newSystem(DolosPartial, masu.BMTEager)
 	for i := uint64(0); i < 5; i++ {
-		c.PersistWrite(0x1000+i*64, line(byte(i)), nil)
+		c.PersistWrite(0x1000+i*64, lineRef(byte(i)), nil)
 	}
 	eng.Run(0)
 	if got := c.Stats().Counter("masu.drained").Value(); got != 5 {
@@ -114,7 +120,7 @@ func TestRetryEventsWhenFull(t *testing.T) {
 	n := uint64(40)
 	accepted := 0
 	for i := uint64(0); i < n; i++ {
-		c.PersistWrite(0x1000+i*64, line(byte(i)), func() { accepted++ })
+		c.PersistWrite(0x1000+i*64, lineRef(byte(i)), func() { accepted++ })
 	}
 	eng.Run(0)
 	if accepted != int(n) {
@@ -133,7 +139,7 @@ func TestIdealNoRetryUnderLightLoad(t *testing.T) {
 	for i := uint64(0); i < 8; i++ {
 		i := i
 		eng.At(sim.Cycle(i*5000), func() {
-			c.PersistWrite(0x1000+i*64, line(byte(i)), nil)
+			c.PersistWrite(0x1000+i*64, lineRef(byte(i)), nil)
 		})
 	}
 	eng.Run(0)
@@ -147,7 +153,7 @@ func TestReadAfterDrain(t *testing.T) {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
 			eng, c := newSystem(s, masu.BMTEager)
-			c.PersistWrite(0x1000, line(7), nil)
+			c.PersistWrite(0x1000, lineRef(7), nil)
 			eng.Run(0)
 			var readDone bool
 			c.ReadLine(0x1000, func(uint64) { readDone = true }, 0)
@@ -163,7 +169,7 @@ func TestReadHitsWPQ(t *testing.T) {
 	eng, c := newSystem(DolosPartial, masu.BMTEager)
 	// Saturate the Ma-SU so entries linger in the WPQ, then read one.
 	for i := uint64(0); i < 10; i++ {
-		c.PersistWrite(0x1000+i*64, line(byte(i)), nil)
+		c.PersistWrite(0x1000+i*64, lineRef(byte(i)), nil)
 	}
 	var hitLatency sim.Cycle
 	eng.RunUntil(300) // first insert done at 161; its drain takes ~1700
@@ -190,7 +196,7 @@ func TestCrashRecoverPreservesWrites(t *testing.T) {
 			for i := uint64(0); i < 12; i++ {
 				addr := 0x1000 + i*64
 				p := line(byte(i))
-				c.PersistWrite(addr, p, func() { want[addr] = p })
+				c.PersistWrite(addr, &p, func() { want[addr] = p })
 			}
 			// Crash mid-flight: run only a little so some entries are
 			// still in the WPQ for Dolos schemes. Only writes accepted
@@ -225,7 +231,7 @@ func TestCrashDrainWithinADRBudget(t *testing.T) {
 		t.Run(s.String(), func(t *testing.T) {
 			eng, c := newSystem(s, masu.BMTEager)
 			for i := uint64(0); i < 20; i++ {
-				c.PersistWrite(0x1000+i*64, line(byte(i)), nil)
+				c.PersistWrite(0x1000+i*64, lineRef(byte(i)), nil)
 			}
 			eng.RunUntil(500) // crash with the queue as full as it gets
 			rep, err := c.Crash()
@@ -243,7 +249,7 @@ func TestCrashDrainWithinADRBudget(t *testing.T) {
 func TestOsirisRecoveryPath(t *testing.T) {
 	eng, c := newSystem(DolosPartial, masu.BMTEager)
 	for i := uint64(0); i < 6; i++ {
-		c.PersistWrite(0x2000+i*64, line(byte(40+i)), nil)
+		c.PersistWrite(0x2000+i*64, lineRef(byte(40+i)), nil)
 	}
 	eng.Run(0)
 	if _, err := c.Crash(); err != nil {
@@ -261,8 +267,8 @@ func TestOsirisRecoveryPath(t *testing.T) {
 func TestPostWPQDeferredSerializes(t *testing.T) {
 	eng, c := newSystem(DolosPost, masu.BMTEager)
 	var at1, at2 sim.Cycle
-	c.PersistWrite(0x1000, line(1), func() { at1 = eng.Now() })
-	c.PersistWrite(0x1040, line(2), func() { at2 = eng.Now() })
+	c.PersistWrite(0x1000, lineRef(1), func() { at1 = eng.Now() })
+	c.PersistWrite(0x1040, lineRef(2), func() { at2 = eng.Now() })
 	eng.Run(0)
 	// The second write cannot be accepted until the first's deferred MAC
 	// completes (one outstanding deferred op).
@@ -274,7 +280,7 @@ func TestPostWPQDeferredSerializes(t *testing.T) {
 func TestCoalescingReducesOccupancy(t *testing.T) {
 	eng, c := newSystem(DolosPartial, masu.BMTEager)
 	for i := 0; i < 6; i++ {
-		c.PersistWrite(0x1000, line(byte(i)), nil) // same line repeatedly
+		c.PersistWrite(0x1000, lineRef(byte(i)), nil) // same line repeatedly
 	}
 	eng.Run(0)
 	if got := c.queue().Coalesces(); got == 0 {
@@ -289,7 +295,7 @@ func TestDisableCoalescing(t *testing.T) {
 	cfg := Config{Scheme: DolosPartial, Layout: lay, DisableCoalescing: true}
 	c := New(eng, dev, cfg)
 	for i := 0; i < 4; i++ {
-		c.PersistWrite(0x1000, line(byte(i)), nil)
+		c.PersistWrite(0x1000, lineRef(byte(i)), nil)
 	}
 	eng.Run(0)
 	if got := c.queue().Coalesces(); got != 0 {
@@ -299,7 +305,7 @@ func TestDisableCoalescing(t *testing.T) {
 
 func TestEvictWriteSecured(t *testing.T) {
 	eng, c := newSystem(DolosPartial, masu.BMTEager)
-	c.EvictWrite(0x3000, line(9))
+	c.EvictWrite(0x3000, lineRef(9))
 	eng.Run(0)
 	if c.MaSU().Writes() != 1 {
 		t.Fatal("eviction bypassed the Ma-SU")
@@ -314,7 +320,7 @@ func TestInterarrivalTracked(t *testing.T) {
 	eng, c := newSystem(DolosPartial, masu.BMTEager)
 	for i := uint64(0); i < 4; i++ {
 		i := i
-		eng.At(sim.Cycle(i*473), func() { c.PersistWrite(0x1000+i*64, line(byte(i)), nil) })
+		eng.At(sim.Cycle(i*473), func() { c.PersistWrite(0x1000+i*64, lineRef(byte(i)), nil) })
 	}
 	eng.Run(0)
 	h := c.Stats().Histogram("wpq.interarrival_cycles")

@@ -10,7 +10,7 @@ import (
 func TestEADRAcceptsImmediately(t *testing.T) {
 	eng, c := newSystem(EADRSecure, masu.BMTEager)
 	var at sim.Cycle
-	c.PersistWrite(0x1000, line(1), func() { at = eng.Now() })
+	c.PersistWrite(0x1000, lineRef(1), func() { at = eng.Now() })
 	eng.Run(0)
 	if at > 2 {
 		t.Fatalf("eADR acceptance at %d cycles, want ~1", at)
@@ -23,7 +23,7 @@ func TestEADRAcceptsImmediately(t *testing.T) {
 func TestEADRFunctionallySecured(t *testing.T) {
 	eng, c := newSystem(EADRSecure, masu.BMTEager)
 	for i := uint64(0); i < 8; i++ {
-		c.PersistWrite(0x1000+i*64, line(byte(i)), nil)
+		c.PersistWrite(0x1000+i*64, lineRef(byte(i)), nil)
 	}
 	eng.Run(0)
 	for i := uint64(0); i < 8; i++ {
@@ -41,7 +41,7 @@ func TestEADRFasterThanIdealWPQ(t *testing.T) {
 		eng, c := newSystem(s, masu.BMTEager)
 		var last sim.Cycle
 		for i := uint64(0); i < 64; i++ {
-			c.PersistWrite(0x1000+i*64, line(byte(i)), func() {
+			c.PersistWrite(0x1000+i*64, lineRef(byte(i)), func() {
 				if eng.Now() > last {
 					last = eng.Now()
 				}
@@ -57,7 +57,7 @@ func TestEADRFasterThanIdealWPQ(t *testing.T) {
 
 func TestEADRCrashRecover(t *testing.T) {
 	eng, c := newSystem(EADRSecure, masu.BMTEager)
-	c.PersistWrite(0x1000, line(1), nil)
+	c.PersistWrite(0x1000, lineRef(1), nil)
 	eng.Run(0)
 	if _, err := c.Crash(); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestCrossSchemeFunctionalEquivalence(t *testing.T) {
 	for _, s := range append(allSchemes(), EADRSecure) {
 		eng, c := newSystem(s, masu.BMTEager)
 		for i, a := range addrs {
-			c.PersistWrite(a, line(byte(i*7)), nil)
+			c.PersistWrite(a, lineRef(byte(i*7)), nil)
 		}
 		eng.Run(0)
 		for i, a := range addrs {

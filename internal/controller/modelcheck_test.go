@@ -36,7 +36,7 @@ func TestModelCheckController(t *testing.T) {
 					rng.Read(val[:])
 					pending++
 					inflight[addr]++
-					c.PersistWrite(addr, val, func() {
+					c.PersistWrite(addr, &val, func() {
 						oracle[addr] = val
 						pending--
 						inflight[addr]--

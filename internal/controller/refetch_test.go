@@ -15,7 +15,7 @@ func TestCoalesceIntoInFlightEntry(t *testing.T) {
 	addr := uint64(0x1000)
 
 	// First write; let the Ma-SU fetch it (drain delay 400 + pipeline).
-	c.PersistWrite(addr, line(1), nil)
+	c.PersistWrite(addr, lineRef(1), nil)
 	eng.RunUntil(700)
 	slot, ok := c.mi.Queue().Lookup(addr)
 	if !ok || !c.mi.Queue().Entry(slot).Fetched {
@@ -24,7 +24,7 @@ func TestCoalesceIntoInFlightEntry(t *testing.T) {
 
 	// Second write to the same line while in flight: must coalesce and
 	// reset the Fetched flag.
-	c.PersistWrite(addr, line(2), nil)
+	c.PersistWrite(addr, lineRef(2), nil)
 	eng.Run(0)
 
 	got, _, err := c.MaSU().ReadLine(addr)
@@ -41,10 +41,10 @@ func TestCoalesceIntoInFlightEntry(t *testing.T) {
 func TestCoalesceInFlightCrash(t *testing.T) {
 	eng, c := newSystem(DolosPartial, masu.BMTEager)
 	addr := uint64(0x2000)
-	c.PersistWrite(addr, line(1), nil)
+	c.PersistWrite(addr, lineRef(1), nil)
 	eng.RunUntil(700)
 	accepted := false
-	c.PersistWrite(addr, line(2), func() { accepted = true })
+	c.PersistWrite(addr, lineRef(2), func() { accepted = true })
 	eng.RunUntil(1000)
 	if !accepted {
 		t.Skip("second write not accepted before crash point")
@@ -68,7 +68,7 @@ func TestOverflowedPageFullyVerifiable(t *testing.T) {
 	eng, c := newSystem(DolosPartial, masu.BMTEager)
 	hot := uint64(0x3000)
 	for i := 0; i < 130; i++ {
-		c.PersistWrite(hot, line(byte(i)), nil)
+		c.PersistWrite(hot, lineRef(byte(i)), nil)
 		eng.Run(0) // serialize so every write lands (no coalescing noise)
 	}
 	ma := c.MaSU()

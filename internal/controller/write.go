@@ -13,7 +13,10 @@ import (
 // sfence waits for. Writes that find the WPQ full (or the Post-WPQ Mi-SU
 // busy) are retried; each failed attempt counts one retry event
 // (Table 2's metric).
-func (c *Controller) PersistWrite(addr uint64, data [64]byte, accepted func()) {
+//
+// data is read in place, not copied: *data must not change until the
+// write drains. The cores pass lines of their immutable traces.
+func (c *Controller) PersistWrite(addr uint64, data *[64]byte, accepted func()) {
 	addr &^= 63
 	c.cWriteRequests.Inc()
 	c.noteArrival()
@@ -34,8 +37,9 @@ func (c *Controller) PersistWrite(addr uint64, data [64]byte, accepted func()) {
 }
 
 // EvictWrite submits a dirty non-persist writeback (an LLC victim). It
-// takes the same secured path but nothing waits on it.
-func (c *Controller) EvictWrite(addr uint64, data [64]byte) {
+// takes the same secured path but nothing waits on it. As with
+// PersistWrite, *data must not change until the write drains.
+func (c *Controller) EvictWrite(addr uint64, data *[64]byte) {
 	addr &^= 63
 	if c.cEvictRequests == nil {
 		// Interned lazily, unlike the other handles: bench-grid runs
@@ -92,7 +96,7 @@ func (c *Controller) insertEADR(w *waiter) {
 	if w.accepted != nil {
 		c.eng.After(1, w.accepted)
 	}
-	cost := c.ma.ProcessWrite(w.addr, w.data, -1)
+	cost := c.ma.ProcessWrite(w.addr, *w.data, -1)
 	c.chargeWriteCost(cost)
 	i := c.drains.Put(drain{addr: w.addr, epoch: c.epoch})
 	c.secUnit.Submit(c.costs.DrainService(cost), c.eadrSecuredFn, i)
@@ -275,8 +279,9 @@ func (c *Controller) maFetch() {
 		c.pumpMaSU()
 		return
 	}
-	c.mi.Queue().MarkFetched(slot)
-	fetchSeq := c.mi.Queue().Entry(slot).Seq
+	q := c.mi.Queue()
+	q.MarkFetched(slot)
+	fetchSeq := q.Entry(slot).Seq
 	addr, plain := c.mi.DecryptSlot(slot)
 	cost := c.ma.ProcessWrite(addr, plain, slot)
 	c.chargeWriteCost(cost)
@@ -337,7 +342,7 @@ func (c *Controller) insertPreWPQ(w *waiter) {
 	// The conventional security unit serializes: counter fetch, pad
 	// generation, data MAC and the eager tree update all happen before
 	// the write may enter the persistence domain.
-	cost := c.ma.ProcessWrite(w.addr, w.data, -1)
+	cost := c.ma.ProcessWrite(w.addr, *w.data, -1)
 	c.chargeWriteCost(cost)
 	c.secUnit.Submit(c.costs.InsertService(cost), c.preWPQSecuredFn, c.inserts.Put(insert{w: *w, epoch: c.epoch}))
 }
@@ -414,7 +419,7 @@ func (c *Controller) insertIdeal(w *waiter, wake bool) {
 	c.cInserted.Inc()
 	// Security is applied with zero charged latency (the infeasible
 	// reference point): functional state stays exact.
-	cost := c.ma.ProcessWrite(w.addr, w.data, -1)
+	cost := c.ma.ProcessWrite(w.addr, *w.data, -1)
 	c.chargeWriteCost(cost)
 	if w.accepted != nil {
 		c.eng.After(1, w.accepted)

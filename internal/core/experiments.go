@@ -698,7 +698,7 @@ func ADRCompliance() *stats.Table {
 		u := misu.New(d, eng, dev, 1<<20, d.Entries(controller.DefaultWPQ))
 		var p [64]byte
 		for i := 0; u.CanAccept(uint64(i+1) * 64); i++ {
-			u.Protect(uint64(i+1)*64, p)
+			u.Protect(uint64(i+1)*64, &p)
 		}
 		st := u.Drain()
 		bytes := st.EntriesWritten*wpq.EntryDataSize + st.MACBlocksWritten*64

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dolos/internal/controller"
+	"dolos/internal/trace"
 	"dolos/internal/whisper"
 )
 
@@ -77,7 +78,7 @@ func TestPersistWriteAllocFree(t *testing.T) {
 		i := 0
 		write := func() {
 			data[0] = byte(i)
-			s.Ctrl.PersistWrite(0x10000+uint64(i%32)*64, data, acceptFn)
+			s.Ctrl.PersistWrite(0x10000+uint64(i%32)*64, &data, acceptFn)
 			s.Eng.Run(0)
 			i++
 		}
@@ -86,6 +87,58 @@ func TestPersistWriteAllocFree(t *testing.T) {
 		}
 		if accepted != i {
 			t.Errorf("%v: %d of %d writes accepted", sch, accepted, i)
+		}
+	}
+}
+
+// TestArbitratedPersistAllocFree pins that on a 4-core machine a
+// steady-state round of persists and evictions, one of each per core,
+// allocates nothing on its way through Core.Persist and the core's
+// eviction backend, the arbiter's command port and the controller, on
+// every insert path. The persisted lines are trace ops and the evicted
+// ones mirror entries or, for a line the mirror does not hold, the
+// shared zero line, all by reference.
+func TestArbitratedPersistAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const cores = 4
+	for _, sch := range []controller.Scheme{
+		controller.PreWPQSecure, controller.TriadNVM, controller.DolosFull, controller.DolosPartial,
+		controller.DolosPost, controller.EADRSecure, controller.NonSecureADR,
+	} {
+		specs := make([]CoreSpec, cores)
+		for i := range specs {
+			specs[i].Trace = &trace.Trace{}
+		}
+		m := NewMachine(MachineConfig{Ctrl: testConfig(sch)}, specs)
+		var ops [cores][32]trace.Op
+		for c := range ops {
+			for j := range ops[c] {
+				op := &ops[c][j]
+				*op = trace.Op{Kind: trace.Flush, Addr: 0x10000 + uint64(c*4096+j*64)}
+				op.Data[0] = byte(c*32 + j)
+				if j%2 == 0 {
+					m.Cores[c].mirror.Set(op.Addr, &op.Data)
+				}
+			}
+		}
+		accepted := 0
+		acceptFn := func() { accepted++ }
+		i := 0
+		round := func() {
+			for c, core := range m.Cores {
+				core.Persist(&ops[c][i%32], acceptFn)
+				coreBackend{core}.EvictLine(ops[c][(i+16)%32].Addr)
+			}
+			m.Eng.Run(0)
+			i++
+		}
+		if n := steadyState(round); n != 0 {
+			t.Errorf("%v: a round of %d persists and evictions allocates %.1f times", sch, cores, n)
+		}
+		if accepted != cores*i {
+			t.Errorf("%v: %d of %d persists accepted", sch, accepted, cores*i)
 		}
 	}
 }
@@ -101,7 +154,7 @@ func TestMissReadAllocFree(t *testing.T) {
 		s := NewSystem(testConfig(sch))
 		var data [64]byte
 		for a := uint64(0); a < 32; a++ {
-			s.Ctrl.PersistWrite(0x10000+a*64, data, nil)
+			s.Ctrl.PersistWrite(0x10000+a*64, &data, nil)
 		}
 		s.Eng.Run(0)
 		done := 0

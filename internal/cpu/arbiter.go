@@ -22,7 +22,7 @@ type request struct {
 	seq  uint64 // per-core issue sequence
 	kind uint8
 	addr uint64
-	data [64]byte    // persist/evict payload
+	data *[64]byte   // persist/evict payload, by reference
 	done func()      // persist acceptance
 	fill sim.Handler // read completion, called with arg
 	arg  uint64

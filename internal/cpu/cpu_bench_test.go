@@ -84,3 +84,33 @@ func BenchmarkStartCell(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLoopCell times the event loop alone, Engine.Run from Start to
+// the end of the trace, on the 1000-txn Btree trace of a btree-fast
+// cell of benchmark/ (latency-only crypto, eager BMT, default layout)
+// under Pre-WPQ-Secure and each Dolos design. The machine build and
+// Start, which loads the checkpoint image, run outside the timer, so
+// the per-scheme ratio is the write path's host cost in the loop.
+// `make bench-loop` runs it.
+func BenchmarkLoopCell(b *testing.B) {
+	tr := whisper.Btree{}.Generate(whisper.Params{Transactions: 1000, Seed: 1000})
+	for _, sch := range []controller.Scheme{
+		controller.PreWPQSecure, controller.DolosFull, controller.DolosPartial, controller.DolosPost,
+	} {
+		b.Run(sch.String(), func(b *testing.B) {
+			cfg := controller.Config{Scheme: sch, Tree: masu.BMTEager, FastMode: true}
+			copy(cfg.AESKey[:], "cpu-aes-key-0016")
+			copy(cfg.MACKey[:], "cpu-mac-key-0016")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := NewSystem(cfg)
+				if err := s.Start(tr); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				s.Eng.Run(0)
+			}
+		})
+	}
+}

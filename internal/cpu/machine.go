@@ -103,8 +103,13 @@ func (c *Core) Mirror(addr uint64) ([64]byte, bool) {
 
 // coreBackend routes a core's hierarchy misses and evictions to the
 // controller: straight in on a one-core machine, through the arbiter
-// otherwise. Eviction data comes from the core's line mirror.
+// otherwise. Eviction data comes from the core's line mirror, by
+// reference: a line the mirror does not hold evicts zeroLine.
 type coreBackend struct{ c *Core }
+
+// zeroLine is the data of an evicted line the application never wrote.
+// The controller reads it and never writes it.
+var zeroLine [64]byte
 
 func (b coreBackend) ReadLine(addr uint64, done sim.Handler, arg uint64) {
 	m := b.c.m
@@ -116,9 +121,9 @@ func (b coreBackend) ReadLine(addr uint64, done sim.Handler, arg uint64) {
 }
 
 func (b coreBackend) EvictLine(addr uint64) {
-	var data [64]byte
-	if p := b.c.mirror.At(addr); p != nil {
-		data = *p
+	data := b.c.mirror.At(addr)
+	if data == nil {
+		data = &zeroLine
 	}
 	m := b.c.m
 	if m.arb == nil {
@@ -132,15 +137,16 @@ func (b coreBackend) EvictLine(addr uint64) {
 // (through the arbiter when cores contend), and its acceptance is
 // reported to OnAccepted and counted before the issue loop sees it.
 // accepted is the issue loop's one bound callback, so without an
-// OnAccepted observer a flush allocates nothing.
+// OnAccepted observer a flush allocates nothing. The line travels by
+// reference into the trace, which nothing writes once generated.
 func (c *Core) Persist(op *trace.Op, accepted func()) {
 	m := c.m
 	if m.arb == nil {
 		if c.OnAccepted == nil {
-			m.Ctrl.PersistWrite(op.Addr, op.Data, accepted)
+			m.Ctrl.PersistWrite(op.Addr, &op.Data, accepted)
 			return
 		}
-		m.Ctrl.PersistWrite(op.Addr, op.Data, func() {
+		m.Ctrl.PersistWrite(op.Addr, &op.Data, func() {
 			c.OnAccepted(op.Addr, op.Data)
 			accepted()
 		})
@@ -148,10 +154,10 @@ func (c *Core) Persist(op *trace.Op, accepted func()) {
 	}
 	if c.OnAccepted == nil {
 		c.issueAccepted = accepted
-		m.arb.submit(request{core: c.id, kind: reqPersist, addr: op.Addr, data: op.Data, done: c.acceptFn})
+		m.arb.submit(request{core: c.id, kind: reqPersist, addr: op.Addr, data: &op.Data, done: c.acceptFn})
 		return
 	}
-	m.arb.submit(request{core: c.id, kind: reqPersist, addr: op.Addr, data: op.Data, done: func() {
+	m.arb.submit(request{core: c.id, kind: reqPersist, addr: op.Addr, data: &op.Data, done: func() {
 		c.acceptedN.Inc()
 		c.OnAccepted(op.Addr, op.Data)
 		accepted()

@@ -130,8 +130,7 @@ type Store struct {
 	updates  *dense.Table[uint64] // page index -> updates since last persist
 	live     int
 
-	persists  uint64
-	overflows uint64
+	persists uint64
 }
 
 // NewStore creates a counter store covering dataSpan bytes of data
@@ -160,9 +159,6 @@ func (s *Store) RegionBytes() uint64 { return (s.dataSpan / nvm.PageSize) * Bloc
 // Persists returns the number of counter-block persists to NVM.
 func (s *Store) Persists() uint64 { return s.persists }
 
-// Overflows returns the number of minor-counter overflows handled.
-func (s *Store) Overflows() uint64 { return s.overflows }
-
 // Period returns the Osiris persist period.
 func (s *Store) Period() uint64 { return s.period }
 
@@ -176,12 +172,6 @@ func (s *Store) pageIndex(addr uint64) uint64 {
 
 // lineIndex maps a data address to its minor-counter slot.
 func lineIndex(addr uint64) int { return int(addr/nvm.LineSize) % LinesPerBlock }
-
-// BlockNVMAddr returns the NVM address of the counter block covering addr.
-// This is the address the metadata (counter) cache is indexed by.
-func (s *Store) BlockNVMAddr(addr uint64) uint64 {
-	return s.base + s.pageIndex(addr)*BlockSize
-}
 
 // BlockAddr returns the NVM address of page pi's counter block.
 func (s *Store) BlockAddr(pi uint64) uint64 { return s.base + pi*BlockSize }
@@ -207,49 +197,6 @@ func (s *Store) Live(pi uint64) *Block {
 // Counter returns the current effective counter for addr's line.
 func (s *Store) Counter(addr uint64) uint64 {
 	return s.block(addr).Counter(lineIndex(addr))
-}
-
-// IncrementResult reports what an Increment did.
-type IncrementResult struct {
-	// Counter is the new effective counter to encrypt with.
-	Counter uint64
-	// Persisted is true when the counter block was written to NVM as
-	// part of this update (Osiris period boundary or overflow).
-	Persisted bool
-	// Overflow is true when the minor counter wrapped, the major counter
-	// was incremented, and the whole page must be re-encrypted.
-	Overflow bool
-}
-
-// Increment advances addr's line counter, applying split-counter overflow
-// and the Osiris persist policy. On overflow every line in the page gets
-// a fresh counter (page re-encryption is the caller's responsibility).
-func (s *Store) Increment(addr uint64) IncrementResult {
-	pi := s.pageIndex(addr)
-	b := s.block(addr)
-	li := lineIndex(addr)
-
-	var res IncrementResult
-	if b.Minors[li] == MinorMax {
-		b.Major++
-		for i := range b.Minors {
-			b.Minors[i] = 0
-		}
-		b.Minors[li] = 1
-		s.overflows++
-		res.Overflow = true
-	} else {
-		b.Minors[li]++
-	}
-	res.Counter = b.Counter(li)
-
-	up := s.updates.Ptr(pi)
-	*up++
-	if res.Overflow || *up%s.period == 0 {
-		s.persist(pi, b)
-		res.Persisted = true
-	}
-	return res
 }
 
 // persist writes page pi's live block b to the NVM counter region.
@@ -322,37 +269,6 @@ func (s *Store) setCounter(addr uint64, counter uint64) {
 	b.Minors[li] = uint8(counter & MinorMax)
 }
 
-// Preview returns what Increment(addr) would produce, without mutating
-// any state: the Ma-SU computes and redo-logs results before applying.
-func (s *Store) Preview(addr uint64) IncrementResult {
-	b := s.block(addr)
-	li := lineIndex(addr)
-	var res IncrementResult
-	if b.Minors[li] == MinorMax {
-		res.Overflow = true
-		res.Counter = (b.Major+1)<<MinorBits | 1
-	} else {
-		res.Counter = b.Major<<MinorBits | uint64(b.Minors[li]) + 1
-	}
-	pi := s.pageIndex(addr)
-	res.Persisted = res.Overflow || (s.updates.Get(pi)+1)%s.period == 0
-	return res
-}
-
-// ApplyUpdate installs a counter-block image computed by Preview (the
-// Ma-SU redo-log path), advancing the update count and applying the
-// Osiris persist policy. Unlike Increment it is idempotent with respect
-// to a staged image, which makes redo replay after a crash safe.
-func (s *Store) ApplyUpdate(pi uint64, img [BlockSize]byte, forcePersist bool) {
-	slot := s.volatile.Ptr(pi)
-	if *slot == nil {
-		*slot = new(Block)
-		s.live++
-	}
-	blk := DecodeBlock(img)
-	s.Commit(pi, *slot, &blk, forcePersist)
-}
-
 // ImageByIndex returns the current 64-byte image of page pi's counter
 // block (the integrity-tree leaf image).
 func (s *Store) ImageByIndex(pi uint64) [BlockSize]byte {
@@ -363,22 +279,13 @@ func (s *Store) ImageByIndex(pi uint64) [BlockSize]byte {
 	return b.Encode()
 }
 
-// BlockByIndex returns a copy of page pi's current counter block in
-// decoded form. Callers that go on to work with the fields should prefer
-// this over DecodeBlock(ImageByIndex(pi)), which round-trips a live
-// block through an encode/decode pair on the per-write hot path.
-func (s *Store) BlockByIndex(pi uint64) Block {
-	b := s.volatile.Get(pi)
-	if b == nil {
-		return DecodeBlock(s.dev.ReadLine(s.base + pi*BlockSize))
-	}
-	return *b
-}
-
-// ApplyBlock is ApplyUpdate for a caller that already holds the decoded
-// block (the Ma-SU stages the block in its redo record). Behaviour is
-// identical to ApplyUpdate(pi, blk.Encode(), forcePersist) — the codec
-// is lossless — minus the image decode.
+// ApplyBlock installs blk, a counter block the Ma-SU staged in its redo
+// record, as page pi's live block, advancing the page's update count
+// and applying the Osiris persist policy: the block is persisted when
+// forcePersist is set (a minor-counter overflow, a write-through policy)
+// or the count reaches a period boundary. Installing a staged block
+// twice leaves the block it installed once, which makes redo replay
+// after a crash safe.
 func (s *Store) ApplyBlock(pi uint64, blk *Block, forcePersist bool) {
 	slot := s.volatile.Ptr(pi)
 	if *slot == nil {

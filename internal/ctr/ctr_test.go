@@ -13,6 +13,29 @@ func newTestStore(period uint64) *Store {
 	return NewStore(dev, 8<<20, 1<<20, 1<<20, period)
 }
 
+// increment advances addr's line counter the way a Ma-SU write does:
+// it copies the page's live block, advances the line's minor (a minor at
+// its maximum overflows into the major and resets the page's minors),
+// and commits the copy, persisting it on an overflow. It returns the new
+// counter, whether the minor overflowed and whether the block persisted.
+func increment(s *Store, addr uint64) (counter uint64, overflow, persisted bool) {
+	pi := s.pageIndex(addr)
+	live := s.Live(pi)
+	blk := *live
+	li := lineIndex(addr)
+	overflow = blk.Minors[li] == MinorMax
+	if overflow {
+		blk.Major++
+		clear(blk.Minors[:])
+		blk.Minors[li] = 1
+	} else {
+		blk.Minors[li]++
+	}
+	before := s.Persists()
+	s.Commit(pi, live, &blk, overflow)
+	return blk.Counter(li), overflow, s.Persists() > before
+}
+
 func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(major uint64, minors [LinesPerBlock]uint8) bool {
 		var b Block
@@ -43,9 +66,8 @@ func TestIncrementAdvances(t *testing.T) {
 	if c := s.Counter(addr); c != 0 {
 		t.Fatalf("initial counter = %d", c)
 	}
-	r := s.Increment(addr)
-	if r.Counter != 1 || r.Overflow {
-		t.Fatalf("first increment: %+v", r)
+	if c, overflow, _ := increment(s, addr); c != 1 || overflow {
+		t.Fatalf("first increment: counter %d, overflow %v", c, overflow)
 	}
 	if s.Counter(addr) != 1 {
 		t.Fatalf("counter after increment = %d", s.Counter(addr))
@@ -56,9 +78,9 @@ func TestNeighborLinesIndependent(t *testing.T) {
 	s := newTestStore(4)
 	a := uint64(1 << 20)
 	b := a + 64
-	s.Increment(a)
-	s.Increment(a)
-	s.Increment(b)
+	increment(s, a)
+	increment(s, a)
+	increment(s, b)
 	if s.Counter(a) != 2 || s.Counter(b) != 1 {
 		t.Fatalf("counters = %d, %d", s.Counter(a), s.Counter(b))
 	}
@@ -69,7 +91,7 @@ func TestOsirisPersistPeriod(t *testing.T) {
 	addr := uint64(1 << 20)
 	var persisted int
 	for i := 0; i < 8; i++ {
-		if s.Increment(addr).Persisted {
+		if _, _, p := increment(s, addr); p {
 			persisted++
 		}
 	}
@@ -85,7 +107,7 @@ func TestStoredCounterLags(t *testing.T) {
 	s := newTestStore(4)
 	addr := uint64(1 << 20)
 	for i := 0; i < 6; i++ { // persist happened at 4
-		s.Increment(addr)
+		increment(s, addr)
 	}
 	if live, stored := s.Counter(addr), s.StoredCounter(addr); live != 6 || stored != 4 {
 		t.Fatalf("live=%d stored=%d, want 6/4", live, stored)
@@ -96,29 +118,31 @@ func TestMinorOverflow(t *testing.T) {
 	s := newTestStore(1000) // large period so only overflow persists
 	addr := uint64(1 << 20)
 	other := addr + 64
-	s.Increment(other) // give the neighbour a nonzero minor
-	var overflowed bool
+	increment(s, other) // give the neighbour a nonzero minor
+	overflows := 0
 	for i := 0; i < MinorMax+1; i++ {
-		r := s.Increment(addr)
-		if r.Overflow {
-			overflowed = true
-			if !r.Persisted {
+		c, overflow, persisted := increment(s, addr)
+		if overflow {
+			overflows++
+			if !persisted {
 				t.Fatal("overflow did not persist the block")
 			}
-			if r.Counter != 1<<MinorBits|1 {
-				t.Fatalf("post-overflow counter = %d", r.Counter)
+			if c != 1<<MinorBits|1 {
+				t.Fatalf("post-overflow counter = %d", c)
 			}
 		}
 	}
-	if !overflowed {
-		t.Fatal("no overflow after 128 increments")
+	if overflows != 1 {
+		t.Fatalf("%d overflows in 128 increments, want 1", overflows)
 	}
 	// The neighbour's minor was reset; its effective counter changed.
 	if got := s.Counter(other); got != 1<<MinorBits {
 		t.Fatalf("neighbour counter after overflow = %d", got)
 	}
-	if s.Overflows() != 1 {
-		t.Fatalf("Overflows() = %d", s.Overflows())
+	// The overflow persisted the block: it survives a power failure.
+	s.DropVolatile()
+	if got := s.Counter(addr); got != 1<<MinorBits|1 {
+		t.Fatalf("counter after crash = %d, want the persisted overflow", got)
 	}
 }
 
@@ -126,7 +150,7 @@ func TestDropVolatileLosesUnpersisted(t *testing.T) {
 	s := newTestStore(4)
 	addr := uint64(1 << 20)
 	for i := 0; i < 6; i++ {
-		s.Increment(addr)
+		increment(s, addr)
 	}
 	s.DropVolatile()
 	if got := s.Counter(addr); got != 4 {
@@ -138,14 +162,14 @@ func TestPersistAddrAndAll(t *testing.T) {
 	s := newTestStore(1000)
 	a := uint64(1 << 20)
 	b := a + nvm.PageSize
-	s.Increment(a)
-	s.Increment(b)
+	increment(s, a)
+	increment(s, b)
 	s.PersistAddr(a)
 	s.DropVolatile()
 	if s.Counter(a) != 1 || s.Counter(b) != 0 {
 		t.Fatalf("PersistAddr: a=%d b=%d", s.Counter(a), s.Counter(b))
 	}
-	s.Increment(b)
+	increment(s, b)
 	s.PersistAll()
 	s.DropVolatile()
 	if s.Counter(b) != 1 {
@@ -157,7 +181,7 @@ func TestOsirisRecovery(t *testing.T) {
 	s := newTestStore(4)
 	addr := uint64(1 << 20)
 	for i := 0; i < 7; i++ { // live=7, stored=4
-		s.Increment(addr)
+		increment(s, addr)
 	}
 	trueCounter := s.Counter(addr)
 	s.DropVolatile()
@@ -176,7 +200,7 @@ func TestOsirisRecovery(t *testing.T) {
 func TestOsirisRecoveryFailsWhenTampered(t *testing.T) {
 	s := newTestStore(4)
 	addr := uint64(1 << 20)
-	s.Increment(addr)
+	increment(s, addr)
 	s.DropVolatile()
 	_, _, ok := s.RecoverLine(addr, func(uint64) bool { return false })
 	if ok {
@@ -191,7 +215,7 @@ func TestRecoveryGapBoundProperty(t *testing.T) {
 		s := newTestStore(4)
 		addr := uint64(1 << 20)
 		for i := 0; i < int(n); i++ {
-			s.Increment(addr)
+			increment(s, addr)
 		}
 		live := s.Counter(addr)
 		stored := s.StoredCounter(addr)
@@ -204,13 +228,14 @@ func TestRecoveryGapBoundProperty(t *testing.T) {
 
 func TestBlockNVMAddrDistinct(t *testing.T) {
 	s := newTestStore(4)
-	a := s.BlockNVMAddr(1 << 20)
-	b := s.BlockNVMAddr(1<<20 + nvm.PageSize)
+	blockOf := func(addr uint64) uint64 { return s.BlockAddr(s.pageIndex(addr)) }
+	a := blockOf(1 << 20)
+	b := blockOf(1<<20 + nvm.PageSize)
 	if a == b || b-a != BlockSize {
 		t.Fatalf("block addrs %#x %#x", a, b)
 	}
 	// Lines within one page share a counter block.
-	if s.BlockNVMAddr(1<<20+64) != a {
+	if blockOf(1<<20+64) != a {
 		t.Fatal("same-page lines map to different counter blocks")
 	}
 }
@@ -227,8 +252,8 @@ func TestOutOfRangePanics(t *testing.T) {
 
 func TestTouchedPages(t *testing.T) {
 	s := newTestStore(4)
-	s.Increment(1 << 20)
-	s.Increment(1<<20 + 2*nvm.PageSize)
+	increment(s, 1<<20)
+	increment(s, 1<<20+2*nvm.PageSize)
 	if got := s.TouchedPages(); len(got) != 2 {
 		t.Fatalf("touched pages = %v", got)
 	}
@@ -256,7 +281,7 @@ func TestApplyRunMatchesApplyBlock(t *testing.T) {
 					run, ref := newTestStore(period), newTestStore(period)
 					for _, s := range []*Store{run, ref} {
 						for i := 0; i < pre; i++ {
-							s.Increment(addr)
+							increment(s, addr)
 						}
 					}
 					pi := run.pageIndex(addr)
@@ -266,7 +291,7 @@ func TestApplyRunMatchesApplyBlock(t *testing.T) {
 					}
 					run.ApplyRun(pi, slots, persistEach)
 					for _, li := range slots {
-						blk := ref.BlockByIndex(pi)
+						blk := *ref.Live(pi)
 						blk.Minors[li]++
 						ref.ApplyBlock(pi, &blk, persistEach)
 					}
@@ -280,5 +305,77 @@ func TestApplyRunMatchesApplyBlock(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestApplyBlockIdempotent(t *testing.T) {
+	s := newTestStore(4)
+	addr := uint64(1 << 20)
+	pi := uint64(0)
+	var b Block
+	b.Minors[0] = 5
+	s.ApplyBlock(pi, &b, false)
+	s.ApplyBlock(pi, &b, false) // redo replay: same block twice
+	if s.Counter(addr) != 5 {
+		t.Fatalf("counter = %d after double apply", s.Counter(addr))
+	}
+}
+
+func TestApplyBlockPersistPolicy(t *testing.T) {
+	s := newTestStore(4)
+	pi := uint64(0)
+	var b Block
+	for i := 1; i <= 8; i++ {
+		b.Minors[0] = uint8(i)
+		s.ApplyBlock(pi, &b, false)
+	}
+	if s.Persists() != 2 { // at applies 4 and 8
+		t.Fatalf("persists = %d", s.Persists())
+	}
+	if got := s.StoredCounter(1 << 20); got != 8 {
+		t.Fatalf("persisted counter = %d, want 8", got)
+	}
+	s.ApplyBlock(pi, &b, true) // forced
+	if s.Persists() != 3 {
+		t.Fatalf("forced persist missing: %d", s.Persists())
+	}
+}
+
+func TestImageRestoreRoundTrip(t *testing.T) {
+	s := newTestStore(4)
+	addr := uint64(1 << 20)
+	increment(s, addr)
+	increment(s, addr)
+	img := s.ImageByIndex(0)
+	s.DropVolatile()
+	s.RestoreByIndex(0, img)
+	if s.Counter(addr) != 2 {
+		t.Fatalf("restored counter = %d", s.Counter(addr))
+	}
+}
+
+func TestPageIndexOfNVMAddr(t *testing.T) {
+	s := newTestStore(4)
+	base := s.BlockAddr(0)
+	if pi, ok := s.PageIndexOfNVMAddr(base); !ok || pi != 0 {
+		t.Fatalf("pi=%d ok=%v", pi, ok)
+	}
+	if pi, ok := s.PageIndexOfNVMAddr(base + BlockSize); !ok || pi != 1 {
+		t.Fatalf("pi=%d ok=%v", pi, ok)
+	}
+	if _, ok := s.PageIndexOfNVMAddr(0); ok {
+		t.Fatal("address below region accepted")
+	}
+	if _, ok := s.PageIndexOfNVMAddr(base + s.RegionBytes()); ok {
+		t.Fatal("address past region accepted")
+	}
+}
+
+func TestPeriodAccessor(t *testing.T) {
+	if newTestStore(0).Period() != DefaultOsirisPeriod {
+		t.Fatal("default period wrong")
+	}
+	if newTestStore(9).Period() != 9 {
+		t.Fatal("explicit period wrong")
 	}
 }

@@ -272,7 +272,8 @@ func (u *Unit) CanAccept(addr uint64) bool {
 // committed immediately with its MAC pending; the caller later invokes
 // CompleteDeferredMAC (after MACLatency) to finish it. The MACs the
 // modelled insert computes are counted and marked owed, not hashed.
-func (u *Unit) Protect(addr uint64, plain [64]byte) int {
+// Protect reads *plain once, into the entry's ciphertext.
+func (u *Unit) Protect(addr uint64, plain *[64]byte) int {
 	slot, _, ok := u.queue.Allocate(addr)
 	if !ok {
 		panic("misu: Protect called on full queue")
@@ -282,7 +283,7 @@ func (u *Unit) Protect(addr uint64, plain [64]byte) int {
 		Counter: u.slotCounter(slot),
 		Valid:   true,
 	}
-	crypt.XOR(&e.Cipher, &plain, &u.pads[slot])
+	crypt.XOR(&e.Cipher, plain, &u.pads[slot])
 	switch u.design {
 	case FullWPQ:
 		// Figure 8 steps 2-3: the slot's L1 MAC, then the root.
@@ -313,7 +314,7 @@ func (u *Unit) CompleteDeferredMAC(slot int) {
 	if u.design != PostWPQ {
 		panic("misu: deferred MAC on non-Post design")
 	}
-	e := u.queue.Entry(slot)
+	e := *u.queue.Entry(slot)
 	e.MACPending = false
 	u.queue.Commit(slot, e)
 	u.stale[slot] = true
@@ -390,7 +391,8 @@ func (u *Unit) rootMAC(l1 []crypt.MAC) crypt.MAC {
 }
 
 // DecryptSlot returns the plaintext line and address of a live slot (the
-// Ma-SU's Figure 11 step 1, or a WPQ read hit): a single XOR.
+// Ma-SU's Figure 11 step 1, or a WPQ read hit): a single XOR of the
+// entry, read in place.
 func (u *Unit) DecryptSlot(slot int) (addr uint64, plain [64]byte) {
 	e := u.queue.Entry(slot)
 	crypt.XOR(&plain, &e.Cipher, &u.pads[slot])

@@ -8,7 +8,7 @@ func benchProtect(b *testing.B, d Design) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slot := u.Protect(uint64(i%8+1)*64, p)
+		slot := u.Protect(uint64(i%8+1)*64, &p)
 		if d == PostWPQ {
 			u.CompleteDeferredMAC(slot)
 		}
@@ -28,7 +28,7 @@ func BenchmarkDrainRecover(b *testing.B) {
 		b.StopTimer()
 		u, _ := newUnit(PartialWPQ, 13)
 		for j := uint64(1); j <= 13; j++ {
-			u.Protect(j*64, p)
+			u.Protect(j*64, &p)
 		}
 		b.StartTimer()
 		u.Drain()

@@ -9,7 +9,7 @@ func TestMultiEpochCounterUniqueness(t *testing.T) {
 	u, _ := newUnit(PartialWPQ, 4)
 	seen := map[uint64]bool{}
 	for epoch := 0; epoch < 10; epoch++ {
-		slot := u.Protect(0x1000, line(byte(epoch)))
+		slot := u.Protect(0x1000, lineRef(byte(epoch)))
 		ctr := u.Queue().Entry(slot).Counter
 		if seen[ctr] {
 			t.Fatalf("counter %d reused in epoch %d", ctr, epoch)
@@ -29,7 +29,7 @@ func TestDrainWithFetchedEntries(t *testing.T) {
 	// An entry the Ma-SU has fetched but not cleared is still live: it
 	// must be drained and recovered (the paper's double-write case).
 	u, _ := newUnit(PartialWPQ, 8)
-	s := u.Protect(0x1000, line(1))
+	s := u.Protect(0x1000, lineRef(1))
 	u.Queue().MarkFetched(s)
 	u.Drain()
 	rec, err := u.Recover()
@@ -43,11 +43,11 @@ func TestDrainWithFetchedEntries(t *testing.T) {
 
 func TestPostDeferredAcrossCoalesce(t *testing.T) {
 	u, _ := newUnit(PostWPQ, 8)
-	s1 := u.Protect(0x1000, line(1))
+	s1 := u.Protect(0x1000, lineRef(1))
 	u.CompleteDeferredMAC(s1)
 	// Coalesce into the same entry; the new data needs a fresh deferred
 	// MAC and blocks further accepts until completed.
-	s2 := u.Protect(0x1000, line(2))
+	s2 := u.Protect(0x1000, lineRef(2))
 	if s2 != s1 {
 		t.Fatalf("coalesce used new slot %d", s2)
 	}
@@ -67,7 +67,7 @@ func TestPostDeferredAcrossCoalesce(t *testing.T) {
 
 func TestRecoverIsFreshEpoch(t *testing.T) {
 	u, _ := newUnit(FullWPQ, 8)
-	u.Protect(0x1000, line(1))
+	u.Protect(0x1000, lineRef(1))
 	u.Drain()
 	if _, err := u.Recover(); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestRecoverIsFreshEpoch(t *testing.T) {
 
 func TestTamperedMACBlockDetected(t *testing.T) {
 	u, dev := newUnit(PartialWPQ, 8)
-	u.Protect(0x1000, line(1))
+	u.Protect(0x1000, lineRef(1))
 	u.Drain()
 	// Flip a bit inside the drained MAC block region.
 	macBase := uint64(1<<20) + 8 + 8*72
@@ -108,8 +108,8 @@ func TestFullWPQRootBindsCounterRegister(t *testing.T) {
 	if _, err := u2.Recover(); err != nil { // advances u2's register
 		t.Fatal(err)
 	}
-	u1.Protect(0x1000, line(1))
-	u2.Protect(0x1000, line(1))
+	u1.Protect(0x1000, lineRef(1))
+	u2.Protect(0x1000, lineRef(1))
 	if u1.rootRegister() == u2.rootRegister() {
 		t.Fatal("roots equal across epochs: replaying an old drained image would verify")
 	}
@@ -129,7 +129,7 @@ func TestStorageScalesWithEntries(t *testing.T) {
 func TestDecryptSlotMatchesProtect(t *testing.T) {
 	u, _ := newUnit(FullWPQ, 8)
 	for i := byte(0); i < 8; i++ {
-		slot := u.Protect(uint64(i+1)*64, line(i))
+		slot := u.Protect(uint64(i+1)*64, lineRef(i))
 		addr, plain := u.DecryptSlot(slot)
 		if addr != uint64(i+1)*64 || plain != line(i) {
 			t.Fatalf("slot %d decrypt mismatch", slot)

@@ -22,6 +22,12 @@ func line(seed byte) [64]byte {
 	return l
 }
 
+// lineRef returns line(seed) by reference, as Protect takes it.
+func lineRef(seed byte) *[64]byte {
+	l := line(seed)
+	return &l
+}
+
 func TestDesignEntries(t *testing.T) {
 	if FullWPQ.Entries(16) != 16 || PartialWPQ.Entries(16) != 14 || PostWPQ.Entries(16) != 11 {
 		t.Fatalf("entries: %d/%d/%d", FullWPQ.Entries(16), PartialWPQ.Entries(16), PostWPQ.Entries(16))
@@ -55,7 +61,7 @@ func TestDesignString(t *testing.T) {
 func TestProtectEncrypts(t *testing.T) {
 	u, _ := newUnit(PartialWPQ, 8)
 	plain := line(1)
-	slot := u.Protect(0x1000, plain)
+	slot := u.Protect(0x1000, &plain)
 	e := u.Queue().Entry(slot)
 	if e.Cipher == plain {
 		t.Fatal("WPQ entry stored in plaintext")
@@ -83,7 +89,7 @@ func TestDrainRecoverRoundTrip(t *testing.T) {
 						}
 					}
 				}
-				u.Protect(a, p)
+				u.Protect(a, &p)
 			}
 			st := u.Drain()
 			if st.EntriesWritten != 8 {
@@ -110,7 +116,7 @@ func TestADRBudgetCompliance(t *testing.T) {
 	// Partial drains MAC blocks but computes none; Post computes at most
 	// one.
 	uf, _ := newUnit(FullWPQ, 8)
-	uf.Protect(0x40, line(1))
+	uf.Protect(0x40, lineRef(1))
 	before := uf.MACOps()
 	st := uf.Drain()
 	if st.MACBlocksWritten != 0 || st.DeferredMACs != 0 || uf.MACOps() != before {
@@ -118,7 +124,7 @@ func TestADRBudgetCompliance(t *testing.T) {
 	}
 
 	up, _ := newUnit(PartialWPQ, 8)
-	up.Protect(0x40, line(1))
+	up.Protect(0x40, lineRef(1))
 	before = up.MACOps()
 	st = up.Drain()
 	if st.MACBlocksWritten != 1 || st.DeferredMACs != 0 || up.MACOps() != before {
@@ -126,7 +132,7 @@ func TestADRBudgetCompliance(t *testing.T) {
 	}
 
 	uo, _ := newUnit(PostWPQ, 8)
-	uo.Protect(0x40, line(1)) // deferred MAC left pending
+	uo.Protect(0x40, lineRef(1)) // deferred MAC left pending
 	st = uo.Drain()
 	if st.DeferredMACs != 1 {
 		t.Fatalf("Post-WPQ drain deferred MACs = %d, want 1", st.DeferredMACs)
@@ -135,7 +141,7 @@ func TestADRBudgetCompliance(t *testing.T) {
 
 func TestPostWPQBusyUntilDeferredDone(t *testing.T) {
 	u, _ := newUnit(PostWPQ, 8)
-	u.Protect(0x40, line(1))
+	u.Protect(0x40, lineRef(1))
 	if u.CanAccept(0x80) {
 		t.Fatal("Post-WPQ accepted a write with a deferred MAC pending")
 	}
@@ -154,7 +160,7 @@ func TestTamperedDrainDetected(t *testing.T) {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
 			u, dev := newUnit(d, 8)
-			u.Protect(0x1000, line(1))
+			u.Protect(0x1000, lineRef(1))
 			u.Drain()
 			// Spoof: flip a byte in the drained slot-0 ciphertext.
 			addr := uint64(1<<20) + drainHeaderBytes(8) + 8
@@ -171,8 +177,8 @@ func TestTamperedDrainDetected(t *testing.T) {
 
 func TestRelocatedDrainEntryDetected(t *testing.T) {
 	u, dev := newUnit(PartialWPQ, 8)
-	u.Protect(0x1000, line(1))
-	u.Protect(0x2000, line(2))
+	u.Protect(0x1000, lineRef(1))
+	u.Protect(0x2000, lineRef(2))
 	u.Drain()
 	// Swap the two slot records (relocation attack).
 	base := uint64(1 << 20)
@@ -189,7 +195,7 @@ func TestRelocatedDrainEntryDetected(t *testing.T) {
 
 func TestCounterRegisterAdvances(t *testing.T) {
 	u, _ := newUnit(PartialWPQ, 8)
-	u.Protect(0x1000, line(1))
+	u.Protect(0x1000, lineRef(1))
 	u.Drain()
 	if _, err := u.Recover(); err != nil {
 		t.Fatal(err)
@@ -198,7 +204,7 @@ func TestCounterRegisterAdvances(t *testing.T) {
 		t.Fatalf("counter register = %d, want 8 (advanced by WPQ size)", u.CounterRegister())
 	}
 	// The same slot now encrypts with a different pad.
-	slot := u.Protect(0x1000, line(1))
+	slot := u.Protect(0x1000, lineRef(1))
 	e2 := u.Queue().Entry(slot)
 	if e2.Counter != 8+uint64(slot) {
 		t.Fatalf("new epoch counter = %d", e2.Counter)
@@ -208,13 +214,13 @@ func TestCounterRegisterAdvances(t *testing.T) {
 func TestPadUniquenessAcrossEpochs(t *testing.T) {
 	u, _ := newUnit(PartialWPQ, 4)
 	plain := line(9)
-	slot := u.Protect(0x1000, plain)
+	slot := u.Protect(0x1000, &plain)
 	c1 := u.Queue().Entry(slot).Cipher
 	u.Drain()
 	if _, err := u.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	slot2 := u.Protect(0x1000, plain)
+	slot2 := u.Protect(0x1000, &plain)
 	c2 := u.Queue().Entry(slot2).Cipher
 	if slot == slot2 && c1 == c2 {
 		t.Fatal("same plaintext in same slot produced same ciphertext across drains")
@@ -223,8 +229,8 @@ func TestPadUniquenessAcrossEpochs(t *testing.T) {
 
 func TestClearedEntrySkippedAtRecovery(t *testing.T) {
 	u, _ := newUnit(PartialWPQ, 8)
-	s := u.Protect(0x1000, line(1))
-	u.Protect(0x2000, line(2))
+	s := u.Protect(0x1000, lineRef(1))
+	u.Protect(0x2000, lineRef(2))
 	u.Queue().Clear(s) // Ma-SU finished this one
 	u.Drain()
 	rec, err := u.Recover()
@@ -249,8 +255,8 @@ func TestEmptyRecover(t *testing.T) {
 
 func TestCoalescingReusesSlot(t *testing.T) {
 	u, _ := newUnit(PartialWPQ, 4)
-	s1 := u.Protect(0x1000, line(1))
-	s2 := u.Protect(0x1000, line(2))
+	s1 := u.Protect(0x1000, lineRef(1))
+	s2 := u.Protect(0x1000, lineRef(2))
 	if s1 != s2 {
 		t.Fatalf("coalescing used new slot %d != %d", s2, s1)
 	}
@@ -316,7 +322,7 @@ func TestRecoveryRoundTripProperty(t *testing.T) {
 						}
 					}
 				}
-				u.Protect(addr, p)
+				u.Protect(addr, &p)
 				want[addr] = p
 			}
 			u.Drain()

@@ -49,7 +49,7 @@ func TestModelCheckMiSU(t *testing.T) {
 						}
 					}
 					val := randLine()
-					slot := u.Protect(addr, val)
+					slot := u.Protect(addr, &val)
 					liveOracle[addr] = val
 					// Decrypt-verify immediately: the slot must hold it.
 					if a, p := u.DecryptSlot(slot); a != addr || (!u.Queue().Entry(slot).MACPending && p != val) {

@@ -76,7 +76,7 @@ func (d *driver) insert(addr uint64) {
 	var v [64]byte
 	binary.LittleEndian.PutUint32(v[:], d.n)
 	v[63] = byte(addr >> 6)
-	u.Protect(addr, v)
+	u.Protect(addr, &v)
 	d.live[addr] = v
 }
 
@@ -251,7 +251,7 @@ func TestInsertComputesNoHash(t *testing.T) {
 			t.Fatalf("boot: %d hashes, %d modelled MACs", hashes(cnt), u.MACOps())
 		}
 		for i := uint64(1); i <= 5; i++ {
-			u.Protect(i*64, line(byte(i)))
+			u.Protect(i*64, lineRef(byte(i)))
 		}
 		if hashes(cnt) != 0 || u.MACOps() != 5+10 {
 			t.Fatalf("inserts: %d hashes, %d modelled MACs", hashes(cnt), u.MACOps())
@@ -262,7 +262,7 @@ func TestInsertComputesNoHash(t *testing.T) {
 		}
 		groups := map[int]bool{}
 		for i := uint64(1); i <= 12; i++ {
-			groups[u.Protect(i*1024, line(byte(i)))/groupSize] = true
+			groups[u.Protect(i*1024, lineRef(byte(i)))/groupSize] = true
 		}
 		before := cnt.NodeMACs
 		u.Drain()
@@ -278,10 +278,10 @@ func TestInsertComputesNoHash(t *testing.T) {
 	t.Run("Partial", func(t *testing.T) {
 		u, _, cnt := newCountingUnit(PartialWPQ, 14)
 		for i := uint64(1); i <= 5; i++ {
-			u.Protect(i*64, line(byte(i)))
+			u.Protect(i*64, lineRef(byte(i)))
 		}
-		u.Protect(64, line(9)) // coalesces
-		u.Protect(128, line(9))
+		u.Protect(64, lineRef(9)) // coalesces
+		u.Protect(128, lineRef(9))
 		if hashes(cnt) != 0 || u.MACOps() != 7 {
 			t.Fatalf("inserts: %d hashes, %d modelled MACs", hashes(cnt), u.MACOps())
 		}
@@ -292,9 +292,9 @@ func TestInsertComputesNoHash(t *testing.T) {
 	})
 	t.Run("Post", func(t *testing.T) {
 		u, _, cnt := newCountingUnit(PostWPQ, 11)
-		s := u.Protect(64, line(1))
+		s := u.Protect(64, lineRef(1))
 		u.CompleteDeferredMAC(s)
-		u.Protect(128, line(2)) // left pending for the drain
+		u.Protect(128, lineRef(2)) // left pending for the drain
 		if hashes(cnt) != 0 || u.MACOps() != 1 {
 			t.Fatalf("inserts: %d hashes, %d modelled MACs", hashes(cnt), u.MACOps())
 		}
@@ -310,9 +310,9 @@ func TestInsertComputesNoHash(t *testing.T) {
 // drained before the latest insert is refused.
 func TestRecoverChecksRootRegister(t *testing.T) {
 	u, _ := newUnit(FullWPQ, 16)
-	u.Protect(0x1000, line(1))
+	u.Protect(0x1000, lineRef(1))
 	u.Drain()
-	u.Protect(0x2000, line(2))
+	u.Protect(0x2000, lineRef(2))
 	if _, err := u.Recover(); err == nil {
 		t.Fatal("an image drained before the latest insert verified")
 	}

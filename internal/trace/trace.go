@@ -143,16 +143,61 @@ func (t *Trace) Count() Counts {
 // chunkOps is the capacity of one recording chunk (~360 KB of ops).
 const chunkOps = 4096
 
-// chunkPool recycles recording chunks between recorders, so that a
-// trace generated soon after another (the next cell, the next core's
-// trace) records into memory that needs no fresh zeroed allocation.
-var chunkPool = sync.Pool{New: func() any { return new([chunkOps]Op) }}
+// maxFreeChunks bounds the chunks kept for reuse: 64 chunks, about
+// 23 MB, kept for the life of the process. The largest trace the
+// repository's benchmark generates, 1000 Btree transactions, records
+// into 50.
+const maxFreeChunks = 64
+
+// freeChunks recycles recording chunks between recorders, so that a
+// trace generated after another (the next cell, the next core's trace)
+// records into memory that needs no fresh zeroed allocation. Unlike a
+// sync.Pool, which a garbage collection empties, it keeps its chunks
+// until the next recorder takes them, so what a generation allocates
+// does not depend on when the collector last ran.
+var freeChunks struct {
+	sync.Mutex
+	list []*[chunkOps]Op
+}
+
+// getChunk takes a free chunk, or allocates one when none is free.
+func getChunk() *[chunkOps]Op {
+	freeChunks.Lock()
+	defer freeChunks.Unlock()
+	n := len(freeChunks.list)
+	if n == 0 {
+		return new([chunkOps]Op)
+	}
+	c := freeChunks.list[n-1]
+	freeChunks.list[n-1] = nil
+	freeChunks.list = freeChunks.list[:n-1]
+	return c
+}
+
+// putChunk returns a chunk for reuse, or leaves it to the collector
+// when maxFreeChunks are already free.
+func putChunk(c *[chunkOps]Op) {
+	freeChunks.Lock()
+	defer freeChunks.Unlock()
+	if len(freeChunks.list) < maxFreeChunks {
+		freeChunks.list = append(freeChunks.list, c)
+	}
+}
+
+// ReleaseChunks drops every free recording chunk, so the next
+// recordings allocate fresh ones, as the first in a process does.
+func ReleaseChunks() {
+	freeChunks.Lock()
+	defer freeChunks.Unlock()
+	clear(freeChunks.list)
+	freeChunks.list = freeChunks.list[:0]
+}
 
 // Recorder builds a trace incrementally; the pmem layer drives it.
 //
 // Ops are recorded into fixed-size chunks and copied into one
-// exact-length Trace.Ops by Finish, which returns the chunks to
-// chunkPool. Growing a single slice by append instead would allocate
+// exact-length Trace.Ops by Finish, which returns the chunks for reuse
+// (freeChunks). Growing a single slice by append instead would allocate
 // about five times the final trace and copy it about four times.
 type Recorder struct {
 	t Trace
@@ -175,7 +220,7 @@ func (r *Recorder) next() *Op {
 		if r.cur != nil {
 			r.full = append(r.full, r.cur)
 		}
-		r.cur = chunkPool.Get().(*[chunkOps]Op)[:0]
+		r.cur = getChunk()[:0]
 	}
 	r.cur = r.cur[:len(r.cur)+1]
 	return &r.cur[len(r.cur)-1]
@@ -251,7 +296,7 @@ func (r *Recorder) Finish() *Trace {
 	ops := append(make([]Op, 0, n), r.t.Ops...)
 	for _, c := range append(r.full, r.cur) {
 		ops = append(ops, c...)
-		chunkPool.Put((*[chunkOps]Op)(c[:chunkOps]))
+		putChunk((*[chunkOps]Op)(c[:chunkOps]))
 	}
 	r.t.Ops = ops
 	r.full, r.cur = nil, nil

@@ -91,15 +91,23 @@ const noTag = ^uint64(0)
 type Queue struct {
 	slots     []Entry
 	nextAlloc int // next slot to try for insertion (paper's Next_time)
-	nextFetch int // oldest un-cleared entry (paper's next_fetch_index)
 	live      int // valid && !cleared
 
 	// fetchKey[i] is slots[i].Seq when the slot is fetchable (valid,
 	// un-cleared, MAC complete, not in flight) and MaxUint64 otherwise.
 	// FetchOldest runs several times per drained entry, and scanning a
 	// dense word per slot beats touching every ~100-byte Entry; the key
-	// is refreshed by the few mutators that change a fetchability bit.
+	// is refreshed by the few mutators that change a fetchability bit,
+	// each through setKey.
 	fetchKey []uint64
+	// oldest is the slot FetchOldest last found (-1: none fetchable)
+	// and oldestKey its key, valid while oldestOK. setKey keeps the pair
+	// right when a key falls below oldestKey, and clears oldestOK when
+	// the remembered slot's own key changes; Reset clears it too. Most
+	// FetchOldest calls then return without a scan.
+	oldest    int
+	oldestKey uint64
+	oldestOK  bool
 
 	// tagOf is the volatile tag array, indexed by slot: the line address
 	// whose tag the slot holds, or noTag. An address appears in at most
@@ -218,50 +226,57 @@ func (q *Queue) Lookup(addr uint64) (slot int, ok bool) {
 // the entry with one XOR).
 func (q *Queue) ReadHit() { q.readHits++ }
 
-// Entry returns a copy of slot i.
-func (q *Queue) Entry(i int) Entry { return q.slots[i] }
+// Entry returns slot i in place. The entry is the queue's own: read
+// it, never write through it (Commit, MarkFetched and Clear keep the
+// fetch order and the tag array in step with it), and read it before
+// the next call that changes the slot.
+func (q *Queue) Entry(i int) *Entry { return &q.slots[i] }
+
+// SetCoalescing enables or disables write coalescing through the tag
+// array (enabled by default; the ablation experiments turn it off).
+func (q *Queue) SetCoalescing(enabled bool) { q.noCoalesce = !enabled }
 
 // Allocate finds the slot for a new write to addr. If a live entry for
 // addr exists it is returned with coalesced == true; otherwise a free
 // slot is claimed. ok is false when the queue is full (the caller counts
 // a retry event and re-attempts later).
-// SetCoalescing enables or disables write coalescing through the tag
-// array (enabled by default; the ablation experiments turn it off).
-func (q *Queue) SetCoalescing(enabled bool) { q.noCoalesce = !enabled }
-
 func (q *Queue) Allocate(addr uint64) (slot int, coalesced, ok bool) {
-	if q.CanCoalesce(addr) {
-		s, _ := q.Lookup(addr)
+	// One tag lookup serves both the coalescing check and the tag move
+	// below: an address's tag is in at most one slot.
+	held, tagged := q.Lookup(addr)
+	if tagged && !q.noCoalesce && q.slots[held].Valid && !q.slots[held].Cleared {
 		q.coalesces++
 		q.inserts++
 		if q.obs != nil {
 			q.obs(EvCoalesce, addr, q.live)
 		}
-		return s, true, true
+		return held, true, true
 	}
 	if q.Full() {
 		return 0, false, false
 	}
-	for i := 0; i < len(q.slots); i++ {
-		s := (q.nextAlloc + i) % len(q.slots)
-		if !q.slots[s].Valid || q.slots[s].Cleared {
-			if q.slots[s].Valid {
-				// Reusing a cleared slot: retire its tag only if the
-				// address has not been re-allocated to another slot.
-				if q.tagOf[s] == q.slots[s].Addr {
-					q.tagOf[s] = noTag
-				}
+	n := len(q.slots)
+	for s, i := q.nextAlloc, 0; i < n; i++ {
+		if e := &q.slots[s]; !e.Valid || e.Cleared {
+			q.nextAlloc = s + 1
+			if q.nextAlloc == n {
+				q.nextAlloc = 0
 			}
-			q.nextAlloc = (s + 1) % len(q.slots)
 			q.live++
 			q.inserts++
-			q.slots[s] = Entry{} // caller fills via Commit
-			q.fetchKey[s] = ^uint64(0)
-			q.setTag(addr, s)
+			// A free or cleared slot's key is already MaxUint64.
+			*e = Entry{} // caller fills via Commit
+			if tagged {
+				q.tagOf[held] = noTag
+			}
+			q.tagOf[s] = addr
 			if q.obs != nil {
 				q.obs(EvInsert, addr, q.live)
 			}
 			return s, false, true
+		}
+		if s++; s == n {
+			s = 0
 		}
 	}
 	panic("wpq: full check and scan disagree")
@@ -272,15 +287,19 @@ func (q *Queue) Commit(slot int, e Entry) {
 	if !e.Valid {
 		panic("wpq: committing invalid entry")
 	}
-	prev := q.slots[slot]
+	prev := &q.slots[slot]
 	if prev.Valid && !prev.Cleared && prev.Addr != e.Addr {
 		panic(fmt.Sprintf("wpq: slot %d overwrite of live entry %#x with %#x", slot, prev.Addr, e.Addr))
 	}
 	q.seq++
 	e.Seq = q.seq
-	q.slots[slot] = e
+	*prev = e
 	q.refreshKey(slot)
-	q.setTag(e.Addr, slot)
+	// An address holds at most one tag, so a slot that already holds
+	// this one leaves nothing to clear elsewhere.
+	if q.tagOf[slot] != e.Addr {
+		q.setTag(e.Addr, slot)
+	}
 }
 
 // refreshKey recomputes fetchKey[slot] from the slot's flags. Every
@@ -288,9 +307,25 @@ func (q *Queue) Commit(slot int, e Entry) {
 func (q *Queue) refreshKey(slot int) {
 	e := &q.slots[slot]
 	if e.Valid && !e.Cleared && !e.MACPending && !e.Fetched {
-		q.fetchKey[slot] = e.Seq
+		q.setKey(slot, e.Seq)
 	} else {
-		q.fetchKey[slot] = ^uint64(0)
+		q.setKey(slot, ^uint64(0))
+	}
+}
+
+// setKey sets fetchKey[slot] to k and keeps the remembered oldest slot
+// right: a key below the remembered one makes slot the oldest, and a
+// change to the remembered slot's own key forgets it. Every write of
+// fetchKey outside Reset goes through here.
+func (q *Queue) setKey(slot int, k uint64) {
+	q.fetchKey[slot] = k
+	if !q.oldestOK {
+		return
+	}
+	if k < q.oldestKey {
+		q.oldest, q.oldestKey = slot, k
+	} else if slot == q.oldest && k != q.oldestKey {
+		q.oldestOK = false
 	}
 }
 
@@ -300,26 +335,35 @@ func (q *Queue) refreshKey(slot int) {
 // line occupies two entries (coalescing disabled): the newer value must
 // reach NVM last.
 func (q *Queue) FetchOldest() (slot int, ok bool) {
-	// Seq stamps start at 1 and are unique, so MaxUint64 doubles as the
-	// "not fetchable" sentinel and the scan is a plain min over one dense
-	// word per slot. Ties are impossible; the strict < keeps the original
-	// first-smallest-Seq choice.
+	if !q.oldestOK {
+		q.oldest, q.oldestKey = q.scanOldest()
+		q.oldestOK = true
+	}
+	if q.oldest < 0 {
+		return 0, false
+	}
+	return q.oldest, true
+}
+
+// scanOldest returns the slot with the smallest fetch key and that key,
+// or -1 and MaxUint64 when no slot is fetchable. Seq stamps start at 1
+// and are unique, so MaxUint64 doubles as the "not fetchable" sentinel
+// and the scan is a plain min over one dense word per slot. Ties are
+// impossible; the strict < keeps the original first-smallest-Seq choice.
+func (q *Queue) scanOldest() (slot int, key uint64) {
 	best, bestKey := -1, ^uint64(0)
 	for i, k := range q.fetchKey {
 		if k < bestKey {
 			best, bestKey = i, k
 		}
 	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+	return best, bestKey
 }
 
 // MarkFetched flags slot as in-flight in the Ma-SU pipeline.
 func (q *Queue) MarkFetched(slot int) {
 	q.slots[slot].Fetched = true
-	q.fetchKey[slot] = ^uint64(0)
+	q.setKey(slot, ^uint64(0))
 	if q.obs != nil {
 		q.obs(EvFetch, q.slots[slot].Addr, q.live)
 	}
@@ -334,12 +378,11 @@ func (q *Queue) Clear(slot int) {
 		panic(fmt.Sprintf("wpq: clearing slot %d in state %+v", slot, *e))
 	}
 	e.Cleared = true
-	q.fetchKey[slot] = ^uint64(0)
+	q.setKey(slot, ^uint64(0))
 	q.live--
 	if q.tagOf[slot] == e.Addr {
 		q.tagOf[slot] = noTag
 	}
-	q.nextFetch = (slot + 1) % len(q.slots)
 	if q.obs != nil {
 		q.obs(EvClear, e.Addr, q.live)
 	}
@@ -357,5 +400,6 @@ func (q *Queue) Reset() {
 		q.fetchKey[i] = ^uint64(0)
 		q.tagOf[i] = noTag
 	}
-	q.nextAlloc, q.nextFetch, q.live = 0, 0, 0
+	q.nextAlloc, q.live = 0, 0
+	q.oldestOK = false
 }
